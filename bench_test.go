@@ -1070,6 +1070,52 @@ func BenchmarkGatherScatter1e6(b *testing.B) {
 	b.ReportMetric(n, "elements/op")
 }
 
+// ---------------------------------------------------------------------
+// The bridge at the Swift level: vunpack -> vpack -> r -> vunpack ->
+// vpack -> sum at n = 8000 through core.RunCompiled. The two benchmarks
+// above drive the ADLB chunk plane directly and so never saw what wraps
+// it — the engine waiting on every member before the gather, and the
+// prelude handling the enumeration. data-ops/op is the number to watch:
+// it is a count, it repeats exactly, and it does not grow with n.
+// ---------------------------------------------------------------------
+
+func BenchmarkVectorBridge(b *testing.B) {
+	const n = 8000
+	compiled, err := stc.Compile(fmt.Sprintf(`
+		blob b0 = python("v = []\nfor k in range(%d):\n    v.append(1.5 + k * 0.25)", "v");
+		float x0[] = vunpack(b0);
+		blob b1 = vpack(x0);
+		blob b2 = r("", "argv1 + 0.25", b1);
+		float x1[] = vunpack(b2);
+		blob b3 = vpack(x1);
+		float s = julia("", "sum(argv1)", b3);
+		printf("sum=%%.17g", s);
+	`, n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sum float64
+	for k := 0; k < n; k++ {
+		sum += 1.5 + float64(k)*0.25 + 0.25
+	}
+	want := fmt.Sprintf("sum=%.17g", sum)
+	var dataOps int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.RunCompiled(compiled, core.Config{Engines: 1, Workers: 2, Servers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !strings.Contains(res.Stdout, want) {
+			b.Fatalf("stdout = %q, want %s", res.Stdout, want)
+		}
+		dataOps += res.ADLB.DataOps
+	}
+	// Each run moves n members four times: two scatters, two gathers.
+	b.ReportMetric(float64(4*n*b.N)/b.Elapsed().Seconds(), "members/s")
+	b.ReportMetric(float64(dataOps)/float64(b.N), "data-ops/op")
+}
+
 // TestGatherScatterAllocBudget is the CI allocation gate for the hot
 // data path: it runs BenchmarkGatherScatter1e6 once and fails if
 // allocs/op exceeds the budget committed in alloc_budget.txt. Gated

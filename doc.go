@@ -128,17 +128,34 @@
 // whose element type follows the assignment context — `float A[] =
 // vunpack(b)` decodes under the blob's element kind, `int A[] = ...`
 // requires exactly integral values. Both compile to sw:vpack/sw:vunpack
-// actions carrying TD ids and the element type only; the gather waits on
-// the container and then on its members, runs as a worker leaf task, and
-// moves every element through the batched data plane (RetrieveBatch /
-// StoreVector: one RPC per owning server, one owner-local member datum
-// per element), so a 1e4-element pack is a handful of messages rather
-// than 1e4 — and element data never renders as text. This is what turns
+// actions carrying TD ids and the element type only, and every
+// per-member cost on the route sits inside one vectorised Go call, never
+// in the interpreter or on the wire. vunpack is one worker leaf task
+// and one StoreChunk RPC: the container's owner creates an owner-local
+// closed member per row. vpack waits twice. When the container closes,
+// sw:vpack makes one call, turbine::rule_members: the engine enumerates
+// the closed container in Go (one Enumerate RPC — the enumeration never
+// becomes a Tcl string) and registers a rule on its members, asking
+// about all of them in one batched Subscribe — one RPC per owning
+// server, answering which are closed already and notifying once for
+// each that is not. When the last member closes, the released leaf
+// action names only the output, the element type and the container; the
+// worker's turbine::vpack_gather enumerates the container itself (one
+// RPC, checking the subscripts are a dense 0..n-1) and gathers with one
+// RetrieveChunk per owning server. So the data-store RPCs of a whole
+// vunpack -> vpack trip are the same few at any n
+// (internal/core.TestVectorBridgeDataOpsIndependentOfLength pins the
+// count; BenchmarkVectorBridge reports it) and element data never
+// renders as text. size(A) and join_array(A, sep) read a closed array
+// the same way (turbine::container_size, turbine::container_values);
+// only foreach over an array, which genuinely iterates in Tcl, still
+// takes the enumeration as a list. This is what turns
 // typed scalar calls into the paper's §IV array-scale ensembles: scatter
 // a packed vector with vunpack, foreach an interpreter fragment per
 // element, vpack the results, and aggregate the blob in one call
 // (examples/interlang, internal/core/container_roundtrip_test.go,
-// BenchmarkContainerPack).
+// BenchmarkVectorBridge; BenchmarkContainerPack and
+// BenchmarkGatherScatter1e6 time the chunk plane under it).
 //
 // Adding a language is exactly what building jlite required, and no
 // more: (1) the interpreter package itself, exposing Exec/EvalExpr/

@@ -631,11 +631,11 @@ func TestSubscribeNotification(t *testing.T) {
 			return err
 		case 1:
 			id := <-idCh
-			closed, err := cl.Subscribe(id, cl.Rank())
+			closed, err := cl.Subscribe(cl.Rank(), []int64{id})
 			if err != nil {
 				return err
 			}
-			if closed {
+			if closed[0] {
 				// Already stored: no notification will come; done.
 				return drainShutdown(cl)
 			}
@@ -673,11 +673,11 @@ func TestSubscribeAlreadyClosed(t *testing.T) {
 		id, _ := cl.Unique()
 		cl.Create(id, TypeString)
 		cl.Store(id, StringValue("done"))
-		closed, err := cl.Subscribe(id, cl.Rank())
+		closed, err := cl.Subscribe(cl.Rank(), []int64{id})
 		if err != nil {
 			return err
 		}
-		if !closed {
+		if !closed[0] {
 			return fmt.Errorf("expected closed=true for stored datum")
 		}
 		return drainShutdown(cl)
@@ -733,8 +733,8 @@ func TestContainers(t *testing.T) {
 		if err := cl.Insert(c, "2", m1); err == nil {
 			return fmt.Errorf("insert into closed container succeeded")
 		}
-		closed, err := cl.Subscribe(c, cl.Rank())
-		if err != nil || !closed {
+		closed, err := cl.Subscribe(cl.Rank(), []int64{c})
+		if err != nil || !closed[0] {
 			return fmt.Errorf("subscribe closed container: %v %v", closed, err)
 		}
 		return drainShutdown(cl)
@@ -820,11 +820,11 @@ func TestNotificationAcrossServers(t *testing.T) {
 		case 0:
 			// Subscribe from a client of server 0.
 			id := <-ids
-			closed, err := cl.Subscribe(id, cl.Rank())
+			closed, err := cl.Subscribe(cl.Rank(), []int64{id})
 			if err != nil {
 				return err
 			}
-			if !closed {
+			if !closed[0] {
 				p, ok, err := cl.Get(typeControl)
 				if err != nil {
 					return err

@@ -538,22 +538,61 @@ func (cl *Client) StoreChunk(container int64, c chunk.Chunk) error {
 	return d.finish("store_chunk response")
 }
 
-// Subscribe registers rank for a close notification on id. If the datum is
-// already closed, closed=true is returned and no notification will be sent.
-func (cl *Client) Subscribe(id int64, rank int) (closed bool, err error) {
-	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
-		e.u8(opSubscribe)
-		e.i64(id)
-		e.i32(int32(rank))
-	})
-	if err != nil {
-		return false, err
+// Subscribe registers rank for a close notification on each of ids, and
+// reports which are closed already: closed[i] means ids[i] needs no wait
+// and no notification for it will be sent. The ids are grouped by owning
+// server and each server is asked once — O(servers) RPCs however many
+// ids — and each server's group is all-or-nothing: an unknown id fails
+// the call with no subscriber registered on that server. An id given
+// twice is subscribed twice.
+func (cl *Client) Subscribe(rank int, ids []int64) (closed []bool, err error) {
+	closed = make([]bool, len(ids))
+	// One pass over ids per server rather than a map of groups: rules
+	// have one to three inputs far more often than a container's worth.
+	for s, left := 0, len(ids); left > 0 && s < cl.l.Servers; s++ {
+		server := cl.l.ServerRank(s)
+		n := 0
+		for _, id := range ids {
+			if cl.l.OwnerOf(id) == server {
+				n++
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		left -= n
+		d, err := cl.rpc(server, func(e *encoder) {
+			e.u8(opSubscribe)
+			e.i32(int32(rank))
+			e.u32(uint32(n))
+			for _, id := range ids {
+				if cl.l.OwnerOf(id) == server {
+					e.i64(id)
+				}
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		if _, err := checkStatus(d, "subscribe"); err != nil {
+			return nil, err
+		}
+		flags := d.bytes()
+		if err := d.finish("subscribe response"); err != nil {
+			return nil, err
+		}
+		if len(flags) != n {
+			return nil, fmt.Errorf("adlb: subscribe: asked about %d ids, got %d flags", n, len(flags))
+		}
+		k := 0
+		for i, id := range ids {
+			if cl.l.OwnerOf(id) == server {
+				closed[i] = flags[k] != 0
+				k++
+			}
+		}
 	}
-	if _, err := checkStatus(d, "subscribe"); err != nil {
-		return false, err
-	}
-	closed = d.boolean()
-	return closed, d.finish("subscribe response")
+	return closed, nil
 }
 
 // Insert adds an existing datum as a member of a container.
@@ -611,14 +650,11 @@ func (cl *Client) Enumerate(container int64) ([]Pair, error) {
 	if _, err := checkStatus(d, "enumerate"); err != nil {
 		return nil, err
 	}
-	n := int(d.u32())
-	pairs := make([]Pair, 0, n)
-	for i := 0; i < n; i++ {
-		sub := d.str()
-		id := d.i64()
-		pairs = append(pairs, Pair{Subscript: sub, Member: id})
+	pairs := decodePairs(d)
+	if err := d.finish("enumerate response"); err != nil {
+		return nil, err
 	}
-	return pairs, d.finish("enumerate response")
+	return pairs, nil
 }
 
 // WriteRefcount adjusts a container's write refcount. The container closes

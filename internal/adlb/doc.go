@@ -16,4 +16,17 @@
 // (delivered as targeted work items through the normal Get path), and
 // containers with insert/lookup/enumerate plus write-refcount close
 // semantics.
+//
+// Subscribe is batched, and is the only form on the wire: the request is
+// opSubscribe, the subscriber's rank (i32), and a counted id list (u32 n,
+// n x i64); the response is a status byte and n closed flags as one
+// length-prefixed byte field. The client groups a call's ids by owning
+// server and sends each server one request, so a rule waiting on a whole
+// container's members costs O(servers) RPCs. A server answers its group
+// all-or-nothing: an unknown id fails the request, naming the id, before
+// any subscriber is registered. Counts read off the wire (here, in the
+// id lists of the batched retrieves, and in the enumerate response) are
+// checked against the bytes remaining in the frame before anything is
+// allocated. Stats.DataOps counts requests, not ids: one batch to one
+// server is one data operation, whatever it carries.
 package adlb

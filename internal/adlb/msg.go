@@ -24,7 +24,7 @@ const (
 	opCreate
 	opStore
 	opRetrieve
-	opSubscribe
+	opSubscribe // rank + counted id list -> one closed flag per id (see Client.Subscribe)
 	opInsert
 	opLookup
 	opEnumerate
@@ -193,6 +193,51 @@ func decodeValue(d *decoder) Value {
 type Pair struct {
 	Subscript string
 	Member    int64
+}
+
+// decodeIDs reads a counted id list (u32 n, then n i64), the request body
+// of every batched op: retrieve_batch, retrieve_chunk and subscribe. The
+// count is checked against the bytes left in the frame before allocating:
+// a claimed count beyond the frame is malformed input, not an allocation
+// request. (Division keeps the bound overflow-free on 32-bit ints.)
+func decodeIDs(d *decoder, what string) []int64 {
+	n := int(d.u32())
+	if d.err == nil && (n < 0 || n > (len(d.buf)-d.off)/8) {
+		d.fail(what)
+	}
+	if d.err != nil {
+		return nil
+	}
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = d.i64()
+	}
+	return ids
+}
+
+// decodePairs reads the enumerate response: u32 n, then n (subscript,
+// member id) pairs in insertion order. The count is bounded by the bytes
+// left (a pair is at least a u32 subscript length and an i64 id) and the
+// loop stops at the first decode error, so a hostile count costs neither
+// memory nor time.
+func decodePairs(d *decoder) []Pair {
+	n := int(d.u32())
+	if d.err == nil && (n < 0 || n > (len(d.buf)-d.off)/12) {
+		d.fail("enumerate pairs")
+	}
+	if d.err != nil {
+		return nil
+	}
+	pairs := make([]Pair, 0, n)
+	for i := 0; i < n; i++ {
+		sub := d.str()
+		id := d.i64()
+		if d.err != nil {
+			return nil
+		}
+		pairs = append(pairs, Pair{Subscript: sub, Member: id})
+	}
+	return pairs
 }
 
 // The chunk frame: length-prefixed column buffers beside the per-value

@@ -885,25 +885,30 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		})
 
 	case opSubscribe:
-		id := d.i64()
 		rank := int(d.i32())
+		ids := decodeIDs(d, "subscribe ids")
 		if err := d.finish("subscribe request"); err != nil {
 			return err
 		}
-		dm, ok := s.store[id]
-		if !ok {
-			return s.respondError(client, fmt.Sprintf("subscribe: no such id %d", id))
+		// All-or-nothing: resolve every id before registering anything,
+		// so a failed batch leaves no subscriber behind.
+		for _, id := range ids {
+			if _, ok := s.store[id]; !ok {
+				return s.respondError(client, fmt.Sprintf("subscribe: no such id %d", id))
+			}
 		}
-		if dm.closed() {
-			return s.respond(client, func(e *encoder) {
-				e.u8(stOK)
-				e.boolean(true) // already closed
-			})
+		closed := make([]byte, len(ids))
+		for i, id := range ids {
+			dm := s.store[id]
+			if dm.closed() {
+				closed[i] = 1
+				continue
+			}
+			dm.subscribers = append(dm.subscribers, rank)
 		}
-		dm.subscribers = append(dm.subscribers, rank)
 		return s.respond(client, func(e *encoder) {
 			e.u8(stOK)
-			e.boolean(false)
+			e.bytes(closed)
 		})
 
 	case opInsert:
@@ -1038,23 +1043,11 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		// Bulk gather: all requested ids are owned here (the client
 		// grouped by owner), so the whole lookup is local and the reply
 		// carries every value in one frame.
-		n := int(d.u32())
-		if d.err == nil && (n < 0 || n > (len(d.buf)-d.off)/8) {
-			// Division keeps the bound overflow-free on 32-bit ints; a
-			// claimed count beyond the frame is malformed input, not an
-			// allocation request.
-			d.fail("retrieve_batch ids")
-		}
-		if d.err != nil {
-			return d.err
-		}
-		ids := make([]int64, n)
-		for i := range ids {
-			ids[i] = d.i64()
-		}
+		ids := decodeIDs(d, "retrieve_batch ids")
 		if err := d.finish("retrieve_batch request"); err != nil {
 			return err
 		}
+		n := len(ids)
 		vals := make([]Value, n)
 		for i, id := range ids {
 			dm, ok := s.store[id]
@@ -1137,17 +1130,7 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		// encodings. The scratch chunk is reused across RPCs (the server
 		// loop is single-goroutine), so a steady gather stream allocates
 		// nothing here.
-		n := int(d.u32())
-		if d.err == nil && (n < 0 || n > (len(d.buf)-d.off)/8) {
-			d.fail("retrieve_chunk ids")
-		}
-		if d.err != nil {
-			return d.err
-		}
-		ids := make([]int64, n)
-		for i := range ids {
-			ids[i] = d.i64()
-		}
+		ids := decodeIDs(d, "retrieve_chunk ids")
 		if err := d.finish("retrieve_chunk request"); err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package adlb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/chunk"
@@ -30,6 +31,16 @@ func FuzzWireRoundTrip(f *testing.F) {
 	seedChunk.AppendBlob([]byte{3}, 2, []int{1})
 	encodeChunk(e, seedChunk)
 	f.Add(e.buf, int64(3), uint8(1))
+	// The counted bodies (batched subscribe request and response, the
+	// enumerate response): whole, cut short, and claiming more entries
+	// than the frame has bytes for.
+	for _, cf := range countedFrames() {
+		f.Add(cf.frame, int64(cf.count), uint8(0))
+		f.Add(cf.frame[:len(cf.frame)-3], int64(cf.count), uint8(0))
+		huge := append([]byte(nil), cf.frame...)
+		binary.LittleEndian.PutUint32(huge[cf.at:], 1<<31-1)
+		f.Add(huge, int64(cf.count), uint8(0))
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte, n int64, tag uint8) {
 		// 1. Decoder robustness: arbitrary input, all decode shapes.
@@ -41,6 +52,17 @@ func FuzzWireRoundTrip(f *testing.F) {
 				count := int(d.u32())
 				for i := 0; i < count && d.err == nil; i++ {
 					decodeValue(d)
+				}
+			},
+			func(d *decoder) {
+				d.i32()
+				if ids := decodeIDs(d, "fuzz ids"); len(ids) > len(raw)/8 {
+					t.Fatalf("%d ids out of %d bytes", len(ids), len(raw))
+				}
+			},
+			func(d *decoder) {
+				if pairs := decodePairs(d); len(pairs) > len(raw)/12 {
+					t.Fatalf("%d pairs out of %d bytes", len(pairs), len(raw))
 				}
 			},
 			func(d *decoder) {

@@ -1,6 +1,7 @@
 package adlb
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -118,4 +119,73 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 			t.Fatal("truncated frame accepted")
 		}
 	})
+}
+
+// countedFrame is one clean frame of a count-prefixed message body;
+// decode reads the shape back and reports how many entries it produced.
+type countedFrame struct {
+	name   string
+	frame  []byte
+	count  int // entries in the clean frame
+	at     int // offset of the u32 count
+	decode func(d *decoder) int
+}
+
+// countedFrames builds one of each: a batched subscribe request (rank +
+// id list), its response (a length-prefixed run of closed flags), and an
+// enumerate response (subscript/member pairs).
+func countedFrames() []countedFrame {
+	sub := &encoder{}
+	sub.i32(3)
+	sub.u32(4)
+	for _, id := range []int64{7, -9, 1 << 40, 0} {
+		sub.i64(id)
+	}
+	flags := &encoder{}
+	flags.bytes([]byte{1, 0, 0, 1})
+	pairs := &encoder{}
+	pairs.u32(3)
+	for i, sub := range []string{"0", "", "a long subscript"} {
+		pairs.str(sub)
+		pairs.i64(int64(100 + i))
+	}
+	return []countedFrame{
+		{"subscribe-request", sub.buf, 4, 4, func(d *decoder) int { d.i32(); return len(decodeIDs(d, "subscribe ids")) }},
+		{"subscribe-response", flags.buf, 4, 0, func(d *decoder) int { return len(d.bytes()) }},
+		{"enumerate-response", pairs.buf, 3, 0, func(d *decoder) int { return len(decodePairs(d)) }},
+	}
+}
+
+// A count read off the wire is a claim, not an allocation request: every
+// counted body decodes cleanly when whole, and fails — producing nothing —
+// when truncated anywhere or when its count exceeds what the remaining
+// bytes could hold.
+func TestCountedFramesBoundedByBytes(t *testing.T) {
+	for _, f := range countedFrames() {
+		t.Run(f.name, func(t *testing.T) {
+			d := &decoder{buf: f.frame}
+			if n := f.decode(d); n != f.count {
+				t.Fatalf("clean frame decoded %d entries, want %d", n, f.count)
+			}
+			if err := d.finish(f.name); err != nil {
+				t.Fatalf("clean frame rejected: %v", err)
+			}
+			for cut := 0; cut < len(f.frame); cut++ {
+				d := &decoder{buf: f.frame[:cut]}
+				n := f.decode(d)
+				if err := d.finish(f.name); err == nil || n != 0 {
+					t.Fatalf("frame cut to %d of %d bytes: %d entries, err %v", cut, len(f.frame), n, err)
+				}
+			}
+			for _, claim := range []uint32{uint32(f.count) + 1, 1 << 20, 1<<31 - 1, 1 << 31, ^uint32(0)} {
+				huge := append([]byte(nil), f.frame...)
+				binary.LittleEndian.PutUint32(huge[f.at:], claim)
+				d := &decoder{buf: huge}
+				n := f.decode(d)
+				if err := d.finish(f.name); err == nil || n != 0 {
+					t.Fatalf("count %d over %d bytes: %d entries, err %v", claim, len(huge), n, err)
+				}
+			}
+		})
+	}
 }

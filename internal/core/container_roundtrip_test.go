@@ -170,3 +170,59 @@ func TestVunpackRejectsNonIntegralIntContext(t *testing.T) {
 		t.Fatalf("err = %v, want non-integral vunpack failure", err)
 	}
 }
+
+// The bridge costs O(servers) data operations, not O(n): a blob scattered
+// by vunpack and gathered back by vpack makes exactly as many data-store
+// RPCs at 2n elements as at n, on one server and on two, and the vector
+// that comes back is the one that went in, bit for bit. (The member wait
+// is one batched subscribe per owning server; before it was batched this
+// count grew by one RPC per element.)
+func TestVectorBridgeDataOpsIndependentOfLength(t *testing.T) {
+	trip := func(t *testing.T, n, servers int) int64 {
+		t.Helper()
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = float64(i)*0.125 + 0.1
+		}
+		st := &probeState{src: lang.BlobOf(blob.FromFloat64s(want))}
+		lang.Register(lang.Registration{
+			Name: "probe",
+			Sig:  lang.Signature{Fixed: 1, Variadic: true},
+			New:  func(h lang.Host) lang.Engine { return &probeEngine{st: st} },
+		})
+		defer lang.Unregister("probe")
+		res, err := Run(`
+			blob src = probe("emit");
+			float xs[] = vunpack(src);
+			blob packed = vpack(xs);
+			blob seen = probe("capture", packed);
+			printf("n=%i", size(xs));
+		`, Config{Engines: 1, Workers: 2, Servers: servers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(res.Stdout, fmt.Sprintf("n=%d", n)) {
+			t.Fatalf("stdout = %q, want n=%d", res.Stdout, n)
+		}
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if len(st.got) != 1 {
+			t.Fatalf("probe captured %d values, want 1", len(st.got))
+		}
+		b := st.got[0].AsBlob()
+		if !bytes.Equal(b.Data, blob.FromFloat64s(want).Data) || b.Elem != blob.ElemF64 ||
+			len(b.Dims) != 1 || b.Dims[0] != n {
+			t.Fatalf("n=%d: packed vector differs from the source (elem %v, dims %v)", n, b.Elem, b.Dims)
+		}
+		return res.ADLB.DataOps
+	}
+	for _, servers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("servers=%d", servers), func(t *testing.T) {
+			small, large := trip(t, 500, servers), trip(t, 1000, servers)
+			if small != large {
+				t.Fatalf("data ops: %d at n=500, %d at n=1000; want the same", small, large)
+			}
+			t.Logf("%d data ops at either length", small)
+		})
+	}
+}

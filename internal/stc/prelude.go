@@ -137,26 +137,12 @@ proc sw:leafcall {name out outtype ids} {
 # Container -> vector (vpack): fires when the container closes; chains a
 # rule on all members (which may still be open), then a worker gathers
 # them through the batched data plane (one RPC per owning server, never
-# one per element) and packs one blob TD with dims recorded. Element data
-# never renders as text anywhere on the route.
+# one per element) and packs one blob TD with dims recorded. Only the
+# container's id travels in the action: engine and worker each enumerate
+# it in Go, and neither member ids nor element data render as text
+# anywhere on the route.
 proc sw:vpack {out elemtype c} {
-    set pairs [turbine::container_enumerate $c]
-    set members {}
-    foreach {sub m} $pairs {
-        lappend members $m
-    }
-    if {[llength $members] == 0} {
-        turbine::vpack_gather $out $elemtype {}
-        return
-    }
-    # The enumeration rides in the action (subscripts and TD ids only),
-    # so the worker gathers with a single batched load — no second
-    # enumerate RPC.
-    turbine::rule $members "sw:vpack_fire $out $elemtype [list $pairs]" type work
-}
-
-proc sw:vpack_fire {out elemtype pairs} {
-    turbine::vpack_gather $out $elemtype $pairs
+    turbine::rule_members $c "turbine::vpack_gather $out $elemtype $c" type work
 }
 
 # Vector -> container (vunpack): fires when the blob closes; a worker
@@ -186,32 +172,19 @@ proc sw:ainsert {c sub elem} {
 
 # Array size (fires on container close).
 proc sw:asize {out c} {
-    set n [expr {[llength [turbine::container_enumerate $c]] / 2}]
-    turbine::store_integer $out $n
+    turbine::store_integer $out [turbine::container_size $c]
 }
 
 # Join a closed array's element values with a separator. Fires when the
 # container closes; chains a rule on all members (which may still be
-# open), then renders values in subscript order.
+# open), then renders their values, loaded in one batch, in insertion
+# order.
 proc sw:ajoin {out c sep} {
-    set members {}
-    foreach {sub m} [turbine::container_enumerate $c] {
-        lappend members $m
-    }
-    if {[llength $members] == 0} {
-        turbine::store_string $out ""
-        return
-    }
-    turbine::rule $members "sw:ajoin_fire $out $sep [list $members]"
+    turbine::rule_members $c "sw:ajoin_fire $out $c $sep"
 }
 
-proc sw:ajoin_fire {out sep members} {
-    set sepv [turbine::retrieve_string $sep]
-    set vals {}
-    foreach m $members {
-        lappend vals [turbine::retrieve $m]
-    }
-    turbine::store_string $out [join $vals $sepv]
+proc sw:ajoin_fire {out c sep} {
+    turbine::store_string $out [join [turbine::container_values $c] [turbine::retrieve_string $sep]]
 }
 
 # Build a range container [lo:hi:step]; drops the creation reference when

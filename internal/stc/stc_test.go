@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -514,6 +515,45 @@ func TestContainerVectorBridgeCompilesToBatchedActions(t *testing.T) {
 	}
 }
 
+func TestVpackActionNamesOnlyTheContainer(t *testing.T) {
+	// The leaf task released for vpack carries three words — output,
+	// element type, container — however many members there are: the
+	// worker enumerates the container itself.
+	var mu sync.Mutex
+	var actions [][]string
+	setup := func(in *tcl.Interp, env *turbine.Env) error {
+		in.RegisterCommand("test::saw", func(in *tcl.Interp, args []string) (string, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			actions = append(actions, append([]string(nil), args[1:]...))
+			return "", nil
+		})
+		_, err := in.Eval(`
+			rename turbine::vpack_gather test::gather
+			proc turbine::vpack_gather {args} { test::saw {*}$args; test::gather {*}$args }
+		`)
+		return err
+	}
+	lines, err := tryRunSwift(`
+		float xs[];
+		foreach i in [0:199] { xs[i] = itof(i); }
+		blob v = vpack(xs);
+		printf("bytes=%i", blob_size(v));
+	`, 4, 1, 1, setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectLines(t, lines, []string{"bytes=1600"})
+	if len(actions) != 1 || len(actions[0]) != 3 || actions[0][1] != "float" {
+		t.Fatalf("vpack leaf actions = %v, want one of <out> float <container>", actions)
+	}
+	for _, w := range []string{actions[0][0], actions[0][2]} {
+		if _, err := strconv.ParseInt(w, 10, 64); err != nil {
+			t.Fatalf("vpack leaf action %v: %q is not a single TD id", actions[0], w)
+		}
+	}
+}
+
 func TestJoinArray(t *testing.T) {
 	got := runSwift(t, `
 		int a[] = [3, 1, 2];
@@ -534,6 +574,65 @@ func TestJoinArrayFromLoop(t *testing.T) {
 		printf("j=%s", join_array(a, "+"));
 	`, 5, 1, 1)
 	expectLines(t, got, []string{"j=0+10+20+30"})
+}
+
+// size and join_array on the whole-array path (turbine::rule_members,
+// container_size, container_values): an empty array, one large enough
+// that any per-member RPC or text would show, and one whose members are
+// provably still open when the container closes.
+
+func TestJoinAndSizeOfEmptyArray(t *testing.T) {
+	got := runSwift(t, `
+		int a[];
+		foreach i in [1:0] { a[i] = i; }
+		printf("j=<%s> n=%i", join_array(a, ","), size(a));
+	`, 3, 1, 1)
+	expectLines(t, got, []string{"j=<> n=0"})
+}
+
+func TestJoinAndSizeOfLargeArray(t *testing.T) {
+	got := runSwift(t, `
+		int a[] = [0:4999];
+		printf("n=%i", size(a));
+		printf("j=%s", join_array(a, ","));
+	`, 3, 1, 1)
+	elems := make([]string, 5000)
+	for i := range elems {
+		elems[i] = strconv.Itoa(i)
+	}
+	expectLines(t, got, []string{"n=5000", "j=" + strings.Join(elems, ",")})
+}
+
+func TestJoinWaitsForMembersClosingAfterContainer(t *testing.T) {
+	// slow() blocks until gate() runs, and gate() needs size(a), which
+	// needs the container closed: every member closes after its
+	// container, and join_array must wait for each of them.
+	release := make(chan struct{})
+	setup := func(in *tcl.Interp, env *turbine.Env) error {
+		in.RegisterCommand("test::slow", func(in *tcl.Interp, args []string) (string, error) {
+			<-release
+			return args[1] + "0", nil
+		})
+		in.RegisterCommand("test::gate", func(in *tcl.Interp, args []string) (string, error) {
+			close(release)
+			return args[1], nil
+		})
+		return nil
+	}
+	lines, err := tryRunSwift(`
+		(int o) slow(int i) "test" "1.0" [ "set <<o>> [test::slow <<i>>]" ];
+		(int o) gate(int n) "test" "1.0" [ "set <<o>> [test::gate <<n>>]" ];
+		int a[];
+		a[0] = slow(1);
+		a[1] = slow(2);
+		a[2] = slow(3);
+		int n = gate(size(a));
+		printf("j=%s n=%i", join_array(a, "-"), n);
+	`, 6, 1, 1, setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectLines(t, lines, []string{"j=10-20-30 n=3"})
 }
 
 func TestJoinArrayFloats(t *testing.T) {

@@ -113,19 +113,11 @@ func cmdAppend(in *Interp, args []string) (string, error) {
 	if len(args) < 2 {
 		return "", arityErr("append", "varName ?value value ...?")
 	}
-	cur := ""
-	if in.VarExists(args[1]) {
-		var err error
-		cur, err = in.GetVar(args[1])
-		if err != nil {
-			return "", err
+	return in.appendVar(args[1], func(b *strings.Builder) {
+		for _, v := range args[2:] {
+			b.WriteString(v)
 		}
-	}
-	cur += strings.Join(args[2:], "")
-	if err := in.SetVar(args[1], cur); err != nil {
-		return "", err
-	}
-	return cur, nil
+	})
 }
 
 func cmdProc(in *Interp, args []string) (string, error) {
@@ -616,7 +608,8 @@ func cmdVariable(in *Interp, args []string) (string, error) {
 			in.global.vars[qname] = gv
 		}
 		if i+1 < len(args) {
-			gv.target().val = args[i+1]
+			t := gv.target()
+			t.val, t.app = args[i+1], nil
 		}
 		if in.frame() != in.global {
 			in.frame().vars[name] = &variable{link: gv}

@@ -37,6 +37,19 @@ type variable struct {
 	arr   map[string]string
 	isArr bool
 	link  *variable // non-nil for upvar/global aliases
+	// app is the open append run, if any: the builder whose String() is
+	// the current value of the scalar (or of array element app.key).
+	// Every write other than an append drops it (see appendVar).
+	app *appendRun
+}
+
+// appendRun is what makes append and lappend amortised O(1) per element:
+// the value handed out is the builder's String(), which shares the
+// builder's buffer, and the next append writes past its end (or into a
+// grown copy), so strings already handed out never change.
+type appendRun struct {
+	b   strings.Builder
+	key string // array element the run belongs to; "" for a scalar
 }
 
 func (v *variable) target() *variable {
@@ -177,8 +190,10 @@ func (in *Interp) GetVar(name string) (string, error) {
 	return v.val, nil
 }
 
-// SetVar assigns a variable in the current frame.
-func (in *Interp) SetVar(name, value string) error {
+// writable resolves name for assignment in the current frame, creating
+// the variable (and turning an empty scalar into an array for element
+// syntax) as set does.
+func (in *Interp) writable(name string) (v *variable, key string, isElem bool, err error) {
 	base, key, isElem := splitVarName(name)
 	f := in.frame()
 	if strings.HasPrefix(base, "::") {
@@ -194,19 +209,60 @@ func (in *Interp) SetVar(name, value string) error {
 	if isElem {
 		if !v.isArr {
 			if v.val != "" {
-				return fmt.Errorf(`tcl: can't set "%s": variable isn't array`, name)
+				return nil, "", false, fmt.Errorf(`tcl: can't set "%s": variable isn't array`, name)
 			}
 			v.isArr = true
 			v.arr = map[string]string{}
 		}
-		v.arr[key] = value
-		return nil
+		return v, key, true, nil
 	}
 	if v.isArr {
-		return fmt.Errorf(`tcl: can't set "%s": variable is array`, name)
+		return nil, "", false, fmt.Errorf(`tcl: can't set "%s": variable is array`, name)
 	}
-	v.val = value
+	return v, "", false, nil
+}
+
+// SetVar assigns a variable in the current frame.
+func (in *Interp) SetVar(name, value string) error {
+	v, key, isElem, err := in.writable(name)
+	if err != nil {
+		return err
+	}
+	v.app = nil
+	if isElem {
+		v.arr[key] = value
+	} else {
+		v.val = value
+	}
 	return nil
+}
+
+// appendVar extends a variable's value in place — the shared tail of
+// append and lappend — and returns the new value. write receives the
+// builder already holding the current value (empty for an unset
+// variable). Consecutive appends to one variable reuse the builder, so a
+// loop of n appends copies O(n) bytes in total rather than O(n^2).
+func (in *Interp) appendVar(name string, write func(b *strings.Builder)) (string, error) {
+	v, key, isElem, err := in.writable(name)
+	if err != nil {
+		return "", err
+	}
+	if v.app == nil || v.app.key != key {
+		v.app = &appendRun{key: key}
+		if isElem {
+			v.app.b.WriteString(v.arr[key])
+		} else {
+			v.app.b.WriteString(v.val)
+		}
+	}
+	write(&v.app.b)
+	res := v.app.b.String()
+	if isElem {
+		v.arr[key] = res
+	} else {
+		v.val = res
+	}
+	return res, nil
 }
 
 // UnsetVar removes a variable or array element.
@@ -226,6 +282,7 @@ func (in *Interp) UnsetVar(name string) error {
 		if !t.isArr {
 			return fmt.Errorf(`tcl: can't unset "%s": variable isn't array`, name)
 		}
+		t.app = nil
 		delete(t.arr, key)
 		return nil
 	}

@@ -96,27 +96,14 @@ func cmdLappend(in *Interp, args []string) (string, error) {
 	if len(args) < 2 {
 		return "", arityErr("lappend", "varName ?value ...?")
 	}
-	cur := ""
-	if in.VarExists(args[1]) {
-		var err error
-		cur, err = in.GetVar(args[1])
-		if err != nil {
-			return "", err
+	return in.appendVar(args[1], func(b *strings.Builder) {
+		for _, v := range args[2:] {
+			if b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(ListElement(v))
 		}
-	}
-	var b strings.Builder
-	b.WriteString(cur)
-	for _, v := range args[2:] {
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(ListElement(v))
-	}
-	res := b.String()
-	if err := in.SetVar(args[1], res); err != nil {
-		return "", err
-	}
-	return res, nil
+	})
 }
 
 func cmdLrange(in *Interp, args []string) (string, error) {

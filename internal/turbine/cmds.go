@@ -345,6 +345,43 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		}
 		return tcl.FormatList(out), nil
 	})
+	// container_size and container_values answer what a whole-array
+	// builtin needs from a closed container in O(1) RPCs per server,
+	// without the enumeration passing through Tcl.
+	reg("container_size", func(in *tcl.Interp, args []string) (string, error) {
+		if len(args) != 2 {
+			return "", fmt.Errorf("usage: turbine::container_size <c>")
+		}
+		pairs, err := enumerate(cl, args[1])
+		if err != nil {
+			return "", err
+		}
+		return strconv.Itoa(len(pairs)), nil
+	})
+	// container_values: the members' values in insertion order, rendered
+	// as turbine::retrieve renders each, from one batched load.
+	reg("container_values", func(in *tcl.Interp, args []string) (string, error) {
+		if len(args) != 2 {
+			return "", fmt.Errorf("usage: turbine::container_values <c>")
+		}
+		pairs, err := enumerate(cl, args[1])
+		if err != nil {
+			return "", err
+		}
+		ck, err := cl.RetrieveChunk(memberIDs(pairs))
+		if err != nil {
+			return "", err
+		}
+		vals, err := lang.ChunkToValues(ck, false)
+		if err != nil {
+			return "", err
+		}
+		out := make([]string, len(vals))
+		for i, v := range vals {
+			out[i] = v.Render()
+		}
+		return tcl.FormatList(out), nil
+	})
 	reg("write_refcount", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 3 {
 			return "", fmt.Errorf("usage: turbine::write_refcount <id> <delta>")
@@ -388,36 +425,34 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 	// element ever renders as text.
 	reg("vpack_gather", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 4 {
-			return "", fmt.Errorf("usage: turbine::vpack_gather <out> <elemtype> <pairs>")
+			return "", fmt.Errorf("usage: turbine::vpack_gather <out> <elemtype> <container>")
 		}
 		out, err := parseInt(args[1])
 		if err != nil {
 			return "", err
 		}
 		elemtype := args[2]
-		// pairs is the container's enumeration ({subscript member ...}),
-		// captured when the member-wait rule was registered so the gather
-		// needs no second enumerate RPC.
-		fields, err := tcl.ParseList(args[3])
-		if err != nil || len(fields)%2 != 0 {
-			return "", fmt.Errorf("turbine: vpack: malformed enumeration %q", args[3])
+		// The action names only the (closed) container; its enumeration is
+		// fetched here, by the rank that needs it, and never travels as
+		// text.
+		pairs, err := enumerate(cl, args[3])
+		if err != nil {
+			return "", err
 		}
 		// Members arrive in insertion order (parallel loop chunks insert
 		// in any order); the vector is laid out by integer subscript.
-		ids := make([]int64, len(fields)/2)
-		seen := make([]bool, len(ids))
-		for k := 0; k+1 < len(fields); k += 2 {
-			idx, err := strconv.Atoi(fields[k])
+		ids := make([]int64, len(pairs))
+		seen := make([]bool, len(pairs))
+		for _, p := range pairs {
+			idx, err := strconv.Atoi(p.Subscript)
 			if err != nil || idx < 0 || idx >= len(ids) {
-				return "", fmt.Errorf("turbine: vpack: subscript %q is not a dense index", fields[k])
+				return "", fmt.Errorf("turbine: vpack: subscript %q is not a dense index", p.Subscript)
 			}
 			if seen[idx] {
 				return "", fmt.Errorf("turbine: vpack: duplicate index %d", idx)
 			}
 			seen[idx] = true
-			if ids[idx], err = parseInt(fields[k+1]); err != nil {
-				return "", fmt.Errorf("turbine: vpack: bad member id %q", fields[k+1])
-			}
+			ids[idx] = p.Member
 		}
 		dp := env.DataPlane()
 		// Columnar gather: the members arrive as one chunk per owning
@@ -604,6 +639,26 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 	})
 }
 
+// enumerate lists the container named by a command argument: its
+// (subscript, member) pairs in insertion order.
+func enumerate(cl *adlb.Client, arg string) ([]adlb.Pair, error) {
+	c, err := parseInt(arg)
+	if err != nil {
+		return nil, err
+	}
+	return cl.Enumerate(c)
+}
+
+// memberIDs drops an enumeration's subscripts, leaving the member ids in
+// the form rules and batched loads take.
+func memberIDs(pairs []adlb.Pair) []int64 {
+	ids := make([]int64, len(pairs))
+	for i, p := range pairs {
+		ids[i] = p.Member
+	}
+	return ids
+}
+
 func allocStore(cl *adlb.Client, typ adlb.DataType, v adlb.Value) (int64, error) {
 	id, err := cl.Unique()
 	if err != nil {
@@ -680,37 +735,31 @@ func registerEngineCmds(in *tcl.Interp, env *Env) {
 				return "", err
 			}
 		}
-		r := &rule{action: args[2], target: adlb.AnyRank}
-		for i := 3; i+1 < len(args); i += 2 {
-			switch args[i] {
-			case "type":
-				switch args[i+1] {
-				case "work":
-					r.work = true
-				case "control":
-					r.work = false
-				default:
-					return "", fmt.Errorf("turbine::rule: bad type %q", args[i+1])
-				}
-			case "target":
-				t, err := parseInt(args[i+1])
-				if err != nil {
-					return "", err
-				}
-				r.target = int(t)
-			case "priority":
-				p, err := parseInt(args[i+1])
-				if err != nil {
-					return "", err
-				}
-				r.priority = int(p)
-			case "name":
-				r.name = args[i+1]
-			default:
-				return "", fmt.Errorf("turbine::rule: unknown option %q", args[i])
-			}
+		r, err := parseRule(args)
+		if err != nil {
+			return "", err
 		}
 		return "", eng.addRule(inputs, r)
+	})
+
+	// turbine::rule_members <container> {action} ?option value ...?
+	// A rule on every member of a closed container (same options as
+	// turbine::rule). The container is enumerated here, in Go, so a
+	// whole-array wait costs one enumerate and one subscribe per server
+	// and no Tcl text per member; an empty container releases at once.
+	in.RegisterCommand("turbine::rule_members", func(in *tcl.Interp, args []string) (string, error) {
+		if len(args) < 3 {
+			return "", fmt.Errorf("usage: turbine::rule_members <container> <action> ?options?")
+		}
+		pairs, err := enumerate(env.Client, args[1])
+		if err != nil {
+			return "", err
+		}
+		r, err := parseRule(args)
+		if err != nil {
+			return "", err
+		}
+		return "", eng.addRule(memberIDs(pairs), r)
 	})
 
 	// turbine::spawn <action>: release a control fragment to any engine,
@@ -729,4 +778,46 @@ func registerEngineCmds(in *tcl.Interp, env *Env) {
 		}
 		return "", env.Client.Put(TypeControl, prio, adlb.AnyRank, []byte(args[1]))
 	})
+}
+
+// parseRule builds a rule from a rule command's words: args[0] is the
+// command (named in errors), args[2] the action, args[3:] option/value
+// pairs — type (control|work), target N, priority N, name S.
+func parseRule(args []string) (*rule, error) {
+	r := &rule{action: args[2], target: adlb.AnyRank}
+	opts := args[3:]
+	if len(opts)%2 != 0 {
+		return nil, fmt.Errorf("%s: option %q has no value", args[0], opts[len(opts)-1])
+	}
+	for i := 0; i < len(opts); i += 2 {
+		opt, val := opts[i], opts[i+1]
+		switch opt {
+		case "type":
+			switch val {
+			case "work":
+				r.work = true
+			case "control":
+				r.work = false
+			default:
+				return nil, fmt.Errorf("%s: bad type %q", args[0], val)
+			}
+		case "target":
+			t, err := parseInt(val)
+			if err != nil {
+				return nil, err
+			}
+			r.target = int(t)
+		case "priority":
+			p, err := parseInt(val)
+			if err != nil {
+				return nil, err
+			}
+			r.priority = int(p)
+		case "name":
+			r.name = val
+		default:
+			return nil, fmt.Errorf("%s: unknown option %q", args[0], opt)
+		}
+	}
+	return r, nil
 }

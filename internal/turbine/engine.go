@@ -30,6 +30,7 @@ type engine struct {
 	waiting map[int64][]*rule // input id -> rules blocked on it
 	closed  map[int64]bool    // ids known closed (local cache)
 	subbed  map[int64]bool    // ids with an active subscription
+	ask     []int64           // addRule's scratch: the ids one rule must ask about
 }
 
 func newEngine(env *Env) *engine {
@@ -44,26 +45,41 @@ func newEngine(env *Env) *engine {
 func (e *engine) stats() *Stats { return e.env.Cfg.TurbineStats }
 
 // addRule registers a rule, subscribing to its unclosed inputs. Rules with
-// no pending inputs are immediately ready.
+// no pending inputs are immediately ready. Every input not already known
+// closed or subscribed goes into one Subscribe call — one RPC per owning
+// server, whether the rule waits on two TDs or on a container's members.
 func (e *engine) addRule(inputs []int64, r *rule) error {
 	if s := e.stats(); s != nil {
 		s.RulesCreated.Add(1)
 	}
+	// Subscribe once per id; the notification wakes all waiters. Marking
+	// an id subscribed as it is collected keeps a repeated input from
+	// being asked about twice.
+	e.ask = e.ask[:0]
+	for _, id := range inputs {
+		if !e.closed[id] && !e.subbed[id] {
+			e.subbed[id] = true
+			e.ask = append(e.ask, id)
+		}
+	}
+	if len(e.ask) > 0 {
+		isClosed, err := e.env.Client.Subscribe(e.env.Rank, e.ask)
+		if err != nil {
+			for _, id := range e.ask {
+				delete(e.subbed, id)
+			}
+			return err
+		}
+		for i, id := range e.ask {
+			if isClosed[i] {
+				delete(e.subbed, id)
+				e.closed[id] = true
+			}
+		}
+	}
 	for _, id := range inputs {
 		if e.closed[id] {
 			continue
-		}
-		// Subscribe once per id; the notification wakes all waiters.
-		if !e.subbed[id] {
-			isClosed, err := e.env.Client.Subscribe(id, e.env.Rank)
-			if err != nil {
-				return err
-			}
-			if isClosed {
-				e.closed[id] = true
-				continue
-			}
-			e.subbed[id] = true
 		}
 		r.pending++
 		e.waiting[id] = append(e.waiting[id], r)
