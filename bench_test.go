@@ -1,8 +1,7 @@
 package repro
 
 // Benchmark harness: one benchmark per figure/claim in the paper (see
-// DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
-// results). The paper is a systems paper with three architecture figures
+// CHANGES.md for recorded results). The paper is a systems paper with three architecture figures
 // and quantitative claims in prose; each benchmark regenerates the
 // measurement behind one of them on the simulated substrate.
 //
@@ -290,8 +289,8 @@ func BenchmarkC1EmbeddedVsExternal(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.PythonEvals != tasks {
-				b.Fatalf("evals = %d", res.PythonEvals)
+			if res.Evals["python"] != tasks {
+				b.Fatalf("evals = %d", res.Evals["python"])
 			}
 		}
 	})
@@ -781,7 +780,7 @@ func BenchmarkTypedFragment(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Container pack (vpack) data movement: gathering a 1e4-element array's
-// members off the data store as one batched RPC per owning server versus
+// members off the data store as one chunk RPC per owning server versus
 // one Retrieve RPC per element — the traffic shape behind vpack and the
 // reason the container<->vector bridge is viable at array scale.
 // ---------------------------------------------------------------------
@@ -822,12 +821,12 @@ func BenchmarkContainerPack(b *testing.B) {
 				b.ResetTimer()
 				for k := 0; k < b.N; k++ {
 					if mode == "batched" {
-						vals, err := cl.RetrieveBatch(ids)
+						ck, err := cl.RetrieveChunk(ids)
 						if err != nil {
 							return err
 						}
-						if len(vals) != n {
-							return fmt.Errorf("gathered %d values, want %d", len(vals), n)
+						if ck.Len() != n {
+							return fmt.Errorf("gathered %d rows, want %d", ck.Len(), n)
 						}
 					} else {
 						for _, id := range ids {
@@ -947,8 +946,8 @@ func BenchmarkEndToEndInterlanguage(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.PythonEvals != 8 || res.REvals != 8 {
-			b.Fatalf("evals: py=%d r=%d", res.PythonEvals, res.REvals)
+		if res.Evals["python"] != 8 || res.Evals["r"] != 8 {
+			b.Fatalf("evals: py=%d r=%d", res.Evals["python"], res.Evals["r"])
 		}
 	}
 }
@@ -989,11 +988,11 @@ func BenchmarkGatherScatter1e6(b *testing.B) {
 		if err := cl.Create(src, adlb.TypeContainer); err != nil {
 			return err
 		}
-		seed := make([]adlb.Value, n)
-		for i := range seed {
-			seed[i] = adlb.FloatValue(float64(i) * 0.5)
+		var seed chunk.Chunk
+		for i := 0; i < n; i++ {
+			seed.AppendFloat(float64(i) * 0.5)
 		}
-		if err := cl.StoreVector(src, seed); err != nil {
+		if err := cl.StoreChunk(src, seed); err != nil {
 			return err
 		}
 		pairs, err := cl.Enumerate(src)

@@ -54,6 +54,6 @@ func main() {
 			"python evals: %d\nR evals: %d\nprocess spawns: %d\n"+
 			"adlb: %+v\n",
 			res.Elapsed, res.LeafTasks, res.ControlTasks,
-			res.PythonEvals, res.REvals, res.Spawns, res.ADLB)
+			res.Evals["python"], res.Evals["r"], res.Spawns, res.ADLB)
 	}
 }

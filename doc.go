@@ -19,7 +19,7 @@
 // The stages, in order of execution:
 //
 //   - Parse cache. Interp.Eval memoizes parseScript results in a bounded
-//     (FIFO-evicted) per-interpreter cache keyed by source text, so a
+//     (LRU-evicted) per-interpreter cache keyed by source text, so a
 //     loop body or rule action is parsed once no matter how many times
 //     it runs. Proc bodies compile on first call and the compiled form
 //     is stored on the proc definition; redefinition installs a fresh
@@ -94,9 +94,9 @@
 //     client); blob values cross the data store with dims and element
 //     kind riding alongside the payload (adlb.Value.Dims/Elem), element
 //     bytes are never formatted as text anywhere on the route, and the
-//     whole argument vector loads in one batched call (DataPlane.LoadBatch
-//     over adlb.Client.RetrieveBatch: one RPC per owning server, never
-//     one per argument);
+//     whole argument vector loads as one columnar chunk
+//     (DataPlane.LoadChunk over adlb.Client.RetrieveChunk: one RPC per
+//     owning server, never one per argument);
 //   - core.RunCompiled iterates lang.Registered() at rank setup and
 //     installs both surfaces via lang.Install, which creates the engine
 //     lazily on first use, applies the retain/reinit state policy (paper
@@ -210,17 +210,15 @@
 // putEncoder, never retaining the encoder or its buffer past the Send.
 //
 // The zero-copy aliasing contract. Payload slices returned by
-// adlb.Client.Retrieve, RetrieveBatch, and RetrieveChunk alias the RPC
-// response frame. They are valid until the next call on the same
-// Client returns: that call retires the pinned frames at its start and
-// releases them only after its own request is on the wire (encode may
-// legitimately read a retired frame — a retrieved blob stored straight
-// back). Consumers that keep payloads longer must copy on escape —
-// turbine's fromStore copies blob bytes because engines retain argv
-// bindings across later data-plane calls, and lang.ChunkToValues takes
-// copyBytes for the same reason — while bulk paths that finish inside
-// the window (vpack, vunpack, the gather/scatter benchmark) stay
-// zero-copy. On the server side the mirror rule: request frames are
+// adlb.Client.Retrieve and RetrieveChunk alias the RPC response frame.
+// They are valid until the next call on the same Client returns: that
+// call retires the pinned frames at its start and releases them only
+// after its own request is on the wire (encode may legitimately read a
+// retired frame — a retrieved blob stored straight back). Consumers that
+// keep payloads longer must copy on escape — lang.ChunkToValues takes
+// copyBytes because engines retain argv bindings across later
+// data-plane calls — while bulk paths that finish inside the window
+// (vpack, vunpack, the gather/scatter benchmark) stay zero-copy. On the server side the mirror rule: request frames are
 // released after handling except for store-class ops, whose decoded
 // value bytes alias the frame for the datum's lifetime (zero-copy
 // store), and mutating a stale client view never corrupts a datum
@@ -297,8 +295,8 @@
 // adlb.put.targeted, lang.eval.pre, dataplane.store, turbine.worker.task,
 // adlb.server.loop, and the transport sites mpi.tcp.conn.drop,
 // mpi.tcp.heartbeat, mpi.tcp.frame) with nth-hit error/panic/crash/delay
-// plans and no time-based randomness, plus the worker-kill knobs in
-// core.Config (KillWorkerRank/KillWorkerAfterTasks). The chaos
+// plans and no time-based randomness; a worker killed mid-task is a
+// crash plan on turbine.worker.task, not a separate knob. The chaos
 // regression matrix in internal/core/fault_test.go, the lease lifecycle
 // tests in internal/adlb/lease_test.go, and the TCP matrix in
 // internal/mpi/tcp_test.go (SIGKILL mid-task, join mid-run, heartbeat
@@ -321,9 +319,10 @@
 // termination drain the workers.
 //
 // Warmth is byte-budgeted, not unbounded: compiled programs live in a
-// memo.Budget LRU keyed by source hash, and the python/julia engines'
-// parse caches are the same Budget type, with hits, misses, and bytes
-// evicted surfaced per layer at /statsz. Isolation is enforced at
+// memo.Budget LRU keyed by source hash, and every interpreter's parse
+// cache is the same memo.Budget (python and julia priced by source
+// bytes; tcl, r and the tcl engine by entry count), with the byte-priced
+// caches' hits, misses, and bytes evicted surfaced per layer at /statsz. Isolation is enforced at
 // tenant boundaries: an engine reused across tenants is Reset (state
 // wiped, parse caches kept), sessions are sticky to a worker rank so
 // interpreter state survives within a (tenant, session), and the
@@ -382,7 +381,8 @@
 //     constant (no ad-hoc strings), site values are unique, and no
 //     declared site is dead.
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the reproduction of the paper's figures and claims.
-// The root-level bench_test.go regenerates every experiment.
+// See bench/README.md for the end-to-end and per-layer benchmark (what
+// each metric measures and what moves it) and CHANGES.md for what each PR
+// did and measured. The root-level bench_test.go regenerates every
+// experiment.
 package repro

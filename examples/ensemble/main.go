@@ -60,5 +60,5 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("--\nensemble complete: %d leaf tasks across workers, %d R evals, elapsed %v\n",
-		res.LeafTasks, res.REvals, res.Elapsed)
+		res.LeafTasks, res.Evals["r"], res.Elapsed)
 }

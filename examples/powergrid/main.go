@@ -55,5 +55,5 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("--\ncontingency ensemble done: %d python evals, %d R evals, elapsed %v\n",
-		res.PythonEvals, res.REvals, res.Elapsed)
+		res.Evals["python"], res.Evals["r"], res.Elapsed)
 }

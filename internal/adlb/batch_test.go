@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/chunk"
 )
 
 // drainClient parks until NO_MORE_WORK so the server can reach
@@ -18,9 +20,17 @@ func drainClient(cl *Client) error {
 	}
 }
 
-func TestRetrieveBatchAcrossServers(t *testing.T) {
-	// Ids allocated from different home servers: the batch must group by
-	// owner, fetch from each, and return values in request order.
+func intChunk(vals ...int64) chunk.Chunk {
+	var c chunk.Chunk
+	for _, v := range vals {
+		c.AppendInt(v)
+	}
+	return c
+}
+
+func TestRetrieveChunkAcrossServers(t *testing.T) {
+	// Ids allocated from different home servers: the gather must group by
+	// owner, fetch from each, and return rows in request order.
 	const n = 64
 	runWorld(t, 6, 2, func(cl *Client) error {
 		if cl.Rank() != 0 && cl.Rank() != 3 {
@@ -42,32 +52,30 @@ func TestRetrieveBatchAcrossServers(t *testing.T) {
 			}
 			ids = append(ids, id)
 		}
-		vals, err := cl.RetrieveBatch(ids)
+		ck, err := cl.RetrieveChunk(ids)
 		if err != nil {
 			return err
 		}
-		if len(vals) != len(ids) {
-			return fmt.Errorf("got %d values for %d ids", len(vals), len(ids))
+		if ck.Len() != len(ids) {
+			return fmt.Errorf("got %d rows for %d ids", ck.Len(), len(ids))
 		}
-		for i, v := range vals {
-			f, err := AsFloat(v)
-			if err != nil {
-				return err
-			}
-			if want := float64(cl.Rank()*1000+i) + 0.5; f != want {
-				return fmt.Errorf("value %d = %v, want %v (order lost)", i, f, want)
+		r := ck.Reader()
+		for i := 0; r.Next(); i++ {
+			if want := float64(cl.Rank()*1000+i) + 0.5; r.Kind() != chunk.KindFloat || r.Float() != want {
+				return fmt.Errorf("row %d = %v (kind %v), want %v (order lost)", i, r.Float(), r.Kind(), want)
 			}
 		}
-		// Batched gather of a missing id must error, not return junk.
-		if _, err := cl.RetrieveBatch([]int64{ids[0], 1 << 40}); err == nil ||
-			!strings.Contains(err.Error(), "no such id") {
-			return fmt.Errorf("missing id in batch: err = %v", err)
+		// A gather naming a missing id must error, naming it, not return junk.
+		missing := int64(1 << 40)
+		if _, err := cl.RetrieveChunk([]int64{ids[0], missing}); err == nil ||
+			!strings.Contains(err.Error(), fmt.Sprintf("no such id %d", missing)) {
+			return fmt.Errorf("missing id in gather: err = %v", err)
 		}
 		return drainClient(cl)
 	})
 }
 
-func TestStoreVectorPopulatesContainer(t *testing.T) {
+func TestStoreChunkPopulatesContainer(t *testing.T) {
 	const n = 100
 	runWorld(t, 3, 1, func(cl *Client) error {
 		if cl.Rank() != 0 {
@@ -80,11 +88,11 @@ func TestStoreVectorPopulatesContainer(t *testing.T) {
 		if err := cl.Create(c, TypeContainer); err != nil {
 			return err
 		}
-		vals := make([]Value, n)
-		for i := range vals {
-			vals[i] = FloatValue(float64(i) * 0.25)
+		var vals chunk.Chunk
+		for i := 0; i < n; i++ {
+			vals.AppendFloat(float64(i) * 0.25)
 		}
-		if err := cl.StoreVector(c, vals); err != nil {
+		if err := cl.StoreChunk(c, vals); err != nil {
 			return err
 		}
 		// The caller still owns the creation write reference.
@@ -112,21 +120,18 @@ func TestStoreVectorPopulatesContainer(t *testing.T) {
 			}
 			ids[idx] = p.Member
 		}
-		got, err := cl.RetrieveBatch(ids)
+		got, err := cl.RetrieveChunk(ids)
 		if err != nil {
 			return err
 		}
-		for i, v := range got {
-			f, err := AsFloat(v)
-			if err != nil {
-				return err
-			}
-			if f != float64(i)*0.25 {
+		r := got.Reader()
+		for i := 0; r.Next(); i++ {
+			if f := r.Float(); f != float64(i)*0.25 {
 				return fmt.Errorf("member %d = %v, want %v", i, f, float64(i)*0.25)
 			}
 		}
 		// Storing into a closed container must fail.
-		if err := cl.StoreVector(c, vals[:1]); err == nil ||
+		if err := cl.StoreChunk(c, vals); err == nil ||
 			!strings.Contains(err.Error(), "closed") {
 			return fmt.Errorf("store into closed container: err = %v", err)
 		}
@@ -134,8 +139,8 @@ func TestStoreVectorPopulatesContainer(t *testing.T) {
 	})
 }
 
-func TestStoreVectorIsAllOrNothing(t *testing.T) {
-	// A StoreVector that collides with an existing subscript must leave
+func TestStoreChunkIsAllOrNothing(t *testing.T) {
+	// A StoreChunk that collides with an existing subscript must leave
 	// the container exactly as it was — no partial members.
 	runWorld(t, 2, 1, func(cl *Client) error {
 		c, err := cl.Unique()
@@ -155,28 +160,28 @@ func TestStoreVectorIsAllOrNothing(t *testing.T) {
 		if err := cl.Store(m, IntValue(1)); err != nil {
 			return err
 		}
-		// One member at "2": len(order)=1, so a 3-value vector targets
+		// One member at "2": len(order)=1, so a 3-row chunk targets
 		// subscripts 1,2,3 and collides mid-range at "2".
 		if err := cl.Insert(c, "2", m); err != nil {
 			return err
 		}
-		err = cl.StoreVector(c, []Value{IntValue(10), IntValue(11), IntValue(12)})
+		err = cl.StoreChunk(c, intChunk(10, 11, 12))
 		if err == nil || !strings.Contains(err.Error(), "already has subscript") {
-			return fmt.Errorf("colliding StoreVector: err = %v", err)
+			return fmt.Errorf("colliding StoreChunk: err = %v", err)
 		}
 		pairs, err := cl.Enumerate(c)
 		if err != nil {
 			return err
 		}
 		if len(pairs) != 1 || pairs[0].Subscript != "2" {
-			return fmt.Errorf("container mutated by failed StoreVector: %v", pairs)
+			return fmt.Errorf("container mutated by failed StoreChunk: %v", pairs)
 		}
 		return drainClient(cl)
 	})
 }
 
-func TestStoreVectorAppendsAfterInserts(t *testing.T) {
-	// A vector store lands after any subscripts already present, so mixed
+func TestStoreChunkAppendsAfterInserts(t *testing.T) {
+	// A chunk store lands after any subscripts already present, so mixed
 	// element-wise and bulk construction cannot collide.
 	runWorld(t, 2, 1, func(cl *Client) error {
 		c, err := cl.Unique()
@@ -199,7 +204,7 @@ func TestStoreVectorAppendsAfterInserts(t *testing.T) {
 		if err := cl.Insert(c, "0", m); err != nil {
 			return err
 		}
-		if err := cl.StoreVector(c, []Value{IntValue(8), IntValue(9)}); err != nil {
+		if err := cl.StoreChunk(c, intChunk(8, 9)); err != nil {
 			return err
 		}
 		pairs, err := cl.Enumerate(c)

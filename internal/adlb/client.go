@@ -35,14 +35,13 @@ type Client struct {
 	// explicitly by Fail.
 	held int64
 
-	// Zero-copy frame pinning. Payload slices returned by Retrieve,
-	// RetrieveBatch, and RetrieveChunk alias the response frames they
-	// were decoded from; those frames stay pinned until the next call on
-	// this Client, whose request must first be copied onto the wire
-	// (encode reads may themselves alias a pinned frame — a retrieved
-	// blob stored straight back). So frames retire at the next call's
-	// start and are released to the transport's frame pool only after
-	// its Send completes.
+	// Zero-copy frame pinning. Payload slices returned by Retrieve and
+	// RetrieveChunk alias the response frames they were decoded from;
+	// those frames stay pinned until the next call on this Client, whose
+	// request must first be copied onto the wire (encode reads may
+	// themselves alias a pinned frame — a retrieved blob stored straight
+	// back). So frames retire at the next call's start and are released
+	// to the transport's frame pool only after its Send completes.
 	pinned  [][]byte // response frames backing the last call's payloads
 	retired [][]byte // previous call's frames, released after the next Send
 }
@@ -79,9 +78,9 @@ func (cl *Client) rpc(server int, build func(*encoder)) (*decoder, error) {
 }
 
 // rpcKeep issues a request without retiring the frames pinned by earlier
-// calls in the same batched operation: RetrieveBatch and RetrieveChunk
-// fan out one RPC per owning server, and every per-server response must
-// stay alive until the whole batch is assembled.
+// calls in the same batched operation: RetrieveChunk fans out one RPC
+// per owning server, and every per-server response must stay alive until
+// the whole batch is assembled.
 func (cl *Client) rpcKeep(server int, build func(*encoder)) (*decoder, error) {
 	e := getEncoder()
 	build(e)
@@ -363,88 +362,17 @@ func (cl *Client) Retrieve(id int64) (v Value, found bool, err error) {
 	return v, true, d.finish("retrieve response")
 }
 
-// RetrieveBatch fetches many closed data in bulk. Ids are grouped by
-// owning server so the whole gather costs one RPC per server touched —
-// O(servers), not O(len(ids)) — which is what makes container->vector
-// packing viable at array scale. Every id must exist and be set; results
-// are returned in the order of ids.
-//
-// The returned values' Bytes alias the response frames (the Retrieve
-// zero-copy contract): valid until the next call on this Client returns.
-func (cl *Client) RetrieveBatch(ids []int64) ([]Value, error) {
-	out := make([]Value, len(ids))
-	groups := make(map[int][]int) // owning server rank -> indexes into ids
-	for i, id := range ids {
-		owner := cl.l.OwnerOf(id)
-		groups[owner] = append(groups[owner], i)
-	}
-	// Retire once up front: every per-server response must survive until
-	// the whole batch is assembled, so the group RPCs must not retire
-	// each other's frames.
-	cl.retire()
-	for server, idxs := range groups {
-		d, err := cl.rpcKeep(server, func(e *encoder) {
-			e.u8(opRetrieveBatch)
-			e.u32(uint32(len(idxs)))
-			for _, i := range idxs {
-				e.i64(ids[i])
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := checkStatus(d, "retrieve_batch"); err != nil {
-			return nil, err
-		}
-		n := int(d.u32())
-		if d.err == nil && n != len(idxs) {
-			return nil, fmt.Errorf("adlb: retrieve_batch: asked for %d values, got %d", len(idxs), n)
-		}
-		for _, i := range idxs {
-			out[i] = decodeValue(d)
-		}
-		if err := d.finish("retrieve_batch response"); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// StoreVector appends a vector of element values to a container in a
-// single RPC: the owning server creates one owner-local datum per value,
-// stores it closed, and inserts it at consecutive integer subscripts
-// after any existing members (an empty container gets 0..len(vals)-1).
-// The container's write refcount is untouched — the caller still owns
-// its reference and drops it when construction is complete, exactly as
-// with element-by-element Insert.
-func (cl *Client) StoreVector(container int64, vals []Value) error {
-	d, err := cl.rpc(cl.l.OwnerOf(container), func(e *encoder) {
-		e.u8(opStoreVector)
-		e.i64(container)
-		e.u32(uint32(len(vals)))
-		for _, v := range vals {
-			encodeValue(e, v)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if _, err = checkStatus(d, "store_vector"); err != nil {
-		return err
-	}
-	return d.finish("store_vector response")
-}
-
 // RetrieveChunk fetches many closed data as one columnar chunk: row i is
-// ids[i]. Like RetrieveBatch it costs one RPC per owning server, but the
-// response is a chunk frame — contiguous typed columns — instead of N
-// per-value encodings, so a million-float gather decodes to two column
-// views with no per-element work at all.
+// ids[i]. Ids are grouped by owning server so the whole gather costs one
+// RPC per server touched — O(servers), not O(len(ids)) — and every id
+// must exist and be set. Each response is a chunk frame — contiguous
+// typed columns — so a million-float gather decodes to two column views
+// with no per-element work at all.
 //
 // When one server owns every id (the common case: vpack gathers members
-// created by one StoreVector/StoreChunk), the returned chunk's columns
-// alias the response frame under the Retrieve zero-copy contract: valid
-// until the next call on this Client returns. A cross-server gather is
+// created by one StoreChunk), the returned chunk's columns alias the
+// response frame under the Retrieve zero-copy contract: valid until the
+// next call on this Client returns. A cross-server gather is
 // merged row by row into fresh buffers.
 func (cl *Client) RetrieveChunk(ids []int64) (chunk.Chunk, error) {
 	var out chunk.Chunk
@@ -516,10 +444,12 @@ func (cl *Client) RetrieveChunk(ids []int64) (chunk.Chunk, error) {
 }
 
 // StoreChunk appends a columnar chunk of element values to a container in
-// a single RPC, the chunk-frame counterpart of StoreVector: the owning
-// server creates one owner-local closed datum per row at consecutive
-// integer subscripts after any existing members. The write refcount is
-// untouched, as with StoreVector.
+// a single RPC: the owning server creates one owner-local closed datum
+// per row at consecutive integer subscripts after any existing members
+// (an empty container gets 0..c.Len()-1), all or nothing. The container's
+// write refcount is untouched — the caller still owns its reference and
+// drops it when construction is complete, exactly as with
+// element-by-element Insert.
 func (cl *Client) StoreChunk(container int64, c chunk.Chunk) error {
 	if err := c.Validate(); err != nil {
 		return fmt.Errorf("adlb: store_chunk: %w", err)

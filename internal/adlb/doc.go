@@ -24,9 +24,13 @@
 // server and sends each server one request, so a rule waiting on a whole
 // container's members costs O(servers) RPCs. A server answers its group
 // all-or-nothing: an unknown id fails the request, naming the id, before
-// any subscriber is registered. Counts read off the wire (here, in the
-// id lists of the batched retrieves, and in the enumerate response) are
-// checked against the bytes remaining in the frame before anything is
-// allocated. Stats.DataOps counts requests, not ids: one batch to one
-// server is one data operation, whatever it carries.
+// any subscriber is registered. Bulk element traffic has one form too:
+// RetrieveChunk and StoreChunk move a columnar chunk frame per owning
+// server; a scalar moves as one Value through Retrieve and Store. Counts
+// read off the wire (here, in RetrieveChunk's id list, in the enumerate
+// response, and in the dims and offset tables of value and chunk frames)
+// go through decoder.count, which checks them against the bytes
+// remaining in the frame before anything is allocated. Stats.DataOps
+// counts requests, not ids: one batch to one server is one data
+// operation, whatever it carries.
 package adlb

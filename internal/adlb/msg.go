@@ -32,16 +32,13 @@ const (
 	opUnique
 	opExists
 	opTypeOf
-	// Batched data-plane ops: the container<->vector bridge needs bulk
-	// element traffic to cost O(servers) RPCs, not O(elements).
-	opRetrieveBatch // many ids -> many values, one RPC per owning server
-	opStoreVector   // container + values -> owner-local member data, one RPC
 	// Fault-tolerance ops: lease settlement and client departure.
 	opFail  // report a leased task failed; server requeues or poisons
 	opLeave // client departs; server reclaims its leases and unregisters it
-	// Columnar data-plane ops: batched element traffic as one chunk frame
-	// (contiguous typed columns) instead of N boxed per-value encodings.
-	opRetrieveChunk // many ids -> one columnar chunk
+	// Columnar data-plane ops, the only batched element traffic: the
+	// container<->vector bridge costs O(servers) RPCs, not O(elements),
+	// and each RPC carries one chunk frame (contiguous typed columns).
+	opRetrieveChunk // many ids -> one columnar chunk, one RPC per owning server
 	opStoreChunk    // container + chunk -> owner-local member data, one RPC
 	// Serving op: a long-lived client declares itself pinned, holding the
 	// world open across idle periods (see Client.Pin).
@@ -174,12 +171,7 @@ func decodeValue(d *decoder) Value {
 	v.Bytes = d.bytes()
 	if v.Type == TypeBlob {
 		v.Elem = d.u8()
-		n := int(d.u32())
-		if d.err == nil && (n < 0 || d.off+8*n > len(d.buf)) {
-			d.fail("blob dims")
-			return v
-		}
-		if n > 0 && d.err == nil {
+		if n := d.count(8, "blob dims"); n > 0 {
 			v.Dims = make([]int, n)
 			for i := range v.Dims {
 				v.Dims[i] = int(d.i64())
@@ -196,15 +188,9 @@ type Pair struct {
 }
 
 // decodeIDs reads a counted id list (u32 n, then n i64), the request body
-// of every batched op: retrieve_batch, retrieve_chunk and subscribe. The
-// count is checked against the bytes left in the frame before allocating:
-// a claimed count beyond the frame is malformed input, not an allocation
-// request. (Division keeps the bound overflow-free on 32-bit ints.)
+// of both batched ops: retrieve_chunk and subscribe.
 func decodeIDs(d *decoder, what string) []int64 {
-	n := int(d.u32())
-	if d.err == nil && (n < 0 || n > (len(d.buf)-d.off)/8) {
-		d.fail(what)
-	}
+	n := d.count(8, what)
 	if d.err != nil {
 		return nil
 	}
@@ -216,15 +202,11 @@ func decodeIDs(d *decoder, what string) []int64 {
 }
 
 // decodePairs reads the enumerate response: u32 n, then n (subscript,
-// member id) pairs in insertion order. The count is bounded by the bytes
-// left (a pair is at least a u32 subscript length and an i64 id) and the
-// loop stops at the first decode error, so a hostile count costs neither
-// memory nor time.
+// member id) pairs in insertion order. A pair is at least a u32 subscript
+// length and an i64 id, and the loop stops at the first decode error, so
+// a hostile count costs neither memory nor time.
 func decodePairs(d *decoder) []Pair {
-	n := int(d.u32())
-	if d.err == nil && (n < 0 || n > (len(d.buf)-d.off)/12) {
-		d.fail("enumerate pairs")
-	}
+	n := d.count(12, "enumerate pairs")
 	if d.err != nil {
 		return nil
 	}
@@ -272,32 +254,17 @@ func decodeChunk(d *decoder) chunk.Chunk {
 	c.Kinds = d.bytes()
 	c.Num = d.bytes()
 	c.Raw = d.bytes()
-	nOff := int(d.u32())
-	if d.err == nil && (nOff < 0 || nOff > (len(d.buf)-d.off)/4) {
-		d.fail("chunk offsets")
-		return c
-	}
-	if nOff > 0 && d.err == nil {
+	if nOff := d.count(4, "chunk offsets"); nOff > 0 {
 		c.Off = make([]uint32, nOff)
 		for i := range c.Off {
 			c.Off[i] = d.u32()
 		}
 	}
-	nMeta := int(d.u32())
-	if d.err == nil && (nMeta < 0 || nMeta > (len(d.buf)-d.off)/5) {
-		d.fail("chunk metas")
-		return c
-	}
-	if nMeta > 0 && d.err == nil {
+	if nMeta := d.count(5, "chunk metas"); nMeta > 0 {
 		c.Meta = make([]chunk.BlobMeta, nMeta)
 		for i := range c.Meta {
 			c.Meta[i].Elem = d.u8()
-			nd := int(d.u32())
-			if d.err == nil && (nd < 0 || nd > (len(d.buf)-d.off)/8) {
-				d.fail("chunk blob dims")
-				return c
-			}
-			if nd > 0 && d.err == nil {
+			if nd := d.count(8, "chunk blob dims"); nd > 0 {
 				c.Meta[i].Dims = make([]int, nd)
 				for j := range c.Meta[i].Dims {
 					c.Meta[i].Dims[j] = int(d.i64())

@@ -137,22 +137,18 @@ func TestPooledFramesConcurrentClients(t *testing.T) {
 			floatIDs = append(floatIDs, fid)
 			floats = append(floats, f)
 
-			// Periodic batched and columnar gathers over the recent ids,
-			// verified in request order.
+			// Periodic columnar gathers over the recent ids (blob rows,
+			// then float rows), verified in request order.
 			if i%8 == 7 {
-				tail := blobIDs[len(blobIDs)-8:]
-				vals, err := cl.RetrieveBatch(tail)
+				bk, err := cl.RetrieveChunk(blobIDs[len(blobIDs)-8:])
 				if err != nil {
 					return err
 				}
-				for j, bv := range vals {
-					pj, err := AsBlob(bv)
-					if err != nil {
-						return err
-					}
+				br := bk.Reader()
+				for j := 0; br.Next(); j++ {
 					k := i - 7 + j
-					if !bytes.Equal(pj, fill(k, 64<<(k%5))) {
-						return fmt.Errorf("rank %d batch elem %d corrupted", cl.Rank(), j)
+					if br.Kind() != chunk.KindBlob || !bytes.Equal(br.Bytes(), fill(k, 64<<(k%5))) {
+						return fmt.Errorf("rank %d blob chunk row %d corrupted", cl.Rank(), j)
 					}
 				}
 				ck, err := cl.RetrieveChunk(floatIDs[len(floatIDs)-8:])

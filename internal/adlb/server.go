@@ -374,7 +374,7 @@ func (s *server) dispatch(data []byte, st mpi.Status) error {
 // alias the request frame, pinning it for the life of the data store.
 func retainsRequestFrame(op uint8) bool {
 	switch op {
-	case opStore, opStoreVector, opStoreChunk:
+	case opStore, opStoreChunk:
 		return true
 	}
 	return false
@@ -427,7 +427,7 @@ func (s *server) handleRequest(op uint8, d *decoder, client int) error {
 		return s.handleUnique(d, client)
 	case opCreate, opStore, opRetrieve, opSubscribe, opInsert, opLookup,
 		opEnumerate, opWriteRefcount, opExists, opTypeOf,
-		opRetrieveBatch, opStoreVector, opRetrieveChunk, opStoreChunk:
+		opRetrieveChunk, opStoreChunk:
 		if s.stats() != nil {
 			s.stats().DataOps.Add(1)
 		}
@@ -1039,97 +1039,12 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 			e.u8(uint8(dm.typ))
 		})
 
-	case opRetrieveBatch:
-		// Bulk gather: all requested ids are owned here (the client
-		// grouped by owner), so the whole lookup is local and the reply
-		// carries every value in one frame.
-		ids := decodeIDs(d, "retrieve_batch ids")
-		if err := d.finish("retrieve_batch request"); err != nil {
-			return err
-		}
-		n := len(ids)
-		vals := make([]Value, n)
-		for i, id := range ids {
-			dm, ok := s.store[id]
-			if !ok {
-				return s.respondError(client, fmt.Sprintf("retrieve_batch: no such id %d", id))
-			}
-			if !dm.set && dm.typ != TypeContainer {
-				return s.respondError(client, fmt.Sprintf("retrieve_batch: id %d is unset", id))
-			}
-			vals[i] = dm.val
-		}
-		return s.respond(client, func(e *encoder) {
-			e.u8(stOK)
-			e.u32(uint32(n))
-			for _, v := range vals {
-				encodeValue(e, v)
-			}
-		})
-
-	case opStoreVector:
-		// Bulk scatter into a container: create one owner-local closed
-		// datum per element and insert it at its index, all in one RPC.
-		// The write refcount is the caller's to manage, as with Insert.
-		cid := d.i64()
-		n := int(d.u32())
-		if d.err == nil && (n < 0 || n > len(d.buf)) {
-			// Each encoded value needs >= 5 bytes; an element count
-			// beyond the frame length is a malformed frame, not an
-			// allocation request.
-			d.fail("store_vector count")
-		}
-		if d.err != nil {
-			return d.err
-		}
-		vals := make([]Value, 0, n)
-		for i := 0; i < n; i++ {
-			vals = append(vals, decodeValue(d))
-			if d.err != nil {
-				return d.err
-			}
-		}
-		if err := d.finish("store_vector request"); err != nil {
-			return err
-		}
-		dm, ok := s.store[cid]
-		if !ok || dm.typ != TypeContainer {
-			return s.respondError(client, fmt.Sprintf("store_vector: id %d is not a container", cid))
-		}
-		if dm.closed() {
-			return s.respondError(client, fmt.Sprintf("store_vector: container %d is closed", cid))
-		}
-		base := len(dm.order)
-		// Validate every target subscript before mutating anything, so a
-		// failed StoreVector is all-or-nothing: partial member creation
-		// would leave the container in a layout no call described.
-		subs := make([]string, len(vals))
-		for i := range vals {
-			subs[i] = strconv.Itoa(base + i)
-			if _, dup := dm.members[subs[i]]; dup {
-				return s.respondError(client, fmt.Sprintf("store_vector: container %d already has subscript %q", cid, subs[i]))
-			}
-		}
-		// One slab allocation for the whole batch instead of one datum
-		// allocation per element; the decoded value bytes alias the
-		// (retained) request frame, so nothing per-element is copied.
-		slab := make([]datum, len(vals))
-		for i, v := range vals {
-			id := s.nextID
-			s.nextID += int64(s.l.Servers)
-			slab[i] = datum{typ: v.Type, set: true, val: v}
-			s.store[id] = &slab[i]
-			dm.members[subs[i]] = id
-			dm.order = append(dm.order, subs[i])
-		}
-		return s.respond(client, func(e *encoder) { e.u8(stOK) })
-
 	case opRetrieveChunk:
-		// Columnar gather: like opRetrieveBatch, but the reply is one
-		// chunk frame — contiguous typed columns — instead of N per-value
-		// encodings. The scratch chunk is reused across RPCs (the server
-		// loop is single-goroutine), so a steady gather stream allocates
-		// nothing here.
+		// Columnar gather: all requested ids are owned here (the client
+		// grouped by owner), so the whole lookup is local and the reply is
+		// one chunk frame — contiguous typed columns. The scratch chunk is
+		// reused across RPCs (the server loop is single-goroutine), so a
+		// steady gather stream allocates nothing here.
 		ids := decodeIDs(d, "retrieve_chunk ids")
 		if err := d.finish("retrieve_chunk request"); err != nil {
 			return err
@@ -1169,10 +1084,12 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		})
 
 	case opStoreChunk:
-		// Columnar scatter: the chunk-frame counterpart of opStoreVector.
-		// Row payloads alias the (retained) request frame and the datums
-		// come from one slab, so the per-element cost is the subscript
-		// string and its container map entry — no value copies, no boxes.
+		// Columnar scatter into a container: one owner-local closed datum
+		// per row, inserted at consecutive subscripts, all in one RPC. The
+		// write refcount is the caller's to manage, as with Insert. Row
+		// payloads alias the (retained) request frame and the datums come
+		// from one slab, so the per-element cost is the subscript string
+		// and its container map entry — no value copies, no boxes.
 		cid := d.i64()
 		c := decodeChunk(d)
 		if err := d.finish("store_chunk request"); err != nil {
@@ -1187,6 +1104,9 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		}
 		n := c.Len()
 		base := len(dm.order)
+		// Validate every target subscript before mutating anything, so a
+		// failed store is all-or-nothing: partial member creation would
+		// leave the container in a layout no call described.
 		subs := make([]string, n)
 		for i := range subs {
 			subs[i] = strconv.Itoa(base + i)

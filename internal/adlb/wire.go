@@ -161,6 +161,22 @@ func (d *decoder) bytes() []byte {
 
 func (d *decoder) str() string { return string(d.bytes()) }
 
+// count reads a u32 entry count and checks it against the bytes left in
+// the frame, each entry needing at least minBytes: a claimed count beyond
+// the frame is malformed input, not an allocation request. Division keeps
+// the bound overflow-free on 32-bit ints. It returns 0 once the decoder
+// has failed, so callers allocate only for a count the frame can hold.
+func (d *decoder) count(minBytes int, what string) int {
+	n := int(d.u32())
+	if d.err == nil && (n < 0 || n > (len(d.buf)-d.off)/minBytes) {
+		d.fail(what)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
 func (d *decoder) boolean() bool { return d.u8() != 0 }
 
 // finish reports the first decode error, or an error if decoding left

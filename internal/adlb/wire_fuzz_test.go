@@ -32,8 +32,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	encodeChunk(e, seedChunk)
 	f.Add(e.buf, int64(3), uint8(1))
 	// The counted bodies (batched subscribe request and response, the
-	// enumerate response): whole, cut short, and claiming more entries
-	// than the frame has bytes for.
+	// enumerate response, a blob value's dims): whole, cut short, and
+	// claiming more entries than the frame has bytes for.
 	for _, cf := range countedFrames() {
 		f.Add(cf.frame, int64(cf.count), uint8(0))
 		f.Add(cf.frame[:len(cf.frame)-3], int64(cf.count), uint8(0))
@@ -46,14 +46,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// 1. Decoder robustness: arbitrary input, all decode shapes.
 		for _, run := range []func(d *decoder){
 			func(d *decoder) { decodeWorkItem(d) },
-			func(d *decoder) { decodeValue(d) },
-			func(d *decoder) { d.u8(); d.str(); d.i64(); d.boolean() },
 			func(d *decoder) {
-				count := int(d.u32())
-				for i := 0; i < count && d.err == nil; i++ {
-					decodeValue(d)
+				if v := decodeValue(d); len(v.Dims) > len(raw)/8 {
+					t.Fatalf("%d dims out of %d bytes", len(v.Dims), len(raw))
 				}
 			},
+			func(d *decoder) { d.u8(); d.str(); d.i64(); d.boolean() },
 			func(d *decoder) {
 				d.i32()
 				if ids := decodeIDs(d, "fuzz ids"); len(ids) > len(raw)/8 {

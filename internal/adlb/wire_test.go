@@ -132,8 +132,9 @@ type countedFrame struct {
 }
 
 // countedFrames builds one of each: a batched subscribe request (rank +
-// id list), its response (a length-prefixed run of closed flags), and an
-// enumerate response (subscript/member pairs).
+// id list), its response (a length-prefixed run of closed flags), an
+// enumerate response (subscript/member pairs), and a blob value (the dims
+// table after its payload and element kind).
 func countedFrames() []countedFrame {
 	sub := &encoder{}
 	sub.i32(3)
@@ -149,10 +150,13 @@ func countedFrames() []countedFrame {
 		pairs.str(sub)
 		pairs.i64(int64(100 + i))
 	}
+	blob := &encoder{}
+	encodeValue(blob, Value{Type: TypeBlob, Bytes: []byte{1, 2}, Dims: []int{2, 1, 1}, Elem: 1})
 	return []countedFrame{
 		{"subscribe-request", sub.buf, 4, 4, func(d *decoder) int { d.i32(); return len(decodeIDs(d, "subscribe ids")) }},
 		{"subscribe-response", flags.buf, 4, 0, func(d *decoder) int { return len(d.bytes()) }},
 		{"enumerate-response", pairs.buf, 3, 0, func(d *decoder) int { return len(decodePairs(d)) }},
+		{"blob-value-dims", blob.buf, 3, 8, func(d *decoder) int { return len(decodeValue(d).Dims) }},
 	}
 }
 

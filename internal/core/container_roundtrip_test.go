@@ -148,8 +148,8 @@ func TestContainerVectorEnsemble(t *testing.T) {
 	if !strings.Contains(res.Stdout, "total=204") {
 		t.Fatalf("stdout = %q", res.Stdout)
 	}
-	if res.PythonEvals != 8 || res.REvals != 1 {
-		t.Fatalf("evals: py=%d r=%d, want 8 and 1", res.PythonEvals, res.REvals)
+	if res.Evals["python"] != 8 || res.Evals["r"] != 1 {
+		t.Fatalf("evals: py=%d r=%d, want 8 and 1", res.Evals["python"], res.Evals["r"])
 	}
 }
 

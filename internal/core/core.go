@@ -115,14 +115,6 @@ type Config struct {
 	// negative = disabled): a run whose remaining work can never be
 	// executed ends with a diagnostic error instead of deadlocking.
 	WatchdogIdleTicks int
-	// KillWorkerRank, if non-zero, makes that worker rank die mid-task
-	// after completing KillWorkerAfterTasks tasks (chaos testing: the
-	// victim's leased task is reclaimed and requeued). Rank 0 is always
-	// an engine, so zero means no kill.
-	KillWorkerRank int
-	// KillWorkerAfterTasks is how many tasks the victim runs before
-	// dying (0 = die on its first task).
-	KillWorkerAfterTasks int
 	// TaskPriority is a base priority added to every work task released
 	// by this run's engines (forwarded to turbine.Config.TaskPriority).
 	// The serving layer sets it to the submitting tenant's admission
@@ -162,10 +154,6 @@ type Result struct {
 	// ranks (keys are registration names: "python", "r", "tcl", "sh",
 	// plus any language registered by the host program).
 	Evals map[string]int64
-	// PythonEvals and REvals are Evals["python"] and Evals["r"],
-	// retained as convenience fields.
-	PythonEvals int64
-	REvals      int64
 	// Spawns counts simulated process launches by app functions.
 	Spawns int64
 	// TaskRetries counts leaf tasks requeued after a retriable failure
@@ -202,17 +190,90 @@ func Run(source string, cfg Config) (*Result, error) {
 	return RunCompiled(compiled, cfg)
 }
 
+// rig is what every way of standing up ranks shares (RunCompiled,
+// ServeElastic, ElasticWorker): the output sink, the simulated machine,
+// the run-wide counters, and the two things built from them — the
+// per-rank interpreter setup and the Result.
+type rig struct {
+	sink *lockedWriter
+	sys  *shell.System
+	// counters has one eval-counter slot per registered language, shared
+	// by all ranks; the per-rank engines installed by setup report into it.
+	counters *lang.Counters
+	langs    []lang.Registration
+	stats    *adlb.Stats
+	tstats   *turbine.Stats
+}
+
+// newRig captures program output into a sink teeing to out. Nil stats
+// blocks are allocated, so a Result can always be assembled.
+func newRig(out io.Writer, sys *shell.System, stats *adlb.Stats, tstats *turbine.Stats) *rig {
+	if stats == nil {
+		stats = &adlb.Stats{}
+	}
+	if tstats == nil {
+		tstats = &turbine.Stats{}
+	}
+	return &rig{
+		sink:     &lockedWriter{tee: out},
+		sys:      sys,
+		counters: lang.NewCounters(),
+		langs:    lang.Registered(),
+		stats:    stats,
+		tstats:   tstats,
+	}
+}
+
+// setup builds the turbine.Config.Setup hook run on every rank's
+// interpreter. It installs every registered embedded language: the engine
+// is created lazily on the first <name>::eval or <name>::call, the state
+// policy applies uniformly, and evaluations are counted per language. The
+// rank's data plane gives the typed surface direct store access, so
+// compiled interlanguage calls move arguments and results without string
+// rendering. Then the native libraries are SWIG-bound and provided as
+// packages, and last, extra (if non-nil) applies the caller's own
+// interpreter configuration.
+func (r *rig) setup(policy InterpPolicy, libs []*nativelib.Library, extra func(in *tcl.Interp) error) func(*tcl.Interp, *turbine.Env) error {
+	return func(in *tcl.Interp, env *turbine.Env) error {
+		in.Out = r.sink
+		host := lang.Host{Out: r.sink, Shell: r.sys}
+		dp := env.DataPlane()
+		for _, reg := range r.langs {
+			lang.Install(in, reg, host, policy, r.counters, dp)
+		}
+		for _, lib := range libs {
+			if _, err := swig.Bind(in, lib); err != nil {
+				return err
+			}
+			if _, err := in.Eval("package provide " + lib.Name); err != nil {
+				return fmt.Errorf("core: providing native library %q: %w", lib.Name, err)
+			}
+		}
+		if extra != nil {
+			return extra(in)
+		}
+		return nil
+	}
+}
+
+// result assembles the Result of a run started at start.
+func (r *rig) result(start time.Time) *Result {
+	return &Result{
+		Stdout:       r.sink.buf.String(),
+		Elapsed:      time.Since(start),
+		ADLB:         r.stats.Snapshot(),
+		LeafTasks:    r.tstats.LeafTasks.Load(),
+		ControlTasks: r.tstats.ControlTasks.Load(),
+		Evals:        r.counters.Snapshot(),
+		Spawns:       r.sys.Spawns(),
+		TaskRetries:  r.stats.Requeued.Load(),
+		TaskFailures: r.tstats.TaskFailures.Load(),
+	}
+}
+
 // RunCompiled executes already-compiled Turbine code under cfg.
 func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Stats == nil {
-		cfg.Stats = &adlb.Stats{}
-	}
-	if cfg.TurbineStats == nil {
-		cfg.TurbineStats = &turbine.Stats{}
-	}
-	sink := &lockedWriter{tee: cfg.Out}
-
 	sys := shell.NewSystem(cfg.ShellMode, cfg.FS)
 	if cfg.SpawnCost > 0 {
 		sys.SpawnCost = cfg.SpawnCost
@@ -221,11 +282,7 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 	for name, prog := range cfg.Programs {
 		sys.RegisterProgram(name, prog)
 	}
-
-	// One eval-counter slot per registered language, shared by all ranks;
-	// the per-rank engines installed below report into it.
-	counters := lang.NewCounters()
-	langs := lang.Registered()
+	r := newRig(cfg.Out, sys, cfg.Stats, cfg.TurbineStats)
 
 	// Compile the Turbine program once; every rank (and every repeated
 	// run of the same Output) shares the parsed form.
@@ -235,22 +292,19 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 	}
 
 	tcfg := &turbine.Config{
-		Engines:              cfg.Engines,
-		Servers:              cfg.Servers,
-		Tick:                 cfg.Tick,
-		Stats:                cfg.Stats,
-		TurbineStats:         cfg.TurbineStats,
-		DisableSteal:         cfg.DisableSteal,
-		MaxTaskRetries:       cfg.MaxTaskRetries,
-		WatchdogIdleTicks:    cfg.WatchdogIdleTicks,
-		KillWorkerRank:       cfg.KillWorkerRank,
-		KillWorkerAfterTasks: cfg.KillWorkerAfterTasks,
-		TaskPriority:         cfg.TaskPriority,
-		Program:              compiled.Program,
-		ProgramScript:        programScript,
-		Main:                 compiled.Main,
-		Setup: func(in *tcl.Interp, env *turbine.Env) error {
-			in.Out = sink
+		Engines:           cfg.Engines,
+		Servers:           cfg.Servers,
+		Tick:              cfg.Tick,
+		Stats:             r.stats,
+		TurbineStats:      r.tstats,
+		DisableSteal:      cfg.DisableSteal,
+		MaxTaskRetries:    cfg.MaxTaskRetries,
+		WatchdogIdleTicks: cfg.WatchdogIdleTicks,
+		TaskPriority:      cfg.TaskPriority,
+		Program:           compiled.Program,
+		ProgramScript:     programScript,
+		Main:              compiled.Main,
+		Setup: r.setup(cfg.Policy, cfg.NativeLibs, func(in *tcl.Interp) error {
 			in.PkgPath = cfg.PkgPath
 			in.SourceFS = func(path string) (string, error) {
 				if cfg.Bundle != nil {
@@ -263,31 +317,11 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 				}
 				return "", fmt.Errorf("core: no filesystem mounted for %q", path)
 			}
-			// Install every registered embedded language on this rank:
-			// the engine is created lazily on the first <name>::eval or
-			// <name>::call, the state policy applies uniformly, and
-			// evaluations are counted per language. The rank's data
-			// plane gives the typed surface direct store access, so
-			// compiled interlanguage calls move arguments and results
-			// without string rendering.
-			host := lang.Host{Out: sink, Shell: sys}
-			dp := env.DataPlane()
-			for _, reg := range langs {
-				lang.Install(in, reg, host, cfg.Policy, counters, dp)
-			}
-			for _, lib := range cfg.NativeLibs {
-				if _, err := swig.Bind(in, lib); err != nil {
-					return err
-				}
-				if _, err := in.Eval("package provide " + lib.Name); err != nil {
-					return fmt.Errorf("core: providing native library %q: %w", lib.Name, err)
-				}
-			}
 			if cfg.TclSetup != nil {
 				return cfg.TclSetup(in)
 			}
 			return nil
-		},
+		}),
 	}
 
 	size := cfg.Engines + cfg.Workers + cfg.Servers
@@ -300,18 +334,5 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	evals := counters.Snapshot()
-	return &Result{
-		Stdout:       sink.buf.String(),
-		Elapsed:      time.Since(start),
-		ADLB:         cfg.Stats.Snapshot(),
-		LeafTasks:    cfg.TurbineStats.LeafTasks.Load(),
-		ControlTasks: cfg.TurbineStats.ControlTasks.Load(),
-		Evals:        evals,
-		PythonEvals:  evals["python"],
-		REvals:       evals["r"],
-		Spawns:       sys.Spawns(),
-		TaskRetries:  cfg.Stats.Requeued.Load(),
-		TaskFailures: cfg.TurbineStats.TaskFailures.Load(),
-	}, nil
+	return r.result(start), nil
 }

@@ -49,8 +49,8 @@ func TestPythonBuiltin(t *testing.T) {
 	if !strings.Contains(res.Stdout, "py=42") {
 		t.Fatalf("stdout = %q", res.Stdout)
 	}
-	if res.PythonEvals != 1 {
-		t.Fatalf("python evals = %d", res.PythonEvals)
+	if res.Evals["python"] != 1 {
+		t.Fatalf("python evals = %d", res.Evals["python"])
 	}
 }
 
@@ -65,8 +65,8 @@ func TestRBuiltin(t *testing.T) {
 	if !strings.Contains(res.Stdout, "mean=2.5") {
 		t.Fatalf("stdout = %q", res.Stdout)
 	}
-	if res.REvals != 1 {
-		t.Fatalf("r evals = %d", res.REvals)
+	if res.Evals["r"] != 1 {
+		t.Fatalf("r evals = %d", res.Evals["r"])
 	}
 }
 
@@ -291,8 +291,8 @@ func TestResultCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PythonEvals != 20 {
-		t.Fatalf("python evals = %d", res.PythonEvals)
+	if res.Evals["python"] != 20 {
+		t.Fatalf("python evals = %d", res.Evals["python"])
 	}
 	if res.LeafTasks != 20 {
 		t.Fatalf("leaf tasks = %d", res.LeafTasks)

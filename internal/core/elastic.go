@@ -8,10 +8,8 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/adlb"
@@ -20,8 +18,6 @@ import (
 	"repro/internal/nativelib"
 	"repro/internal/shell"
 	"repro/internal/stc"
-	"repro/internal/swig"
-	"repro/internal/tcl"
 	"repro/internal/turbine"
 )
 
@@ -119,16 +115,7 @@ func (c *ElasticConfig) withDefaults() ElasticConfig {
 // assembled hub-side Result.
 func ServeElastic(compiled *stc.Output, cfg ElasticConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Stats == nil {
-		cfg.Stats = &adlb.Stats{}
-	}
-	if cfg.TurbineStats == nil {
-		cfg.TurbineStats = &turbine.Stats{}
-	}
-	sink := &lockedWriter{tee: cfg.Out}
-	sys := shell.NewSystem(shell.ModeCluster, nil)
-	counters := lang.NewCounters()
-	langs := lang.Registered()
+	r := newRig(cfg.Out, shell.NewSystem(shell.ModeCluster, nil), cfg.Stats, cfg.TurbineStats)
 	programScript, err := compiled.Script()
 	if err != nil {
 		return nil, err
@@ -154,30 +141,14 @@ func ServeElastic(compiled *stc.Output, cfg ElasticConfig) (*Result, error) {
 		Servers:           cfg.Servers,
 		Elastic:           true,
 		Tick:              cfg.Tick,
-		Stats:             cfg.Stats,
-		TurbineStats:      cfg.TurbineStats,
+		Stats:             r.stats,
+		TurbineStats:      r.tstats,
 		MaxTaskRetries:    cfg.MaxTaskRetries,
 		WatchdogIdleTicks: cfg.WatchdogIdleTicks,
 		Program:           compiled.Program,
 		ProgramScript:     programScript,
 		Main:              compiled.Main,
-		Setup: func(in *tcl.Interp, env *turbine.Env) error {
-			in.Out = sink
-			host := lang.Host{Out: sink, Shell: sys}
-			dp := env.DataPlane()
-			for _, reg := range langs {
-				lang.Install(in, reg, host, cfg.Policy, counters, dp)
-			}
-			for _, lib := range cfg.NativeLibs {
-				if _, err := swig.Bind(in, lib); err != nil {
-					return err
-				}
-				if _, err := in.Eval("package provide " + lib.Name); err != nil {
-					return fmt.Errorf("core: providing native library %q: %w", lib.Name, err)
-				}
-			}
-			return nil
-		},
+		Setup:             r.setup(cfg.Policy, cfg.NativeLibs, nil),
 	}
 
 	hub, err := world.ListenTCP(mpi.HubConfig{
@@ -218,70 +189,21 @@ func ServeElastic(compiled *stc.Output, cfg ElasticConfig) (*Result, error) {
 
 	// Run the hub-local ranks: engines and servers. Worker-slot ranks are
 	// deliberately not launched — they live in other processes (or never
-	// join at all; elastic membership terminates without them). This
-	// mirrors World.Run's containment and error aggregation for a subset
-	// of ranks.
+	// join at all; elastic membership terminates without them).
 	local := make([]int, 0, cfg.Engines+cfg.Servers)
-	for r := 0; r < cfg.Engines; r++ {
-		local = append(local, r)
+	for rank := 0; rank < cfg.Engines; rank++ {
+		local = append(local, rank)
 	}
-	for r := size - cfg.Servers; r < size; r++ {
-		local = append(local, r)
+	for rank := size - cfg.Servers; rank < size; rank++ {
+		local = append(local, rank)
 	}
 	start := time.Now()
-	errs := make([]error, len(local))
-	var wg sync.WaitGroup
-	for i, rank := range local {
-		wg.Add(1)
-		go func(i, rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[i] = fmt.Errorf("core: rank %d panicked: %v", rank, p)
-					world.Abort(errs[i])
-				}
-			}()
-			c, err := world.Comm(rank)
-			if err != nil {
-				errs[i] = err
-				world.Abort(err)
-				return
-			}
-			if err := turbine.Run(c, tcfg); err != nil {
-				errs[i] = err
-				world.Abort(err)
-			}
-		}(i, rank)
-	}
-	wg.Wait()
+	err = world.RunRanks(local, func(c *mpi.Comm) error { return turbine.Run(c, tcfg) })
 	hub.Close()
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, mpi.ErrAborted) {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
-	if cause := world.AbortErr(); cause != nil && !errors.Is(cause, mpi.ErrAborted) {
-		return nil, cause
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	evals := counters.Snapshot()
-	return &Result{
-		Stdout:       sink.buf.String(),
-		Elapsed:      time.Since(start),
-		ADLB:         cfg.Stats.Snapshot(),
-		LeafTasks:    cfg.TurbineStats.LeafTasks.Load(),
-		ControlTasks: cfg.TurbineStats.ControlTasks.Load(),
-		Evals:        evals,
-		PythonEvals:  evals["python"],
-		REvals:       evals["r"],
-		Spawns:       sys.Spawns(),
-		TaskRetries:  cfg.Stats.Requeued.Load(),
-		TaskFailures: cfg.TurbineStats.TaskFailures.Load(),
-	}, nil
+	return r.result(start), nil
 }
 
 // ElasticWorker joins the hub at addr and runs this process's single
@@ -303,31 +225,15 @@ func ElasticWorker(addr string, out io.Writer) error {
 		wc.CloseWithError(err)
 		return err
 	}
-	sink := &lockedWriter{tee: out}
-	sys := shell.NewSystem(shell.ModeCluster, nil)
-	counters := lang.NewCounters()
-	langs := lang.Registered()
+	// The native library is the simulated FFT one (see
+	// ElasticConfig.NativeLibs).
+	r := newRig(out, shell.NewSystem(shell.ModeCluster, nil), nil, nil)
 	tcfg := &turbine.Config{
 		Engines: w.Engines,
 		Servers: w.Servers,
 		Elastic: true,
 		Program: w.Program,
-		Setup: func(in *tcl.Interp, env *turbine.Env) error {
-			in.Out = sink
-			host := lang.Host{Out: sink, Shell: sys}
-			dp := env.DataPlane()
-			for _, reg := range langs {
-				lang.Install(in, reg, host, lang.Policy(w.Policy), counters, dp)
-			}
-			lib := nativelib.NewSimLibrary()
-			if _, err := swig.Bind(in, lib); err != nil {
-				return err
-			}
-			if _, err := in.Eval("package provide " + lib.Name); err != nil {
-				return err
-			}
-			return nil
-		},
+		Setup:   r.setup(lang.Policy(w.Policy), []*nativelib.Library{nativelib.NewSimLibrary()}, nil),
 	}
 	c, err := wc.World().Comm(wc.Rank())
 	if err != nil {

@@ -75,14 +75,22 @@ func TestChaosEnginePanicMidEnsemble(t *testing.T) {
 	}
 }
 
-func TestChaosWorkerKilledMidTaskRunFinishes(t *testing.T) {
-	// Worker rank 1 dies on its first leaf task (the engine is rank 0).
-	// Its leased task must be reclaimed, requeued, and finished by the
-	// surviving worker.
-	res, err := Run(ensemble16, Config{
-		Workers:        2,
-		KillWorkerRank: 1,
+// armWorkerCrash makes the first worker to receive a leaf task die
+// holding it.
+func armWorkerCrash() {
+	faultinject.Arm(faultinject.SiteWorkerTask, faultinject.Plan{
+		Hit: 1, Action: faultinject.ActCrash, Msg: "worker dies",
 	})
+}
+
+func TestChaosWorkerKilledMidTaskRunFinishes(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Reset()
+	// One of the two workers dies on the first leaf task delivered. Its
+	// leased task must be reclaimed, requeued, and finished by the
+	// surviving worker.
+	armWorkerCrash()
+	res, err := Run(ensemble16, Config{Workers: 2})
 	if err != nil {
 		t.Fatalf("run failed instead of recovering: %v", err)
 	}
@@ -124,11 +132,13 @@ func TestChaosRetryUntilPoisoned(t *testing.T) {
 }
 
 func TestChaosHangWatchdogWhenAllWorkersDie(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Reset()
 	// The only worker dies mid-task: the requeued work can never run, and
 	// the run must end with the watchdog's diagnostic, not a deadlock.
+	armWorkerCrash()
 	_, err := Run(ensemble16, Config{
 		Workers:           1,
-		KillWorkerRank:    1,
 		Tick:              100 * time.Microsecond,
 		WatchdogIdleTicks: 200,
 	})

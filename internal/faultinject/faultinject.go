@@ -59,7 +59,7 @@ const (
 	// ActPanic here exercises engine panic containment.
 	SiteLangEvalPre Site = "lang.eval.pre"
 	// SiteDataPlaneStore fires in the turbine data plane before a typed
-	// result store (StoreAs / StoreVector).
+	// result store (StoreAs / StoreChunk).
 	SiteDataPlaneStore Site = "dataplane.store"
 	// SiteWorkerTask fires in the turbine worker loop after a leaf task
 	// is received and before it is evaluated. ActCrash makes the worker

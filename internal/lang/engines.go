@@ -456,7 +456,7 @@ func dimsProduct(dims []int) int {
 type tclEngine struct {
 	out   io.Writer
 	in    *tcl.Interp
-	progs *memo.Cache[*tcl.Script]
+	progs *memo.Budget[*tcl.Script]
 	argn  int
 	evals int64
 }
@@ -469,11 +469,11 @@ func (e *tclEngine) unbindStale(n int) {
 	e.argn = n
 }
 
-// tclProgCacheSize bounds the engine's fragment cache (see pylite).
+// tclProgCacheSize bounds the engine's fragment cache's entry count.
 const tclProgCacheSize = 256
 
 func newTclEngine(h Host) Engine {
-	e := &tclEngine{out: h.Out, progs: memo.New[*tcl.Script](tclProgCacheSize)}
+	e := &tclEngine{out: h.Out, progs: memo.NewBudget[*tcl.Script](tclProgCacheSize, memo.UnitCost[*tcl.Script])}
 	e.Reset()
 	return e
 }

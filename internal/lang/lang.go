@@ -236,37 +236,25 @@ func (c *Counters) Snapshot() map[string]int64 {
 // and the payload bytes flow store -> engine -> store directly. The
 // Turbine layer implements it over the rank's ADLB client.
 type DataPlane interface {
-	// Load retrieves a closed TD as a typed Value (blob TDs keep their
-	// dims and element kind).
-	Load(id int64) (Value, error)
-	// LoadBatch retrieves many closed TDs at once, in order. Over ADLB
-	// this costs one RPC per owning server rather than one per id, which
-	// is what makes container-scale gathers (vpack, multi-argument typed
-	// calls) cheap.
-	LoadBatch(ids []int64) ([]Value, error)
 	// StoreAs stores a typed value into a TD of the named turbine type
 	// ("integer", "float", "string", "blob", "void"), converting where
 	// the kinds differ.
 	StoreAs(id int64, td string, v Value) error
-	// StoreVector appends element values of the named turbine type to a
-	// container TD in a single batched store: one closed member TD per
-	// element, at consecutive integer subscripts after any existing
-	// members (0..len(elems)-1 for an empty container). The container's
-	// write refcount is untouched; the caller drops its reference when
-	// construction is complete.
-	StoreVector(container int64, td string, elems []Value) error
 	// LoadChunk retrieves many closed TDs as one columnar Chunk (row i
-	// is ids[i]): the allocation-free counterpart of LoadBatch — a
-	// million-float gather is two column buffers, not a million boxed
-	// values. Over ADLB the chunk's columns may alias the RPC response
+	// is ids[i]) — a million-float gather is two column buffers, not a
+	// million boxed values, and a typed call's whole argument vector is
+	// one load. Over ADLB this costs one RPC per owning server rather
+	// than one per id, and the chunk's columns may alias the RPC response
 	// frame, valid until the next data-plane call; callers either finish
 	// with the rows before then (gather -> pack -> store, one contiguous
 	// window) or copy rows out.
 	LoadChunk(ids []int64) (Chunk, error)
 	// StoreChunk appends a columnar chunk to a container TD in a single
-	// batched store, the Chunk counterpart of StoreVector: one closed
-	// member TD per row at consecutive integer subscripts. The rows'
-	// kinds choose the member types (int row -> integer TD, etc).
+	// batched store: one closed member TD per row, at consecutive integer
+	// subscripts after any existing members (0..c.Len()-1 for an empty
+	// container). The rows' kinds choose the member types (int row ->
+	// integer TD, etc). The container's write refcount is untouched; the
+	// caller drops its reference when construction is complete.
 	StoreChunk(container int64, c Chunk) error
 }
 
@@ -285,24 +273,13 @@ func Install(in *tcl.Interp, reg Registration, h Host, policy Policy, counters *
 		if eng == nil {
 			eng = reg.New(h)
 		}
-		before := eng.Evals()
-		res, err := evalContained(eng, reg.Name, c)
+		res, evals, err := runFragment(eng, reg.Name, c, policy)
 		if counters != nil {
 			// The engine's own counter is the source of truth; the
 			// run-wide aggregate advances by whatever it reports.
-			counters.AddN(reg.Name, eng.Evals()-before)
+			counters.AddN(reg.Name, evals)
 		}
-		if policy == PolicyReinit {
-			eng.Reset()
-		}
-		if err != nil {
-			var te *TaskError
-			if errors.As(err, &te) {
-				return Value{}, err // already typed; keep it findable as-is
-			}
-			return Value{}, fmt.Errorf("%s: %w", reg.Name, err)
-		}
-		return res, nil
+		return res, err
 	}
 
 	in.RegisterCommand(reg.Name+"::eval", func(ti *tcl.Interp, args []string) (string, error) {
@@ -369,6 +346,29 @@ func Install(in *tcl.Interp, reg Registration, h Host, policy Policy, counters *
 		}
 		return "", nil
 	})
+}
+
+// runFragment is the one way a fragment executes, behind Install's
+// dispatch commands and Pool.Eval alike: a panic-contained Eval, the
+// engine's own eval-count delta (the source of truth for every
+// aggregate), the reinit policy applied after the fragment whether or not
+// it failed, and an untyped engine error prefixed with the language name
+// (a TaskError passes through as-is so callers can still find it).
+func runFragment(eng Engine, name string, c Call, policy Policy) (res Value, evals int64, err error) {
+	before := eng.Evals()
+	res, err = evalContained(eng, name, c)
+	evals = eng.Evals() - before
+	if policy == PolicyReinit {
+		eng.Reset()
+	}
+	if err != nil {
+		var te *TaskError
+		if !errors.As(err, &te) {
+			err = fmt.Errorf("%s: %w", name, err)
+		}
+		return Value{}, evals, err
+	}
+	return res, evals, nil
 }
 
 // evalContained runs one fragment with panic containment: a panic inside

@@ -327,40 +327,16 @@ func newMemPlane() *memPlane {
 	return &memPlane{vals: map[int64]Value{}, tds: map[int64]string{}}
 }
 
-func (p *memPlane) Load(id int64) (Value, error) {
-	v, ok := p.vals[id]
-	if !ok {
-		return Value{}, io.EOF
-	}
-	return v, nil
-}
-
-func (p *memPlane) LoadBatch(ids []int64) ([]Value, error) {
-	out := make([]Value, len(ids))
-	for i, id := range ids {
-		v, err := p.Load(id)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 func (p *memPlane) LoadChunk(ids []int64) (Chunk, error) {
-	vals, err := p.LoadBatch(ids)
-	if err != nil {
-		return Chunk{}, err
+	vals := make([]Value, len(ids))
+	for i, id := range ids {
+		v, ok := p.vals[id]
+		if !ok {
+			return Chunk{}, io.EOF
+		}
+		vals[i] = v
 	}
 	return ValuesToChunk(vals)
-}
-
-func (p *memPlane) StoreChunk(container int64, c Chunk) error {
-	elems, err := ChunkToValues(c, true)
-	if err != nil {
-		return err
-	}
-	return p.StoreVector(container, "chunk", elems)
 }
 
 func (p *memPlane) StoreAs(id int64, td string, v Value) error {
@@ -369,10 +345,14 @@ func (p *memPlane) StoreAs(id int64, td string, v Value) error {
 	return nil
 }
 
-func (p *memPlane) StoreVector(container int64, td string, elems []Value) error {
-	// The in-memory plane has no containers; record the elements under
+func (p *memPlane) StoreChunk(container int64, c Chunk) error {
+	// The in-memory plane has no containers; record the rows under
 	// synthetic member ids so tests can observe what was stored.
-	p.tds[container] = "container/" + td
+	elems, err := ChunkToValues(c, true)
+	if err != nil {
+		return err
+	}
+	p.tds[container] = "container"
 	for i, v := range elems {
 		p.vals[container*1000+int64(i)] = v
 	}

@@ -1,7 +1,6 @@
 package lang
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -133,21 +132,19 @@ func (p *Pool) lruEntry() (poolKey, *poolEntry) {
 	return bestKey, best
 }
 
-// Eval runs one contained fragment evaluation against the tenant's
-// pooled engine: checkout, panic-contained Eval (a panicking interpreter
-// fails this one request, is Reset, and the typed TaskError reports it
-// retriable), then the optional per-request reinit policy. Engine eval
-// counts aggregate into the pool's stats.
+// Eval runs one fragment against the tenant's pooled engine: checkout,
+// then runFragment — the same contained execution Install's commands use
+// (a panicking interpreter fails this one request, is Reset, and the
+// typed TaskError reports it retriable; the per-request reinit policy
+// applies after). Engine eval counts aggregate into the pool's stats.
 func (p *Pool) Eval(language, tenant string, c Call, policy Policy) (Value, error) {
 	e, err := p.checkout(language, tenant)
 	if err != nil {
 		return Value{}, err
 	}
-	eng := e.eng
-	before := eng.Evals()
-	res, evalErr := evalContained(eng, language, c)
-	p.st.Evals.Add(eng.Evals() - before)
-	if cs, ok := eng.(ParseCacheStatser); ok {
+	res, evals, err := runFragment(e.eng, language, c, policy)
+	p.st.Evals.Add(evals)
+	if cs, ok := e.eng.(ParseCacheStatser); ok {
 		now := cs.ParseCacheStats()
 		p.st.ParseHits.Add(now.Hits - e.parse.Hits)
 		p.st.ParseMisses.Add(now.Misses - e.parse.Misses)
@@ -155,17 +152,9 @@ func (p *Pool) Eval(language, tenant string, c Call, policy Policy) (Value, erro
 		e.parse = now
 	}
 	if policy == PolicyReinit {
-		eng.Reset()
 		p.st.Resets.Add(1)
 	}
-	if evalErr != nil {
-		var te *TaskError
-		if errors.As(evalErr, &te) {
-			return Value{}, evalErr
-		}
-		return Value{}, fmt.Errorf("%s: %w", language, evalErr)
-	}
-	return res, nil
+	return res, err
 }
 
 // Resident reports how many engines the pool currently holds.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/statstest"
+	"repro/internal/tcl"
 )
 
 // pyState sets a Python global for tenant, via the pool.
@@ -157,6 +158,41 @@ func TestPoolEvalContainsPanics(t *testing.T) {
 	}
 	if n := p.Stats().Creates.Load(); n != 1 {
 		t.Fatalf("creates = %d, want 1", n)
+	}
+}
+
+// Install's dispatch commands and Pool.Eval are two front doors onto one
+// fragment-execution path, so a panicking engine must surface the same
+// way through both: same TaskError code and retriability, one
+// containment Reset each.
+func TestInstallAndPoolContainPanicsIdentically(t *testing.T) {
+	var engines []*panicEngine
+	Register(Registration{Name: "panicky", Sig: Signature{Fixed: 1},
+		New: func(h Host) Engine {
+			engines = append(engines, &panicEngine{})
+			return engines[len(engines)-1]
+		}})
+	defer Unregister("panicky")
+	reg, _ := Lookup("panicky")
+
+	in := tcl.New()
+	Install(in, reg, Host{}, PolicyRetain, nil, nil)
+	_, installErr := in.Eval("panicky::eval boom")
+	_, poolErr := NewPool(Host{}, 2, nil).Eval("panicky", "acme", Call{Code: "boom"}, PolicyRetain)
+
+	var viaInstall, viaPool *TaskError
+	if !errors.As(installErr, &viaInstall) || !errors.As(poolErr, &viaPool) {
+		t.Fatalf("want *TaskError from both: install %v, pool %v", installErr, poolErr)
+	}
+	if viaInstall.Code != "panic" || !viaInstall.Retriable || viaInstall.Engine != "panicky" {
+		t.Fatalf("install TaskError = %+v, want retriable panic from panicky", viaInstall)
+	}
+	if viaInstall.Code != viaPool.Code || viaInstall.Retriable != viaPool.Retriable ||
+		viaInstall.Engine != viaPool.Engine || viaInstall.Err.Error() != viaPool.Err.Error() {
+		t.Fatalf("front doors disagree: install %+v, pool %+v", viaInstall, viaPool)
+	}
+	if len(engines) != 2 || engines[0].resets != 1 || engines[1].resets != 1 {
+		t.Fatalf("want one engine per door, each Reset once by containment; got %d engines %+v", len(engines), engines)
 	}
 }
 

@@ -1,18 +1,29 @@
+// Package memo provides the one bounded string-keyed memoization cache
+// behind every compile-once pipeline in the repo: internal/tcl memoizes
+// source -> *Script and expression ASTs, internal/pylite, internal/rlite
+// and internal/jlite memoize source -> parsed program, the tcl engine
+// memoizes its fragments, and internal/serve memoizes whole compiled
+// programs — so a fragment that is evaluated once per task is parsed
+// exactly once per rank.
+//
+// The cache deliberately stores only compile results keyed by source text
+// (or source hash) — never values or bindings — so cached entries are
+// immutable and safe to replay against any interpreter state.
 package memo
 
-// Budget is the byte-budgeted, cost-aware sibling of Cache: entries carry
-// a caller-defined cost (typically "bytes this compiled artifact pins in
-// memory") and eviction is least-recently-used under a total cost budget
-// rather than FIFO under an entry count. It exists for serving workloads
-// — a long-lived process caching compiled programs and fragments across
-// requests — where entries differ in size by orders of magnitude and a
-// count bound would let one tenant's handful of huge programs evict
-// thousands of small hot fragments (the memory-tracked applyCache idiom).
+// Budget is a cost-aware cache: entries carry a caller-defined cost
+// (typically "bytes this compiled artifact pins in memory") and eviction
+// is least-recently-used under a total cost budget. Serving workloads — a
+// long-lived process caching compiled programs and fragments across
+// requests — have entries that differ in size by orders of magnitude,
+// where a count bound would let one tenant's handful of huge programs
+// evict thousands of small hot fragments (the memory-tracked applyCache
+// idiom). Interpreter-internal parse caches, whose bound only caps
+// pathological programs (generated one-shot scripts with unique text),
+// use the same type with UnitCost, which makes the budget an entry count.
 //
-// Like Cache, a Budget stores only immutable compile results keyed by
-// source text (or source hash) and is not safe for concurrent use; a
-// shared cache wraps it in a lock. The count-bounded Cache API is
-// unchanged — interpreter-internal parse caches keep using it.
+// A Budget is not safe for concurrent use; each interpreter owns its own
+// and a shared cache wraps it in a lock.
 type Budget[V any] struct {
 	max  int64
 	cost func(key string, v V) int64
@@ -46,6 +57,10 @@ type BudgetStats struct {
 	CurBytes int64
 	Entries  int64
 }
+
+// UnitCost prices every entry at 1, turning a Budget's bound into an
+// entry count.
+func UnitCost[V any](string, V) int64 { return 1 }
 
 // NewBudget creates a cost-aware cache bounded to maxBytes total cost.
 // costFn reports the cost of one entry; non-positive costs are clamped to
@@ -110,7 +125,8 @@ func (b *Budget[V]) Put(key string, v V) {
 
 // GetOrCompute returns the cached value for key, computing and caching it
 // on a miss. A failed compute is returned without entering the cache, so
-// compile errors are never memoized — the same policy as Cache.
+// compile errors are never memoized — the one memoization policy every
+// interpreter shares, kept in one place.
 func (b *Budget[V]) GetOrCompute(key string, compute func() (V, error)) (V, error) {
 	if v, ok := b.Get(key); ok {
 		return v, nil

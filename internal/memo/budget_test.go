@@ -3,6 +3,7 @@ package memo
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -162,5 +163,20 @@ func TestBudgetClampsDegenerateCosts(t *testing.T) {
 	}
 	if b.Len() > 3 {
 		t.Fatalf("Len = %d under zero-cost function, want <= 3", b.Len())
+	}
+}
+
+func TestBudgetUnitCostBoundsEntryCount(t *testing.T) {
+	// Under UnitCost the budget is an entry count, whatever the values
+	// weigh: the interpreters' parse caches are bounded this way.
+	b := NewBudget[string](3, UnitCost[string])
+	for i := 0; i < 10; i++ {
+		b.Put(fmt.Sprintf("k%d", i), strings.Repeat("x", 100*i))
+	}
+	if b.Len() != 3 || b.Bytes() != 3 {
+		t.Fatalf("Len = %d, Bytes = %d, want 3 entries at cost 1 each", b.Len(), b.Bytes())
+	}
+	if got := strings.Join(keysOf(b), ","); got != "k9,k8,k7" {
+		t.Fatalf("resident keys = %s, want the three newest", got)
 	}
 }

@@ -266,24 +266,41 @@ func (w *World) Comm(rank int) (*Comm, error) {
 // all ranks to return. The first non-nil error aborts the world, unblocking
 // any ranks parked in Recv or Barrier, and is returned.
 func (w *World) Run(fn func(c *Comm) error) error {
-	errs := make([]error, w.size)
+	ranks := make([]int, w.size)
+	for r := range ranks {
+		ranks[r] = r
+	}
+	return w.RunRanks(ranks, fn)
+}
+
+// RunRanks is Run for the given subset of the world's ranks: the hub of
+// an elastic deployment launches only its local engines and servers,
+// while the remaining ranks live in other processes (or never join) and
+// are neither launched nor waited on. A panic in a launched rank is
+// contained, reported by rank, and aborts the world like any other error;
+// a rank's own error outranks the ErrAborted it caused in its peers.
+func (w *World) RunRanks(ranks []int, fn func(c *Comm) error) error {
+	errs := make([]error, len(ranks))
 	var wg sync.WaitGroup
-	for r := 0; r < w.size; r++ {
+	for i, rank := range ranks {
 		wg.Add(1)
-		go func(rank int) {
+		go func(i, rank int) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
-					w.Abort(errs[rank])
+					errs[i] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
+					w.Abort(errs[i])
 				}
 			}()
-			c, _ := w.Comm(rank)
-			if err := fn(c); err != nil {
-				errs[rank] = err
+			c, err := w.Comm(rank)
+			if err == nil {
+				err = fn(c)
+			}
+			if err != nil {
+				errs[i] = err
 				w.Abort(err)
 			}
-		}(r)
+		}(i, rank)
 	}
 	wg.Wait()
 	for _, err := range errs {

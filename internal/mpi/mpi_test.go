@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -357,6 +358,63 @@ func TestRunRecoversPanic(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected panic to surface as error")
 	}
+}
+
+// RunRanks launches a subset of the world (the elastic hub's local
+// engines and servers): unlaunched ranks are never waited on, and the
+// launched ones get Run's containment and error precedence.
+func TestRunRanksSubset(t *testing.T) {
+	t.Run("unlaunched ranks are not waited on", func(t *testing.T) {
+		w, _ := NewWorld(4)
+		var ran [4]bool
+		if err := w.RunRanks([]int{0, 3}, func(c *Comm) error {
+			ran[c.Rank()] = true
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if ran != [4]bool{true, false, false, true} {
+			t.Fatalf("ranks run = %v, want only 0 and 3", ran)
+		}
+	})
+	t.Run("panic aborts the world and is reported by rank", func(t *testing.T) {
+		w, _ := NewWorld(4)
+		err := w.RunRanks([]int{1, 3}, func(c *Comm) error {
+			if c.Rank() == 3 {
+				panic("boom")
+			}
+			_, _, err := c.Recv(AnySource, AnyTag) // released by the abort
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "rank 3 panicked: boom") {
+			t.Fatalf("err = %v, want the panic named by rank", err)
+		}
+		if w.AbortErr() == nil {
+			t.Fatal("panic did not abort the world")
+		}
+	})
+	t.Run("a real error outranks ErrAborted", func(t *testing.T) {
+		w, _ := NewWorld(4)
+		sentinel := errors.New("rank failure")
+		// The failing rank is listed last, so its peer's ErrAborted
+		// precedes it in launch order.
+		err := w.RunRanks([]int{0, 2}, func(c *Comm) error {
+			if c.Rank() == 2 {
+				return sentinel
+			}
+			_, _, err := c.Recv(AnySource, AnyTag)
+			return err
+		})
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("err = %v, want sentinel", err)
+		}
+	})
+	t.Run("out-of-range rank is an error", func(t *testing.T) {
+		w, _ := NewWorld(2)
+		if err := w.RunRanks([]int{2}, func(c *Comm) error { return nil }); err == nil {
+			t.Fatal("rank 2 of a 2-rank world was launched")
+		}
+	})
 }
 
 func TestInt64Codec(t *testing.T) {

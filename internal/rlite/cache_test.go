@@ -67,7 +67,7 @@ func TestFragmentCacheSurvivesResetButStateDoesNot(t *testing.T) {
 
 func TestFragmentCacheBoundedEviction(t *testing.T) {
 	in := New()
-	in.progs = memo.New[[]rexpr](4)
+	in.progs = memo.NewBudget[[]rexpr](4, memo.UnitCost[[]rexpr])
 	for i := 0; i < 20; i++ {
 		if _, err := in.Eval(fmt.Sprintf("v%d <- %d", i, i)); err != nil {
 			t.Fatal(err)

@@ -75,19 +75,19 @@ type Interp struct {
 	// InitCost simulates interpreter initialisation cost (see pylite).
 	InitCost func()
 	// progs is the compile-once fragment cache (source -> parsed program,
-	// bounded FIFO; see internal/memo). It holds immutable ASTs keyed by
+	// count-bounded LRU; see internal/memo). It holds immutable ASTs keyed by
 	// source text only, so it survives Reset: reinitialisation discards
 	// interpreter state, not parses.
-	progs *memo.Cache[[]rexpr]
+	progs *memo.Budget[[]rexpr]
 }
 
-// defaultProgCacheSize bounds the fragment cache; interlanguage
+// defaultProgCacheSize bounds the fragment cache's entry count; interlanguage
 // workloads in this repo use tens of distinct fragment shapes per run.
 const defaultProgCacheSize = 256
 
 // New creates an interpreter.
 func New() *Interp {
-	in := &Interp{Out: os.Stdout, progs: memo.New[[]rexpr](defaultProgCacheSize)}
+	in := &Interp{Out: os.Stdout, progs: memo.NewBudget[[]rexpr](defaultProgCacheSize, memo.UnitCost[[]rexpr])}
 	in.reset()
 	return in
 }

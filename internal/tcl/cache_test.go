@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/memo"
 )
 
 // The compile-once caches must be invisible: cached evaluation has to
@@ -115,7 +117,7 @@ func TestUplevelThroughCachedBody(t *testing.T) {
 
 func TestScriptCacheBounded(t *testing.T) {
 	in := New()
-	in.scripts = newMemoCache[*Script](8)
+	in.scripts = memo.NewBudget[*Script](8, memo.UnitCost[*Script])
 	for i := 0; i < 100; i++ {
 		src := fmt.Sprintf("set v%d %d", i, i)
 		if got := mustEval(t, in, src); got != fmt.Sprint(i) {
@@ -134,7 +136,7 @@ func TestScriptCacheBounded(t *testing.T) {
 
 func TestExprCacheBounded(t *testing.T) {
 	in := New()
-	in.exprs = newMemoCache[exprNode](8)
+	in.exprs = memo.NewBudget[exprNode](8, memo.UnitCost[exprNode])
 	for i := 0; i < 100; i++ {
 		out, err := in.EvalExpr(fmt.Sprintf("%d + %d", i, i))
 		if err != nil {
@@ -277,23 +279,27 @@ func TestProcCallDoesNotReparseBody(t *testing.T) {
 	}
 }
 
-func TestMemoCacheFIFOEviction(t *testing.T) {
-	c := newMemoCache[int](3)
+// The parse caches evict least-recently-used, by entry count: a script
+// that keeps being evaluated (a loop body, a rule action) stays resident
+// however many one-shot scripts pass through, and the one-shots go.
+func TestScriptCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	in := New()
+	in.scripts = memo.NewBudget[*Script](3, memo.UnitCost[*Script])
+	hot := "set hot 1"
+	mustEval(t, in, hot)
 	for i := 0; i < 5; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
+		mustEval(t, in, fmt.Sprintf("set cold%d %d", i, i))
+		mustEval(t, in, hot) // a hit: promoted past the cold scripts
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len = %d, want 3", c.Len())
+	if scripts, _ := in.CacheStats(); scripts != 3 {
+		t.Fatalf("script cache holds %d entries, want 3", scripts)
 	}
-	// Oldest two evicted, newest three resident.
-	for i := 0; i < 2; i++ {
-		if _, ok := c.Get(fmt.Sprintf("k%d", i)); ok {
-			t.Fatalf("k%d should have been evicted", i)
-		}
+	if _, ok := in.scripts.Get(hot); !ok {
+		t.Fatal("the re-evaluated script was evicted: eviction is not LRU")
 	}
-	for i := 2; i < 5; i++ {
-		if v, ok := c.Get(fmt.Sprintf("k%d", i)); !ok || v != i {
-			t.Fatalf("k%d missing after eviction", i)
+	for i := 0; i < 5; i++ {
+		if _, ok := in.scripts.Get(fmt.Sprintf("set cold%d %d", i, i)); ok != (i >= 3) {
+			t.Fatalf("cold%d resident = %v, want the two newest one-shots only", i, ok)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"repro/internal/memo"
 )
 
 // Command is the Go signature of a Tcl command, the equivalent of a
@@ -90,8 +92,8 @@ type Interp struct {
 	// Compile-once caches (see script.go): parsed scripts and expression
 	// ASTs keyed by source text. Both hold parse results only, so cached
 	// and uncached evaluation are indistinguishable.
-	scripts *memoCache[*Script]
-	exprs   *memoCache[exprNode]
+	scripts *memo.Budget[*Script]
+	exprs   *memo.Budget[exprNode]
 }
 
 type procDef struct {
@@ -120,8 +122,8 @@ func New() *Interp {
 		maxDep:     1000,
 		pkgs:       map[string]string{},
 		ClientData: map[string]any{},
-		scripts:    newMemoCache[*Script](defaultScriptCacheSize),
-		exprs:      newMemoCache[exprNode](defaultExprCacheSize),
+		scripts:    memo.NewBudget[*Script](defaultScriptCacheSize, memo.UnitCost[*Script]),
+		exprs:      memo.NewBudget[exprNode](defaultExprCacheSize, memo.UnitCost[exprNode]),
 	}
 	in.stack = []*frame{in.global}
 	registerCore(in)

@@ -1,7 +1,5 @@
 package tcl
 
-import "repro/internal/memo"
-
 // Compile-once support: scripts and expressions are parsed to an
 // immutable compiled form that can be evaluated any number of times, by
 // any interpreter. This is the analogue of Tcl's bytecode compiler for
@@ -48,19 +46,13 @@ func (s *Script) Source() string { return s.src }
 // Commands returns the number of commands in the compiled script.
 func (s *Script) Commands() int { return len(s.cmds) }
 
-// memoCache is the shared bounded memoization cache (internal/memo).
-// Each interpreter owns one for scripts and one for compiled
-// expressions; a bounded cache keeps pathological workloads (e.g.
-// generated one-shot scripts with unique text) from growing memory
-// without limit while the steady-state working set — loop bodies, rule
-// actions, conditions — stays resident.
-type memoCache[V any] = memo.Cache[V]
-
-func newMemoCache[V any](max int) *memoCache[V] { return memo.New[V](max) }
-
-// Default cache bounds. The Turbine workloads in this repo stay well
-// under these: a compiled program has tens of distinct procs and rule
-// action shapes, not hundreds.
+// Entry bounds of the two parse caches each interpreter owns (scripts and
+// compiled expressions; memo.Budget priced by memo.UnitCost). The bound
+// keeps pathological workloads (e.g. generated one-shot scripts with
+// unique text) from growing memory without limit while the steady-state
+// working set — loop bodies, rule actions, conditions — stays resident:
+// a compiled program has tens of distinct procs and rule action shapes,
+// not hundreds.
 const (
 	defaultScriptCacheSize = 512
 	defaultExprCacheSize   = 512

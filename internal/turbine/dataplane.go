@@ -5,55 +5,25 @@ package turbine
 // embedded engines through this adapter, so numeric and blob payloads
 // cross the boundary as typed values — blob bytes flow store -> engine
 // -> store with their dims and element kind intact, and nothing is
-// formatted as text unless a string slot demands it. The batch surface
-// (LoadBatch, StoreVector) backs the container<->vector bridge: gathers
-// and scatters cost one RPC per owning server, not one per element.
+// formatted as text unless a string slot demands it. The chunk surface
+// (LoadChunk, StoreChunk) carries argument vectors and backs the
+// container<->vector bridge: gathers and scatters cost one RPC per owning
+// server, not one per element.
 
 import (
 	"fmt"
 
 	"repro/internal/adlb"
-	"repro/internal/blob"
 	"repro/internal/faultinject"
 	"repro/internal/lang"
 )
 
-// DataPlane returns the typed Load/StoreAs surface over this rank's
-// ADLB client, for installing embedded-language engines.
+// DataPlane returns the typed LoadChunk/StoreAs/StoreChunk surface over
+// this rank's ADLB client, for installing embedded-language engines.
 func (e *Env) DataPlane() lang.DataPlane { return dataPlane{cl: e.Client} }
 
 type dataPlane struct {
 	cl *adlb.Client
-}
-
-// fromStore converts a stored ADLB value to a typed lang value.
-func fromStore(v adlb.Value) (lang.Value, error) {
-	switch v.Type {
-	case adlb.TypeInteger:
-		n, err := adlb.AsInt(v)
-		return lang.Int(n), err
-	case adlb.TypeFloat:
-		f, err := adlb.AsFloat(v)
-		return lang.Float(f), err
-	case adlb.TypeString:
-		s, err := adlb.AsString(v)
-		return lang.Str(s), err
-	case adlb.TypeBlob:
-		data, err := adlb.AsBlob(v)
-		if err != nil {
-			return lang.Value{}, err
-		}
-		// Copy-on-escape: retrieved payloads alias the RPC response frame
-		// (the Client zero-copy contract) and values loaded here outlive
-		// it — engines may retain argv bindings in interpreter state
-		// across later data-plane calls. Bulk paths that control the
-		// whole load->store window (vpack/vunpack) stay zero-copy via
-		// LoadChunk/StoreChunk instead.
-		return lang.BlobOf(blob.Blob{Data: append([]byte(nil), data...), Dims: v.Dims, Elem: blob.Elem(v.Elem)}), nil
-	case adlb.TypeVoid:
-		return lang.Str(""), nil
-	}
-	return lang.Value{}, fmt.Errorf("turbine: data plane: unloadable type %v", v.Type)
 }
 
 // toStore converts a typed lang value to the stored form of the named
@@ -84,41 +54,6 @@ func toStore(td string, v lang.Value) (adlb.Value, error) {
 	return adlb.Value{}, fmt.Errorf("turbine: data plane: cannot store %s as %q", v.Kind(), td)
 }
 
-// Load retrieves a closed TD as a typed value.
-func (p dataPlane) Load(id int64) (lang.Value, error) {
-	v, found, err := p.cl.Retrieve(id)
-	if err != nil {
-		return lang.Value{}, err
-	}
-	if !found {
-		return lang.Value{}, fmt.Errorf("turbine: data plane: no such id %d", id)
-	}
-	lv, err := fromStore(v)
-	if err != nil {
-		return lang.Value{}, fmt.Errorf("turbine: data plane: id %d: %w", id, err)
-	}
-	return lv, nil
-}
-
-// LoadBatch retrieves many closed TDs in order, using the ADLB batched
-// gather (one RPC per owning server rather than one per id).
-func (p dataPlane) LoadBatch(ids []int64) ([]lang.Value, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	vals, err := p.cl.RetrieveBatch(ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]lang.Value, len(vals))
-	for i, v := range vals {
-		if out[i], err = fromStore(v); err != nil {
-			return nil, fmt.Errorf("turbine: data plane: id %d: %w", ids[i], err)
-		}
-	}
-	return out, nil
-}
-
 // StoreAs stores a typed value into a TD of the named turbine type,
 // converting where the kinds differ.
 func (p dataPlane) StoreAs(id int64, td string, v lang.Value) error {
@@ -141,27 +76,12 @@ func (p dataPlane) LoadChunk(ids []int64) (lang.Chunk, error) {
 }
 
 // StoreChunk appends a columnar chunk to a container TD in one RPC to
-// the container's owner, the chunk counterpart of StoreVector. The
-// caller keeps (and eventually drops) the container's write reference.
+// the container's owner (consecutive integer subscripts after any
+// existing members). The caller keeps (and eventually drops) the
+// container's write reference.
 func (p dataPlane) StoreChunk(container int64, c lang.Chunk) error {
 	if err := faultinject.At(faultinject.SiteDataPlaneStore); err != nil {
 		return err
 	}
 	return p.cl.StoreChunk(container, c)
-}
-
-// StoreVector appends elements of the named turbine type to a container
-// TD in one batched RPC to the container's owner (consecutive integer
-// subscripts after any existing members). The caller keeps (and
-// eventually drops) the container's write reference.
-func (p dataPlane) StoreVector(container int64, td string, elems []lang.Value) error {
-	vals := make([]adlb.Value, len(elems))
-	for i, v := range elems {
-		sv, err := toStore(td, v)
-		if err != nil {
-			return fmt.Errorf("turbine: data plane: element %d: %w", i, err)
-		}
-		vals[i] = sv
-	}
-	return p.cl.StoreVector(container, vals)
 }

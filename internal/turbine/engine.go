@@ -207,7 +207,6 @@ func (e *engine) stallDiagnostic() error {
 // deterministic evaluation errors poison the task immediately. The lease
 // of a successful task is settled implicitly by the next Get.
 func runWorker(env *Env) error {
-	tasks := 0
 	for {
 		payload, leaseID, ok, err := env.Client.GetLeased(TypeWork)
 		if err != nil {
@@ -216,19 +215,12 @@ func runWorker(env *Env) error {
 		if !ok {
 			return nil
 		}
-		tasks++
-		if env.Cfg.killsWorkerAt(env.Rank, tasks) {
-			// Simulated mid-task rank death (the worker-kill knob): the
-			// task is held under an outstanding lease, and Leave is the
-			// transport's crash notification — the server reclaims the
-			// lease and requeues the task for a surviving worker.
-			if err := env.Client.Leave(); err != nil {
-				return err
-			}
-			return nil
-		}
 		if err := faultinject.At(faultinject.SiteWorkerTask); err != nil {
 			if faultinject.IsCrash(err) {
+				// Simulated mid-task rank death: the task is held under an
+				// outstanding lease, and Leave is the transport's crash
+				// notification — the server reclaims the lease and
+				// requeues the task for a surviving worker.
 				if err := env.Client.Leave(); err != nil {
 					return err
 				}

@@ -55,15 +55,6 @@ type Config struct {
 	// the out-of-process runtime, where worker ranks are TCP joins that
 	// may arrive mid-run or never.
 	Elastic bool
-	// KillWorkerRank, if non-zero, names a worker rank that dies
-	// mid-task: on receiving its (KillWorkerAfterTasks+1)-th leaf task it
-	// departs via Leave without evaluating it, leaving the task to be
-	// reclaimed from its lease. Rank 0 is always an engine, so 0 means
-	// "kill nothing".
-	KillWorkerRank int
-	// KillWorkerAfterTasks is how many tasks the victim completes before
-	// dying (0 = die on the first task received).
-	KillWorkerAfterTasks int
 	// Setup, if non-nil, runs on every rank's interpreter before
 	// execution begins; used to install the embedded-language engines
 	// from the lang registry (the <name>::eval dispatch commands),
@@ -117,12 +108,6 @@ func (c *Config) adlbConfig() adlb.Config {
 		Elastic:           c.Elastic,
 		StaticClients:     c.Engines,
 	}
-}
-
-// killsWorkerAt reports whether the worker-kill knob fires for the given
-// rank on receipt of its taskNo-th leaf task (1-based).
-func (c *Config) killsWorkerAt(rank, taskNo int) bool {
-	return c.KillWorkerRank != 0 && rank == c.KillWorkerRank && taskNo > c.KillWorkerAfterTasks
 }
 
 // Stats aggregates Turbine-level counters across ranks.
