@@ -52,6 +52,34 @@
 //     *tcl.Script (turbine.Config.ProgramScript) instead of re-parsing
 //     the program per rank at startup.
 //
+// What the pipeline evaluates is action text, and what an action's
+// argument words are is decided by the compiler. internal/stc compiles
+// each expression to an operand: a TD, or a value known without one — a
+// literal, a negated numeric literal, a loop variable the engine hands
+// the body as a plain integer. A known value never becomes a TD on its
+// way to a consumer that can take a value: it rides the action as a
+// typed immediate word (i:5, f:1.5, s:text; booleans as integers; blobs
+// and containers never), the rule waits only on the operands that are
+// TDs (none: released at once), and the consumer reads any operand with
+// turbine::value or, for <name>::call, lang.DecodeOperand — the one
+// decoder both share. So the message that starts a piece of work carries
+// its small data: the code and expr strings of a python(...) call, the
+// subscript of xs[7], the bounds of a range, a loop index. Actions are
+// built with Tcl's list command, never by interpolation, so an immediate
+// of any bytes parses back as the word it was. A known value is minted
+// as a TD (turbine::literal_*, once per generated proc body) only where
+// a TD is what is needed: a container member, a composite function's
+// argument. a[k] = e with k known is a direct turbine::container_insert
+// under the enclosing block's write reference; only a subscript still
+// being computed goes through a sw:ainsert rule. Loops: foreach v in A
+// and foreach v, i in A give the member TD and, by value, its subscript;
+// foreach v in [lo:hi:step] and foreach v, i in [lo:hi:step] (either
+// sign of step; empty when (hi-lo)/step+1 <= 0) give the value and its
+// ordinal in the range, both by value. A loop variable cannot be
+// assigned. This operand is the seed of the compiler IR on the ROADMAP:
+// folding, hoisting, single-reader forwarding and use counts are not
+// here yet.
+//
 // Caching is keyed purely on source text and stores only parse results —
 // never values, bindings, or namespace state — so behaviour under upvar,
 // uplevel, catch, and proc redefinition is unchanged; see
@@ -83,20 +111,23 @@
 //     Signature; extra arguments may be string, int, float, or blob, and
 //     `blob v = python(...)` / `float f = python(...)` type the result
 //     by context (Checker.checkExprAs), defaulting to string;
-//   - the compiler emits sw:leafcall actions carrying TD ids only; the
-//     prelude proc expands them to <name>::call, the typed dispatch
-//     surface, so blob arguments pass by data-store reference and no
-//     value renders into the action string (sw:leaf and <name>::eval
-//     remain as the string surface for app functions and direct Tcl
-//     callers);
-//   - <name>::call moves arguments and results through lang.DataPlane
-//     (implemented by turbine.Env.DataPlane over the rank's ADLB
-//     client); blob values cross the data store with dims and element
-//     kind riding alongside the payload (adlb.Value.Dims/Elem), element
-//     bytes are never formatted as text anywhere on the route, and the
-//     whole argument vector loads as one columnar chunk
-//     (DataPlane.LoadChunk over adlb.Client.RetrieveChunk: one RPC per
-//     owning server, never one per argument);
+//   - the compiler emits sw:leafcall actions carrying one operand per
+//     argument; the prelude proc expands them to <name>::call, the typed
+//     dispatch surface. Known scalars (the code and expr strings, a
+//     literal 1.5, a loop index) are immediates in the action itself;
+//     everything else, and every blob, passes by data-store reference,
+//     and no blob or container element data ever renders into an action
+//     (sw:leaf and <name>::eval remain as the string surface for app
+//     functions and direct Tcl callers);
+//   - <name>::call moves TD arguments and results through
+//     lang.DataPlane (implemented by turbine.Env.DataPlane over the
+//     rank's ADLB client); blob values cross the data store with dims
+//     and element kind riding alongside the payload
+//     (adlb.Value.Dims/Elem), element bytes are never formatted as text
+//     anywhere on the route, and the TD operands of one call load as one
+//     columnar chunk (DataPlane.LoadChunk over
+//     adlb.Client.RetrieveChunk: one RPC per owning server, never one
+//     per argument, and none when every operand is an immediate);
 //   - core.RunCompiled iterates lang.Registered() at rank setup and
 //     installs both surfaces via lang.Install, which creates the engine
 //     lazily on first use, applies the retain/reinit state policy (paper

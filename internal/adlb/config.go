@@ -168,7 +168,7 @@ type Stats struct {
 	StealHits     atomic.Int64 // steal responses that contained work
 	ItemsStolen   atomic.Int64 // total items moved by stealing
 	Notifications atomic.Int64 // data-store notifications generated
-	DataOps       atomic.Int64 // create/store/retrieve/container operations
+	DataOps       atomic.Int64 // data-store requests served: the sum of the Op* kinds below
 	TokenRounds   atomic.Int64 // Safra termination-detection rounds begun
 	// TargetedDropped counts targeted work items discarded because the
 	// target client had already departed (received NO_MORE_WORK).
@@ -182,6 +182,49 @@ type Stats struct {
 	// drains cleanly; a recovered run must leave it at zero (no leaked
 	// write refcounts after contained failures).
 	UnfilledTDs atomic.Int64
+	// DataOps by kind of request, so that what a program pays the data
+	// store for can be read off the counters rather than off the compiler:
+	// one count per request, a batched request counting once.
+	OpCreate        atomic.Int64
+	OpStore         atomic.Int64
+	OpRetrieve      atomic.Int64
+	OpSubscribe     atomic.Int64
+	OpInsert        atomic.Int64 // container insert
+	OpLookup        atomic.Int64 // container lookup
+	OpEnumerate     atomic.Int64 // container enumerate
+	OpWriteRefcount atomic.Int64
+	OpChunkLoad     atomic.Int64 // batched retrieve (RetrieveChunk)
+	OpChunkStore    atomic.Int64 // batched store into a container (StoreChunk)
+	OpInspect       atomic.Int64 // exists, typeof
+}
+
+// countDataOp counts one data-store request, in total and under its kind.
+func (s *Stats) countDataOp(op uint8) {
+	s.DataOps.Add(1)
+	switch op {
+	case opCreate:
+		s.OpCreate.Add(1)
+	case opStore:
+		s.OpStore.Add(1)
+	case opRetrieve:
+		s.OpRetrieve.Add(1)
+	case opSubscribe:
+		s.OpSubscribe.Add(1)
+	case opInsert:
+		s.OpInsert.Add(1)
+	case opLookup:
+		s.OpLookup.Add(1)
+	case opEnumerate:
+		s.OpEnumerate.Add(1)
+	case opWriteRefcount:
+		s.OpWriteRefcount.Add(1)
+	case opRetrieveChunk:
+		s.OpChunkLoad.Add(1)
+	case opStoreChunk:
+		s.OpChunkStore.Add(1)
+	case opExists, opTypeOf:
+		s.OpInspect.Add(1)
+	}
 }
 
 // Snapshot returns a plain-struct copy of the counters.
@@ -203,6 +246,17 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Requeued:        s.Requeued.Load(),
 		Poisoned:        s.Poisoned.Load(),
 		UnfilledTDs:     s.UnfilledTDs.Load(),
+		OpCreate:        s.OpCreate.Load(),
+		OpStore:         s.OpStore.Load(),
+		OpRetrieve:      s.OpRetrieve.Load(),
+		OpSubscribe:     s.OpSubscribe.Load(),
+		OpInsert:        s.OpInsert.Load(),
+		OpLookup:        s.OpLookup.Load(),
+		OpEnumerate:     s.OpEnumerate.Load(),
+		OpWriteRefcount: s.OpWriteRefcount.Load(),
+		OpChunkLoad:     s.OpChunkLoad.Load(),
+		OpChunkStore:    s.OpChunkStore.Load(),
+		OpInspect:       s.OpInspect.Load(),
 	}
 }
 
@@ -224,6 +278,17 @@ type StatsSnapshot struct {
 	Requeued        int64
 	Poisoned        int64
 	UnfilledTDs     int64
+	OpCreate        int64
+	OpStore         int64
+	OpRetrieve      int64
+	OpSubscribe     int64
+	OpInsert        int64
+	OpLookup        int64
+	OpEnumerate     int64
+	OpWriteRefcount int64
+	OpChunkLoad     int64
+	OpChunkStore    int64
+	OpInspect       int64
 }
 
 // Serve runs the ADLB server protocol on the calling rank until global

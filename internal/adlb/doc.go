@@ -32,5 +32,10 @@
 // go through decoder.count, which checks them against the bytes
 // remaining in the frame before anything is allocated. Stats.DataOps
 // counts requests, not ids: one batch to one server is one data
-// operation, whatever it carries.
+// operation, whatever it carries. The Stats.Op* counters split it by kind
+// of request (create, store, retrieve, subscribe, container insert,
+// lookup and enumerate, write-refcount, chunk load and store, inspect)
+// and sum to it exactly, so what a program pays the data store for — a
+// third of it was once create+store pairs for compiler literals — reads
+// off `swiftt -stats` instead of off the code generator.
 package adlb

@@ -428,8 +428,8 @@ func (s *server) handleRequest(op uint8, d *decoder, client int) error {
 	case opCreate, opStore, opRetrieve, opSubscribe, opInsert, opLookup,
 		opEnumerate, opWriteRefcount, opExists, opTypeOf,
 		opRetrieveChunk, opStoreChunk:
-		if s.stats() != nil {
-			s.stats().DataOps.Add(1)
+		if st := s.stats(); st != nil {
+			st.countDataOp(op)
 		}
 		return s.handleData(op, d, client)
 	}

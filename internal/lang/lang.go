@@ -11,9 +11,12 @@
 //     context-typed result) from the registration's Signature, so a
 //     Swift program may call any registered language;
 //   - dispatch: the compiler emits sw:leafcall actions that route to the
-//     Tcl command <name>::call — TD ids only, no rendered values — and
-//     the prelude's sw:leaf string fallback routes to <name>::eval; both
-//     are registered per rank by Install;
+//     Tcl command <name>::call, whose argument words are operands (see
+//     DecodeOperand): the id of a TD, or a small scalar the compiler or
+//     engine already held, carried as a typed immediate so it reaches
+//     the worker inside the work item. Blobs travel by id only. The
+//     prelude's sw:leaf string fallback routes to <name>::eval; both are
+//     registered per rank by Install;
 //   - execution: core.RunCompiled iterates Registered() at rank setup
 //     and installs each engine lazily, with the paper's retain/reinit
 //     state policy (§III-C) and per-language eval counters applied
@@ -262,7 +265,7 @@ type DataPlane interface {
 // rank's interpreter: <name>::eval, the string surface used by sh
 // app-function code and direct Tcl callers, and — when a DataPlane is
 // available — <name>::call, the typed surface the compiled sw:leafcall
-// dispatch uses (out id, out type, then one TD id per argument). Both
+// dispatch uses (out id, out type, then one operand per argument). Both
 // share a single engine instance created lazily on first use (the
 // paper's "load the interpreter library on demand"); the state policy is
 // applied after every fragment, and each evaluation is counted under the
@@ -303,35 +306,47 @@ func Install(in *tcl.Interp, reg Registration, h Host, policy Policy, counters *
 	}
 	in.RegisterCommand(reg.Name+"::call", func(ti *tcl.Interp, args []string) (string, error) {
 		if len(args) < 3 {
-			return "", fmt.Errorf("usage: %s::call <out> <outtype> <argid>...", reg.Name)
+			return "", fmt.Errorf("usage: %s::call <out> <outtype> <operand>...", reg.Name)
 		}
 		out, err := strconv.ParseInt(args[1], 10, 64)
 		if err != nil {
 			return "", fmt.Errorf("%s::call: bad out id %q", reg.Name, args[1])
 		}
 		outtype := args[2]
-		ids := make([]int64, len(args)-3)
-		for i, idStr := range args[3:] {
-			id, err := strconv.ParseInt(idStr, 10, 64)
+		// The TD operands load as one columnar chunk — one RPC per owning
+		// server, not one per argument, and none at all when every operand
+		// is an immediate. Payloads are copied out of the chunk
+		// (copyBytes=true) because engines may retain argv bindings in
+		// interpreter state past the chunk's backing frame's validity window.
+		vals := make([]Value, len(args)-3)
+		var ids []int64
+		var slots []int // vals index of each loaded id
+		for i, word := range args[3:] {
+			op, err := DecodeOperand(word)
 			if err != nil {
-				return "", fmt.Errorf("%s::call: bad arg id %q", reg.Name, idStr)
+				return "", fmt.Errorf("%s::call: %w", reg.Name, err)
 			}
-			ids[i] = id
+			if op.Imm {
+				vals[i] = op.Val
+				continue
+			}
+			ids = append(ids, op.ID)
+			slots = append(slots, i)
 		}
-		// One columnar load for the whole argument vector: over ADLB this
-		// is one RPC per owning server, not one per argument. Payloads are
-		// copied out of the chunk (copyBytes=true) because engines may
-		// retain argv bindings in interpreter state past the chunk's
-		// backing frame's validity window.
-		ck, err := dp.LoadChunk(ids)
-		if err != nil {
+		if len(ids) > 0 {
 			// Data-plane transfer failures are environmental, not a defect
 			// of the fragment: retriable.
-			return "", &TaskError{Engine: reg.Name, Code: "dataplane", Retriable: true, Err: err}
-		}
-		vals, err := ChunkToValues(ck, true)
-		if err != nil {
-			return "", &TaskError{Engine: reg.Name, Code: "dataplane", Retriable: true, Err: err}
+			ck, err := dp.LoadChunk(ids)
+			if err != nil {
+				return "", &TaskError{Engine: reg.Name, Code: "dataplane", Retriable: true, Err: err}
+			}
+			loaded, err := ChunkToValues(ck, true)
+			if err != nil {
+				return "", &TaskError{Engine: reg.Name, Code: "dataplane", Retriable: true, Err: err}
+			}
+			for j, i := range slots {
+				vals[i] = loaded[j]
+			}
 		}
 		c, err := buildCall(reg, vals, wantOf(outtype))
 		if err != nil {

@@ -2,6 +2,8 @@ package lang
 
 import (
 	"io"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -383,6 +385,75 @@ func TestInstallTypedCallSurface(t *testing.T) {
 	}
 	if n := counters.Snapshot()["python"]; n != 1 {
 		t.Fatalf("counter = %d, want 1", n)
+	}
+}
+
+func TestDecodeOperand(t *testing.T) {
+	for _, tc := range []struct {
+		word string
+		want Operand
+	}{
+		{"42", Operand{ID: 42}},
+		{"-7", Operand{ID: -7}},
+		{"i:5", Operand{Imm: true, Val: Int(5)}},
+		{"i:-9223372036854775808", Operand{Imm: true, Val: Int(math.MinInt64)}},
+		{"f:1.5", Operand{Imm: true, Val: Float(1.5)}},
+		{"f:3", Operand{Imm: true, Val: Float(3)}},
+		{"f:1e+06", Operand{Imm: true, Val: Float(1e6)}},
+		{"s:", Operand{Imm: true, Val: Str("")}},
+		{"s:i:5", Operand{Imm: true, Val: Str("i:5")}},
+		{"s: a {b\n", Operand{Imm: true, Val: Str(" a {b\n")}},
+	} {
+		got, err := DecodeOperand(tc.word)
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("DecodeOperand(%q) = %+v, %v; want %+v", tc.word, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{"", "x", "1.5", "i:", "i:1.5", "i:0x10", "f:", "f:abc", "b:AAAA", "x:1", ":5", "12 "} {
+		if got, err := DecodeOperand(bad); err == nil {
+			t.Errorf("DecodeOperand(%q) = %+v, want an error", bad, got)
+		}
+	}
+}
+
+// countingPlane counts LoadChunk calls and the ids they carried.
+type countingPlane struct {
+	*memPlane
+	loads, ids int
+}
+
+func (p *countingPlane) LoadChunk(ids []int64) (Chunk, error) {
+	p.loads++
+	p.ids += len(ids)
+	return p.memPlane.LoadChunk(ids)
+}
+
+func TestInstallCallTakesImmediatesFromTheAction(t *testing.T) {
+	// Immediates bind in argument order around the TD operands; only the
+	// TDs are loaded, in one batch, and none when there are none.
+	reg, _ := Lookup("python")
+	dp := &countingPlane{memPlane: newMemPlane()}
+	dp.vals[3] = Floats([]float64{1, 2, 3.5})
+	dp.vals[4] = Int(10)
+	in := tcl.New()
+	Install(in, reg, Host{Out: io.Discard}, PolicyRetain, nil, dp)
+	if _, err := in.Eval(`python::call 9 float {s:t = sum(argv2) * argv1 + argv3 + argv4} s:t i:2 3 f:0.25 4`); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := dp.vals[9].AsFloat(); err != nil || f != 23.25 {
+		t.Fatalf("result = %v (%v), want 23.25", f, err)
+	}
+	if dp.loads != 1 || dp.ids != 2 {
+		t.Fatalf("%d loads of %d ids, want 1 load of 2", dp.loads, dp.ids)
+	}
+	if _, err := in.Eval(`python::call 8 integer s: {s:argv1 + 1} i:41`); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := dp.vals[8].AsInt(); err != nil || n != 42 || dp.loads != 1 {
+		t.Fatalf("all-immediate call: result %v (%v), loads %d; want 42 and no further load", n, err, dp.loads)
+	}
+	if _, err := in.Eval(`python::call 7 integer s: s:1 b:AAAA`); err == nil || !strings.Contains(err.Error(), "immediate tag") {
+		t.Fatalf("blob-looking immediate: err = %v", err)
 	}
 }
 

@@ -2,9 +2,11 @@ package stc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
+	"repro/internal/lang"
 	"repro/internal/swift"
 	"repro/internal/tcl"
 )
@@ -90,16 +92,21 @@ func (c *compiler) gensym(prefix string) string {
 	return fmt.Sprintf("%s%d", prefix, c.counter)
 }
 
-// genScope tracks Swift variable -> (Tcl variable, type) bindings during
-// code generation.
+// genScope tracks Swift variable -> genVar bindings during code
+// generation.
 type genScope struct {
 	parent *genScope
 	vars   map[string]genVar
 }
 
+// genVar is how generated code refers to a Swift variable: ref is a Tcl
+// variable reference holding the id of the variable's TD or — byValue,
+// for loop variables the engine hands the body as plain integers — the
+// value itself.
 type genVar struct {
-	ref string // Tcl reference, e.g. "$v_x"
-	typ swift.Type
+	ref     string // e.g. "$v_x"
+	typ     swift.Type
+	byValue bool
 }
 
 func (s *genScope) lookup(name string) (genVar, bool) {
@@ -111,16 +118,95 @@ func (s *genScope) lookup(name string) (genVar, bool) {
 	return genVar{}, false
 }
 
+// operand is what an expression compiles to: a TD, or a value known
+// without one — a literal, a negated numeric literal, a by-value loop
+// variable. A known value rides the action text of whatever consumes it
+// as a typed immediate (lang.DecodeOperand) and becomes a TD only where
+// one is required (see asTD). This is the seed of the ROADMAP's IR: the
+// known-value half of its lattice, without use counts.
+type operand struct {
+	typ  string // turbine type name
+	td   string // Tcl reference to the TD's id, e.g. "$t3"; "" when known
+	val  string // known: Tcl source of the value (`5`, `{a b}`, `$v_i`)
+	word string // known: Tcl source of its immediate word (`i:5`, `{s:a b}`, `i:$v_i`)
+}
+
+var immTags = map[string]string{"integer": lang.ImmInt, "float": lang.ImmFloat, "string": lang.ImmString}
+
+// knownLit is a compile-time constant given as its exact value text.
+func knownLit(typ, text string) operand {
+	return operand{typ: typ, val: tcl.ListElement(text), word: tcl.ListElement(immTags[typ] + text)}
+}
+
+// knownVar is a value held in a Tcl variable of the generated proc.
+func knownVar(typ, ref string) operand {
+	return operand{typ: typ, val: ref, word: immTags[typ] + ref}
+}
+
+func (o operand) known() bool { return o.td == "" }
+
+// arg is the Tcl source of the operand as an action argument word.
+func (o operand) arg() string {
+	if o.known() {
+		return o.word
+	}
+	return o.td
+}
+
 // emitter accumulates the body of one generated proc.
 type emitter struct {
 	b      strings.Builder
 	indent string
+	lits   map[string]string // immediate word -> Tcl ref of the TD minted for it
 }
+
+func newEmitter() *emitter { return &emitter{indent: "    ", lits: map[string]string{}} }
 
 func (e *emitter) linef(format string, args ...any) {
 	e.b.WriteString(e.indent)
 	fmt.Fprintf(&e.b, format, args...)
 	e.b.WriteByte('\n')
+}
+
+// tclList is the Tcl source of a list built at run time from the given
+// word sources; list quotes each element, so no value, however hostile,
+// changes how an action parses.
+func tclList(words ...string) string {
+	if len(words) == 0 {
+		return "[list]"
+	}
+	return "[list " + strings.Join(words, " ") + "]"
+}
+
+// rule emits a dataflow rule for the action made of the given word
+// sources. It waits on the TDs among deps — known operands are already
+// in the action — so with none it is released at once. opts is appended
+// verbatim (" type work" sends the action to a worker).
+func (e *emitter) rule(deps []operand, opts string, action ...string) {
+	var tds []string
+	for _, d := range deps {
+		if !d.known() {
+			tds = append(tds, d.td)
+		}
+	}
+	e.linef("turbine::rule %s %s%s", tclList(tds...), tclList(action...), opts)
+}
+
+// argWords lists the operands as action argument words.
+func argWords(ops []operand) []string {
+	out := make([]string, len(ops))
+	for i, o := range ops {
+		out[i] = o.arg()
+	}
+	return out
+}
+
+func typesOf(ops []operand) string {
+	ts := make([]string, len(ops))
+	for i, o := range ops {
+		ts[i] = o.typ
+	}
+	return "{" + strings.Join(ts, " ") + "}"
 }
 
 // tdType maps a Swift type to its ADLB/turbine type name. Booleans are
@@ -169,7 +255,7 @@ func (c *compiler) compileProc(name string, params []swift.Param, body []swift.S
 		names = append(names, "v_"+p.Name)
 		sc.vars[p.Name] = genVar{ref: "$v_" + p.Name, typ: p.Type}
 	}
-	e := &emitter{indent: "    "}
+	e := newEmitter()
 	if err := c.compileStmts(e, sc, body); err != nil {
 		return "", err
 	}
@@ -220,21 +306,31 @@ func (c *compiler) compileStmt(e *emitter, sc *genScope, s swift.Stmt) ([]string
 		if !ok {
 			return nil, swift.Errorf(st.Pos(), "internal: unbound variable %q", st.LName)
 		}
+		if v.byValue {
+			return nil, swift.Errorf(st.Pos(), "cannot assign to loop variable %q", st.LName)
+		}
 		if st.LSub == nil {
 			return nil, c.compileInto(e, sc, v.ref, v.typ, st.RHS)
 		}
 		// a[sub] = rhs
-		subRef, err := c.compileExpr(e, sc, st.LSub)
+		sub, err := c.compileExpr(e, sc, st.LSub)
 		if err != nil {
 			return nil, err
 		}
-		elemT := swift.Type{Base: v.typ.Base}
-		elemRef, err := c.compileExprAs(e, sc, elemT, st.RHS)
+		elem, err := c.compileExprAs(e, sc, swift.Type{Base: v.typ.Base}, st.RHS)
 		if err != nil {
 			return nil, err
+		}
+		member := c.asTD(e, elem)
+		if sub.known() {
+			// Inserted while the block that holds a write reference on the
+			// array (its declaring block, or the loop or branch that was
+			// handed one) is still being evaluated: no reference of its own.
+			e.linef("turbine::container_insert %s %s %s", v.ref, sub.val, member)
+			return nil, nil
 		}
 		e.linef("turbine::write_refcount %s 1", v.ref)
-		e.linef(`turbine::rule [list %s] "sw:ainsert %s %s %s"`, subRef, v.ref, subRef, elemRef)
+		e.rule([]operand{sub}, "", "sw:ainsert", v.ref, sub.td, member)
 		return nil, nil
 
 	case *swift.CallStmt:
@@ -249,174 +345,174 @@ func (c *compiler) compileStmt(e *emitter, sc *genScope, s swift.Stmt) ([]string
 	return nil, swift.Errorf(s.Pos(), "internal: unknown statement %T", s)
 }
 
-// compileExpr compiles an expression to a TD, returning its Tcl ref.
-func (c *compiler) compileExpr(e *emitter, sc *genScope, ex swift.Expr) (string, error) {
+// compileExpr compiles an expression to an operand of its own type.
+func (c *compiler) compileExpr(e *emitter, sc *genScope, ex swift.Expr) (operand, error) {
 	return c.compileExprAs(e, sc, c.ck.Types[ex], ex)
 }
 
-// compileExprAs compiles an expression into a TD of the given type
-// (handling int->float promotion at the storage level).
-func (c *compiler) compileExprAs(e *emitter, sc *genScope, want swift.Type, ex swift.Expr) (string, error) {
+// known returns ex as a known value of the wanted type, if it is one:
+// a literal, a negated numeric literal, or a by-value loop variable.
+// Int->float promotion happens here, in the text: `3` wanted as a float
+// is the float literal 3.0, and a promoted index parses as a float.
+func (c *compiler) known(sc *genScope, want swift.Type, ex swift.Expr) (operand, bool) {
+	typ := tdType(want)
+	neg := ""
+	if u, ok := ex.(*swift.Unary); ok && u.Op == "-" {
+		switch u.X.(type) {
+		case *swift.IntLit, *swift.FloatLit:
+			neg, ex = "-", u.X
+		}
+	}
 	switch x := ex.(type) {
 	case *swift.Ident:
+		if v, ok := sc.lookup(x.Name); ok && v.byValue {
+			return knownVar(typ, v.ref), true
+		}
+	case *swift.IntLit:
+		text := neg + strconv.FormatInt(x.Value, 10)
+		if typ == "float" {
+			text += ".0"
+		}
+		return knownLit(typ, text), true
+	case *swift.FloatLit:
+		return knownLit(typ, neg+fmtFloatLit(x.Value)), true
+	case *swift.StringLit:
+		return knownLit(typ, x.Value), true
+	case *swift.BoolLit:
+		if x.Value {
+			return knownLit(typ, "1"), true
+		}
+		return knownLit(typ, "0"), true
+	}
+	return operand{}, false
+}
+
+// compileExprAs compiles an expression to an operand of the given type
+// (handling int->float promotion at the storage level).
+func (c *compiler) compileExprAs(e *emitter, sc *genScope, want swift.Type, ex swift.Expr) (operand, error) {
+	if k, ok := c.known(sc, want, ex); ok {
+		return k, nil
+	}
+	typ := tdType(want)
+	if x, ok := ex.(*swift.Ident); ok {
 		v, ok := sc.lookup(x.Name)
 		if !ok {
-			return "", swift.Errorf(x.Pos(), "internal: unbound variable %q", x.Name)
+			return operand{}, swift.Errorf(x.Pos(), "internal: unbound variable %q", x.Name)
 		}
-		if tdType(v.typ) != tdType(want) {
-			// Promotion copy (e.g. int var assigned to float context).
-			t := c.gensym("t")
-			e.linef("set %s [turbine::allocate %s]", t, tdType(want))
-			e.linef(`turbine::rule [list %s] "sw:copy $%s %s %s %s"`,
-				v.ref, t, v.ref, tdType(v.typ), tdType(want))
-			return "$" + t, nil
+		if tdType(v.typ) == typ {
+			return operand{typ: typ, td: v.ref}, nil
 		}
-		return v.ref, nil
-	case *swift.IntLit:
-		t := c.gensym("t")
-		if tdType(want) == "float" {
-			e.linef("set %s [turbine::literal_float %d.0]", t, x.Value)
-		} else {
-			e.linef("set %s [turbine::literal_integer %d]", t, x.Value)
-		}
-		return "$" + t, nil
-	case *swift.FloatLit:
-		t := c.gensym("t")
-		e.linef("set %s [turbine::literal_float %s]", t, fmtFloatLit(x.Value))
-		return "$" + t, nil
-	case *swift.StringLit:
-		t := c.gensym("t")
-		e.linef("set %s [turbine::literal_string %s]", t, tcl.ListElement(x.Value))
-		return "$" + t, nil
-	case *swift.BoolLit:
-		t := c.gensym("t")
-		v := 0
-		if x.Value {
-			v = 1
-		}
-		e.linef("set %s [turbine::literal_integer %d]", t, v)
-		return "$" + t, nil
-	default:
-		t := c.gensym("t")
-		e.linef("set %s [turbine::allocate %s]", t, tdType(want))
-		if err := c.compileInto(e, sc, "$"+t, want, ex); err != nil {
-			return "", err
-		}
-		return "$" + t, nil
+		// Otherwise a promotion copy (int var in a float context): below.
 	}
+	t := c.gensym("t")
+	e.linef("set %s [turbine::allocate %s]", t, typ)
+	if err := c.compileInto(e, sc, "$"+t, want, ex); err != nil {
+		return operand{}, err
+	}
+	return operand{typ: typ, td: "$" + t}, nil
+}
+
+// asTD returns the Tcl reference of a TD holding the operand, which is
+// what a container member and a composite function's argument must be.
+// A known value is minted as a literal TD, once per generated proc body
+// however often it is needed there.
+func (c *compiler) asTD(e *emitter, op operand) string {
+	if !op.known() {
+		return op.td
+	}
+	if ref, ok := e.lits[op.word]; ok {
+		return ref
+	}
+	t := c.gensym("t")
+	e.linef("set %s [turbine::literal_%s %s]", t, op.typ, op.val)
+	e.lits[op.word] = "$" + t
+	return "$" + t
+}
+
+// compileOperands compiles each expression to an operand of its own type.
+func (c *compiler) compileOperands(e *emitter, sc *genScope, exprs []swift.Expr) ([]operand, error) {
+	ops := make([]operand, len(exprs))
+	for i, ex := range exprs {
+		var err error
+		if ops[i], err = c.compileExpr(e, sc, ex); err != nil {
+			return nil, err
+		}
+	}
+	return ops, nil
 }
 
 // compileInto compiles an expression so its result is stored into the
 // existing TD referenced by outRef.
 func (c *compiler) compileInto(e *emitter, sc *genScope, outRef string, outT swift.Type, ex swift.Expr) error {
 	outTD := tdType(outT)
+	if k, ok := c.known(sc, outT, ex); ok {
+		e.linef("turbine::store_%s %s %s", outTD, outRef, k.val)
+		return nil
+	}
 	switch x := ex.(type) {
-	case *swift.IntLit:
-		if outTD == "float" {
-			e.linef("turbine::store_float %s %d.0", outRef, x.Value)
-		} else {
-			e.linef("turbine::store_integer %s %d", outRef, x.Value)
-		}
-		return nil
-	case *swift.FloatLit:
-		e.linef("turbine::store_float %s %s", outRef, fmtFloatLit(x.Value))
-		return nil
-	case *swift.StringLit:
-		e.linef("turbine::store_string %s %s", outRef, tcl.ListElement(x.Value))
-		return nil
-	case *swift.BoolLit:
-		v := 0
-		if x.Value {
-			v = 1
-		}
-		e.linef("turbine::store_integer %s %d", outRef, v)
-		return nil
 	case *swift.Ident:
 		v, ok := sc.lookup(x.Name)
 		if !ok {
 			return swift.Errorf(x.Pos(), "internal: unbound variable %q", x.Name)
 		}
-		e.linef(`turbine::rule [list %s] "sw:copy %s %s %s %s"`,
-			v.ref, outRef, v.ref, tdType(v.typ), outTD)
+		src := operand{typ: tdType(v.typ), td: v.ref}
+		e.rule([]operand{src}, "", "sw:copy", outRef, src.td, src.typ, outTD)
 		return nil
 	case *swift.Unary:
-		xt := c.ck.Types[x.X]
-		xRef, err := c.compileExpr(e, sc, x.X)
+		a, err := c.compileExpr(e, sc, x.X)
 		if err != nil {
 			return err
 		}
-		e.linef(`turbine::rule [list %s] "sw:unop %s %s %s %s %s"`,
-			xRef, outRef, x.Op, outTD, tdType(xt), xRef)
+		e.rule([]operand{a}, "", "sw:unop", outRef, x.Op, outTD, a.typ, a.arg())
 		return nil
 	case *swift.Binary:
-		lt, rt := c.ck.Types[x.L], c.ck.Types[x.R]
-		lRef, err := c.compileExpr(e, sc, x.L)
+		ops, err := c.compileOperands(e, sc, []swift.Expr{x.L, x.R})
 		if err != nil {
 			return err
 		}
-		rRef, err := c.compileExpr(e, sc, x.R)
-		if err != nil {
-			return err
-		}
-		e.linef(`turbine::rule [list %s %s] "sw:binop %s %s %s %s %s %s %s"`,
-			lRef, rRef, outRef, tclOp(x.Op), outTD, tdType(lt), lRef, tdType(rt), rRef)
+		l, r := ops[0], ops[1]
+		e.rule(ops, "", "sw:binop", outRef, x.Op, outTD, l.typ, l.arg(), r.typ, r.arg())
 		return nil
 	case *swift.Call:
 		return c.compileCallInto(e, sc, outRef, outT, x)
 	case *swift.Index:
-		at := c.ck.Types[x.Arr]
-		aRef, err := c.compileExpr(e, sc, x.Arr)
+		ops, err := c.compileOperands(e, sc, []swift.Expr{x.Arr, x.Sub})
 		if err != nil {
 			return err
 		}
-		sRef, err := c.compileExpr(e, sc, x.Sub)
-		if err != nil {
-			return err
-		}
-		_ = at
-		e.linef(`turbine::rule [list %s %s] "sw:aread %s %s %s %s integer"`,
-			aRef, sRef, outRef, outTD, aRef, sRef)
+		e.rule(ops, "", "sw:aread", outRef, outTD, ops[0].td, ops[1].arg())
 		return nil
 	case *swift.ArrayLit:
 		elemT := swift.Type{Base: outT.Base}
 		for i, el := range x.Elems {
-			eRef, err := c.compileExprAs(e, sc, elemT, el)
+			elem, err := c.compileExprAs(e, sc, elemT, el)
 			if err != nil {
 				return err
 			}
-			e.linef("turbine::container_insert %s %d %s", outRef, i, eRef)
+			e.linef("turbine::container_insert %s %d %s", outRef, i, c.asTD(e, elem))
 		}
 		e.linef("turbine::write_refcount %s -1", outRef)
 		return nil
 	case *swift.RangeLit:
-		loRef, err := c.compileExpr(e, sc, x.Lo)
+		bounds, err := c.compileRange(e, sc, x)
 		if err != nil {
 			return err
 		}
-		hiRef, err := c.compileExpr(e, sc, x.Hi)
-		if err != nil {
-			return err
-		}
-		stepRef := ""
-		if x.Step != nil {
-			stepRef, err = c.compileExpr(e, sc, x.Step)
-			if err != nil {
-				return err
-			}
-		} else {
-			t := c.gensym("t")
-			e.linef("set %s [turbine::literal_integer 1]", t)
-			stepRef = "$" + t
-		}
-		e.linef(`turbine::rule [list %s %s %s] "sw:range_build %s %s %s %s"`,
-			loRef, hiRef, stepRef, outRef, loRef, hiRef, stepRef)
+		e.rule(bounds, "", append([]string{"sw:range_build", outRef}, argWords(bounds)...)...)
 		return nil
 	}
 	return swift.Errorf(ex.Pos(), "internal: unknown expression %T", ex)
 }
 
-// tclOp maps Swift operators to Tcl expr operators.
-func tclOp(op string) string { return op }
+// compileRange compiles the lo, hi and step operands of a range (step 1
+// when omitted).
+func (c *compiler) compileRange(e *emitter, sc *genScope, r *swift.RangeLit) ([]operand, error) {
+	if r.Step == nil {
+		bounds, err := c.compileOperands(e, sc, []swift.Expr{r.Lo, r.Hi})
+		return append(bounds, knownLit("integer", "1")), err
+	}
+	return c.compileOperands(e, sc, []swift.Expr{r.Lo, r.Hi, r.Step})
+}
 
 func fmtFloatLit(f float64) string {
 	s := fmt.Sprintf("%g", f)
@@ -431,122 +527,79 @@ func (c *compiler) compileCallInto(e *emitter, sc *genScope, outRef string, outT
 	if b := swift.LookupBuiltin(call.Name); b != nil {
 		return c.compileBuiltin(e, sc, outRef, outT, call, b)
 	}
+	return c.compileUserCall(e, sc, []string{outRef}, call)
+}
+
+// compileUserCall invokes a user-defined function with the given output
+// TDs. A composite function is called engine-side, there and then, and
+// registers its own rules, so its arguments must be TDs; a Tcl-template
+// or app function is a leaf task released to a worker once its TD
+// arguments close, and takes operands.
+func (c *compiler) compileUserCall(e *emitter, sc *genScope, outRefs []string, call *swift.Call) error {
 	f := c.prog.FindFunc(call.Name)
 	if f == nil {
 		return swift.Errorf(call.Pos(), "internal: undefined function %q", call.Name)
 	}
-	argRefs, argTypes, err := c.compileArgs(e, sc, call, f)
-	if err != nil {
-		return err
+	ops := make([]operand, len(call.Args))
+	for i, a := range call.Args {
+		var err error
+		if ops[i], err = c.compileExprAs(e, sc, f.Ins[i].Type, a); err != nil {
+			return err
+		}
 	}
+	words := append([]string{"u:" + f.Name}, outRefs...)
 	switch f.Kind {
 	case swift.FuncComposite:
-		// Direct engine-side invocation: the callee registers its rules.
-		e.linef("u:%s %s %s", f.Name, outRef, strings.Join(argRefs, " "))
+		for _, op := range ops {
+			words = append(words, c.asTD(e, op))
+		}
+		e.linef("%s", strings.Join(words, " "))
 		return nil
 	case swift.FuncTclTemplate, swift.FuncApp:
-		// Leaf task on a worker when all inputs are closed.
-		deps := strings.Join(argRefs, " ")
-		e.linef(`turbine::rule [list %s] "u:%s %s %s" type work`,
-			deps, f.Name, outRef, strings.Join(argRefs, " "))
+		e.rule(ops, " type work", append(words, argWords(ops)...)...)
 		return nil
 	}
-	_ = argTypes
 	return swift.Errorf(call.Pos(), "internal: bad function kind")
-}
-
-func (c *compiler) compileArgs(e *emitter, sc *genScope, call *swift.Call, f *swift.FuncDef) ([]string, []string, error) {
-	var refs, types []string
-	for i, a := range call.Args {
-		want := f.Ins[i].Type
-		r, err := c.compileExprAs(e, sc, want, a)
-		if err != nil {
-			return nil, nil, err
-		}
-		refs = append(refs, r)
-		types = append(types, tdType(want))
-	}
-	return refs, types, nil
 }
 
 // compileBuiltin handles builtins in expression position.
 func (c *compiler) compileBuiltin(e *emitter, sc *genScope, outRef string, outT swift.Type, call *swift.Call, b *swift.Builtin) error {
-	if b.Name == "size" {
-		aRef, err := c.compileExpr(e, sc, call.Args[0])
-		if err != nil {
-			return err
-		}
-		e.linef(`turbine::rule [list %s] "sw:asize %s %s"`, aRef, outRef, aRef)
-		return nil
+	ops, err := c.compileOperands(e, sc, call.Args)
+	if err != nil {
+		return err
 	}
-	if b.Name == "vpack" {
+	outTD := tdType(outT)
+	switch {
+	case b.Name == "size":
+		e.rule(ops, "", "sw:asize", outRef, ops[0].td)
+	case b.Name == "vpack":
 		// Container -> blob vector. Phase 1 (sw:vpack) must run
 		// engine-side: it registers the member-wait rule; the gather
 		// itself then runs as a worker leaf task.
-		at := c.ck.Types[call.Args[0]]
-		aRef, err := c.compileExpr(e, sc, call.Args[0])
-		if err != nil {
-			return err
-		}
-		e.linef(`turbine::rule [list %s] "sw:vpack %s %s %s"`,
-			aRef, outRef, tdType(swift.Type{Base: at.Base}), aRef)
-		return nil
-	}
-	if b.Name == "vunpack" {
+		elemT := swift.Type{Base: c.ck.Types[call.Args[0]].Base}
+		e.rule(ops, "", "sw:vpack", outRef, tdType(elemT), ops[0].td)
+	case b.Name == "vunpack":
 		// Blob vector -> container: one worker leaf task scatters the
 		// elements in a single batched store and closes the array. The
 		// element type comes from the assignment context (checkExprAs).
-		bRef, err := c.compileExpr(e, sc, call.Args[0])
-		if err != nil {
-			return err
-		}
-		e.linef(`turbine::rule [list %s] "sw:vunpack %s %s %s" type work`,
-			bRef, outRef, tdType(swift.Type{Base: outT.Base}), bRef)
-		return nil
-	}
-	if b.Name == "join_array" {
-		aRef, err := c.compileExpr(e, sc, call.Args[0])
-		if err != nil {
-			return err
-		}
-		sepRef, err := c.compileExpr(e, sc, call.Args[1])
-		if err != nil {
-			return err
-		}
+		e.rule(ops, " type work", "sw:vunpack", outRef, tdType(swift.Type{Base: outT.Base}), ops[0].td)
+	case b.Name == "join_array":
 		// Two-phase: wait for the container to close, then wait for all
 		// members, then join their values.
-		e.linef(`turbine::rule [list %s %s] "sw:ajoin %s %s %s"`, aRef, sepRef, outRef, aRef, sepRef)
-		return nil
+		e.rule(ops, "", "sw:ajoin", outRef, ops[0].td, ops[1].arg())
+	case b.Lang:
+		// Interlanguage leaf call: typed dispatch. The action carries one
+		// operand per argument — <name>::call takes known scalars from the
+		// action itself, loads the rest from the data store as typed
+		// values (blobs always by reference) and stores the typed result,
+		// so no blob element data is ever rendered into the action or
+		// through sw:vals.
+		e.rule(ops, " type work", append([]string{"sw:leafcall", b.Name, outRef, outTD}, argWords(ops)...)...)
+	case b.Leaf:
+		e.rule(ops, " type work", "sw:leaf", b.Name, outRef, outTD, typesOf(ops), tclList(argWords(ops)...))
+	default:
+		e.rule(ops, "", "sw:builtin", b.Name, outRef, outTD, typesOf(ops), tclList(argWords(ops)...))
 	}
-	var refs, types []string
-	for _, a := range call.Args {
-		r, err := c.compileExpr(e, sc, a)
-		if err != nil {
-			return err
-		}
-		refs = append(refs, r)
-		types = append(types, tdType(c.ck.Types[a]))
-	}
-	deps := strings.Join(refs, " ")
-	ids := strings.Join(refs, " ")
-	if b.Lang {
-		// Interlanguage leaf call: typed dispatch. The action carries TD
-		// ids only — <name>::call loads arguments from the data store as
-		// typed values (blobs by reference) and stores the typed result,
-		// so no value, and in particular no blob element data, is ever
-		// rendered into the action or through sw:vals.
-		e.linef(`turbine::rule [list %s] "sw:leafcall %s %s %s [list [list %s]]" type work`,
-			deps, b.Name, outRef, tdType(outT), ids)
-		return nil
-	}
-	kind := "sw:builtin"
-	extra := ""
-	if b.Leaf {
-		kind = "sw:leaf"
-		extra = " type work"
-	}
-	e.linef(`turbine::rule [list %s] "%s %s %s %s {%s} [list [list %s]]"%s`,
-		deps, kind, b.Name, outRef, tdType(outT), strings.Join(types, " "), ids, extra)
 	return nil
 }
 
@@ -556,17 +609,11 @@ func (c *compiler) compileCallStmt(e *emitter, sc *genScope, call *swift.Call) e
 	if b := swift.LookupBuiltin(call.Name); b != nil {
 		switch b.Name {
 		case "printf", "trace":
-			var refs, types []string
-			for _, a := range call.Args {
-				r, err := c.compileExpr(e, sc, a)
-				if err != nil {
-					return err
-				}
-				refs = append(refs, r)
-				types = append(types, tdType(c.ck.Types[a]))
+			ops, err := c.compileOperands(e, sc, call.Args)
+			if err != nil {
+				return err
 			}
-			e.linef(`turbine::rule [list %s] "sw:%s {%s} [list [list %s]]"`,
-				strings.Join(refs, " "), b.Name, strings.Join(types, " "), strings.Join(refs, " "))
+			e.rule(ops, "", "sw:"+b.Name, typesOf(ops), tclList(argWords(ops)...))
 			return nil
 		default:
 			// Single-output builtin whose value is discarded.
@@ -586,26 +633,16 @@ func (c *compiler) compileCallStmt(e *emitter, sc *genScope, call *swift.Call) e
 		e.linef("set %s [turbine::allocate %s]", t, tdType(o.Type))
 		outRefs = append(outRefs, "$"+t)
 	}
-	argRefs, _, err := c.compileArgs(e, sc, call, f)
-	if err != nil {
-		return err
-	}
-	all := strings.Join(append(append([]string{}, outRefs...), argRefs...), " ")
-	switch f.Kind {
-	case swift.FuncComposite:
-		e.linef("u:%s %s", f.Name, all)
-	case swift.FuncTclTemplate, swift.FuncApp:
-		e.linef(`turbine::rule [list %s] "u:%s %s" type work`,
-			strings.Join(argRefs, " "), f.Name, all)
-	}
-	return nil
+	return c.compileUserCall(e, sc, outRefs, call)
 }
 
 // ---- control flow ----
 
-// freeRefs computes the ordered Tcl references and parameter bindings of
-// the Swift variables a nested block needs from its enclosing scope.
-func (c *compiler) freeRefs(sc *genScope, stmts []swift.Stmt, bound map[string]bool) ([]string, []string, []swift.Type) {
+// freeVars computes, in first-reference order, the Swift variables a
+// nested block needs from its enclosing scope and how that scope refers
+// to them. A by-value variable stays by value in the nested block: its
+// integer is passed on in the block's argument list.
+func (c *compiler) freeVars(sc *genScope, stmts []swift.Stmt, bound map[string]bool) ([]string, []genVar) {
 	names := map[string]bool{}
 	var order []string
 	var walkExpr func(ex swift.Expr)
@@ -687,8 +724,8 @@ func (c *compiler) freeRefs(sc *genScope, stmts []swift.Stmt, bound map[string]b
 	// Keep only variables resolvable in the enclosing scope, deduped in
 	// first-reference order (deterministic codegen).
 	seen := map[string]bool{}
-	var frees, refs []string
-	var typs []swift.Type
+	var frees []string
+	var vars []genVar
 	for _, n := range order {
 		if seen[n] || bound[n] {
 			continue
@@ -699,10 +736,18 @@ func (c *compiler) freeRefs(sc *genScope, stmts []swift.Stmt, bound map[string]b
 		}
 		seen[n] = true
 		frees = append(frees, n)
-		refs = append(refs, v.ref)
-		typs = append(typs, v.typ)
+		vars = append(vars, v)
 	}
-	return frees, refs, typs
+	return frees, vars
+}
+
+// refsOf lists the enclosing scope's Tcl references of variables.
+func refsOf(vars []genVar) []string {
+	refs := make([]string, len(vars))
+	for i, v := range vars {
+		refs[i] = v.ref
+	}
+	return refs
 }
 
 // writtenArrays finds enclosing-scope arrays assigned by subscript inside
@@ -754,45 +799,49 @@ func (c *compiler) writtenArrays(sc *genScope, stmts []swift.Stmt, bound map[str
 }
 
 func (c *compiler) compileIf(e *emitter, sc *genScope, st *swift.If) error {
-	condRef, err := c.compileExpr(e, sc, st.Cond)
+	cond, err := c.compileExpr(e, sc, st.Cond)
 	if err != nil {
 		return err
 	}
 	bound := map[string]bool{}
 	all := append(append([]swift.Stmt{}, st.Then...), st.Else...)
-	frees, refs, typs := c.freeRefs(sc, all, bound)
+	frees, vars := c.freeVars(sc, all, bound)
 	warrs := c.writtenArrays(sc, all, bound)
 
 	thenName := c.gensym("u:br") + "_t"
-	if err := c.emitBlockProc(thenName, frees, typs, sc, st.Then); err != nil {
+	if err := c.emitBlockProc(thenName, frees, vars, st.Then); err != nil {
 		return err
 	}
 	elseName := "-"
 	if st.Else != nil {
 		elseName = c.gensym("u:br") + "_e"
-		if err := c.emitBlockProc(elseName, frees, typs, sc, st.Else); err != nil {
+		if err := c.emitBlockProc(elseName, frees, vars, st.Else); err != nil {
 			return err
 		}
 	}
 	for _, w := range warrs {
 		e.linef("turbine::write_refcount %s 1", w)
 	}
-	e.linef(`turbine::rule [list %s] "sw:if %s %s %s [list [list %s]] [list [list %s]]"`,
-		condRef, condRef, thenName, elseName,
-		strings.Join(refs, " "), strings.Join(warrs, " "))
+	e.rule([]operand{cond}, "", "sw:if", cond.arg(), thenName, elseName,
+		tclList(refsOf(vars)...), tclList(warrs...))
 	return nil
 }
 
-// emitBlockProc generates a proc for a nested block whose parameters are
-// the block's free variables.
-func (c *compiler) emitBlockProc(name string, frees []string, typs []swift.Type, outer *genScope, body []swift.Stmt) error {
+// emitBlockProc generates a proc for a nested block. Its parameters are
+// the given variables, bound as v_<name> (by value where vars says so);
+// an unnamed one is a positional argument the block does not use.
+func (c *compiler) emitBlockProc(name string, names []string, vars []genVar, body []swift.Stmt) error {
 	sc := &genScope{vars: map[string]genVar{}}
-	var params []string
-	for i, n := range frees {
-		params = append(params, "v_"+n)
-		sc.vars[n] = genVar{ref: "$v_" + n, typ: typs[i]}
+	params := make([]string, len(names))
+	for i, n := range names {
+		if n == "" {
+			params[i] = "_"
+			continue
+		}
+		params[i] = "v_" + n
+		sc.vars[n] = genVar{ref: "$v_" + n, typ: vars[i].typ, byValue: vars[i].byValue}
 	}
-	e := &emitter{indent: "    "}
+	e := newEmitter()
 	if err := c.compileStmts(e, sc, body); err != nil {
 		return err
 	}
@@ -801,86 +850,47 @@ func (c *compiler) emitBlockProc(name string, frees []string, typs []swift.Type,
 	return nil
 }
 
+// compileForeach compiles a loop to a body proc plus a split rule. The
+// body takes the element, then the index, then its free variables. The
+// index — an array member's subscript, or the iteration's ordinal in a
+// range — arrives by value, as does a range's element; an array's element
+// is the member TD.
 func (c *compiler) compileForeach(e *emitter, sc *genScope, st *swift.Foreach) error {
-	seqT := c.ck.Types[st.Seq]
-	elemT := swift.Type{Base: seqT.Base}
+	rng, overRange := st.Seq.(*swift.RangeLit)
+	elemT := swift.Type{Base: c.ck.Types[st.Seq].Base}
 
 	bound := map[string]bool{st.Var: true}
 	if st.IdxVar != "" {
 		bound[st.IdxVar] = true
 	}
-	frees, refs, typs := c.freeRefs(sc, st.Body, bound)
+	frees, vars := c.freeVars(sc, st.Body, bound)
 	warrs := c.writtenArrays(sc, st.Body, bound)
 
-	// The body proc takes the element (and optional index) before frees.
 	bodyName := c.gensym("u:loop")
-	bodyFrees := append([]string{st.Var}, append(idxNames(st.IdxVar), frees...)...)
-	bodyTyps := append([]swift.Type{elemT}, append(idxTypes(st.IdxVar), typs...)...)
-	if err := c.emitBlockProc(bodyName, bodyFrees, bodyTyps, sc, st.Body); err != nil {
+	loopVars := []genVar{{typ: elemT, byValue: overRange}, {typ: swift.Type{Base: swift.TInt}, byValue: true}}
+	if err := c.emitBlockProc(bodyName, append([]string{st.Var, st.IdxVar}, frees...), append(loopVars, vars...), st.Body); err != nil {
 		return err
 	}
 
 	for _, w := range warrs {
 		e.linef("turbine::write_refcount %s 1", w)
 	}
-	if r, ok := st.Seq.(*swift.RangeLit); ok {
+	split := []string{bodyName, tclList(refsOf(vars)...), tclList(warrs...)}
+	if overRange {
 		// Range loop: split across engines without materialising an array.
-		loRef, err := c.compileExpr(e, sc, r.Lo)
+		bounds, err := c.compileRange(e, sc, rng)
 		if err != nil {
 			return err
 		}
-		hiRef, err := c.compileExpr(e, sc, r.Hi)
-		if err != nil {
-			return err
-		}
-		var stepRef string
-		if r.Step != nil {
-			stepRef, err = c.compileExpr(e, sc, r.Step)
-			if err != nil {
-				return err
-			}
-		} else {
-			t := c.gensym("t")
-			e.linef("set %s [turbine::literal_integer 1]", t)
-			stepRef = "$" + t
-		}
-		if st.IdxVar != "" {
-			return swift.Errorf(st.Pos(), "index variable over a range is not supported; iterate the range value directly")
-		}
-		e.linef(`turbine::rule [list %s %s %s] "sw:rsplit %s [list [list %s]] [list [list %s]] %s %s %s"`,
-			loRef, hiRef, stepRef, bodyName,
-			strings.Join(refs, " "), strings.Join(warrs, " "),
-			loRef, hiRef, stepRef)
+		e.rule(bounds, "", append(append([]string{"sw:rsplit"}, split...), argWords(bounds)...)...)
 		return nil
 	}
-	// Array loop.
-	seqRef, err := c.compileExpr(e, sc, st.Seq)
+	seq, err := c.compileExpr(e, sc, st.Seq)
 	if err != nil {
 		return err
 	}
-	hasIdx := "0"
-	if st.IdxVar != "" {
-		hasIdx = "1"
-	}
-	e.linef(`turbine::rule [list %s] "sw:asplit %s [list [list %s]] [list [list %s]] %s %s"`,
-		seqRef, bodyName,
-		strings.Join(refs, " "), strings.Join(warrs, " "),
-		seqRef, hasIdx)
+	e.rule([]operand{seq}, "", append(append([]string{"sw:asplit"}, split...), seq.td)...)
 	return nil
-}
-
-func idxNames(idx string) []string {
-	if idx == "" {
-		return nil
-	}
-	return []string{idx}
-}
-
-func idxTypes(idx string) []swift.Type {
-	if idx == "" {
-		return nil
-	}
-	return []swift.Type{{Base: swift.TInt}}
 }
 
 // ---- Tcl template and app functions ----
@@ -896,9 +906,9 @@ func (c *compiler) compileTemplateFunc(f *swift.FuncDef) (string, error) {
 	for _, i := range f.Ins {
 		params = append(params, "td_"+i.Name)
 	}
-	e := &emitter{indent: "    "}
+	e := newEmitter()
 	for _, i := range f.Ins {
-		e.linef("set in_%s [turbine::retrieve_%s $td_%s]", i.Name, tdType(i.Type), i.Name)
+		e.linef("set in_%s [turbine::value %s $td_%s]", i.Name, tdType(i.Type), i.Name)
 	}
 	tmpl := f.Template
 	for _, i := range f.Ins {
@@ -934,9 +944,9 @@ func (c *compiler) compileAppFunc(f *swift.FuncDef) (string, error) {
 	for _, i := range f.Ins {
 		params = append(params, "td_"+i.Name)
 	}
-	e := &emitter{indent: "    "}
+	e := newEmitter()
 	for _, i := range f.Ins {
-		e.linef("set in_%s [turbine::retrieve_%s $td_%s]", i.Name, tdType(i.Type), i.Name)
+		e.linef("set in_%s [turbine::value %s $td_%s]", i.Name, tdType(i.Type), i.Name)
 	}
 	var words []string
 	for _, w := range f.AppWords {

@@ -27,10 +27,15 @@ proc sw:copy {dst src srctype dsttype} {
     turbine::store_$dsttype $dst $v
 }
 
-# Engine-side binary operator on closed operands.
+# An operand is the id of a closed TD or a typed immediate (i:5, f:1.5,
+# s:text) carrying a value the compiler or engine already held; the rule
+# that released the action waited only on the TDs. turbine::value reads
+# either.
+
+# Engine-side binary operator.
 proc sw:binop {out op outtype ltype l rtype r} {
-    set a [turbine::retrieve_$ltype $l]
-    set b [turbine::retrieve_$rtype $r]
+    set a [turbine::value $ltype $l]
+    set b [turbine::value $rtype $r]
     if {$ltype eq "string" || $rtype eq "string"} {
         switch -exact -- $op {
             "+"  { set v "$a$b" }
@@ -55,7 +60,7 @@ proc sw:binop {out op outtype ltype l rtype r} {
 
 # Engine-side unary operator.
 proc sw:unop {out op outtype xtype x} {
-    set a [turbine::retrieve_$xtype $x]
+    set a [turbine::value $xtype $x]
     switch -exact -- $op {
         "-" { set v [expr {-$a}] }
         "!" { set v [expr {!$a}] }
@@ -65,31 +70,31 @@ proc sw:unop {out op outtype xtype x} {
     turbine::store_$outtype $out $v
 }
 
-# Retrieve a list of data ids by a parallel list of types.
-proc sw:vals {types ids} {
+# The values of a list of operands, by a parallel list of types.
+proc sw:vals {types ops} {
     set out {}
-    foreach t $types id $ids {
-        lappend out [turbine::retrieve_$t $id]
+    foreach t $types o $ops {
+        lappend out [turbine::value $t $o]
     }
     return $out
 }
 
 # printf: first arg is the format (Swift %i maps to Tcl %d).
-proc sw:printf {types ids} {
-    set vals [sw:vals $types $ids]
+proc sw:printf {types ops} {
+    set vals [sw:vals $types $ops]
     set fmt [string map {%i %d} [lindex $vals 0]]
     puts [format $fmt {*}[lrange $vals 1 end]]
 }
 
 # trace: print all values, comma separated, prefixed like Swift/T.
-proc sw:trace {types ids} {
-    set vals [sw:vals $types $ids]
+proc sw:trace {types ops} {
+    set vals [sw:vals $types $ops]
     puts "trace: [join $vals ,]"
 }
 
 # Engine-side builtin dispatch.
-proc sw:builtin {name out outtype types ids} {
-    set vals [sw:vals $types $ids]
+proc sw:builtin {name out outtype types ops} {
+    set vals [sw:vals $types $ops]
     switch -exact -- $name {
         strcat   { set v [join $vals ""] }
         toString { set v [lindex $vals 0] }
@@ -113,8 +118,8 @@ proc sw:builtin {name out outtype types ids} {
 # any other leaf name falls back to the embedded-language registry's
 # string surface <name>::eval (compiled interlanguage calls use
 # sw:leafcall below instead).
-proc sw:leaf {name out outtype types ids} {
-    set vals [sw:vals $types $ids]
+proc sw:leaf {name out outtype types ops} {
+    set vals [sw:vals $types $ops]
     switch -exact -- $name {
         blob_from_string { set v [lindex $vals 0] }
         string_from_blob { set v [lindex $vals 0] }
@@ -124,14 +129,17 @@ proc sw:leaf {name out outtype types ids} {
     turbine::store_$outtype $out $v
 }
 
-# Worker-side typed interlanguage dispatch (Engine v2): only TD ids
-# travel in the action string; <name>::call — installed per rank from the
+# Worker-side typed interlanguage dispatch (Engine v2): the action's
+# argument words are operands. <name>::call — installed per rank from the
 # lang registry, so a newly registered language needs no prelude edits —
-# loads the arguments from the data store as typed values (blobs by
-# reference, dims intact), pre-binds them in the engine as argv1..argvN,
-# and stores the typed result directly. No element data renders as text.
-proc sw:leafcall {name out outtype ids} {
-    ${name}::call $out $outtype {*}$ids
+# takes the immediates (the code and expr strings, literal and loop-index
+# arguments) from the work item itself, loads the TD operands from the
+# data store as typed values in one batch (blobs by reference, dims
+# intact; a blob is never an immediate), pre-binds them all in the engine
+# as argv1..argvN, and stores the typed result directly. No element data
+# renders as text.
+proc sw:leafcall {name out outtype args} {
+    ${name}::call $out $outtype {*}$args
 }
 
 # Container -> vector (vpack): fires when the container closes; chains a
@@ -142,7 +150,7 @@ proc sw:leafcall {name out outtype ids} {
 # it in Go, and neither member ids nor element data render as text
 # anywhere on the route.
 proc sw:vpack {out elemtype c} {
-    turbine::rule_members $c "turbine::vpack_gather $out $elemtype $c" type work
+    turbine::rule_members $c [list turbine::vpack_gather $out $elemtype $c] type work
 }
 
 # Vector -> container (vunpack): fires when the blob closes; a worker
@@ -154,19 +162,18 @@ proc sw:vunpack {out elemtype b} {
 }
 
 # Array element read: fires when the container is closed and the
-# subscript value is available; chains a copy rule on the member.
-proc sw:aread {out outtype c sub subtype} {
-    set sv [turbine::retrieve_$subtype $sub]
-    set m [turbine::container_lookup $c $sv]
-    set mt [turbine::typeof $m]
-    turbine::rule [list $m] "sw:copy $out $m $mt $outtype"
+# subscript is known; chains a copy rule on the member.
+proc sw:aread {out outtype c sub} {
+    set m [turbine::container_lookup $c [turbine::value integer $sub]]
+    turbine::rule [list $m] [list sw:copy $out $m [turbine::typeof $m] $outtype]
 }
 
-# Array element write: fires when the subscript value is available; the
-# caller has already taken a write reference on the container.
+# Array element write at a subscript still being computed: fires when the
+# subscript TD closes; the caller has already taken a write reference on
+# the container. (A subscript the compiler or engine already holds is a
+# direct turbine::container_insert in the generated code.)
 proc sw:ainsert {c sub elem} {
-    set sv [turbine::retrieve_integer $sub]
-    turbine::container_insert $c $sv $elem
+    turbine::container_insert $c [turbine::retrieve_integer $sub] $elem
     turbine::write_refcount $c -1
 }
 
@@ -180,25 +187,29 @@ proc sw:asize {out c} {
 # open), then renders their values, loaded in one batch, in insertion
 # order.
 proc sw:ajoin {out c sep} {
-    turbine::rule_members $c "sw:ajoin_fire $out $c $sep"
+    turbine::rule_members $c [list sw:ajoin_fire $out $c $sep]
 }
 
 proc sw:ajoin_fire {out c sep} {
-    turbine::store_string $out [join [turbine::container_values $c] [turbine::retrieve_string $sep]]
+    turbine::store_string $out [join [turbine::container_values $c] [turbine::value string $sep]]
+}
+
+# The iteration space of [lo:hi:step] as {first step count}: count is
+# (hi-lo)/step+1 for either sign of step, zero when the range is empty.
+proc sw:range {lo hi step} {
+    set lov [turbine::value integer $lo]
+    set stv [turbine::value integer $step]
+    if {$stv == 0} { error "range \[lo:hi:step\]: zero step" }
+    set n [expr {([turbine::value integer $hi] - $lov) / $stv + 1}]
+    return [list $lov $stv [expr {max($n, 0)}]]
 }
 
 # Build a range container [lo:hi:step]; drops the creation reference when
 # construction completes, closing the array.
 proc sw:range_build {c lo hi step} {
-    set lov [turbine::retrieve_integer $lo]
-    set hiv [turbine::retrieve_integer $hi]
-    set stv [turbine::retrieve_integer $step]
-    if {$stv == 0} { error "sw:range_build: zero step" }
-    set idx 0
-    for {set i $lov} {$i <= $hiv} {incr i $stv} {
-        set m [turbine::literal_integer $i]
-        turbine::container_insert $c $idx $m
-        incr idx
+    lassign [sw:range $lo $hi $step] lov stv n
+    for {set k 0} {$k < $n} {incr k} {
+        turbine::container_insert $c $k [turbine::literal_integer [expr {$lov + $k * $stv}]]
     }
     turbine::write_refcount $c -1
 }
@@ -207,60 +218,48 @@ proc sw:range_build {c lo hi step} {
 # distributed control fragment so any engine may expand it (paper Fig. 2:
 # dataflow evaluation has no serial bottleneck).
 proc sw:rsplit {body freeargs warrs lo hi step} {
-    set lov [turbine::retrieve_integer $lo]
-    set hiv [turbine::retrieve_integer $hi]
-    set stv [turbine::retrieve_integer $step]
-    if {$stv == 0} { error "sw:rsplit: zero step" }
-    set n [expr {($hiv - $lov) / $stv + 1}]
-    if {$n <= 0} {
+    lassign [sw:range $lo $hi $step] lov stv n
+    if {$n == 0} {
         foreach w $warrs { turbine::write_refcount $w -1 }
         return
     }
     set lanes [expr {[turbine::engines] * 4}]
     set chunk [expr {($n + $lanes - 1) / $lanes}]
-    if {$chunk < 1} { set chunk 1 }
     set nchunks [expr {($n + $chunk - 1) / $chunk}]
     # Each chunk inherits one write reference per written array.
     foreach w $warrs {
         if {$nchunks > 1} { turbine::write_refcount $w [expr {$nchunks - 1}] }
     }
     for {set ci 0} {$ci < $nchunks} {incr ci} {
-        set start [expr {$lov + $ci * $chunk * $stv}]
-        set count [expr {min($chunk, $n - $ci * $chunk)}]
-        turbine::spawn "sw:rchunk $body [list $freeargs] [list $warrs] $start $count $stv"
+        set ord [expr {$ci * $chunk}]
+        set start [expr {$lov + $ord * $stv}]
+        set count [expr {min($chunk, $n - $ord)}]
+        turbine::spawn [list sw:rchunk $body $freeargs $warrs $start $count $stv $ord]
     }
 }
 
-# One chunk of a split range loop: register each iteration's body.
-proc sw:rchunk {body freeargs warrs start count step} {
+# One chunk of a split range loop: register each iteration's body, which
+# takes the loop value and its ordinal in the range by value.
+proc sw:rchunk {body freeargs warrs start count step ord} {
     for {set k 0} {$k < $count} {incr k} {
-        set iv [expr {$start + $k * $step}]
-        set i [turbine::literal_integer $iv]
-        $body $i {*}$freeargs
+        $body [expr {$start + $k * $step}] [expr {$ord + $k}] {*}$freeargs
     }
     foreach w $warrs { turbine::write_refcount $w -1 }
 }
 
 # Array loop split: fires when the container closes; registers the body
-# once per member (with the subscript as an extra leading argument when
-# hasidx is 1).
-proc sw:asplit {body freeargs warrs c hasidx} {
+# once per member, passing the member TD and, by value, its subscript.
+proc sw:asplit {body freeargs warrs c} {
     foreach {sub m} [turbine::container_enumerate $c] {
-        if {$hasidx} {
-            set i [turbine::literal_integer $sub]
-            $body $m $i {*}$freeargs
-        } else {
-            $body $m {*}$freeargs
-        }
+        $body $m $sub {*}$freeargs
     }
     foreach w $warrs { turbine::write_refcount $w -1 }
 }
 
-# Conditional: fires when the condition closes; evaluates one branch proc
-# ("-" means no else branch), then releases array write references.
+# Conditional: fires when the condition is known; evaluates one branch
+# proc ("-" means no else branch), then releases array write references.
 proc sw:if {cond thenproc elseproc freeargs warrs} {
-    set v [turbine::retrieve_integer $cond]
-    if {$v} {
+    if {[turbine::value integer $cond]} {
         $thenproc {*}$freeargs
     } elseif {$elseproc ne "-"} {
         $elseproc {*}$freeargs

@@ -408,10 +408,35 @@ func TestZeroOutputComposite(t *testing.T) {
 	expectLines(t, got, []string{"report 5"})
 }
 
-func TestIndexVarOverRangeRejected(t *testing.T) {
-	_, err := Compile(`foreach v, i in [0:3] { printf("%i", i); }`)
-	if err == nil || !strings.Contains(err.Error(), "not supported") {
-		t.Fatalf("err = %v", err)
+func TestIndexVarOverRangeIsTheOrdinal(t *testing.T) {
+	// foreach v, i in [lo:hi:step]: i is v's position in the range, as it
+	// is when the same range is first built as an array.
+	for _, r := range []string{"[0:3]", "[10:40:10]", "[5:0:-1]", "[7:7]", "[3:2]", "[0:99:7]"} {
+		direct := runSwift(t, `foreach v, i in `+r+` { printf("%i@%i", v, i); }`, 4, 2, 1)
+		viaArray := runSwift(t, `int a[] = `+r+`; foreach v, i in a { printf("%i@%i", v, i); }`, 4, 2, 1)
+		expectLines(t, direct, viaArray)
+	}
+	got := runSwift(t, `foreach v, i in [10:40:10] { printf("%i@%i", v, i); }`, 3, 1, 1)
+	expectLines(t, got, []string{"10@0", "20@1", "30@2", "40@3"})
+}
+
+func TestRangeWithNegativeStep(t *testing.T) {
+	// [0:5:-1] is empty (building it as an array used to spin forever
+	// minting members) and [5:0:-1] counts down; the array and the loop
+	// over the range agree on both.
+	for _, tc := range []struct {
+		rng  string
+		want []string
+	}{
+		{"[0:5:-1]", nil},
+		{"[5:0:-1]", []string{"v=5", "v=4", "v=3", "v=2", "v=1", "v=0"}},
+		{"[5:0:-2]", []string{"v=5", "v=3", "v=1"}},
+		{"[0:5:2]", []string{"v=0", "v=2", "v=4"}},
+	} {
+		loop := runSwift(t, `foreach v in `+tc.rng+` { printf("v=%i", v); }`, 3, 1, 1)
+		expectLines(t, loop, tc.want)
+		arr := runSwift(t, `int a[] = `+tc.rng+`; foreach v in a { printf("v=%i", v); } printf("n=%i", size(a));`, 3, 1, 1)
+		expectLines(t, arr, append([]string{fmt.Sprintf("n=%d", len(tc.want))}, tc.want...))
 	}
 }
 
@@ -453,7 +478,7 @@ func TestGeneratedCodeIsValidTcl(t *testing.T) {
 
 func TestInterlanguageCallsCompileToTypedDispatch(t *testing.T) {
 	// Interlanguage leaf calls must go through sw:leafcall (typed: the
-	// action carries TD ids only and <name>::call moves values through
+	// action carries operands and <name>::call moves TD values through
 	// the data plane), never through the string-rendering sw:leaf path.
 	out, err := Compile(`
 		blob v = blob_from_string("x");
@@ -510,7 +535,7 @@ func TestContainerVectorBridgeCompilesToBatchedActions(t *testing.T) {
 	if got := len(vun.FindAllString(out.Program, -1)); got != 2 {
 		t.Fatalf("found %d sw:vunpack actions, want 2\n%s", got, out.Program)
 	}
-	if !strings.Contains(out.Program, `" type work`) {
+	if !strings.Contains(out.Program, `] type work`) {
 		t.Fatal("bridge leaf phases not released as worker tasks")
 	}
 }
@@ -641,4 +666,58 @@ func TestJoinArrayFloats(t *testing.T) {
 		printf("%s", join_array(xs, " "));
 	`, 3, 1, 1)
 	expectLines(t, got, []string{"1.5 2.5"})
+}
+
+func TestByValueLoopVariables(t *testing.T) {
+	// Loop indices and range elements reach the body as plain integers.
+	// Every way a body can use one — captured by a nested if and a nested
+	// foreach, passed to a composite and to a template function, promoted
+	// to float, stored as a member, used as a subscript on either side,
+	// negated, printed — must read as it did when each was a TD (the
+	// expected lines are the parent commit's output).
+	got := runSwift(t, `
+		(int o) twice(int x) { o = x * 2; }
+		(float o) half(float x) { o = x / 2.0; }
+		(int o) addone(int i) "p" "1" [ "set <<o>> [expr {<<i>> + 1}]" ];
+		int a[] = [10, 20, 30];
+		int sq[];
+		float fs[];
+		foreach i in [0:2] {
+			if (i % 2 == 0) {
+				printf("even %i", i);
+				foreach j in [0:1] {
+					if (j == 1) { printf("deep %i %i sum %i", i, j, i + j); }
+				}
+			} else {
+				printf("odd %i twice %i", i, twice(i));
+			}
+			sq[i] = i;
+			fs[i] = i;
+			int m[] = [i, i + 1, i];
+			printf("a[%i]=%i m=%s half=%s plus=%i neg=%i", i, a[i], join_array(m, ","), toString(half(i)), addone(i), -i);
+			trace(i, itof(i));
+		}
+		foreach v, k in a {
+			if (k > 0) { sq[k + 10] = v + k; }
+			foreach w in [k:k+1] { printf("inner %i %i", k, w); }
+		}
+		printf("sq: %i %i %i %i %i n=%i fs: %s", sq[0], sq[1], sq[2], sq[11], sq[12], size(sq), toString(fs[2]));
+	`, 5, 2, 1)
+	expectLines(t, got, []string{
+		"even 0", "even 2", "odd 1 twice 2",
+		"deep 0 1 sum 1", "deep 2 1 sum 3",
+		"a[0]=10 m=0,1,0 half=0.0 plus=1 neg=0",
+		"a[1]=20 m=1,2,1 half=0.5 plus=2 neg=-1",
+		"a[2]=30 m=2,3,2 half=1.0 plus=3 neg=-2",
+		"trace: 0,0.0", "trace: 1,1.0", "trace: 2,2.0",
+		"inner 0 0", "inner 0 1", "inner 1 1", "inner 1 2", "inner 2 2", "inner 2 3",
+		"sq: 0 1 2 21 32 n=5 fs: 2.0",
+	})
+}
+
+func TestLoopVariableCannotBeAssigned(t *testing.T) {
+	_, err := Compile(`foreach i in [0:3] { i = 7; }`)
+	if err == nil || !strings.Contains(err.Error(), "loop variable") {
+		t.Fatalf("err = %v", err)
+	}
 }

@@ -30,16 +30,24 @@ func ListElement(s string) string {
 	if !needsQuote(s) {
 		return s
 	}
-	if bracesBalanced(s) && !strings.ContainsAny(s, "\\") {
+	// Braces are safe only when nothing inside them could be read
+	// structurally on the way back. This interpreter's scanners match the
+	// brackets of a command substitution by counting, without looking at
+	// brace quoting, so brackets inside braces must themselves balance.
+	if !strings.Contains(s, "\\") && balanced(s, '{', '}') && balanced(s, '[', ']') {
 		return "{" + s + "}"
 	}
-	// Backslash-quote everything problematic.
+	// Backslash-quote everything problematic, byte by byte: every special
+	// is ASCII, and other bytes (valid UTF-8 or not) pass through as is.
 	var b strings.Builder
-	for _, r := range s {
-		switch r {
+	if s[0] == '#' {
+		b.WriteByte('\\') // never a comment, even as a script's first word
+	}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case ' ', '\t', '$', '[', ']', '{', '}', '"', ';', '\\':
 			b.WriteByte('\\')
-			b.WriteRune(r)
+			b.WriteByte(c)
 		case '\n':
 			b.WriteString("\\n")
 		case '\r':
@@ -49,7 +57,7 @@ func ListElement(s string) string {
 		case '\f':
 			b.WriteString("\\f")
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()
@@ -68,19 +76,19 @@ func needsQuote(s string) bool {
 	return false
 }
 
-func bracesBalanced(s string) bool {
+// balanced reports whether every close in s matches an earlier open and
+// none is left open.
+func balanced(s string, open, close byte) bool {
 	depth := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
-		case '{':
+		case open:
 			depth++
-		case '}':
+		case close:
 			depth--
 			if depth < 0 {
 				return false
 			}
-		case '\\':
-			i++ // an escaped char never affects balance
 		}
 	}
 	return depth == 0

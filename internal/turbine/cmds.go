@@ -140,46 +140,51 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		return "", cl.Store(id, adlb.VoidValue())
 	})
 
-	// Typed retrieves.
-	reg("retrieve_integer", func(in *tcl.Interp, args []string) (string, error) {
-		v, err := mustRetrieve(cl, args, adlb.TypeInteger)
+	// Typed retrieves: the stored type must be the one named.
+	for _, typ := range []adlb.DataType{adlb.TypeInteger, adlb.TypeFloat, adlb.TypeString, adlb.TypeBlob} {
+		typ := typ
+		reg("retrieve_"+typ.String(), func(in *tcl.Interp, args []string) (string, error) {
+			if len(args) != 2 {
+				return "", fmt.Errorf("usage: %s <id>", args[0])
+			}
+			id, err := parseInt(args[1])
+			if err != nil {
+				return "", err
+			}
+			return retrieveAs(cl, id, typ)
+		})
+	}
+	// value <type> <operand>: what compiled code reads its scalar inputs
+	// with. An operand is a TD id — answered as retrieve_<type> answers —
+	// or a typed immediate (lang.DecodeOperand), answered with no data op
+	// in the rendering a literal TD of that type would have been read
+	// back in, so a value reads identically either way.
+	reg("value", func(in *tcl.Interp, args []string) (string, error) {
+		if len(args) != 3 {
+			return "", fmt.Errorf("usage: turbine::value <type> <operand>")
+		}
+		typ, err := typeByName(args[1])
 		if err != nil {
 			return "", err
 		}
-		n, err := adlb.AsInt(v)
+		op, err := lang.DecodeOperand(args[2])
 		if err != nil {
 			return "", err
 		}
-		return fmtInt(n), nil
-	})
-	reg("retrieve_float", func(in *tcl.Interp, args []string) (string, error) {
-		v, err := mustRetrieve(cl, args, adlb.TypeFloat)
-		if err != nil {
-			return "", err
+		if !op.Imm {
+			return retrieveAs(cl, op.ID, typ)
 		}
-		f, err := adlb.AsFloat(v)
-		if err != nil {
-			return "", err
+		switch typ {
+		case adlb.TypeInteger:
+			n, err := op.Val.AsInt()
+			return fmtInt(n), err
+		case adlb.TypeFloat:
+			f, err := op.Val.AsFloat()
+			return fmtFloat(f), err
+		case adlb.TypeString:
+			return op.Val.Render(), nil
 		}
-		return fmtFloat(f), nil
-	})
-	reg("retrieve_string", func(in *tcl.Interp, args []string) (string, error) {
-		v, err := mustRetrieve(cl, args, adlb.TypeString)
-		if err != nil {
-			return "", err
-		}
-		return adlb.AsString(v)
-	})
-	reg("retrieve_blob", func(in *tcl.Interp, args []string) (string, error) {
-		v, err := mustRetrieve(cl, args, adlb.TypeBlob)
-		if err != nil {
-			return "", err
-		}
-		b, err := adlb.AsBlob(v)
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
+		return "", fmt.Errorf("turbine: value: a %v cannot be an immediate", typ)
 	})
 	// Typed blob copy: duplicates the stored value wholesale, so dims
 	// and element kind survive copies that never needed the payload as
@@ -225,31 +230,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if !found {
 			return "", fmt.Errorf("turbine: retrieve: no such id %d", id)
 		}
-		switch v.Type {
-		case adlb.TypeInteger:
-			n, err := adlb.AsInt(v)
-			if err != nil {
-				return "", err
-			}
-			return fmtInt(n), nil
-		case adlb.TypeFloat:
-			f, err := adlb.AsFloat(v)
-			if err != nil {
-				return "", err
-			}
-			return fmtFloat(f), nil
-		case adlb.TypeString:
-			return adlb.AsString(v)
-		case adlb.TypeBlob:
-			b, err := adlb.AsBlob(v)
-			if err != nil {
-				return "", err
-			}
-			return string(b), nil
-		case adlb.TypeVoid:
-			return "", nil
-		}
-		return "", fmt.Errorf("turbine: retrieve: id %d has unrenderable type %v", id, v.Type)
+		return render(v)
 	})
 
 	reg("exists", func(in *tcl.Interp, args []string) (string, error) {
@@ -598,45 +579,27 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		return "", dp.StoreChunk(out, sc)
 	})
 
-	// Literal helpers collapse allocate+store for compiled constants.
-	reg("literal_integer", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", fmt.Errorf("usage: turbine::literal_integer <value>")
-		}
-		v, err := parseInt(args[1])
-		if err != nil {
-			return "", err
-		}
-		id, err := allocStore(cl, adlb.TypeInteger, adlb.IntValue(v))
-		if err != nil {
-			return "", err
-		}
-		return fmtInt(id), nil
-	})
-	reg("literal_float", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", fmt.Errorf("usage: turbine::literal_float <value>")
-		}
-		v, err := parseFloat(args[1])
-		if err != nil {
-			return "", err
-		}
-		id, err := allocStore(cl, adlb.TypeFloat, adlb.FloatValue(v))
-		if err != nil {
-			return "", err
-		}
-		return fmtInt(id), nil
-	})
-	reg("literal_string", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", fmt.Errorf("usage: turbine::literal_string <value>")
-		}
-		id, err := allocStore(cl, adlb.TypeString, adlb.StringValue(args[1]))
-		if err != nil {
-			return "", err
-		}
-		return fmtInt(id), nil
-	})
+	// literal_<type> <value> -> id: allocate + store, for a known value
+	// that has to be a TD (a container member, a composite function's
+	// argument). The text converts as the data plane converts a string
+	// result stored into a TD of that type.
+	for _, typ := range []adlb.DataType{adlb.TypeInteger, adlb.TypeFloat, adlb.TypeString} {
+		typ := typ
+		reg("literal_"+typ.String(), func(in *tcl.Interp, args []string) (string, error) {
+			if len(args) != 2 {
+				return "", fmt.Errorf("usage: %s <value>", args[0])
+			}
+			v, err := toStore(typ.String(), lang.Str(args[1]))
+			if err != nil {
+				return "", err
+			}
+			id, err := allocStore(cl, typ, v)
+			if err != nil {
+				return "", err
+			}
+			return fmtInt(id), nil
+		})
+	}
 }
 
 // enumerate lists the container named by a command argument: its
@@ -673,25 +636,51 @@ func allocStore(cl *adlb.Client, typ adlb.DataType, v adlb.Value) (int64, error)
 	return id, nil
 }
 
-func mustRetrieve(cl *adlb.Client, args []string, want adlb.DataType) (adlb.Value, error) {
-	if len(args) != 2 {
-		return adlb.Value{}, fmt.Errorf("usage: %s <id>", args[0])
-	}
-	id, err := parseInt(args[1])
-	if err != nil {
-		return adlb.Value{}, err
-	}
+// retrieveAs fetches a closed TD that must hold the given type and renders
+// its value as Tcl text.
+func retrieveAs(cl *adlb.Client, id int64, want adlb.DataType) (string, error) {
 	v, found, err := cl.Retrieve(id)
 	if err != nil {
-		return adlb.Value{}, err
+		return "", err
 	}
 	if !found {
-		return adlb.Value{}, fmt.Errorf("turbine: retrieve: no such id %d", id)
+		return "", fmt.Errorf("turbine: retrieve: no such id %d", id)
 	}
 	if v.Type != want {
-		return adlb.Value{}, fmt.Errorf("turbine: id %d is %v, expected %v", id, v.Type, want)
+		return "", fmt.Errorf("turbine: id %d is %v, expected %v", id, v.Type, want)
 	}
-	return v, nil
+	return render(v)
+}
+
+// render is the one rendering of a stored scalar as Tcl text: canonical
+// decimal integers, shortest round-trip floats (always with a fraction or
+// exponent), string and blob bytes verbatim, void as the empty string.
+func render(v adlb.Value) (string, error) {
+	switch v.Type {
+	case adlb.TypeInteger:
+		n, err := adlb.AsInt(v)
+		if err != nil {
+			return "", err
+		}
+		return fmtInt(n), nil
+	case adlb.TypeFloat:
+		f, err := adlb.AsFloat(v)
+		if err != nil {
+			return "", err
+		}
+		return fmtFloat(f), nil
+	case adlb.TypeString:
+		return adlb.AsString(v)
+	case adlb.TypeBlob:
+		b, err := adlb.AsBlob(v)
+		if err != nil {
+			return "", err
+		}
+		return string(b), nil
+	case adlb.TypeVoid:
+		return "", nil
+	}
+	return "", fmt.Errorf("turbine: cannot render a %v", v.Type)
 }
 
 func typeByName(name string) (adlb.DataType, error) {

@@ -304,6 +304,52 @@ func TestLiteralHelpers(t *testing.T) {
 	}
 }
 
+func TestValueReadsTDsAndImmediatesAlike(t *testing.T) {
+	// turbine::value answers for an immediate exactly what it answers for
+	// a literal TD of the same value, and pays the data store only for
+	// the TD.
+	stats := &adlb.Stats{}
+	cfg := &Config{
+		Engines: 1, Servers: 1, Stats: stats,
+		Program: `
+			proc main {} {
+				foreach {typ text} {integer 7 integer -12 float 2.5 float 3.0 float 1e+21 float 0.1
+						string hello string {a $b} string {} string i:5} {
+					set td [turbine::literal_$typ $text]
+					set before [test::dataops]
+					set viaTD [turbine::value $typ $td]
+					set mid [test::dataops]
+					set viaImm [turbine::value $typ [string index $typ 0]:$text]
+					test::record [list $typ $viaTD $viaImm [expr {$mid - $before}] [expr {[test::dataops] - $mid}]]
+				}
+				# An integer immediate promotes where a float is wanted.
+				test::record [turbine::value float i:3]
+				foreach bad {{blob s:xyz} {container i:1} {integer f:1.5} {integer x:1} {integer {}}} {
+					if {![catch {turbine::value {*}$bad} msg]} { test::record "no error for $bad" }
+				}
+			}
+		`,
+		Main: "main",
+		Setup: func(in *tcl.Interp, env *Env) error {
+			in.RegisterCommand("test::dataops", func(*tcl.Interp, []string) (string, error) {
+				return fmtInt(stats.DataOps.Load()), nil
+			})
+			return nil
+		},
+	}
+	got := runTurbine(t, 3, cfg).sorted()
+	want := []string{
+		"3.0",
+		"float 0.1 0.1 1 0", "float 1e+21 1e+21 1 0", "float 2.5 2.5 1 0", "float 3.0 3.0 1 0",
+		"integer -12 -12 1 0", "integer 7 7 1 0",
+		"string hello hello 1 0", "string i:5 i:5 1 0", "string {a $b} {a $b} 1 0", "string {} {} 1 0",
+	}
+	sort.Strings(want)
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("rows = %q\nwant   %q", got, want)
+	}
+}
+
 func TestTypedRetrieveMismatch(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 1,
