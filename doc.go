@@ -340,14 +340,23 @@
 // Where everything above runs one program per world and tears the world
 // down, internal/serve (the swiftd command) keeps one warm ADLB world
 // resident and serves many tenants over HTTP/JSON: whole Swift program
-// submissions and typed single-fragment calls, with base64 blobs
-// carrying dims and element type on the wire. Three client roles share
-// the warm world — a pinned gateway that submits fragment tasks, a
-// pinned collector that routes results back to waiting requests, and
-// leased-Get fragment workers, each owning a lang.Pool of per-tenant
-// interpreters. The pins (adlb.Client.Pin) hold the otherwise-quiescent
-// world open; shutdown releases them in order and lets ordinary Safra
-// termination drain the workers.
+// submissions and typed single-fragment calls. JSON with base64 blobs
+// (serve.WireValue, carrying dims and element type) is the encoding of
+// the HTTP edge only: EvalFragment decodes and validates the arguments
+// once, after admission and before any worker is involved (a blob whose
+// dims or element size do not match its payload is a 400; a body past
+// the transport's frame bound is a 413), and encodes the result once on
+// the way out. Inside the warm world a fragment task and its response
+// are each one data-plane chunk frame (adlb.EncodeChunkFrame: header
+// rows, then one row per value), so a blob crosses the world as raw
+// bytes. Three client roles share the warm world — a pinned gateway that
+// submits fragment tasks, a pinned collector that routes results back to
+// waiting requests, and leased-Get fragment workers, each owning a
+// lang.Pool of per-tenant interpreters. The pins (adlb.Client.Pin) hold
+// the otherwise-quiescent world open; shutdown releases them in order
+// and lets ordinary Safra termination drain the workers. Once Close has
+// begun, EvalFragment and RunProgram return "serve: shutting down"
+// instead of entering the world, including callers that raced it.
 //
 // Warmth is byte-budgeted, not unbounded: compiled programs live in a
 // memo.Budget LRU keyed by source hash, and every interpreter's parse

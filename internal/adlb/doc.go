@@ -26,7 +26,12 @@
 // all-or-nothing: an unknown id fails the request, naming the id, before
 // any subscriber is registered. Bulk element traffic has one form too:
 // RetrieveChunk and StoreChunk move a columnar chunk frame per owning
-// server; a scalar moves as one Value through Retrieve and Store. Counts
+// server; a scalar moves as one Value through Retrieve and Store. The
+// same chunk frame is exported as EncodeChunkFrame/DecodeChunkFrame for
+// callers that carry a chunk as a work-item payload (swiftd frames its
+// fragment tasks and responses this way): decoding validates the chunk's
+// cross-column invariants and rejects trailing bytes, and the decoded
+// columns alias the frame, so rows that outlive it are copied out. Counts
 // read off the wire (here, in RetrieveChunk's id list, in the enumerate
 // response, and in the dims and offset tables of value and chunk frames)
 // go through decoder.count, which checks them against the bytes

@@ -279,3 +279,22 @@ func decodeChunk(d *decoder) chunk.Chunk {
 	}
 	return c
 }
+
+// EncodeChunkFrame renders c as a chunk frame: the bytes StoreChunk and
+// RetrieveChunk carry, for callers that ship a chunk as a work-item
+// payload instead (swiftd's fragment tasks and responses).
+func EncodeChunkFrame(c chunk.Chunk) ([]byte, error) {
+	var e encoder
+	encodeChunk(&e, c)
+	return e.frame()
+}
+
+// DecodeChunkFrame is the inverse of EncodeChunkFrame. The frame must hold
+// exactly one valid chunk (trailing bytes are an error), and the chunk's
+// Kinds, Num and Raw columns alias it: a row payload that outlives frame
+// must be copied out.
+func DecodeChunkFrame(frame []byte) (chunk.Chunk, error) {
+	d := decoder{buf: frame}
+	c := decodeChunk(&d)
+	return c, d.finish("chunk frame")
+}

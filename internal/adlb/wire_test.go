@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+
+	"repro/internal/chunk"
 )
 
 // The encoder must reject fields whose length cannot be framed in the u32
@@ -191,5 +193,45 @@ func TestCountedFramesBoundedByBytes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The exported chunk frame pair: decodes only a frame that is exactly one
+// valid chunk, and hands back columns that alias the frame (the caller
+// copies what must outlive it).
+func TestChunkFramePair(t *testing.T) {
+	var c chunk.Chunk
+	c.AppendInt(-7)
+	c.AppendString("row")
+	c.AppendBlob([]byte{1, 2, 3, 4}, 3, []int{1})
+	frame, err := EncodeChunkFrame(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeChunkFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := got.Reader()
+	if !r.Next() || r.Int() != -7 || !r.Next() || string(r.Bytes()) != "row" ||
+		!r.Next() || r.Meta().Elem != 3 || len(r.Bytes()) != 4 || r.Next() {
+		t.Fatalf("decoded chunk = %+v", got)
+	}
+	if _, err := DecodeChunkFrame(append(append([]byte(nil), frame...), 0)); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	if _, err := DecodeChunkFrame(frame[:len(frame)-1]); err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+	bad := append([]byte(nil), frame...)
+	bad[4] = 99 // first kind tag: no such kind
+	if _, err := DecodeChunkFrame(bad); err == nil {
+		t.Fatal("chunk with an unknown row kind accepted")
+	}
+	for i := range frame {
+		frame[i] = 0
+	}
+	if r := got.Reader(); !r.Next() || r.Kind() == chunk.KindInt {
+		t.Fatal("decoded columns do not alias the frame: the aliasing contract changed, update its callers")
 	}
 }

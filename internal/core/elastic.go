@@ -33,11 +33,9 @@ type ElasticConfig struct {
 	WorkerSlots int
 	// MinWorkers gates the start of the run: local ranks launch only
 	// once this many workers are connected, so the first leaf tasks have
-	// somewhere to go before the hang watchdog starts counting.
-	// Defaults to 1.
+	// somewhere to go before the hang watchdog starts counting; the wait
+	// is bounded by minWorkersWait. Defaults to 1.
 	MinWorkers int
-	// JoinTimeout bounds the wait for MinWorkers. Defaults to 60s.
-	JoinTimeout time.Duration
 	// Addr is the TCP listen address; empty selects 127.0.0.1:0. The
 	// chosen address is reported through OnListen.
 	Addr string
@@ -76,6 +74,9 @@ type ElasticConfig struct {
 	HeartbeatTimeout  time.Duration
 }
 
+// minWorkersWait bounds the gang-start wait for MinWorkers to connect.
+const minWorkersWait = 60 * time.Second
+
 // elasticWelcome is the JSON blob the hub ships to each joining worker:
 // everything a worker process needs to reconstruct its side of the
 // deployment.
@@ -102,9 +103,6 @@ func (c *ElasticConfig) withDefaults() ElasticConfig {
 	}
 	if out.MinWorkers > out.WorkerSlots {
 		out.MinWorkers = out.WorkerSlots
-	}
-	if out.JoinTimeout <= 0 {
-		out.JoinTimeout = 60 * time.Second
 	}
 	return out
 }
@@ -175,14 +173,14 @@ func ServeElastic(compiled *stc.Output, cfg ElasticConfig) (*Result, error) {
 	// Gang start: hold the local ranks back until the minimum worker pool
 	// is connected. Worker RPCs that race ahead of the local launch just
 	// queue in the server mailboxes.
-	deadline := time.Now().Add(cfg.JoinTimeout)
+	deadline := time.Now().Add(minWorkersWait)
 	for hub.Workers() < cfg.MinWorkers {
 		if world.AbortErr() != nil {
 			return nil, world.AbortErr()
 		}
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("core: elastic run: only %d of %d required workers joined within %v",
-				hub.Workers(), cfg.MinWorkers, cfg.JoinTimeout)
+				hub.Workers(), cfg.MinWorkers, minWorkersWait)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -69,12 +69,6 @@ func BlobOf(b blob.Blob) Value { return Value{kind: KindBlob, b: b} }
 // Floats packs a float64 vector as a blob value (no string rendering).
 func Floats(v []float64) Value { return BlobOf(blob.FromFloat64s(v)) }
 
-// Float32s packs a float32 vector as a blob value.
-func Float32s(v []float32) Value { return BlobOf(blob.FromFloat32s(v)) }
-
-// Int32s packs an int32 vector as a blob value.
-func Int32s(v []int32) Value { return BlobOf(blob.FromInt32s(v)) }
-
 // Kind returns the tag.
 func (v Value) Kind() Kind { return v.kind }
 

@@ -1,7 +1,6 @@
 // Package mpi provides a simulated message-passing substrate with MPI-like
 // semantics: a fixed set of ranks, tagged point-to-point messages with
-// FIFO matching per (source, tag) pair, wildcard receives, probes, and a
-// small set of collectives.
+// FIFO matching per (source, tag) pair, wildcard receives, and a barrier.
 //
 // The package substitutes for a real MPI library (the paper's runtime is
 // an MPI program on Blue Gene/Q and Cray XE6 systems). Each rank runs as a
@@ -20,7 +19,7 @@ import (
 	"time"
 )
 
-// Wildcard values for Recv and Probe.
+// Wildcard values for Recv.
 const (
 	// AnySource matches a message from any rank.
 	AnySource = -1
@@ -112,7 +111,6 @@ func (p *framePool) stats() (gets, hits, puts uint64) {
 type envelope struct {
 	source int
 	tag    int
-	seq    uint64 // global send order, for deterministic wildcard tie-breaking
 	data   []byte
 }
 
@@ -173,9 +171,6 @@ func (mb *mailbox) wakeAll() {
 type World struct {
 	size    int
 	boxes   []*mailbox
-	seq     uint64
-	seqMu   sync.Mutex
-	start   time.Time
 	barrier *barrierState
 	frames  framePool
 
@@ -240,7 +235,6 @@ func NewWorld(size int) (*World, error) {
 	w := &World{
 		size:  size,
 		boxes: make([]*mailbox, size),
-		start: time.Now(),
 	}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
@@ -352,17 +346,6 @@ func (w *World) Abort(cause error) {
 // AbortErr returns the cause passed to Abort, or nil if the world is live.
 func (w *World) AbortErr() error { return w.abortErr }
 
-// Wtime returns seconds since the world was created, like MPI_Wtime.
-func (w *World) Wtime() float64 { return time.Since(w.start).Seconds() }
-
-func (w *World) nextSeq() uint64 {
-	w.seqMu.Lock()
-	w.seq++
-	s := w.seq
-	w.seqMu.Unlock()
-	return s
-}
-
 // Comm is one rank's handle on the world. All methods are safe for use by
 // the single goroutine executing that rank; a Comm must not be shared
 // between goroutines (matching MPI's one-thread-per-rank usage here).
@@ -403,7 +386,7 @@ func (c *Comm) Send(dest, tag int, data []byte) error {
 	}
 	buf := c.world.frames.get(len(data))
 	copy(buf, data)
-	env := envelope{source: c.rank, tag: tag, seq: c.world.nextSeq(), data: buf}
+	env := envelope{source: c.rank, tag: tag, data: buf}
 	mb := c.world.boxes[dest]
 	mb.mu.Lock()
 	if mb.aborted {
@@ -425,7 +408,7 @@ func (w *World) inject(src, dest, tag int, buf []byte) error {
 		w.frames.put(buf)
 		return fmt.Errorf("mpi: inject with invalid header src=%d dest=%d tag=%d", src, dest, tag)
 	}
-	env := envelope{source: src, tag: tag, seq: w.nextSeq(), data: buf}
+	env := envelope{source: src, tag: tag, data: buf}
 	mb := w.boxes[dest]
 	mb.mu.Lock()
 	if mb.aborted {
@@ -557,27 +540,6 @@ func (w *World) mailboxWakeups(rank int) uint64 {
 	return mb.wakeups
 }
 
-// Iprobe reports whether a message matching (source, tag) is available,
-// without consuming it.
-func (c *Comm) Iprobe(source, tag int) (Status, bool) {
-	mb := c.world.boxes[c.rank]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if i := match(mb.queue, source, tag); i >= 0 {
-		env := mb.queue[i]
-		return Status{Source: env.source, Tag: env.tag, Count: len(env.data)}, true
-	}
-	return Status{}, false
-}
-
-// Pending returns the number of undelivered messages queued at this rank.
-func (c *Comm) Pending() int {
-	mb := c.world.boxes[c.rank]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return len(mb.queue)
-}
-
 // Barrier blocks until every rank in the world has entered the barrier.
 func (c *Comm) Barrier() error {
 	b := c.world.barrier
@@ -601,119 +563,4 @@ func (c *Comm) Barrier() error {
 		return ErrAborted
 	}
 	return nil
-}
-
-// Bcast broadcasts data from root to all ranks. On the root it returns the
-// input unchanged; on other ranks it returns the received payload. All
-// ranks must call Bcast with the same root and internal tag ordering.
-func (c *Comm) Bcast(root, tag int, data []byte) ([]byte, error) {
-	if c.rank == root {
-		for r := 0; r < c.world.size; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.Send(r, tag, data); err != nil {
-				return nil, err
-			}
-		}
-		return data, nil
-	}
-	buf, _, err := c.Recv(root, tag)
-	return buf, err
-}
-
-// Gather collects one payload from every rank at root. On root it returns
-// a slice indexed by rank; on other ranks it returns nil.
-func (c *Comm) Gather(root, tag int, data []byte) ([][]byte, error) {
-	if c.rank != root {
-		return nil, c.Send(root, tag, data)
-	}
-	out := make([][]byte, c.world.size)
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	out[root] = buf
-	for i := 0; i < c.world.size-1; i++ {
-		b, st, err := c.Recv(AnySource, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[st.Source] = b
-	}
-	return out, nil
-}
-
-// ReduceOp names a reduction operator for ReduceInt64 and friends.
-type ReduceOp int
-
-// Supported reduction operators.
-const (
-	OpSum ReduceOp = iota
-	OpMax
-	OpMin
-)
-
-func applyOp(op ReduceOp, a, b int64) int64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if b > a {
-			return b
-		}
-		return a
-	case OpMin:
-		if b < a {
-			return b
-		}
-		return a
-	}
-	return a
-}
-
-// ReduceInt64 reduces one int64 per rank at root with the given operator.
-// Non-root ranks receive 0.
-func (c *Comm) ReduceInt64(root, tag int, op ReduceOp, v int64) (int64, error) {
-	parts, err := c.Gather(root, tag, encodeInt64(v))
-	if err != nil {
-		return 0, err
-	}
-	if c.rank != root {
-		return 0, nil
-	}
-	acc := decodeInt64(parts[0])
-	for _, p := range parts[1:] {
-		acc = applyOp(op, acc, decodeInt64(p))
-	}
-	return acc, nil
-}
-
-// AllreduceInt64 reduces one int64 per rank with the given operator and
-// returns the result on every rank. Root for the internal gather is rank 0.
-func (c *Comm) AllreduceInt64(tag int, op ReduceOp, v int64) (int64, error) {
-	acc, err := c.ReduceInt64(0, tag, op, v)
-	if err != nil {
-		return 0, err
-	}
-	out, err := c.Bcast(0, tag, encodeInt64(acc))
-	if err != nil {
-		return 0, err
-	}
-	return decodeInt64(out), nil
-}
-
-func encodeInt64(v int64) []byte {
-	var b [8]byte
-	u := uint64(v)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-	}
-	return b[:]
-}
-
-func decodeInt64(b []byte) int64 {
-	var u uint64
-	for i := 0; i < 8 && i < len(b); i++ {
-		u |= uint64(b[i]) << (8 * i)
-	}
-	return int64(u)
 }

@@ -52,9 +52,10 @@ const (
 const (
 	// tcpMagic is the hello body; it versions the frame layout.
 	tcpMagic = "swift-adlb-tcp-1"
-	// maxFrameBody bounds a frame body so a torn or hostile length prefix
-	// is rejected instead of allocated.
-	maxFrameBody = 64 << 20
+	// MaxFrameBody bounds a frame body so a torn or hostile length prefix
+	// is rejected instead of allocated (swiftd's HTTP body limit derives
+	// from it: what no frame could carry is refused at the edge).
+	MaxFrameBody = 64 << 20
 	// maxControlBody bounds non-data frames (welcome blobs, abort
 	// messages), which are always small.
 	maxControlBody = 1 << 20
@@ -89,7 +90,7 @@ type tcpFrame struct {
 
 // readFrame decodes one frame from r. Data payloads land in a buffer from
 // frames; the caller owns it (inject transfers it onward, drops return it).
-// Length prefixes beyond maxFrameBody — including the torn frames
+// Length prefixes beyond MaxFrameBody — including the torn frames
 // SiteTCPFrame emits — are rejected before any allocation.
 func readFrame(r io.Reader, frames *framePool) (tcpFrame, error) {
 	var hdr [5]byte
@@ -97,8 +98,8 @@ func readFrame(r io.Reader, frames *framePool) (tcpFrame, error) {
 		return tcpFrame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < 1 || n > maxFrameBody {
-		return tcpFrame{}, fmt.Errorf("mpi: tcp frame body length %d out of range [1,%d]", n, maxFrameBody)
+	if n < 1 || n > MaxFrameBody {
+		return tcpFrame{}, fmt.Errorf("mpi: tcp frame body length %d out of range [1,%d]", n, MaxFrameBody)
 	}
 	kind := hdr[4]
 	body := int(n) - 1
@@ -177,13 +178,13 @@ func (l *tcpLink) sendFrame(kind byte, hdr []uint32, payload []byte) error {
 		// which is exactly what a half-written frame from a dying process
 		// looks like.
 		var torn [4]byte
-		binary.BigEndian.PutUint32(torn[:], uint32(maxFrameBody+1))
+		binary.BigEndian.PutUint32(torn[:], uint32(MaxFrameBody+1))
 		l.conn.Write(torn[:])
 		return nil
 	}
 	n := 1 + 4*len(hdr) + len(payload)
-	if n > maxFrameBody {
-		return fmt.Errorf("mpi: tcp frame body %d exceeds %d", n, maxFrameBody)
+	if n > MaxFrameBody {
+		return fmt.Errorf("mpi: tcp frame body %d exceeds %d", n, MaxFrameBody)
 	}
 	need := 4 + n
 	if cap(l.wbuf) < need {
@@ -254,8 +255,6 @@ type HubConfig struct {
 	// hub is the single source of truth and ships them to workers.
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
-	// OnJoin runs after a worker is assigned a rank and welcomed.
-	OnJoin func(rank int)
 	// OnLost runs when a live worker vanishes uncleanly (EOF, read error,
 	// heartbeat timeout, torn frame). The elastic runtime synthesizes an
 	// ADLB Leave from it so the rank's leases requeue.
@@ -413,9 +412,6 @@ func (h *Hub) serveConn(conn net.Conn) {
 		return
 	}
 	go l.heartbeatLoop(h.cfg.HeartbeatInterval)
-	if h.cfg.OnJoin != nil {
-		h.cfg.OnJoin(rank)
-	}
 	h.readLoop(rank, l, br)
 }
 

@@ -280,7 +280,7 @@ func TestReadFrameRejectsHostileAndTruncated(t *testing.T) {
 	var pool framePool
 	// Hostile length prefix: rejected before any allocation.
 	var hostile [5]byte
-	binary.BigEndian.PutUint32(hostile[:4], uint32(maxFrameBody+1))
+	binary.BigEndian.PutUint32(hostile[:4], uint32(MaxFrameBody+1))
 	hostile[4] = kindData
 	if _, err := readFrame(bytes.NewReader(hostile[:]), &pool); err == nil {
 		t.Fatal("hostile length prefix accepted")
@@ -314,7 +314,7 @@ func FuzzTCPFrameHeader(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, kindHeartbeat})
 	f.Add([]byte{0, 0, 0, 13, kindData, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 5})
 	seed := make([]byte, 4)
-	binary.BigEndian.PutUint32(seed, uint32(maxFrameBody+1))
+	binary.BigEndian.PutUint32(seed, uint32(MaxFrameBody+1))
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var pool framePool
@@ -323,7 +323,7 @@ func FuzzTCPFrameHeader(f *testing.F) {
 			return
 		}
 		if fr.kind == kindData {
-			if len(fr.payload) > maxFrameBody {
+			if len(fr.payload) > MaxFrameBody {
 				t.Fatalf("payload %d exceeds bound", len(fr.payload))
 			}
 			pool.put(fr.payload)

@@ -138,18 +138,9 @@ func (g *tenantGate) acquire(tenant string) (func(), error) {
 // admission maps tenants to their gates, creating default-class gates for
 // tenants not explicitly configured.
 type admission struct {
-	mu       sync.Mutex
-	gates    map[string]*tenantGate
-	configs  map[string]TenantConfig
-	fallback TenantConfig
-}
-
-func newAdmission(configs map[string]TenantConfig, fallback TenantConfig) *admission {
-	return &admission{
-		gates:    make(map[string]*tenantGate),
-		configs:  configs,
-		fallback: fallback,
-	}
+	mu      sync.Mutex
+	gates   map[string]*tenantGate
+	configs map[string]TenantConfig
 }
 
 func (a *admission) gate(tenant string) *tenantGate {
@@ -158,11 +149,7 @@ func (a *admission) gate(tenant string) *tenantGate {
 	if g, ok := a.gates[tenant]; ok {
 		return g
 	}
-	cfg, ok := a.configs[tenant]
-	if !ok {
-		cfg = a.fallback
-	}
-	g := newTenantGate(cfg)
+	g := newTenantGate(a.configs[tenant])
 	a.gates[tenant] = g
 	return g
 }

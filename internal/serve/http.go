@@ -4,7 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+
+	"repro/internal/mpi"
 )
+
+// maxBodyBytes bounds a request body: the largest payload one transport
+// frame can carry, base64-expanded, plus room for the JSON around it. A
+// variable only so tests can lower it instead of posting 86 MiB.
+var maxBodyBytes int64 = mpi.MaxFrameBody/3*4 + 1<<20
 
 // Handler returns the service's HTTP API:
 //
@@ -13,8 +20,9 @@ import (
 //	GET  /statsz         multi-layer counter snapshot
 //	GET  /healthz        liveness
 //
-// Overload maps to 429 with Retry-After, user evaluation and compile
-// errors to 422, timeouts to 504.
+// Overload maps to 429 with Retry-After, user evaluation errors to 422,
+// timeouts to 504, a body over maxBodyBytes to 413, and everything else —
+// malformed requests, compile errors, a server shutting down — to 400.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/v1/frag", s.handleFrag)
@@ -62,14 +70,29 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
 }
 
-func (s *Server) handleFrag(w http.ResponseWriter, r *http.Request) {
+// decodeBody reads a POST's bounded JSON body into v. On failure it has
+// already answered (405, 413 or 400) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+		return false
 	}
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, httpError{Error: "bad request body: " + err.Error()})
+	return false
+}
+
+func (s *Server) handleFrag(w http.ResponseWriter, r *http.Request) {
 	var req FragmentRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	res, err := s.EvalFragment(req)
@@ -81,13 +104,8 @@ func (s *Server) handleFrag(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req ProgramRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	res, err := s.RunProgram(req)

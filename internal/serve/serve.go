@@ -19,11 +19,17 @@
 //     fragments hit warm interpreters (and their byte-budgeted parse
 //     caches) while tenant switches reset state at the boundary.
 //
+// Tasks and responses cross the world as data-plane chunk frames (wire.go:
+// header rows, then one row per typed value, blobs as raw bytes). JSON and
+// base64 are the HTTP edge's encoding: EvalFragment converts and validates
+// arguments once on the way in and the result once on the way out.
+//
 // The pins hold the world open: an idle serving world is exactly the
 // all-parked state Safra termination would otherwise collect. Shutdown
 // releases them in order — the gateway sends the collector a sentinel and
 // Leaves, the collector Leaves on the sentinel, and ordinary quiescence
-// then drains the parked workers.
+// then drains the parked workers. Once Close has begun, new and in-flight
+// callers get "serve: shutting down", not a place in a departing world.
 //
 // Program submissions do not enter the warm world's queues: they run
 // through the re-entrant core.RunCompiled in ephemeral worlds, at the
@@ -40,6 +46,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -77,17 +84,16 @@ type Config struct {
 	// (0 = default 30s).
 	RequestTimeout time.Duration
 	// Tenants maps tenant names to their admission classes; tenants not
-	// listed get DefaultTenant.
+	// listed get the TenantConfig defaults.
 	Tenants map[string]TenantConfig
-	// DefaultTenant is the admission class of unlisted tenants (zero
-	// value = the TenantConfig defaults).
-	DefaultTenant TenantConfig
-	// ProgramEngines/ProgramWorkers/ProgramServers shape the ephemeral
-	// worlds of program submissions (0 = 1/2/1).
-	ProgramEngines int
-	ProgramWorkers int
-	ProgramServers int
 }
+
+// The ephemeral world of a program submission: engines, workers, servers.
+const (
+	programEngines = 1
+	programWorkers = 2
+	programServers = 1
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -101,15 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.ProgramEngines <= 0 {
-		c.ProgramEngines = 1
-	}
-	if c.ProgramWorkers <= 0 {
-		c.ProgramWorkers = 2
-	}
-	if c.ProgramServers <= 0 {
-		c.ProgramServers = 1
 	}
 	return c
 }
@@ -147,7 +144,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		adlbStats: &adlb.Stats{},
 		poolStats: &lang.PoolStats{},
-		adm:       newAdmission(cfg.Tenants, cfg.DefaultTenant),
+		adm:       &admission{gates: make(map[string]*tenantGate), configs: cfg.Tenants},
 		programs: memo.NewBudget[*stc.Output](cfg.ProgramCacheBytes,
 			func(key string, out *stc.Output) int64 {
 				// Source-scaled cost: compiled Tcl plus the seed fragment,
@@ -220,6 +217,10 @@ type EvalError struct {
 
 func (e *EvalError) Error() string { return e.Msg }
 
+// errShuttingDown answers work arriving at, or still waiting on, a server
+// whose Close has begun.
+var errShuttingDown = errors.New("serve: shutting down")
+
 // TimeoutError is a fragment request abandoned at the deadline. The task
 // may still complete in the warm world; its late response is dropped.
 type TimeoutError struct {
@@ -239,9 +240,6 @@ func (s *Server) EvalFragment(req FragmentRequest) (FragmentResult, error) {
 	if _, ok := lang.Lookup(req.Lang); !ok {
 		return FragmentResult{}, fmt.Errorf("serve: unknown language %q", req.Lang)
 	}
-	if _, err := wantOf(req.Want); err != nil {
-		return FragmentResult{}, err
-	}
 	if req.Tenant == "" {
 		return FragmentResult{}, fmt.Errorf("serve: request without tenant")
 	}
@@ -251,9 +249,14 @@ func (s *Server) EvalFragment(req FragmentRequest) (FragmentResult, error) {
 		return FragmentResult{}, err
 	}
 	defer release()
+	task, err := newFragTask(req)
+	if err != nil {
+		return FragmentResult{}, err
+	}
 
 	s.stats.Fragments.Add(1)
 	id := s.nextReq.Add(1)
+	task.ReqID = id
 	ch := make(chan fragResp, 1)
 	s.pendMu.Lock()
 	s.pending[id] = ch
@@ -264,17 +267,7 @@ func (s *Server) EvalFragment(req FragmentRequest) (FragmentResult, error) {
 		s.pendMu.Unlock()
 	}()
 
-	task := fragTask{
-		ReqID:  id,
-		Tenant: req.Tenant,
-		Lang:   req.Lang,
-		Code:   req.Code,
-		Expr:   req.Expr,
-		Args:   req.Args,
-		Want:   req.Want,
-		Reinit: req.Reinit,
-	}
-	payload, err := encodeJSON(task)
+	payload, err := task.encode()
 	if err != nil {
 		return FragmentResult{}, err
 	}
@@ -283,6 +276,14 @@ func (s *Server) EvalFragment(req FragmentRequest) (FragmentResult, error) {
 		target = s.sessionRank(req.Tenant, req.Session)
 	}
 	s.gwMu.Lock()
+	select {
+	case <-s.stop:
+		// gatewayLoop sends its sentinel and Leaves under gwMu: a Put after
+		// that would block forever, holding gwMu and the tenant's slot.
+		s.gwMu.Unlock()
+		return FragmentResult{}, errShuttingDown
+	default:
+	}
 	err = s.gw.Put(typeTask, gate.cfg.Priority, target, payload)
 	s.gwMu.Unlock()
 	if err != nil {
@@ -302,12 +303,12 @@ func (s *Server) EvalFragment(req FragmentRequest) (FragmentResult, error) {
 			s.stats.FragmentErrors.Add(1)
 			return FragmentResult{}, &EvalError{Msg: r.Err, Retriable: r.Retriable}
 		}
-		return FragmentResult{Value: r.Value, Output: r.Output}, nil
+		return FragmentResult{Value: ToWire(r.Value), Output: r.Output}, nil
 	case <-timer.C:
 		s.stats.FragmentTimeouts.Add(1)
 		return FragmentResult{}, &TimeoutError{After: s.cfg.RequestTimeout}
 	case <-s.stop:
-		return FragmentResult{}, fmt.Errorf("serve: shutting down")
+		return FragmentResult{}, errShuttingDown
 	}
 }
 
@@ -319,7 +320,7 @@ func (s *Server) sessionRank(tenant, session string) int {
 	h.Write([]byte(tenant))
 	h.Write([]byte{0})
 	h.Write([]byte(session))
-	return workerRank0 + int(h.Sum32())%s.cfg.Workers
+	return workerRank0 + int(h.Sum32()%uint32(s.cfg.Workers))
 }
 
 // ProgramRequest is one whole-program submission.
@@ -350,7 +351,7 @@ func (s *Server) RunProgram(req ProgramRequest) (ProgramResult, error) {
 	defer release()
 	select {
 	case <-s.stop:
-		return ProgramResult{}, fmt.Errorf("serve: shutting down")
+		return ProgramResult{}, errShuttingDown
 	default:
 	}
 
@@ -371,9 +372,9 @@ func (s *Server) RunProgram(req ProgramRequest) (ProgramResult, error) {
 
 	s.stats.ProgramRuns.Add(1)
 	res, err := core.RunCompiled(out, core.Config{
-		Engines:      s.cfg.ProgramEngines,
-		Workers:      s.cfg.ProgramWorkers,
-		Servers:      s.cfg.ProgramServers,
+		Engines:      programEngines,
+		Workers:      programWorkers,
+		Servers:      programServers,
 		TaskPriority: gate.cfg.Priority,
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -17,8 +16,6 @@ const (
 	collectorRank = 1
 	workerRank0   = 2
 )
-
-func encodeJSON(v any) ([]byte, error) { return json.Marshal(v) }
 
 // runWorld runs the warm fragment world until shutdown drains it.
 func (s *Server) runWorld() error {
@@ -68,7 +65,7 @@ func (s *Server) gatewayLoop(cl *adlb.Client) error {
 	s.gw = cl
 	close(s.gwReady)
 	<-s.stop
-	sentinel, err := json.Marshal(fragResp{ReqID: shutdownReqID})
+	sentinel, err := fragResp{ReqID: shutdownReqID}.encode()
 	if err != nil {
 		return err
 	}
@@ -95,8 +92,8 @@ func (s *Server) collectorLoop(cl *adlb.Client) error {
 			// Unreachable while pinned; a defensive clean exit.
 			return nil
 		}
-		var r fragResp
-		if err := json.Unmarshal(payload, &r); err != nil {
+		r, err := decodeResp(payload)
+		if err != nil {
 			s.stats.LateResponses.Add(1)
 			continue
 		}
@@ -141,18 +138,21 @@ func (s *Server) workerLoop(cl *adlb.Client) error {
 		if !ok {
 			return nil
 		}
-		var t fragTask
-		if err := json.Unmarshal(payload, &t); err != nil {
+		t, err := decodeTask(payload)
+		if err != nil {
 			// Malformed task: nothing to respond to; the implicit lease
 			// settlement on the next Get retires it.
 			continue
 		}
-		resp := evalTask(pool, outBuf, t)
-		b, err := json.Marshal(resp)
+		b, err := evalTask(pool, outBuf, t).encode()
 		if err != nil {
-			b, _ = json.Marshal(fragResp{ReqID: t.ReqID, Err: err.Error()})
+			// An unframeable (> 4 GiB) value or output: say so instead.
+			b, err = fragResp{ReqID: t.ReqID, Err: err.Error()}.encode()
 		}
-		if err := cl.Put(typeResp, 0, collectorRank, b); err != nil {
+		if err == nil {
+			err = cl.Put(typeResp, 0, collectorRank, b)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -161,29 +161,16 @@ func (s *Server) workerLoop(cl *adlb.Client) error {
 // evalTask runs one fragment against the worker's pool, capturing the
 // interpreter's prints for the response.
 func evalTask(pool *lang.Pool, outBuf *bytes.Buffer, t fragTask) fragResp {
-	want, err := wantOf(t.Want)
-	if err != nil {
-		return fragResp{ReqID: t.ReqID, Err: err.Error()}
-	}
-	args := make([]lang.Value, len(t.Args))
-	for i, a := range t.Args {
-		v, err := FromWire(a)
-		if err != nil {
-			return fragResp{ReqID: t.ReqID, Err: err.Error()}
-		}
-		args[i] = v
-	}
 	policy := lang.PolicyRetain
 	if t.Reinit {
 		policy = lang.PolicyReinit
 	}
 	outBuf.Reset()
-	v, err := pool.Eval(t.Lang, t.Tenant,
-		lang.Call{Code: t.Code, Expr: t.Expr, Args: args, Want: want}, policy)
+	v, err := pool.Eval(t.Lang, t.Tenant, t.Call, policy)
 	if err != nil {
 		var te *lang.TaskError
 		retriable := errors.As(err, &te) && te.Retriable
 		return fragResp{ReqID: t.ReqID, Err: err.Error(), Retriable: retriable, Output: outBuf.String()}
 	}
-	return fragResp{ReqID: t.ReqID, Value: ToWire(v), Output: outBuf.String()}
+	return fragResp{ReqID: t.ReqID, Value: v, Output: outBuf.String()}
 }
