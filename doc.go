@@ -85,10 +85,13 @@
 // uplevel, catch, and proc redefinition is unchanged; see
 // internal/tcl/cache_test.go for the invariants. The bounded cache type
 // itself lives in internal/memo and is shared by every embedded
-// interpreter: internal/pylite and internal/rlite memoize fragment
-// parses the same way (invariants in their cache_test.go files), so
-// repeated python(...)/r(...) fragments — the per-task hot path of
-// ensemble workloads — are parse-free in the steady state too.
+// interpreter: internal/pylite, internal/rlite, internal/jlite and the
+// tcl engine memoize fragment parses through one front door over it,
+// memo.Parses — a program and an expression cache under one byte-cost
+// rule, one pair of budgets and one combined stats block (invariants in
+// internal/memo and the interpreters' cache_test.go files) — so repeated
+// fragments, the per-task hot path of ensemble workloads, are parse-free
+// in the steady state too.
 //
 // # The interlanguage engine layer (internal/lang): typed calls
 //
@@ -97,11 +100,15 @@
 // lang.Value, a tagged union of string, int, float, and blob — blobs
 // carry their payload bytes plus Fortran dims and an element kind
 // (internal/blob.Elem), the blobutils contract of §III-B made explicit.
-// An Engine is Name + Eval(Call) (Value, error) + Reset + an eval
-// counter, where Call{Code, Expr, Args, Want} is one typed request: Args
-// are pre-bound in the target interpreter as the variables argv1..argvN
-// before Code runs, and the Expr result returns as a typed Value, not a
-// rendering. A Registration couples the Engine factory with a Signature
+// An Engine is Name + Eval(Call) (Value, error) + Reset, where
+// Call{Code, Expr, Args, Want} is one typed request: Args are pre-bound
+// in the target interpreter as the variables argv1..argvN before Code
+// runs, and the Expr result returns as a typed Value, not a rendering.
+// python, r and julia are one engine type that owns that argv contract
+// (convert every argument before binding any, unbind stale argvN, skip
+// blank code, evaluate the expression) and takes two conversions per
+// language; the tcl engine keeps its strings-only binding and sh its
+// argv. A Registration couples the Engine factory with a Signature
 // — fixed string arity (code/expr), variadic typed extras, and a result
 // spec (ResultDynamic lets the Swift assignment context choose the
 // result type). The rest of the system derives from the registry:
@@ -111,14 +118,13 @@
 //     Signature; extra arguments may be string, int, float, or blob, and
 //     `blob v = python(...)` / `float f = python(...)` type the result
 //     by context (Checker.checkExprAs), defaulting to string;
-//   - the compiler emits sw:leafcall actions carrying one operand per
-//     argument; the prelude proc expands them to <name>::call, the typed
-//     dispatch surface. Known scalars (the code and expr strings, a
-//     literal 1.5, a loop index) are immediates in the action itself;
-//     everything else, and every blob, passes by data-store reference,
-//     and no blob or container element data ever renders into an action
-//     (sw:leaf and <name>::eval remain as the string surface for app
-//     functions and direct Tcl callers);
+//   - the compiler emits <name>::call, the typed dispatch surface, as
+//     the work action itself, with one operand per argument. Known
+//     scalars (the code and expr strings, a literal 1.5, a loop index)
+//     are immediates in the action; everything else, and every blob,
+//     passes by data-store reference, and no blob or container element
+//     data ever renders into an action (<name>::eval remains as the
+//     string surface for sh app functions and direct Tcl callers);
 //   - <name>::call moves TD arguments and results through
 //     lang.DataPlane (implemented by turbine.Env.DataPlane over the
 //     rank's ADLB client); blob values cross the data store with dims
@@ -132,7 +138,10 @@
 //     installs both surfaces via lang.Install, which creates the engine
 //     lazily on first use, applies the retain/reinit state policy (paper
 //     §III-C) after every fragment, and counts evaluations per language
-//     into Result.Evals.
+//     into Result.Evals — in one place, where the contained evaluation
+//     enters the engine (a lang.eval.pre fault counts nothing, a panic
+//     inside the engine once), the same place lang.Pool counts into
+//     PoolStats.Evals.
 //
 // Inside the interpreters, blob arguments become native vectors: pylite
 // binds them as Vec — a zero-copy, list-like view over the packed bytes
@@ -190,14 +199,16 @@
 //
 // Adding a language is exactly what building jlite required, and no
 // more: (1) the interpreter package itself, exposing Exec/EvalExpr/
-// Reset plus Set/DelGlobal for argv pre-binding and a compile-once
-// fragment cache on internal/memo; (2) one Engine adapter and one
-// lang.Register call in internal/lang/engines.go stating its Signature
-// — Fixed (how many leading string args; 2 for julia's (code, expr)),
-// Variadic (typed extras allowed), and Result (a pinned kind, or
-// ResultDynamic for context typing); and (3) a Dialect entry in
-// internal/lang/conformance spelling the probe fragments in the new
-// language. Nothing else changes — the checker, prelude, and core all
+// Reset plus Set/DelGlobal for argv pre-binding and ParseStats over a
+// memo.Parses fragment cache; (2) two conversion functions in
+// internal/lang/engines.go — argument -> native binding, and native
+// result -> Value given the call and its bound natives — plus one
+// lang.Register call returning the shared script engine over them and
+// stating its Signature — Fixed (how many leading string args; 2 for
+// julia's (code, expr)), Variadic (typed extras allowed), and Result (a
+// pinned kind, or ResultDynamic for context typing); and (3) a Dialect
+// entry in internal/lang/conformance spelling the probe fragments in the
+// new language. Nothing else changes — the checker, prelude, and core all
 // derive from the registration (`blob v = julia(code, expr, args...)`
 // worked with zero edits to check.go, prelude.go, or core.go), proven
 // end to end by the toy-engine test (internal/core/lang_e2e_test.go)
@@ -359,20 +370,21 @@
 // instead of entering the world, including callers that raced it.
 //
 // Warmth is byte-budgeted, not unbounded: compiled programs live in a
-// memo.Budget LRU keyed by source hash, and every interpreter's parse
-// cache is the same memo.Budget (python and julia priced by source
-// bytes; tcl, r and the tcl engine by entry count), with the byte-priced
-// caches' hits, misses, and bytes evicted surfaced per layer at /statsz. Isolation is enforced at
-// tenant boundaries: an engine reused across tenants is Reset (state
-// wiped, parse caches kept), sessions are sticky to a worker rank so
-// interpreter state survives within a (tenant, session), and the
+// memo.Budget LRU keyed by source hash, and every script engine's parse
+// cache (python, r, julia, tcl) is a memo.Parses priced by source bytes,
+// with its hits, misses, and bytes evicted surfaced at /statsz.
+// Isolation is enforced at tenant boundaries: an engine reused across
+// tenants is Reset (state wiped, parse caches kept), sessions are sticky
+// to a worker rank so interpreter state survives within a (tenant,
+// session), and the
 // cross-engine conformance dialects drive a chaos suite proving no
 // tenant ever observes another's globals — under concurrency and under
 // injected interpreter panics.
 //
 // Admission control is per tenant: a concurrency bound, a wait queue
 // behind it, and a priority that orders the tenant's fragments in the
-// ADLB queues (core.Config.TaskPriority carries it into program runs).
+// ADLB queues (a program submission runs in a world of its own, where
+// there is no other tenant to overtake).
 // Arrivals past both bounds get a typed OverloadError — HTTP 429 with
 // Retry-After — so a saturated tenant backs up its own queue while an
 // interactive tenant's median latency stays test-enforced under

@@ -115,12 +115,6 @@ type Config struct {
 	// negative = disabled): a run whose remaining work can never be
 	// executed ends with a diagnostic error instead of deadlocking.
 	WatchdogIdleTicks int
-	// TaskPriority is a base priority added to every work task released
-	// by this run's engines (forwarded to turbine.Config.TaskPriority).
-	// The serving layer sets it to the submitting tenant's admission
-	// priority so that concurrent runs sharing a world are scheduled by
-	// class.
-	TaskPriority int
 }
 
 func (c *Config) withDefaults() Config {
@@ -198,7 +192,8 @@ type rig struct {
 	sink *lockedWriter
 	sys  *shell.System
 	// counters has one eval-counter slot per registered language, shared
-	// by all ranks; the per-rank engines installed by setup report into it.
+	// by all ranks; evaluations through the engines setup installs count
+	// into it.
 	counters *lang.Counters
 	langs    []lang.Registration
 	stats    *adlb.Stats
@@ -300,7 +295,6 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 		DisableSteal:      cfg.DisableSteal,
 		MaxTaskRetries:    cfg.MaxTaskRetries,
 		WatchdogIdleTicks: cfg.WatchdogIdleTicks,
-		TaskPriority:      cfg.TaskPriority,
 		Program:           compiled.Program,
 		ProgramScript:     programScript,
 		Main:              compiled.Main,

@@ -3,9 +3,9 @@ package core
 // End-to-end proof of the lang-registry refactor: adding an embedded
 // language is one lang.Register call. The toy engine below is registered
 // only in this test, yet a Swift program can call it like python()/r()
-// — the type checker synthesizes the builtin, the prelude's sw:leaf
-// dispatches to rev::eval, and RunCompiled installs the engine on every
-// rank — with zero edits to check.go, prelude.go, or core.go.
+// — the type checker synthesizes the builtin, the compiler emits
+// rev::call, and RunCompiled installs the engine on every rank — with
+// zero edits to check.go, prelude.go, or core.go.
 
 import (
 	"strings"
@@ -18,8 +18,7 @@ import (
 // names a variable to bind, expr is text to reverse and remember. State
 // persists across fragments so the retain/reinit policy is observable.
 type revEngine struct {
-	vars  map[string]string
-	evals int64
+	vars map[string]string
 }
 
 func newRevEngine(h lang.Host) lang.Engine {
@@ -29,7 +28,6 @@ func newRevEngine(h lang.Host) lang.Engine {
 func (e *revEngine) Name() string { return "rev" }
 
 func (e *revEngine) Eval(c lang.Call) (lang.Value, error) {
-	e.evals++
 	b := []byte(c.Expr)
 	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
 		b[i], b[j] = b[j], b[i]
@@ -45,8 +43,7 @@ func (e *revEngine) Eval(c lang.Call) (lang.Value, error) {
 	return lang.Str(out), nil
 }
 
-func (e *revEngine) Reset()       { e.vars = map[string]string{} }
-func (e *revEngine) Evals() int64 { return e.evals }
+func (e *revEngine) Reset() { e.vars = map[string]string{} }
 
 func TestToyEngineEndToEnd(t *testing.T) {
 	lang.Register(lang.Registration{Name: "rev", Sig: lang.Signature{Fixed: 2}, New: newRevEngine})

@@ -39,14 +39,12 @@ func (p *probeState) capture(v lang.Value) {
 // prepared value typed; probe("capture", x) records its typed argument
 // and passes it through.
 type probeEngine struct {
-	st    *probeState
-	evals int64
+	st *probeState
 }
 
 func (e *probeEngine) Name() string { return "probe" }
 
 func (e *probeEngine) Eval(c lang.Call) (lang.Value, error) {
-	e.evals++
 	switch c.Code {
 	case "emit":
 		return e.st.src, nil
@@ -60,13 +58,12 @@ func (e *probeEngine) Eval(c lang.Call) (lang.Value, error) {
 	return lang.Value{}, fmt.Errorf("probe: unknown op %q", c.Code)
 }
 
-func (e *probeEngine) Reset()       {}
-func (e *probeEngine) Evals() int64 { return e.evals }
+func (e *probeEngine) Reset() {}
 
 // runSwiftRoundTrip routes one conformance vector through a Swift
 // program whose `stmt` binds `blob through` from `v`, and asserts the
 // captured result is bit-exact.
-func runSwiftRoundTrip(t *testing.T, label, stmt string, vc conformance.VectorCase) {
+func runSwiftRoundTrip(t *testing.T, label, stmt string, vc conformance.VectorCase) *Result {
 	t.Helper()
 	st := &probeState{src: lang.BlobOf(vc.B)}
 	lang.Register(lang.Registration{
@@ -99,6 +96,7 @@ func runSwiftRoundTrip(t *testing.T, label, stmt string, vc conformance.VectorCa
 		t.Fatalf("captured kind = %v, want blob", got.Kind())
 	}
 	conformance.AssertBlobEqual(t, label+" round trip", got.AsBlob(), vc.B)
+	return res
 }
 
 func TestTypedBlobRoundTripBitExact(t *testing.T) {
@@ -109,7 +107,11 @@ func TestTypedBlobRoundTripBitExact(t *testing.T) {
 		for _, vc := range conformance.Vectors() {
 			vc := vc
 			t.Run(vc.Name, func(t *testing.T) {
-				runSwiftRoundTrip(t, reg.Name, d.Swift, vc)
+				res := runSwiftRoundTrip(t, reg.Name, d.Swift, vc)
+				// Each evaluation reaches Result.Evals exactly once.
+				if res.Evals[reg.Name] != 1 || res.Evals["probe"] != 2 {
+					t.Fatalf("evals = %v, want 1 %s and 2 probe", res.Evals, reg.Name)
+				}
 			})
 		}
 	})

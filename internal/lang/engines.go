@@ -5,15 +5,16 @@ package lang
 // surface §IV sketches — each an Engine over the corresponding
 // interpreter package. These init-time Register calls are the single
 // wiring site per language — the Swift type checker, the compiled
-// sw:leafcall dispatch, and the per-rank installation all derive from
+// <name>::call dispatch, and the per-rank installation all derive from
 // the registry.
 //
 // All of them speak the typed calling convention: extra arguments bind
 // as argv1..argvN before the fragment runs (blob arguments become
-// native vectors), and results return typed. Only the Tcl and shell
-// engines — whose surfaces are strings by nature — render argument
-// values, and even they pass blob payloads as raw bytes, never as
-// formatted element text.
+// native vectors), and results return typed. python, r and julia are one
+// engine type (scriptEngine) that owns that contract and takes two
+// conversions per language. Only the Tcl and shell engines — whose
+// surfaces are strings by nature — render argument values, and even they
+// pass blob payloads as raw bytes, never as formatted element text.
 
 import (
 	"fmt"
@@ -30,63 +31,86 @@ import (
 )
 
 func init() {
-	Register(Registration{Name: "python", Sig: Signature{Fixed: 2, Variadic: true}, New: newPythonEngine})
-	Register(Registration{Name: "r", Sig: Signature{Fixed: 2, Variadic: true}, New: newREngine})
+	script := Signature{Fixed: 2, Variadic: true}
+	Register(Registration{Name: "python", Sig: script, New: func(h Host) Engine {
+		in := pylite.New()
+		if h.Out != nil {
+			in.Out = h.Out
+		}
+		return &scriptEngine[pylite.Value]{name: "python", in: in, bind: pyValue, result: pyResult}
+	}})
+	Register(Registration{Name: "r", Sig: script, New: func(h Host) Engine {
+		in := rlite.New()
+		if h.Out != nil {
+			in.Out = h.Out
+		}
+		return &scriptEngine[rlite.Value]{name: "r", in: in, bind: rValue, result: rResult}
+	}})
+	Register(Registration{Name: "julia", Sig: script, New: func(h Host) Engine {
+		in := jlite.New()
+		if h.Out != nil {
+			in.Out = h.Out
+		}
+		return &scriptEngine[jlite.Value]{name: "julia", in: in, bind: jlValue, result: jlResult}
+	}})
 	Register(Registration{Name: "tcl", Sig: Signature{Fixed: 1, Variadic: true}, New: newTclEngine})
 	Register(Registration{Name: "sh", Sig: Signature{Fixed: 1, Variadic: true, Result: ResultString}, New: newShellEngine})
-	Register(Registration{Name: "julia", Sig: Signature{Fixed: 2, Variadic: true}, New: newJuliaEngine})
 }
 
 // argName is the pre-bound variable name of extra argument i (0-based).
 func argName(i int) string { return fmt.Sprintf("argv%d", i+1) }
 
-// pythonEngine embeds a pylite interpreter (the paper's "Python
-// interpreter as a native code library").
-type pythonEngine struct {
-	in    *pylite.Interp
-	argn  int // argv bindings currently installed (see unbindStale)
-	evals int64
+// scriptInterp is what a script engine needs of an interpreter whose
+// native values are N: argv binding, the code and expression halves of a
+// fragment, Reset, and its parse cache's counters.
+type scriptInterp[N any] interface {
+	SetGlobal(name string, v N)
+	DelGlobal(name string)
+	Exec(code string) error
+	EvalExpr(expr string) (N, error)
+	Reset()
+	ParseStats() memo.BudgetStats
 }
 
-// Stale argv bindings must not leak between tasks: under PolicyRetain a
-// fragment referencing argvN beyond its own argument count would
-// otherwise silently read a previous task's data instead of failing.
-// Each engine unbinds argv(n+1)..argv(prev) after binding its n args.
-
-func (e *pythonEngine) unbindStale(n int) {
-	for i := n; i < e.argn; i++ {
-		e.in.DelGlobal(argName(i))
-	}
-	e.argn = n
+// scriptEngine embeds a script interpreter — pylite, rlite or jlite, the
+// paper's "interpreter as a native code library" — and owns the argv
+// contract for all of them. What differs per language is two
+// conversions: bind turns an argument into its native binding, and
+// result turns the expression's native value back into a Value, given
+// the call and the natives bound for it (so a result that is still one of
+// them can leave under that argument's own metadata).
+type scriptEngine[N any] struct {
+	name   string
+	in     scriptInterp[N]
+	bind   func(a Value) (N, error)
+	result func(v N, c Call, bound []N) (Value, error)
+	argn   int // argv bindings currently installed
 }
 
-func newPythonEngine(h Host) Engine {
-	in := pylite.New()
-	if h.Out != nil {
-		in.Out = h.Out
-	}
-	return &pythonEngine{in: in}
-}
+func (e *scriptEngine[N]) Name() string { return e.name }
 
-func (e *pythonEngine) Name() string { return "python" }
-
-func (e *pythonEngine) Eval(c Call) (Value, error) {
-	e.evals++
+func (e *scriptEngine[N]) Eval(c Call) (Value, error) {
 	// Convert every argument before binding any: a failure mid-list must
 	// not leave a partial argv set behind (nothing is bound, argn is
 	// untouched, and the previous task's bindings get cleaned next time).
-	vals := make([]pylite.Value, len(c.Args))
+	bound := make([]N, len(c.Args))
 	for i, a := range c.Args {
-		v, err := pyValue(a)
+		v, err := e.bind(a)
 		if err != nil {
 			return Value{}, err
 		}
-		vals[i] = v
+		bound[i] = v
 	}
-	for i, v := range vals {
+	for i, v := range bound {
 		e.in.SetGlobal(argName(i), v)
 	}
-	e.unbindStale(len(c.Args))
+	// Stale argv bindings must not leak between tasks: under PolicyRetain a
+	// fragment referencing argvN beyond its own argument count would
+	// otherwise silently read a previous task's data instead of failing.
+	for i := len(bound); i < e.argn; i++ {
+		e.in.DelGlobal(argName(i))
+	}
+	e.argn = len(bound)
 	if strings.TrimSpace(c.Code) != "" {
 		if err := e.in.Exec(c.Code); err != nil {
 			return Value{}, err
@@ -99,13 +123,27 @@ func (e *pythonEngine) Eval(c Call) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	return pyResult(v, c.Want)
+	return e.result(v, c, bound)
 }
 
-func (e *pythonEngine) Reset()       { e.in.Reset() }
-func (e *pythonEngine) Evals() int64 { return e.evals }
+func (e *scriptEngine[N]) Reset() { e.in.Reset() }
 
-func (e *pythonEngine) ParseCacheStats() memo.BudgetStats { return e.in.CacheBudgetStats() }
+func (e *scriptEngine[N]) ParseCacheStats() memo.BudgetStats { return e.in.ParseStats() }
+
+// soleBlob returns the call's blob argument when it has exactly one: a
+// fresh vector result adopts its element view. With several, provenance
+// is ambiguous.
+func soleBlob(c Call) (blob.Blob, bool) {
+	var sole blob.Blob
+	n := 0
+	for _, a := range c.Args {
+		if a.Kind() == KindBlob {
+			sole = a.AsBlob()
+			n++
+		}
+	}
+	return sole, n == 1
+}
 
 // pyValue converts a typed argument into its Python binding: scalars
 // enter as native numbers/strings, blobs as zero-copy Vec views.
@@ -128,7 +166,7 @@ func pyValue(a Value) (pylite.Value, error) {
 // preserved); a fresh numeric list packs into a blob only when the
 // caller wants one, and renders as text otherwise (the historical
 // string behaviour).
-func pyResult(v pylite.Value, want Kind) (Value, error) {
+func pyResult(v pylite.Value, c Call, _ []pylite.Value) (Value, error) {
 	switch x := v.(type) {
 	case int64:
 		return Int(x), nil
@@ -137,20 +175,20 @@ func pyResult(v pylite.Value, want Kind) (Value, error) {
 	case string:
 		return Str(x), nil
 	case *pylite.Vec:
-		if want == KindBlob {
+		if c.Want == KindBlob {
 			return BlobOf(x.B), nil
 		}
 		// Rendered like a list in string/number contexts, matching how
 		// fresh lists (and R vectors) behave there.
 	case bool:
-		if want == KindInt || want == KindFloat {
+		if c.Want == KindInt || c.Want == KindFloat {
 			if x {
 				return Int(1), nil
 			}
 			return Int(0), nil
 		}
 	case *pylite.List:
-		if want == KindBlob {
+		if c.Want == KindBlob {
 			b, err := pylite.PackValues(x.Items)
 			if err != nil {
 				return Value{}, err
@@ -162,76 +200,6 @@ func pyResult(v pylite.Value, want Kind) (Value, error) {
 	}
 	return Str(pylite.Str(v)), nil
 }
-
-// rEngine embeds an rlite interpreter (linking libR into the runtime).
-type rEngine struct {
-	in    *rlite.Interp
-	argn  int
-	evals int64
-}
-
-func (e *rEngine) unbindStale(n int) {
-	for i := n; i < e.argn; i++ {
-		e.in.DelGlobal(argName(i))
-	}
-	e.argn = n
-}
-
-func newREngine(h Host) Engine {
-	in := rlite.New()
-	if h.Out != nil {
-		in.Out = h.Out
-	}
-	return &rEngine{in: in}
-}
-
-func (e *rEngine) Name() string { return "r" }
-
-func (e *rEngine) Eval(c Call) (Value, error) {
-	e.evals++
-	// bound maps each blob argument's decoded vector back to its source
-	// blob: a result that IS a bound vector (identity, including through
-	// assignments — R names share the vector object) leaves bit-exact
-	// under its own metadata, never another argument's.
-	bound := map[*rlite.NumVec]blob.Blob{}
-	var protos []blob.Blob
-	// Convert every argument before binding any (see pythonEngine.Eval).
-	vals := make([]rlite.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := rValue(a)
-		if err != nil {
-			return Value{}, err
-		}
-		vals[i] = v
-	}
-	for i, v := range vals {
-		e.in.SetGlobal(argName(i), v)
-		if a := c.Args[i]; a.Kind() == KindBlob {
-			b := a.AsBlob()
-			protos = append(protos, b)
-			if nv, ok := v.(*rlite.NumVec); ok {
-				bound[nv] = b
-			}
-		}
-	}
-	e.unbindStale(len(c.Args))
-	if strings.TrimSpace(c.Code) != "" {
-		if _, err := e.in.Eval(c.Code); err != nil {
-			return Value{}, err
-		}
-	}
-	if strings.TrimSpace(c.Expr) == "" {
-		return Str(""), nil
-	}
-	v, err := e.in.Eval(c.Expr)
-	if err != nil {
-		return Value{}, err
-	}
-	return rResult(v, c.Want, bound, protos)
-}
-
-func (e *rEngine) Reset()       { e.in.Reset() }
-func (e *rEngine) Evals() int64 { return e.evals }
 
 // rValue converts a typed argument into its R binding: numbers become
 // length-1 numeric vectors, blobs decode into real numeric vectors so R
@@ -251,98 +219,36 @@ func rValue(a Value) (rlite.Value, error) {
 }
 
 // rResult converts an R result back into a typed value. Numeric vectors
-// pack into blobs when a blob is wanted: a vector that is (still) a
-// bound argument repacks under that argument's own element kind and dims
-// (identity round-trips stay bit-exact); a fresh vector adopts the sole
-// blob argument's prototype when there is exactly one — with several,
-// provenance is ambiguous and the safe flat float64 form wins. Scalars
-// return as numbers; everything else deparses.
-func rResult(v rlite.Value, want Kind, bound map[*rlite.NumVec]blob.Blob, protos []blob.Blob) (Value, error) {
+// pack into blobs when a blob is wanted, under rProto's element view.
+// Scalars return as numbers; everything else deparses.
+func rResult(v rlite.Value, c Call, bound []rlite.Value) (Value, error) {
 	if nv, ok := v.(*rlite.NumVec); ok {
 		switch {
-		case want == KindBlob:
-			proto := blob.Blob{Elem: blob.ElemF64}
-			if src, ok := bound[nv]; ok {
-				proto = src
-			} else if len(protos) == 1 {
-				proto = protos[0]
-			}
-			return BlobOf(blob.PackLike(nv.V, proto)), nil
-		case (want == KindInt || want == KindFloat) && len(nv.V) == 1:
+		case c.Want == KindBlob:
+			return BlobOf(blob.PackLike(nv.V, rProto(nv, c, bound))), nil
+		case (c.Want == KindInt || c.Want == KindFloat) && len(nv.V) == 1:
 			return Float(nv.V[0]), nil
 		}
 	}
 	return Str(rlite.Deparse(v)), nil
 }
 
-// juliaEngine embeds a jlite interpreter (the Julia-like surface the
-// paper's §IV sketches, embedded the way libjulia would be).
-type juliaEngine struct {
-	in    *jlite.Interp
-	argn  int
-	evals int64
-}
-
-func (e *juliaEngine) unbindStale(n int) {
-	for i := n; i < e.argn; i++ {
-		e.in.DelGlobal(argName(i))
-	}
-	e.argn = n
-}
-
-func newJuliaEngine(h Host) Engine {
-	in := jlite.New()
-	if h.Out != nil {
-		in.Out = h.Out
-	}
-	return &juliaEngine{in: in}
-}
-
-func (e *juliaEngine) Name() string { return "julia" }
-
-func (e *juliaEngine) Eval(c Call) (Value, error) {
-	e.evals++
-	// Convert every argument before binding any (see pythonEngine.Eval):
-	// a failure mid-list must not leave a partial argv set behind.
-	vals := make([]jlite.Value, len(c.Args))
+// rProto picks the blob a numeric result repacks under. A vector that is
+// (still) a bound blob argument — R names share the vector object, so
+// identity survives assignment — keeps that argument's own element kind
+// and dims, bit-exact; a fresh vector adopts the sole blob argument's;
+// with several, the safe flat float64 form wins.
+func rProto(nv *rlite.NumVec, c Call, bound []rlite.Value) blob.Blob {
 	for i, a := range c.Args {
-		v, err := jlValue(a)
-		if err != nil {
-			return Value{}, err
-		}
-		vals[i] = v
-	}
-	// protos tracks blob arguments for result repacking: a fresh vector
-	// result adopts the sole blob argument's element view via
-	// blob.PackLike when unambiguous (identity results are Vec views and
-	// leave bit-exact under their own backing blob regardless).
-	var protos []blob.Blob
-	for i, v := range vals {
-		e.in.SetGlobal(argName(i), v)
-		if a := c.Args[i]; a.Kind() == KindBlob {
-			protos = append(protos, a.AsBlob())
+		if a.Kind() == KindBlob && bound[i] == rlite.Value(nv) {
+			return a.AsBlob()
 		}
 	}
-	e.unbindStale(len(c.Args))
-	if strings.TrimSpace(c.Code) != "" {
-		if err := e.in.Exec(c.Code); err != nil {
-			return Value{}, err
-		}
+	if proto, ok := soleBlob(c); ok {
+		return proto
 	}
-	if strings.TrimSpace(c.Expr) == "" {
-		return Str(""), nil
-	}
-	v, err := e.in.EvalExpr(c.Expr)
-	if err != nil {
-		return Value{}, err
-	}
-	return jlResult(v, c.Want, protos)
+	return blob.Blob{Elem: blob.ElemF64}
 }
-
-func (e *juliaEngine) Reset()       { e.in.Reset() }
-func (e *juliaEngine) Evals() int64 { return e.evals }
-
-func (e *juliaEngine) ParseCacheStats() memo.BudgetStats { return e.in.CacheBudgetStats() }
 
 // jlValue converts a typed argument into its jlite binding: scalars
 // enter as native numbers/strings, blobs as zero-copy 1-based Vec views.
@@ -363,12 +269,8 @@ func jlValue(a Value) (jlite.Value, error) {
 // jlResult converts an expression result back into a typed value. A Vec
 // leaves with its backing blob intact (bit-exact, dims and element kind
 // preserved). A fresh vector packs into a blob only when the caller
-// wants one: under the sole blob argument's prototype via blob.PackLike
-// when there is exactly one — with several, provenance is ambiguous and
-// the exact native packing wins (all-int64 vectors stay on the integer
-// path, everything else packs flat float64, mirroring rlite's ambiguity
-// rule). Ranges materialise like fresh vectors.
-func jlResult(v jlite.Value, want Kind, protos []blob.Blob) (Value, error) {
+// wants one (see packFresh). Ranges materialise like fresh vectors.
+func jlResult(v jlite.Value, c Call, _ []jlite.Value) (Value, error) {
 	switch x := v.(type) {
 	case int64:
 		return Int(x), nil
@@ -377,29 +279,29 @@ func jlResult(v jlite.Value, want Kind, protos []blob.Blob) (Value, error) {
 	case string:
 		return Str(x), nil
 	case bool:
-		if want == KindInt || want == KindFloat {
+		if c.Want == KindInt || c.Want == KindFloat {
 			if x {
 				return Int(1), nil
 			}
 			return Int(0), nil
 		}
 	case *jlite.Vec:
-		if want == KindBlob {
+		if c.Want == KindBlob {
 			return BlobOf(x.B), nil
 		}
 		// Rendered like a vector literal in string contexts, matching
 		// fresh arrays (and the other engines' list behaviour there).
 	case *jlite.Arr:
-		if want == KindBlob {
-			return packFresh(x.Elems, protos)
+		if c.Want == KindBlob {
+			return packFresh(x.Elems, c)
 		}
 	case *jlite.Range:
-		if want == KindBlob {
+		if c.Want == KindBlob {
 			elems := make([]jlite.Value, x.Len())
 			for i := range elems {
 				elems[i] = x.Lo + int64(i)
 			}
-			return packFresh(elems, protos)
+			return packFresh(elems, c)
 		}
 	case nil:
 		return Str(""), nil
@@ -407,10 +309,13 @@ func jlResult(v jlite.Value, want Kind, protos []blob.Blob) (Value, error) {
 	return Str(jlite.Str(v)), nil
 }
 
-// packFresh packs a fresh jlite vector for a blob-wanting caller.
-func packFresh(elems []jlite.Value, protos []blob.Blob) (Value, error) {
-	if len(protos) == 1 {
-		proto := protos[0]
+// packFresh packs a fresh jlite vector for a blob-wanting caller: under
+// the sole blob argument's prototype via blob.PackLike when there is
+// exactly one; otherwise provenance is ambiguous and the exact native
+// packing wins (all-int64 vectors stay on the integer path, everything
+// else packs flat float64, mirroring rlite's ambiguity rule).
+func packFresh(elems []jlite.Value, c Call) (Value, error) {
+	if proto, ok := soleBlob(c); ok {
 		// An int64 prototype keeps all-integer results on the exact
 		// integer path: narrowing through float64 would reject values
 		// beyond 2^53 that the prototype's own element kind represents
@@ -449,31 +354,19 @@ func dimsProduct(dims []int) int {
 // the rank's Turbine runtime interpreter: tcl(...) fragments get the
 // same isolation and retain/reinit state policy as the other embedded
 // languages (and cannot reach into the runtime's procs or rules). The
-// engine owns its fragment cache (source -> *tcl.Script) rather than
-// relying on the interpreter's internal one, so — like pylite and
-// rlite — Reset discards state, not parses, and PolicyReinit stays
+// engine owns its fragment cache (Code and Expr -> *tcl.Script) rather
+// than relying on the interpreter's internal one, so — like the script
+// engines — Reset discards state, not parses, and PolicyReinit stays
 // parse-free for repeated fragments.
 type tclEngine struct {
-	out   io.Writer
-	in    *tcl.Interp
-	progs *memo.Budget[*tcl.Script]
-	argn  int
-	evals int64
+	out    io.Writer
+	in     *tcl.Interp
+	parses *memo.Parses[*tcl.Script, *tcl.Script]
+	argn   int
 }
-
-func (e *tclEngine) unbindStale(n int) {
-	for i := n; i < e.argn; i++ {
-		// Already-absent variables (e.g. after Reset) are fine to skip.
-		_ = e.in.UnsetVar(argName(i))
-	}
-	e.argn = n
-}
-
-// tclProgCacheSize bounds the engine's fragment cache's entry count.
-const tclProgCacheSize = 256
 
 func newTclEngine(h Host) Engine {
-	e := &tclEngine{out: h.Out, progs: memo.NewBudget[*tcl.Script](tclProgCacheSize, memo.UnitCost[*tcl.Script])}
+	e := &tclEngine{out: h.Out, parses: memo.NewParses(tcl.CompileScript, tcl.CompileScript)}
 	e.Reset()
 	return e
 }
@@ -482,12 +375,11 @@ func (e *tclEngine) Name() string { return "tcl" }
 
 // Eval binds extra arguments as argv1..argvN (Tcl values are strings;
 // blob payloads bind as their raw bytes, uninterpreted), evaluates Code
-// through the compile-once cache, and returns the result. When a blob is
-// wanted and the result bytes are an unmodified argument payload, the
-// argument's dims and element kind reattach, keeping identity
-// round-trips bit-exact even through a strings-only language.
+// then Expr through the compile-once cache, and returns the result. When
+// a blob is wanted and the result bytes are an unmodified argument
+// payload, the argument's dims and element kind reattach, keeping
+// identity round-trips bit-exact even through a strings-only language.
 func (e *tclEngine) Eval(c Call) (Value, error) {
-	e.evals++
 	for i, a := range c.Args {
 		if err := e.in.SetVar(argName(i), a.Render()); err != nil {
 			// args 0..i-1 bound; record them so the next call cleans up.
@@ -497,13 +389,17 @@ func (e *tclEngine) Eval(c Call) (Value, error) {
 			return Value{}, err
 		}
 	}
-	e.unbindStale(len(c.Args))
-	res, err := e.evalCached(c.Code)
+	for i := len(c.Args); i < e.argn; i++ {
+		// Already-absent variables (e.g. after Reset) are fine to skip.
+		_ = e.in.UnsetVar(argName(i))
+	}
+	e.argn = len(c.Args)
+	res, err := e.run(e.parses.Program(c.Code))
 	if err != nil {
 		return Value{}, err
 	}
 	if strings.TrimSpace(c.Expr) != "" {
-		if res, err = e.evalCached(c.Expr); err != nil {
+		if res, err = e.run(e.parses.Expr(c.Expr)); err != nil {
 			return Value{}, err
 		}
 	}
@@ -551,13 +447,10 @@ func sameBlobMeta(a, b blob.Blob) bool {
 	return true
 }
 
-// evalCached evaluates a fragment through the engine's compile-once
-// cache; *tcl.Script is immutable and interpreter-independent, so cached
-// parses replay safely against the post-Reset interpreter.
-func (e *tclEngine) evalCached(src string) (string, error) {
-	s, err := e.progs.GetOrCompute(src, func() (*tcl.Script, error) {
-		return tcl.CompileScript(src)
-	})
+// run evaluates one compiled half of a fragment; *tcl.Script is immutable
+// and interpreter-independent, so cached parses replay safely against the
+// post-Reset interpreter.
+func (e *tclEngine) run(s *tcl.Script, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}
@@ -573,7 +466,7 @@ func (e *tclEngine) Reset() {
 	}
 }
 
-func (e *tclEngine) Evals() int64 { return e.evals }
+func (e *tclEngine) ParseCacheStats() memo.BudgetStats { return e.parses.Stats() }
 
 // shellEngine runs commands through the simulated process table (the app
 // function / sh(...) interface; §III-C notes BG/Q machines forbid it).
@@ -582,7 +475,6 @@ type shellEngine struct {
 	// owned marks an engine-created default system (no host machine was
 	// provided); only owned state may be discarded on Reset.
 	owned bool
-	evals int64
 }
 
 func newShellEngine(h Host) Engine {
@@ -600,7 +492,6 @@ func (e *shellEngine) Name() string { return "sh" }
 // unused. The trailing newline of the captured stdout is stripped,
 // matching command-substitution conventions.
 func (e *shellEngine) Eval(c Call) (Value, error) {
-	e.evals++
 	if strings.TrimSpace(c.Code) == "" {
 		return Value{}, fmt.Errorf("sh: empty command")
 	}
@@ -626,5 +517,3 @@ func (e *shellEngine) Reset() {
 		e.sys = shell.NewSystem(shell.ModeCluster, nil)
 	}
 }
-
-func (e *shellEngine) Evals() int64 { return e.evals }

@@ -3,28 +3,32 @@
 // into the Swift/T runtime. The paper's contribution — interlanguage
 // parallel scripting (§III) — embeds Python, R, Tcl, and the shell as
 // in-process libraries callable from Swift leaf tasks; in this repo each
-// of those embeddings is one Engine implementation plus one Register
+// of those embeddings is one Engine (Name, Eval, Reset) plus one Register
 // call, and every other layer derives from the registry:
 //
 //   - type checking: internal/swift synthesizes the leaf builtin
 //     (name(code, expr, args...) with typed extra arguments and a
 //     context-typed result) from the registration's Signature, so a
 //     Swift program may call any registered language;
-//   - dispatch: the compiler emits sw:leafcall actions that route to the
-//     Tcl command <name>::call, whose argument words are operands (see
-//     DecodeOperand): the id of a TD, or a small scalar the compiler or
-//     engine already held, carried as a typed immediate so it reaches
-//     the worker inside the work item. Blobs travel by id only. The
-//     prelude's sw:leaf string fallback routes to <name>::eval; both are
-//     registered per rank by Install;
+//   - dispatch: the compiler emits <name>::call actions whose argument
+//     words are operands (see DecodeOperand): the id of a TD, or a small
+//     scalar the compiler or engine already held, carried as a typed
+//     immediate so it reaches the worker inside the work item. Blobs
+//     travel by id only. <name>::eval is the string surface of sh app
+//     functions and direct Tcl callers; Install registers both per rank;
 //   - execution: core.RunCompiled iterates Registered() at rank setup
 //     and installs each engine lazily, with the paper's retain/reinit
-//     state policy (§III-C) and per-language eval counters applied
-//     uniformly; the typed surface moves arguments and results through
-//     the DataPlane, so blob element data never renders as text.
+//     state policy (§III-C) applied uniformly and every evaluation
+//     counted in one place (evalContained); the typed surface moves
+//     arguments and results through the DataPlane, so blob element data
+//     never renders as text.
 //
-// Adding a language therefore touches exactly one registration site; see
-// the toy-engine test in internal/core for the end-to-end proof.
+// The script interpreters (python, r, julia) share one Engine type that
+// owns the argv contract and takes two conversions per language, and
+// every script engine's parses go through one compile-once front door,
+// memo.Parses. Adding a language therefore touches exactly one
+// registration site; see the toy-engine test in internal/core for the
+// end-to-end proof.
 package lang
 
 import (
@@ -89,9 +93,6 @@ type Engine interface {
 	// Reset discards interpreter state (PolicyReinit). Engines without
 	// retained state may make this a no-op.
 	Reset()
-	// Evals reports how many fragments this engine instance has
-	// evaluated.
-	Evals() int64
 }
 
 // Host is what the runtime provides an engine factory when a rank
@@ -200,8 +201,8 @@ func Registered() []Registration {
 
 // Counters aggregates per-language fragment-evaluation counts across all
 // ranks of a run. The language set is fixed at creation (one slot per
-// registered language), so Add is a lock-free map read plus an atomic
-// increment and is safe from every rank goroutine concurrently.
+// registered language), so counting is a lock-free map read plus an
+// atomic increment and is safe from every rank goroutine concurrently.
 type Counters struct {
 	m map[string]*atomic.Int64
 }
@@ -215,12 +216,14 @@ func NewCounters() *Counters {
 	return c
 }
 
-// AddN counts n evaluations of the named language. Unknown names (a
-// language registered after the run started) are ignored.
-func (c *Counters) AddN(name string, n int64) {
-	if ctr, ok := c.m[name]; ok {
-		ctr.Add(n)
+// of returns the named language's counter: nil for nil Counters or for a
+// language registered after they were created, whose evaluations then go
+// uncounted.
+func (c *Counters) of(name string) *atomic.Int64 {
+	if c == nil {
+		return nil
 	}
+	return c.m[name]
 }
 
 // Snapshot returns the current per-language counts.
@@ -264,25 +267,19 @@ type DataPlane interface {
 // Install registers the Tcl dispatch commands for one language on one
 // rank's interpreter: <name>::eval, the string surface used by sh
 // app-function code and direct Tcl callers, and — when a DataPlane is
-// available — <name>::call, the typed surface the compiled sw:leafcall
-// dispatch uses (out id, out type, then one operand per argument). Both
-// share a single engine instance created lazily on first use (the
-// paper's "load the interpreter library on demand"); the state policy is
-// applied after every fragment, and each evaluation is counted under the
-// language name.
+// available — <name>::call, the typed surface compiled leaf calls use
+// (out id, out type, then one operand per argument). Both share a single
+// engine instance created lazily on first use (the paper's "load the
+// interpreter library on demand"); the state policy is applied after
+// every fragment, and each evaluation is counted under the language name.
 func Install(in *tcl.Interp, reg Registration, h Host, policy Policy, counters *Counters, dp DataPlane) {
 	var eng Engine // one instance per rank, created on first call
+	evals := counters.of(reg.Name)
 	run := func(c Call) (Value, error) {
 		if eng == nil {
 			eng = reg.New(h)
 		}
-		res, evals, err := runFragment(eng, reg.Name, c, policy)
-		if counters != nil {
-			// The engine's own counter is the source of truth; the
-			// run-wide aggregate advances by whatever it reports.
-			counters.AddN(reg.Name, evals)
-		}
-		return res, err
+		return runFragment(eng, reg.Name, c, policy, evals)
 	}
 
 	in.RegisterCommand(reg.Name+"::eval", func(ti *tcl.Interp, args []string) (string, error) {
@@ -364,15 +361,13 @@ func Install(in *tcl.Interp, reg Registration, h Host, policy Policy, counters *
 }
 
 // runFragment is the one way a fragment executes, behind Install's
-// dispatch commands and Pool.Eval alike: a panic-contained Eval, the
-// engine's own eval-count delta (the source of truth for every
-// aggregate), the reinit policy applied after the fragment whether or not
-// it failed, and an untyped engine error prefixed with the language name
-// (a TaskError passes through as-is so callers can still find it).
-func runFragment(eng Engine, name string, c Call, policy Policy) (res Value, evals int64, err error) {
-	before := eng.Evals()
-	res, err = evalContained(eng, name, c)
-	evals = eng.Evals() - before
+// dispatch commands and Pool.Eval alike: a panic-contained, counted Eval
+// (see evalContained), the reinit policy applied after the fragment
+// whether or not it failed, and an untyped engine error prefixed with the
+// language name (a TaskError passes through as-is so callers can still
+// find it).
+func runFragment(eng Engine, name string, c Call, policy Policy, evals *atomic.Int64) (Value, error) {
+	res, err := evalContained(eng, name, c, evals)
 	if policy == PolicyReinit {
 		eng.Reset()
 	}
@@ -381,9 +376,9 @@ func runFragment(eng Engine, name string, c Call, policy Policy) (res Value, eva
 		if !errors.As(err, &te) {
 			err = fmt.Errorf("%s: %w", name, err)
 		}
-		return Value{}, evals, err
+		return Value{}, err
 	}
-	return res, evals, nil
+	return res, nil
 }
 
 // evalContained runs one fragment with panic containment: a panic inside
@@ -391,8 +386,11 @@ func runFragment(eng Engine, name string, c Call, policy Policy) (res Value, eva
 // tearing down the rank, and the engine is Reset before the error is
 // returned (under every policy, PolicyRetain included: an interpreter
 // that panicked may hold arbitrarily corrupted state, so retained state
-// is forfeit on this failure path).
-func evalContained(eng Engine, name string, c Call) (res Value, err error) {
+// is forfeit on this failure path). It is also the one place an
+// evaluation is counted, into evals (nil: uncounted): once the
+// lang.eval.pre fault site has let the fragment through to the engine, so
+// an injected fault counts nothing and a panicking evaluation counts once.
+func evalContained(eng Engine, name string, c Call, evals *atomic.Int64) (res Value, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			eng.Reset()
@@ -406,6 +404,9 @@ func evalContained(eng Engine, name string, c Call) (res Value, err error) {
 	}()
 	if ferr := faultinject.At(faultinject.SiteLangEvalPre); ferr != nil {
 		return Value{}, &TaskError{Engine: name, Code: "fault", Retriable: true, Err: ferr}
+	}
+	if evals != nil {
+		evals.Add(1)
 	}
 	return eng.Eval(c)
 }

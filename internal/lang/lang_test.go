@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blob"
@@ -27,19 +28,19 @@ func TestShellEngineExecAndEvals(t *testing.T) {
 	}
 	eng := reg.New(Host{}) // no host shell: engine creates a default one
 	c := Call{Code: "echo", Args: []Value{Str("hello"), Str("world")}}
-	out, err := eng.Eval(c)
+	var evals atomic.Int64
+	out, err := runFragment(eng, "sh", c, PolicyRetain, &evals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Render() != "hello world" {
 		t.Fatalf("out = %q", out.Render())
 	}
-	eng.Reset()
-	if out, err = eng.Eval(c); err != nil || out.Render() != "hello world" {
+	if out, err = runFragment(eng, "sh", c, PolicyReinit, &evals); err != nil || out.Render() != "hello world" {
 		t.Fatalf("after Reset: %q, %v", out.Render(), err)
 	}
-	if n := eng.Evals(); n != 2 {
-		t.Fatalf("Evals() = %d, want 2", n)
+	if n := evals.Load(); n != 2 {
+		t.Fatalf("evals = %d, want 2", n)
 	}
 }
 
@@ -97,8 +98,8 @@ func TestTclEngineFragmentCacheSurvivesReset(t *testing.T) {
 		}
 		eng.Reset()
 	}
-	if n := eng.progs.Len(); n != 1 {
-		t.Fatalf("fragment cache = %d entries, want 1 (survived Reset)", n)
+	if st := eng.ParseCacheStats(); st.Entries != 1 || st.Misses != 1 || st.Hits != 4 {
+		t.Fatalf("fragment cache = %+v, want 1 entry, 1 miss, 4 hits (survived Reset)", st)
 	}
 	if _, err := eng.Eval(Call{Code: "set g"}); err == nil {
 		t.Fatal("state survived Reset")

@@ -47,9 +47,9 @@ type poolEntry struct {
 	parse memo.BudgetStats
 }
 
-// ParseCacheStatser is implemented by engines whose fragment parse caches
-// are byte-budgeted (python, julia); the pool aggregates their counters
-// into PoolStats for the serving layer's /statsz.
+// ParseCacheStatser is implemented by engines with a fragment parse cache
+// (every script engine: python, r, julia, tcl); the pool aggregates their
+// counters into PoolStats for the serving layer's /statsz.
 type ParseCacheStatser interface {
 	ParseCacheStats() memo.BudgetStats
 }
@@ -136,14 +136,13 @@ func (p *Pool) lruEntry() (poolKey, *poolEntry) {
 // then runFragment — the same contained execution Install's commands use
 // (a panicking interpreter fails this one request, is Reset, and the
 // typed TaskError reports it retriable; the per-request reinit policy
-// applies after). Engine eval counts aggregate into the pool's stats.
+// applies after), counting into the pool's stats.
 func (p *Pool) Eval(language, tenant string, c Call, policy Policy) (Value, error) {
 	e, err := p.checkout(language, tenant)
 	if err != nil {
 		return Value{}, err
 	}
-	res, evals, err := runFragment(e.eng, language, c, policy)
-	p.st.Evals.Add(evals)
+	res, err := runFragment(e.eng, language, c, policy, &p.st.Evals)
 	if cs, ok := e.eng.(ParseCacheStatser); ok {
 		now := cs.ParseCacheStats()
 		p.st.ParseHits.Add(now.Hits - e.parse.Hits)
@@ -179,9 +178,8 @@ type PoolStats struct {
 	Evictions atomic.Int64
 	// Evals counts fragment evaluations through Pool.Eval.
 	Evals atomic.Int64
-	// ParseHits/ParseMisses/ParseBytesEvicted aggregate the byte-budgeted
-	// fragment parse caches of pooled engines that expose them
-	// (ParseCacheStatser: python, julia).
+	// ParseHits/ParseMisses/ParseBytesEvicted aggregate the fragment
+	// parse caches of pooled engines (ParseCacheStatser).
 	ParseHits         atomic.Int64
 	ParseMisses       atomic.Int64
 	ParseBytesEvicted atomic.Int64

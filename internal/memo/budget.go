@@ -1,8 +1,8 @@
 // Package memo provides the one bounded string-keyed memoization cache
 // behind every compile-once pipeline in the repo: internal/tcl memoizes
-// source -> *Script and expression ASTs, internal/pylite, internal/rlite
-// and internal/jlite memoize source -> parsed program, the tcl engine
-// memoizes its fragments, and internal/serve memoizes whole compiled
+// source -> *Script and expression ASTs, internal/pylite, internal/rlite,
+// internal/jlite and the tcl engine memoize their fragments through one
+// front door over it (Parses), and internal/serve memoizes whole compiled
 // programs — so a fragment that is evaluated once per task is parsed
 // exactly once per rank.
 //

@@ -8,9 +8,8 @@ package pylite
 
 import (
 	"fmt"
+	"strings"
 	"testing"
-
-	"repro/internal/memo"
 )
 
 func TestFragmentCacheHitIsParseFree(t *testing.T) {
@@ -19,9 +18,8 @@ func TestFragmentCacheHitIsParseFree(t *testing.T) {
 	if _, err := in.EvalFragment(code, "y"); err != nil {
 		t.Fatal(err)
 	}
-	progs, exprs := in.CacheStats()
-	if progs != 1 || exprs != 1 {
-		t.Fatalf("cache = %d progs, %d exprs; want 1, 1", progs, exprs)
+	if st := in.ParseStats(); st.Entries != 2 || st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("cache = %+v; want the program and the expression, each parsed once", st)
 	}
 	for i := 0; i < 10; i++ {
 		out, err := in.EvalFragment(code, "y")
@@ -29,9 +27,8 @@ func TestFragmentCacheHitIsParseFree(t *testing.T) {
 			t.Fatalf("out = %q, %v", out, err)
 		}
 	}
-	progs, exprs = in.CacheStats()
-	if progs != 1 || exprs != 1 {
-		t.Fatalf("repeats grew the cache: %d progs, %d exprs", progs, exprs)
+	if st := in.ParseStats(); st.Entries != 2 || st.Misses != 2 || st.Hits != 20 {
+		t.Fatalf("repeats grew the cache or re-parsed: %+v", st)
 	}
 }
 
@@ -72,9 +69,8 @@ func TestFragmentCacheSurvivesResetButStateDoesNot(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.Reset()
-	progs, _ := in.CacheStats()
-	if progs != 1 {
-		t.Fatalf("Reset dropped the parse cache (progs = %d)", progs)
+	if st := in.ParseStats(); st.Entries != 2 {
+		t.Fatalf("Reset dropped the parse cache (%d entries)", st.Entries)
 	}
 	if _, err := in.EvalExpr("state"); err == nil {
 		t.Fatal("state survived Reset")
@@ -87,17 +83,16 @@ func TestFragmentCacheSurvivesResetButStateDoesNot(t *testing.T) {
 
 func TestFragmentCacheBoundedEviction(t *testing.T) {
 	in := New()
-	// ~70 bytes per entry at fragCost (source + fixed overhead): a 288-byte
-	// budget holds at most 4 of the fragments below.
-	in.progs = memo.NewBudget[[]pstmt](288, fragCost[[]pstmt])
+	// Twenty 100 KiB fragments are 2 MiB of source: the program side's
+	// 1 MiB byte budget (memo.Parses) must evict to stay under it.
+	pad := strings.Repeat("x", 100<<10)
 	for i := 0; i < 20; i++ {
-		if err := in.Exec(fmt.Sprintf("v%d = %d", i, i)); err != nil {
+		if err := in.Exec(fmt.Sprintf("v%d = %d\n# %s", i, i, pad)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	progs, _ := in.CacheStats()
-	if progs > 4 {
-		t.Fatalf("cache exceeded bound: %d", progs)
+	if st := in.ParseStats(); st.CurBytes > 1<<20 || st.Evictions == 0 || st.Entries >= 20 {
+		t.Fatalf("cache exceeded its byte bound: %+v", st)
 	}
 	// An evicted fragment still evaluates correctly (re-parsed).
 	if err := in.Exec("v0 = 99"); err != nil {
@@ -113,8 +108,7 @@ func TestFragmentCacheParseErrorsNotCachedAsPrograms(t *testing.T) {
 	if err := in.Exec("def ("); err == nil {
 		t.Fatal("bad syntax accepted")
 	}
-	progs, _ := in.CacheStats()
-	if progs != 0 {
-		t.Fatalf("parse failure entered the cache (progs = %d)", progs)
+	if st := in.ParseStats(); st.Entries != 0 {
+		t.Fatalf("parse failure entered the cache (%d entries)", st.Entries)
 	}
 }

@@ -100,43 +100,19 @@ type Interp struct {
 	globals *env
 	Out     io.Writer
 	depth   int
-	// EvalCount counts Exec/EvalExpr calls, for instrumentation.
-	EvalCount int
 	// InitCost simulates the fixed cost of interpreter initialisation
 	// (loading an interpreter library is not free on a real system);
 	// benchmarks use it to model retain-vs-reinit trade-offs.
 	InitCost func()
-	// Compile-once fragment caches (source -> parsed form, byte-budgeted
-	// LRU; see internal/memo). Ensemble workloads evaluate the same
-	// python() fragment once per task, so the steady state must be
-	// parse-free; long-lived serving interpreters additionally need the
-	// cache bounded by bytes rather than entry count, so a tenant
-	// submitting a stream of huge one-shot fragments evicts by cost
-	// instead of pushing out many small hot fragments. The caches hold
-	// immutable ASTs keyed by source text only, so they survive Reset:
-	// reinitialisation discards state, not parses.
-	progs *memo.Budget[[]pstmt]
-	exprs *memo.Budget[pexpr]
+	// parses is the compile-once fragment cache: ensemble workloads
+	// evaluate the same python() fragment once per task, so the steady
+	// state is parse-free, and it survives Reset (see memo.Parses).
+	parses *memo.Parses[[]pstmt, pexpr]
 }
-
-// Fragment-cache byte budgets, in source bytes (the AST size scales with
-// the source, so source length is the cost proxy; see fragCost).
-const (
-	defaultProgCacheBytes = 1 << 20 // 1 MiB of program source per interp
-	defaultExprCacheBytes = 256 << 10
-)
-
-// fragCost prices a cached parse by its source length plus a fixed
-// per-entry overhead for the AST and bookkeeping.
-func fragCost[V any](key string, _ V) int64 { return int64(len(key)) + 64 }
 
 // New creates an interpreter with builtins installed.
 func New() *Interp {
-	in := &Interp{
-		Out:   os.Stdout,
-		progs: memo.NewBudget[[]pstmt](defaultProgCacheBytes, fragCost[[]pstmt]),
-		exprs: memo.NewBudget[pexpr](defaultExprCacheBytes, fragCost[pexpr]),
-	}
+	in := &Interp{Out: os.Stdout, parses: memo.NewParses(parseModule, parseExprString)}
 	in.reset()
 	return in
 }
@@ -174,10 +150,7 @@ func (returnErr) Error() string   { return "pylite: return outside function" }
 // Parsing is memoized: each distinct source string is parsed once per
 // interpreter and the immutable statement list is replayed thereafter.
 func (in *Interp) Exec(code string) error {
-	in.EvalCount++
-	stmts, err := in.progs.GetOrCompute(code, func() ([]pstmt, error) {
-		return parseModule(code)
-	})
+	stmts, err := in.parses.Program(code)
 	if err != nil {
 		return err
 	}
@@ -192,36 +165,15 @@ func (in *Interp) Exec(code string) error {
 // EvalExpr evaluates a single expression against the globals, memoizing
 // the parsed expression by source text.
 func (in *Interp) EvalExpr(expr string) (Value, error) {
-	in.EvalCount++
-	e, err := in.exprs.GetOrCompute(expr, func() (pexpr, error) {
-		return parseExprString(expr)
-	})
+	e, err := in.parses.Expr(expr)
 	if err != nil {
 		return nil, err
 	}
 	return in.eval(e, in.globals)
 }
 
-// CacheStats reports the number of memoized programs and expressions,
-// for tests and diagnostics.
-func (in *Interp) CacheStats() (progs, exprs int) {
-	return in.progs.Len(), in.exprs.Len()
-}
-
-// CacheBudgetStats reports the combined byte-budget counters of both
-// fragment caches, for the serving layer's /statsz.
-func (in *Interp) CacheBudgetStats() memo.BudgetStats {
-	p, e := in.progs.Stats(), in.exprs.Stats()
-	return memo.BudgetStats{
-		Hits:         p.Hits + e.Hits,
-		Misses:       p.Misses + e.Misses,
-		Evictions:    p.Evictions + e.Evictions,
-		BytesEvicted: p.BytesEvicted + e.BytesEvicted,
-		Oversize:     p.Oversize + e.Oversize,
-		CurBytes:     p.CurBytes + e.CurBytes,
-		Entries:      p.Entries + e.Entries,
-	}
-}
+// ParseStats reports the fragment cache's counters.
+func (in *Interp) ParseStats() memo.BudgetStats { return in.parses.Stats() }
 
 // EvalFragment is the Swift/T python(code, expr) entry point: execute
 // code, then evaluate expr and return its str() form.

@@ -434,7 +434,7 @@ func TestStrReprDistinct(t *testing.T) {
 	}
 }
 
-func TestEvalCountAndInitCost(t *testing.T) {
+func TestInitCostRunsOnReset(t *testing.T) {
 	calls := 0
 	in := New()
 	in.InitCost = func() { calls++ }
@@ -444,7 +444,7 @@ func TestEvalCountAndInitCost(t *testing.T) {
 	}
 	in.Exec("x = 1")
 	in.EvalExpr("x")
-	if in.EvalCount != 2 {
-		t.Fatalf("EvalCount = %d", in.EvalCount)
+	if calls != 1 {
+		t.Fatalf("InitCost ran on evaluation: %d calls", calls)
 	}
 }

@@ -7,9 +7,8 @@ package rlite
 
 import (
 	"fmt"
+	"strings"
 	"testing"
-
-	"repro/internal/memo"
 )
 
 func TestFragmentCacheHitIsParseFree(t *testing.T) {
@@ -18,8 +17,8 @@ func TestFragmentCacheHitIsParseFree(t *testing.T) {
 	if _, err := in.EvalFragment(code, "s"); err != nil {
 		t.Fatal(err)
 	}
-	if n := in.CacheStats(); n != 2 { // code fragment + expr fragment
-		t.Fatalf("cache = %d, want 2", n)
+	if st := in.ParseStats(); st.Entries != 2 || st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("cache = %+v; want the code and the expression, each parsed once", st)
 	}
 	for i := 0; i < 10; i++ {
 		out, err := in.EvalFragment(code, "s")
@@ -27,8 +26,8 @@ func TestFragmentCacheHitIsParseFree(t *testing.T) {
 			t.Fatalf("out = %q, %v", out, err)
 		}
 	}
-	if n := in.CacheStats(); n != 2 {
-		t.Fatalf("repeats grew the cache: %d", n)
+	if st := in.ParseStats(); st.Entries != 2 || st.Misses != 2 || st.Hits != 20 {
+		t.Fatalf("repeats grew the cache or re-parsed: %+v", st)
 	}
 }
 
@@ -54,8 +53,8 @@ func TestFragmentCacheSurvivesResetButStateDoesNot(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.Reset()
-	if n := in.CacheStats(); n == 0 {
-		t.Fatal("Reset dropped the parse cache")
+	if st := in.ParseStats(); st.Entries != 2 {
+		t.Fatalf("Reset dropped the parse cache (%d entries)", st.Entries)
 	}
 	if _, err := in.Eval("state"); err == nil {
 		t.Fatal("state survived Reset")
@@ -67,14 +66,16 @@ func TestFragmentCacheSurvivesResetButStateDoesNot(t *testing.T) {
 
 func TestFragmentCacheBoundedEviction(t *testing.T) {
 	in := New()
-	in.progs = memo.NewBudget[[]rexpr](4, memo.UnitCost[[]rexpr])
+	// Twenty 100 KiB fragments are 2 MiB of source: the program side's
+	// 1 MiB byte budget (memo.Parses) must evict to stay under it.
+	pad := strings.Repeat("x", 100<<10)
 	for i := 0; i < 20; i++ {
-		if _, err := in.Eval(fmt.Sprintf("v%d <- %d", i, i)); err != nil {
+		if _, err := in.Eval(fmt.Sprintf("v%d <- %d\n# %s", i, i, pad)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := in.CacheStats(); n > 4 {
-		t.Fatalf("cache exceeded bound: %d", n)
+	if st := in.ParseStats(); st.CurBytes > 1<<20 || st.Evictions == 0 || st.Entries >= 20 {
+		t.Fatalf("cache exceeded its byte bound: %+v", st)
 	}
 	if v, err := in.Eval("v0 + 1"); err != nil || Deparse(v) != "1" {
 		t.Fatalf("evicted fragment re-eval: %v, %v", v, err)
@@ -86,7 +87,7 @@ func TestFragmentCacheParseErrorsNotCached(t *testing.T) {
 	if _, err := in.Eval("function ("); err == nil {
 		t.Fatal("bad syntax accepted")
 	}
-	if n := in.CacheStats(); n != 0 {
-		t.Fatalf("parse failure entered the cache: %d", n)
+	if st := in.ParseStats(); st.Entries != 0 {
+		t.Fatalf("parse failure entered the cache (%d entries)", st.Entries)
 	}
 }

@@ -70,24 +70,17 @@ type Interp struct {
 	globals *renv
 	Out     io.Writer
 	depth   int
-	// EvalCount counts Eval/EvalExpr calls, for instrumentation.
-	EvalCount int
 	// InitCost simulates interpreter initialisation cost (see pylite).
 	InitCost func()
-	// progs is the compile-once fragment cache (source -> parsed program,
-	// count-bounded LRU; see internal/memo). It holds immutable ASTs keyed by
-	// source text only, so it survives Reset: reinitialisation discards
-	// interpreter state, not parses.
-	progs *memo.Budget[[]rexpr]
+	// parses is the compile-once fragment cache; it survives Reset (see
+	// memo.Parses). R draws no syntactic line between a fragment's code
+	// and its expression, so both sides parse as programs.
+	parses *memo.Parses[[]rexpr, []rexpr]
 }
-
-// defaultProgCacheSize bounds the fragment cache's entry count; interlanguage
-// workloads in this repo use tens of distinct fragment shapes per run.
-const defaultProgCacheSize = 256
 
 // New creates an interpreter.
 func New() *Interp {
-	in := &Interp{Out: os.Stdout, progs: memo.NewBudget[[]rexpr](defaultProgCacheSize, memo.UnitCost[[]rexpr])}
+	in := &Interp{Out: os.Stdout, parses: memo.NewParses(parseR, parseR)}
 	in.reset()
 	return in
 }
@@ -114,13 +107,35 @@ func (rReturnErr) Error() string { return "rlite: return outside function" }
 // expression. Parsing is memoized: each distinct source string is parsed
 // once per interpreter and the immutable program is replayed thereafter.
 func (in *Interp) Eval(code string) (Value, error) {
-	in.EvalCount++
-	prog, err := in.progs.GetOrCompute(code, func() ([]rexpr, error) {
-		return parseR(code)
-	})
+	prog, err := in.parses.Program(code)
 	if err != nil {
 		return nil, err
 	}
+	return in.run(prog)
+}
+
+// Exec evaluates the code half of a fragment for its effects.
+func (in *Interp) Exec(code string) error {
+	_, err := in.Eval(code)
+	return err
+}
+
+// EvalExpr evaluates the expression half of a fragment, memoized on the
+// expression side of the cache.
+func (in *Interp) EvalExpr(expr string) (Value, error) {
+	prog, err := in.parses.Expr(expr)
+	if err != nil {
+		return nil, err
+	}
+	return in.run(prog)
+}
+
+// ParseStats reports the fragment cache's counters.
+func (in *Interp) ParseStats() memo.BudgetStats { return in.parses.Stats() }
+
+// run evaluates a parsed program against the globals, returning the value
+// of its last expression.
+func (in *Interp) run(prog []rexpr) (Value, error) {
 	var last Value = Null{}
 	for _, e := range prog {
 		var err error
@@ -132,22 +147,18 @@ func (in *Interp) Eval(code string) (Value, error) {
 	return last, nil
 }
 
-// CacheStats reports the number of memoized programs, for tests and
-// diagnostics.
-func (in *Interp) CacheStats() (progs int) { return in.progs.Len() }
-
 // EvalFragment is the Swift/T r(code, expr) entry point: evaluate code,
 // then expr, returning the deparsed result.
 func (in *Interp) EvalFragment(code, expr string) (string, error) {
 	if strings.TrimSpace(code) != "" {
-		if _, err := in.Eval(code); err != nil {
+		if err := in.Exec(code); err != nil {
 			return "", err
 		}
 	}
 	if strings.TrimSpace(expr) == "" {
 		return "", nil
 	}
-	v, err := in.Eval(expr)
+	v, err := in.EvalExpr(expr)
 	if err != nil {
 		return "", err
 	}

@@ -8,9 +8,8 @@ import (
 
 // TenantConfig is one tenant's admission class.
 type TenantConfig struct {
-	// Priority is the ADLB put priority of this tenant's work (higher
-	// runs first when queues are contended) and the TaskPriority base of
-	// its program runs.
+	// Priority is the ADLB put priority of this tenant's fragments
+	// (higher runs first when queues are contended).
 	Priority int
 	// MaxConcurrent bounds requests of this tenant executing at once
 	// (0 = default 4).

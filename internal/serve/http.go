@@ -21,8 +21,9 @@ var maxBodyBytes int64 = mpi.MaxFrameBody/3*4 + 1<<20
 //	GET  /healthz        liveness
 //
 // Overload maps to 429 with Retry-After, user evaluation errors to 422,
-// timeouts to 504, a body over maxBodyBytes to 413, and everything else —
-// malformed requests, compile errors, a server shutting down — to 400.
+// timeouts to 504, a server shutting down to 503 (retriable: another
+// instance can take the request), a body over maxBodyBytes to 413, and
+// everything else — malformed requests, compile errors — to 400.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/v1/frag", s.handleFrag)
@@ -65,6 +66,10 @@ func writeErr(w http.ResponseWriter, err error) {
 	var ev *EvalError
 	if errors.As(err, &ev) {
 		writeJSON(w, http.StatusUnprocessableEntity, httpError{Error: err.Error(), Retriable: ev.Retriable})
+		return
+	}
+	if errors.Is(err, errShuttingDown) {
+		writeJSON(w, http.StatusServiceUnavailable, httpError{Error: err.Error(), Retriable: true})
 		return
 	}
 	writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})

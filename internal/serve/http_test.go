@@ -9,7 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/lang"
 )
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -135,4 +139,73 @@ func TestHTTPOverloadMaps429(t *testing.T) {
 	if !he.Retriable {
 		t.Fatal("429 not marked retriable")
 	}
+}
+
+// blockEngine holds its evaluation until released, keeping a request in
+// flight while the server closes.
+type blockEngine struct {
+	entered func()
+	release chan struct{}
+}
+
+func (e *blockEngine) Name() string { return "blocker" }
+func (e *blockEngine) Reset()       {}
+func (e *blockEngine) Eval(c lang.Call) (lang.Value, error) {
+	e.entered()
+	<-e.release
+	return lang.Str("done"), nil
+}
+
+func TestHTTPShuttingDownMaps503(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	enter := sync.OnceFunc(func() { close(entered) })
+	lang.Register(lang.Registration{Name: "blocker", Sig: lang.Signature{Fixed: 1},
+		New: func(lang.Host) lang.Engine { return &blockEngine{entered: enter, release: release} }})
+	defer lang.Unregister("blocker")
+
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(path string, body any) (int, httpError) {
+		resp := postJSON(t, ts.URL+path, body)
+		defer resp.Body.Close()
+		var he httpError
+		json.NewDecoder(resp.Body).Decode(&he)
+		return resp.StatusCode, he
+	}
+	want503 := func(when, path string, body any) {
+		t.Helper()
+		if code, he := post(path, body); code != http.StatusServiceUnavailable || !he.Retriable {
+			t.Errorf("%s, %s answered %d %+v; want 503, retriable", when, path, code, he)
+		}
+	}
+	frag := FragmentRequest{Tenant: "a", Lang: "python", Expr: "1", Want: "int"}
+	prog := ProgramRequest{Tenant: "a", Source: `printf("%i", 1);`}
+
+	inFlight := make(chan struct{})
+	go func() {
+		defer close(inFlight)
+		want503("in flight at Close", "/api/v1/frag", FragmentRequest{Tenant: "a", Lang: "blocker", Code: "hold"})
+	}()
+	<-entered
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	<-inFlight
+	// The world cannot finish draining while the engine holds its task.
+	want503("during Close", "/api/v1/frag", frag)
+	want503("during Close", "/api/v1/run", prog)
+	close(release)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	want503("after Close", "/api/v1/frag", frag)
+	want503("after Close", "/api/v1/run", prog)
 }

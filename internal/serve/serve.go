@@ -31,16 +31,16 @@
 // then drains the parked workers. Once Close has begun, new and in-flight
 // callers get "serve: shutting down", not a place in a departing world.
 //
-// Program submissions do not enter the warm world's queues: they run
-// through the re-entrant core.RunCompiled in ephemeral worlds, at the
-// tenant's TaskPriority, with compiled programs cached in a byte-budgeted
-// LRU keyed by source hash (repeat submissions share one parse).
+// Program submissions do not enter the warm world's queues: each runs
+// through the re-entrant core.RunCompiled in an ephemeral world of its
+// own, with compiled programs cached in a byte-budgeted LRU keyed by
+// source hash (repeat submissions share one parse).
 //
 // Admission control is per tenant: a concurrency bound, a wait-queue
-// bound behind it, and a priority that both orders the tenant's fragments
-// in the ADLB queues and becomes the base TaskPriority of its program
-// runs. Arrivals past both bounds get a typed OverloadError (HTTP 429) —
-// a saturated tenant backs up its own queue, not the service.
+// bound behind it, and a priority that orders the tenant's fragments in
+// the ADLB queues. Arrivals past both bounds get a typed OverloadError
+// (HTTP 429) — a saturated tenant backs up its own queue, not the
+// service.
 package serve
 
 import (
@@ -338,7 +338,7 @@ type ProgramResult struct {
 
 // RunProgram compiles (or fetches from the byte-budgeted cache) and runs
 // one Swift program under the tenant's admission class, in an ephemeral
-// world at the tenant's TaskPriority.
+// world of its own.
 func (s *Server) RunProgram(req ProgramRequest) (ProgramResult, error) {
 	if req.Tenant == "" {
 		return ProgramResult{}, fmt.Errorf("serve: request without tenant")
@@ -372,10 +372,9 @@ func (s *Server) RunProgram(req ProgramRequest) (ProgramResult, error) {
 
 	s.stats.ProgramRuns.Add(1)
 	res, err := core.RunCompiled(out, core.Config{
-		Engines:      programEngines,
-		Workers:      programWorkers,
-		Servers:      programServers,
-		TaskPriority: gate.cfg.Priority,
+		Engines: programEngines,
+		Workers: programWorkers,
+		Servers: programServers,
 	})
 	if err != nil {
 		return ProgramResult{}, err

@@ -375,7 +375,7 @@ func (c *compiler) known(sc *genScope, want swift.Type, ex swift.Expr) (operand,
 		}
 		return knownLit(typ, text), true
 	case *swift.FloatLit:
-		return knownLit(typ, neg+fmtFloatLit(x.Value)), true
+		return knownLit(typ, neg+lang.Float(x.Value).Render()), true
 	case *swift.StringLit:
 		return knownLit(typ, x.Value), true
 	case *swift.BoolLit:
@@ -514,14 +514,6 @@ func (c *compiler) compileRange(e *emitter, sc *genScope, r *swift.RangeLit) ([]
 	return c.compileOperands(e, sc, []swift.Expr{r.Lo, r.Hi, r.Step})
 }
 
-func fmtFloatLit(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
-	}
-	return s
-}
-
 // compileCallInto compiles a single-output call storing into outRef.
 func (c *compiler) compileCallInto(e *emitter, sc *genScope, outRef string, outT swift.Type, call *swift.Call) error {
 	if b := swift.LookupBuiltin(call.Name); b != nil {
@@ -588,13 +580,13 @@ func (c *compiler) compileBuiltin(e *emitter, sc *genScope, outRef string, outT 
 		// members, then join their values.
 		e.rule(ops, "", "sw:ajoin", outRef, ops[0].td, ops[1].arg())
 	case b.Lang:
-		// Interlanguage leaf call: typed dispatch. The action carries one
-		// operand per argument — <name>::call takes known scalars from the
-		// action itself, loads the rest from the data store as typed
-		// values (blobs always by reference) and stores the typed result,
-		// so no blob element data is ever rendered into the action or
-		// through sw:vals.
-		e.rule(ops, " type work", append([]string{"sw:leafcall", b.Name, outRef, outTD}, argWords(ops)...)...)
+		// Interlanguage leaf call: the action is the typed dispatch command
+		// itself, with one operand per argument — <name>::call takes known
+		// scalars from the action, loads the rest from the data store as
+		// typed values (blobs always by reference) and stores the typed
+		// result, so no blob element data is ever rendered into the action
+		// or through sw:vals.
+		e.rule(ops, " type work", append([]string{b.Name + "::call", outRef, outTD}, argWords(ops)...)...)
 	case b.Leaf:
 		e.rule(ops, " type work", "sw:leaf", b.Name, outRef, outTD, typesOf(ops), tclList(argWords(ops)...))
 	default:

@@ -114,32 +114,20 @@ proc sw:builtin {name out outtype types ops} {
     turbine::store_$outtype $out $v
 }
 
-# Worker-side leaf builtin dispatch: blob interchange is handled here;
-# any other leaf name falls back to the embedded-language registry's
-# string surface <name>::eval (compiled interlanguage calls use
-# sw:leafcall below instead).
+# Worker-side blob interchange builtins. (Interlanguage calls need no
+# prelude proc: their action is <name>::call itself — installed per rank
+# from the lang registry, so a newly registered language needs no prelude
+# edits — which takes the immediates from the work item, loads the TD
+# operands from the data store as typed values in one batch, and stores
+# the typed result directly. No element data renders as text.)
 proc sw:leaf {name out outtype types ops} {
     set vals [sw:vals $types $ops]
     switch -exact -- $name {
         blob_from_string { set v [lindex $vals 0] }
         string_from_blob { set v [lindex $vals 0] }
         blob_size        { set v [string length [lindex $vals 0]] }
-        default          { set v [${name}::eval {*}$vals] }
     }
     turbine::store_$outtype $out $v
-}
-
-# Worker-side typed interlanguage dispatch (Engine v2): the action's
-# argument words are operands. <name>::call — installed per rank from the
-# lang registry, so a newly registered language needs no prelude edits —
-# takes the immediates (the code and expr strings, literal and loop-index
-# arguments) from the work item itself, loads the TD operands from the
-# data store as typed values in one batch (blobs by reference, dims
-# intact; a blob is never an immediate), pre-binds them all in the engine
-# as argv1..argvN, and stores the typed result directly. No element data
-# renders as text.
-proc sw:leafcall {name out outtype args} {
-    ${name}::call $out $outtype {*}$args
 }
 
 # Container -> vector (vpack): fires when the container closes; chains a

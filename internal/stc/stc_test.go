@@ -477,9 +477,10 @@ func TestGeneratedCodeIsValidTcl(t *testing.T) {
 }
 
 func TestInterlanguageCallsCompileToTypedDispatch(t *testing.T) {
-	// Interlanguage leaf calls must go through sw:leafcall (typed: the
-	// action carries operands and <name>::call moves TD values through
-	// the data plane), never through the string-rendering sw:leaf path.
+	// An interlanguage leaf call's action is the typed dispatch command
+	// itself (the action carries operands and <name>::call moves TD values
+	// through the data plane), never the string-rendering sw:leaf path and
+	// never a prelude trampoline.
 	out, err := Compile(`
 		blob v = blob_from_string("x");
 		blob w = python("", "argv1", v);
@@ -488,14 +489,15 @@ func TestInterlanguageCallsCompileToTypedDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.Program, "sw:leafcall python") {
-		t.Fatal("python call not compiled to sw:leafcall")
+	if !strings.Contains(out.Program, "[list python::call ") {
+		t.Fatal("python call not compiled to python::call")
 	}
-	if !strings.Contains(out.Program, "sw:leafcall tcl") {
-		t.Fatal("tcl call not compiled to sw:leafcall")
+	if !strings.Contains(out.Program, "[list tcl::call ") {
+		t.Fatal("tcl call not compiled to tcl::call")
 	}
-	if strings.Contains(out.Program, "sw:leaf python") || strings.Contains(out.Program, "sw:leaf tcl") {
-		t.Fatal("interlanguage call still routed through the string sw:leaf path")
+	if strings.Contains(out.Program, "sw:leaf python") || strings.Contains(out.Program, "sw:leaf tcl") ||
+		strings.Contains(out.Program, "sw:leafcall") {
+		t.Fatal("interlanguage call still routed through a prelude proc")
 	}
 	// The blob builtins keep the string path.
 	if !strings.Contains(out.Program, "sw:leaf blob_from_string") {

@@ -15,7 +15,7 @@ type Builtin struct {
 	Leaf bool
 	// Lang marks leaf builtins synthesized from the embedded-language
 	// registry; the compiler dispatches them through the typed
-	// sw:leafcall path (TD ids only, no rendered values).
+	// <name>::call path (operands only, no rendered blob values).
 	Lang bool
 	// OutDynamic marks a context-typed result: the assignment target
 	// chooses among string/int/float/blob, defaulting to Out (string)

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/blob"
+	"repro/internal/lang"
 	"repro/internal/nativelib"
 	"repro/internal/tcl"
 )
@@ -251,11 +252,7 @@ func makeWrapper(d *FuncDecl, kernel nativelib.Kernel) tcl.Command {
 		case int64:
 			return strconv.FormatInt(v, 10), nil
 		case float64:
-			s := strconv.FormatFloat(v, 'g', -1, 64)
-			if !strings.ContainsAny(s, ".eEnN") {
-				s += ".0"
-			}
-			return s, nil
+			return lang.Float(v).Render(), nil
 		case string:
 			return v, nil
 		case blob.Blob:

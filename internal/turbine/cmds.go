@@ -180,7 +180,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 			return fmtInt(n), err
 		case adlb.TypeFloat:
 			f, err := op.Val.AsFloat()
-			return fmtFloat(f), err
+			return lang.Float(f).Render(), err
 		case adlb.TypeString:
 			return op.Val.Render(), nil
 		}
@@ -668,7 +668,7 @@ func render(v adlb.Value) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return fmtFloat(f), nil
+		return lang.Float(f).Render(), nil
 	case adlb.TypeString:
 		return adlb.AsString(v)
 	case adlb.TypeBlob:

@@ -96,9 +96,7 @@ func (e *engine) release(r *rule) error {
 		s.RulesReady.Add(1)
 	}
 	if r.work {
-		// The run-wide base priority (tenant admission class under the
-		// serving layer) composes with the rule's own relative priority.
-		return e.env.Client.Put(TypeWork, e.env.Cfg.TaskPriority+r.priority, r.target, []byte(r.action))
+		return e.env.Client.Put(TypeWork, r.priority, r.target, []byte(r.action))
 	}
 	e.ready = append(e.ready, r.action)
 	return nil

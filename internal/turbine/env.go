@@ -71,12 +71,6 @@ type Config struct {
 	// Main is the Tcl fragment evaluated on engine rank 0 to seed the
 	// run (typically a proc defined by Program).
 	Main string
-	// TaskPriority is added to every released work task's priority as a
-	// base. The serving layer uses it to run whole programs at their
-	// tenant's admission priority: ADLB queues are priority-ordered, so a
-	// higher-priority tenant's leaf tasks overtake a lower one's when
-	// several runs share one world.
-	TaskPriority int
 }
 
 // Validate checks the deployment shape for a world of the given size.
@@ -222,14 +216,6 @@ func Run(c *mpi.Comm, cfg *Config) error {
 // ---- value formatting between the data store and Tcl strings ----
 
 func fmtInt(v int64) string { return strconv.FormatInt(v, 10) }
-
-func fmtFloat(f float64) string {
-	s := strconv.FormatFloat(f, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eEnN") {
-		s += ".0"
-	}
-	return s
-}
 
 func parseInt(s string) (int64, error) {
 	v, err := strconv.ParseInt(strings.TrimSpace(s), 0, 64)

@@ -2,13 +2,16 @@ package turbine
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/adlb"
+	"repro/internal/lang"
 	"repro/internal/mpi"
 	"repro/internal/tcl"
 )
@@ -350,6 +353,45 @@ func TestValueReadsTDsAndImmediatesAlike(t *testing.T) {
 	}
 }
 
+func TestFloatsReadOneWayAsTDOrImmediate(t *testing.T) {
+	// A float reads through turbine::value exactly as lang renders it,
+	// whether it sits in a TD or rides the action as an immediate: one
+	// float-to-text rule, edge values included.
+	texts := []string{"0.1", "-0.0", "1e21", "5e-324", "1.7976931348623157e308",
+		"9007199254740993", "NaN", "+Inf", "-Inf"}
+	cfg := &Config{
+		Engines: 1, Servers: 1,
+		Program: `
+			proc main {} {
+				foreach text {` + strings.Join(texts, " ") + `} {
+					set td [turbine::literal_float $text]
+					test::record [list $text [turbine::value float $td] [turbine::value float f:$text]]
+				}
+			}
+		`,
+		Main: "main",
+	}
+	rows := runTurbine(t, 3, cfg).sorted()
+	if len(rows) != len(texts) {
+		t.Fatalf("rows = %q", rows)
+	}
+	for _, row := range rows {
+		words, err := tcl.ParseList(row)
+		if err != nil || len(words) != 3 {
+			t.Fatalf("row %q: %v", row, err)
+		}
+		f, _ := strconv.ParseFloat(words[0], 64)
+		want := lang.Float(f).Render()
+		if words[1] != want || words[2] != want {
+			t.Errorf("%s: TD reads %q, immediate %q; want %q", words[0], words[1], words[2], want)
+		}
+		back, err := strconv.ParseFloat(want, 64)
+		if err != nil || math.Float64bits(back) != math.Float64bits(f) && !(math.IsNaN(f) && math.IsNaN(back)) {
+			t.Errorf("%s: %q does not read back as the same float (%v, %v)", words[0], want, back, err)
+		}
+	}
+}
+
 func TestTypedRetrieveMismatch(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 1,
@@ -532,11 +574,11 @@ func TestValueFormatting(t *testing.T) {
 	if fmtInt(-5) != "-5" {
 		t.Fatal("fmtInt")
 	}
-	if fmtFloat(2.5) != "2.5" {
-		t.Fatal("fmtFloat 2.5")
+	if s, err := render(adlb.FloatValue(2.5)); err != nil || s != "2.5" {
+		t.Fatalf("render 2.5 = %q, %v", s, err)
 	}
-	if fmtFloat(2) != "2.0" {
-		t.Fatalf("fmtFloat 2 = %q, want 2.0", fmtFloat(2))
+	if s, err := render(adlb.FloatValue(2)); err != nil || s != "2.0" {
+		t.Fatalf("render 2 = %q, %v; want 2.0", s, err)
 	}
 	if _, err := parseInt("abc"); err == nil {
 		t.Fatal("parseInt should fail")
