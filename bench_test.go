@@ -803,14 +803,12 @@ func BenchmarkContainerPack(b *testing.B) {
 				if err != nil {
 					return err
 				}
-				// Setup: one array's worth of closed float TDs.
+				// Setup: one array's worth of closed float TDs, each made
+				// by its first store as the runtime makes them.
 				ids := make([]int64, n)
 				for i := range ids {
 					id, err := cl.Unique()
 					if err != nil {
-						return err
-					}
-					if err := cl.Create(id, adlb.TypeFloat); err != nil {
 						return err
 					}
 					if err := cl.Store(id, adlb.FloatValue(float64(i)*0.5)); err != nil {

@@ -80,6 +80,20 @@
 // folding, hoisting, single-reader forwarding and use counts are not
 // here yet.
 //
+// A TD that does become one costs no data op to declare when it is a
+// scalar. turbine::allocate of an integer, float, string, blob or void
+// is Client.Unique alone (ids come in blocks from the home server, so
+// most allocations are no RPC at all), and turbine::literal_* is Unique
+// plus one Store. The owning server makes the datum at its first use: a
+// Store creates it typed by the value and closed, a Subscribe creates an
+// open, untyped placeholder that the first Store types. Only ids the
+// owner issued may come into being this way, so a garbage id still
+// fails. opCreate is for containers and for explicitly typed
+// declarations (turbine::create, Client.Create), which keep their store
+// type check. Until its first store a scalar has no type, so sw:aread's
+// copy asks the member its type when the copy fires, not when the rule
+// is built.
+//
 // Caching is keyed purely on source text and stores only parse results —
 // never values, bindings, or namespace state — so behaviour under upvar,
 // uplevel, catch, and proc redefinition is unchanged; see
@@ -344,7 +358,9 @@
 // internal/mpi/tcp_test.go (SIGKILL mid-task, join mid-run, heartbeat
 // loss, torn frames) run under -race in CI. Counters:
 // Result.TaskRetries/TaskFailures, adlb Stats.Requeued/Poisoned/
-// LeasesIssued/LeasesReclaimed, and the UnfilledTDs gauge.
+// LeasesIssued/LeasesReclaimed, and the UnfilledTDs gauge, which counts
+// the data-store entries subscribed to or created but never closed at
+// drain (a scalar nobody stored or waited on never existed).
 //
 // # Serving model
 //

@@ -303,7 +303,9 @@ func (cl *Client) Unique() (int64, error) {
 }
 
 // Create allocates a datum of the given type under id (id must come from
-// Unique so that ownership routes correctly).
+// Unique so that ownership routes correctly). Containers need it; a
+// scalar does not, since its first Store or Subscribe makes it, but a
+// created scalar's Store must match typ.
 func (cl *Client) Create(id int64, typ DataType) error {
 	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
 		e.u8(opCreate)
@@ -320,7 +322,8 @@ func (cl *Client) Create(id int64, typ DataType) error {
 }
 
 // Store writes the value of a single-assignment datum, closing it and
-// triggering any subscriptions.
+// triggering any subscriptions. An issued id with no datum yet gets one,
+// typed by v.
 func (cl *Client) Store(id int64, v Value) error {
 	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
 		e.u8(opStore)
@@ -472,8 +475,10 @@ func (cl *Client) StoreChunk(container int64, c chunk.Chunk) error {
 // reports which are closed already: closed[i] means ids[i] needs no wait
 // and no notification for it will be sent. The ids are grouped by owning
 // server and each server is asked once — O(servers) RPCs however many
-// ids — and each server's group is all-or-nothing: an unknown id fails
-// the call with no subscriber registered on that server. An id given
+// ids — and each server's group is all-or-nothing: an id the owner
+// neither holds nor issued fails the call with no subscriber registered
+// on that server. An issued id with no datum yet gets an open, untyped
+// one. An id given
 // twice is subscribed twice.
 func (cl *Client) Subscribe(rank int, ids []int64) (closed []bool, err error) {
 	closed = make([]bool, len(ids))

@@ -15,7 +15,14 @@
 // with single-assignment semantics, Subscribe for close notifications
 // (delivered as targeted work items through the normal Get path), and
 // containers with insert/lookup/enumerate plus write-refcount close
-// semantics.
+// semantics. A scalar needs no Create: an id its owner issued through
+// Unique comes into being at its first Store (typed by the value, and
+// closed) or its first Subscribe (an open placeholder with no type, which
+// the first Store types; TypeOf reports it not found until then). An id
+// the owner never issued still fails Store and Subscribe. Create is for
+// containers and for typed declarations, whose Store checks the type.
+// Stats.UnfilledTDs counts the entries subscribed to or created but
+// never closed when a server drains.
 //
 // Subscribe is batched, and is the only form on the wire: the request is
 // opSubscribe, the subscriber's rank (i32), and a counted id list (u32 n,
@@ -23,10 +30,10 @@
 // length-prefixed byte field. The client groups a call's ids by owning
 // server and sends each server one request, so a rule waiting on a whole
 // container's members costs O(servers) RPCs. A server answers its group
-// all-or-nothing: an unknown id fails the request, naming the id, before
-// any subscriber is registered. Bulk element traffic has one form too:
-// RetrieveChunk and StoreChunk move a columnar chunk frame per owning
-// server; a scalar moves as one Value through Retrieve and Store. The
+// all-or-nothing: an id it neither holds nor issued fails the request,
+// naming the id, before any subscriber is registered or placeholder
+// made. Bulk element traffic has one form too: RetrieveChunk and
+// StoreChunk move a columnar chunk frame per owning server; a scalar moves as one Value through Retrieve and Store. The
 // same chunk frame is exported as EncodeChunkFrame/DecodeChunkFrame for
 // callers that carry a chunk as a work-item payload (swiftd frames its
 // fragment tasks and responses this way): decoding validates the chunk's

@@ -14,7 +14,10 @@ import (
 // datum is one entry of the distributed data store. Scalars close when
 // stored; containers close when their write refcount drops to zero.
 // Subscribers are client ranks to be notified (via targeted notification
-// work items) when the datum closes.
+// work items) when the datum closes. A scalar the owner issued but nobody
+// created comes into being at its first use: a Store makes it typed and
+// closed, a Subscribe makes it an untyped placeholder (typ 0) that the
+// first Store types.
 type datum struct {
 	typ         DataType
 	set         bool
@@ -805,6 +808,15 @@ func (s *server) requeueOrPoison(w workItem, reason string, retriable bool) erro
 		w.Attempts+1, kind, reason, w.Payload)
 }
 
+// issued reports whether this server handed id out: ids it issues are
+// ≡ idx (mod Servers), from Servers+idx up to (excluding) nextID. Only
+// such an id may come into being at its first Store or Subscribe, so a
+// garbage id still fails.
+func (s *server) issued(id int64) bool {
+	first, stride := int64(s.l.Servers+s.idx), int64(s.l.Servers)
+	return id >= first && id < s.nextID && (id-first)%stride == 0
+}
+
 func (s *server) handleUnique(d *decoder, client int) error {
 	count := int64(d.i32())
 	if err := d.finish("unique request"); err != nil {
@@ -851,7 +863,14 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		}
 		dm, ok := s.store[id]
 		if !ok {
-			return s.respondError(client, fmt.Sprintf("store: no such id %d", id))
+			if !s.issued(id) {
+				return s.respondError(client, fmt.Sprintf("store: no such id %d", id))
+			}
+			dm = &datum{}
+			s.store[id] = dm
+		}
+		if dm.typ == 0 {
+			dm.typ = v.Type
 		}
 		if dm.set {
 			return s.respondError(client, fmt.Sprintf("store: id %d already set (single-assignment violation)", id))
@@ -893,13 +912,17 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		// All-or-nothing: resolve every id before registering anything,
 		// so a failed batch leaves no subscriber behind.
 		for _, id := range ids {
-			if _, ok := s.store[id]; !ok {
+			if _, ok := s.store[id]; !ok && !s.issued(id) {
 				return s.respondError(client, fmt.Sprintf("subscribe: no such id %d", id))
 			}
 		}
 		closed := make([]byte, len(ids))
 		for i, id := range ids {
 			dm := s.store[id]
+			if dm == nil {
+				dm = &datum{}
+				s.store[id] = dm
+			}
 			if dm.closed() {
 				closed[i] = 1
 				continue
@@ -1031,7 +1054,7 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 			return err
 		}
 		dm, ok := s.store[id]
-		if !ok {
+		if !ok || dm.typ == 0 {
 			return s.respond(client, func(e *encoder) { e.u8(stNotFound) })
 		}
 		return s.respond(client, func(e *encoder) {

@@ -156,3 +156,121 @@ func TestSubscribeBatchUnknownIDFailsItsServerWhole(t *testing.T) {
 		return nil
 	})
 }
+
+// TestSubscribeAndStoreCreateIssuedIDsAtFirstUse pins first-use creation:
+// an id its owner issued through Unique, but nobody created, comes into
+// being at its first Store (typed by the value) or its first Subscribe
+// (an open placeholder the first Store types). Either order tells the
+// subscriber of the close exactly once — by the subscribe's closed flag
+// or by one notification — reads before the store fail, and an id the
+// owner never issued still fails. The two-server case has rank 2 mint
+// the ids, so their owner is not the home server of rank 0, which uses
+// them.
+func TestSubscribeAndStoreCreateIssuedIDsAtFirstUse(t *testing.T) {
+	for _, tc := range []struct {
+		name                  string
+		size, servers, minter int
+	}{
+		{"one server", 3, 1, 0},
+		{"owner is not home", 6, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := runWorld(t, tc.size, tc.servers, func(cl *Client) error {
+				if cl.Rank() != 0 && cl.Rank() != tc.minter {
+					return drainShutdown(cl)
+				}
+				var ids [3]int64
+				for i := range ids {
+					id, err := cl.Unique()
+					if err != nil {
+						return err
+					}
+					ids[i] = id
+				}
+				if cl.Rank() != 0 {
+					msg := fmt.Sprint(ids[0], ids[1], ids[2])
+					if err := cl.Put(typeWork, 0, 0, []byte(msg)); err != nil {
+						return err
+					}
+					return drainShutdown(cl)
+				}
+				if tc.minter != 0 {
+					p, ok, err := cl.Get(typeWork)
+					if err != nil || !ok {
+						return fmt.Errorf("ids from rank %d: ok=%v err=%v", tc.minter, ok, err)
+					}
+					if _, err := fmt.Sscan(string(p), &ids[0], &ids[1], &ids[2]); err != nil {
+						return err
+					}
+					if owner := cl.l.OwnerOf(ids[0]); owner == cl.myServer {
+						return fmt.Errorf("id %d is owned by rank 0's home server %d", ids[0], owner)
+					}
+				}
+				storeFirst, subFirst, never := ids[0], ids[1], ids[2]
+				readFails := func(id int64, when string) error {
+					if _, found, err := cl.Retrieve(id); err == nil && found {
+						return fmt.Errorf("%s: retrieve of %d succeeded", when, id)
+					}
+					if _, err := cl.RetrieveChunk([]int64{id}); err == nil {
+						return fmt.Errorf("%s: retrieve_chunk of %d succeeded", when, id)
+					}
+					return nil
+				}
+				for _, id := range ids {
+					if err := readFails(id, "unseen"); err != nil {
+						return err
+					}
+				}
+				if err := cl.Store(storeFirst, IntValue(7)); err != nil {
+					return err
+				}
+				if err := cl.Store(storeFirst, IntValue(8)); err == nil {
+					return fmt.Errorf("second store to first-use id %d succeeded", storeFirst)
+				}
+				closed, err := cl.Subscribe(cl.Rank(), ids[:])
+				if err != nil {
+					return err
+				}
+				if !closed[0] || closed[1] || closed[2] {
+					return fmt.Errorf("closed = %v, want [true false false]", closed)
+				}
+				if err := readFails(subFirst, "subscribed"); err != nil {
+					return err
+				}
+				if _, found, err := cl.TypeOf(subFirst); err != nil || found {
+					return fmt.Errorf("typeof of a placeholder: found=%v err=%v", found, err)
+				}
+				if err := cl.Store(subFirst, FloatValue(2.5)); err != nil {
+					return err
+				}
+				if typ, found, err := cl.TypeOf(subFirst); err != nil || !found || typ != TypeFloat {
+					return fmt.Errorf("typeof after the store: %v %v %v", typ, found, err)
+				}
+				if v, _, err := cl.Retrieve(storeFirst); err != nil || v.Type != TypeInteger {
+					return fmt.Errorf("retrieve of %d: %v %v", storeFirst, v, err)
+				}
+				// Beyond anything its owner issued: the same owner, but no
+				// first use can make it exist.
+				bogus := never + 1000*int64(tc.servers)
+				if err := cl.Store(bogus, IntValue(1)); err == nil || !strings.Contains(err.Error(), "no such id") {
+					return fmt.Errorf("store to unissued id %d: err = %v", bogus, err)
+				}
+				if _, err := cl.Subscribe(cl.Rank(), []int64{bogus}); err == nil || !strings.Contains(err.Error(), "no such id") {
+					return fmt.Errorf("subscribe to unissued id %d: err = %v", bogus, err)
+				}
+				got, err := notifications(cl)
+				if err != nil {
+					return err
+				}
+				if got[subFirst] != 1 || len(got) != 1 {
+					return fmt.Errorf("notifications %v; want one for %d only", got, subFirst)
+				}
+				return nil
+			})
+			// never was subscribed to and never stored: one open entry.
+			if snap.UnfilledTDs != 1 {
+				t.Fatalf("UnfilledTDs = %d, want 1", snap.UnfilledTDs)
+			}
+		})
+	}
+}

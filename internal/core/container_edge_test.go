@@ -110,3 +110,26 @@ func TestVunpackIntContextErrorMessageForEngineBornBlob(t *testing.T) {
 		t.Fatalf("stdout = %q", res.Stdout)
 	}
 }
+
+func TestArrayReadAtComputedSubscriptOfMemberStoredLater(t *testing.T) {
+	// The members are inserted when main expands but stored only when
+	// their python leaves finish, so the read at a computed subscript may
+	// look the member up before it holds a value, or a type.
+	const src = `
+		int a[];
+		a[0] = python("", "10");
+		a[1] = python("", "20");
+		int j = toInt("1");
+		int y = a[j];
+		printf("y=%i", y);
+	`
+	for i := 0; i < 20; i++ {
+		res, err := Run(src, Config{Engines: 1, Workers: 2, Servers: 1})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if got := strings.TrimSpace(res.Stdout); got != "y=20" {
+			t.Fatalf("run %d: stdout %q, want y=20", i, got)
+		}
+	}
+}

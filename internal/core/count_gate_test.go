@@ -36,9 +36,11 @@ printf("total=%.17g", total);
 // indices or known subscripts — or to waiting on them — fails here rather
 // than in a later benchmark. (Run with -v for the per-leaf figures.)
 //
-// Per pipeline: 3 creates (a, c, out's member), 3 one-id subscribes, 3
-// one-row chunk loads, 3 result stores, 1 container insert — 13 — plus
-// main's literal_float create+store and insert per xs member — 3.
+// Per pipeline: 3 one-id subscribes, 3 one-row chunk loads, 3 result
+// stores, 1 container insert — 10 — plus main's literal_float store and
+// insert per xs member — 2. No scalar TD is created: a, c, out's member
+// and the literals come into being at their first subscribe or store, so
+// the only creates are the containers xs and out.
 // Notifications are bounded, not exact: a rule registered after its input
 // already closed learns so from the subscribe's answer and gets none.
 func TestEnsembleCountGate(t *testing.T) {
@@ -67,8 +69,8 @@ func TestEnsembleCountGate(t *testing.T) {
 		got, want int64
 	}{
 		{"leaf tasks", res.LeafTasks, 3*n + 2},
-		{"adlb.DataOps", a.DataOps, 16*n + 21},
-		{"adlb.OpCreate", a.OpCreate, 4*n + 4},
+		{"adlb.DataOps", a.DataOps, 12*n + 19},
+		{"adlb.OpCreate", a.OpCreate, 2},
 		{"adlb.OpStore", a.OpStore, 4*n + 2},
 		{"adlb.OpSubscribe", a.OpSubscribe, 3*n + 5},
 		{"adlb.OpChunkLoad", a.OpChunkLoad, 3*n + 2},

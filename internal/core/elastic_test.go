@@ -171,30 +171,34 @@ func TestElasticWorkerSIGKILLMidTask(t *testing.T) {
 	stats := &adlb.Stats{}
 	var wg sync.WaitGroup
 	res, err := ServeElastic(compiled, ElasticConfig{
-		MinWorkers:  2,
+		MinWorkers:  1,
 		WorkerSlots: 3,
 		Stats:       stats,
 		OnListen: func(addr string) {
 			// The victim: a real OS process that stalls on its first leaf
 			// task, then dies by SIGKILL while the lease is outstanding.
+			// It starts the run alone, so it holds a task however fast an
+			// in-process worker would drain the queue.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				kill, held := startVictim(t, addr)
 				select {
 				case <-held:
-					kill()
 				case <-time.After(60 * time.Second):
 					t.Error("victim never held a task")
+					return
 				}
-			}()
-			// A healthy worker carries the rest of the run.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := ElasticWorker(addr, io.Discard); err != nil {
-					t.Errorf("healthy worker: %v", err)
-				}
+				// A healthy worker carries the rest of the run, the
+				// victim's reclaimed task included.
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := ElasticWorker(addr, io.Discard); err != nil {
+						t.Errorf("healthy worker: %v", err)
+					}
+				}()
+				kill()
 			}()
 		},
 	})

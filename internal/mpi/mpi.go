@@ -119,41 +119,85 @@ type mailbox struct {
 	mu      sync.Mutex
 	queue   []envelope
 	aborted bool
-	// waiters are the goroutines currently blocked in a matching wait.
-	// Each has its own condition variable so a RecvTimeout deadline can
-	// wake exactly the receiver it belongs to instead of broadcasting to
-	// every parked rank handle.
+	// waiters are the handles currently blocked in a matching wait. Each
+	// has its own condition variable so a RecvTimeout deadline can wake
+	// exactly the receiver it belongs to instead of broadcasting to every
+	// parked rank handle.
 	waiters []*waiter
 	// wakeups counts returns from a blocked wait across all waiters;
 	// tests pin the single-wakeup timer property of RecvTimeout with it.
 	wakeups uint64
 }
 
-// waiter is one goroutine parked in Recv or RecvTimeout. expired is set
-// only by the timer RecvTimeout arms for this specific waiter.
+// waiter is one Comm handle's park slot: the condition its goroutine
+// sleeps on in Recv or RecvTimeout, and the deadline timer RecvTimeout
+// re-arms. A handle parks at most one goroutine at a time, so both are
+// made at the handle's first park and reused by every later one: a
+// server loop parking thousands of times a second allocates nothing.
+// Every field but timer is guarded by mb.mu; timer belongs to the
+// handle's goroutine.
 type waiter struct {
-	cond    *sync.Cond
-	expired bool
+	mb    *mailbox
+	cond  sync.Cond
+	timer *time.Timer
+	// gen counts the deadlines armed on timer; fired counts the firings
+	// accounted for, run or cancelled by Stop. A firing expires the wait
+	// only when it brings fired up to gen, so a stale firing — one whose
+	// wait ended by message while it was already on its way — cannot
+	// expire a later wait of the same handle early.
+	gen, fired uint64
+	expired    bool
+}
+
+// fire is the deadline timer's callback.
+func (w *waiter) fire() {
+	w.mb.mu.Lock()
+	w.fired++
+	if w.fired == w.gen {
+		w.expired = true
+		w.cond.Signal()
+	}
+	w.mb.mu.Unlock()
 }
 
 func newMailbox() *mailbox {
 	return &mailbox{}
 }
 
-// addWaiter registers the calling goroutine as blocked. mu must be held.
-func (mb *mailbox) addWaiter() *waiter {
-	w := &waiter{cond: sync.NewCond(&mb.mu)}
+// park registers c's waiter as blocked on mb, arming its deadline d when
+// timed. mu must be held.
+func (c *Comm) park(mb *mailbox, timed bool, d time.Duration) *waiter {
+	w := c.waiter
+	if w == nil {
+		w = &waiter{mb: mb}
+		w.cond.L = &mb.mu
+		c.waiter = w
+	}
 	mb.waiters = append(mb.waiters, w)
+	if timed {
+		w.gen++
+		w.expired = false
+		if w.timer == nil {
+			w.timer = time.AfterFunc(d, w.fire)
+		} else {
+			w.timer.Reset(d)
+		}
+	}
 	return w
 }
 
-// removeWaiter unregisters w. mu must be held.
-func (mb *mailbox) removeWaiter(w *waiter) {
+// unpark unregisters w and disarms its deadline; a firing Stop cancels
+// is accounted for here, one already on its way is accounted for when it
+// runs. mu must be held.
+func (mb *mailbox) unpark(w *waiter, timed bool) {
 	for i, x := range mb.waiters {
 		if x == w {
 			mb.waiters = append(mb.waiters[:i], mb.waiters[i+1:]...)
-			return
+			break
 		}
+	}
+	if timed && w.timer.Stop() {
+		w.fired++
 	}
 }
 
@@ -350,8 +394,9 @@ func (w *World) AbortErr() error { return w.abortErr }
 // the single goroutine executing that rank; a Comm must not be shared
 // between goroutines (matching MPI's one-thread-per-rank usage here).
 type Comm struct {
-	world *World
-	rank  int
+	world  *World
+	rank   int
+	waiter *waiter // made at the first park, reused by every later one
 }
 
 // Rank returns this communicator's rank.
@@ -452,82 +497,57 @@ func match(q []envelope, source, tag int) int {
 // Matching is FIFO in arrival order among eligible messages, which
 // guarantees MPI's non-overtaking property per (source, tag).
 func (c *Comm) Recv(source, tag int) ([]byte, Status, error) {
-	mb := c.world.boxes[c.rank]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	var w *waiter
-	for {
-		if mb.aborted {
-			if w != nil {
-				mb.removeWaiter(w)
-			}
-			return nil, Status{}, ErrAborted
-		}
-		if i := match(mb.queue, source, tag); i >= 0 {
-			env := mb.queue[i]
-			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-			if w != nil {
-				mb.removeWaiter(w)
-			}
-			return env.data, Status{Source: env.source, Tag: env.tag, Count: len(env.data)}, nil
-		}
-		if w == nil {
-			w = mb.addWaiter()
-		}
-		w.cond.Wait()
-		mb.wakeups++
-	}
+	data, st, _, err := c.recv(source, tag, false, 0)
+	return data, st, err
 }
 
 // RecvTimeout behaves like Recv but gives up after d, returning ok=false
 // with no error. It is used by server loops that multiplex message
 // handling with periodic housekeeping (steal retries, termination tokens).
 func (c *Comm) RecvTimeout(source, tag int, d time.Duration) ([]byte, Status, bool, error) {
+	return c.recv(source, tag, true, d)
+}
+
+// recv is Recv, and RecvTimeout when timed. A timed wait's deadline fires
+// on this handle's waiter alone, so other parked ranks are not woken by
+// deadlines that are not theirs.
+func (c *Comm) recv(source, tag int, timed bool, d time.Duration) ([]byte, Status, bool, error) {
 	mb := c.world.boxes[c.rank]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	var w *waiter
-	var timer *time.Timer
-	defer func() {
-		// Defers run LIFO, so both execute before the mutex unlock above.
-		if timer != nil {
-			timer.Stop()
-		}
-		if w != nil {
-			mb.removeWaiter(w)
-		}
-	}()
+	var (
+		w   *waiter
+		env envelope
+		ok  bool
+		err error
+	)
 	for {
 		if mb.aborted {
-			return nil, Status{}, false, ErrAborted
+			err = ErrAborted
+			break
 		}
 		if i := match(mb.queue, source, tag); i >= 0 {
-			env := mb.queue[i]
+			env = mb.queue[i]
 			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-			return env.data, Status{Source: env.source, Tag: env.tag, Count: len(env.data)}, true, nil
+			ok = true
+			break
 		}
-		if d <= 0 {
-			return nil, Status{}, false, nil
+		if timed && (d <= 0 || w != nil && w.expired) {
+			break
 		}
 		if w == nil {
-			// One timer per call, targeting only this waiter: the firing
-			// sets w.expired and signals w alone, so other parked ranks
-			// are not woken by deadlines that are not theirs.
-			w = mb.addWaiter()
-			ww := w
-			timer = time.AfterFunc(d, func() {
-				mb.mu.Lock()
-				ww.expired = true
-				ww.cond.Signal()
-				mb.mu.Unlock()
-			})
-		}
-		if w.expired {
-			return nil, Status{}, false, nil
+			w = c.park(mb, timed, d)
 		}
 		w.cond.Wait()
 		mb.wakeups++
 	}
+	if w != nil {
+		mb.unpark(w, timed)
+	}
+	if !ok {
+		return nil, Status{}, false, err
+	}
+	return env.data, Status{Source: env.source, Tag: env.tag, Count: len(env.data)}, true, nil
 }
 
 // mailboxWakeups reports how many times a blocked wait on rank's mailbox

@@ -198,6 +198,123 @@ func TestRecvTimeout(t *testing.T) {
 	}
 }
 
+// TestRecvTimeoutStaleFiringDoesNotExpireLaterWait pins the generation
+// check on the reusable deadline timer. A wait that ends by message while
+// its timer's firing is already on its way (Stop reports false) leaves
+// that firing to land during the handle's next wait; it must not expire
+// the next wait, whose own deadline is far off.
+func TestRecvTimeoutStaleFiringDoesNotExpireLaterWait(t *testing.T) {
+	w, _ := NewWorld(1)
+	c, _ := w.Comm(0)
+	mb := w.boxes[0]
+
+	// Deterministic: hold the mailbox lock across the first deadline so
+	// its firing is running but blocked when the wait ends. A loaded
+	// machine may not run the timer within the sleep; then Stop cancels
+	// it, and the setup is tried again with a longer sleep.
+	var wt *waiter
+	for sleep := 20 * time.Millisecond; ; sleep *= 2 {
+		mb.mu.Lock()
+		wt = c.park(mb, true, time.Millisecond)
+		time.Sleep(sleep)
+		mb.unpark(wt, true)
+		if wt.fired != wt.gen {
+			break
+		}
+		mb.mu.Unlock()
+		if sleep > 2*time.Second {
+			t.Fatal("the first deadline's firing was never in flight when its wait ended")
+		}
+	}
+	c.park(mb, true, time.Hour)
+	mb.mu.Unlock()
+	time.Sleep(20 * time.Millisecond) // the stale firing runs now
+	mb.mu.Lock()
+	expired := wt.expired
+	mb.unpark(wt, true)
+	mb.mu.Unlock()
+	if expired {
+		t.Fatal("the first wait's firing expired the second wait")
+	}
+
+	// Through the API: a RecvTimeout that returns by message close to its
+	// deadline, then one that waits, many times over. The second never
+	// returns before its own deadline.
+	c2, _ := w.Comm(0)
+	for i := 0; i < 20; i++ {
+		go func() {
+			time.Sleep(time.Millisecond)
+			c2.Send(0, 0, []byte("m"))
+		}()
+		data, _, ok, err := c.RecvTimeout(AnySource, AnyTag, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			data, _, err = c.Recv(AnySource, AnyTag) // the deadline won; drain
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Release(data)
+		start := time.Now()
+		if _, _, ok, err := c.RecvTimeout(AnySource, AnyTag, 10*time.Millisecond); ok || err != nil {
+			t.Fatalf("round %d: ok=%v err=%v", i, ok, err)
+		}
+		if el := time.Since(start); el < 10*time.Millisecond {
+			t.Fatalf("round %d: second wait expired after %v, before its 10ms deadline", i, el)
+		}
+	}
+}
+
+// TestRecvTimeoutAndRecvParkAllocateNothing pins the reusable park: after
+// the handle's first park, a Recv that blocks until a peer answers and a
+// RecvTimeout that expires allocate nothing.
+func TestRecvTimeoutAndRecvParkAllocateNothing(t *testing.T) {
+	w, _ := NewWorld(2)
+	c0, _ := w.Comm(0)
+	c1, _ := w.Comm(1)
+	const stop = 1
+	go func() { // echo: every message on tag 0 goes straight back
+		for {
+			data, st, err := c1.Recv(0, AnyTag)
+			if err != nil || st.Tag == stop {
+				return
+			}
+			err = c1.Send(0, 0, data)
+			c1.Release(data)
+			if err != nil {
+				return
+			}
+		}
+	}()
+	defer c0.Send(1, stop, nil)
+	msg := []byte("ping")
+	before := w.mailboxWakeups(0)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := c0.Send(1, 0, msg); err != nil {
+			t.Fatal(err)
+		}
+		data, _, err := c0.Recv(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c0.Release(data)
+	}); n != 0 {
+		t.Errorf("Recv round trip: %v allocations per run, want 0", n)
+	}
+	if w.mailboxWakeups(0) == before {
+		t.Error("Recv never parked; the measurement covered no park")
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, _, ok, err := c0.RecvTimeout(1, 0, 50*time.Microsecond); ok || err != nil {
+			t.Fatalf("ok=%v err=%v", ok, err)
+		}
+	}); n != 0 {
+		t.Errorf("expiring RecvTimeout: %v allocations per run, want 0", n)
+	}
+}
+
 func TestBarrier(t *testing.T) {
 	const n = 8
 	w, _ := NewWorld(n)

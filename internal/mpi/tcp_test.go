@@ -373,4 +373,21 @@ func TestRecvTimeoutWakeupCount(t *testing.T) {
 	if got := w.mailboxWakeups(0); got != 2 {
 		t.Fatalf("wakeups after delivery = %d, want 2", got)
 	}
+	// Timers are per handle: B's own deadline still fires when nobody
+	// sends, and wakes B alone.
+	go func() {
+		_, _, ok, _ := cB.RecvTimeout(AnySource, AnyTag, 30*time.Millisecond)
+		bDone <- ok
+	}()
+	select {
+	case ok := <-bDone:
+		if ok {
+			t.Fatal("B received with nothing sent")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("B's own deadline never fired")
+	}
+	if got := w.mailboxWakeups(0); got != 3 {
+		t.Fatalf("wakeups after B's expiry = %d, want 3", got)
+	}
 }

@@ -18,7 +18,10 @@ const Prelude = `
 # Copy a closed datum into another, with int->float promotion. Blob to
 # blob copies duplicate the stored value typed (dims and element kind
 # intact) instead of round-tripping the payload through a Tcl string.
+# A srctype of "-" was not known when the rule was built; src is closed
+# now, so it has one.
 proc sw:copy {dst src srctype dsttype} {
+    if {$srctype eq "-"} { set srctype [turbine::typeof $src] }
     if {$srctype eq "blob" && $dsttype eq "blob"} {
         turbine::copy_blob $dst $src
         return
@@ -150,10 +153,12 @@ proc sw:vunpack {out elemtype b} {
 }
 
 # Array element read: fires when the container is closed and the
-# subscript is known; chains a copy rule on the member.
+# subscript is known; chains a copy rule on the member. A member may be
+# inserted before it is stored, and a scalar TD has no type until its
+# first store, so the copy reads the member's type when it fires.
 proc sw:aread {out outtype c sub} {
     set m [turbine::container_lookup $c [turbine::value integer $sub]]
-    turbine::rule [list $m] [list sw:copy $out $m [turbine::typeof $m] $outtype]
+    turbine::rule [list $m] [list sw:copy $out $m - $outtype]
 }
 
 # Array element write at a subscript still being computed: fires when the

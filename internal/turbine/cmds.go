@@ -46,7 +46,10 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		return fmtInt(id), nil
 	})
 
-	// allocate <typename> -> id   (unique + create)
+	// allocate <typename> -> id: unique, plus create for a container or
+	// ref. A scalar TD needs no create: its owner makes it at its first
+	// store or subscribe, so allocating one costs no data op on the
+	// (serial) expansion path.
 	reg("allocate", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 2 {
 			return "", fmt.Errorf("usage: turbine::allocate <type>")
@@ -59,8 +62,10 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		if err := cl.Create(id, typ); err != nil {
-			return "", err
+		if typ == adlb.TypeContainer || typ == adlb.TypeRef {
+			if err := cl.Create(id, typ); err != nil {
+				return "", err
+			}
 		}
 		return fmtInt(id), nil
 	})
@@ -579,7 +584,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		return "", dp.StoreChunk(out, sc)
 	})
 
-	// literal_<type> <value> -> id: allocate + store, for a known value
+	// literal_<type> <value> -> id: unique + store, for a known value
 	// that has to be a TD (a container member, a composite function's
 	// argument). The text converts as the data plane converts a string
 	// result stored into a TD of that type.
@@ -593,8 +598,11 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 			if err != nil {
 				return "", err
 			}
-			id, err := allocStore(cl, typ, v)
+			id, err := cl.Unique()
 			if err != nil {
+				return "", err
+			}
+			if err := cl.Store(id, v); err != nil {
 				return "", err
 			}
 			return fmtInt(id), nil
@@ -620,20 +628,6 @@ func memberIDs(pairs []adlb.Pair) []int64 {
 		ids[i] = p.Member
 	}
 	return ids
-}
-
-func allocStore(cl *adlb.Client, typ adlb.DataType, v adlb.Value) (int64, error) {
-	id, err := cl.Unique()
-	if err != nil {
-		return 0, err
-	}
-	if err := cl.Create(id, typ); err != nil {
-		return 0, err
-	}
-	if err := cl.Store(id, v); err != nil {
-		return 0, err
-	}
-	return id, nil
 }
 
 // retrieveAs fetches a closed TD that must hold the given type and renders
