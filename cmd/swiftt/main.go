@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/nativelib"
@@ -50,10 +51,16 @@ func main() {
 		os.Exit(1)
 	}
 	if *stats {
-		fmt.Fprintf(os.Stderr, "elapsed: %v\nleaf tasks: %d\ncontrol tasks: %d\n"+
-			"python evals: %d\nR evals: %d\nprocess spawns: %d\n"+
-			"adlb: %+v\n",
-			res.Elapsed, res.LeafTasks, res.ControlTasks,
-			res.Evals["python"], res.Evals["r"], res.Spawns, res.ADLB)
+		fmt.Fprintf(os.Stderr, "elapsed: %v\nleaf tasks: %d\ncontrol tasks: %d\n",
+			res.Elapsed, res.LeafTasks, res.ControlTasks)
+		langs := make([]string, 0, len(res.Evals))
+		for name := range res.Evals {
+			langs = append(langs, name)
+		}
+		sort.Strings(langs)
+		for _, name := range langs {
+			fmt.Fprintf(os.Stderr, "%s evals: %d\n", name, res.Evals[name])
+		}
+		fmt.Fprintf(os.Stderr, "process spawns: %d\nadlb: %+v\n", res.Spawns, res.ADLB)
 	}
 }

@@ -53,7 +53,12 @@
 //     the program per rank at startup.
 //
 // What the pipeline evaluates is action text, and what an action's
-// argument words are is decided by the compiler. internal/stc compiles
+// words are is decided by the compiler. The turbine:: commands a rank
+// registers are exactly those the prelude and the generated procs emit,
+// and a test keeps it so (internal/stc TestVocabularyIsTheTraffic):
+// allocate, value, store_<type> and literal_<type>, copy_blob, the
+// container and refcount commands, rule, rule_members, spawn, engines and
+// the vector bridge. internal/stc compiles
 // each expression to an operand: a TD, or a value known without one — a
 // literal, a negated numeric literal, a loop variable the engine hands
 // the body as a plain integer. A known value never becomes a TD on its
@@ -62,7 +67,10 @@
 // and containers never), the rule waits only on the operands that are
 // TDs (none: released at once), and the consumer reads any operand with
 // turbine::value or, for <name>::call, lang.DecodeOperand — the one
-// decoder both share. So the message that starts a piece of work carries
+// decoder both share. turbine::value is the one typed read: a TD or an
+// immediate reads as its own type, or an integer as a float (promoted
+// exactly as float64(n)); any other mismatch is an error, so a TD and an
+// immediate of the same value read the same. So the message that starts a piece of work carries
 // its small data: the code and expr strings of a python(...) call, the
 // subscript of xs[7], the bounds of a range, a loop index. Actions are
 // built with Tcl's list command, never by interpolation, so an immediate
@@ -88,11 +96,11 @@
 // Store creates it typed by the value and closed, a Subscribe creates an
 // open, untyped placeholder that the first Store types. Only ids the
 // owner issued may come into being this way, so a garbage id still
-// fails. opCreate is for containers and for explicitly typed
-// declarations (turbine::create, Client.Create), which keep their store
-// type check. Until its first store a scalar has no type, so sw:aread's
-// copy asks the member its type when the copy fires, not when the rule
-// is built.
+// fails. The Turbine runtime sends opCreate only for containers;
+// Client.Create of a scalar is a typed declaration, whose store keeps its
+// type check. A copy (sw:copy, and so sw:aread) names only the type it
+// stores: turbine::value reads the source as that type, promoting an
+// integer member into a float destination, so nothing asks a TD its type.
 //
 // Caching is keyed purely on source text and stores only parse results —
 // never values, bindings, or namespace state — so behaviour under upvar,
@@ -322,9 +330,8 @@
 // reaches the departed-client path) has its outstanding leases reclaimed
 // by the server and the items requeued at their original priority —
 // items the victim had targeted at itself retarget to AnyRank so a
-// survivor can take them. A retriably-failed task is requeued up to
-// Config.MaxTaskRetries times (default 2, so 3 attempts total); past
-// the budget — or immediately, when the failure is not retriable — the
+// survivor can take them. A retriably-failed task is requeued at most
+// twice (3 attempts in all); past the budget — or immediately, when the failure is not retriable — the
 // task is poisoned: the run ends with an error naming the task and the
 // original failure reason rather than hanging or silently dropping work.
 //

@@ -491,10 +491,13 @@ func TestDataStoreScalars(t *testing.T) {
 		if err := cl.Create(idI, TypeInteger); err != nil {
 			return err
 		}
-		if ok, _ := cl.Exists(idI); ok {
-			return fmt.Errorf("unset datum reported closed")
+		if closed, err := cl.Subscribe(cl.Rank(), []int64{idI}); err != nil || closed[0] {
+			return fmt.Errorf("unset datum reported closed: %v", err)
 		}
 		if err := cl.Store(idI, IntValue(42)); err != nil {
+			return err
+		}
+		if err := awaitNotification(cl, idI); err != nil {
 			return err
 		}
 		v, found, err := cl.Retrieve(idI)
@@ -505,8 +508,8 @@ func TestDataStoreScalars(t *testing.T) {
 		if err != nil || n != 42 {
 			return fmt.Errorf("AsInt: %d %v", n, err)
 		}
-		if ok, _ := cl.Exists(idI); !ok {
-			return fmt.Errorf("set datum not closed")
+		if closed, err := cl.Subscribe(cl.Rank(), []int64{idI}); err != nil || !closed[0] {
+			return fmt.Errorf("set datum not closed: %v", err)
 		}
 		// Double store must fail.
 		if err := cl.Store(idI, IntValue(43)); err == nil {
@@ -545,11 +548,6 @@ func TestDataStoreScalars(t *testing.T) {
 		b, err := AsBlob(v)
 		if err != nil || len(b) != 4 || b[3] != 255 {
 			return fmt.Errorf("AsBlob: %v %v", b, err)
-		}
-		// TypeOf.
-		dt, found, err := cl.TypeOf(idB)
-		if err != nil || !found || dt != TypeBlob {
-			return fmt.Errorf("TypeOf: %v %v %v", dt, found, err)
 		}
 		// Missing id.
 		_, found, err = cl.Retrieve(999999)
@@ -656,6 +654,19 @@ func TestSubscribeNotification(t *testing.T) {
 	})
 }
 
+// awaitNotification receives the one close notification an open
+// subscription to id produces.
+func awaitNotification(cl *Client, id int64) error {
+	p, ok, err := cl.Get(typeControl)
+	if err != nil || !ok {
+		return fmt.Errorf("no notification for %d: %v", id, err)
+	}
+	if nid, isNote := DecodeNotification(p); !isNote || nid != id {
+		return fmt.Errorf("got %q, want the notification for %d", p, id)
+	}
+	return nil
+}
+
 func drainShutdown(cl *Client) error {
 	for {
 		_, ok, err := cl.Get(typeControl)
@@ -690,21 +701,17 @@ func TestContainers(t *testing.T) {
 		if err := cl.Create(c, TypeContainer); err != nil {
 			return err
 		}
-		// lookup-create gives placeholders; repeated lookup returns same id.
-		m0, exists, created, err := cl.Lookup(c, "0", TypeInteger)
-		if err != nil || !exists || !created {
-			return fmt.Errorf("lookup-create: %v %v %v", exists, created, err)
-		}
-		m0b, exists, created, err := cl.Lookup(c, "0", TypeInteger)
-		if err != nil || !exists || created || m0b != m0 {
-			return fmt.Errorf("lookup-repeat: %d vs %d created=%v", m0b, m0, created)
-		}
-		// Plain lookup of a missing subscript.
-		_, exists, _, err = cl.Lookup(c, "1", 0)
-		if err != nil || exists {
+		// Lookup of a missing subscript finds nothing and makes nothing.
+		if _, exists, err := cl.Lookup(c, "0"); err != nil || exists {
 			return fmt.Errorf("lookup missing: exists=%v err=%v", exists, err)
 		}
-		// Insert an explicit member.
+		m0, _ := cl.Unique()
+		if err := cl.Insert(c, "0", m0); err != nil {
+			return err
+		}
+		if m, exists, err := cl.Lookup(c, "0"); err != nil || !exists || m != m0 {
+			return fmt.Errorf("lookup: %d vs %d exists=%v err=%v", m, m0, exists, err)
+		}
 		m1, _ := cl.Unique()
 		cl.Create(m1, TypeString)
 		if err := cl.Insert(c, "1", m1); err != nil {
@@ -721,14 +728,14 @@ func TestContainers(t *testing.T) {
 			return fmt.Errorf("enumerate: %+v", pairs)
 		}
 		// Close via refcount; then inserts fail and subscribers fire.
-		if ok, _ := cl.Exists(c); ok {
-			return fmt.Errorf("container closed too early")
+		if closed, err := cl.Subscribe(cl.Rank(), []int64{c}); err != nil || closed[0] {
+			return fmt.Errorf("container closed too early: %v", err)
 		}
 		if err := cl.WriteRefcount(c, -1); err != nil {
 			return err
 		}
-		if ok, _ := cl.Exists(c); !ok {
-			return fmt.Errorf("container should be closed")
+		if err := awaitNotification(cl, c); err != nil {
+			return err
 		}
 		if err := cl.Insert(c, "2", m1); err == nil {
 			return fmt.Errorf("insert into closed container succeeded")
@@ -751,12 +758,12 @@ func TestContainerRefcountNested(t *testing.T) {
 		}
 		cl.WriteRefcount(c, -1)
 		cl.WriteRefcount(c, -1)
-		if ok, _ := cl.Exists(c); ok {
-			return fmt.Errorf("closed while creator ref outstanding")
+		if closed, err := cl.Subscribe(cl.Rank(), []int64{c}); err != nil || closed[0] {
+			return fmt.Errorf("closed while creator ref outstanding: %v", err)
 		}
 		cl.WriteRefcount(c, -1)
-		if ok, _ := cl.Exists(c); !ok {
-			return fmt.Errorf("not closed after all refs dropped")
+		if err := awaitNotification(cl, c); err != nil {
+			return fmt.Errorf("not closed after all refs dropped: %w", err)
 		}
 		return drainShutdown(cl)
 	})

@@ -96,14 +96,14 @@ func TestStoreChunkPopulatesContainer(t *testing.T) {
 			return err
 		}
 		// The caller still owns the creation write reference.
-		if closed, err := cl.Exists(c); err != nil || closed {
-			return fmt.Errorf("container closed before refcount drop: %v %v", closed, err)
+		if closed, err := cl.Subscribe(cl.Rank(), []int64{c}); err != nil || closed[0] {
+			return fmt.Errorf("container closed before refcount drop: %v", err)
 		}
 		if err := cl.WriteRefcount(c, -1); err != nil {
 			return err
 		}
-		if closed, err := cl.Exists(c); err != nil || !closed {
-			return fmt.Errorf("container not closed after refcount drop: %v %v", closed, err)
+		if err := awaitNotification(cl, c); err != nil {
+			return fmt.Errorf("container not closed after refcount drop: %w", err)
 		}
 		pairs, err := cl.Enumerate(c)
 		if err != nil {

@@ -547,30 +547,26 @@ func (cl *Client) Insert(container int64, subscript string, member int64) error 
 	return d.finish("insert response")
 }
 
-// Lookup finds the member id at a subscript. If createType is non-zero and
-// the subscript is absent, an unset placeholder datum of that type is
-// created, inserted, and returned with created=true; this gives readers
-// and writers a single canonical datum per container slot.
-func (cl *Client) Lookup(container int64, subscript string, createType DataType) (member int64, exists bool, created bool, err error) {
+// Lookup finds the member id at a subscript; exists is false if the
+// container has no member there.
+func (cl *Client) Lookup(container int64, subscript string) (member int64, exists bool, err error) {
 	d, err := cl.rpc(cl.l.OwnerOf(container), func(e *encoder) {
 		e.u8(opLookup)
 		e.i64(container)
 		e.str(subscript)
-		e.u8(uint8(createType))
 	})
 	if err != nil {
-		return 0, false, false, err
+		return 0, false, err
 	}
 	st, err := checkStatus(d, "lookup")
 	if err != nil {
-		return 0, false, false, err
+		return 0, false, err
 	}
 	if st == stNotFound {
-		return 0, false, false, d.finish("lookup response")
+		return 0, false, d.finish("lookup response")
 	}
 	member = d.i64()
-	created = d.boolean()
-	return member, true, created, d.finish("lookup response")
+	return member, true, d.finish("lookup response")
 }
 
 // Enumerate lists a container's members in insertion order.
@@ -607,42 +603,6 @@ func (cl *Client) WriteRefcount(id int64, delta int) error {
 		return err
 	}
 	return d.finish("refcount response")
-}
-
-// Exists reports whether id is allocated and closed.
-func (cl *Client) Exists(id int64) (bool, error) {
-	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
-		e.u8(opExists)
-		e.i64(id)
-	})
-	if err != nil {
-		return false, err
-	}
-	if _, err := checkStatus(d, "exists"); err != nil {
-		return false, err
-	}
-	ok := d.boolean()
-	return ok, d.finish("exists response")
-}
-
-// TypeOf returns the declared type of id.
-func (cl *Client) TypeOf(id int64) (DataType, bool, error) {
-	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
-		e.u8(opTypeOf)
-		e.i64(id)
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	st, err := checkStatus(d, "typeof")
-	if err != nil {
-		return 0, false, err
-	}
-	if st == stNotFound {
-		return 0, false, d.finish("typeof response")
-	}
-	t := DataType(d.u8())
-	return t, true, d.finish("typeof response")
 }
 
 // ---- typed value helpers ----

@@ -30,11 +30,6 @@ type Config struct {
 	// benchmarks). The paper's architecture relies on stealing to
 	// load-balance across servers.
 	DisableSteal bool
-	// MaxTaskRetries bounds how many times a leased work item that failed
-	// retriably (or whose owning client departed mid-task) is requeued
-	// before the server poisons it and aborts the run. Zero selects the
-	// default of 2 retries; a negative value disables retries entirely.
-	MaxTaskRetries int
 	// Elastic switches client membership from the static layout to a
 	// dynamic roster: instead of expecting every client rank of the
 	// layout to participate, each server counts only the clients that
@@ -67,16 +62,6 @@ func (c *Config) tick() time.Duration {
 		return 200 * time.Microsecond
 	}
 	return c.Tick
-}
-
-func (c *Config) maxRetries() int {
-	if c.MaxTaskRetries == 0 {
-		return 2
-	}
-	if c.MaxTaskRetries < 0 {
-		return 0
-	}
-	return c.MaxTaskRetries
 }
 
 func (c *Config) watchdogTicks() int {
@@ -195,7 +180,6 @@ type Stats struct {
 	OpWriteRefcount atomic.Int64
 	OpChunkLoad     atomic.Int64 // batched retrieve (RetrieveChunk)
 	OpChunkStore    atomic.Int64 // batched store into a container (StoreChunk)
-	OpInspect       atomic.Int64 // exists, typeof
 }
 
 // countDataOp counts one data-store request, in total and under its kind.
@@ -222,8 +206,6 @@ func (s *Stats) countDataOp(op uint8) {
 		s.OpChunkLoad.Add(1)
 	case opStoreChunk:
 		s.OpChunkStore.Add(1)
-	case opExists, opTypeOf:
-		s.OpInspect.Add(1)
 	}
 }
 
@@ -256,7 +238,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		OpWriteRefcount: s.OpWriteRefcount.Load(),
 		OpChunkLoad:     s.OpChunkLoad.Load(),
 		OpChunkStore:    s.OpChunkStore.Load(),
-		OpInspect:       s.OpInspect.Load(),
 	}
 }
 
@@ -288,7 +269,6 @@ type StatsSnapshot struct {
 	OpWriteRefcount int64
 	OpChunkLoad     int64
 	OpChunkStore    int64
-	OpInspect       int64
 }
 
 // Serve runs the ADLB server protocol on the calling rank until global

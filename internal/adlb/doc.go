@@ -18,11 +18,19 @@
 // semantics. A scalar needs no Create: an id its owner issued through
 // Unique comes into being at its first Store (typed by the value, and
 // closed) or its first Subscribe (an open placeholder with no type, which
-// the first Store types; TypeOf reports it not found until then). An id
-// the owner never issued still fails Store and Subscribe. Create is for
-// containers and for typed declarations, whose Store checks the type.
+// the first Store types; reads fail until then). An id the owner never
+// issued still fails Store and Subscribe. Create is for containers and
+// for typed declarations, whose Store checks the type. Lookup only finds:
+// a container member is always inserted by its writer.
 // Stats.UnfilledTDs counts the entries subscribed to or created but
 // never closed when a server drains.
+//
+// The client protocol is sixteen request opcodes, each with a caller in
+// the Turbine runtime: work (put, get, fail, leave, pin), ids (unique),
+// the data store (create, store, retrieve, subscribe, insert, lookup,
+// enumerate, write-refcount) and the columnar plane (retrieve_chunk,
+// store_chunk). Nothing asks a datum whether it exists or what type it
+// has: a reader waits on it through Subscribe and names the type it wants.
 //
 // Subscribe is batched, and is the only form on the wire: the request is
 // opSubscribe, the subscriber's rank (i32), and a counted id list (u32 n,
@@ -46,8 +54,8 @@
 // counts requests, not ids: one batch to one server is one data
 // operation, whatever it carries. The Stats.Op* counters split it by kind
 // of request (create, store, retrieve, subscribe, container insert,
-// lookup and enumerate, write-refcount, chunk load and store, inspect)
-// and sum to it exactly, so what a program pays the data store for — a
+// lookup and enumerate, write-refcount, chunk load and store) and sum to
+// it exactly, so what a program pays the data store for — a
 // third of it was once create+store pairs for compiler literals — reads
 // off `swiftt -stats` instead of off the code generator.
 package adlb

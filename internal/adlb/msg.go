@@ -30,8 +30,6 @@ const (
 	opEnumerate
 	opWriteRefcount
 	opUnique
-	opExists
-	opTypeOf
 	// Fault-tolerance ops: lease settlement and client departure.
 	opFail  // report a leased task failed; server requeues or poisons
 	opLeave // client departs; server reclaims its leases and unregisters it
@@ -111,7 +109,6 @@ const (
 	TypeString
 	TypeBlob
 	TypeContainer
-	TypeRef
 )
 
 func (t DataType) String() string {
@@ -128,8 +125,6 @@ func (t DataType) String() string {
 		return "blob"
 	case TypeContainer:
 		return "container"
-	case TypeRef:
-		return "ref"
 	}
 	return fmt.Sprintf("DataType(%d)", uint8(t))
 }

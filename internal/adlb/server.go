@@ -429,8 +429,7 @@ func (s *server) handleRequest(op uint8, d *decoder, client int) error {
 	case opUnique:
 		return s.handleUnique(d, client)
 	case opCreate, opStore, opRetrieve, opSubscribe, opInsert, opLookup,
-		opEnumerate, opWriteRefcount, opExists, opTypeOf,
-		opRetrieveChunk, opStoreChunk:
+		opEnumerate, opWriteRefcount, opRetrieveChunk, opStoreChunk:
 		if st := s.stats(); st != nil {
 			st.countDataOp(op)
 		}
@@ -784,12 +783,17 @@ func (s *server) handleLeave(d *decoder, client int) error {
 	return s.respond(client, func(e *encoder) { e.u8(stOK) })
 }
 
+// maxTaskRetries bounds how many times a leased work item that failed
+// retriably (or whose owning client departed mid-task) is requeued before
+// the server poisons it and aborts the run: three attempts in all.
+const maxTaskRetries = 2
+
 // requeueOrPoison is the retry policy: a retriable failure within budget
 // goes back in the queue with its priority preserved and its attempt
 // count bumped; anything else is poisoned — counted, and surfaced as a
 // run-ending error naming the task.
 func (s *server) requeueOrPoison(w workItem, reason string, retriable bool) error {
-	if retriable && w.Attempts < s.cfg.maxRetries() {
+	if retriable && w.Attempts < maxTaskRetries {
 		w.Attempts++
 		if s.stats() != nil {
 			s.stats().Requeued.Add(1)
@@ -802,7 +806,7 @@ func (s *server) requeueOrPoison(w workItem, reason string, retriable bool) erro
 	}
 	kind := "not retriable"
 	if retriable {
-		kind = fmt.Sprintf("retry budget of %d exhausted", s.cfg.maxRetries())
+		kind = fmt.Sprintf("retry budget of %d exhausted", maxTaskRetries)
 	}
 	return fmt.Errorf("adlb: task poisoned after %d attempt(s) (%s): %s\n  task: %.200q",
 		w.Attempts+1, kind, reason, w.Payload)
@@ -958,7 +962,6 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 	case opLookup:
 		cid := d.i64()
 		sub := d.str()
-		createType := DataType(d.u8()) // 0 = do not create
 		if err := d.finish("lookup request"); err != nil {
 			return err
 		}
@@ -966,34 +969,13 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		if !ok || dm.typ != TypeContainer {
 			return s.respondError(client, fmt.Sprintf("lookup: id %d is not a container", cid))
 		}
-		if m, ok := dm.members[sub]; ok {
-			return s.respond(client, func(e *encoder) {
-				e.u8(stOK)
-				e.i64(m)
-				e.boolean(false)
-			})
-		}
-		if createType == 0 {
+		m, ok := dm.members[sub]
+		if !ok {
 			return s.respond(client, func(e *encoder) { e.u8(stNotFound) })
 		}
-		if dm.closed() {
-			return s.respondError(client, fmt.Sprintf("lookup: container %d closed without subscript %q", cid, sub))
-		}
-		// Create an owner-local placeholder TD for the member.
-		id := s.nextID
-		s.nextID += int64(s.l.Servers)
-		pdm := &datum{typ: createType}
-		if createType == TypeContainer {
-			pdm.members = make(map[string]int64)
-			pdm.writeRefs = 1
-		}
-		s.store[id] = pdm
-		dm.members[sub] = id
-		dm.order = append(dm.order, sub)
 		return s.respond(client, func(e *encoder) {
 			e.u8(stOK)
-			e.i64(id)
-			e.boolean(true)
+			e.i64(m)
 		})
 
 	case opEnumerate:
@@ -1036,31 +1018,6 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 			s.notifyAll(dm, id)
 		}
 		return s.respond(client, func(e *encoder) { e.u8(stOK) })
-
-	case opExists:
-		id := d.i64()
-		if err := d.finish("exists request"); err != nil {
-			return err
-		}
-		dm, ok := s.store[id]
-		return s.respond(client, func(e *encoder) {
-			e.u8(stOK)
-			e.boolean(ok && dm.closed())
-		})
-
-	case opTypeOf:
-		id := d.i64()
-		if err := d.finish("typeof request"); err != nil {
-			return err
-		}
-		dm, ok := s.store[id]
-		if !ok || dm.typ == 0 {
-			return s.respond(client, func(e *encoder) { e.u8(stNotFound) })
-		}
-		return s.respond(client, func(e *encoder) {
-			e.u8(stOK)
-			e.u8(uint8(dm.typ))
-		})
 
 	case opRetrieveChunk:
 		// Columnar gather: all requested ids are owned here (the client

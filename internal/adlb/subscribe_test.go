@@ -237,14 +237,11 @@ func TestSubscribeAndStoreCreateIssuedIDsAtFirstUse(t *testing.T) {
 				if err := readFails(subFirst, "subscribed"); err != nil {
 					return err
 				}
-				if _, found, err := cl.TypeOf(subFirst); err != nil || found {
-					return fmt.Errorf("typeof of a placeholder: found=%v err=%v", found, err)
-				}
 				if err := cl.Store(subFirst, FloatValue(2.5)); err != nil {
 					return err
 				}
-				if typ, found, err := cl.TypeOf(subFirst); err != nil || !found || typ != TypeFloat {
-					return fmt.Errorf("typeof after the store: %v %v %v", typ, found, err)
+				if v, _, err := cl.Retrieve(subFirst); err != nil || v.Type != TypeFloat {
+					return fmt.Errorf("retrieve after the store: %v %v", v, err)
 				}
 				if v, _, err := cl.Retrieve(storeFirst); err != nil || v.Type != TypeInteger {
 					return fmt.Errorf("retrieve of %d: %v %v", storeFirst, v, err)

@@ -107,10 +107,6 @@ type Config struct {
 	// Tick overrides the ADLB server housekeeping interval.
 	Tick time.Duration
 
-	// MaxTaskRetries bounds how many times a retriably-failed leaf task
-	// is requeued before it is poisoned and the run ends with an error
-	// naming it. 0 selects the default of 2; negative disables retries.
-	MaxTaskRetries int
 	// WatchdogIdleTicks tunes the ADLB hang watchdog (0 = default,
 	// negative = disabled): a run whose remaining work can never be
 	// executed ends with a diagnostic error instead of deadlocking.
@@ -293,7 +289,6 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 		Stats:             r.stats,
 		TurbineStats:      r.tstats,
 		DisableSteal:      cfg.DisableSteal,
-		MaxTaskRetries:    cfg.MaxTaskRetries,
 		WatchdogIdleTicks: cfg.WatchdogIdleTicks,
 		Program:           compiled.Program,
 		ProgramScript:     programScript,

@@ -319,3 +319,29 @@ func TestScaleManyTasks(t *testing.T) {
 		t.Fatalf("got %d lines", len(got))
 	}
 }
+
+func TestVoidOutputsSignal(t *testing.T) {
+	// A void output of a Tcl-template function is stored like any other
+	// output, and a void copy waits on its source: in both shapes the
+	// statement that waits on the signal runs.
+	for _, tc := range []struct{ name, src string }{
+		{"template output", `void s = signal(1);
+			printf("after %i", after(s, 7));`},
+		{"copy", `void s = signal(1);
+			void b = s;
+			printf("after %i", after(b, 7));`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(`
+				(void d) signal(int i) "p" "1" [ "set <<d>> 1" ];
+				(int o) after(void d, int i) "p" "1" [ "set <<o>> <<i>>" ];
+				`+tc.src, Config{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stdout != "after 7\n" {
+				t.Fatalf("stdout = %q, want \"after 7\\n\"", res.Stdout)
+			}
+		})
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/adlb"
-	"repro/internal/lang"
 	"repro/internal/mpi"
 	"repro/internal/nativelib"
 	"repro/internal/shell"
@@ -21,7 +20,10 @@ import (
 	"repro/internal/turbine"
 )
 
-// ElasticConfig describes the hub side of an out-of-process run.
+// ElasticConfig describes the hub side of an out-of-process run. Every
+// rank retains embedded-interpreter state across tasks (PolicyRetain),
+// and the ADLB housekeeping, retry and watchdog settings and the
+// transport's heartbeats keep their defaults.
 type ElasticConfig struct {
 	// Engines and Servers run as goroutines inside the hub process.
 	// Both default to 1.
@@ -46,9 +48,6 @@ type ElasticConfig struct {
 	// Out receives hub-side program output (engine printf/trace). Worker
 	// processes write leaf-task output to their own sinks.
 	Out io.Writer
-	// Policy is the embedded-interpreter state policy, shipped to
-	// workers in the welcome blob.
-	Policy InterpPolicy
 	// NativeLibs are SWIG-bound on hub-local ranks. Worker processes
 	// cannot receive Go objects over the wire; they always bind the
 	// simulated FFT library (nativelib.NewSimLibrary), matching the
@@ -61,17 +60,6 @@ type ElasticConfig struct {
 	// (worker processes keep their own).
 	Stats        *adlb.Stats
 	TurbineStats *turbine.Stats
-	// Tick overrides the ADLB server housekeeping interval.
-	Tick time.Duration
-	// MaxTaskRetries and WatchdogIdleTicks forward to the ADLB config,
-	// as in Config.
-	MaxTaskRetries    int
-	WatchdogIdleTicks int
-
-	// HeartbeatInterval and HeartbeatTimeout tune the transport's crash
-	// detection (zero selects the transport defaults).
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
 }
 
 // minWorkersWait bounds the gang-start wait for MinWorkers to connect.
@@ -83,7 +71,6 @@ const minWorkersWait = 60 * time.Second
 type elasticWelcome struct {
 	Engines int    `json:"engines"`
 	Servers int    `json:"servers"`
-	Policy  int    `json:"policy"`
 	Program string `json:"program"`
 }
 
@@ -121,7 +108,6 @@ func ServeElastic(compiled *stc.Output, cfg ElasticConfig) (*Result, error) {
 	welcome, err := json.Marshal(elasticWelcome{
 		Engines: cfg.Engines,
 		Servers: cfg.Servers,
-		Policy:  int(cfg.Policy),
 		Program: compiled.Program,
 	})
 	if err != nil {
@@ -135,27 +121,22 @@ func ServeElastic(compiled *stc.Output, cfg ElasticConfig) (*Result, error) {
 	}
 
 	tcfg := &turbine.Config{
-		Engines:           cfg.Engines,
-		Servers:           cfg.Servers,
-		Elastic:           true,
-		Tick:              cfg.Tick,
-		Stats:             r.stats,
-		TurbineStats:      r.tstats,
-		MaxTaskRetries:    cfg.MaxTaskRetries,
-		WatchdogIdleTicks: cfg.WatchdogIdleTicks,
-		Program:           compiled.Program,
-		ProgramScript:     programScript,
-		Main:              compiled.Main,
-		Setup:             r.setup(cfg.Policy, cfg.NativeLibs, nil),
+		Engines:       cfg.Engines,
+		Servers:       cfg.Servers,
+		Elastic:       true,
+		Stats:         r.stats,
+		TurbineStats:  r.tstats,
+		Program:       compiled.Program,
+		ProgramScript: programScript,
+		Main:          compiled.Main,
+		Setup:         r.setup(PolicyRetain, cfg.NativeLibs, nil),
 	}
 
 	hub, err := world.ListenTCP(mpi.HubConfig{
-		Addr:              cfg.Addr,
-		FirstRank:         cfg.Engines,
-		Slots:             cfg.WorkerSlots,
-		Welcome:           welcome,
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		HeartbeatTimeout:  cfg.HeartbeatTimeout,
+		Addr:      cfg.Addr,
+		FirstRank: cfg.Engines,
+		Slots:     cfg.WorkerSlots,
+		Welcome:   welcome,
 		OnLost: func(rank int) {
 			// A vanished worker is a Leave the server infers: its leases
 			// requeue and surviving workers pick the tasks up.
@@ -231,7 +212,7 @@ func ElasticWorker(addr string, out io.Writer) error {
 		Servers: w.Servers,
 		Elastic: true,
 		Program: w.Program,
-		Setup:   r.setup(lang.Policy(w.Policy), []*nativelib.Library{nativelib.NewSimLibrary()}, nil),
+		Setup:   r.setup(PolicyRetain, []*nativelib.Library{nativelib.NewSimLibrary()}, nil),
 	}
 	c, err := wc.World().Comm(wc.Rank())
 	if err != nil {

@@ -74,7 +74,7 @@ func (v Value) Kind() Kind { return v.kind }
 
 // Render returns the string form of the value: the string itself,
 // decimal renderings for numbers, and the raw payload bytes for blobs
-// (matching turbine::retrieve_blob; element data is not formatted).
+// (matching turbine::value blob; element data is not formatted).
 // Render is the only path by which a value becomes text — the typed
 // plumbing never calls it for blob element data.
 func (v Value) Render() string {

@@ -456,7 +456,7 @@ func (c *compiler) compileInto(e *emitter, sc *genScope, outRef string, outT swi
 			return swift.Errorf(x.Pos(), "internal: unbound variable %q", x.Name)
 		}
 		src := operand{typ: tdType(v.typ), td: v.ref}
-		e.rule([]operand{src}, "", "sw:copy", outRef, src.td, src.typ, outTD)
+		e.rule([]operand{src}, "", "sw:copy", outRef, src.td, outTD)
 		return nil
 	case *swift.Unary:
 		a, err := c.compileExpr(e, sc, x.X)

@@ -15,19 +15,16 @@ package stc
 const Prelude = `
 # ---- STC runtime prelude (generated; do not edit) ----
 
-# Copy a closed datum into another, with int->float promotion. Blob to
-# blob copies duplicate the stored value typed (dims and element kind
-# intact) instead of round-tripping the payload through a Tcl string.
-# A srctype of "-" was not known when the rule was built; src is closed
-# now, so it has one.
-proc sw:copy {dst src srctype dsttype} {
-    if {$srctype eq "-"} { set srctype [turbine::typeof $src] }
-    if {$srctype eq "blob" && $dsttype eq "blob"} {
+# Copy a closed datum into another of the given type; turbine::value
+# promotes an integer source where the type is float. Blob copies
+# duplicate the stored value typed (dims and element kind intact) instead
+# of round-tripping the payload through a Tcl string.
+proc sw:copy {dst src type} {
+    if {$type eq "blob"} {
         turbine::copy_blob $dst $src
         return
     }
-    set v [turbine::retrieve_$srctype $src]
-    turbine::store_$dsttype $dst $v
+    turbine::store_$type $dst [turbine::value $type $src]
 }
 
 # An operand is the id of a closed TD or a typed immediate (i:5, f:1.5,
@@ -153,12 +150,11 @@ proc sw:vunpack {out elemtype b} {
 }
 
 # Array element read: fires when the container is closed and the
-# subscript is known; chains a copy rule on the member. A member may be
-# inserted before it is stored, and a scalar TD has no type until its
-# first store, so the copy reads the member's type when it fires.
+# subscript is known; chains a copy rule on the member, which may be
+# inserted before it is stored.
 proc sw:aread {out outtype c sub} {
     set m [turbine::container_lookup $c [turbine::value integer $sub]]
-    turbine::rule [list $m] [list sw:copy $out $m - $outtype]
+    turbine::rule [list $m] [list sw:copy $out $m $outtype]
 }
 
 # Array element write at a subscript still being computed: fires when the
@@ -166,7 +162,7 @@ proc sw:aread {out outtype c sub} {
 # the container. (A subscript the compiler or engine already holds is a
 # direct turbine::container_insert in the generated code.)
 proc sw:ainsert {c sub elem} {
-    turbine::container_insert $c [turbine::retrieve_integer $sub] $elem
+    turbine::container_insert $c [turbine::value integer $sub] $elem
     turbine::write_refcount $c -1
 }
 

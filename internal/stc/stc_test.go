@@ -449,7 +449,7 @@ func TestTemplateUnknownSpliceRejected(t *testing.T) {
 
 func TestGeneratedCodeIsValidTcl(t *testing.T) {
 	// The generated program must at least parse and load into a bare
-	// interpreter (turbine commands stubbed out).
+	// interpreter (every turbine command a rank registers stubbed out).
 	out, err := Compile(`
 		(int o) f(int i) { o = i; }
 		int a[] = [1, 2, 3];
@@ -462,10 +462,7 @@ func TestGeneratedCodeIsValidTcl(t *testing.T) {
 	}
 	in := tcl.New()
 	stub := func(in *tcl.Interp, args []string) (string, error) { return "0", nil }
-	for _, cmd := range []string{"allocate", "rule", "literal_integer", "literal_float",
-		"literal_string", "store_integer", "store_float", "store_string", "store_blob",
-		"store_void", "retrieve_integer", "container_insert", "write_refcount", "spawn",
-		"engines", "put"} {
+	for cmd := range registeredVocabulary(t) {
 		in.RegisterCommand("turbine::"+cmd, stub)
 	}
 	if _, err := in.Eval(out.Program); err != nil {
@@ -505,18 +502,21 @@ func TestInterlanguageCallsCompileToTypedDispatch(t *testing.T) {
 	}
 }
 
+// bridgeProgram crosses the container<->vector bridge both ways.
+const bridgeProgram = `
+	float xs[];
+	foreach i in [0:7] { xs[i] = itof(i); }
+	blob v = vpack(xs);
+	float ys[] = vunpack(v);
+	int zs[] = vunpack(v);
+`
+
 func TestContainerVectorBridgeCompilesToBatchedActions(t *testing.T) {
 	// vpack/vunpack compile to sw:vpack/sw:vunpack actions carrying TD
 	// ids and the element type only — phase 1 of vpack runs engine-side
 	// (it registers the member-wait rule), the gather and the scatter run
 	// as worker leaf tasks on the batched data plane.
-	out, err := Compile(`
-		float xs[];
-		foreach i in [0:7] { xs[i] = itof(i); }
-		blob v = vpack(xs);
-		float ys[] = vunpack(v);
-		int zs[] = vunpack(v);
-	`)
+	out, err := Compile(bridgeProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,6 +670,38 @@ func TestJoinArrayFloats(t *testing.T) {
 	expectLines(t, got, []string{"1.5 2.5"})
 }
 
+// byValueProgram uses loop variables every way a body can: in nested ifs
+// and foreach loops, as composite and template arguments, promoted, as a
+// member and as a subscript on either side, negated and printed.
+const byValueProgram = `
+	(int o) twice(int x) { o = x * 2; }
+	(float o) half(float x) { o = x / 2.0; }
+	(int o) addone(int i) "p" "1" [ "set <<o>> [expr {<<i>> + 1}]" ];
+	int a[] = [10, 20, 30];
+	int sq[];
+	float fs[];
+	foreach i in [0:2] {
+		if (i % 2 == 0) {
+			printf("even %i", i);
+			foreach j in [0:1] {
+				if (j == 1) { printf("deep %i %i sum %i", i, j, i + j); }
+			}
+		} else {
+			printf("odd %i twice %i", i, twice(i));
+		}
+		sq[i] = i;
+		fs[i] = i;
+		int m[] = [i, i + 1, i];
+		printf("a[%i]=%i m=%s half=%s plus=%i neg=%i", i, a[i], join_array(m, ","), toString(half(i)), addone(i), -i);
+		trace(i, itof(i));
+	}
+	foreach v, k in a {
+		if (k > 0) { sq[k + 10] = v + k; }
+		foreach w in [k:k+1] { printf("inner %i %i", k, w); }
+	}
+	printf("sq: %i %i %i %i %i n=%i fs: %s", sq[0], sq[1], sq[2], sq[11], sq[12], size(sq), toString(fs[2]));
+`
+
 func TestByValueLoopVariables(t *testing.T) {
 	// Loop indices and range elements reach the body as plain integers.
 	// Every way a body can use one — captured by a nested if and a nested
@@ -677,34 +709,7 @@ func TestByValueLoopVariables(t *testing.T) {
 	// to float, stored as a member, used as a subscript on either side,
 	// negated, printed — must read as it did when each was a TD (the
 	// expected lines are the parent commit's output).
-	got := runSwift(t, `
-		(int o) twice(int x) { o = x * 2; }
-		(float o) half(float x) { o = x / 2.0; }
-		(int o) addone(int i) "p" "1" [ "set <<o>> [expr {<<i>> + 1}]" ];
-		int a[] = [10, 20, 30];
-		int sq[];
-		float fs[];
-		foreach i in [0:2] {
-			if (i % 2 == 0) {
-				printf("even %i", i);
-				foreach j in [0:1] {
-					if (j == 1) { printf("deep %i %i sum %i", i, j, i + j); }
-				}
-			} else {
-				printf("odd %i twice %i", i, twice(i));
-			}
-			sq[i] = i;
-			fs[i] = i;
-			int m[] = [i, i + 1, i];
-			printf("a[%i]=%i m=%s half=%s plus=%i neg=%i", i, a[i], join_array(m, ","), toString(half(i)), addone(i), -i);
-			trace(i, itof(i));
-		}
-		foreach v, k in a {
-			if (k > 0) { sq[k + 10] = v + k; }
-			foreach w in [k:k+1] { printf("inner %i %i", k, w); }
-		}
-		printf("sq: %i %i %i %i %i n=%i fs: %s", sq[0], sq[1], sq[2], sq[11], sq[12], size(sq), toString(fs[2]));
-	`, 5, 2, 1)
+	got := runSwift(t, byValueProgram, 5, 2, 1)
 	expectLines(t, got, []string{
 		"even 0", "even 2", "odd 1 twice 2",
 		"deep 0 1 sum 1", "deep 2 1 sum 3",

@@ -28,28 +28,14 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 
 	reg := func(name string, fn tcl.Command) { in.RegisterCommand("turbine::"+name, fn) }
 
-	reg("rank", func(in *tcl.Interp, args []string) (string, error) {
-		return strconv.Itoa(env.Rank), nil
-	})
-	reg("role", func(in *tcl.Interp, args []string) (string, error) {
-		return env.Role.String(), nil
-	})
 	reg("engines", func(in *tcl.Interp, args []string) (string, error) {
 		return strconv.Itoa(env.Cfg.Engines), nil
 	})
 
-	reg("unique", func(in *tcl.Interp, args []string) (string, error) {
-		id, err := cl.Unique()
-		if err != nil {
-			return "", err
-		}
-		return fmtInt(id), nil
-	})
-
-	// allocate <typename> -> id: unique, plus create for a container or
-	// ref. A scalar TD needs no create: its owner makes it at its first
-	// store or subscribe, so allocating one costs no data op on the
-	// (serial) expansion path.
+	// allocate <typename> -> id: unique, plus create for a container. A
+	// scalar TD needs no create: its owner makes it at its first store or
+	// subscribe, so allocating one costs no data op on the (serial)
+	// expansion path.
 	reg("allocate", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 2 {
 			return "", fmt.Errorf("usage: turbine::allocate <type>")
@@ -62,7 +48,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		if typ == adlb.TypeContainer || typ == adlb.TypeRef {
+		if typ == adlb.TypeContainer {
 			if err := cl.Create(id, typ); err != nil {
 				return "", err
 			}
@@ -70,105 +56,37 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		return fmtInt(id), nil
 	})
 
-	reg("create", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 3 {
-			return "", fmt.Errorf("usage: turbine::create <id> <type>")
-		}
-		id, err := parseInt(args[1])
-		if err != nil {
-			return "", err
-		}
-		typ, err := typeByName(args[2])
-		if err != nil {
-			return "", err
-		}
-		return "", cl.Create(id, typ)
-	})
-
-	// Typed stores.
-	reg("store_integer", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 3 {
-			return "", fmt.Errorf("usage: turbine::store_integer <id> <value>")
-		}
-		id, err := parseInt(args[1])
-		if err != nil {
-			return "", err
-		}
-		v, err := parseInt(args[2])
-		if err != nil {
-			return "", err
-		}
-		return "", cl.Store(id, adlb.IntValue(v))
-	})
-	reg("store_float", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 3 {
-			return "", fmt.Errorf("usage: turbine::store_float <id> <value>")
-		}
-		id, err := parseInt(args[1])
-		if err != nil {
-			return "", err
-		}
-		v, err := parseFloat(args[2])
-		if err != nil {
-			return "", err
-		}
-		return "", cl.Store(id, adlb.FloatValue(v))
-	})
-	reg("store_string", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 3 {
-			return "", fmt.Errorf("usage: turbine::store_string <id> <value>")
-		}
-		id, err := parseInt(args[1])
-		if err != nil {
-			return "", err
-		}
-		return "", cl.Store(id, adlb.StringValue(args[2]))
-	})
-	reg("store_blob", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 3 {
-			return "", fmt.Errorf("usage: turbine::store_blob <id> <bytes>")
-		}
-		id, err := parseInt(args[1])
-		if err != nil {
-			return "", err
-		}
-		return "", cl.Store(id, adlb.BlobValue([]byte(args[2])))
-	})
-	reg("store_void", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", fmt.Errorf("usage: turbine::store_void <id>")
-		}
-		id, err := parseInt(args[1])
-		if err != nil {
-			return "", err
-		}
-		return "", cl.Store(id, adlb.VoidValue())
-	})
-
-	// Typed retrieves: the stored type must be the one named.
-	for _, typ := range []adlb.DataType{adlb.TypeInteger, adlb.TypeFloat, adlb.TypeString, adlb.TypeBlob} {
-		typ := typ
-		reg("retrieve_"+typ.String(), func(in *tcl.Interp, args []string) (string, error) {
-			if len(args) != 2 {
-				return "", fmt.Errorf("usage: %s <id>", args[0])
+	// store_<type> <id> <value>: the text converts as the data plane
+	// converts a string result stored into a TD of that type; void ignores
+	// it.
+	for _, td := range []string{"integer", "float", "string", "blob", "void"} {
+		reg("store_"+td, func(in *tcl.Interp, args []string) (string, error) {
+			if len(args) != 3 {
+				return "", fmt.Errorf("usage: %s <id> <value>", args[0])
 			}
 			id, err := parseInt(args[1])
 			if err != nil {
 				return "", err
 			}
-			return retrieveAs(cl, id, typ)
+			v, err := toStore(td, lang.Str(args[2]))
+			if err != nil {
+				return "", err
+			}
+			return "", cl.Store(id, v)
 		})
 	}
-	// value <type> <operand>: what compiled code reads its scalar inputs
-	// with. An operand is a TD id — answered as retrieve_<type> answers —
-	// or a typed immediate (lang.DecodeOperand), answered with no data op
-	// in the rendering a literal TD of that type would have been read
-	// back in, so a value reads identically either way.
+
+	// value <type> <operand>: the one typed read, what compiled code reads
+	// its scalar inputs with. An operand is a TD id or a typed immediate
+	// (lang.DecodeOperand), answered with no data op. Either reads as its
+	// own type, or an integer as a float; any other mismatch is an error.
+	// Both render as the stored value would, so a value reads identically
+	// from a TD or an immediate.
 	reg("value", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 3 {
 			return "", fmt.Errorf("usage: turbine::value <type> <operand>")
 		}
-		typ, err := typeByName(args[1])
+		want, err := typeByName(args[1])
 		if err != nil {
 			return "", err
 		}
@@ -176,20 +94,34 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		if !op.Imm {
-			return retrieveAs(cl, op.ID, typ)
-		}
-		switch typ {
-		case adlb.TypeInteger:
-			n, err := op.Val.AsInt()
-			return fmtInt(n), err
-		case adlb.TypeFloat:
-			f, err := op.Val.AsFloat()
-			return lang.Float(f).Render(), err
-		case adlb.TypeString:
+		if op.Imm {
+			if have := immType(op.Val.Kind()); !readsAs(have, want) {
+				return "", fmt.Errorf("turbine: value: immediate %q is %v, expected %v", args[2], have, want)
+			}
+			if want == adlb.TypeFloat {
+				f, err := op.Val.AsFloat()
+				return lang.Float(f).Render(), err
+			}
 			return op.Val.Render(), nil
 		}
-		return "", fmt.Errorf("turbine: value: a %v cannot be an immediate", typ)
+		v, found, err := cl.Retrieve(op.ID)
+		if err != nil {
+			return "", err
+		}
+		if !found {
+			return "", fmt.Errorf("turbine: value: no such id %d", op.ID)
+		}
+		if !readsAs(v.Type, want) {
+			return "", fmt.Errorf("turbine: id %d is %v, expected %v", op.ID, v.Type, want)
+		}
+		if v.Type == adlb.TypeInteger && want == adlb.TypeFloat {
+			n, err := adlb.AsInt(v)
+			if err != nil {
+				return "", err
+			}
+			v = adlb.FloatValue(float64(n))
+		}
+		return render(v)
 	})
 	// Typed blob copy: duplicates the stored value wholesale, so dims
 	// and element kind survive copies that never needed the payload as
@@ -219,78 +151,16 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		return "", cl.Store(dst, v)
 	})
 
-	// Generic retrieve: render by stored type.
-	reg("retrieve", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", fmt.Errorf("usage: turbine::retrieve <id>")
-		}
-		id, err := parseInt(args[1])
-		if err != nil {
-			return "", err
-		}
-		v, found, err := cl.Retrieve(id)
-		if err != nil {
-			return "", err
-		}
-		if !found {
-			return "", fmt.Errorf("turbine: retrieve: no such id %d", id)
-		}
-		return render(v)
-	})
-
-	reg("exists", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", fmt.Errorf("usage: turbine::exists <id>")
-		}
-		id, err := parseInt(args[1])
-		if err != nil {
-			return "", err
-		}
-		ok, err := cl.Exists(id)
-		if err != nil {
-			return "", err
-		}
-		if ok {
-			return "1", nil
-		}
-		return "0", nil
-	})
-
-	reg("typeof", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", fmt.Errorf("usage: turbine::typeof <id>")
-		}
-		id, err := parseInt(args[1])
-		if err != nil {
-			return "", err
-		}
-		t, found, err := cl.TypeOf(id)
-		if err != nil {
-			return "", err
-		}
-		if !found {
-			return "", fmt.Errorf("turbine: typeof: no such id %d", id)
-		}
-		return t.String(), nil
-	})
-
 	// Container operations.
 	reg("container_lookup", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 3 && len(args) != 4 {
-			return "", fmt.Errorf("usage: turbine::container_lookup <c> <subscript> ?createType?")
+		if len(args) != 3 {
+			return "", fmt.Errorf("usage: turbine::container_lookup <c> <subscript>")
 		}
 		c, err := parseInt(args[1])
 		if err != nil {
 			return "", err
 		}
-		var createType adlb.DataType
-		if len(args) == 4 {
-			createType, err = typeByName(args[3])
-			if err != nil {
-				return "", err
-			}
-		}
-		member, exists, _, err := cl.Lookup(c, args[2], createType)
+		member, exists, err := cl.Lookup(c, args[2])
 		if err != nil {
 			return "", err
 		}
@@ -345,7 +215,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		return strconv.Itoa(len(pairs)), nil
 	})
 	// container_values: the members' values in insertion order, rendered
-	// as turbine::retrieve renders each, from one batched load.
+	// as turbine::value renders each, from one batched load.
 	reg("container_values", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 2 {
 			return "", fmt.Errorf("usage: turbine::container_values <c>")
@@ -381,26 +251,6 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 			return "", err
 		}
 		return "", cl.WriteRefcount(id, int(delta))
-	})
-
-	// Low-level put, used by generated code for explicit task placement.
-	reg("put", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) != 5 {
-			return "", fmt.Errorf("usage: turbine::put <type> <priority> <target> <payload>")
-		}
-		typ, err := parseInt(args[1])
-		if err != nil {
-			return "", err
-		}
-		prio, err := parseInt(args[2])
-		if err != nil {
-			return "", err
-		}
-		target, err := parseInt(args[3])
-		if err != nil {
-			return "", err
-		}
-		return "", cl.Put(int(typ), int(prio), int(target), []byte(args[4]))
 	})
 
 	// Container<->vector bridge (typed plane). vpack_gather packs a
@@ -630,20 +480,23 @@ func memberIDs(pairs []adlb.Pair) []int64 {
 	return ids
 }
 
-// retrieveAs fetches a closed TD that must hold the given type and renders
-// its value as Tcl text.
-func retrieveAs(cl *adlb.Client, id int64, want adlb.DataType) (string, error) {
-	v, found, err := cl.Retrieve(id)
-	if err != nil {
-		return "", err
+// readsAs reports whether a value of type have reads as type want: as
+// its own type, or an integer as a float.
+func readsAs(have, want adlb.DataType) bool {
+	return have == want || have == adlb.TypeInteger && want == adlb.TypeFloat
+}
+
+// immType is the data type of an immediate of kind k.
+func immType(k lang.Kind) adlb.DataType {
+	switch k {
+	case lang.KindInt:
+		return adlb.TypeInteger
+	case lang.KindFloat:
+		return adlb.TypeFloat
+	case lang.KindString:
+		return adlb.TypeString
 	}
-	if !found {
-		return "", fmt.Errorf("turbine: retrieve: no such id %d", id)
-	}
-	if v.Type != want {
-		return "", fmt.Errorf("turbine: id %d is %v, expected %v", id, v.Type, want)
-	}
-	return render(v)
+	return adlb.TypeBlob
 }
 
 // render is the one rendering of a stored scalar as Tcl text: canonical
@@ -691,8 +544,6 @@ func typeByName(name string) (adlb.DataType, error) {
 		return adlb.TypeBlob, nil
 	case "container":
 		return adlb.TypeContainer, nil
-	case "ref":
-		return adlb.TypeRef, nil
 	}
 	return 0, fmt.Errorf("turbine: unknown data type %q", name)
 }

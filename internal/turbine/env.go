@@ -44,9 +44,6 @@ type Config struct {
 	TurbineStats *Stats
 	// DisableSteal forwards to adlb.Config.DisableSteal.
 	DisableSteal bool
-	// MaxTaskRetries forwards to adlb.Config.MaxTaskRetries (the retry
-	// budget of leased leaf tasks; 0 = default of 2, negative = none).
-	MaxTaskRetries int
 	// WatchdogIdleTicks forwards to adlb.Config.WatchdogIdleTicks (the
 	// hang watchdog; 0 = default, negative = disabled).
 	WatchdogIdleTicks int
@@ -97,7 +94,6 @@ func (c *Config) adlbConfig() adlb.Config {
 		Tick:              c.Tick,
 		Stats:             c.Stats,
 		DisableSteal:      c.DisableSteal,
-		MaxTaskRetries:    c.MaxTaskRetries,
 		WatchdogIdleTicks: c.WatchdogIdleTicks,
 		Elastic:           c.Elastic,
 		StaticClients:     c.Engines,
@@ -126,18 +122,6 @@ const (
 	RoleServer
 )
 
-func (r Role) String() string {
-	switch r {
-	case RoleEngine:
-		return "engine"
-	case RoleWorker:
-		return "worker"
-	case RoleServer:
-		return "server"
-	}
-	return "unknown"
-}
-
 // RoleOf maps a world rank to its role under cfg.
 func (c *Config) RoleOf(rank, worldSize int) Role {
 	clients := worldSize - c.Servers
@@ -156,7 +140,6 @@ func (c *Config) RoleOf(rank, worldSize int) Role {
 type Env struct {
 	Client *adlb.Client
 	Cfg    *Config
-	Role   Role
 	Rank   int
 	engine *engine // non-nil on engine ranks
 	interp *tcl.Interp
@@ -179,7 +162,7 @@ func Run(c *mpi.Comm, cfg *Config) error {
 	if err != nil {
 		return err
 	}
-	env := &Env{Client: client, Cfg: cfg, Role: role, Rank: c.Rank()}
+	env := &Env{Client: client, Cfg: cfg, Rank: c.Rank()}
 	in := tcl.New()
 	env.interp = in
 	registerDataCmds(in, env)
@@ -221,14 +204,6 @@ func parseInt(s string) (int64, error) {
 	v, err := strconv.ParseInt(strings.TrimSpace(s), 0, 64)
 	if err != nil {
 		return 0, fmt.Errorf("turbine: expected integer, got %q", s)
-	}
-	return v, nil
-}
-
-func parseFloat(s string) (float64, error) {
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, fmt.Errorf("turbine: expected float, got %q", s)
 	}
 	return v, nil
 }

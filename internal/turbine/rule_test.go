@@ -10,6 +10,23 @@ import (
 	"repro/internal/tcl"
 )
 
+// registerCreate installs test::create <id> <type>: a typed declaration
+// of an id minted by hand, so a test picks which server owns it (id mod
+// servers) where turbine::allocate would mint on the rank's home server.
+func registerCreate(in *tcl.Interp, env *Env) {
+	in.RegisterCommand("test::create", func(in *tcl.Interp, args []string) (string, error) {
+		id, err := parseInt(args[1])
+		if err != nil {
+			return "", err
+		}
+		typ, err := typeByName(args[2])
+		if err != nil {
+			return "", err
+		}
+		return "", env.Client.Create(id, typ)
+	})
+}
+
 // addRule asks the servers once per rule — one Subscribe RPC per owning
 // server — about exactly the inputs it knows nothing of: not the ones it
 // has seen closed, not the ones an earlier rule subscribed, and a
@@ -20,6 +37,7 @@ func TestAddRuleBatchesSubscribes(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 2, Stats: stats,
 		Setup: func(in *tcl.Interp, env *Env) error {
+			registerCreate(in, env)
 			// test::addrule <label> <inputs> <wantPending> <wantRPCs>
 			in.RegisterCommand("test::addrule", func(in *tcl.Interp, args []string) (string, error) {
 				fields, err := tcl.ParseList(args[2])
@@ -49,7 +67,7 @@ func TestAddRuleBatchesSubscribes(t *testing.T) {
 			proc main {} {
 				# a, c on server 0; b, d on server 1. a and d are closed.
 				lassign {1000000 1000001 1000002 1000003} a b c d
-				foreach id [list $a $b $c $d] { turbine::create $id integer }
+				foreach id [list $a $b $c $d] { test::create $id integer }
 				turbine::store_integer $a 1
 				turbine::store_integer $d 4
 
@@ -121,6 +139,7 @@ func TestRuleMembers(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 2, Stats: stats,
 		Setup: func(in *tcl.Interp, env *Env) error {
+			registerCreate(in, env)
 			in.RegisterCommand("test::dataops", func(in *tcl.Interp, args []string) (string, error) {
 				return fmtInt(stats.DataOps.Load()), nil
 			})
@@ -134,7 +153,7 @@ func TestRuleMembers(t *testing.T) {
 					# Members alternate between the two servers; every
 					# fourth is still open when the rule is registered.
 					set m [expr {2000000 + $i}]
-					turbine::create $m integer
+					test::create $m integer
 					turbine::container_insert $c $i $m
 					if {$i % 4 == 3} { lappend open $m } else { turbine::store_integer $m $i }
 				}
@@ -142,7 +161,7 @@ func TestRuleMembers(t *testing.T) {
 				set before [test::dataops]
 				turbine::rule_members $c "fire $c" name members
 				test::record rpcs [expr {[test::dataops] - $before}]
-				foreach m $open { turbine::put 1 0 -1 "turbine::store_integer $m 7" }
+				foreach m $open { turbine::rule [list] "turbine::store_integer $m 7" type work }
 
 				set e [turbine::allocate container]
 				turbine::write_refcount $e -1

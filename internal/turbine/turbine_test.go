@@ -36,7 +36,8 @@ func (r *recorder) sorted() []string {
 	return out
 }
 
-// runTurbine executes a Turbine program on a fresh world.
+// runTurbine executes a Turbine program on a fresh world, with
+// test::record and test::rank (the calling rank) registered on every rank.
 func runTurbine(t *testing.T, size int, cfg *Config) *recorder {
 	t.Helper()
 	rec := &recorder{}
@@ -45,6 +46,9 @@ func runTurbine(t *testing.T, size int, cfg *Config) *recorder {
 		in.RegisterCommand("test::record", func(in *tcl.Interp, args []string) (string, error) {
 			rec.add(strings.Join(args[1:], " "))
 			return "", nil
+		})
+		in.RegisterCommand("test::rank", func(in *tcl.Interp, args []string) (string, error) {
+			return strconv.Itoa(env.Rank), nil
 		})
 		if userSetup != nil {
 			return userSetup(in, env)
@@ -91,9 +95,6 @@ func TestRoleOf(t *testing.T) {
 			t.Errorf("rank %d: role %v, want %v", r, got, want)
 		}
 	}
-	if RoleEngine.String() != "engine" || RoleWorker.String() != "worker" || RoleServer.String() != "server" {
-		t.Error("role names wrong")
-	}
 }
 
 func TestDataflowSingleRule(t *testing.T) {
@@ -105,10 +106,10 @@ func TestDataflowSingleRule(t *testing.T) {
 			proc main {} {
 				set x [turbine::allocate integer]
 				turbine::rule [list $x] "fire $x"
-				turbine::put 1 0 -1 "turbine::store_integer $x 42"
+				turbine::rule [list] "turbine::store_integer $x 42" type work
 			}
 			proc fire {x} {
-				test::record "got [turbine::retrieve_integer $x]"
+				test::record "got [turbine::value integer $x]"
 			}
 		`,
 		Main: "main",
@@ -131,7 +132,7 @@ func TestRuleOrderingIsDataflow(t *testing.T) {
 				set b [turbine::allocate integer]
 				turbine::rule [list $a] "test::record A"
 				turbine::rule [list $b] "test::record B ; turbine::store_integer $a 1"
-				turbine::put 1 0 -1 "turbine::store_integer $b 1"
+				turbine::rule [list] "turbine::store_integer $b 1" type work
 			}
 		`,
 		Main: "main",
@@ -156,7 +157,7 @@ func TestFig1Pipeline(t *testing.T) {
 				for {set i 0} {$i < 10} {incr i} {
 					set t [turbine::allocate integer]
 					set u [turbine::allocate integer]
-					turbine::put 1 0 -1 "f_task $i $t"
+					turbine::rule [list] "f_task $i $t" type work
 					turbine::rule [list $t] "g_stage $t $u"
 					turbine::rule [list $u] "done_stage $u"
 				}
@@ -168,11 +169,11 @@ func TestFig1Pipeline(t *testing.T) {
 				turbine::rule [list] "g_task $t $u" type work
 			}
 			proc g_task {t u} {
-				set v [turbine::retrieve_integer $t]
+				set v [turbine::value integer $t]
 				turbine::store_integer $u [expr {$v + 1}]
 			}
 			proc done_stage {u} {
-				test::record "g=[turbine::retrieve_integer $u]"
+				test::record "g=[turbine::value integer $u]"
 			}
 		`,
 		Main: "main",
@@ -211,7 +212,7 @@ func TestSpawnDistributesControl(t *testing.T) {
 				}
 			}
 			proc frag {i} {
-				test::record "frag $i on [turbine::rank]"
+				test::record "frag $i on [test::rank]"
 			}
 		`,
 		Main: "main",
@@ -229,10 +230,11 @@ func TestContainersAndEnumerate(t *testing.T) {
 		Program: `
 			proc main {} {
 				set c [turbine::allocate container]
-				# Three members via lookup-create placeholders.
+				# Three members, inserted before they are stored.
 				foreach i {0 1 2} {
-					set m [turbine::container_lookup $c $i integer]
-					turbine::put 1 0 -1 "turbine::store_integer $m [expr {$i * 100}]"
+					set m [turbine::allocate integer]
+					turbine::container_insert $c $i $m
+					turbine::rule [list] "turbine::store_integer $m [expr {$i * 100}]" type work
 				}
 				# Close the container (drop the creation reference).
 				turbine::write_refcount $c -1
@@ -240,7 +242,8 @@ func TestContainersAndEnumerate(t *testing.T) {
 			}
 			proc walk {c} {
 				foreach {sub m} [turbine::container_enumerate $c] {
-					turbine::rule [list $m] "test::record elem $sub \[turbine::retrieve_integer $m\]"
+					if {[turbine::container_lookup $c $sub] ne $m} { error "lookup of $sub disagrees" }
+					turbine::rule [list $m] "test::record elem $sub \[turbine::value integer $m\]"
 				}
 			}
 		`,
@@ -265,7 +268,7 @@ func TestTargetedLeafTask(t *testing.T) {
 		Engines: 1, Servers: 1,
 		Program: `
 			proc main {} {
-				turbine::rule [list] "test::record task-on-\[turbine::rank\]" type work target 2
+				turbine::rule [list] "test::record task-on-\[test::rank\]" type work target 2
 			}
 		`,
 		Main: "main",
@@ -285,18 +288,16 @@ func TestLiteralHelpers(t *testing.T) {
 				set i [turbine::literal_integer 7]
 				set f [turbine::literal_float 2.5]
 				set s [turbine::literal_string hello]
-				test::record [turbine::retrieve_integer $i]
-				test::record [turbine::retrieve_float $f]
-				test::record [turbine::retrieve_string $s]
-				test::record [turbine::typeof $i]
-				test::record [turbine::exists $i]
+				test::record [turbine::value integer $i]
+				test::record [turbine::value float $f]
+				test::record [turbine::value string $s]
 			}
 		`,
 		Main: "main",
 	}
 	rec := runTurbine(t, 3, cfg)
 	rows := rec.sorted()
-	want := []string{"1", "2.5", "7", "hello", "integer"}
+	want := []string{"2.5", "7", "hello"}
 	if len(rows) != len(want) {
 		t.Fatalf("rows = %v", rows)
 	}
@@ -325,9 +326,10 @@ func TestValueReadsTDsAndImmediatesAlike(t *testing.T) {
 					set viaImm [turbine::value $typ [string index $typ 0]:$text]
 					test::record [list $typ $viaTD $viaImm [expr {$mid - $before}] [expr {[test::dataops] - $mid}]]
 				}
-				# An integer immediate promotes where a float is wanted.
-				test::record [turbine::value float i:3]
-				foreach bad {{blob s:xyz} {container i:1} {integer f:1.5} {integer x:1} {integer {}}} {
+				# An integer promotes where a float is wanted, from a TD as
+				# from an immediate.
+				test::record promoted [turbine::value float [turbine::literal_integer 3]] [turbine::value float i:3]
+				foreach bad {{blob s:xyz} {container i:1} {integer f:1.5} {integer f:3.0} {string i:3} {integer x:1} {integer {}}} {
 					if {![catch {turbine::value {*}$bad} msg]} { test::record "no error for $bad" }
 				}
 			}
@@ -342,7 +344,7 @@ func TestValueReadsTDsAndImmediatesAlike(t *testing.T) {
 	}
 	got := runTurbine(t, 3, cfg).sorted()
 	want := []string{
-		"3.0",
+		"promoted 3.0 3.0",
 		"float 0.1 0.1 1 0", "float 1e+21 1e+21 1 0", "float 2.5 2.5 1 0", "float 3.0 3.0 1 0",
 		"integer -12 -12 1 0", "integer 7 7 1 0",
 		"string hello hello 1 0", "string i:5 i:5 1 0", "string {a $b} {a $b} 1 0", "string {} {} 1 0",
@@ -393,22 +395,29 @@ func TestFloatsReadOneWayAsTDOrImmediate(t *testing.T) {
 }
 
 func TestTypedRetrieveMismatch(t *testing.T) {
+	// turbine::value reads a TD as its own type, or an integer as a
+	// float; every other mismatch is an error.
 	cfg := &Config{
 		Engines: 1, Servers: 1,
 		Program: `
 			proc main {} {
 				set i [turbine::literal_integer 7]
-				if {[catch {turbine::retrieve_string $i} msg]} {
-					test::record "error caught"
+				set f [turbine::literal_float 2.5]
+				set s [turbine::literal_string 7]
+				foreach {typ td} [list string $i blob $i void $i integer $f string $f integer $s float $s] {
+					if {[catch {turbine::value $typ $td} msg]} {
+						test::record "error caught"
+					} else {
+						test::record "read $td as $typ"
+					}
 				}
 			}
 		`,
 		Main: "main",
 	}
-	rec := runTurbine(t, 3, cfg)
-	rows := rec.sorted()
-	if len(rows) != 1 || rows[0] != "error caught" {
-		t.Fatalf("rows = %v", rows)
+	rows := runTurbine(t, 3, cfg).sorted()
+	if len(rows) != 7 || strings.Count(strings.Join(rows, "|"), "error caught") != 7 {
+		t.Fatalf("rows = %v, want 7 errors", rows)
 	}
 }
 
@@ -417,7 +426,7 @@ func TestLeafTaskErrorAbortsRun(t *testing.T) {
 		Engines: 1, Servers: 1,
 		Program: `
 			proc main {} {
-				turbine::put 1 0 -1 "error deliberate-task-failure"
+				turbine::rule [list] "error deliberate-task-failure" type work
 			}
 		`,
 		Main: "main",
@@ -458,8 +467,8 @@ func TestBlobThroughDataStore(t *testing.T) {
 		Program: `
 			proc main {} {
 				set b [turbine::allocate blob]
-				turbine::put 1 0 -1 "turbine::store_blob $b binary-payload"
-				turbine::rule [list $b] "test::record blob=\[turbine::retrieve_blob $b\]"
+				turbine::rule [list] "turbine::store_blob $b binary-payload" type work
+				turbine::rule [list $b] "test::record blob=\[turbine::value blob $b\]"
 			}
 		`,
 		Main: "main",
@@ -478,7 +487,7 @@ func TestVoidSignalling(t *testing.T) {
 			proc main {} {
 				set done [turbine::allocate void]
 				turbine::rule [list $done] "test::record signalled"
-				turbine::put 1 0 -1 "turbine::store_void $done"
+				turbine::rule [list] "turbine::store_void $done {}" type work
 			}
 		`,
 		Main: "main",
@@ -546,7 +555,7 @@ func TestMultiServerDataflow(t *testing.T) {
 			proc stage_a {i} {
 				set t [turbine::allocate integer]
 				turbine::rule [list] "compute $i $t" type work
-				turbine::rule [list $t] "test::record r=\[turbine::retrieve_integer $t\]"
+				turbine::rule [list $t] "test::record r=\[turbine::value integer $t\]"
 			}
 			proc compute {i t} {
 				turbine::store_integer $t [expr {$i * $i}]
@@ -582,9 +591,6 @@ func TestValueFormatting(t *testing.T) {
 	}
 	if _, err := parseInt("abc"); err == nil {
 		t.Fatal("parseInt should fail")
-	}
-	if _, err := parseFloat("abc"); err == nil {
-		t.Fatal("parseFloat should fail")
 	}
 	if v, err := parseInt(" 42 "); err != nil || v != 42 {
 		t.Fatal("parseInt trim")
