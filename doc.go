@@ -3,8 +3,10 @@
 // Computing" (Wozniak et al., CLUSTER 2015): the Swift/T system — the
 // Swift dataflow language, the STC compiler, the Turbine engine, and the
 // ADLB load balancer — together with the paper's interlanguage layer:
-// embedded Python and R interpreters, SWIG/FortWrap native-code bindings
-// with blob bulk data, Tcl extension functions, and the shell interface.
+// embedded Python and R interpreters, SWIG native-code bindings with blob
+// bulk data, Tcl extension functions, and the shell interface. FortWrap,
+// the paper's Fortran-to-C step, is a build-time source translator and is
+// not reproduced: the runtime only ever sees the C header SWIG consumes.
 //
 // # The compile-once Tcl evaluation pipeline
 //
@@ -49,8 +51,10 @@
 //   - Shared program compilation. stc.Output.Script compiles the
 //     generated Turbine program (prelude included) exactly once, and
 //     every engine/worker rank evaluates the shared immutable
-//     *tcl.Script (turbine.Config.ProgramScript) instead of re-parsing
-//     the program per rank at startup.
+//     *tcl.Script (turbine.Config.ProgramScript, the only program form
+//     a rank takes) instead of re-parsing the program per rank at
+//     startup. An elastic worker process compiles the program its
+//     welcome carries the same way, once.
 //
 // What the pipeline evaluates is action text, and what an action's
 // words are is decided by the compiler. The turbine:: commands a rank
@@ -206,8 +210,9 @@
 // RPC, checking the subscripts are a dense 0..n-1) and gathers with one
 // RetrieveChunk per owning server. So the data-store RPCs of a whole
 // vunpack -> vpack trip are the same few at any n
-// (internal/core.TestVectorBridgeDataOpsIndependentOfLength pins the
-// count; BenchmarkVectorBridge reports it) and element data never
+// (internal/core.TestVectorBridgeDataOpsIndependentOfLength holds the
+// count equal at two lengths; TestVectorBridgeCountGate pins it for
+// swiftbench's vector_scatter_gather program) and element data never
 // renders as text. size(A) and join_array(A, sep) read a closed array
 // the same way (turbine::container_size, turbine::container_values);
 // only foreach over an array, which genuinely iterates in Tcl, still
@@ -216,8 +221,8 @@
 // a packed vector with vunpack, foreach an interpreter fragment per
 // element, vpack the results, and aggregate the blob in one call
 // (examples/interlang, internal/core/container_roundtrip_test.go,
-// BenchmarkVectorBridge; BenchmarkContainerPack and
-// BenchmarkGatherScatter1e6 time the chunk plane under it).
+// swiftbench's vector_scatter_gather workload; BenchmarkGatherScatter1e6
+// and the adlb.gather_ns_per_elem probe time the chunk plane under it).
 //
 // Adding a language is exactly what building jlite required, and no
 // more: (1) the interpreter package itself, exposing Exec/EvalExpr/
@@ -416,13 +421,12 @@
 // world against a cold per-request world, with a 5x floor enforced by
 // TestWarmServeSpeedupOverColdWorlds.
 //
-// Benchmarks: `go test -bench=BenchmarkTclEval -run=NONE .` measures the
-// interpreter alone; BenchmarkTypedFragment compares a typed blob
-// argument against the old render-into-source route for a 1e5-element
-// vector; BenchmarkC5ControlScaling and BenchmarkFig2WorkerScaling
-// measure the end-to-end effect. Compare before/after with `go test
-// -bench=. -run=NONE -count=10 | benchstat`. CHANGES.md records the
-// numbers for each PR.
+// Benchmarks: swiftbench (bench/) times the interpreter alone
+// (tcl.rule_eval_us, tcl.proc_call_us, lang.eval_us.*) and typed blob
+// binding (lang.blob_bind_mb_per_s) as per-layer probes beside its
+// end-to-end workloads; BenchmarkC5ControlScaling and
+// BenchmarkFig2WorkerScaling measure the paper's control and worker
+// scaling. CHANGES.md records the numbers for each PR.
 //
 // # Static invariants
 //
@@ -456,8 +460,10 @@
 //     constant (no ad-hoc strings), site values are unique, and no
 //     declared site is dead.
 //
-// See bench/README.md for the end-to-end and per-layer benchmark (what
-// each metric measures and what moves it) and CHANGES.md for what each PR
-// did and measured. The root-level bench_test.go regenerates every
-// experiment.
+// The root-level bench_test.go is the paper-claim ledger: the table in
+// its header names, for each figure and claim of the paper, its section,
+// the test that asserts its shape, and the benchmark beside it. See
+// bench/README.md for the end-to-end and per-layer benchmark (what each
+// metric measures and what moves it) and CHANGES.md for what each PR did
+// and measured.
 package repro

@@ -75,10 +75,6 @@ type Config struct {
 	// ShellMode selects the simulated machine's launch policy for app
 	// functions and sh(...) (§III-C: BG/Q forbids process launches).
 	ShellMode shell.Mode
-	// SpawnCost overrides the simulated process-launch cost.
-	SpawnCost time.Duration
-	// SleepOnSpawn makes SpawnCost a real delay (see shell.System).
-	SleepOnSpawn bool
 	// Programs adds executables to the simulated process table beyond
 	// the standard utilities (e.g. a one-shot external interpreter).
 	Programs map[string]shell.Program
@@ -266,10 +262,6 @@ func (r *rig) result(start time.Time) *Result {
 func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	sys := shell.NewSystem(cfg.ShellMode, cfg.FS)
-	if cfg.SpawnCost > 0 {
-		sys.SpawnCost = cfg.SpawnCost
-	}
-	sys.SleepOnSpawn = cfg.SleepOnSpawn
 	for name, prog := range cfg.Programs {
 		sys.RegisterProgram(name, prog)
 	}
@@ -290,7 +282,6 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 		TurbineStats:      r.tstats,
 		DisableSteal:      cfg.DisableSteal,
 		WatchdogIdleTicks: cfg.WatchdogIdleTicks,
-		Program:           compiled.Program,
 		ProgramScript:     programScript,
 		Main:              compiled.Main,
 		Setup: r.setup(cfg.Policy, cfg.NativeLibs, func(in *tcl.Interp) error {

@@ -213,10 +213,10 @@ func TestBundleAndPackageRequire(t *testing.T) {
 	// User Tcl code shipped in a static package, required by a template
 	// function (paper §III-A + §IV static packages).
 	bundle := pkgs.NewBundle()
-	bundle.AddString("lib/my_package.tcl", `
+	bundle.Add("lib/my_package.tcl", []byte(`
 		package provide my_package 1.0
 		proc f {i j} { expr {$i * 10 + $j} }
-	`)
+	`))
 	src := `
 		(int o) f(int i, int j)
 		"my_package" "1.0"

@@ -90,3 +90,43 @@ func TestEnsembleCountGate(t *testing.T) {
 		t.Errorf("engine saw %d notifications, servers sent %d; want equal and at most %d", got, a.Notifications, max)
 	}
 }
+
+// bridgeShape is swiftbench's vector_scatter_gather program at n members:
+// a python blob through vunpack -> vpack -> r -> vunpack -> vpack -> julia.
+func bridgeShape(n int) string {
+	return fmt.Sprintf(`
+		blob b0 = python("v = []\nfor k in range(%d):\n    v.append(1.5 + k * 0.25)", "v");
+		float x0[] = vunpack(b0);
+		blob b1 = vpack(x0);
+		blob b2 = r("", "argv1 + 0.25", b1);
+		float x1[] = vunpack(b2);
+		blob b3 = vpack(x1);
+		float s = julia("", "sum(argv1)", b3);
+		printf("sum=%%.17g", s);
+	`, n)
+}
+
+// TestVectorBridgeCountGate pins the container<->vector bridge's data ops
+// as a count that does not grow with n: each scatter and gather is one
+// chunk RPC per owning server, and the engine waits on a container, not on
+// each member. A bridge that goes back to one op per member fails here.
+func TestVectorBridgeCountGate(t *testing.T) {
+	const wantOps = 31
+	for _, n := range []int{800, 8000} {
+		res, err := Run(bridgeShape(n), Config{Engines: 1, Workers: 2, Servers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for k := 0; k < n; k++ {
+			sum += 1.5 + float64(k)*0.25 + 0.25
+		}
+		if got, want := strings.TrimSpace(res.Stdout), fmt.Sprintf("sum=%.17g", sum); got != want {
+			t.Errorf("n=%d: stdout %q, want %s", n, got, want)
+		}
+		t.Logf("n=%d: data ops %d, by kind: %+v", n, res.ADLB.DataOps, res.ADLB)
+		if res.ADLB.DataOps != wantOps {
+			t.Errorf("n=%d: adlb.DataOps = %d, want %d", n, res.ADLB.DataOps, wantOps)
+		}
+	}
+}

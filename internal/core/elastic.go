@@ -126,7 +126,6 @@ func ServeElastic(compiled *stc.Output, cfg ElasticConfig) (*Result, error) {
 		Elastic:       true,
 		Stats:         r.stats,
 		TurbineStats:  r.tstats,
-		Program:       compiled.Program,
 		ProgramScript: programScript,
 		Main:          compiled.Main,
 		Setup:         r.setup(PolicyRetain, cfg.NativeLibs, nil),
@@ -204,15 +203,21 @@ func ElasticWorker(addr string, out io.Writer) error {
 		wc.CloseWithError(err)
 		return err
 	}
+	programScript, err := (&stc.Output{Program: w.Program}).Script()
+	if err != nil {
+		err = fmt.Errorf("core: elastic worker: compiling the welcome's program: %w", err)
+		wc.CloseWithError(err)
+		return err
+	}
 	// The native library is the simulated FFT one (see
 	// ElasticConfig.NativeLibs).
 	r := newRig(out, shell.NewSystem(shell.ModeCluster, nil), nil, nil)
 	tcfg := &turbine.Config{
-		Engines: w.Engines,
-		Servers: w.Servers,
-		Elastic: true,
-		Program: w.Program,
-		Setup:   r.setup(PolicyRetain, []*nativelib.Library{nativelib.NewSimLibrary()}, nil),
+		Engines:       w.Engines,
+		Servers:       w.Servers,
+		Elastic:       true,
+		ProgramScript: programScript,
+		Setup:         r.setup(PolicyRetain, []*nativelib.Library{nativelib.NewSimLibrary()}, nil),
 	}
 	c, err := wc.World().Comm(wc.Rank())
 	if err != nil {

@@ -12,8 +12,6 @@ package nativelib
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
 	"repro/internal/blob"
 )
@@ -46,38 +44,6 @@ func (l *Library) Resolve(name string) (Kernel, error) {
 		return nil, fmt.Errorf("nativelib: undefined symbol %q in %s", name, l.Name)
 	}
 	return k, nil
-}
-
-// Symbols lists exported symbol names, sorted.
-func (l *Library) Symbols() []string {
-	out := make([]string, 0, len(l.symbols))
-	for n := range l.symbols {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-var (
-	regMu    sync.Mutex
-	registry = map[string]*Library{}
-)
-
-// Register installs a library into the process-wide registry (ldconfig).
-func Register(l *Library) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[l.Name] = l
-}
-
-// Open resolves a registered library by name, as dlopen would.
-func Open(name string) (*Library, error) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if l, ok := registry[name]; ok {
-		return l, nil
-	}
-	return nil, fmt.Errorf("nativelib: cannot open shared library %q", name)
 }
 
 // ---- libsim: the numerical kernels used by the examples/benchmarks ----

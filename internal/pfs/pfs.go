@@ -15,7 +15,6 @@ package pfs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,7 +38,6 @@ func DefaultConfig() Config {
 // Stats counts operations and charged virtual time.
 type Stats struct {
 	MetaOps   atomic.Int64
-	BytesRead atomic.Int64
 	metaNanos atomic.Int64
 	dataNanos atomic.Int64
 }
@@ -85,7 +83,6 @@ func (fs *FS) chargeMeta() {
 
 // chargeRead accounts a bandwidth-bound data read.
 func (fs *FS) chargeRead(n int) {
-	fs.stats.BytesRead.Add(int64(n))
 	fs.stats.dataNanos.Add(int64(float64(n) / fs.cfg.ReadBandwidth * 1e9))
 }
 
@@ -104,35 +101,8 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 	return out, nil
 }
 
-// Stat charges one metadata op and reports existence and size.
-func (fs *FS) Stat(path string) (int, bool) {
-	fs.chargeMeta()
-	fs.mu.RLock()
-	content, ok := fs.files[path]
-	fs.mu.RUnlock()
-	return len(content), ok
-}
-
-// List returns all paths with the given prefix (no cost; an aid for
-// tests and tools, not part of the modelled workload).
-func (fs *FS) List(prefix string) []string {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var out []string
-	for p := range fs.files {
-		if len(p) >= len(prefix) && p[:len(prefix)] == prefix {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // MetaOps returns the metadata operation count.
 func (fs *FS) MetaOps() int64 { return fs.stats.MetaOps.Load() }
-
-// BytesRead returns the total data bytes read.
-func (fs *FS) BytesRead() int64 { return fs.stats.BytesRead.Load() }
 
 // VirtualElapsed returns the modelled wall time of all I/O so far: the
 // serialized metadata time plus the bandwidth-bound data time.
@@ -143,7 +113,6 @@ func (fs *FS) VirtualElapsed() time.Duration {
 // ResetStats zeroes the counters and clocks (files remain).
 func (fs *FS) ResetStats() {
 	fs.stats.MetaOps.Store(0)
-	fs.stats.BytesRead.Store(0)
 	fs.stats.metaNanos.Store(0)
 	fs.stats.dataNanos.Store(0)
 }

@@ -16,13 +16,6 @@ func TestReadWriteStat(t *testing.T) {
 	if _, err := fs.ReadFile("/missing"); err == nil {
 		t.Fatal("expected missing file error")
 	}
-	size, ok := fs.Stat("/a/b.tcl")
-	if !ok || size != 12 {
-		t.Fatalf("stat: %d %v", size, ok)
-	}
-	if _, ok := fs.Stat("/missing"); ok {
-		t.Fatal("stat of missing file")
-	}
 	// Reads return copies.
 	content[0] = 'X'
 	again, _ := fs.ReadFile("/a/b.tcl")
@@ -42,9 +35,6 @@ func TestCostAccounting(t *testing.T) {
 	if fs.MetaOps() != 1 {
 		t.Fatalf("meta ops = %d", fs.MetaOps())
 	}
-	if fs.BytesRead() != 1000 {
-		t.Fatalf("bytes = %d", fs.BytesRead())
-	}
 	// 1 meta op (1ms) + 1000 bytes at 1MB/s (1ms) = 2ms.
 	if got := fs.VirtualElapsed(); got != 2*time.Millisecond {
 		t.Fatalf("virtual elapsed = %v", got)
@@ -62,17 +52,6 @@ func TestCostAccounting(t *testing.T) {
 	big := fs.VirtualElapsed()
 	if small <= big*10 {
 		t.Fatalf("many-small-files should dominate: small=%v big=%v", small, big)
-	}
-}
-
-func TestList(t *testing.T) {
-	fs := New(DefaultConfig())
-	fs.Provision("/pkg/a.tcl", nil)
-	fs.Provision("/pkg/b.tcl", nil)
-	fs.Provision("/other", nil)
-	got := fs.List("/pkg/")
-	if len(got) != 2 || got[0] != "/pkg/a.tcl" {
-		t.Fatalf("list = %v", got)
 	}
 }
 

@@ -28,9 +28,6 @@ func (b *Bundle) Add(path string, content []byte) {
 	b.files[path] = append([]byte(nil), content...)
 }
 
-// AddString stores a text member.
-func (b *Bundle) AddString(path, content string) { b.Add(path, []byte(content)) }
-
 // Read returns a member's content.
 func (b *Bundle) Read(path string) ([]byte, error) {
 	c, ok := b.files[path]
@@ -49,9 +46,6 @@ func (b *Bundle) Members() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Len returns the member count.
-func (b *Bundle) Len() int { return len(b.files) }
 
 const bundleMagic = 0x53504B47 // "SPKG"
 

@@ -10,16 +10,16 @@ import (
 
 func TestBundleRoundTrip(t *testing.T) {
 	b := NewBundle()
-	b.AddString("lib/app.tcl", "proc main {} { puts hi }")
-	b.AddString("lib/util.tcl", "proc helper {} {}")
+	b.Add("lib/app.tcl", []byte("proc main {} { puts hi }"))
+	b.Add("lib/util.tcl", []byte("proc helper {} {}"))
 	b.Add("data/input.bin", []byte{0, 1, 2, 255})
 	packed := b.Pack()
 	back, err := Unpack(packed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 3 {
-		t.Fatalf("members = %d", back.Len())
+	if len(back.Members()) != 3 {
+		t.Fatalf("members = %d", len(back.Members()))
 	}
 	c, err := back.Read("lib/app.tcl")
 	if err != nil || !strings.Contains(string(c), "puts hi") {
@@ -46,7 +46,7 @@ func TestUnpackErrors(t *testing.T) {
 		t.Fatal("bad magic should fail")
 	}
 	b := NewBundle()
-	b.AddString("x", "y")
+	b.Add("x", []byte("y"))
 	packed := b.Pack()
 	if _, err := Unpack(packed[:len(packed)-1]); err == nil {
 		t.Fatal("truncated should fail")
@@ -69,7 +69,7 @@ func TestBundleProperty(t *testing.T) {
 			want[n] = c
 		}
 		back, err := Unpack(b.Pack())
-		if err != nil || back.Len() != len(want) {
+		if err != nil || len(back.Members()) != len(want) {
 			return false
 		}
 		for n, c := range want {
@@ -94,7 +94,7 @@ func TestInstallAndLoadCosts(t *testing.T) {
 	fs := pfs.New(pfs.DefaultConfig())
 	b := NewBundle()
 	for i := 0; i < 50; i++ {
-		b.AddString("lib/mod"+string(rune('a'+i%26))+".tcl", strings.Repeat("proc x {} {}\n", 10))
+		b.Add("lib/mod"+string(rune('a'+i%26))+".tcl", []byte(strings.Repeat("proc x {} {}\n", 10)))
 	}
 	Install(fs, "/apps/bundle.spkg", b)
 	fs.ResetStats()
@@ -102,8 +102,8 @@ func TestInstallAndLoadCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != b.Len() {
-		t.Fatalf("loaded %d members, want %d", loaded.Len(), b.Len())
+	if len(loaded.Members()) != len(b.Members()) {
+		t.Fatalf("loaded %d members, want %d", len(loaded.Members()), len(b.Members()))
 	}
 	// Exactly one metadata op to fetch everything.
 	if fs.MetaOps() != 1 {

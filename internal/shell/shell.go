@@ -5,10 +5,10 @@
 // (§III-C), which is exactly why the paper embeds interpreters instead.
 //
 // The System here is a hermetic process table: programs are Go functions
-// registered by name, launches charge a configurable virtual spawn cost
-// (covering fork/exec plus loading the binary from the parallel
-// filesystem), and ModeBGQ refuses to spawn at all, reproducing the
-// constraint that motivates §III-C.
+// registered by name, each launch is counted (a caller prices it at
+// SpawnCost) and opens its binary on the parallel filesystem, and
+// ModeBGQ refuses to spawn at all, reproducing the constraint that
+// motivates §III-C.
 package shell
 
 import (
@@ -33,34 +33,30 @@ const (
 	ModeBGQ
 )
 
+// SpawnCost is the virtual cost of one process launch (fork/exec plus
+// dynamic loading); a caller prices a run's launches as Spawns × SpawnCost.
+const SpawnCost = 2 * time.Millisecond
+
 // Program is one executable: argv (argv[0] is the program name) and
 // stdin to stdout.
 type Program func(sys *System, argv []string, stdin string) (string, error)
 
 // System is a simulated operating system for one run: a process table,
-// launch policy, and spawn cost accounting.
+// launch policy, and a launch count.
 type System struct {
 	Mode Mode
-	// SpawnCost is the virtual cost of one process launch (fork/exec
-	// plus dynamic loading).
-	SpawnCost time.Duration
-	// SleepOnSpawn makes SpawnCost a real delay instead of only a
-	// virtual charge; benchmarks use it so process-launch overhead shows
-	// in wall-clock comparisons.
-	SleepOnSpawn bool
 	// FS, if set, charges a metadata op per launch (the binary and its
 	// libraries are opened from the shared filesystem).
 	FS *pfs.FS
 
-	programs   map[string]Program
-	spawns     atomic.Int64
-	spawnNanos atomic.Int64
+	programs map[string]Program
+	spawns   atomic.Int64
 }
 
 // NewSystem creates a System with the standard utility programs
 // installed (echo, cat, wc, seq, grep, sort, head, basename, expr).
 func NewSystem(mode Mode, fs *pfs.FS) *System {
-	s := &System{Mode: mode, SpawnCost: 2 * time.Millisecond, FS: fs, programs: map[string]Program{}}
+	s := &System{Mode: mode, FS: fs, programs: map[string]Program{}}
 	s.installCoreutils()
 	return s
 }
@@ -68,23 +64,8 @@ func NewSystem(mode Mode, fs *pfs.FS) *System {
 // RegisterProgram installs an executable into the process table.
 func (s *System) RegisterProgram(name string, p Program) { s.programs[name] = p }
 
-// Programs lists installed program names.
-func (s *System) Programs() []string {
-	out := make([]string, 0, len(s.programs))
-	for n := range s.programs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Spawns returns how many processes have been launched.
 func (s *System) Spawns() int64 { return s.spawns.Load() }
-
-// VirtualElapsed returns the accumulated launch cost.
-func (s *System) VirtualElapsed() time.Duration {
-	return time.Duration(s.spawnNanos.Load())
-}
 
 // Exec launches argv[0] with the given arguments and returns its stdout.
 func (s *System) Exec(argv []string, stdin string) (string, error) {
@@ -99,10 +80,6 @@ func (s *System) Exec(argv []string, stdin string) (string, error) {
 		return "", fmt.Errorf("shell: %s: command not found", argv[0])
 	}
 	s.spawns.Add(1)
-	s.spawnNanos.Add(int64(s.SpawnCost))
-	if s.SleepOnSpawn {
-		time.Sleep(s.SpawnCost)
-	}
 	if s.FS != nil {
 		// Loading the executable and its shared libraries from the
 		// parallel filesystem: the at-scale killer the paper describes.

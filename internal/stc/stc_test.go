@@ -56,12 +56,16 @@ func tryRunSwift(src string, size, engines, servers int, setup func(*tcl.Interp,
 	if err != nil {
 		return nil, err
 	}
+	script, err := out.Script()
+	if err != nil {
+		return nil, err
+	}
 	sink := &syncWriter{}
 	cfg := &turbine.Config{
-		Engines: engines,
-		Servers: servers,
-		Program: out.Program,
-		Main:    out.Main,
+		Engines:       engines,
+		Servers:       servers,
+		ProgramScript: script,
+		Main:          out.Main,
 		Setup: func(in *tcl.Interp, env *turbine.Env) error {
 			in.Out = sink
 			if setup != nil {

@@ -153,19 +153,3 @@ func TestResolveErrors(t *testing.T) {
 		t.Fatal("expected resolve error")
 	}
 }
-
-func TestRegistry(t *testing.T) {
-	lib := nativelib.NewSimLibrary()
-	nativelib.Register(lib)
-	got, err := nativelib.Open("libsim")
-	if err != nil || got != lib {
-		t.Fatalf("Open: %v %v", got, err)
-	}
-	if _, err := nativelib.Open("libmissing"); err == nil {
-		t.Fatal("expected open error")
-	}
-	syms := lib.Symbols()
-	if len(syms) != 7 || syms[0] != "sim_count_above" {
-		t.Fatalf("symbols = %v", syms)
-	}
-}

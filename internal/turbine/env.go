@@ -57,16 +57,13 @@ type Config struct {
 	// from the lang registry (the <name>::eval dispatch commands),
 	// SWIG-generated wrappers, and user packages.
 	Setup func(in *tcl.Interp, env *Env) error
-	// Program is Turbine code (Tcl) loaded into every rank's interpreter
-	// before the run; typically STC compiler output defining procs.
-	Program string
-	// ProgramScript, if non-nil, is the pre-compiled form of Program
-	// (see stc.Output.Script). Ranks evaluate it directly, sharing one
-	// parse across the whole deployment instead of re-parsing the program
-	// once per rank at startup. Takes precedence over Program.
+	// ProgramScript, if non-nil, is the Turbine code (Tcl) loaded into
+	// every rank's interpreter before the run, typically STC compiler
+	// output defining procs, in its compiled form (see stc.Output.Script).
+	// Every rank evaluates the same parse.
 	ProgramScript *tcl.Script
 	// Main is the Tcl fragment evaluated on engine rank 0 to seed the
-	// run (typically a proc defined by Program).
+	// run (typically a proc defined by ProgramScript).
 	Main string
 }
 
@@ -178,10 +175,6 @@ func Run(c *mpi.Comm, cfg *Config) error {
 	}
 	if cfg.ProgramScript != nil {
 		if _, err := in.EvalScript(cfg.ProgramScript); err != nil {
-			return fmt.Errorf("turbine: loading program on rank %d: %w", c.Rank(), err)
-		}
-	} else if cfg.Program != "" {
-		if _, err := in.Eval(cfg.Program); err != nil {
 			return fmt.Errorf("turbine: loading program on rank %d: %w", c.Rank(), err)
 		}
 	}

@@ -63,7 +63,7 @@ func TestAddRuleBatchesSubscribes(t *testing.T) {
 			})
 			return nil
 		},
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				# a, c on server 0; b, d on server 1. a and d are closed.
 				lassign {1000000 1000001 1000002 1000003} a b c d
@@ -84,7 +84,7 @@ func TestAddRuleBatchesSubscribes(t *testing.T) {
 				turbine::store_integer $b 2
 				turbine::store_integer $c 3
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rows := runTurbine(t, 4, cfg).sorted()
@@ -98,7 +98,7 @@ func TestAddRuleBatchesSubscribes(t *testing.T) {
 func TestRuleOptionsSharedParser(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				set c [turbine::allocate container]
 				turbine::write_refcount $c -1
@@ -110,7 +110,7 @@ func TestRuleOptionsSharedParser(t *testing.T) {
 					{*}$cmd "test::record ran [lindex $cmd 0]" name n priority 3 type control
 				}
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rows := runTurbine(t, 3, cfg).sorted()
@@ -145,7 +145,7 @@ func TestRuleMembers(t *testing.T) {
 			})
 			return nil
 		},
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				set c [turbine::allocate container]
 				set open {}
@@ -171,7 +171,7 @@ func TestRuleMembers(t *testing.T) {
 				test::record size [turbine::container_size $c]
 				test::record values [turbine::container_values $c]
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rows := runTurbine(t, 4, cfg).sorted()

@@ -69,6 +69,16 @@ func runTurbine(t *testing.T, size int, cfg *Config) *recorder {
 	return rec
 }
 
+// script compiles hand-written Turbine code for Config.ProgramScript.
+func script(t *testing.T, src string) *tcl.Script {
+	t.Helper()
+	s, err := tcl.CompileScript(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Engines: 0, Servers: 1},
@@ -102,7 +112,7 @@ func TestDataflowSingleRule(t *testing.T) {
 	// and records the value.
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				set x [turbine::allocate integer]
 				turbine::rule [list $x] "fire $x"
@@ -111,7 +121,7 @@ func TestDataflowSingleRule(t *testing.T) {
 			proc fire {x} {
 				test::record "got [turbine::value integer $x]"
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rec := runTurbine(t, 3, cfg)
@@ -126,7 +136,7 @@ func TestRuleOrderingIsDataflow(t *testing.T) {
 	// first but fed last must fire last.
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				set a [turbine::allocate integer]
 				set b [turbine::allocate integer]
@@ -134,7 +144,7 @@ func TestRuleOrderingIsDataflow(t *testing.T) {
 				turbine::rule [list $b] "test::record B ; turbine::store_integer $a 1"
 				turbine::rule [list] "turbine::store_integer $b 1" type work
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rec := runTurbine(t, 3, cfg)
@@ -152,7 +162,7 @@ func TestFig1Pipeline(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 1,
 		TurbineStats: &Stats{},
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				for {set i 0} {$i < 10} {incr i} {
 					set t [turbine::allocate integer]
@@ -175,7 +185,7 @@ func TestFig1Pipeline(t *testing.T) {
 			proc done_stage {u} {
 				test::record "g=[turbine::value integer $u]"
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rec := runTurbine(t, 6, cfg) // 1 engine + 1 server + 4 workers
@@ -205,7 +215,7 @@ func TestSpawnDistributesControl(t *testing.T) {
 	// engine; with 2 engines both should see work for a wide fan-out.
 	cfg := &Config{
 		Engines: 2, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				for {set i 0} {$i < 40} {incr i} {
 					turbine::spawn "frag $i"
@@ -214,7 +224,7 @@ func TestSpawnDistributesControl(t *testing.T) {
 			proc frag {i} {
 				test::record "frag $i on [test::rank]"
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rec := runTurbine(t, 5, cfg)
@@ -227,7 +237,7 @@ func TestSpawnDistributesControl(t *testing.T) {
 func TestContainersAndEnumerate(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				set c [turbine::allocate container]
 				# Three members, inserted before they are stored.
@@ -246,7 +256,7 @@ func TestContainersAndEnumerate(t *testing.T) {
 					turbine::rule [list $m] "test::record elem $sub \[turbine::value integer $m\]"
 				}
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rec := runTurbine(t, 3, cfg)
@@ -266,11 +276,11 @@ func TestTargetedLeafTask(t *testing.T) {
 	// A rule with an explicit target must run its leaf task on that rank.
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				turbine::rule [list] "test::record task-on-\[test::rank\]" type work target 2
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rec := runTurbine(t, 5, cfg) // workers are ranks 1..3
@@ -283,7 +293,7 @@ func TestTargetedLeafTask(t *testing.T) {
 func TestLiteralHelpers(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				set i [turbine::literal_integer 7]
 				set f [turbine::literal_float 2.5]
@@ -292,7 +302,7 @@ func TestLiteralHelpers(t *testing.T) {
 				test::record [turbine::value float $f]
 				test::record [turbine::value string $s]
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rec := runTurbine(t, 3, cfg)
@@ -315,7 +325,7 @@ func TestValueReadsTDsAndImmediatesAlike(t *testing.T) {
 	stats := &adlb.Stats{}
 	cfg := &Config{
 		Engines: 1, Servers: 1, Stats: stats,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				foreach {typ text} {integer 7 integer -12 float 2.5 float 3.0 float 1e+21 float 0.1
 						string hello string {a $b} string {} string i:5} {
@@ -333,7 +343,7 @@ func TestValueReadsTDsAndImmediatesAlike(t *testing.T) {
 					if {![catch {turbine::value {*}$bad} msg]} { test::record "no error for $bad" }
 				}
 			}
-		`,
+		`),
 		Main: "main",
 		Setup: func(in *tcl.Interp, env *Env) error {
 			in.RegisterCommand("test::dataops", func(*tcl.Interp, []string) (string, error) {
@@ -363,14 +373,14 @@ func TestFloatsReadOneWayAsTDOrImmediate(t *testing.T) {
 		"9007199254740993", "NaN", "+Inf", "-Inf"}
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
-				foreach text {` + strings.Join(texts, " ") + `} {
+				foreach text {`+strings.Join(texts, " ")+`} {
 					set td [turbine::literal_float $text]
 					test::record [list $text [turbine::value float $td] [turbine::value float f:$text]]
 				}
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rows := runTurbine(t, 3, cfg).sorted()
@@ -399,7 +409,7 @@ func TestTypedRetrieveMismatch(t *testing.T) {
 	// float; every other mismatch is an error.
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				set i [turbine::literal_integer 7]
 				set f [turbine::literal_float 2.5]
@@ -412,7 +422,7 @@ func TestTypedRetrieveMismatch(t *testing.T) {
 					}
 				}
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rows := runTurbine(t, 3, cfg).sorted()
@@ -424,11 +434,11 @@ func TestTypedRetrieveMismatch(t *testing.T) {
 func TestLeafTaskErrorAbortsRun(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				turbine::rule [list] "error deliberate-task-failure" type work
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	w, _ := mpi.NewWorld(3)
@@ -444,12 +454,12 @@ func TestLeafTaskErrorAbortsRun(t *testing.T) {
 func TestDoubleStoreAbortsRun(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				set x [turbine::literal_integer 1]
 				turbine::store_integer $x 2
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	w, _ := mpi.NewWorld(3)
@@ -464,13 +474,13 @@ func TestDoubleStoreAbortsRun(t *testing.T) {
 func TestBlobThroughDataStore(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				set b [turbine::allocate blob]
 				turbine::rule [list] "turbine::store_blob $b binary-payload" type work
 				turbine::rule [list $b] "test::record blob=\[turbine::value blob $b\]"
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rec := runTurbine(t, 3, cfg)
@@ -483,13 +493,13 @@ func TestBlobThroughDataStore(t *testing.T) {
 func TestVoidSignalling(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				set done [turbine::allocate void]
 				turbine::rule [list $done] "test::record signalled"
 				turbine::rule [list] "turbine::store_void $done {}" type work
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rec := runTurbine(t, 3, cfg)
@@ -506,13 +516,13 @@ func TestManyWorkersLoadBalance(t *testing.T) {
 	ranks := map[string]int{}
 	cfg := &Config{
 		Engines: 1, Servers: 1,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				for {set i 0} {$i < 50} {incr i} {
 					turbine::rule [list] "test::rank_record" type work
 				}
 			}
-		`,
+		`),
 		Main: "main",
 		Setup: func(in *tcl.Interp, env *Env) error {
 			in.RegisterCommand("test::rank_record", func(in *tcl.Interp, args []string) (string, error) {
@@ -546,7 +556,7 @@ func TestMultiServerDataflow(t *testing.T) {
 	cfg := &Config{
 		Engines: 2, Servers: 2,
 		Stats: stats,
-		Program: `
+		ProgramScript: script(t, `
 			proc main {} {
 				for {set i 0} {$i < 20} {incr i} {
 					turbine::spawn "stage_a $i"
@@ -560,7 +570,7 @@ func TestMultiServerDataflow(t *testing.T) {
 			proc compute {i t} {
 				turbine::store_integer $t [expr {$i * $i}]
 			}
-		`,
+		`),
 		Main: "main",
 	}
 	rec := runTurbine(t, 8, cfg)
