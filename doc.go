@@ -259,10 +259,13 @@
 // plus one contiguous buffer per element class — Num (8 bytes per
 // numeric row, little-endian, bit-identical to both the data-store
 // encoding and a packed blob payload), Raw+Off for strings and blobs,
-// Meta for blob dims/element kinds. adlb.Client.RetrieveChunk and
-// StoreChunk move a chunk as one RPC per owning server with a chunk
-// frame on the wire (decode validates every cross-column invariant, so
-// a hostile frame cannot make readers index out of bounds); lang.Chunk
+// Meta for blob dims/element kinds. The chunk row is the one wire form
+// of a value: adlb.Client.RetrieveChunk and StoreChunk move a chunk as
+// one RPC per owning server with a chunk frame on the wire (decode
+// validates every cross-column invariant, so a hostile frame cannot make
+// readers index out of bounds), Store sends a one-row chunk, Retrieve is
+// a one-id RetrieveChunk, and turbine::value reads a TD's row through
+// chunk.Reader like every other reader of a stored scalar; lang.Chunk
 // aliases the same type, DataPlane.LoadChunk/StoreChunk carry it to the
 // turbine layer, and vpack/vunpack convert between a homogeneous
 // numeric chunk's Num column and a packed blob with at most a slice
@@ -279,19 +282,23 @@
 // putEncoder, never retaining the encoder or its buffer past the Send.
 //
 // The zero-copy aliasing contract. Payload slices returned by
-// adlb.Client.Retrieve and RetrieveChunk alias the RPC response frame.
-// They are valid until the next call on the same Client returns: that
-// call retires the pinned frames at its start and releases them only
-// after its own request is on the wire (encode may legitimately read a
+// adlb.Client.Retrieve and RetrieveChunk alias the RPC response frame,
+// and a value is copied once on its way out: Store's one-row chunk and
+// the server's reply to a one-id retrieve alias the value's own bytes
+// (never the server's reused gather buffer, whose next append would
+// write into a stored datum). Returned slices are valid until the next
+// call on the same Client returns: that call retires the pinned frames
+// at its start and releases them only after its own request is on the
+// wire (encode may legitimately read a
 // retired frame — a retrieved blob stored straight back). Consumers that
 // keep payloads longer must copy on escape — lang.ChunkToValues takes
 // copyBytes because engines retain argv bindings across later
 // data-plane calls — while bulk paths that finish inside the window
-// (vpack, vunpack, the gather/scatter benchmark) stay zero-copy. On the server side the mirror rule: request frames are
-// released after handling except for store-class ops, whose decoded
-// value bytes alias the frame for the datum's lifetime (zero-copy
-// store), and mutating a stale client view never corrupts a datum
-// (adlb.TestZeroCopyAliasingContract).
+// (vpack, vunpack, the gather/scatter benchmark) stay zero-copy. On the
+// server side the mirror rule: request frames are released after
+// handling except for store-class ops, whose decoded rows alias the
+// frame for the datum's lifetime (zero-copy store), and mutating a stale
+// client view never corrupts a datum (adlb.TestZeroCopyAliasingContract).
 //
 // # Transport
 //
@@ -388,12 +395,14 @@
 // the way out. Inside the warm world a fragment task and its response
 // are each one data-plane chunk frame (adlb.EncodeChunkFrame: header
 // rows, then one row per value), so a blob crosses the world as raw
-// bytes. Three client roles share the warm world — a pinned gateway that
-// submits fragment tasks, a pinned collector that routes results back to
+// bytes. Three client roles share the warm world — a gateway that
+// submits fragment tasks, a collector that routes results back to
 // waiting requests, and leased-Get fragment workers, each owning a
-// lang.Pool of per-tenant interpreters. The pins (adlb.Client.Pin) hold
-// the otherwise-quiescent world open; shutdown releases them in order
-// and lets ordinary Safra termination drain the workers. Once Close has
+// lang.Pool of per-tenant interpreters. The gateway never parks in Get,
+// so its home server counts it mid-task and the otherwise-quiescent
+// world stays open with no special opcode; shutdown sends the collector
+// a sentinel, both Leave, and ordinary Safra termination drains the
+// workers. Once Close has
 // begun, EvalFragment and RunProgram return "serve: shutting down"
 // instead of entering the world, including callers that raced it.
 //

@@ -1,6 +1,7 @@
 package adlb
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/chunk"
 	"repro/internal/mpi"
 )
 
@@ -504,9 +506,8 @@ func TestDataStoreScalars(t *testing.T) {
 		if err != nil || !found {
 			return fmt.Errorf("retrieve: %v %v", found, err)
 		}
-		n, err := AsInt(v)
-		if err != nil || n != 42 {
-			return fmt.Errorf("AsInt: %d %v", n, err)
+		if r, err := readRow(v); err != nil || r.Kind() != chunk.KindInt || r.Int() != 42 {
+			return fmt.Errorf("int row: %v %v", v, err)
 		}
 		if closed, err := cl.Subscribe(cl.Rank(), []int64{idI}); err != nil || !closed[0] {
 			return fmt.Errorf("set datum not closed: %v", err)
@@ -527,27 +528,24 @@ func TestDataStoreScalars(t *testing.T) {
 			return err
 		}
 		v, _, _ = cl.Retrieve(idF)
-		f, err := AsFloat(v)
-		if err != nil || f != 2.5 {
-			return fmt.Errorf("AsFloat: %v %v", f, err)
+		if r, err := readRow(v); err != nil || r.Kind() != chunk.KindFloat || r.Float() != 2.5 {
+			return fmt.Errorf("float row: %v %v", v, err)
 		}
 		// String round-trip.
 		idS, _ := cl.Unique()
 		cl.Create(idS, TypeString)
 		cl.Store(idS, StringValue("héllo"))
 		v, _, _ = cl.Retrieve(idS)
-		s, err := AsString(v)
-		if err != nil || s != "héllo" {
-			return fmt.Errorf("AsString: %q %v", s, err)
+		if r, err := readRow(v); err != nil || r.Kind() != chunk.KindString || string(r.Bytes()) != "héllo" {
+			return fmt.Errorf("string row: %v %v", v, err)
 		}
 		// Blob round-trip.
 		idB, _ := cl.Unique()
 		cl.Create(idB, TypeBlob)
 		cl.Store(idB, BlobValue([]byte{0, 1, 2, 255}))
 		v, _, _ = cl.Retrieve(idB)
-		b, err := AsBlob(v)
-		if err != nil || len(b) != 4 || b[3] != 255 {
-			return fmt.Errorf("AsBlob: %v %v", b, err)
+		if r, err := readRow(v); err != nil || r.Kind() != chunk.KindBlob || !bytes.Equal(r.Bytes(), []byte{0, 1, 2, 255}) {
+			return fmt.Errorf("blob row: %v %v", v, err)
 		}
 		// Missing id.
 		_, found, err = cl.Retrieve(999999)
@@ -797,9 +795,8 @@ func TestCrossRankDataFlow(t *testing.T) {
 			if err != nil || !found {
 				return fmt.Errorf("retrieve: %v %v", found, err)
 			}
-			n, _ := AsInt(v)
-			if n != 1234 {
-				return fmt.Errorf("value = %d", n)
+			if r, err := readRow(v); err != nil || r.Int() != 1234 {
+				return fmt.Errorf("value = %v %v", v, err)
 			}
 		}
 		return drainShutdown(cl)
@@ -928,35 +925,46 @@ func TestNotificationCodec(t *testing.T) {
 	}
 }
 
+// readRow reads v through its row, as every reader of a stored scalar's
+// bytes does.
+func readRow(v Value) (chunk.Reader, error) {
+	c, err := row(v)
+	r := c.Reader()
+	r.Next()
+	return r, err
+}
+
+// TestValueCodecs: a value's row carries its type as the row kind and
+// its payload as the column the kind selects, and reads back as the same
+// value; a value with no row form is refused.
 func TestValueCodecs(t *testing.T) {
-	if v, err := AsInt(IntValue(-99)); err != nil || v != -99 {
-		t.Fatalf("int: %v %v", v, err)
+	for _, v := range []Value{IntValue(-99), FloatValue(-2.75), StringValue("x"), VoidValue(),
+		{Type: TypeBlob, Bytes: []byte{1, 2}, Dims: []int{2, 1}, Elem: 1}} {
+		r, err := readRow(v)
+		if err != nil || DataType(r.Kind()) != v.Type {
+			t.Fatalf("%v: kind %d, %v", v, r.Kind(), err)
+		}
+		if back := rowValue(&r); back.Type != v.Type || !bytes.Equal(back.Bytes, v.Bytes) ||
+			back.Elem != v.Elem || fmt.Sprint(back.Dims) != fmt.Sprint(v.Dims) {
+			t.Fatalf("%v read back as %v", v, back)
+		}
 	}
-	if v, err := AsFloat(FloatValue(-2.75)); err != nil || v != -2.75 {
-		t.Fatalf("float: %v %v", v, err)
-	}
-	if _, err := AsInt(StringValue("x")); err == nil {
-		t.Fatal("AsInt accepted string")
-	}
-	if _, err := AsFloat(IntValue(1)); err == nil {
-		t.Fatal("AsFloat accepted int")
-	}
-	if _, err := AsString(IntValue(1)); err == nil {
-		t.Fatal("AsString accepted int")
-	}
-	if _, err := AsBlob(IntValue(1)); err == nil {
-		t.Fatal("AsBlob accepted int")
+	for _, bad := range []Value{{Type: TypeInteger, Bytes: []byte{1}}, {Type: TypeFloat}, {Type: TypeContainer}, {}} {
+		if _, err := row(bad); err == nil {
+			t.Fatalf("row accepted %v", bad)
+		}
 	}
 	f := func(v int64) bool {
-		out, err := AsInt(IntValue(v))
-		return err == nil && out == v
+		r, err := readRow(IntValue(v))
+		return err == nil && r.Kind() == chunk.KindInt && r.Int() == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 	g := func(v float64) bool {
-		out, err := AsFloat(FloatValue(v))
-		return err == nil && (out == v || (v != v && out != out)) // NaN-safe
+		r, err := readRow(FloatValue(v))
+		out := r.Float()
+		return err == nil && r.Kind() == chunk.KindFloat && (out == v || (v != v && out != out)) // NaN-safe
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Fatal(err)

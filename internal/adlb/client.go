@@ -252,28 +252,6 @@ func (cl *Client) Leave() error {
 	return d.finish("leave response")
 }
 
-// Pin declares this client long-lived: the world must not terminate
-// while it is registered, even when every client is idle and all queues
-// are drained. Batch runs terminate by quiescence (Safra's detection
-// fires when all clients are parked in Get with nothing queued); a
-// serving deployment is *supposed* to be idle between requests, so its
-// gateway clients pin themselves at startup and the home server refuses
-// to initiate or forward termination tokens while any pin is held.
-// Leave releases the pin — a graceful shutdown is "unpin the gateways,
-// then let ordinary quiescence drain the workers".
-func (cl *Client) Pin() error {
-	d, err := cl.rpc(cl.myServer, func(e *encoder) {
-		e.u8(opPin)
-	})
-	if err != nil {
-		return err
-	}
-	if _, err = checkStatus(d, "pin"); err != nil {
-		return err
-	}
-	return d.finish("pin response")
-}
-
 // Unique returns a fresh data id. Ids are allocated in blocks from the
 // client's home server so the owner of each id is that same server.
 func (cl *Client) Unique() (int64, error) {
@@ -323,12 +301,17 @@ func (cl *Client) Create(id int64, typ DataType) error {
 
 // Store writes the value of a single-assignment datum, closing it and
 // triggering any subscriptions. An issued id with no datum yet gets one,
-// typed by v.
+// typed by v. The value travels as a one-row chunk aliasing v.Bytes, so
+// its payload is copied once, onto the wire.
 func (cl *Client) Store(id int64, v Value) error {
+	c, err := row(v)
+	if err != nil {
+		return err
+	}
 	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
 		e.u8(opStore)
 		e.i64(id)
-		encodeValue(e, v)
+		encodeChunk(e, c)
 	})
 	if err != nil {
 		return err
@@ -339,7 +322,8 @@ func (cl *Client) Store(id int64, v Value) error {
 	return d.finish("store response")
 }
 
-// Retrieve fetches a datum's value. found is false if the id is unknown.
+// Retrieve fetches a datum's value: a one-id retrieve_chunk. found is
+// false, with a nil error, for an id its owner neither holds nor issued.
 //
 // Zero-copy aliasing contract: the returned value's Bytes alias the
 // response frame, with no copy. The slice is valid until the next call
@@ -347,22 +331,17 @@ func (cl *Client) Store(id int64, v Value) error {
 // (encode happens before the frame is released) is safe, but a caller
 // that keeps the bytes across a later call must copy them out first.
 func (cl *Client) Retrieve(id int64) (v Value, found bool, err error) {
-	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
-		e.u8(opRetrieve)
-		e.i64(id)
-	})
+	cl.retire()
+	c, err := cl.retrieveFrom(cl.l.OwnerOf(id), []int64{id})
+	if _, missing := err.(noSuchID); missing {
+		return Value{}, false, nil
+	}
 	if err != nil {
 		return Value{}, false, err
 	}
-	st, err := checkStatus(d, "retrieve")
-	if err != nil {
-		return Value{}, false, err
-	}
-	if st == stNotFound {
-		return Value{}, false, d.finish("retrieve response")
-	}
-	v = decodeValue(d)
-	return v, true, d.finish("retrieve response")
+	r := c.Reader()
+	r.Next()
+	return rowValue(&r), true, nil
 }
 
 // RetrieveChunk fetches many closed data as one columnar chunk: row i is
@@ -382,68 +361,77 @@ func (cl *Client) RetrieveChunk(ids []int64) (chunk.Chunk, error) {
 	if len(ids) == 0 {
 		return out, nil
 	}
-	groups := make(map[int][]int) // owning server rank -> indexes into ids
-	for i, id := range ids {
+	groups := make(map[int][]int64) // owning server rank -> its ids, in request order
+	for _, id := range ids {
 		owner := cl.l.OwnerOf(id)
-		groups[owner] = append(groups[owner], i)
+		groups[owner] = append(groups[owner], id)
 	}
 	cl.retire()
-	chunks := make(map[int]chunk.Chunk, len(groups))
-	for server, idxs := range groups {
-		d, err := cl.rpcKeep(server, func(e *encoder) {
-			e.u8(opRetrieveChunk)
-			e.u32(uint32(len(idxs)))
-			for _, i := range idxs {
-				e.i64(ids[i])
-			}
-		})
+	readers := make(map[int]*chunk.Reader, len(groups))
+	for server, owned := range groups {
+		c, err := cl.retrieveFrom(server, owned)
 		if err != nil {
 			return out, err
 		}
-		if _, err := checkStatus(d, "retrieve_chunk"); err != nil {
-			return out, err
-		}
-		c := decodeChunk(d)
-		if err := d.finish("retrieve_chunk response"); err != nil {
-			return out, err
-		}
-		if c.Len() != len(idxs) {
-			return out, fmt.Errorf("adlb: retrieve_chunk: asked for %d rows, got %d", len(idxs), c.Len())
-		}
-		chunks[server] = c
-	}
-	if len(groups) == 1 {
-		for _, c := range chunks {
+		if len(groups) == 1 {
 			return c, nil
 		}
-	}
-	// Merge the per-server chunks back into request order.
-	readers := make(map[int]*chunk.Reader, len(chunks))
-	for server := range chunks {
-		c := chunks[server]
 		r := c.Reader()
 		readers[server] = &r
 	}
+	// Merge the per-server chunks back into request order.
 	for _, id := range ids {
 		r := readers[cl.l.OwnerOf(id)]
-		if !r.Next() {
-			return out, fmt.Errorf("adlb: retrieve_chunk: short chunk merging id %d", id)
-		}
-		switch r.Kind() {
-		case chunk.KindVoid:
-			out.AppendVoid()
-		case chunk.KindInt, chunk.KindFloat:
-			if err := out.AppendNumRaw(r.Kind(), r.NumRaw()); err != nil {
-				return out, err
-			}
-		case chunk.KindString:
-			out.AppendBytes(r.Bytes())
-		case chunk.KindBlob:
-			m := r.Meta()
-			out.AppendBlob(r.Bytes(), m.Elem, m.Dims)
+		r.Next()
+		v := rowValue(r)
+		if err := appendRow(&out, &v); err != nil {
+			return out, err
 		}
 	}
 	return out, nil
+}
+
+// noSuchID is retrieve_chunk's not-found reply: the id its owner neither
+// holds nor issued.
+type noSuchID int64
+
+func (id noSuchID) Error() string {
+	return fmt.Sprintf("adlb: retrieve_chunk: no such id %d", int64(id))
+}
+
+// retrieveFrom is one retrieve_chunk RPC to the server owning every id,
+// keeping earlier frames of the same call pinned.
+func (cl *Client) retrieveFrom(server int, ids []int64) (chunk.Chunk, error) {
+	var c chunk.Chunk
+	d, err := cl.rpcKeep(server, func(e *encoder) {
+		e.u8(opRetrieveChunk)
+		e.u32(uint32(len(ids)))
+		for _, id := range ids {
+			e.i64(id)
+		}
+	})
+	if err != nil {
+		return c, err
+	}
+	st, err := checkStatus(d, "retrieve_chunk")
+	if err != nil {
+		return c, err
+	}
+	if st == stNotFound {
+		missing := d.i64()
+		if err := d.finish("retrieve_chunk response"); err != nil {
+			return c, err
+		}
+		return c, noSuchID(missing)
+	}
+	c = decodeChunk(d)
+	if err := d.finish("retrieve_chunk response"); err != nil {
+		return c, err
+	}
+	if c.Len() != len(ids) {
+		return c, fmt.Errorf("adlb: retrieve_chunk: asked for %d rows, got %d", len(ids), c.Len())
+	}
+	return c, nil
 }
 
 // StoreChunk appends a columnar chunk of element values to a container in
@@ -629,35 +617,3 @@ func BlobValue(v []byte) Value { return Value{Type: TypeBlob, Bytes: v} }
 
 // VoidValue is the value stored into void (signal-only) data.
 func VoidValue() Value { return Value{Type: TypeVoid} }
-
-// AsInt decodes an integer value.
-func AsInt(v Value) (int64, error) {
-	if v.Type != TypeInteger || len(v.Bytes) != 8 {
-		return 0, fmt.Errorf("adlb: value is %v (len %d), not integer", v.Type, len(v.Bytes))
-	}
-	return int64(binary.LittleEndian.Uint64(v.Bytes)), nil
-}
-
-// AsFloat decodes a float value.
-func AsFloat(v Value) (float64, error) {
-	if v.Type != TypeFloat || len(v.Bytes) != 8 {
-		return 0, fmt.Errorf("adlb: value is %v (len %d), not float", v.Type, len(v.Bytes))
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(v.Bytes)), nil
-}
-
-// AsString decodes a string value.
-func AsString(v Value) (string, error) {
-	if v.Type != TypeString {
-		return "", fmt.Errorf("adlb: value is %v, not string", v.Type)
-	}
-	return string(v.Bytes), nil
-}
-
-// AsBlob decodes a blob value.
-func AsBlob(v Value) ([]byte, error) {
-	if v.Type != TypeBlob {
-		return nil, fmt.Errorf("adlb: value is %v, not blob", v.Type)
-	}
-	return v.Bytes, nil
-}

@@ -172,13 +172,12 @@ type Stats struct {
 	// one count per request, a batched request counting once.
 	OpCreate        atomic.Int64
 	OpStore         atomic.Int64
-	OpRetrieve      atomic.Int64
 	OpSubscribe     atomic.Int64
 	OpInsert        atomic.Int64 // container insert
 	OpLookup        atomic.Int64 // container lookup
 	OpEnumerate     atomic.Int64 // container enumerate
 	OpWriteRefcount atomic.Int64
-	OpChunkLoad     atomic.Int64 // batched retrieve (RetrieveChunk)
+	OpChunkLoad     atomic.Int64 // retrieve_chunk: RetrieveChunk, or Retrieve's one id
 	OpChunkStore    atomic.Int64 // batched store into a container (StoreChunk)
 }
 
@@ -190,8 +189,6 @@ func (s *Stats) countDataOp(op uint8) {
 		s.OpCreate.Add(1)
 	case opStore:
 		s.OpStore.Add(1)
-	case opRetrieve:
-		s.OpRetrieve.Add(1)
 	case opSubscribe:
 		s.OpSubscribe.Add(1)
 	case opInsert:
@@ -230,7 +227,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		UnfilledTDs:     s.UnfilledTDs.Load(),
 		OpCreate:        s.OpCreate.Load(),
 		OpStore:         s.OpStore.Load(),
-		OpRetrieve:      s.OpRetrieve.Load(),
 		OpSubscribe:     s.OpSubscribe.Load(),
 		OpInsert:        s.OpInsert.Load(),
 		OpLookup:        s.OpLookup.Load(),
@@ -261,7 +257,6 @@ type StatsSnapshot struct {
 	UnfilledTDs     int64
 	OpCreate        int64
 	OpStore         int64
-	OpRetrieve      int64
 	OpSubscribe     int64
 	OpInsert        int64
 	OpLookup        int64

@@ -25,12 +25,12 @@
 // Stats.UnfilledTDs counts the entries subscribed to or created but
 // never closed when a server drains.
 //
-// The client protocol is sixteen request opcodes, each with a caller in
-// the Turbine runtime: work (put, get, fail, leave, pin), ids (unique),
-// the data store (create, store, retrieve, subscribe, insert, lookup,
-// enumerate, write-refcount) and the columnar plane (retrieve_chunk,
-// store_chunk). Nothing asks a datum whether it exists or what type it
-// has: a reader waits on it through Subscribe and names the type it wants.
+// The client protocol is fourteen request opcodes, each with a caller in
+// the Turbine runtime: work (put, get, fail, leave), ids (unique), the
+// data store (create, store, subscribe, insert, lookup, enumerate,
+// write-refcount) and the columnar plane (retrieve_chunk, store_chunk).
+// Nothing asks a datum whether it exists or what type it has: a reader
+// waits on it through Subscribe and names the type it wants.
 //
 // Subscribe is batched, and is the only form on the wire: the request is
 // opSubscribe, the subscriber's rank (i32), and a counted id list (u32 n,
@@ -40,22 +40,25 @@
 // container's members costs O(servers) RPCs. A server answers its group
 // all-or-nothing: an id it neither holds nor issued fails the request,
 // naming the id, before any subscriber is registered or placeholder
-// made. Bulk element traffic has one form too: RetrieveChunk and
-// StoreChunk move a columnar chunk frame per owning server; a scalar moves as one Value through Retrieve and Store. The
-// same chunk frame is exported as EncodeChunkFrame/DecodeChunkFrame for
-// callers that carry a chunk as a work-item payload (swiftd frames its
-// fragment tasks and responses this way): decoding validates the chunk's
-// cross-column invariants and rejects trailing bytes, and the decoded
-// columns alias the frame, so rows that outlive it are copied out. Counts
-// read off the wire (here, in RetrieveChunk's id list, in the enumerate
-// response, and in the dims and offset tables of value and chunk frames)
-// go through decoder.count, which checks them against the bytes
-// remaining in the frame before anything is allocated. Stats.DataOps
-// counts requests, not ids: one batch to one server is one data
-// operation, whatever it carries. The Stats.Op* counters split it by kind
-// of request (create, store, retrieve, subscribe, container insert,
-// lookup and enumerate, write-refcount, chunk load and store) and sum to
-// it exactly, so what a program pays the data store for — a
-// third of it was once create+store pairs for compiler literals — reads
-// off `swiftt -stats` instead of off the code generator.
+// made. A value has one wire form too, the chunk row: RetrieveChunk and
+// StoreChunk move a columnar chunk frame per owning server, Store sends
+// the id and a one-row chunk, and Retrieve is a one-id retrieve_chunk
+// whose not-found reply carries the id. A scalar's DataType is its row
+// kind. The same chunk frame is exported as EncodeChunkFrame/
+// DecodeChunkFrame for callers that carry a chunk as a work-item payload
+// (swiftd frames its fragment tasks and responses this way): decoding
+// validates the chunk's cross-column invariants and rejects trailing
+// bytes, and the decoded columns alias the frame, so rows that outlive it
+// are copied out. Counts read off the wire (here, in RetrieveChunk's id
+// list, in the enumerate response, and in the dims and offset tables of
+// chunk frames) go through decoder.count, which checks them against the
+// bytes remaining in the frame before anything is allocated.
+// Stats.DataOps counts requests, not ids: one batch to one server is one
+// data operation, whatever it carries. The Stats.Op* counters split it
+// by kind of request (create, store, subscribe, container insert, lookup
+// and enumerate, write-refcount, chunk load — Retrieve's one id included
+// — and chunk store) and sum to it exactly, so what a program pays the
+// data store for — a third of it was once create+store pairs for
+// compiler literals — reads off `swiftt -stats` instead of off the code
+// generator.
 package adlb

@@ -22,8 +22,7 @@ const (
 	opPut uint8 = iota + 1
 	opGet
 	opCreate
-	opStore
-	opRetrieve
+	opStore     // id + one-row chunk
 	opSubscribe // rank + counted id list -> one closed flag per id (see Client.Subscribe)
 	opInsert
 	opLookup
@@ -33,14 +32,11 @@ const (
 	// Fault-tolerance ops: lease settlement and client departure.
 	opFail  // report a leased task failed; server requeues or poisons
 	opLeave // client departs; server reclaims its leases and unregisters it
-	// Columnar data-plane ops, the only batched element traffic: the
-	// container<->vector bridge costs O(servers) RPCs, not O(elements),
-	// and each RPC carries one chunk frame (contiguous typed columns).
-	opRetrieveChunk // many ids -> one columnar chunk, one RPC per owning server
+	// Columnar data-plane ops: the container<->vector bridge costs
+	// O(servers) RPCs, not O(elements), and each RPC carries one chunk
+	// frame (contiguous typed columns).
+	opRetrieveChunk // ids -> one columnar chunk, one RPC per owning server (Retrieve is one id)
 	opStoreChunk    // container + chunk -> owner-local member data, one RPC
-	// Serving op: a long-lived client declares itself pinned, holding the
-	// world open across idle periods (see Client.Pin).
-	opPin
 )
 
 // Server-to-server opcodes.
@@ -98,17 +94,18 @@ func decodeWorkItem(d *decoder) workItem {
 }
 
 // DataType enumerates the value types held by the ADLB data store. These
-// mirror Turbine's typed data (TD) universe.
+// mirror Turbine's typed data (TD) universe. A scalar type is its chunk
+// row kind, so a row's kind tag names its type with no mapping.
 type DataType uint8
 
 // Data store value types.
 const (
-	TypeVoid DataType = iota + 1
-	TypeInteger
-	TypeFloat
-	TypeString
-	TypeBlob
-	TypeContainer
+	TypeVoid      = DataType(chunk.KindVoid)
+	TypeInteger   = DataType(chunk.KindInt)
+	TypeFloat     = DataType(chunk.KindFloat)
+	TypeString    = DataType(chunk.KindString)
+	TypeBlob      = DataType(chunk.KindBlob)
+	TypeContainer = TypeBlob + 1
 )
 
 func (t DataType) String() string {
@@ -136,6 +133,10 @@ func (t DataType) String() string {
 // tag — so bulk numeric data keeps its shape and type across the store
 // without the payload ever being re-encoded (the blobutils contract: a
 // pointer + length pair reinterpreted at a given element type).
+//
+// On the wire a value is one chunk row: appendRow and rowValue convert
+// (row is a value alone, aliasing its bytes), and nothing else encodes a
+// value.
 type Value struct {
 	Type  DataType
 	Bytes []byte
@@ -143,35 +144,56 @@ type Value struct {
 	Elem  uint8 // blob only: element kind (blob.Elem; 0 = raw bytes)
 }
 
-func encodeValue(e *encoder, v Value) {
-	e.u8(uint8(v.Type))
-	e.bytes(v.Bytes)
-	if v.Type == TypeBlob {
-		e.u8(v.Elem)
-		e.u32(uint32(len(v.Dims)))
-		for _, d := range v.Dims {
-			e.i64(int64(d))
-		}
+// appendRow appends v to c as its next row, copying the payload: the
+// Value→row half of the one wire form (rowValue is the other).
+func appendRow(c *chunk.Chunk, v *Value) error {
+	switch v.Type {
+	case TypeVoid:
+		c.AppendVoid()
+	case TypeInteger, TypeFloat:
+		return c.AppendNumRaw(byte(v.Type), v.Bytes)
+	case TypeString:
+		c.AppendBytes(v.Bytes)
+	case TypeBlob:
+		c.AppendBlob(v.Bytes, v.Elem, v.Dims)
+	default:
+		return fmt.Errorf("adlb: a %v value has no row", v.Type)
 	}
+	return nil
 }
 
-// decodeValue decodes a value zero-copy: v.Bytes aliases the decoder's
-// frame. Client-side, returned payloads stay valid until the frame's
-// documented release point (the next call on the same Client); server-side,
-// frames whose decoded values are stored are retained for the datum's
-// lifetime (see dispatch), so the alias is permanent there.
-func decodeValue(d *decoder) Value {
-	var v Value
-	v.Type = DataType(d.u8())
-	v.Bytes = d.bytes()
-	if v.Type == TypeBlob {
-		v.Elem = d.u8()
-		if n := d.count(8, "blob dims"); n > 0 {
-			v.Dims = make([]int, n)
-			for i := range v.Dims {
-				v.Dims[i] = int(d.i64())
-			}
-		}
+// row is v alone as a one-row chunk whose string or blob payload column
+// is v.Bytes itself, not a copy, so a Store or a one-id retrieve reply
+// copies the payload once, onto the wire. Append nothing to the chunk:
+// that would write into v's bytes.
+func row(v Value) (chunk.Chunk, error) {
+	var c chunk.Chunk
+	payload := v.Bytes
+	if v.Type == TypeString || v.Type == TypeBlob {
+		v.Bytes = nil // appended empty, then pointed at the payload
+	}
+	if err := appendRow(&c, &v); err != nil {
+		return c, err
+	}
+	if len(c.Off) == 2 {
+		c.Raw, c.Off[1] = payload, uint32(len(payload))
+	}
+	return c, nil
+}
+
+// rowValue is the reader's current row as a Value aliasing the chunk's
+// columns: on the client until the next call, on the server for the life
+// of the retained request frame (see dispatch).
+func rowValue(r *chunk.Reader) Value {
+	v := Value{Type: DataType(r.Kind())}
+	switch v.Type {
+	case TypeInteger, TypeFloat:
+		v.Bytes = r.NumRaw()
+	case TypeString:
+		v.Bytes = r.Bytes()
+	case TypeBlob:
+		m := r.Meta()
+		v.Bytes, v.Elem, v.Dims = r.Bytes(), m.Elem, m.Dims
 	}
 	return v
 }
@@ -217,8 +239,8 @@ func decodePairs(d *decoder) []Pair {
 	return pairs
 }
 
-// The chunk frame: length-prefixed column buffers beside the per-value
-// encoding. Kinds, Num, and Raw travel as single byte fields (one copy
+// The chunk frame, the one wire form of values: length-prefixed column
+// buffers. Kinds, Num, and Raw travel as single byte fields (one copy
 // onto the wire, one alias off it); Off and Meta are small per-var-row
 // and per-blob-row tables.
 

@@ -77,7 +77,6 @@ type server struct {
 	parked     map[int]parkedReq // client rank -> deferred Get
 	parkOrder  []int             // FIFO of parked client ranks
 	departed   map[int]bool      // clients told NO_MORE_WORK; targeted queues GC'd
-	pinned     map[int]bool      // long-lived clients holding the world open (see Client.Pin)
 
 	leases    map[int64]lease // outstanding leased work, by lease id
 	nextLease int64
@@ -122,7 +121,6 @@ func newServer(c *mpi.Comm, cfg Config, l Layout) *server {
 		targeted:   make(map[targetKey]*workQueue),
 		parked:     make(map[int]parkedReq),
 		departed:   make(map[int]bool),
-		pinned:     make(map[int]bool),
 		leases:     make(map[int64]lease),
 		store:      make(map[int64]*datum),
 		nextID:     int64(l.Servers + idx), // ids ≡ idx (mod Servers), skipping id 0
@@ -324,15 +322,11 @@ func (s *server) housekeeping() {
 // client is parked in Get or has departed, all queues are empty, and no
 // steal is pending. Departed clients count as passive — a client that
 // crashed with leases outstanding must not block termination forever
-// (its reclaimed work is covered by the queue checks). Pinned clients
-// are the opposite: while any long-lived client holds a pin, this
-// server never reports passive, so termination tokens neither start
-// here nor pass through — an idle serving world stays up until its
-// gateways Leave.
+// (its reclaimed work is covered by the queue checks). A client that
+// never parks is the opposite: it keeps its home server from reporting
+// passive, so termination tokens neither start there nor pass through —
+// how an idle serving world stays up until its gateway Leaves.
 func (s *server) quiet() bool {
-	if len(s.pinned) > 0 {
-		return false
-	}
 	if len(s.parked)+s.doneCount != s.clientCount() || s.stealOut {
 		return false
 	}
@@ -424,11 +418,9 @@ func (s *server) handleRequest(op uint8, d *decoder, client int) error {
 		return s.handleFail(d, client)
 	case opLeave:
 		return s.handleLeave(d, client)
-	case opPin:
-		return s.handlePin(d, client)
 	case opUnique:
 		return s.handleUnique(d, client)
-	case opCreate, opStore, opRetrieve, opSubscribe, opInsert, opLookup,
+	case opCreate, opStore, opSubscribe, opInsert, opLookup,
 		opEnumerate, opWriteRefcount, opRetrieveChunk, opStoreChunk:
 		if st := s.stats(); st != nil {
 			st.countDataOp(op)
@@ -644,7 +636,6 @@ func (s *server) clientDeparted(client int) {
 	}
 	s.doneCount++
 	s.departed[client] = true
-	delete(s.pinned, client) // a departed gateway releases its hold on the world
 	for k, q := range s.targeted {
 		if k.target != client {
 			continue
@@ -728,18 +719,6 @@ func (s *server) handleFail(d *decoder, client int) error {
 	if err := s.requeueOrPoison(le.w, reason, retriable); err != nil {
 		return err
 	}
-	return s.respond(client, func(e *encoder) { e.u8(stOK) })
-}
-
-// handlePin registers a long-lived client: while any pin is held on this
-// server, quiet() stays false, so Safra termination neither initiates
-// here nor passes a token through — an idle serving world keeps running.
-// The pin is released by the client's departure (Leave or NO_MORE_WORK).
-func (s *server) handlePin(d *decoder, client int) error {
-	if err := d.finish("pin request"); err != nil {
-		return err
-	}
-	s.pinned[client] = true
 	return s.respond(client, func(e *encoder) { e.u8(stOK) })
 }
 
@@ -861,10 +840,16 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 
 	case opStore:
 		id := d.i64()
-		v := decodeValue(d)
+		c := decodeChunk(d)
 		if err := d.finish("store request"); err != nil {
 			return err
 		}
+		if c.Len() != 1 {
+			return s.respondError(client, fmt.Sprintf("store: id %d: %d rows, want 1", id, c.Len()))
+		}
+		r := c.Reader()
+		r.Next()
+		v := rowValue(&r)
 		dm, ok := s.store[id]
 		if !ok {
 			if !s.issued(id) {
@@ -889,23 +874,6 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		dm.set = true
 		s.notifyAll(dm, id)
 		return s.respond(client, func(e *encoder) { e.u8(stOK) })
-
-	case opRetrieve:
-		id := d.i64()
-		if err := d.finish("retrieve request"); err != nil {
-			return err
-		}
-		dm, ok := s.store[id]
-		if !ok {
-			return s.respond(client, func(e *encoder) { e.u8(stNotFound) })
-		}
-		if !dm.set && dm.typ != TypeContainer {
-			return s.respondError(client, fmt.Sprintf("retrieve: id %d is unset", id))
-		}
-		return s.respond(client, func(e *encoder) {
-			e.u8(stOK)
-			encodeValue(e, dm.val)
-		})
 
 	case opSubscribe:
 		rank := int(d.i32())
@@ -1022,9 +990,12 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 	case opRetrieveChunk:
 		// Columnar gather: all requested ids are owned here (the client
 		// grouped by owner), so the whole lookup is local and the reply is
-		// one chunk frame — contiguous typed columns. The scratch chunk is
-		// reused across RPCs (the server loop is single-goroutine), so a
-		// steady gather stream allocates nothing here.
+		// one chunk frame — contiguous typed columns. Many rows gather into
+		// the scratch chunk, reused across RPCs (the server loop is
+		// single-goroutine), so a steady gather stream allocates nothing
+		// here. One id — Retrieve — replies with the datum's own row: its
+		// payload is copied once, onto the wire, and never into scratch,
+		// whose next append would then write into the datum.
 		ids := decodeIDs(d, "retrieve_chunk ids")
 		if err := d.finish("retrieve_chunk request"); err != nil {
 			return err
@@ -1032,30 +1003,27 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		s.scratch.Reset()
 		for _, id := range ids {
 			dm, ok := s.store[id]
-			if !ok {
-				return s.respondError(client, fmt.Sprintf("retrieve_chunk: no such id %d", id))
+			if !ok && !s.issued(id) {
+				return s.respond(client, func(e *encoder) {
+					e.u8(stNotFound)
+					e.i64(id)
+				})
 			}
-			if !dm.set {
+			if !ok || !dm.set {
 				return s.respondError(client, fmt.Sprintf("retrieve_chunk: id %d is unset", id))
 			}
-			v := dm.val
-			switch v.Type {
-			case TypeInteger:
-				if err := s.scratch.AppendNumRaw(chunk.KindInt, v.Bytes); err != nil {
+			if len(ids) == 1 {
+				r, err := row(dm.val)
+				if err != nil {
 					return s.respondError(client, fmt.Sprintf("retrieve_chunk: id %d: %v", id, err))
 				}
-			case TypeFloat:
-				if err := s.scratch.AppendNumRaw(chunk.KindFloat, v.Bytes); err != nil {
-					return s.respondError(client, fmt.Sprintf("retrieve_chunk: id %d: %v", id, err))
-				}
-			case TypeString:
-				s.scratch.AppendBytes(v.Bytes)
-			case TypeBlob:
-				s.scratch.AppendBlob(v.Bytes, v.Elem, v.Dims)
-			case TypeVoid:
-				s.scratch.AppendVoid()
-			default:
-				return s.respondError(client, fmt.Sprintf("retrieve_chunk: id %d is %v, which has no chunk form", id, dm.typ))
+				return s.respond(client, func(e *encoder) {
+					e.u8(stOK)
+					encodeChunk(e, r)
+				})
+			}
+			if err := appendRow(&s.scratch, &dm.val); err != nil {
+				return s.respondError(client, fmt.Sprintf("retrieve_chunk: id %d: %v", id, err))
 			}
 		}
 		return s.respond(client, func(e *encoder) {
@@ -1098,25 +1066,8 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		r := c.Reader()
 		for i := 0; i < n && r.Next(); i++ {
 			dmv := &slab[i]
-			dmv.set = true
-			switch r.Kind() {
-			case chunk.KindVoid:
-				dmv.typ = TypeVoid
-				dmv.val = Value{Type: TypeVoid}
-			case chunk.KindInt:
-				dmv.typ = TypeInteger
-				dmv.val = Value{Type: TypeInteger, Bytes: r.NumRaw()}
-			case chunk.KindFloat:
-				dmv.typ = TypeFloat
-				dmv.val = Value{Type: TypeFloat, Bytes: r.NumRaw()}
-			case chunk.KindString:
-				dmv.typ = TypeString
-				dmv.val = Value{Type: TypeString, Bytes: r.Bytes()}
-			case chunk.KindBlob:
-				m := r.Meta()
-				dmv.typ = TypeBlob
-				dmv.val = Value{Type: TypeBlob, Bytes: r.Bytes(), Dims: m.Dims, Elem: m.Elem}
-			}
+			dmv.val = rowValue(&r)
+			dmv.typ, dmv.set = dmv.val.Type, true
 			id := s.nextID
 			s.nextID += int64(s.l.Servers)
 			s.store[id] = dmv

@@ -37,6 +37,7 @@ func TestDataOpKindsSumToDataOps(t *testing.T) {
 			func() error { return cl.Create(b, TypeInteger) },
 			func() error { return cl.Store(a, IntValue(7)) },
 			func() error { return cl.Store(b, IntValue(8)) },
+			// Retrieve is a one-id chunk load.
 			func() error { _, _, err := cl.Retrieve(a); return err },
 			// One batch spanning both owners is one request per server.
 			func() error { _, err := cl.Subscribe(cl.Rank(), []int64{a, b}); return err },
@@ -62,8 +63,8 @@ func TestDataOpKindsSumToDataOps(t *testing.T) {
 		return drainShutdown(cl)
 	})
 	want := StatsSnapshot{
-		OpCreate: 3, OpStore: 2, OpRetrieve: 1, OpSubscribe: 2, OpInsert: 2, OpLookup: 1,
-		OpEnumerate: 3, OpChunkLoad: 2, OpChunkStore: 1, OpWriteRefcount: 1,
+		OpCreate: 3, OpStore: 2, OpSubscribe: 2, OpInsert: 2, OpLookup: 1,
+		OpEnumerate: 3, OpChunkLoad: 3, OpChunkStore: 1, OpWriteRefcount: 1,
 	}
 	var sum int64
 	sv, wv := reflect.ValueOf(snap), reflect.ValueOf(want)

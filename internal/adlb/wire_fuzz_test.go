@@ -21,8 +21,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{}, int64(0), uint8(0))
 	f.Add([]byte("payload"), int64(42), uint8(5))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff}, int64(-1), uint8(2))
+	// A one-row store request: the id, then the value's row.
 	e := &encoder{}
-	encodeValue(e, Value{Type: TypeBlob, Bytes: []byte{1, 2}, Dims: []int{2, 1}, Elem: 1})
+	e.i64(7)
+	storeRow, _ := row(Value{Type: TypeBlob, Bytes: []byte{1, 2}, Dims: []int{2, 1}, Elem: 1})
+	encodeChunk(e, storeRow)
 	f.Add(e.buf, int64(7), uint8(6))
 	e = &encoder{}
 	var seedChunk chunk.Chunk
@@ -32,7 +35,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	encodeChunk(e, seedChunk)
 	f.Add(e.buf, int64(3), uint8(1))
 	// The counted bodies (batched subscribe request and response, the
-	// enumerate response, a blob value's dims): whole, cut short, and
+	// enumerate response, a blob row's dims): whole, cut short, and
 	// claiming more entries than the frame has bytes for.
 	for _, cf := range countedFrames() {
 		f.Add(cf.frame, int64(cf.count), uint8(0))
@@ -46,11 +49,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// 1. Decoder robustness: arbitrary input, all decode shapes.
 		for _, run := range []func(d *decoder){
 			func(d *decoder) { decodeWorkItem(d) },
-			func(d *decoder) {
-				if v := decodeValue(d); len(v.Dims) > len(raw)/8 {
-					t.Fatalf("%d dims out of %d bytes", len(v.Dims), len(raw))
-				}
-			},
 			func(d *decoder) { d.u8(); d.str(); d.i64(); d.boolean() },
 			func(d *decoder) {
 				d.i32()
@@ -95,14 +93,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 		// 2. Round-trip identity for a message built from the input.
 		w := workItem{Type: int(int32(n)), Priority: int(tag), Target: int(int32(n >> 32)), Payload: raw}
-		v := Value{Type: DataType(tag%7 + 1), Bytes: raw}
-		if v.Type == TypeBlob {
-			v.Elem = tag
-			v.Dims = []int{int(int32(n)), 2}
-		}
 		e := &encoder{}
 		encodeWorkItem(e, w)
-		encodeValue(e, v)
 		e.i64(n)
 		e.boolean(tag&1 == 1)
 		frame, err := e.frame()
@@ -112,7 +104,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 		d := &decoder{buf: frame}
 		gotW := decodeWorkItem(d)
-		gotV := decodeValue(d)
 		gotN := d.i64()
 		gotB := d.boolean()
 		if err := d.finish("round trip"); err != nil {
@@ -122,15 +113,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 			!bytes.Equal(gotW.Payload, w.Payload) {
 			t.Fatalf("work item round trip: got %+v want %+v", gotW, w)
 		}
-		if gotV.Type != v.Type || !bytes.Equal(gotV.Bytes, v.Bytes) || gotV.Elem != v.Elem ||
-			len(gotV.Dims) != len(v.Dims) {
-			t.Fatalf("value round trip: got %+v want %+v", gotV, v)
-		}
-		for i := range v.Dims {
-			if gotV.Dims[i] != v.Dims[i] {
-				t.Fatalf("dims round trip: got %v want %v", gotV.Dims, v.Dims)
-			}
-		}
 		if gotN != n || gotB != (tag&1 == 1) {
 			t.Fatalf("scalar round trip: got %d/%v want %d/%v", gotN, gotB, n, tag&1 == 1)
 		}
@@ -138,7 +120,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// Trailing garbage after the same clean frame must fail loudly.
 		d = &decoder{buf: append(append([]byte(nil), frame...), 0x5A)}
 		decodeWorkItem(d)
-		decodeValue(d)
 		d.i64()
 		d.boolean()
 		if err := d.finish("round trip"); err == nil {

@@ -92,31 +92,35 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 			t.Fatal("trailing garbage accepted after work item")
 		}
 	})
-	t.Run("value", func(t *testing.T) {
-		e := &encoder{}
-		encodeValue(e, Value{Type: TypeBlob, Bytes: []byte{1, 2, 3}, Dims: []int{3}, Elem: 2})
-		frame, err := e.frame()
+	// A value's wire form is its one-row chunk.
+	valueFrame := func(t *testing.T, v Value) []byte {
+		t.Helper()
+		c, err := row(v)
 		if err != nil {
 			t.Fatal(err)
 		}
+		e := &encoder{}
+		encodeChunk(e, c)
+		return e.buf
+	}
+	t.Run("value", func(t *testing.T) {
+		frame := valueFrame(t, Value{Type: TypeBlob, Bytes: []byte{1, 2, 3}, Dims: []int{3}, Elem: 2})
 		d := &decoder{buf: frame}
-		v := decodeValue(d)
-		if err := d.finish("value"); err != nil {
-			t.Fatalf("clean frame rejected: %v (value %v)", err, v)
+		c := decodeChunk(d)
+		if err := d.finish("value"); err != nil || c.Len() != 1 {
+			t.Fatalf("clean frame rejected: %v (%d rows)", err, c.Len())
 		}
 
 		d = &decoder{buf: append(append([]byte(nil), frame...), 0xCD, 0xEF)}
-		decodeValue(d)
+		decodeChunk(d)
 		if err := d.finish("value"); err == nil {
 			t.Fatal("trailing garbage accepted after value")
 		}
 	})
 	t.Run("truncated-still-fails", func(t *testing.T) {
-		e := &encoder{}
-		encodeValue(e, Value{Type: TypeString, Bytes: []byte("hello")})
-		frame, _ := e.frame()
+		frame := valueFrame(t, Value{Type: TypeString, Bytes: []byte("hello")})
 		d := &decoder{buf: frame[:len(frame)-2]}
-		decodeValue(d)
+		decodeChunk(d)
 		if err := d.finish("value"); err == nil {
 			t.Fatal("truncated frame accepted")
 		}
@@ -135,8 +139,8 @@ type countedFrame struct {
 
 // countedFrames builds one of each: a batched subscribe request (rank +
 // id list), its response (a length-prefixed run of closed flags), an
-// enumerate response (subscript/member pairs), and a blob value (the dims
-// table after its payload and element kind).
+// enumerate response (subscript/member pairs), and a blob value (its row's
+// dims table, the last field of its chunk frame).
 func countedFrames() []countedFrame {
 	sub := &encoder{}
 	sub.i32(3)
@@ -153,12 +157,19 @@ func countedFrames() []countedFrame {
 		pairs.i64(int64(100 + i))
 	}
 	blob := &encoder{}
-	encodeValue(blob, Value{Type: TypeBlob, Bytes: []byte{1, 2}, Dims: []int{2, 1, 1}, Elem: 1})
+	blobRow, _ := row(Value{Type: TypeBlob, Bytes: []byte{1, 2}, Dims: []int{2, 1, 1}, Elem: 1})
+	encodeChunk(blob, blobRow)
+	blobDims := func(d *decoder) int {
+		if c := decodeChunk(d); len(c.Meta) == 1 {
+			return len(c.Meta[0].Dims)
+		}
+		return 0
+	}
 	return []countedFrame{
 		{"subscribe-request", sub.buf, 4, 4, func(d *decoder) int { d.i32(); return len(decodeIDs(d, "subscribe ids")) }},
 		{"subscribe-response", flags.buf, 4, 0, func(d *decoder) int { return len(d.bytes()) }},
 		{"enumerate-response", pairs.buf, 3, 0, func(d *decoder) int { return len(decodePairs(d)) }},
-		{"blob-value-dims", blob.buf, 3, 8, func(d *decoder) int { return len(decodeValue(d).Dims) }},
+		{"blob-value-dims", blob.buf, 3, len(blob.buf) - 4 - 3*8, blobDims},
 	}
 }
 

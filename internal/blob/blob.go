@@ -166,24 +166,6 @@ func ToInt64s(b Blob) ([]int64, error) {
 	return out, nil
 }
 
-// FromString packs a NUL-terminated C string into a blob, as blobutils
-// does for char* interchange.
-func FromString(s string) Blob {
-	data := make([]byte, len(s)+1)
-	copy(data, s)
-	return Blob{Data: data}
-}
-
-// ToString unpacks a C-string blob, stopping at the first NUL.
-func ToString(b Blob) string {
-	for i, c := range b.Data {
-		if c == 0 {
-			return string(b.Data[:i])
-		}
-	}
-	return string(b.Data)
-}
-
 // Floats decodes the blob's elements as float64s under its element view
 // (float kinds widen exactly; integer kinds and raw bytes convert).
 func (b Blob) Floats() ([]float64, error) {
@@ -291,89 +273,4 @@ func PackLike(xs []float64, proto Blob) Blob {
 		}
 	}
 	return out
-}
-
-// Matrix is a dense 2-D float64 array in Fortran (column-major) layout,
-// the shape FortWrap-wrapped kernels expect.
-type Matrix struct {
-	Rows, Cols int
-	data       []float64 // column-major
-}
-
-// NewMatrix allocates a zeroed rows×cols matrix.
-func NewMatrix(rows, cols int) (*Matrix, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("blob: invalid matrix shape %dx%d", rows, cols)
-	}
-	return &Matrix{Rows: rows, Cols: cols, data: make([]float64, rows*cols)}, nil
-}
-
-// At returns element (i, j) using 0-based row/column indices.
-func (m *Matrix) At(i, j int) float64 { return m.data[j*m.Rows+i] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.data[j*m.Rows+i] = v }
-
-// ColumnMajor exposes the underlying column-major buffer.
-func (m *Matrix) ColumnMajor() []float64 { return m.data }
-
-// MatrixToBlob serialises a matrix to a blob with Fortran dims metadata.
-func MatrixToBlob(m *Matrix) Blob {
-	b := FromFloat64s(m.data)
-	b.Dims = []int{m.Rows, m.Cols}
-	return b
-}
-
-// MatrixFromBlob reconstructs a matrix from a dims-tagged blob, or from a
-// flat blob with explicit extents.
-func MatrixFromBlob(b Blob, rows, cols int) (*Matrix, error) {
-	if b.Dims != nil {
-		if len(b.Dims) != 2 {
-			return nil, fmt.Errorf("blob: expected 2-D dims, got %v", b.Dims)
-		}
-		rows, cols = b.Dims[0], b.Dims[1]
-	}
-	vals, err := ToFloat64s(Blob{Data: b.Data})
-	if err != nil {
-		return nil, err
-	}
-	if len(vals) != rows*cols {
-		return nil, fmt.Errorf("blob: %d values do not fill a %dx%d matrix", len(vals), rows, cols)
-	}
-	return &Matrix{Rows: rows, Cols: cols, data: vals}, nil
-}
-
-// Envelope is the wire form of a blob including its dims, used when a blob
-// travels through the ADLB data store (which carries flat bytes).
-// Layout: u32 ndims, ndims × i64 extents, payload.
-func (b Blob) Envelope() []byte {
-	out := make([]byte, 4+8*len(b.Dims)+len(b.Data))
-	binary.LittleEndian.PutUint32(out, uint32(len(b.Dims)))
-	for i, d := range b.Dims {
-		binary.LittleEndian.PutUint64(out[4+8*i:], uint64(d))
-	}
-	copy(out[4+8*len(b.Dims):], b.Data)
-	return out
-}
-
-// FromEnvelope parses the Envelope layout back into a Blob.
-func FromEnvelope(data []byte) (Blob, error) {
-	if len(data) < 4 {
-		return Blob{}, fmt.Errorf("blob: envelope too short (%d bytes)", len(data))
-	}
-	nd := int(binary.LittleEndian.Uint32(data))
-	if nd < 0 || nd > 16 {
-		return Blob{}, fmt.Errorf("blob: implausible ndims %d", nd)
-	}
-	if len(data) < 4+8*nd {
-		return Blob{}, fmt.Errorf("blob: envelope truncated (ndims=%d, %d bytes)", nd, len(data))
-	}
-	var dims []int
-	if nd > 0 {
-		dims = make([]int, nd)
-		for i := range dims {
-			dims[i] = int(binary.LittleEndian.Uint64(data[4+8*i:]))
-		}
-	}
-	return Blob{Data: data[4+8*nd:], Dims: dims}, nil
 }

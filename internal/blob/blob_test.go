@@ -88,142 +88,6 @@ func TestMisalignedErrors(t *testing.T) {
 	}
 }
 
-func TestCString(t *testing.T) {
-	b := FromString("hello")
-	if b.Len() != 6 {
-		t.Fatalf("len = %d, want 6 (includes NUL)", b.Len())
-	}
-	if got := ToString(b); got != "hello" {
-		t.Fatalf("got %q", got)
-	}
-	// Embedded NUL terminates.
-	if got := ToString(New([]byte{'a', 0, 'b'})); got != "a" {
-		t.Fatalf("got %q", got)
-	}
-	// No NUL at all.
-	if got := ToString(New([]byte("raw"))); got != "raw" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestMatrixColumnMajor(t *testing.T) {
-	m, err := NewMatrix(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill with a recognisable pattern.
-	v := 0.0
-	for j := 0; j < 3; j++ {
-		for i := 0; i < 2; i++ {
-			m.Set(i, j, v)
-			v++
-		}
-	}
-	// Column-major layout: walking the buffer goes down each column.
-	want := []float64{0, 1, 2, 3, 4, 5}
-	got := m.ColumnMajor()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("buffer[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if m.At(1, 2) != 5 {
-		t.Fatalf("At(1,2) = %v", m.At(1, 2))
-	}
-	if _, err := NewMatrix(-1, 2); err == nil {
-		t.Fatal("expected shape error")
-	}
-}
-
-func TestMatrixBlobRoundTrip(t *testing.T) {
-	m, _ := NewMatrix(3, 2)
-	m.Set(2, 1, 42.5)
-	b := MatrixToBlob(m)
-	if len(b.Dims) != 2 || b.Dims[0] != 3 || b.Dims[1] != 2 {
-		t.Fatalf("dims = %v", b.Dims)
-	}
-	m2, err := MatrixFromBlob(b, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.At(2, 1) != 42.5 {
-		t.Fatalf("value lost: %v", m2.At(2, 1))
-	}
-	// Flat blob with explicit extents.
-	m3, err := MatrixFromBlob(Blob{Data: b.Data}, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m3.At(2, 1) != 42.5 {
-		t.Fatal("flat reconstruction failed")
-	}
-	// Wrong extents.
-	if _, err := MatrixFromBlob(Blob{Data: b.Data}, 4, 2); err == nil {
-		t.Fatal("expected size mismatch error")
-	}
-}
-
-func TestEnvelopeRoundTrip(t *testing.T) {
-	b := FromFloat64s([]float64{1, 2, 3, 4})
-	b.Dims = []int{2, 2}
-	env := b.Envelope()
-	back, err := FromEnvelope(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Dims) != 2 || back.Dims[0] != 2 || back.Dims[1] != 2 {
-		t.Fatalf("dims = %v", back.Dims)
-	}
-	vals, err := ToFloat64s(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[3] != 4 {
-		t.Fatalf("vals = %v", vals)
-	}
-	// Flat blob envelope.
-	flat := New([]byte{9, 9})
-	back2, err := FromEnvelope(flat.Envelope())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back2.Dims != nil || len(back2.Data) != 2 {
-		t.Fatalf("flat round trip: %+v", back2)
-	}
-	// Corrupt envelopes.
-	if _, err := FromEnvelope(nil); err == nil {
-		t.Fatal("expected error for nil envelope")
-	}
-	if _, err := FromEnvelope([]byte{255, 255, 255, 255}); err == nil {
-		t.Fatal("expected error for implausible ndims")
-	}
-	if _, err := FromEnvelope([]byte{2, 0, 0, 0, 1}); err == nil {
-		t.Fatal("expected error for truncated dims")
-	}
-}
-
-func TestEnvelopeProperty(t *testing.T) {
-	f := func(data []byte, d1, d2 uint8) bool {
-		b := Blob{Data: data, Dims: []int{int(d1), int(d2)}}
-		back, err := FromEnvelope(b.Envelope())
-		if err != nil {
-			return false
-		}
-		if len(back.Data) != len(data) {
-			return false
-		}
-		for i := range data {
-			if back.Data[i] != data[i] {
-				return false
-			}
-		}
-		return back.Dims[0] == int(d1) && back.Dims[1] == int(d2)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBlobString(t *testing.T) {
 	if s := New([]byte{1, 2}).String(); s != "blob[2 bytes]" {
 		t.Fatalf("got %q", s)

@@ -40,8 +40,7 @@ const (
 
 // BlobMeta is the layout metadata of one blob row: the element kind
 // (blob.Elem's numeric value; 0 = raw bytes) and logical Fortran-order
-// extents, carried across the wire exactly as adlb.Value does for a
-// single blob.
+// extents, the Elem and Dims of an adlb.Value blob.
 type BlobMeta struct {
 	Elem uint8
 	Dims []int

@@ -8,10 +8,10 @@
 //
 // One warm world, three client roles (then the ADLB server ranks):
 //
-//   - rank 0, the gateway: a pinned client (adlb.Client.Pin) that never
-//     parks. API handlers submit fragment tasks through it (one mutex:
-//     an ADLB client carries one outstanding RPC).
-//   - rank 1, the collector: a pinned client parked in Get over the
+//   - rank 0, the gateway: a client that never parks. API handlers
+//     submit fragment tasks through it (one mutex: an ADLB client
+//     carries one outstanding RPC).
+//   - rank 1, the collector: a client parked in Get over the
 //     response work type. Workers target their results at it; it routes
 //     each to the waiting request by id.
 //   - ranks 2..2+Workers-1, the fragment workers: ordinary leased-Get
@@ -24,12 +24,14 @@
 // base64 are the HTTP edge's encoding: EvalFragment converts and validates
 // arguments once on the way in and the result once on the way out.
 //
-// The pins hold the world open: an idle serving world is exactly the
-// all-parked state Safra termination would otherwise collect. Shutdown
-// releases them in order — the gateway sends the collector a sentinel and
-// Leaves, the collector Leaves on the sentinel, and ordinary quiescence
-// then drains the parked workers. Once Close has begun, new and in-flight
-// callers get "serve: shutting down", not a place in a departing world.
+// The gateway holds the world open: an idle serving world would otherwise
+// be exactly the all-parked state Safra termination collects, but a
+// client that never parks keeps its home server from ever reporting
+// passive. Shutdown lets go in order — the gateway sends the collector a
+// sentinel and Leaves, the collector Leaves on the sentinel, and ordinary
+// quiescence then drains the parked workers. Once Close has begun, new
+// and in-flight callers get "serve: shutting down", not a place in a
+// departing world.
 //
 // Program submissions do not enter the warm world's queues: each runs
 // through the re-entrant core.RunCompiled in an ephemeral world of its
@@ -168,8 +170,8 @@ func New(cfg Config) (*Server, error) {
 	}
 }
 
-// Close shuts the service down: no new work, pins released, warm world
-// drained. It returns the world's exit error.
+// Close shuts the service down: no new work, the gateway departed, warm
+// world drained. It returns the world's exit error.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() { close(s.stop) })
 	return <-s.worldErr

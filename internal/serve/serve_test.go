@@ -191,6 +191,29 @@ func TestStatsSnapshotCoversLayers(t *testing.T) {
 	}
 }
 
+// TestIdleWorldStaysUpAndServes: a warm world left idle for thousands of
+// housekeeping ticks (200µs each) is still up — the never-parking
+// gateway keeps termination from collecting it — and then serves, on a
+// two-server ring, a fragment and a session-sticky one.
+func TestIdleWorldStaysUpAndServes(t *testing.T) {
+	s := newTestServer(t, Config{Servers: 2})
+	time.Sleep(500 * time.Millisecond)
+	res, err := s.EvalFragment(FragmentRequest{
+		Tenant: "acme", Lang: "python", Code: "x = 6 * 7", Expr: "x", Want: "int",
+	})
+	if err != nil || res.Value.Int != 42 {
+		t.Fatalf("python after idling: %+v, %v", res.Value, err)
+	}
+	for i, code := range []string{"n <- 1", "n <- n + 1"} {
+		res, err := s.EvalFragment(FragmentRequest{
+			Tenant: "acme", Session: "idle", Lang: "r", Code: code, Expr: "n", Want: "float",
+		})
+		if err != nil || res.Value.Float != float64(i+1) {
+			t.Fatalf("r session call %d after idling: %+v, %v", i, res.Value, err)
+		}
+	}
+}
+
 func TestGracefulShutdownDrainsWorld(t *testing.T) {
 	s, err := New(Config{})
 	if err != nil {

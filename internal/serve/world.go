@@ -29,10 +29,6 @@ func (s *Server) runWorld() error {
 		Types:      2,
 		NotifyType: typeResp,
 		Stats:      s.adlbStats,
-		// A serving world is legitimately idle or backlogged for long
-		// stretches; the batch hang watchdog has no meaningful baseline
-		// here. Worker-death recovery still comes from leases.
-		WatchdogIdleTicks: -1,
 	}
 	l := adlb.NewLayout(size, s.cfg.Servers)
 	return w.Run(func(c *mpi.Comm) error {
@@ -54,14 +50,14 @@ func (s *Server) runWorld() error {
 	})
 }
 
-// gatewayLoop pins the submitter client, publishes it to the API
-// handlers, and on shutdown walks the drain sequence: sentinel to the
-// collector, then Leave — after which ordinary quiescence collects the
-// parked workers.
+// gatewayLoop publishes the submitter client to the API handlers and on
+// shutdown walks the drain sequence: sentinel to the collector, then
+// Leave — after which ordinary quiescence collects the parked workers.
+// The gateway never parks in Get, so until it Leaves its home server
+// counts it mid-task: that alone holds the idle world open, keeping
+// termination tokens from starting or passing and the hang watchdog from
+// firing.
 func (s *Server) gatewayLoop(cl *adlb.Client) error {
-	if err := cl.Pin(); err != nil {
-		return err
-	}
 	s.gw = cl
 	close(s.gwReady)
 	<-s.stop
@@ -77,19 +73,17 @@ func (s *Server) gatewayLoop(cl *adlb.Client) error {
 	return cl.Leave()
 }
 
-// collectorLoop pins the response collector and routes each completed
-// fragment to its waiting request until the shutdown sentinel arrives.
+// collectorLoop routes each completed fragment to its waiting request
+// until the shutdown sentinel arrives.
 func (s *Server) collectorLoop(cl *adlb.Client) error {
-	if err := cl.Pin(); err != nil {
-		return err
-	}
 	for {
 		payload, ok, err := cl.Get(typeResp)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			// Unreachable while pinned; a defensive clean exit.
+			// Unreachable while the gateway holds the world open; a
+			// defensive clean exit.
 			return nil
 		}
 		r, err := decodeResp(payload)

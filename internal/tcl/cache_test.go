@@ -312,14 +312,14 @@ func TestSubstPlanSemantics(t *testing.T) {
 	in := New()
 	mustEval(t, in, `set a 1; set b two; set arr(x) inner; set k x`)
 	cases := []struct{ src, want string }{
-		{`set r "$a"`, "1"},                                // single var segment
+		{`set r "$a"`, "1"}, // single var segment
 		{`set r "pre-$a-mid-$b-post"`, "pre-1-mid-two-post"}, // mixed literal/var
-		{`set r "${a}x"`, "1x"},                            // braced name
-		{`set r "[string length $b]"`, "3"},                // script segment
-		{`set r "$arr($k)"`, "inner"},                      // array ref, substituted index
-		{`set r "a\tb"`, "a\tb"},                           // backslash resolved at compile
-		{`set r "$ a"`, "$ a"},                             // lone dollar stays literal
-		{`set r "2x[string repeat $a 2]\$"`, "2x11$"},      // everything at once
+		{`set r "${a}x"`, "1x"},                              // braced name
+		{`set r "[string length $b]"`, "3"},                  // script segment
+		{`set r "$arr($k)"`, "inner"},                        // array ref, substituted index
+		{`set r "a\tb"`, "a\tb"},                             // backslash resolved at compile
+		{`set r "$ a"`, "$ a"},                               // lone dollar stays literal
+		{`set r "2x[string repeat $a 2]\$"`, "2x11$"},        // everything at once
 	}
 	for _, tc := range cases {
 		// Twice: the second eval runs from the cached, planned script.

@@ -551,13 +551,3 @@ func (in *Interp) qualify(name string) string {
 	}
 	return name
 }
-
-// EvalWords is a convenience for invoking a command programmatically.
-func (in *Interp) EvalWords(words ...string) (string, error) { return in.Call(words) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -43,9 +43,6 @@ func CompileScript(src string) (*Script, error) {
 // Source returns the source text the script was compiled from.
 func (s *Script) Source() string { return s.src }
 
-// Commands returns the number of commands in the compiled script.
-func (s *Script) Commands() int { return len(s.cmds) }
-
 // Entry bounds of the two parse caches each interpreter owns (scripts and
 // compiled expressions; memo.Budget priced by memo.UnitCost). The bound
 // keeps pathological workloads (e.g. generated one-shot scripts with

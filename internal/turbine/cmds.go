@@ -77,11 +77,11 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 	}
 
 	// value <type> <operand>: the one typed read, what compiled code reads
-	// its scalar inputs with. An operand is a TD id or a typed immediate
-	// (lang.DecodeOperand), answered with no data op. Either reads as its
-	// own type, or an integer as a float; any other mismatch is an error.
-	// Both render as the stored value would, so a value reads identically
-	// from a TD or an immediate.
+	// its scalar inputs with. An operand is a TD id, read as its row, or a
+	// typed immediate (lang.DecodeOperand), answered with no data op.
+	// Either reads as its own type, or an integer as a float; any other
+	// mismatch is an error. Both then render through lang, so a value
+	// reads identically from a TD or an immediate; a void TD reads as "".
 	reg("value", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 3 {
 			return "", fmt.Errorf("usage: turbine::value <type> <operand>")
@@ -94,34 +94,29 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		if op.Imm {
-			if have := immType(op.Val.Kind()); !readsAs(have, want) {
-				return "", fmt.Errorf("turbine: value: immediate %q is %v, expected %v", args[2], have, want)
-			}
-			if want == adlb.TypeFloat {
-				f, err := op.Val.AsFloat()
-				return lang.Float(f).Render(), err
-			}
-			return op.Val.Render(), nil
-		}
-		v, found, err := cl.Retrieve(op.ID)
-		if err != nil {
-			return "", err
-		}
-		if !found {
-			return "", fmt.Errorf("turbine: value: no such id %d", op.ID)
-		}
-		if !readsAs(v.Type, want) {
-			return "", fmt.Errorf("turbine: id %d is %v, expected %v", op.ID, v.Type, want)
-		}
-		if v.Type == adlb.TypeInteger && want == adlb.TypeFloat {
-			n, err := adlb.AsInt(v)
+		have, v := immType(op.Val.Kind()), op.Val
+		if !op.Imm {
+			ck, err := cl.RetrieveChunk([]int64{op.ID})
 			if err != nil {
 				return "", err
 			}
-			v = adlb.FloatValue(float64(n))
+			vals, err := lang.ChunkToValues(ck, false)
+			if err != nil {
+				return "", err
+			}
+			have, v = adlb.DataType(ck.Kinds[0]), vals[0]
 		}
-		return render(v)
+		if !readsAs(have, want) {
+			return "", fmt.Errorf("turbine: value: %s is %v, expected %v", args[2], have, want)
+		}
+		if want == adlb.TypeFloat {
+			f, err := v.AsFloat()
+			if err != nil {
+				return "", err
+			}
+			v = lang.Float(f)
+		}
+		return v.Render(), nil
 	})
 	// Typed blob copy: duplicates the stored value wholesale, so dims
 	// and element kind survive copies that never needed the payload as
@@ -499,37 +494,6 @@ func immType(k lang.Kind) adlb.DataType {
 	return adlb.TypeBlob
 }
 
-// render is the one rendering of a stored scalar as Tcl text: canonical
-// decimal integers, shortest round-trip floats (always with a fraction or
-// exponent), string and blob bytes verbatim, void as the empty string.
-func render(v adlb.Value) (string, error) {
-	switch v.Type {
-	case adlb.TypeInteger:
-		n, err := adlb.AsInt(v)
-		if err != nil {
-			return "", err
-		}
-		return fmtInt(n), nil
-	case adlb.TypeFloat:
-		f, err := adlb.AsFloat(v)
-		if err != nil {
-			return "", err
-		}
-		return lang.Float(f).Render(), nil
-	case adlb.TypeString:
-		return adlb.AsString(v)
-	case adlb.TypeBlob:
-		b, err := adlb.AsBlob(v)
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
-	case adlb.TypeVoid:
-		return "", nil
-	}
-	return "", fmt.Errorf("turbine: cannot render a %v", v.Type)
-}
-
 func typeByName(name string) (adlb.DataType, error) {
 	switch name {
 	case "void":
@@ -553,7 +517,7 @@ func registerEngineCmds(in *tcl.Interp, env *Env) {
 	eng := env.engine
 
 	// turbine::rule {input ids} {action} ?option value ...?
-	// Options: type (control|work), target N, priority N, name S.
+	// Options: type (control|work), target N, priority N.
 	in.RegisterCommand("turbine::rule", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 3 {
 			return "", fmt.Errorf("usage: turbine::rule <inputs> <action> ?options?")
@@ -616,7 +580,7 @@ func registerEngineCmds(in *tcl.Interp, env *Env) {
 
 // parseRule builds a rule from a rule command's words: args[0] is the
 // command (named in errors), args[2] the action, args[3:] option/value
-// pairs — type (control|work), target N, priority N, name S.
+// pairs — type (control|work), target N, priority N.
 func parseRule(args []string) (*rule, error) {
 	r := &rule{action: args[2], target: adlb.AnyRank}
 	opts := args[3:]
@@ -647,8 +611,6 @@ func parseRule(args []string) (*rule, error) {
 				return nil, err
 			}
 			r.priority = int(p)
-		case "name":
-			r.name = val
 		default:
 			return nil, fmt.Errorf("%s: unknown option %q", args[0], opt)
 		}

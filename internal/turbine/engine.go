@@ -15,7 +15,6 @@ import (
 // a worker (work). This realises the paper's Fig. 1 semantics: statements
 // become rules, and execution order is determined by data availability.
 type rule struct {
-	name     string
 	action   string
 	pending  int // unclosed inputs remaining
 	work     bool
@@ -184,16 +183,17 @@ func (e *engine) stallDiagnostic() error {
 		return nil
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var names []string
+	// A rule is named by its action, truncated as control-action errors are.
+	var actions []string
 	for r := range stalled {
-		names = append(names, r.name)
+		actions = append(actions, fmt.Sprintf("%.200s", r.action))
 	}
-	sort.Strings(names)
-	if len(names) > 5 {
-		names = append(names[:5], "...")
+	sort.Strings(actions)
+	if len(actions) > 5 {
+		actions = append(actions[:5], "...")
 	}
-	return fmt.Errorf("turbine: engine %d: run terminated with %d dataflow rule(s) stalled on %d unfilled TD(s) %v; stalled rules: %v",
-		e.env.Rank, len(stalled), len(ids), ids, names)
+	return fmt.Errorf("turbine: engine %d: run terminated with %d dataflow rule(s) stalled on %d unfilled TD(s) %v; stalled rules: %q",
+		e.env.Rank, len(stalled), len(ids), ids, actions)
 }
 
 // runWorker is the worker main loop: pull leaf tasks under a lease and

@@ -103,11 +103,11 @@ func TestRuleOptionsSharedParser(t *testing.T) {
 				set c [turbine::allocate container]
 				turbine::write_refcount $c -1
 				foreach cmd [list [list turbine::rule {}] [list turbine::rule_members $c]] {
-					foreach opts {{priority} {type work name} {colour red} {type leaf}} {
+					foreach opts {{priority} {type work target} {colour red} {type leaf} {name n}} {
 						catch {{*}$cmd "test::record never" {*}$opts} msg
 						test::record [lindex $cmd 0] $opts -> $msg
 					}
-					{*}$cmd "test::record ran [lindex $cmd 0]" name n priority 3 type control
+					{*}$cmd "test::record ran [lindex $cmd 0]" priority 3 type control
 				}
 			}
 		`),
@@ -120,7 +120,8 @@ func TestRuleOptionsSharedParser(t *testing.T) {
 			cmd+` colour red -> `+cmd+`: unknown option "colour"`,
 			cmd+` priority -> `+cmd+`: option "priority" has no value`,
 			cmd+` type leaf -> `+cmd+`: bad type "leaf"`,
-			cmd+` type work name -> `+cmd+`: option "name" has no value`,
+			cmd+` type work target -> `+cmd+`: option "target" has no value`,
+			cmd+` name n -> `+cmd+`: unknown option "name"`,
 		)
 	}
 	want = append(want, "ran turbine::rule", "ran turbine::rule_members")
@@ -159,7 +160,7 @@ func TestRuleMembers(t *testing.T) {
 				}
 				turbine::write_refcount $c -1
 				set before [test::dataops]
-				turbine::rule_members $c "fire $c" name members
+				turbine::rule_members $c "fire $c"
 				test::record rpcs [expr {[test::dataops] - $before}]
 				foreach m $open { turbine::rule [list] "turbine::store_integer $m 7" type work }
 
