@@ -76,7 +76,14 @@
 // exactly as float64(n)); any other mismatch is an error, so a TD and an
 // immediate of the same value read the same. So the message that starts a piece of work carries
 // its small data: the code and expr strings of a python(...) call, the
-// subscript of xs[7], the bounds of a range, a loop index. Actions are
+// subscript of xs[7], the bounds of a range, a loop index. A leaf's TD
+// inputs ride it too. A work rule is one Client.Put carrying the rule's
+// wait ids; the data servers hold it until they close and then queue
+// it, and the server that delivers it writes the row of each input it
+// owns into the Get response, which the worker's Retrieve and
+// RetrieveChunk serve with no RPC. So a leaf costs its engine no
+// subscribe and no notification, and its worker no chunk load: an engine
+// holds control rules only. Actions are
 // built with Tcl's list command, never by interpolation, so an immediate
 // of any bytes parses back as the word it was. A known value is minted
 // as a TD (turbine::literal_*, once per generated proc body) only where
@@ -97,8 +104,9 @@
 // is Client.Unique alone (ids come in blocks from the home server, so
 // most allocations are no RPC at all), and turbine::literal_* is Unique
 // plus one Store. The owning server makes the datum at its first use: a
-// Store creates it typed by the value and closed, a Subscribe creates an
-// open, untyped placeholder that the first Store types. Only ids the
+// Store creates it typed by the value and closed, a Subscribe or a work
+// rule waiting on it creates an open, untyped placeholder that the first
+// Store types. Only ids the
 // owner issued may come into being this way, so a garbage id still
 // fails. The Turbine runtime sends opCreate only for containers;
 // Client.Create of a scalar is a typed declaration, whose store keeps its
@@ -201,14 +209,14 @@
 // closed member per row. vpack waits twice. When the container closes,
 // sw:vpack makes one call, turbine::rule_members: the engine enumerates
 // the closed container in Go (one Enumerate RPC — the enumeration never
-// becomes a Tcl string) and registers a rule on its members, asking
-// about all of them in one batched Subscribe — one RPC per owning
-// server, answering which are closed already and notifying once for
-// each that is not. When the last member closes, the released leaf
-// action names only the output, the element type and the container; the
-// worker's turbine::vpack_gather enumerates the container itself (one
-// RPC, checking the subscripts are a dense 0..n-1) and gathers with one
-// RetrieveChunk per owning server. So the data-store RPCs of a whole
+// becomes a Tcl string) and Puts the gather as a work rule carrying all
+// the member ids, which the members' owners hold until the last one
+// closes. The released leaf action names only the output, the element
+// type and the container; the worker's turbine::vpack_gather enumerates
+// the container itself (one RPC, checking the subscripts are a dense
+// 0..n-1) and gathers the members' rows the item carried, with one
+// RetrieveChunk per other owning server only for members the delivering
+// server does not own (a stolen item). So the data-store RPCs of a whole
 // vunpack -> vpack trip are the same few at any n
 // (internal/core.TestVectorBridgeDataOpsIndependentOfLength holds the
 // count equal at two lengths; TestVectorBridgeCountGate pins it for
@@ -294,7 +302,9 @@
 // keep payloads longer must copy on escape — lang.ChunkToValues takes
 // copyBytes because engines retain argv bindings across later
 // data-plane calls — while bulk paths that finish inside the window
-// (vpack, vunpack, the gather/scatter benchmark) stay zero-copy. On the
+// (vpack, vunpack, the gather/scatter benchmark) stay zero-copy. Rows a
+// work item carried alias its Get response frame, which lives longer:
+// until the client's next Get, Fail or Leave. On the
 // server side the mirror rule: request frames are released after
 // handling except for store-class ops, whose decoded rows alias the
 // frame for the datum's lifetime (zero-copy store), and mutating a stale
@@ -378,8 +388,10 @@
 // loss, torn frames) run under -race in CI. Counters:
 // Result.TaskRetries/TaskFailures, adlb Stats.Requeued/Poisoned/
 // LeasesIssued/LeasesReclaimed, and the UnfilledTDs gauge, which counts
-// the data-store entries subscribed to or created but never closed at
-// drain (a scalar nobody stored or waited on never existed).
+// the data-store entries subscribed to, waited on by a work rule, or
+// created but never closed at drain (a scalar nobody stored or waited on
+// never existed). A work rule a server still holds at drain fails the
+// run, named by its action, as an engine's stalled control rule does.
 //
 // # Serving model
 //

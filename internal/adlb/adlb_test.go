@@ -220,12 +220,12 @@ func TestPriorityAwareParkedMatching(t *testing.T) {
 			if st.Tag != tagResponse || d.u8() != stOK {
 				return fmt.Errorf("unexpected response tag=%d", st.Tag)
 			}
-			got := decodeWorkItem(d)
+			got := d.bytes()
 			if d.err != nil {
 				return d.err
 			}
-			if got.Priority != 5 || got.Payload[0] != 'H' {
-				return fmt.Errorf("parked client got priority %d (%q), want the highest-priority item", got.Priority, got.Payload)
+			if len(got) != 1 || got[0] != 'H' {
+				return fmt.Errorf("parked client got %q, want the highest-priority item", got)
 			}
 			return nil
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/chunk"
 	"repro/internal/mpi"
@@ -44,6 +45,63 @@ type Client struct {
 	// to the transport's frame pool only after its Send completes.
 	pinned  [][]byte // response frames backing the last call's payloads
 	retired [][]byte // previous call's frames, released after the next Send
+
+	// item holds the input rows that came with the work item of the last
+	// Get, which Retrieve and RetrieveChunk serve with no RPC.
+	item item
+}
+
+// item is the rows a delivered work item carried: the values of the
+// inputs its server owns. They alias the Get response frame, which stays
+// pinned until the next Get, Fail or Leave.
+type item struct {
+	frame []byte
+	ids   []int64 // row i holds ids[i]
+	rows  chunk.Chunk
+	vals  []Value       // rows as values, made at first use out of order
+	index map[int64]int // id -> row, made at first lookup in a long list
+}
+
+// dropItem forgets the item's rows and releases their frame at once: the
+// Get, Fail or Leave that drops them reads nothing from them, and the
+// frame is back in the pool for the reply.
+func (cl *Client) dropItem() {
+	if cl.item.frame != nil {
+		cl.c.Release(cl.item.frame)
+	}
+	cl.item = item{ids: cl.item.ids[:0], vals: cl.item.vals[:0]}
+}
+
+// at returns the row holding id: a leaf's few inputs are scanned, a
+// gather's members indexed once.
+func (it *item) at(id int64) (int, bool) {
+	if len(it.ids) <= 8 {
+		for i, x := range it.ids {
+			if x == id {
+				return i, true
+			}
+		}
+		return 0, false
+	}
+	if it.index == nil {
+		it.index = make(map[int64]int, len(it.ids))
+		for i := len(it.ids) - 1; i >= 0; i-- {
+			it.index[it.ids[i]] = i
+		}
+	}
+	i, ok := it.index[id]
+	return i, ok
+}
+
+// value returns row i as a Value aliasing the frame.
+func (it *item) value(i int) Value {
+	if len(it.vals) == 0 {
+		r := it.rows.Reader()
+		for r.Next() {
+			it.vals = append(it.vals, rowValue(&r))
+		}
+	}
+	return it.vals[i]
 }
 
 // NewClient wraps the calling rank as an ADLB client.
@@ -137,10 +195,21 @@ func checkStatus(d *decoder, what string) (uint8, error) {
 // Put submits a work item. target is AnyRank for load-balanced dispatch or
 // a specific client rank for targeted delivery (used for notifications and
 // location-pinned tasks). Higher priority items are delivered first.
-func (cl *Client) Put(workType, priority, target int, payload []byte) error {
-	d, err := cl.rpc(cl.myServer, func(e *encoder) {
+//
+// With wait ids the item is a work rule: it goes to the owner of wait[0],
+// and the servers hold it until every id has closed (a scalar stored, a
+// container's write refcount at zero), then queue it. The server that
+// delivers it sends the values of the ids it owns along with it, for
+// Retrieve and RetrieveChunk to serve. An id its owner neither holds nor
+// issued fails the Put if that owner is wait[0]'s, and the run if not.
+func (cl *Client) Put(workType, priority, target int, payload []byte, wait ...int64) error {
+	server := cl.myServer
+	if len(wait) > 0 {
+		server = cl.l.OwnerOf(wait[0])
+	}
+	d, err := cl.rpc(server, func(e *encoder) {
 		e.u8(opPut)
-		encodeWorkItem(e, workItem{Type: workType, Priority: priority, Target: target, Payload: payload})
+		encodeWorkItem(e, workItem{Type: workType, Priority: priority, Target: target, Payload: payload, Inputs: wait})
 	})
 	if err != nil {
 		return err
@@ -168,8 +237,11 @@ func (cl *Client) GetLeased(workType int) (payload []byte, leaseID int64, ok boo
 	return cl.get(workType, true)
 }
 
+// get is Get and GetLeased. The response is a status byte, the lease id
+// when leased, the payload, then the item's rows (encodeRows).
 func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64, ok bool, err error) {
 	settle := cl.held
+	cl.dropItem()
 	d, err := cl.rpc(cl.myServer, func(e *encoder) {
 		e.u8(opGet)
 		e.i32(int32(workType))
@@ -195,9 +267,17 @@ func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64,
 	if leased {
 		leaseID = d.i64()
 	}
-	w := decodeWorkItem(d)
+	payload = append([]byte(nil), d.bytes()...)
+	it := &cl.item
+	it.ids, it.rows = decodeRows(d, it.ids)
 	if err := d.finish("get response"); err != nil {
+		cl.dropItem()
 		return nil, 0, false, err
+	}
+	if len(it.ids) > 0 {
+		// The rows outlive this call: the frame leaves pinned for the item.
+		last := len(cl.pinned) - 1
+		it.frame, cl.pinned = cl.pinned[last], cl.pinned[:last]
 	}
 	cl.held = leaseID
 	// Yield before running the task. Real MPI ranks are separate
@@ -207,7 +287,7 @@ func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64,
 	// the server starve sibling ranks of CPU — it drains the whole queue
 	// before they issue their first request.
 	runtime.Gosched()
-	return w.Payload, leaseID, true, nil
+	return payload, leaseID, true, nil
 }
 
 // Fail settles a lease as failed. Retriable failures are requeued by the
@@ -219,6 +299,7 @@ func (cl *Client) Fail(leaseID int64, reason string, retriable bool) error {
 	if cl.held == leaseID {
 		cl.held = 0
 	}
+	cl.dropItem()
 	d, err := cl.rpc(cl.myServer, func(e *encoder) {
 		e.u8(opFail)
 		e.i64(leaseID)
@@ -240,6 +321,7 @@ func (cl *Client) Fail(leaseID int64, reason string, retriable bool) error {
 // client must not issue further calls.
 func (cl *Client) Leave() error {
 	cl.held = 0
+	cl.dropItem()
 	d, err := cl.rpc(cl.myServer, func(e *encoder) {
 		e.u8(opLeave)
 	})
@@ -322,15 +404,21 @@ func (cl *Client) Store(id int64, v Value) error {
 	return d.finish("store response")
 }
 
-// Retrieve fetches a datum's value: a one-id retrieve_chunk. found is
-// false, with a nil error, for an id its owner neither holds nor issued.
+// Retrieve fetches a datum's value: from the current item's rows, or a
+// one-id retrieve_chunk. found is false, with a nil error, for an id its
+// owner neither holds nor issued.
 //
 // Zero-copy aliasing contract: the returned value's Bytes alias the
 // response frame, with no copy. The slice is valid until the next call
 // on this Client returns — storing a retrieved payload right back
 // (encode happens before the frame is released) is safe, but a caller
-// that keeps the bytes across a later call must copy them out first.
+// that keeps the bytes across a later call must copy them out first. A
+// value read from the item's rows lives longer: until the next Get, Fail
+// or Leave.
 func (cl *Client) Retrieve(id int64) (v Value, found bool, err error) {
+	if i, ok := cl.item.at(id); ok {
+		return cl.item.value(i), true, nil
+	}
 	cl.retire()
 	c, err := cl.retrieveFrom(cl.l.OwnerOf(id), []int64{id})
 	if _, missing := err.(noSuchID); missing {
@@ -345,26 +433,32 @@ func (cl *Client) Retrieve(id int64) (v Value, found bool, err error) {
 }
 
 // RetrieveChunk fetches many closed data as one columnar chunk: row i is
-// ids[i]. Ids are grouped by owning server so the whole gather costs one
-// RPC per server touched — O(servers), not O(len(ids)) — and every id
-// must exist and be set. Each response is a chunk frame — contiguous
-// typed columns — so a million-float gather decodes to two column views
-// with no per-element work at all.
+// ids[i]. Ids among the current item's rows cost nothing; the rest are
+// grouped by owning server so the whole gather costs one RPC per server
+// touched — O(servers), not O(len(ids)) — and every id must exist and be
+// set. Each response is a chunk frame — contiguous typed columns — so a
+// million-float gather decodes to two column views with no per-element
+// work at all.
 //
-// When one server owns every id (the common case: vpack gathers members
-// created by one StoreChunk), the returned chunk's columns alias the
-// response frame under the Retrieve zero-copy contract: valid until the
-// next call on this Client returns. A cross-server gather is
-// merged row by row into fresh buffers.
+// When the item's rows are exactly ids, or one server owns every id (the
+// common case: vpack gathers members created by one StoreChunk), the
+// returned chunk's columns alias the frame, under the Retrieve zero-copy
+// contract. A gather from several sources is merged row by row into
+// fresh buffers.
 func (cl *Client) RetrieveChunk(ids []int64) (chunk.Chunk, error) {
 	var out chunk.Chunk
 	if len(ids) == 0 {
 		return out, nil
 	}
+	if slices.Equal(ids, cl.item.ids) {
+		return cl.item.rows, nil
+	}
 	groups := make(map[int][]int64) // owning server rank -> its ids, in request order
 	for _, id := range ids {
-		owner := cl.l.OwnerOf(id)
-		groups[owner] = append(groups[owner], id)
+		if _, ok := cl.item.at(id); !ok {
+			owner := cl.l.OwnerOf(id)
+			groups[owner] = append(groups[owner], id)
+		}
 	}
 	cl.retire()
 	readers := make(map[int]*chunk.Reader, len(groups))
@@ -373,17 +467,22 @@ func (cl *Client) RetrieveChunk(ids []int64) (chunk.Chunk, error) {
 		if err != nil {
 			return out, err
 		}
-		if len(groups) == 1 {
+		if len(owned) == len(ids) {
 			return c, nil
 		}
 		r := c.Reader()
 		readers[server] = &r
 	}
-	// Merge the per-server chunks back into request order.
+	// Merge the item's rows and the per-server chunks into request order.
 	for _, id := range ids {
-		r := readers[cl.l.OwnerOf(id)]
-		r.Next()
-		v := rowValue(r)
+		var v Value
+		if i, ok := cl.item.at(id); ok {
+			v = cl.item.value(i)
+		} else {
+			r := readers[cl.l.OwnerOf(id)]
+			r.Next()
+			v = rowValue(r)
+		}
 		if err := appendRow(&out, &v); err != nil {
 			return out, err
 		}
@@ -405,10 +504,7 @@ func (cl *Client) retrieveFrom(server int, ids []int64) (chunk.Chunk, error) {
 	var c chunk.Chunk
 	d, err := cl.rpcKeep(server, func(e *encoder) {
 		e.u8(opRetrieveChunk)
-		e.u32(uint32(len(ids)))
-		for _, id := range ids {
-			e.i64(id)
-		}
+		encodeIDs(e, ids)
 	})
 	if err != nil {
 		return c, err

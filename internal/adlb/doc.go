@@ -17,22 +17,44 @@
 // containers with insert/lookup/enumerate plus write-refcount close
 // semantics. A scalar needs no Create: an id its owner issued through
 // Unique comes into being at its first Store (typed by the value, and
-// closed) or its first Subscribe (an open placeholder with no type, which
-// the first Store types; reads fail until then). An id the owner never
-// issued still fails Store and Subscribe. Create is for containers and
-// for typed declarations, whose Store checks the type. Lookup only finds:
-// a container member is always inserted by its writer.
-// Stats.UnfilledTDs counts the entries subscribed to or created but
-// never closed when a server drains.
+// closed) or its first wait — a Subscribe, or a work rule held on it —
+// as an open placeholder with no type, which the first Store types
+// (reads fail until then). An id the owner never issued still fails
+// Store, Subscribe and a Put that waits on it. Create is for containers
+// and for typed declarations, whose Store checks the type. Lookup only
+// finds: a container member is always inserted by its writer.
+// Stats.UnfilledTDs counts the entries waited on or created but never
+// closed when a server drains.
 //
 // The client protocol is fourteen request opcodes, each with a caller in
 // the Turbine runtime: work (put, get, fail, leave), ids (unique), the
 // data store (create, store, subscribe, insert, lookup, enumerate,
 // write-refcount) and the columnar plane (retrieve_chunk, store_chunk).
 // Nothing asks a datum whether it exists or what type it has: a reader
-// waits on it through Subscribe and names the type it wants.
+// waits on it and names the type it wants.
 //
-// Subscribe is batched, and is the only form on the wire: the request is
+// Rules wait at the servers, as ADLB_Dput's tasks do. A Put carries a
+// counted list of wait ids (none: an ordinary Put) and goes to the owner
+// of the first. That server drops the ids it owns that are closed and
+// holds the rule on its first open one; when none of its ids is open it
+// forwards the rule, with the other owners' ids, to the next owner over
+// sopPutForward, which Safra counts like any work-bearing message. With
+// no id left open the rule is enqueued at its priority and target. A
+// held rule moves on wherever a close notifies: a Store, or a
+// container's write refcount reaching zero. A repeated id is waited on
+// once, an id its owner neither holds nor issued fails the Put (or, on a
+// further owner, the run) with nothing held, and a rule still held when
+// the run terminates fails it, named by its action; the hang watchdog
+// counts held rules beside queued items. Inputs ride the item: the
+// server that delivers it writes a row for each of the item's wait ids
+// that it owns into the Get response (a counted id list, then one chunk
+// frame). Closed data never changes, so rows are read at delivery, and a
+// requeued or stolen item is served them afresh. The client's Retrieve
+// and RetrieveChunk answer those ids from the item, valid until its next
+// Get, Fail or Leave, and make an RPC only for ids owned elsewhere.
+//
+// Subscribe — what an engine's control rules wait through — is batched,
+// and is the only form on the wire: the request is
 // opSubscribe, the subscriber's rank (i32), and a counted id list (u32 n,
 // n x i64); the response is a status byte and n closed flags as one
 // length-prefixed byte field. The client groups a call's ids by owning
@@ -50,9 +72,10 @@
 // validates the chunk's cross-column invariants and rejects trailing
 // bytes, and the decoded columns alias the frame, so rows that outlive it
 // are copied out. Counts read off the wire (here, in RetrieveChunk's id
-// list, in the enumerate response, and in the dims and offset tables of
-// chunk frames) go through decoder.count, which checks them against the
-// bytes remaining in the frame before anything is allocated.
+// list, a Put's wait ids, a delivered item's row ids, the enumerate
+// response, and the dims and offset tables of chunk frames) go through
+// decoder.count, which checks them against the bytes remaining in the
+// frame before anything is allocated.
 // Stats.DataOps counts requests, not ids: one batch to one server is one
 // data operation, whatever it carries. The Stats.Op* counters split it
 // by kind of request (create, store, subscribe, container insert, lookup

@@ -2,6 +2,7 @@ package adlb
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/chunk"
 )
@@ -73,6 +74,9 @@ type workItem struct {
 	Target   int // AnyRank or a specific worker rank
 	Attempts int // executions already started and failed or lost
 	Payload  []byte
+	// Inputs are the ids the item waited on, in the Put's order; the
+	// server that delivers it sends the rows of those it owns along.
+	Inputs []int64
 }
 
 func encodeWorkItem(e *encoder, w workItem) {
@@ -81,6 +85,7 @@ func encodeWorkItem(e *encoder, w workItem) {
 	e.i32(int32(w.Target))
 	e.i32(int32(w.Attempts))
 	e.bytes(w.Payload)
+	encodeIDs(e, w.Inputs)
 }
 
 func decodeWorkItem(d *decoder) workItem {
@@ -90,6 +95,7 @@ func decodeWorkItem(d *decoder) workItem {
 	w.Target = int(d.i32())
 	w.Attempts = int(d.i32())
 	w.Payload = append([]byte(nil), d.bytes()...)
+	w.Inputs = decodeIDs(d, "work item inputs")
 	return w
 }
 
@@ -204,18 +210,56 @@ type Pair struct {
 	Member    int64
 }
 
-// decodeIDs reads a counted id list (u32 n, then n i64), the request body
-// of both batched ops: retrieve_chunk and subscribe.
-func decodeIDs(d *decoder, what string) []int64 {
-	n := d.count(8, what)
-	if d.err != nil {
-		return nil
+// encodeIDs writes a counted id list: u32 n, then n i64.
+func encodeIDs(e *encoder, ids []int64) {
+	e.u32(uint32(len(ids)))
+	for _, id := range ids {
+		e.i64(id)
 	}
-	ids := make([]int64, n)
-	for i := range ids {
-		ids[i] = d.i64()
+}
+
+// decodeIDs reads a counted id list (u32 n, then n i64): the body of the
+// batched ops retrieve_chunk and subscribe, a work item's inputs, a
+// forwarded rule's wait list and a delivered item's row ids.
+func decodeIDs(d *decoder, what string) []int64 {
+	return appendIDs(nil, d, what)
+}
+
+// appendIDs is decodeIDs appending to ids, for a caller that reuses the
+// slice; an empty list appends nothing.
+func appendIDs(ids []int64, d *decoder, what string) []int64 {
+	n := d.count(8, what)
+	ids = slices.Grow(ids, n)
+	for i := 0; i < n; i++ {
+		ids = append(ids, d.i64())
 	}
 	return ids
+}
+
+// encodeRows writes a delivered item's rows: the ids, counted, then —
+// unless there are none — one chunk with a row per id.
+func encodeRows(e *encoder, ids []int64, rows chunk.Chunk) {
+	encodeIDs(e, ids)
+	if len(ids) > 0 {
+		encodeChunk(e, rows)
+	}
+}
+
+// decodeRows reads encodeRows' form, reusing ids' storage. A frame that
+// fails to decode, or whose chunk has not one row per id, yields no ids
+// and an empty chunk.
+func decodeRows(d *decoder, ids []int64) ([]int64, chunk.Chunk) {
+	var rows chunk.Chunk
+	if ids = appendIDs(ids[:0], d, "item row ids"); len(ids) > 0 {
+		rows = decodeChunk(d)
+		if d.err == nil && rows.Len() != len(ids) {
+			d.err = fmt.Errorf("adlb: wire decode: %d row ids, %d rows", len(ids), rows.Len())
+		}
+	}
+	if d.err != nil {
+		return ids[:0], chunk.Chunk{}
+	}
+	return ids, rows
 }
 
 // decodePairs reads the enumerate response: u32 n, then n (subscript,

@@ -14,15 +14,17 @@ import (
 // datum is one entry of the distributed data store. Scalars close when
 // stored; containers close when their write refcount drops to zero.
 // Subscribers are client ranks to be notified (via targeted notification
-// work items) when the datum closes. A scalar the owner issued but nobody
-// created comes into being at its first use: a Store makes it typed and
-// closed, a Subscribe makes it an untyped placeholder (typ 0) that the
+// work items) when the datum closes; held are the work rules waiting here
+// for it to close. A scalar the owner issued but nobody created comes into
+// being at its first use: a Store makes it typed and closed, a Subscribe
+// or a rule waiting on it makes it an untyped placeholder (typ 0) that the
 // first Store types.
 type datum struct {
 	typ         DataType
 	set         bool
 	val         Value
 	subscribers []int
+	held        []heldRule
 	// container state
 	members   map[string]int64
 	order     []string
@@ -34,6 +36,15 @@ func (d *datum) closed() bool {
 		return d.writeRefs <= 0
 	}
 	return d.set
+}
+
+// heldRule is a work rule a server holds on the datum at wait[at]: wait
+// is the id list the rule still had to see closed when it reached this
+// server, and the ids before at that this server owns are closed.
+type heldRule struct {
+	w    workItem
+	wait []int64
+	at   int
 }
 
 type targetKey struct {
@@ -88,9 +99,13 @@ type server struct {
 
 	store  map[int64]*datum
 	nextID int64
-	// scratch is the reusable column buffer behind opRetrieveChunk
-	// responses (the server loop is single-goroutine, so one is enough).
+	held   int // work rules held on open data here
+	// scratch is the reusable column buffer behind multi-row replies, and
+	// rowVals and rowIDs the values and ids that fill it (the server loop
+	// is single-goroutine, so one of each is enough).
 	scratch chunk.Chunk
+	rowVals []*Value
+	rowIDs  []int64
 
 	// Safra termination detection state.
 	black      bool  // this server's colour
@@ -184,7 +199,7 @@ func (s *server) run() error {
 		}
 		if s.selfHalted && s.doneCount >= s.clientCount() {
 			s.gaugeUnfilled()
-			return nil
+			return s.stalledRules()
 		}
 		if !s.draining {
 			s.housekeeping()
@@ -234,6 +249,34 @@ func (s *server) gaugeUnfilled() {
 	if n > 0 {
 		s.stats().UnfilledTDs.Add(int64(n))
 	}
+}
+
+// stalledRules runs once the server has drained: a clean termination
+// leaves no work rule held here on an unfilled TD. If any remain — a task
+// was poisoned upstream, or the program never writes the data — name
+// them, by action, instead of returning a silent success.
+func (s *server) stalledRules() error {
+	if s.held == 0 {
+		return nil
+	}
+	var ids []int64
+	var actions []string
+	for id, dm := range s.store {
+		if len(dm.held) == 0 {
+			continue
+		}
+		ids = append(ids, id)
+		for _, h := range dm.held {
+			actions = append(actions, fmt.Sprintf("%.200s", h.w.Payload))
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	sort.Strings(actions)
+	if len(actions) > 5 {
+		actions = append(actions[:5], "...")
+	}
+	return fmt.Errorf("adlb: server %d: run terminated with %d dataflow rule(s) stalled on %d unfilled TD(s) %v; stalled rules: %q",
+		s.idx, s.held, len(ids), ids, actions)
 }
 
 // checkStalled is the hang watchdog: when every assigned client is
@@ -291,8 +334,8 @@ func (s *server) checkStalled() error {
 		}
 	}
 	return fmt.Errorf("adlb: server %d: hang detected — no progress for %d ticks with work stranded: "+
-		"queued [%s], %d outstanding lease(s), %d unfilled TD(s); parked clients [%s], departed clients %v",
-		s.idx, s.idle, strings.Join(types, "; "), len(s.leases), unfilled,
+		"queued [%s], %d held rule(s), %d outstanding lease(s), %d unfilled TD(s); parked clients [%s], departed clients %v",
+		s.idx, s.idle, strings.Join(types, "; "), s.held, len(s.leases), unfilled,
 		strings.Join(parked, ", "), departed)
 }
 
@@ -430,6 +473,9 @@ func (s *server) handleRequest(op uint8, d *decoder, client int) error {
 	return fmt.Errorf("adlb: server %d: unknown opcode %d from client %d", s.idx, op, client)
 }
 
+// handlePut accepts a work item, or a work rule: an item whose Inputs it
+// must wait on. The client sends it to the owner of its first input (home
+// otherwise), and route takes it from there.
 func (s *server) handlePut(d *decoder, client int) error {
 	w := decodeWorkItem(d)
 	if err := d.finish("put request"); err != nil {
@@ -445,25 +491,90 @@ func (s *server) handlePut(d *decoder, client int) error {
 		if err := faultinject.At(faultinject.SitePutTargeted); err != nil {
 			return s.respondError(client, err.Error())
 		}
-		owner := s.l.ServerOf(w.Target)
-		if owner != s.c.Rank() {
-			// Forward to the target's server; counted for Safra.
-			if err := s.sendServer(owner, sopPutForward, true, func(e *encoder) {
-				encodeWorkItem(e, w)
-			}); err != nil {
-				return err
-			}
-			if s.stats() != nil {
-				s.stats().PutsForwarded.Add(1)
-			}
-			return s.respond(client, func(e *encoder) { e.u8(stOK) })
+	}
+	if id, ok := s.unknownID(w.Inputs); ok {
+		return s.respondError(client, fmt.Sprintf("put: no such id %d", id))
+	}
+	if err := s.route(w, w.Inputs, 0); err != nil {
+		return err
+	}
+	return s.respond(client, func(e *encoder) { e.u8(stOK) })
+}
+
+// unknownID returns the first id of wait that this server owns but
+// neither holds nor issued. Checking before route holds anything keeps a
+// failed Put from leaving a rule behind.
+func (s *server) unknownID(wait []int64) (int64, bool) {
+	for _, id := range wait {
+		if s.l.OwnerOf(id) != s.c.Rank() {
+			continue
 		}
+		if _, ok := s.store[id]; !ok && !s.issued(id) {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// route moves a rule on from wait[at]. It skips this server's closed ids
+// and holds the rule on the first open one, so a repeated id is waited on
+// once; notifyAll resumes it from there. With none of its ids open here,
+// the rule goes, over a counted sopPutForward, to the owner of the first
+// id it has yet to see closed, carrying only the ids of other owners, so
+// each owner is visited once. With no id left it is work: enqueued here,
+// or forwarded to its target's server.
+func (s *server) route(w workItem, wait []int64, at int) error {
+	me := s.c.Rank()
+	for i := at; i < len(wait); i++ {
+		id := wait[i]
+		if s.l.OwnerOf(id) != me {
+			continue
+		}
+		dm := s.store[id]
+		if dm == nil {
+			// An issued id (unknownID checked it on arrival) comes into
+			// being as a placeholder, as at a Subscribe.
+			dm = &datum{}
+			s.store[id] = dm
+		}
+		if !dm.closed() {
+			dm.held = append(dm.held, heldRule{w: w, wait: wait, at: i})
+			s.held++
+			return nil
+		}
+	}
+	var rest []int64
+	for _, id := range wait {
+		if s.l.OwnerOf(id) != me {
+			rest = append(rest, id)
+		}
+	}
+	next := me
+	if len(rest) > 0 {
+		next = s.l.OwnerOf(rest[0])
+	} else if w.Target != AnyRank {
+		next = s.l.ServerOf(w.Target)
+	}
+	if next != me {
+		if s.stats() != nil {
+			s.stats().PutsForwarded.Add(1)
+		}
+		return s.forward(next, w, rest)
 	}
 	s.acceptWork(w)
 	if s.stats() != nil {
 		s.stats().PutsLocal.Add(1)
 	}
-	return s.respond(client, func(e *encoder) { e.u8(stOK) })
+	return nil
+}
+
+// forward sends w, still to wait on wait, to another server; counted for
+// Safra, so no round can end while it is in flight.
+func (s *server) forward(server int, w workItem, wait []int64) error {
+	return s.sendServer(server, sopPutForward, true, func(e *encoder) {
+		encodeWorkItem(e, w)
+		encodeIDs(e, wait)
+	})
 }
 
 // acceptWork enqueues w and immediately matches parked clients against
@@ -588,16 +699,56 @@ func (s *server) serve(client int, leased bool, w workItem) {
 	if leased {
 		id = s.newLease(client, w)
 	}
-	err := s.respond(client, func(e *encoder) {
-		e.u8(stOK)
-		if leased {
-			e.i64(id)
-		}
-		encodeWorkItem(e, w)
-	})
+	rows, err := s.inputRows(w.Inputs)
+	if err == nil {
+		err = s.respond(client, func(e *encoder) {
+			e.u8(stOK)
+			if leased {
+				e.i64(id)
+			}
+			e.bytes(w.Payload)
+			encodeRows(e, s.rowIDs, rows)
+		})
+	}
 	if err != nil {
 		s.c.World().Abort(err)
 	}
+}
+
+// inputRows gathers the rows of the inputs this server holds values for,
+// leaving their ids in rowIDs: the item carries them to the worker, which
+// then loads none of them. Closed data never changes, so the rows are read
+// at delivery, and a requeued or stolen item is served them afresh.
+func (s *server) inputRows(inputs []int64) (chunk.Chunk, error) {
+	s.rowIDs, s.rowVals = s.rowIDs[:0], s.rowVals[:0]
+	me := s.c.Rank()
+	for _, id := range inputs {
+		if s.l.OwnerOf(id) != me {
+			continue
+		}
+		if dm := s.store[id]; dm != nil && dm.set {
+			s.rowIDs = append(s.rowIDs, id)
+			s.rowVals = append(s.rowVals, &dm.val)
+		}
+	}
+	return s.gather(s.rowVals)
+}
+
+// gather puts vals into one chunk. A lone string or blob is its own row,
+// so its payload is copied once, onto the wire, and never into scratch,
+// whose next append would then write into the datum; anything else is
+// appended to the reused scratch, so a steady stream allocates nothing.
+func (s *server) gather(vals []*Value) (chunk.Chunk, error) {
+	if len(vals) == 1 && (vals[0].Type == TypeString || vals[0].Type == TypeBlob) {
+		return row(*vals[0])
+	}
+	s.scratch.Reset()
+	for _, v := range vals {
+		if err := appendRow(&s.scratch, v); err != nil {
+			return s.scratch, err
+		}
+	}
+	return s.scratch, nil
 }
 
 // newLease records w as leased to client and returns the lease id.
@@ -872,8 +1023,7 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		}
 		dm.val = v
 		dm.set = true
-		s.notifyAll(dm, id)
-		return s.respond(client, func(e *encoder) { e.u8(stOK) })
+		return s.respondThenNotify(client, dm, id)
 
 	case opSubscribe:
 		rank := int(d.i32())
@@ -983,24 +1133,19 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 			return s.respondError(client, fmt.Sprintf("refcount: id %d dropped below zero", id))
 		}
 		if !wasClosed && dm.closed() {
-			s.notifyAll(dm, id)
+			return s.respondThenNotify(client, dm, id)
 		}
 		return s.respond(client, func(e *encoder) { e.u8(stOK) })
 
 	case opRetrieveChunk:
 		// Columnar gather: all requested ids are owned here (the client
 		// grouped by owner), so the whole lookup is local and the reply is
-		// one chunk frame — contiguous typed columns. Many rows gather into
-		// the scratch chunk, reused across RPCs (the server loop is
-		// single-goroutine), so a steady gather stream allocates nothing
-		// here. One id — Retrieve — replies with the datum's own row: its
-		// payload is copied once, onto the wire, and never into scratch,
-		// whose next append would then write into the datum.
+		// one chunk frame — contiguous typed columns (see gather).
 		ids := decodeIDs(d, "retrieve_chunk ids")
 		if err := d.finish("retrieve_chunk request"); err != nil {
 			return err
 		}
-		s.scratch.Reset()
+		s.rowVals = s.rowVals[:0]
 		for _, id := range ids {
 			dm, ok := s.store[id]
 			if !ok && !s.issued(id) {
@@ -1012,23 +1157,15 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 			if !ok || !dm.set {
 				return s.respondError(client, fmt.Sprintf("retrieve_chunk: id %d is unset", id))
 			}
-			if len(ids) == 1 {
-				r, err := row(dm.val)
-				if err != nil {
-					return s.respondError(client, fmt.Sprintf("retrieve_chunk: id %d: %v", id, err))
-				}
-				return s.respond(client, func(e *encoder) {
-					e.u8(stOK)
-					encodeChunk(e, r)
-				})
-			}
-			if err := appendRow(&s.scratch, &dm.val); err != nil {
-				return s.respondError(client, fmt.Sprintf("retrieve_chunk: id %d: %v", id, err))
-			}
+			s.rowVals = append(s.rowVals, &dm.val)
+		}
+		c, err := s.gather(s.rowVals)
+		if err != nil {
+			return s.respondError(client, fmt.Sprintf("retrieve_chunk: %v", err))
 		}
 		return s.respond(client, func(e *encoder) {
 			e.u8(stOK)
-			encodeChunk(e, s.scratch)
+			encodeChunk(e, c)
 		})
 
 	case opStoreChunk:
@@ -1079,10 +1216,33 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 	return fmt.Errorf("adlb: unhandled data op %d", op)
 }
 
-// notifyAll wraps a close notification for each subscriber into a
-// high-priority targeted work item and routes it to the subscriber's
-// server. This is how a Store on one rank wakes dataflow rules on another.
+// respondThenNotify answers the client whose store or refcount closed dm,
+// then runs notifyAll: the writer goes on while this server delivers what
+// the close released, whose rows may be large. The server handles nothing
+// else in between, so no later request sees the close unannounced.
+func (s *server) respondThenNotify(client int, dm *datum, id int64) error {
+	if err := s.respond(client, func(e *encoder) { e.u8(stOK) }); err != nil {
+		return err
+	}
+	s.notifyAll(dm, id)
+	return nil
+}
+
+// notifyAll runs when a datum closes. It moves on each work rule held on
+// it, and wraps a close notification for each subscriber into a
+// high-priority targeted work item routed to the subscriber's server.
+// This is how a Store on one rank releases a leaf for a worker, or wakes
+// an engine's control rules on another.
 func (s *server) notifyAll(dm *datum, id int64) {
+	held := dm.held
+	dm.held = nil
+	s.held -= len(held)
+	for _, h := range held {
+		if err := s.route(h.w, h.wait, h.at); err != nil {
+			s.c.World().Abort(err)
+			return
+		}
+	}
 	for _, rank := range dm.subscribers {
 		w := workItem{
 			Type:     s.cfg.NotifyType,
@@ -1102,9 +1262,7 @@ func (s *server) notifyAll(dm *datum, id int64) {
 			s.acceptWork(w)
 			continue
 		}
-		if err := s.sendServer(owner, sopPutForward, true, func(e *encoder) {
-			encodeWorkItem(e, w)
-		}); err != nil {
+		if err := s.forward(owner, w, nil); err != nil {
 			s.c.World().Abort(err)
 			return
 		}
@@ -1149,14 +1307,14 @@ func (s *server) handleServer(op uint8, d *decoder, source int) error {
 		s.black = true
 		s.progress = true
 		w := decodeWorkItem(d)
+		wait := decodeIDs(d, "put-forward wait ids")
 		if err := d.finish("put-forward"); err != nil {
 			return err
 		}
-		s.acceptWork(w)
-		if s.stats() != nil {
-			s.stats().PutsLocal.Add(1)
+		if id, ok := s.unknownID(wait); ok {
+			return fmt.Errorf("adlb: server %d: put: no such id %d (task %.200q)", s.idx, id, w.Payload)
 		}
-		return nil
+		return s.route(w, wait, 0)
 
 	case sopStealReq:
 		typ := int(d.i32())

@@ -3,6 +3,7 @@ package adlb
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/chunk"
@@ -34,9 +35,21 @@ func FuzzWireRoundTrip(f *testing.F) {
 	seedChunk.AppendBlob([]byte{3}, 2, []int{1})
 	encodeChunk(e, seedChunk)
 	f.Add(e.buf, int64(3), uint8(1))
-	// The counted bodies (batched subscribe request and response, the
-	// enumerate response, a blob row's dims): whole, cut short, and
-	// claiming more entries than the frame has bytes for.
+	// A Put of a work rule: the item with its wait ids.
+	e = &encoder{}
+	encodeWorkItem(e, workItem{Type: 1, Target: AnyRank, Payload: []byte("python::call 9 float s: s:argv1 7"), Inputs: []int64{7, 7, 1 << 33}})
+	f.Add(e.buf, int64(7), uint8(2))
+	// A leased Get reply carrying its inputs' rows.
+	e = &encoder{}
+	e.u8(stOK)
+	e.i64(3)
+	e.bytes([]byte("julia::call 5 float s: s:argv1 4"))
+	encodeRows(e, []int64{4, 8, 4}, seedChunk)
+	f.Add(e.buf, int64(3), uint8(3))
+	// The counted bodies (a Put's wait ids, a delivered item's rows,
+	// batched subscribe request and response, the enumerate response, a
+	// blob row's dims): whole, cut short, and claiming more entries than
+	// the frame has bytes for.
 	for _, cf := range countedFrames() {
 		f.Add(cf.frame, int64(cf.count), uint8(0))
 		f.Add(cf.frame[:len(cf.frame)-3], int64(cf.count), uint8(0))
@@ -49,6 +62,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// 1. Decoder robustness: arbitrary input, all decode shapes.
 		for _, run := range []func(d *decoder){
 			func(d *decoder) { decodeWorkItem(d) },
+			func(d *decoder) {
+				// A leased Get reply: rows decode one per id, or not at all.
+				d.u8()
+				d.i64()
+				d.bytes()
+				if ids, rows := decodeRows(d, nil); rows.Len() != len(ids) || len(ids) > len(raw)/8 {
+					t.Fatalf("%d row ids, %d rows, out of %d bytes", len(ids), rows.Len(), len(raw))
+				}
+			},
 			func(d *decoder) { d.u8(); d.str(); d.i64(); d.boolean() },
 			func(d *decoder) {
 				d.i32()
@@ -92,7 +114,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		DecodeNotification(raw)
 
 		// 2. Round-trip identity for a message built from the input.
-		w := workItem{Type: int(int32(n)), Priority: int(tag), Target: int(int32(n >> 32)), Payload: raw}
+		w := workItem{Type: int(int32(n)), Priority: int(tag), Target: int(int32(n >> 32)), Payload: raw, Inputs: []int64{n, -n, int64(tag)}}
 		e := &encoder{}
 		encodeWorkItem(e, w)
 		e.i64(n)
@@ -110,7 +132,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("clean round trip rejected: %v", err)
 		}
 		if gotW.Type != w.Type || gotW.Priority != w.Priority || gotW.Target != w.Target ||
-			!bytes.Equal(gotW.Payload, w.Payload) {
+			!bytes.Equal(gotW.Payload, w.Payload) || !slices.Equal(gotW.Inputs, w.Inputs) {
 			t.Fatalf("work item round trip: got %+v want %+v", gotW, w)
 		}
 		if gotN != n || gotB != (tag&1 == 1) {

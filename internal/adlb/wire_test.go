@@ -139,8 +139,10 @@ type countedFrame struct {
 
 // countedFrames builds one of each: a batched subscribe request (rank +
 // id list), its response (a length-prefixed run of closed flags), an
-// enumerate response (subscript/member pairs), and a blob value (its row's
-// dims table, the last field of its chunk frame).
+// enumerate response (subscript/member pairs), a blob value (its row's
+// dims table, the last field of its chunk frame), a Put's work item (its
+// wait ids, the last field) and a delivered item's rows (their ids, then
+// one chunk).
 func countedFrames() []countedFrame {
 	sub := &encoder{}
 	sub.i32(3)
@@ -165,7 +167,16 @@ func countedFrames() []countedFrame {
 		}
 		return 0
 	}
+	put := &encoder{}
+	encodeWorkItem(put, workItem{Type: 1, Priority: 2, Target: AnyRank, Payload: []byte("job"), Inputs: []int64{5, -6, 1 << 40}})
+	rows := &encoder{}
+	var rowChunk chunk.Chunk
+	rowChunk.AppendInt(-7)
+	rowChunk.AppendString("row")
+	encodeRows(rows, []int64{11, 12}, rowChunk)
 	return []countedFrame{
+		{"put-wait-ids", put.buf, 3, 4*4 + 4 + 3, func(d *decoder) int { return len(decodeWorkItem(d).Inputs) }},
+		{"item-rows", rows.buf, 2, 0, func(d *decoder) int { ids, _ := decodeRows(d, nil); return len(ids) }},
 		{"subscribe-request", sub.buf, 4, 4, func(d *decoder) int { d.i32(); return len(decodeIDs(d, "subscribe ids")) }},
 		{"subscribe-response", flags.buf, 4, 0, func(d *decoder) int { return len(d.bytes()) }},
 		{"enumerate-response", pairs.buf, 3, 0, func(d *decoder) int { return len(decodePairs(d)) }},

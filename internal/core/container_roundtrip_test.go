@@ -173,12 +173,21 @@ func TestVunpackRejectsNonIntegralIntContext(t *testing.T) {
 
 // The bridge costs O(servers) data operations, not O(n): a blob scattered
 // by vunpack and gathered back by vpack makes exactly as many data-store
-// RPCs at 2n elements as at n, on one server and on two, and the vector
-// that comes back is the one that went in, bit for bit. (The member wait
-// is one batched subscribe per owning server; before it was batched this
-// count grew by one RPC per element.)
+// RPCs at 2n elements as at n, and the vector that comes back is the one
+// that went in, bit for bit. (The member wait is one Put of the member
+// ids; before waits were batched this count grew by one RPC per element.)
+// On one server nothing is stolen, so every leaf's inputs ride its item
+// and the count is exact, chunk loads included. On two servers a worker
+// that stole an item loads its inputs from their owner, which depends on
+// the schedule, not on n: there the data ops other than chunk loads are
+// exact and the chunk loads are bounded by one each for the engine's
+// vunpack, the gather and the capture.
 func TestVectorBridgeDataOpsIndependentOfLength(t *testing.T) {
-	trip := func(t *testing.T, n, servers int) int64 {
+	const (
+		oneServerLoads = 1
+		maxLoads       = 3
+	)
+	trip := func(t *testing.T, n, servers int) (dataOps, loads int64) {
 		t.Helper()
 		want := make([]float64, n)
 		for i := range want {
@@ -214,15 +223,33 @@ func TestVectorBridgeDataOpsIndependentOfLength(t *testing.T) {
 			len(b.Dims) != 1 || b.Dims[0] != n {
 			t.Fatalf("n=%d: packed vector differs from the source (elem %v, dims %v)", n, b.Elem, b.Dims)
 		}
-		return res.ADLB.DataOps
+		return res.ADLB.DataOps, res.ADLB.OpChunkLoad
 	}
-	for _, servers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("servers=%d", servers), func(t *testing.T) {
-			small, large := trip(t, 500, servers), trip(t, 1000, servers)
-			if small != large {
-				t.Fatalf("data ops: %d at n=500, %d at n=1000; want the same", small, large)
+	t.Run("servers=1", func(t *testing.T) {
+		small, smallLoads := trip(t, 500, 1)
+		large, largeLoads := trip(t, 1000, 1)
+		if small != large {
+			t.Fatalf("data ops: %d at n=500, %d at n=1000; want the same", small, large)
+		}
+		if smallLoads != oneServerLoads || largeLoads != oneServerLoads {
+			t.Fatalf("chunk loads: %d at n=500, %d at n=1000; want %d at both",
+				smallLoads, largeLoads, oneServerLoads)
+		}
+		t.Logf("%d data ops, %d chunk load, at either length", small, smallLoads)
+	})
+	t.Run("servers=2", func(t *testing.T) {
+		small, smallLoads := trip(t, 500, 2)
+		large, largeLoads := trip(t, 1000, 2)
+		for _, l := range []int64{smallLoads, largeLoads} {
+			if l < 1 || l > maxLoads {
+				t.Fatalf("chunk loads: %d at n=500, %d at n=1000; want 1 to %d at each",
+					smallLoads, largeLoads, maxLoads)
 			}
-			t.Logf("%d data ops at either length", small)
-		})
-	}
+		}
+		if small-smallLoads != large-largeLoads {
+			t.Fatalf("data ops other than chunk loads: %d at n=500, %d at n=1000; want the same",
+				small-smallLoads, large-largeLoads)
+		}
+		t.Logf("%d data ops other than chunk loads at either length", small-smallLoads)
+	})
 }

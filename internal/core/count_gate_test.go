@@ -36,14 +36,18 @@ printf("total=%.17g", total);
 // indices or known subscripts — or to waiting on them — fails here rather
 // than in a later benchmark. (Run with -v for the per-leaf figures.)
 //
-// Per pipeline: 3 one-id subscribes, 3 one-row chunk loads, 3 result
-// stores, 1 container insert — 10 — plus main's literal_float store and
-// insert per xs member — 2. No scalar TD is created: a, c, out's member
-// and the literals come into being at their first subscribe or store, so
-// the only creates are the containers xs and out. Every read is a chunk
-// load, printf's turbine::value of total included.
-// Notifications are bounded, not exact: a rule registered after its input
-// already closed learns so from the subscribe's answer and gets none.
+// Per pipeline: 3 result stores and 1 container insert — 4 — plus main's
+// literal_float store and insert per xs member — 2. Each leaf is one Put
+// carrying its input's id: the server holds it until the input is stored
+// and hands its row to the worker with the item, so a leaf costs no
+// subscribe, no notification and no chunk load. No scalar TD is created:
+// a, c, out's member and the literals come into being at their first
+// store or wait, so the only creates are the containers xs and out. What
+// is left waits on the engine: three control rules (asplit on xs, vpack
+// on out, printf on total), one subscribe each, and printf's
+// turbine::value of total is the one chunk load. Notifications are
+// bounded, not exact: a rule registered after its input already closed
+// learns so from the subscribe's answer and gets none.
 func TestEnsembleCountGate(t *testing.T) {
 	const n = 12
 	st, ts := &adlb.Stats{}, &turbine.Stats{}
@@ -70,11 +74,11 @@ func TestEnsembleCountGate(t *testing.T) {
 		got, want int64
 	}{
 		{"leaf tasks", res.LeafTasks, 3*n + 2},
-		{"adlb.DataOps", a.DataOps, 12*n + 19},
+		{"adlb.DataOps", a.DataOps, 6*n + 15},
 		{"adlb.OpCreate", a.OpCreate, 2},
 		{"adlb.OpStore", a.OpStore, 4*n + 2},
-		{"adlb.OpSubscribe", a.OpSubscribe, 3*n + 5},
-		{"adlb.OpChunkLoad", a.OpChunkLoad, 3*n + 3},
+		{"adlb.OpSubscribe", a.OpSubscribe, 3},
+		{"adlb.OpChunkLoad", a.OpChunkLoad, 1},
 		{"adlb.OpInsert", a.OpInsert, 2 * n},
 		{"adlb.OpWriteRefcount", a.OpWriteRefcount, 4},
 		{"adlb.OpEnumerate", a.OpEnumerate, 3},
@@ -86,7 +90,7 @@ func TestEnsembleCountGate(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	if got, max := ts.Notifications.Load(), int64(3*n+4); got > max || got != a.Notifications {
+	if got, max := ts.Notifications.Load(), int64(3); got > max || got != a.Notifications {
 		t.Errorf("engine saw %d notifications, servers sent %d; want equal and at most %d", got, a.Notifications, max)
 	}
 }
@@ -107,11 +111,12 @@ func bridgeShape(n int) string {
 }
 
 // TestVectorBridgeCountGate pins the container<->vector bridge's data ops
-// as a count that does not grow with n: each scatter and gather is one
-// chunk RPC per owning server, and the engine waits on a container, not on
-// each member. A bridge that goes back to one op per member fails here.
+// as a count that does not grow with n: each scatter is one chunk RPC per
+// owning server, each gather's members ride its work item, and the engine
+// waits on a container, not on each member. A bridge that goes back to
+// one op per member fails here.
 func TestVectorBridgeCountGate(t *testing.T) {
-	const wantOps = 31
+	const wantOps = 19
 	for _, n := range []int{800, 8000} {
 		res, err := Run(bridgeShape(n), Config{Engines: 1, Workers: 2, Servers: 1})
 		if err != nil {

@@ -298,3 +298,60 @@ func TestChaosEachEngineRecoversFromPanic(t *testing.T) {
 		})
 	}
 }
+
+// serverFiredChain is two python leaves, the second waiting on the
+// first's output: the data server holds it until a is stored, then
+// queues it with a's row.
+const serverFiredChain = `
+	float a = python("", "1.25");
+	float b = python("", "argv1 * 2", a);
+	printf("b=%.17g", b);
+`
+
+func TestChaosWorkerKilledHoldingServerFiredLeaf(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Reset()
+	// The worker that leases the second leaf — the one the server fired
+	// when a closed — dies holding it. The requeued item must carry a's
+	// row again: the survivor loads nothing, and the run's one chunk load
+	// is the engine's printf of b.
+	faultinject.Arm(faultinject.SiteWorkerTask, faultinject.Plan{
+		Hit: 2, Action: faultinject.ActCrash, Msg: "worker dies",
+	})
+	res, err := Run(serverFiredChain, Config{Workers: 2})
+	if err != nil {
+		t.Fatalf("run failed instead of recovering: %v", err)
+	}
+	if got := strings.TrimSpace(res.Stdout); got != "b=2.5" {
+		t.Fatalf("stdout = %q, want b=2.5", got)
+	}
+	a := res.ADLB
+	if a.LeasesReclaimed != 1 || a.Requeued != 1 {
+		t.Fatalf("LeasesReclaimed = %d, Requeued = %d; want 1, 1", a.LeasesReclaimed, a.Requeued)
+	}
+	if a.OpChunkLoad != 1 {
+		t.Fatalf("OpChunkLoad = %d, want 1 (printf's read of b): the requeued leaf loaded its input", a.OpChunkLoad)
+	}
+}
+
+func TestChaosStolenItemLoadsItsInputsFromTheirOwner(t *testing.T) {
+	// Two servers: the engine and every TD live on server 0, the one
+	// worker on server 1, so each leaf reaches the worker by a steal and
+	// is delivered by a server that owns none of its inputs. The second
+	// leaf loads a from its owner; with printf's read of b that is two
+	// chunk loads.
+	res, err := Run(serverFiredChain, Config{Engines: 1, Workers: 1, Servers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(res.Stdout); got != "b=2.5" {
+		t.Fatalf("stdout = %q, want b=2.5", got)
+	}
+	a := res.ADLB
+	if a.ItemsStolen != res.LeafTasks || res.LeafTasks != 2 {
+		t.Fatalf("ItemsStolen = %d, LeafTasks = %d; want both leaves stolen", a.ItemsStolen, res.LeafTasks)
+	}
+	if a.OpChunkLoad != 2 {
+		t.Fatalf("OpChunkLoad = %d, want 2: the stolen leaf's load of a and printf's of b", a.OpChunkLoad)
+	}
+}

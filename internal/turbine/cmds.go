@@ -34,8 +34,8 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 
 	// allocate <typename> -> id: unique, plus create for a container. A
 	// scalar TD needs no create: its owner makes it at its first store or
-	// subscribe, so allocating one costs no data op on the (serial)
-	// expansion path.
+	// wait, so allocating one costs no data op on the (serial) expansion
+	// path.
 	reg("allocate", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 2 {
 			return "", fmt.Errorf("usage: turbine::allocate <type>")
@@ -533,18 +533,15 @@ func registerEngineCmds(in *tcl.Interp, env *Env) {
 				return "", err
 			}
 		}
-		r, err := parseRule(args)
-		if err != nil {
-			return "", err
-		}
-		return "", eng.addRule(inputs, r)
+		return "", eng.addRule(inputs, args)
 	})
 
 	// turbine::rule_members <container> {action} ?option value ...?
 	// A rule on every member of a closed container (same options as
 	// turbine::rule). The container is enumerated here, in Go, so a
-	// whole-array wait costs one enumerate and one subscribe per server
-	// and no Tcl text per member; an empty container releases at once.
+	// whole-array wait costs one enumerate and then one Put of the member
+	// ids (a work rule) or one subscribe per server (a control rule), and
+	// no Tcl text per member; an empty container releases at once.
 	in.RegisterCommand("turbine::rule_members", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 3 {
 			return "", fmt.Errorf("usage: turbine::rule_members <container> <action> ?options?")
@@ -553,11 +550,7 @@ func registerEngineCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		r, err := parseRule(args)
-		if err != nil {
-			return "", err
-		}
-		return "", eng.addRule(memberIDs(pairs), r)
+		return "", eng.addRule(memberIDs(pairs), args)
 	})
 
 	// turbine::spawn <action>: release a control fragment to any engine,
@@ -578,14 +571,14 @@ func registerEngineCmds(in *tcl.Interp, env *Env) {
 	})
 }
 
-// parseRule builds a rule from a rule command's words: args[0] is the
-// command (named in errors), args[2] the action, args[3:] option/value
-// pairs — type (control|work), target N, priority N.
-func parseRule(args []string) (*rule, error) {
-	r := &rule{action: args[2], target: adlb.AnyRank}
+// parseRule reads a rule command's options: args[0] is the command (named
+// in errors), args[3:] option/value pairs — type (control|work), target
+// N, priority N. A control rule ignores target and priority.
+func parseRule(args []string) (work bool, target, priority int, err error) {
+	target = adlb.AnyRank
 	opts := args[3:]
 	if len(opts)%2 != 0 {
-		return nil, fmt.Errorf("%s: option %q has no value", args[0], opts[len(opts)-1])
+		return false, 0, 0, fmt.Errorf("%s: option %q has no value", args[0], opts[len(opts)-1])
 	}
 	for i := 0; i < len(opts); i += 2 {
 		opt, val := opts[i], opts[i+1]
@@ -593,27 +586,27 @@ func parseRule(args []string) (*rule, error) {
 		case "type":
 			switch val {
 			case "work":
-				r.work = true
+				work = true
 			case "control":
-				r.work = false
+				work = false
 			default:
-				return nil, fmt.Errorf("%s: bad type %q", args[0], val)
+				return false, 0, 0, fmt.Errorf("%s: bad type %q", args[0], val)
 			}
 		case "target":
 			t, err := parseInt(val)
 			if err != nil {
-				return nil, err
+				return false, 0, 0, err
 			}
-			r.target = int(t)
+			target = int(t)
 		case "priority":
 			p, err := parseInt(val)
 			if err != nil {
-				return nil, err
+				return false, 0, 0, err
 			}
-			r.priority = int(p)
+			priority = int(p)
 		default:
-			return nil, fmt.Errorf("%s: unknown option %q", args[0], opt)
+			return false, 0, 0, fmt.Errorf("%s: unknown option %q", args[0], opt)
 		}
 	}
-	return r, nil
+	return work, target, priority, nil
 }

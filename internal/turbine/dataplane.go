@@ -67,10 +67,11 @@ func (p dataPlane) StoreAs(id int64, td string, v lang.Value) error {
 	return p.cl.Store(id, sv)
 }
 
-// LoadChunk retrieves many closed TDs as one columnar chunk via the ADLB
-// chunk gather: one RPC per owning server, and on the single-owner fast
-// path the returned columns alias the response frame — valid until the
-// next data-plane call, per the Client zero-copy contract.
+// LoadChunk retrieves many closed TDs as one columnar chunk: a leaf's
+// inputs from the rows its work item carried, the rest via the ADLB
+// chunk gather, one RPC per owning server. On the single-source fast
+// path the returned columns alias the frame, per the Client zero-copy
+// contract.
 func (p dataPlane) LoadChunk(ids []int64) (lang.Chunk, error) {
 	return p.cl.RetrieveChunk(ids)
 }

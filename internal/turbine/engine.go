@@ -11,25 +11,24 @@ import (
 )
 
 // rule is one dataflow rule: when all inputs are closed, the action is
-// released — either executed on this engine (control) or Put to ADLB for
-// a worker (work). This realises the paper's Fig. 1 semantics: statements
-// become rules, and execution order is determined by data availability.
+// released. This realises the paper's Fig. 1 semantics: statements become
+// rules, and execution order is determined by data availability. An
+// engine holds control rules only, whose actions it runs itself; a work
+// rule is one Put carrying its inputs, which the data servers hold until
+// they close and then queue for a worker.
 type rule struct {
-	action   string
-	pending  int // unclosed inputs remaining
-	work     bool
-	target   int
-	priority int
+	action  string
+	pending int // unclosed inputs remaining
 }
 
-// engine holds the dataflow state of one engine rank.
+// engine holds the control rules of one engine rank.
 type engine struct {
 	env     *Env
 	ready   []string          // actions whose inputs are all closed
 	waiting map[int64][]*rule // input id -> rules blocked on it
 	closed  map[int64]bool    // ids known closed (local cache)
 	subbed  map[int64]bool    // ids with an active subscription
-	ask     []int64           // addRule's scratch: the ids one rule must ask about
+	ask     []int64           // addControl's scratch: the ids one rule must ask about
 }
 
 func newEngine(env *Env) *engine {
@@ -43,14 +42,28 @@ func newEngine(env *Env) *engine {
 
 func (e *engine) stats() *Stats { return e.env.Cfg.TurbineStats }
 
-// addRule registers a rule, subscribing to its unclosed inputs. Rules with
-// no pending inputs are immediately ready. Every input not already known
-// closed or subscribed goes into one Subscribe call — one RPC per owning
-// server, whether the rule waits on two TDs or on a container's members.
-func (e *engine) addRule(inputs []int64, r *rule) error {
+// addRule registers the rule a rule command's words describe (see
+// parseRule): a work rule is Put with its inputs as wait ids, and a
+// control rule waits here.
+func (e *engine) addRule(inputs []int64, args []string) error {
+	work, target, priority, err := parseRule(args)
+	if err != nil {
+		return err
+	}
 	if s := e.stats(); s != nil {
 		s.RulesCreated.Add(1)
 	}
+	if work {
+		return e.env.Client.Put(TypeWork, priority, target, []byte(args[2]), inputs...)
+	}
+	return e.addControl(inputs, &rule{action: args[2]})
+}
+
+// addControl subscribes a control rule to its unclosed inputs; with none
+// pending it is immediately ready. Every input not already known closed
+// or subscribed goes into one Subscribe call — one RPC per owning server,
+// whether the rule waits on two TDs or on a container's members.
+func (e *engine) addControl(inputs []int64, r *rule) error {
 	// Subscribe once per id; the notification wakes all waiters. Marking
 	// an id subscribed as it is collected keeps a repeated input from
 	// being asked about twice.
@@ -84,25 +97,14 @@ func (e *engine) addRule(inputs []int64, r *rule) error {
 		e.waiting[id] = append(e.waiting[id], r)
 	}
 	if r.pending == 0 {
-		return e.release(r)
+		e.ready = append(e.ready, r.action)
 	}
 	return nil
 }
 
-// release fires a rule whose inputs are all closed.
-func (e *engine) release(r *rule) error {
-	if s := e.stats(); s != nil {
-		s.RulesReady.Add(1)
-	}
-	if r.work {
-		return e.env.Client.Put(TypeWork, r.priority, r.target, []byte(r.action))
-	}
-	e.ready = append(e.ready, r.action)
-	return nil
-}
-
-// onClosed processes a data-close notification.
-func (e *engine) onClosed(id int64) error {
+// onClosed processes a data-close notification, readying the rules it
+// leaves with no input pending.
+func (e *engine) onClosed(id int64) {
 	if s := e.stats(); s != nil {
 		s.Notifications.Add(1)
 	}
@@ -113,12 +115,9 @@ func (e *engine) onClosed(id int64) error {
 	for _, r := range rules {
 		r.pending--
 		if r.pending == 0 {
-			if err := e.release(r); err != nil {
-				return err
-			}
+			e.ready = append(e.ready, r.action)
 		}
 	}
-	return nil
 }
 
 // run is the engine main loop: drain locally ready actions, then block on
@@ -144,9 +143,7 @@ func (e *engine) run() error {
 			return e.stallDiagnostic()
 		}
 		if id, isNote := adlb.DecodeNotification(payload); isNote {
-			if err := e.onClosed(id); err != nil {
-				return err
-			}
+			e.onClosed(id)
 			continue
 		}
 		// A distributed control fragment from another engine.
@@ -161,9 +158,10 @@ func (e *engine) run() error {
 }
 
 // stallDiagnostic runs when the engine's Get loop ends: a clean
-// termination should leave no dataflow rule waiting on an unfilled TD.
+// termination should leave no control rule waiting on an unfilled TD.
 // If any remain — a task was poisoned upstream, or the program never
-// writes the data — name them instead of returning a silent success.
+// writes the data — name them instead of returning a silent success. (The
+// servers name the work rules they still hold the same way.)
 func (e *engine) stallDiagnostic() error {
 	stalled := map[*rule]bool{}
 	var ids []int64

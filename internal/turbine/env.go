@@ -1,9 +1,10 @@
 // Package turbine implements the Turbine dataflow engine of Swift/T
 // (paper §II-B): the runtime layer that evaluates compiled Swift programs
 // as distributed-memory dataflow. MPI ranks are partitioned into engines
-// (which hold dataflow rules and release actions as their inputs close),
-// ADLB servers (work queues and the data store), and workers (which
-// execute leaf tasks). Turbine code is Tcl; every rank hosts a Tcl
+// (which hold control rules and run their actions as their inputs
+// close), ADLB servers (work queues and the data store, which also hold
+// work rules until their inputs close), and workers (which execute leaf
+// tasks, their inputs' values delivered with them). Turbine code is Tcl; every rank hosts a Tcl
 // interpreter with the turbine::* command set registered, and leaf tasks
 // may additionally call into embedded Python/R interpreters, SWIG-wrapped
 // native kernels, or the shell, as the higher layers arrange.
@@ -100,7 +101,6 @@ func (c *Config) adlbConfig() adlb.Config {
 // Stats aggregates Turbine-level counters across ranks.
 type Stats struct {
 	RulesCreated  atomic.Int64
-	RulesReady    atomic.Int64
 	ControlTasks  atomic.Int64
 	LeafTasks     atomic.Int64
 	Notifications atomic.Int64

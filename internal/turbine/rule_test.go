@@ -27,7 +27,7 @@ func registerCreate(in *tcl.Interp, env *Env) {
 	})
 }
 
-// addRule asks the servers once per rule — one Subscribe RPC per owning
+// addControl asks the servers once per rule — one Subscribe RPC per owning
 // server — about exactly the inputs it knows nothing of: not the ones it
 // has seen closed, not the ones an earlier rule subscribed, and a
 // repeated input once. The world has two servers; ids are minted by hand
@@ -50,9 +50,9 @@ func TestAddRuleBatchesSubscribes(t *testing.T) {
 						return "", err
 					}
 				}
-				r := &rule{action: "test::record fired " + args[1], target: adlb.AnyRank}
+				r := &rule{action: "test::record fired " + args[1]}
 				before := stats.DataOps.Load()
-				if err := env.engine.addRule(inputs, r); err != nil {
+				if err := env.engine.addControl(inputs, r); err != nil {
 					return "", err
 				}
 				got := fmt.Sprintf("%d %d", r.pending, stats.DataOps.Load()-before)
