@@ -61,20 +61,24 @@
 // registers are exactly those the prelude and the generated procs emit,
 // and a test keeps it so (internal/stc TestVocabularyIsTheTraffic):
 // allocate, value, store_<type> and literal_<type>, copy_blob, the
-// container and refcount commands, rule, rule_members, spawn, engines and
-// the vector bridge. internal/stc compiles
+// container and refcount commands, rule, rule_members, leaf, spawn,
+// engines and the vector bridge. internal/stc compiles
 // each expression to an operand: a TD, or a value known without one — a
 // literal, a negated numeric literal, a loop variable the engine hands
 // the body as a plain integer. A known value never becomes a TD on its
 // way to a consumer that can take a value: it rides the action as a
 // typed immediate word (i:5, f:1.5, s:text; booleans as integers; blobs
 // and containers never), the rule waits only on the operands that are
-// TDs (none: released at once), and the consumer reads any operand with
-// turbine::value or, for <name>::call, lang.DecodeOperand — the one
-// decoder both share. turbine::value is the one typed read: a TD or an
-// immediate reads as its own type, or an integer as a float (promoted
-// exactly as float64(n)); any other mismatch is an error, so a TD and an
-// immediate of the same value read the same. So the message that starts a piece of work carries
+// TDs (none: released at once), and an operand word is read with
+// turbine::value or, for turbine::leaf, lang.DecodeOperand — the one
+// decoder both share. An interlanguage call is one turbine::leaf: the
+// engine rank decodes its words once into a lang.Leaf record (engine,
+// output TD and type, one row per argument: an immediate value or a TD
+// id), and the worker runs the record with no Tcl on the way.
+// turbine::value is the one typed read: a TD or an immediate reads as
+// its own type, or an integer as a float (promoted exactly as
+// float64(n)); any other mismatch is an error, so a TD and an immediate
+// of the same value read the same. So the message that starts a piece of work carries
 // its small data: the code and expr strings of a python(...) call, the
 // subscript of xs[7], the bounds of a range, a loop index. A leaf's TD
 // inputs ride it too. A work rule is one Client.Put carrying the rule's
@@ -152,15 +156,17 @@
 //     Signature; extra arguments may be string, int, float, or blob, and
 //     `blob v = python(...)` / `float f = python(...)` type the result
 //     by context (Checker.checkExprAs), defaulting to string;
-//   - the compiler emits <name>::call, the typed dispatch surface, as
-//     the work action itself, with one operand per argument. Known
-//     scalars (the code and expr strings, a literal 1.5, a loop index)
-//     are immediates in the action; everything else, and every blob,
-//     passes by data-store reference, and no blob or container element
-//     data ever renders into an action (<name>::eval remains as the
-//     string surface for sh app functions and direct Tcl callers);
-//   - <name>::call moves TD arguments and results through
-//     lang.DataPlane (implemented by turbine.Env.DataPlane over the
+//   - the compiler emits turbine::leaf <name> <out> <outtype>, with one
+//     operand per argument, and the engine rank sends it to a worker as
+//     a typed leaf record (lang.Leaf, one chunk frame). Known scalars
+//     (the code and expr strings, a literal 1.5, a loop index) are
+//     immediates in the record; everything else, and every blob, passes
+//     by data-store reference, and no blob or container element data
+//     ever renders into text (<name>::eval remains as the string surface
+//     for sh app functions and direct Tcl callers);
+//   - the worker runs the record through its rank's lang.Table with no
+//     Tcl interpreter on the way, moving TD arguments and results
+//     through lang.DataPlane (implemented in internal/turbine over the
 //     rank's ADLB client); blob values cross the data store with dims
 //     and element kind riding alongside the payload
 //     (adlb.Value.Dims/Elem), element bytes are never formatted as text
@@ -168,11 +174,12 @@
 //     columnar chunk (DataPlane.LoadChunk over
 //     adlb.Client.RetrieveChunk: one RPC per owning server, never one
 //     per argument, and none when every operand is an immediate);
-//   - core.RunCompiled iterates lang.Registered() at rank setup and
-//     installs both surfaces via lang.Install, which creates the engine
-//     lazily on first use, applies the retain/reinit state policy (paper
-//     §III-C) after every fragment, and counts evaluations per language
-//     into Result.Evals — in one place, where the contained evaluation
+//   - core.RunCompiled hands lang.Registered() to lang.Install at rank
+//     setup, which builds the rank's engine table (each engine created
+//     lazily on first use) and registers the <name>::eval commands; the
+//     table applies the retain/reinit state policy (paper §III-C) after
+//     every fragment and counts evaluations per language into
+//     Result.Evals — in one place, where the contained evaluation
 //     enters the engine (a lang.eval.pre fault counts nothing, a panic
 //     inside the engine once), the same place lang.Pool counts into
 //     PoolStats.Evals.
@@ -459,10 +466,12 @@
 // ./...` from the repo root exits nonzero on any violation; CI runs it
 // next to go vet. The analyzers and their contracts:
 //
-//   - codecdiscipline: every constructed wire decoder calls finish() on
-//     every non-error return path after a read (sticky decode errors and
-//     trailing bytes must be checked); encoder buffers leave the codec
-//     file only via frame(); a frame() error is never blank-discarded.
+//   - codecdiscipline: every constructed wire decoder (adlb's, and the
+//     leaf-record decoder in internal/lang) calls finish() on every
+//     non-error return path after a read (sticky decode errors and
+//     trailing bytes or rows must be checked); encoder buffers leave the
+//     codec file only via frame(); a frame() error is never
+//     blank-discarded.
 //   - framerelease: every frame obtained from Comm.Recv/RecvTimeout that
 //     a path uses is Released exactly once on that path, unless its
 //     ownership is transferred (returned, stored, appended, or passed

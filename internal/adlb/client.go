@@ -2,7 +2,6 @@ package adlb
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -11,9 +10,6 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/mpi"
 )
-
-// ErrStoreTwice is reported when a single-assignment datum is stored twice.
-var ErrStoreTwice = errors.New("adlb: double store on single-assignment datum")
 
 // Client is one ADLB client rank (a Turbine engine or worker). A Client is
 // bound to its home server for work operations; data operations are routed

@@ -3,6 +3,8 @@ package adlb
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/chunk"
 )
@@ -345,7 +347,12 @@ func decodeChunk(d *decoder) chunk.Chunk {
 // RetrieveChunk carry, for callers that ship a chunk as a work-item
 // payload instead (swiftd's fragment tasks and responses).
 func EncodeChunkFrame(c chunk.Chunk) ([]byte, error) {
+	n := 3*4 + len(c.Kinds) + len(c.Num) + len(c.Raw) + 4 + 4*len(c.Off) + 4
+	for _, m := range c.Meta {
+		n += 1 + 4 + 8*len(m.Dims)
+	}
 	var e encoder
+	e.grow(n)
 	encodeChunk(&e, c)
 	return e.frame()
 }
@@ -358,4 +365,34 @@ func DecodeChunkFrame(frame []byte) (chunk.Chunk, error) {
 	d := decoder{buf: frame}
 	c := decodeChunk(&d)
 	return c, d.finish("chunk frame")
+}
+
+// describe renders a work item's payload for a diagnostic: a chunk
+// frame as its rows, space-separated (a string as its text, a blob as
+// its size), and anything else as its bytes.
+func describe(payload []byte) string {
+	c, err := DecodeChunkFrame(payload)
+	if err != nil {
+		return string(payload)
+	}
+	var b strings.Builder
+	r := c.Reader()
+	for r.Next() {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		switch r.Kind() {
+		case chunk.KindInt:
+			b.WriteString(strconv.FormatInt(r.Int(), 10))
+		case chunk.KindFloat:
+			b.WriteString(strconv.FormatFloat(r.Float(), 'g', -1, 64))
+		case chunk.KindString:
+			b.Write(r.Bytes())
+		case chunk.KindBlob:
+			fmt.Fprintf(&b, "<blob of %d bytes>", len(r.Bytes()))
+		default:
+			b.WriteString("<void>")
+		}
+	}
+	return b.String()
 }

@@ -267,7 +267,7 @@ func (s *server) stalledRules() error {
 		}
 		ids = append(ids, id)
 		for _, h := range dm.held {
-			actions = append(actions, fmt.Sprintf("%.200s", h.w.Payload))
+			actions = append(actions, fmt.Sprintf("%.200s", describe(h.w.Payload)))
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -939,7 +939,7 @@ func (s *server) requeueOrPoison(w workItem, reason string, retriable bool) erro
 		kind = fmt.Sprintf("retry budget of %d exhausted", maxTaskRetries)
 	}
 	return fmt.Errorf("adlb: task poisoned after %d attempt(s) (%s): %s\n  task: %.200q",
-		w.Attempts+1, kind, reason, w.Payload)
+		w.Attempts+1, kind, reason, describe(w.Payload))
 }
 
 // issued reports whether this server handed id out: ids it issues are
@@ -1312,7 +1312,7 @@ func (s *server) handleServer(op uint8, d *decoder, source int) error {
 			return err
 		}
 		if id, ok := s.unknownID(wait); ok {
-			return fmt.Errorf("adlb: server %d: put: no such id %d (task %.200q)", s.idx, id, w.Payload)
+			return fmt.Errorf("adlb: server %d: put: no such id %d (task %.200q)", s.idx, id, describe(w.Payload))
 		}
 		return s.route(w, wait, 0)
 

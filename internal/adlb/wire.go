@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -59,6 +60,11 @@ func (e *encoder) str(v string) {
 	e.u32(uint32(len(v)))
 	e.buf = append(e.buf, v...)
 }
+
+// grow makes room for n more bytes, so a frame whose size is known up
+// front is built in one allocation.
+func (e *encoder) grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
 func (e *encoder) boolean(v bool) {
 	if v {
 		e.u8(1)

@@ -37,13 +37,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(e.buf, int64(3), uint8(1))
 	// A Put of a work rule: the item with its wait ids.
 	e = &encoder{}
-	encodeWorkItem(e, workItem{Type: 1, Target: AnyRank, Payload: []byte("python::call 9 float s: s:argv1 7"), Inputs: []int64{7, 7, 1 << 33}})
+	encodeWorkItem(e, workItem{Type: 1, Target: AnyRank, Payload: []byte("sw:vunpack 9 float 7"), Inputs: []int64{7, 7, 1 << 33}})
 	f.Add(e.buf, int64(7), uint8(2))
 	// A leased Get reply carrying its inputs' rows.
 	e = &encoder{}
 	e.u8(stOK)
 	e.i64(3)
-	e.bytes([]byte("julia::call 5 float s: s:argv1 4"))
+	e.bytes([]byte("sw:vunpack 5 float 4"))
 	encodeRows(e, []int64{4, 8, 4}, seedChunk)
 	f.Add(e.buf, int64(3), uint8(3))
 	// The counted bodies (a Put's wait ids, a delivered item's rows,

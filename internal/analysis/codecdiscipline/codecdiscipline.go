@@ -21,9 +21,9 @@
 //
 // The analyzer keys on structure, not import paths: it activates in any
 // package declaring a named type `decoder` with a `finish` method or a
-// named type `encoder` with a `frame` method (internal/adlb today, the
-// TCP transport's codec tomorrow). Functions whose receiver is the
-// codec type itself (the codec's own methods) are exempt.
+// named type `encoder` with a `frame` method (internal/adlb's wire codec
+// and internal/lang's leaf-record decoder today). Functions whose
+// receiver is the codec type itself (the codec's own methods) are exempt.
 package codecdiscipline
 
 import (

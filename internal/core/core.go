@@ -212,22 +212,17 @@ func newRig(out io.Writer, sys *shell.System, stats *adlb.Stats, tstats *turbine
 }
 
 // setup builds the turbine.Config.Setup hook run on every rank's
-// interpreter. It installs every registered embedded language: the engine
-// is created lazily on the first <name>::eval or <name>::call, the state
-// policy applies uniformly, and evaluations are counted per language. The
-// rank's data plane gives the typed surface direct store access, so
-// compiled interlanguage calls move arguments and results without string
-// rendering. Then the native libraries are SWIG-bound and provided as
-// packages, and last, extra (if non-nil) applies the caller's own
-// interpreter configuration.
+// interpreter. It installs every registered embedded language as the
+// rank's engine table (env.Langs), which runs the leaf records a worker
+// receives, and as <name>::eval commands: each engine is created lazily
+// on its first fragment, the state policy applies uniformly, and
+// evaluations are counted per language. Then the native libraries are
+// SWIG-bound and provided as packages, and last, extra (if non-nil)
+// applies the caller's own interpreter configuration.
 func (r *rig) setup(policy InterpPolicy, libs []*nativelib.Library, extra func(in *tcl.Interp) error) func(*tcl.Interp, *turbine.Env) error {
 	return func(in *tcl.Interp, env *turbine.Env) error {
 		in.Out = r.sink
-		host := lang.Host{Out: r.sink, Shell: r.sys}
-		dp := env.DataPlane()
-		for _, reg := range r.langs {
-			lang.Install(in, reg, host, policy, r.counters, dp)
-		}
+		env.Langs = lang.Install(in, lang.Host{Out: r.sink, Shell: r.sys}, policy, r.counters, r.langs...)
 		for _, lib := range libs {
 			if _, err := swig.Bind(in, lib); err != nil {
 				return err

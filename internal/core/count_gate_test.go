@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/adlb"
+	"repro/internal/tcl"
 	"repro/internal/turbine"
 )
 
@@ -92,6 +94,44 @@ func TestEnsembleCountGate(t *testing.T) {
 	}
 	if got, max := ts.Notifications.Load(), int64(3); got > max || got != a.Notifications {
 		t.Errorf("engine saw %d notifications, servers sent %d; want equal and at most %d", got, a.Notifications, max)
+	}
+}
+
+// TestWorkerRunsLeavesWithNoTcl: a leaf reaches its engine as a typed
+// record, so a worker's Tcl interpreter parses nothing per leaf. The
+// scripts the workers' interpreters hold after an ensemble run (their
+// parse caches, captured through the setup hook) are as many at n = 48 as
+// at n = 12; a leaf that went back to Tcl text would add one per leaf.
+func TestWorkerRunsLeavesWithNoTcl(t *testing.T) {
+	scripts := func(n int) int {
+		var mu sync.Mutex
+		var workers []*tcl.Interp
+		capture := func(in *tcl.Interp) error {
+			if !in.HasCommand("turbine::rule") { // registered on engine ranks only
+				mu.Lock()
+				workers = append(workers, in)
+				mu.Unlock()
+			}
+			return nil
+		}
+		res, err := Run(ensembleShape(n), Config{Engines: 1, Workers: 2, Servers: 1, TclSetup: capture})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.LeafTasks != int64(3*n+2) || len(workers) != 2 {
+			t.Fatalf("n=%d: %d leaf tasks on %d workers, want %d on 2", n, res.LeafTasks, len(workers), 3*n+2)
+		}
+		total := 0
+		for _, in := range workers {
+			s, _ := in.CacheStats()
+			total += s
+		}
+		return total
+	}
+	small, large := scripts(12), scripts(48)
+	t.Logf("scripts parsed by the workers: %d at n=12, %d at n=48", small, large)
+	if small != large {
+		t.Fatalf("worker scripts grew with n: %d at n=12, %d at n=48", small, large)
 	}
 }
 

@@ -4,8 +4,8 @@ package core
 // language is one lang.Register call. The toy engine below is registered
 // only in this test, yet a Swift program can call it like python()/r()
 // — the type checker synthesizes the builtin, the compiler emits
-// rev::call, and RunCompiled installs the engine on every rank — with
-// zero edits to check.go, prelude.go, or core.go.
+// turbine::leaf rev, and RunCompiled installs the engine on every rank —
+// with zero edits to check.go, prelude.go, or core.go.
 
 import (
 	"strings"

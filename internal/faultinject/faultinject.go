@@ -54,8 +54,9 @@ const (
 	// SitePutTargeted fires when the ADLB server routes a targeted work
 	// item (notifications and targeted puts).
 	SitePutTargeted Site = "adlb.put.targeted"
-	// SiteLangEvalPre fires inside lang.Install's contained evaluation
-	// region, just before the embedded engine evaluates a fragment.
+	// SiteLangEvalPre fires inside the contained evaluation region of a
+	// rank's engine table (lang.Install) and of lang.Pool, just before the
+	// embedded engine evaluates a fragment.
 	// ActPanic here exercises engine panic containment.
 	SiteLangEvalPre Site = "lang.eval.pre"
 	// SiteDataPlaneStore fires in the turbine data plane before a typed

@@ -24,23 +24,29 @@ type Chunk = chunk.Chunk
 func ValuesToChunk(vals []Value) (Chunk, error) {
 	var c Chunk
 	for i, v := range vals {
-		switch v.Kind() {
-		case KindInt:
-			n, _ := v.AsInt()
-			c.AppendInt(n)
-		case KindFloat:
-			f, _ := v.AsFloat()
-			c.AppendFloat(f)
-		case KindString:
-			c.AppendString(v.Render())
-		case KindBlob:
-			b := v.AsBlob()
-			c.AppendBlob(b.Data, uint8(b.Elem), b.Dims)
-		default:
+		if !appendValue(&c, v) {
 			return c, fmt.Errorf("lang: value %d has no chunk form", i)
 		}
 	}
 	return c, nil
+}
+
+// appendValue appends v as one row of c; ok is false for a value of no
+// known kind.
+func appendValue(c *Chunk, v Value) (ok bool) {
+	switch v.Kind() {
+	case KindInt:
+		c.AppendInt(v.i)
+	case KindFloat:
+		c.AppendFloat(v.f)
+	case KindString:
+		c.AppendString(v.s)
+	case KindBlob:
+		c.AppendBlob(v.b.Data, uint8(v.b.Elem), v.b.Dims)
+	default:
+		return false
+	}
+	return true
 }
 
 // ChunkToValues unboxes a chunk into typed values, the inverse of
@@ -52,25 +58,35 @@ func ChunkToValues(c Chunk, copyBytes bool) ([]Value, error) {
 	out := make([]Value, 0, c.Len())
 	r := c.Reader()
 	for r.Next() {
-		switch r.Kind() {
-		case chunk.KindVoid:
-			out = append(out, Str(""))
-		case chunk.KindInt:
-			out = append(out, Int(r.Int()))
-		case chunk.KindFloat:
-			out = append(out, Float(r.Float()))
-		case chunk.KindString:
-			out = append(out, Str(string(r.Bytes())))
-		case chunk.KindBlob:
-			m := r.Meta()
-			data := r.Bytes()
-			if copyBytes {
-				data = append([]byte(nil), data...)
-			}
-			out = append(out, BlobOf(blob.Blob{Data: data, Dims: m.Dims, Elem: blob.Elem(m.Elem)}))
-		default:
+		v, ok := rowValue(&r, copyBytes)
+		if !ok {
 			return nil, fmt.Errorf("lang: chunk row %d has unknown kind %d", len(out), r.Kind())
 		}
+		out = append(out, v)
 	}
 	return out, nil
+}
+
+// rowValue unboxes the reader's current row (a void row reads as ""); ok
+// is false for an unknown kind. A string's bytes are always copied, a
+// blob's when copyBytes is set.
+func rowValue(r *chunk.Reader, copyBytes bool) (v Value, ok bool) {
+	switch r.Kind() {
+	case chunk.KindVoid:
+		return Str(""), true
+	case chunk.KindInt:
+		return Int(r.Int()), true
+	case chunk.KindFloat:
+		return Float(r.Float()), true
+	case chunk.KindString:
+		return Str(string(r.Bytes())), true
+	case chunk.KindBlob:
+		m := r.Meta()
+		data := r.Bytes()
+		if copyBytes {
+			data = append([]byte(nil), data...)
+		}
+		return BlobOf(blob.Blob{Data: data, Dims: m.Dims, Elem: blob.Elem(m.Elem)}), true
+	}
+	return Value{}, false
 }

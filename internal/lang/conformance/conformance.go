@@ -312,7 +312,7 @@ func RunPolicyMatrix(t *testing.T) {
 			readCall := d.StateRead.evalWords(reg)
 
 			retain := tcl.New()
-			lang.Install(retain, reg, lang.Host{Out: io.Discard}, lang.PolicyRetain, counters, nil)
+			lang.Install(retain, lang.Host{Out: io.Discard}, lang.PolicyRetain, counters, reg)
 			if _, err := retain.Eval(setCall); err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +322,7 @@ func RunPolicyMatrix(t *testing.T) {
 			}
 
 			reinit := tcl.New()
-			lang.Install(reinit, reg, lang.Host{Out: io.Discard}, lang.PolicyReinit, counters, nil)
+			lang.Install(reinit, lang.Host{Out: io.Discard}, lang.PolicyReinit, counters, reg)
 			if _, err := reinit.Eval(setCall); err != nil {
 				t.Fatal(err)
 			}

@@ -59,8 +59,8 @@ func TestCountMatrix(t *testing.T) {
 		quiet, panicky := lang.Host{Out: io.Discard}, lang.Host{Out: panicWriter{}}
 		counters := lang.NewCounters()
 		in, panicIn := tcl.New(), tcl.New()
-		lang.Install(in, reg, quiet, lang.PolicyReinit, counters, nil)
-		lang.Install(panicIn, reg, panicky, lang.PolicyRetain, counters, nil)
+		lang.Install(in, quiet, lang.PolicyReinit, counters, reg)
+		lang.Install(panicIn, panicky, lang.PolicyRetain, counters, reg)
 		pool, panicPool := lang.NewPool(quiet, 2, nil), lang.NewPool(panicky, 2, nil)
 
 		both := func(in *tcl.Interp, p *lang.Pool, f Frag) (installErr, poolErr error) {

@@ -4,9 +4,8 @@ package lang
 // Python and R, §III-A Tcl, the shell interface, and the Julia-like
 // surface §IV sketches — each an Engine over the corresponding
 // interpreter package. These init-time Register calls are the single
-// wiring site per language — the Swift type checker, the compiled
-// <name>::call dispatch, and the per-rank installation all derive from
-// the registry.
+// wiring site per language — the Swift type checker, the compiled leaf
+// record, and the per-rank installation all derive from the registry.
 //
 // All of them speak the typed calling convention: extra arguments bind
 // as argv1..argvN before the fragment runs (blob arguments become

@@ -10,18 +10,20 @@
 //     (name(code, expr, args...) with typed extra arguments and a
 //     context-typed result) from the registration's Signature, so a
 //     Swift program may call any registered language;
-//   - dispatch: the compiler emits <name>::call actions whose argument
-//     words are operands (see DecodeOperand): the id of a TD, or a small
-//     scalar the compiler or engine already held, carried as a typed
-//     immediate so it reaches the worker inside the work item. Blobs
+//   - dispatch: the compiler emits a leaf call as turbine::leaf, whose
+//     argument words are operands (see DecodeOperand): the id of a TD,
+//     or a small scalar the compiler or engine already held, carried as
+//     a typed immediate so it reaches the worker inside the work item.
+//     The engine rank turns them into one Leaf record; a worker decodes
+//     it and runs it through its Table with no Tcl on the way. Blobs
 //     travel by id only. <name>::eval is the string surface of sh app
-//     functions and direct Tcl callers; Install registers both per rank;
-//   - execution: core.RunCompiled iterates Registered() at rank setup
-//     and installs each engine lazily, with the paper's retain/reinit
-//     state policy (§III-C) applied uniformly and every evaluation
-//     counted in one place (evalContained); the typed surface moves
-//     arguments and results through the DataPlane, so blob element data
-//     never renders as text.
+//     functions and direct Tcl callers;
+//   - execution: core.RunCompiled calls Install with Registered() at
+//     rank setup, which builds the rank's Table of lazily created
+//     engines, with the paper's retain/reinit state policy (§III-C)
+//     applied uniformly and every evaluation counted in one place
+//     (evalContained); a leaf moves arguments and results through the
+//     DataPlane, so blob element data never renders as text.
 //
 // The script interpreters (python, r, julia) share one Engine type that
 // owns the argv contract and takes two conversions per language, and
@@ -36,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -80,8 +81,8 @@ type Call struct {
 // own engines (created lazily on first use, like loading an interpreter
 // library into the process), so no locking is needed inside an Engine.
 type Engine interface {
-	// Name is the language name: the Swift builtin, the Tcl dispatch
-	// commands <name>::eval and <name>::call, and the counter key are
+	// Name is the language name: the Swift builtin, the engine a leaf
+	// record names, the Tcl command <name>::eval and the counter key are
 	// all derived from it.
 	Name() string
 	// Eval executes one typed request and returns the typed result: the
@@ -235,12 +236,12 @@ func (c *Counters) Snapshot() map[string]int64 {
 	return out
 }
 
-// DataPlane is the typed data-store surface Install uses to move
+// DataPlane is the typed data-store surface Table.Leaf uses to move
 // arguments and results between turbine data (TDs) and engines without
 // rendering element data through strings: blob arguments pass by
-// data-store reference (only their ids appear in the dispatch action)
-// and the payload bytes flow store -> engine -> store directly. The
-// Turbine layer implements it over the rank's ADLB client.
+// data-store reference (only their ids appear in the leaf record) and
+// the payload bytes flow store -> engine -> store directly. The Turbine
+// layer implements it over the rank's ADLB client.
 type DataPlane interface {
 	// StoreAs stores a typed value into a TD of the named turbine type
 	// ("integer", "float", "string", "blob", "void"), converting where
@@ -255,116 +256,127 @@ type DataPlane interface {
 	// with the rows before then (gather -> pack -> store, one contiguous
 	// window) or copy rows out.
 	LoadChunk(ids []int64) (Chunk, error)
-	// StoreChunk appends a columnar chunk to a container TD in a single
-	// batched store: one closed member TD per row, at consecutive integer
-	// subscripts after any existing members (0..c.Len()-1 for an empty
-	// container). The rows' kinds choose the member types (int row ->
-	// integer TD, etc). The container's write refcount is untouched; the
-	// caller drops its reference when construction is complete.
-	StoreChunk(container int64, c Chunk) error
 }
 
-// Install registers the Tcl dispatch commands for one language on one
-// rank's interpreter: <name>::eval, the string surface used by sh
-// app-function code and direct Tcl callers, and — when a DataPlane is
-// available — <name>::call, the typed surface compiled leaf calls use
-// (out id, out type, then one operand per argument). Both share a single
-// engine instance created lazily on first use (the paper's "load the
-// interpreter library on demand"); the state policy is applied after
-// every fragment, and each evaluation is counted under the language name.
-func Install(in *tcl.Interp, reg Registration, h Host, policy Policy, counters *Counters, dp DataPlane) {
-	var eng Engine // one instance per rank, created on first call
-	evals := counters.of(reg.Name)
-	run := func(c Call) (Value, error) {
-		if eng == nil {
-			eng = reg.New(h)
-		}
-		return runFragment(eng, reg.Name, c, policy, evals)
-	}
-
-	in.RegisterCommand(reg.Name+"::eval", func(ti *tcl.Interp, args []string) (string, error) {
-		vals := make([]Value, len(args)-1)
-		for i, a := range args[1:] {
-			vals[i] = Str(a)
-		}
-		c, err := buildCall(reg, vals, KindString)
-		if err != nil {
-			return "", err
-		}
-		res, err := run(c)
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	})
-
-	if dp == nil {
-		return
-	}
-	in.RegisterCommand(reg.Name+"::call", func(ti *tcl.Interp, args []string) (string, error) {
-		if len(args) < 3 {
-			return "", fmt.Errorf("usage: %s::call <out> <outtype> <operand>...", reg.Name)
-		}
-		out, err := strconv.ParseInt(args[1], 10, 64)
-		if err != nil {
-			return "", fmt.Errorf("%s::call: bad out id %q", reg.Name, args[1])
-		}
-		outtype := args[2]
-		// The TD operands load as one columnar chunk — one RPC per owning
-		// server, not one per argument, and none at all when every operand
-		// is an immediate. Payloads are copied out of the chunk
-		// (copyBytes=true) because engines may retain argv bindings in
-		// interpreter state past the chunk's backing frame's validity window.
-		vals := make([]Value, len(args)-3)
-		var ids []int64
-		var slots []int // vals index of each loaded id
-		for i, word := range args[3:] {
-			op, err := DecodeOperand(word)
-			if err != nil {
-				return "", fmt.Errorf("%s::call: %w", reg.Name, err)
-			}
-			if op.Imm {
-				vals[i] = op.Val
-				continue
-			}
-			ids = append(ids, op.ID)
-			slots = append(slots, i)
-		}
-		if len(ids) > 0 {
-			// Data-plane transfer failures are environmental, not a defect
-			// of the fragment: retriable.
-			ck, err := dp.LoadChunk(ids)
-			if err != nil {
-				return "", &TaskError{Engine: reg.Name, Code: "dataplane", Retriable: true, Err: err}
-			}
-			loaded, err := ChunkToValues(ck, true)
-			if err != nil {
-				return "", &TaskError{Engine: reg.Name, Code: "dataplane", Retriable: true, Err: err}
-			}
-			for j, i := range slots {
-				vals[i] = loaded[j]
-			}
-		}
-		c, err := buildCall(reg, vals, wantOf(outtype))
-		if err != nil {
-			return "", err
-		}
-		res, err := run(c)
-		if err != nil {
-			return "", err
-		}
-		if err := dp.StoreAs(out, outtype, res); err != nil {
-			return "", &TaskError{Engine: reg.Name, Code: "dataplane", Retriable: true, Err: err}
-		}
-		return "", nil
-	})
+// Table is one rank's embedded-language engines, by language name, each
+// created on its first fragment (the paper's "load the interpreter
+// library on demand"). A rank's engines are used by that rank alone, so
+// the table needs no locking.
+type Table struct {
+	h      Host
+	policy Policy
+	slots  map[string]*slot
+	// Leaf's scratch: a call's argument values, and its TD arguments'
+	// ids with their places among the values. buildCall copies the
+	// values an engine keeps.
+	vals []Value
+	ids  []int64
+	at   []int
 }
 
-// runFragment is the one way a fragment executes, behind Install's
-// dispatch commands and Pool.Eval alike: a panic-contained, counted Eval
-// (see evalContained), the reinit policy applied after the fragment
-// whether or not it failed, and an untyped engine error prefixed with the
-// language name (a TaskError passes through as-is so callers can still
+// slot is one language of a Table.
+type slot struct {
+	reg   Registration
+	eng   Engine // nil until the first fragment
+	evals *atomic.Int64
+}
+
+// Install builds one rank's engine table for regs and registers
+// <name>::eval for each on in: the string surface of sh app-function code
+// and direct Tcl callers. A compiled leaf call reaches its engine as a
+// Leaf record through Table.Leaf, with no Tcl on the way. Both share the
+// language's one engine instance; the state policy is applied after every
+// fragment, and each evaluation is counted under the language name.
+func Install(in *tcl.Interp, h Host, policy Policy, counters *Counters, regs ...Registration) *Table {
+	t := &Table{h: h, policy: policy, slots: make(map[string]*slot, len(regs))}
+	for _, reg := range regs {
+		s := &slot{reg: reg, evals: counters.of(reg.Name)}
+		t.slots[reg.Name] = s
+		in.RegisterCommand(reg.Name+"::eval", func(ti *tcl.Interp, args []string) (string, error) {
+			vals := make([]Value, len(args)-1)
+			for i, a := range args[1:] {
+				vals[i] = Str(a)
+			}
+			c, err := buildCall(s.reg, vals, KindString)
+			if err != nil {
+				return "", err
+			}
+			res, err := t.run(s, c)
+			if err != nil {
+				return "", err
+			}
+			return res.Render(), nil
+		})
+	}
+	return t
+}
+
+// run evaluates one fragment on the slot's engine, creating it first if
+// this is the language's first fragment on the rank.
+func (t *Table) run(s *slot, c Call) (Value, error) {
+	if s.eng == nil {
+		s.eng = s.reg.New(t.h)
+	}
+	return runFragment(s.eng, s.reg.Name, c, t.policy, s.evals)
+}
+
+// Leaf runs one leaf call: its TD arguments load through dp as one
+// columnar chunk (one RPC per owning server, and none when every argument
+// is an immediate or rode the work item), the named engine evaluates the
+// call, and the typed result is stored into the output TD. Data-plane
+// failures are environmental, not a defect of the fragment, so they fail
+// the task retriably.
+func (t *Table) Leaf(l *Leaf, dp DataPlane) error {
+	var s *slot
+	if t != nil {
+		s = t.slots[l.Engine]
+	}
+	if s == nil {
+		return fmt.Errorf("lang: leaf: no engine %q on this rank", l.Engine)
+	}
+	t.vals, t.ids, t.at = t.vals[:0], t.ids[:0], t.at[:0]
+	for i, a := range l.Args {
+		t.vals = append(t.vals, a.Val)
+		if !a.Imm {
+			t.ids = append(t.ids, a.ID)
+			t.at = append(t.at, i)
+		}
+	}
+	if len(t.ids) > 0 {
+		// Payloads are copied out of the chunk (copyBytes=true): engines
+		// may retain argv bindings in interpreter state past the validity
+		// window of the chunk's backing frame.
+		ck, err := dp.LoadChunk(t.ids)
+		if err != nil {
+			return &TaskError{Engine: l.Engine, Code: "dataplane", Retriable: true, Err: err}
+		}
+		loaded, err := ChunkToValues(ck, true)
+		if err != nil {
+			return &TaskError{Engine: l.Engine, Code: "dataplane", Retriable: true, Err: err}
+		}
+		for j, i := range t.at {
+			t.vals[i] = loaded[j]
+		}
+	}
+	c, err := buildCall(s.reg, t.vals, wantOf(l.OutType))
+	if err != nil {
+		return err
+	}
+	res, err := t.run(s, c)
+	if err != nil {
+		return err
+	}
+	if err := dp.StoreAs(l.Out, l.OutType, res); err != nil {
+		return &TaskError{Engine: l.Engine, Code: "dataplane", Retriable: true, Err: err}
+	}
+	return nil
+}
+
+// runFragment is the one way a fragment executes, behind a Table (leaf
+// records and <name>::eval) and Pool.Eval alike: a panic-contained,
+// counted Eval (see evalContained), the reinit policy applied after the
+// fragment whether or not it failed, and an untyped engine error prefixed
+// with the language name (a TaskError passes through as-is so callers can still
 // find it).
 func runFragment(eng Engine, name string, c Call, policy Policy, evals *atomic.Int64) (Value, error) {
 	res, err := evalContained(eng, name, c, evals)

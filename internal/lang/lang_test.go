@@ -348,32 +348,32 @@ func (p *memPlane) StoreAs(id int64, td string, v Value) error {
 	return nil
 }
 
-func (p *memPlane) StoreChunk(container int64, c Chunk) error {
-	// The in-memory plane has no containers; record the rows under
-	// synthetic member ids so tests can observe what was stored.
-	elems, err := ChunkToValues(c, true)
-	if err != nil {
-		return err
+// leafOf decodes action words into a leaf call, as turbine::leaf does on
+// an engine rank.
+func leafOf(t *testing.T, engine string, out int64, outType string, words ...string) *Leaf {
+	t.Helper()
+	l := &Leaf{Engine: engine, Out: out, OutType: outType}
+	for _, w := range words {
+		op, err := DecodeOperand(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Args = append(l.Args, op)
 	}
-	p.tds[container] = "container"
-	for i, v := range elems {
-		p.vals[container*1000+int64(i)] = v
-	}
-	return nil
+	return l
 }
 
 func TestInstallTypedCallSurface(t *testing.T) {
-	// python::call moves a blob argument from the plane into the engine
-	// and the typed result back, with only ids in the Tcl words.
+	// A python leaf moves a blob argument from the plane into the engine
+	// and the typed result back, with only ids in the record.
 	reg, _ := Lookup("python")
 	dp := newMemPlane()
 	dp.vals[1] = Str("total = sum(argv1)")
 	dp.vals[2] = Str("total")
 	dp.vals[3] = Floats([]float64{1, 2, 3.5})
-	in := tcl.New()
 	counters := NewCounters()
-	Install(in, reg, Host{Out: io.Discard}, PolicyRetain, counters, dp)
-	if _, err := in.Eval("python::call 9 float 1 2 3"); err != nil {
+	tab := Install(tcl.New(), Host{Out: io.Discard}, PolicyRetain, counters, reg)
+	if err := tab.Leaf(leafOf(t, "python", 9, "float", "1", "2", "3"), dp); err != nil {
 		t.Fatal(err)
 	}
 	res, ok := dp.vals[9]
@@ -386,6 +386,9 @@ func TestInstallTypedCallSurface(t *testing.T) {
 	}
 	if n := counters.Snapshot()["python"]; n != 1 {
 		t.Fatalf("counter = %d, want 1", n)
+	}
+	if err := tab.Leaf(leafOf(t, "cobol", 9, "float", "1"), dp); err == nil || !strings.Contains(err.Error(), `no engine "cobol"`) {
+		t.Fatalf("unknown engine: err = %v", err)
 	}
 }
 
@@ -436,9 +439,8 @@ func TestInstallCallTakesImmediatesFromTheAction(t *testing.T) {
 	dp := &countingPlane{memPlane: newMemPlane()}
 	dp.vals[3] = Floats([]float64{1, 2, 3.5})
 	dp.vals[4] = Int(10)
-	in := tcl.New()
-	Install(in, reg, Host{Out: io.Discard}, PolicyRetain, nil, dp)
-	if _, err := in.Eval(`python::call 9 float {s:t = sum(argv2) * argv1 + argv3 + argv4} s:t i:2 3 f:0.25 4`); err != nil {
+	tab := Install(tcl.New(), Host{Out: io.Discard}, PolicyRetain, nil, reg)
+	if err := tab.Leaf(leafOf(t, "python", 9, "float", "s:t = sum(argv2) * argv1 + argv3 + argv4", "s:t", "i:2", "3", "f:0.25", "4"), dp); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := dp.vals[9].AsFloat(); err != nil || f != 23.25 {
@@ -447,24 +449,25 @@ func TestInstallCallTakesImmediatesFromTheAction(t *testing.T) {
 	if dp.loads != 1 || dp.ids != 2 {
 		t.Fatalf("%d loads of %d ids, want 1 load of 2", dp.loads, dp.ids)
 	}
-	if _, err := in.Eval(`python::call 8 integer s: {s:argv1 + 1} i:41`); err != nil {
+	if err := tab.Leaf(leafOf(t, "python", 8, "integer", "s:", "s:argv1 + 1", "i:41"), dp); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := dp.vals[8].AsInt(); err != nil || n != 42 || dp.loads != 1 {
 		t.Fatalf("all-immediate call: result %v (%v), loads %d; want 42 and no further load", n, err, dp.loads)
-	}
-	if _, err := in.Eval(`python::call 7 integer s: s:1 b:AAAA`); err == nil || !strings.Contains(err.Error(), "immediate tag") {
-		t.Fatalf("blob-looking immediate: err = %v", err)
 	}
 }
 
 func TestInstallArityErrors(t *testing.T) {
 	reg, _ := Lookup("python")
 	in := tcl.New()
-	Install(in, reg, Host{Out: io.Discard}, PolicyRetain, nil, nil)
+	tab := Install(in, Host{Out: io.Discard}, PolicyRetain, nil, reg)
 	if _, err := in.Eval(`python::eval onlyone`); err == nil ||
 		!strings.Contains(err.Error(), "takes 2 argument(s)") {
 		t.Fatalf("err = %v", err)
+	}
+	if err := tab.Leaf(leafOf(t, "python", 1, "string", "s:onlyone"), newMemPlane()); err == nil ||
+		!strings.Contains(err.Error(), "takes 2 argument(s)") {
+		t.Fatalf("leaf: err = %v", err)
 	}
 }
 

@@ -133,7 +133,7 @@ func (p *Pool) lruEntry() (poolKey, *poolEntry) {
 }
 
 // Eval runs one fragment against the tenant's pooled engine: checkout,
-// then runFragment — the same contained execution Install's commands use
+// then runFragment — the same contained execution a rank's Table uses
 // (a panicking interpreter fails this one request, is Reset, and the
 // typed TaskError reports it retriable; the per-request reinit policy
 // applies after), counting into the pool's stats.

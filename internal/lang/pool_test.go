@@ -174,7 +174,7 @@ func TestInstallAndPoolContainPanicsIdentically(t *testing.T) {
 	reg, _ := Lookup("panicky")
 
 	in := tcl.New()
-	Install(in, reg, Host{}, PolicyRetain, nil, nil)
+	Install(in, Host{}, PolicyRetain, nil, reg)
 	_, installErr := in.Eval("panicky::eval boom")
 	_, poolErr := NewPool(Host{}, 2, nil).Eval("panicky", "acme", Call{Code: "boom"}, PolicyRetain)
 

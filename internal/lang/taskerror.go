@@ -3,7 +3,7 @@ package lang
 import "fmt"
 
 // TaskError is a typed task failure: the unit of the runtime's failure
-// model. The contained-evaluation path in Install produces one whenever
+// model. The embedding layer (Table, Pool) produces one whenever
 // an engine fragment fails in a way the runtime understands (a panic
 // inside the interpreter, an injected fault, a data-plane transfer
 // error), and the worker loop reads Retriable to decide between

@@ -580,13 +580,13 @@ func (c *compiler) compileBuiltin(e *emitter, sc *genScope, outRef string, outT 
 		// members, then join their values.
 		e.rule(ops, "", "sw:ajoin", outRef, ops[0].td, ops[1].arg())
 	case b.Lang:
-		// Interlanguage leaf call: the action is the typed dispatch command
-		// itself, with one operand per argument — <name>::call takes known
-		// scalars from the action, loads the rest from the data store as
-		// typed values (blobs always by reference) and stores the typed
-		// result, so no blob element data is ever rendered into the action
-		// or through sw:vals.
-		e.rule(ops, " type work", append([]string{b.Name + "::call", outRef, outTD}, argWords(ops)...)...)
+		// Interlanguage leaf call: one operand per argument. The engine
+		// rank turns it into a leaf record that waits at the servers on
+		// the TD operands; the worker runs it with no Tcl, takes the known
+		// scalars from the record, loads the rest as typed values (blobs
+		// always by reference) and stores the typed result, so no blob
+		// element data is ever rendered into text.
+		e.linef("turbine::leaf %s %s %s %s", b.Name, outRef, outTD, strings.Join(argWords(ops), " "))
 	case b.Leaf:
 		e.rule(ops, " type work", "sw:leaf", b.Name, outRef, outTD, typesOf(ops), tclList(argWords(ops)...))
 	default:

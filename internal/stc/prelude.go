@@ -115,11 +115,12 @@ proc sw:builtin {name out outtype types ops} {
 }
 
 # Worker-side blob interchange builtins. (Interlanguage calls need no
-# prelude proc: their action is <name>::call itself — installed per rank
-# from the lang registry, so a newly registered language needs no prelude
-# edits — which takes the immediates from the work item, loads the TD
-# operands from the data store as typed values in one batch, and stores
-# the typed result directly. No element data renders as text.)
+# prelude proc: each is one turbine::leaf, which the engine rank sends to
+# a worker as a typed leaf record, so a newly registered language needs
+# no prelude edits. The worker runs it with no Tcl: it takes the
+# immediates from the record, loads the TD operands as typed values in
+# one batch, and stores the typed result directly. No element data
+# renders as text.)
 proc sw:leaf {name out outtype types ops} {
     set vals [sw:vals $types $ops]
     switch -exact -- $name {

@@ -478,27 +478,32 @@ func TestGeneratedCodeIsValidTcl(t *testing.T) {
 }
 
 func TestInterlanguageCallsCompileToTypedDispatch(t *testing.T) {
-	// An interlanguage leaf call's action is the typed dispatch command
-	// itself (the action carries operands and <name>::call moves TD values
-	// through the data plane), never the string-rendering sw:leaf path and
-	// never a prelude trampoline.
+	// An interlanguage leaf call is one turbine::leaf command carrying
+	// the engine, the output and one operand per argument (the engine
+	// rank sends it to a worker as a typed leaf record), never a
+	// turbine::rule over Tcl text, never the string-rendering sw:leaf
+	// path and never a prelude trampoline.
 	out, err := Compile(`
 		blob v = blob_from_string("x");
 		blob w = python("", "argv1", v);
 		string s = tcl("set argv1", w);
+		float f = r("x <- argv1", "x * 2", 1.5);
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.Program, "[list python::call ") {
-		t.Fatal("python call not compiled to python::call")
+	for _, want := range []*regexp.Regexp{
+		regexp.MustCompile(`(?m)^\s*turbine::leaf python \$\S+ blob s: s:argv1 \$\S+$`),
+		regexp.MustCompile(`(?m)^\s*turbine::leaf tcl \$\S+ string \{s:set argv1\} \$\S+$`),
+		regexp.MustCompile(`(?m)^\s*turbine::leaf r \$\S+ float \{s:x <- argv1\} \{s:x \* 2\} f:1\.5$`),
+	} {
+		if !want.MatchString(out.Program) {
+			t.Fatalf("no line matches %v in\n%s", want, out.Program)
+		}
 	}
-	if !strings.Contains(out.Program, "[list tcl::call ") {
-		t.Fatal("tcl call not compiled to tcl::call")
-	}
-	if strings.Contains(out.Program, "sw:leaf python") || strings.Contains(out.Program, "sw:leaf tcl") ||
-		strings.Contains(out.Program, "sw:leafcall") {
-		t.Fatal("interlanguage call still routed through a prelude proc")
+	if regexp.MustCompile(`\w::call\b`).MatchString(out.Program) || strings.Contains(out.Program, "sw:leaf python") ||
+		strings.Contains(out.Program, "sw:leaf tcl") || strings.Contains(out.Program, "sw:leafcall") {
+		t.Fatal("interlanguage call still routed through Tcl dispatch or a prelude proc")
 	}
 	// The blob builtins keep the string path.
 	if !strings.Contains(out.Program, "sw:leaf blob_from_string") {

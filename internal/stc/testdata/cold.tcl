@@ -11,7 +11,7 @@ proc u:loop1 {v_i _} {
     set t_w_d2 [turbine::allocate float]
     turbine::rule [list] [list u:wave $t_w_d2 i:$v_i] type work
     set t_p_d3 [turbine::allocate string]
-    turbine::rule [list] [list python::call $t_p_d3 string {s:y = 1 + 1} s:y] type work
+    turbine::leaf python $t_p_d3 string {s:y = 1 + 1} s:y
     set t_s_d4 [turbine::allocate string]
-    turbine::rule [list] [list r::call $t_s_d4 string {s:v <- 1:3} s:sum(v)] type work
+    turbine::leaf r $t_s_d4 string {s:v <- 1:3} s:sum(v)
 }

@@ -1,6 +1,8 @@
 package stc
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -9,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/lang"
 	"repro/internal/tcl"
 	"repro/internal/turbine"
 )
@@ -65,13 +68,19 @@ func emittedVocabulary(t *testing.T) (names, prefixes map[string]bool) {
 	return names, prefixes
 }
 
+// callCommand matches a <name>::call command name.
+var callCommand = regexp.MustCompile(`::call$`)
+
 // registeredVocabulary returns the turbine:: commands an engine or a
-// worker rank registers.
+// worker rank registers, with every registered language installed as a
+// run installs them. A rank registers no <name>::call: a leaf call
+// reaches its engine as a typed record, not as a Tcl command.
 func registeredVocabulary(t *testing.T) map[string]bool {
 	t.Helper()
 	var mu sync.Mutex
 	got := map[string]bool{}
 	setup := func(in *tcl.Interp, env *turbine.Env) error {
+		env.Langs = lang.Install(in, lang.Host{Out: io.Discard}, lang.PolicyRetain, nil, lang.Registered()...)
 		list, err := in.Eval("info commands")
 		if err != nil {
 			return err
@@ -83,6 +92,9 @@ func registeredVocabulary(t *testing.T) map[string]bool {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, c := range cmds {
+			if callCommand.MatchString(c) {
+				return fmt.Errorf("rank %d registers %s", env.Rank, c)
+			}
 			if name, ok := strings.CutPrefix(c, "turbine::"); ok {
 				got[name] = true
 			}

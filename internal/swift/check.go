@@ -14,8 +14,8 @@ type Builtin struct {
 	// and shell calls); the rest run engine-side.
 	Leaf bool
 	// Lang marks leaf builtins synthesized from the embedded-language
-	// registry; the compiler dispatches them through the typed
-	// <name>::call path (operands only, no rendered blob values).
+	// registry; the compiler emits them as turbine::leaf, a typed leaf
+	// record (operands only, no rendered blob values).
 	Lang bool
 	// OutDynamic marks a context-typed result: the assignment target
 	// chooses among string/int/float/blob, defaulting to Out (string)

@@ -285,7 +285,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 			seen[idx] = true
 			ids[idx] = p.Member
 		}
-		dp := env.DataPlane()
+		dp := dataPlane{cl}
 		// Columnar gather: the members arrive as one chunk per owning
 		// server. A homogeneous numeric chunk's Num column is already the
 		// packed payload — the blob below aliases it (which may alias the
@@ -350,7 +350,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		dp := env.DataPlane()
+		dp := dataPlane{cl}
 		// Columnar scatter: load the blob as a chunk row (its payload
 		// aliases the response frame — no copy), and when the element
 		// width already matches the stored encoding hand the payload
@@ -551,6 +551,43 @@ func registerEngineCmds(in *tcl.Interp, env *Env) {
 			return "", err
 		}
 		return "", eng.addRule(memberIDs(pairs), args)
+	})
+
+	// turbine::leaf <engine> <out> <outtype> <operand>...: an
+	// interlanguage leaf call. Each operand word decodes once, here, to a
+	// typed immediate or a TD id; the call travels as one leaf record,
+	// Put with its TD operands as wait ids, so the servers hold it until
+	// they close and the worker runs it with no Tcl.
+	in.RegisterCommand("turbine::leaf", func(in *tcl.Interp, args []string) (string, error) {
+		if len(args) < 4 {
+			return "", fmt.Errorf("usage: turbine::leaf <engine> <out> <outtype> <operand>...")
+		}
+		out, err := parseInt(args[2])
+		if err != nil {
+			return "", err
+		}
+		sc := &eng.leaf
+		leaf := lang.Leaf{Engine: args[1], Out: out, OutType: args[3], Args: sc.ops[:0]}
+		sc.wait = sc.wait[:0]
+		for _, word := range args[4:] {
+			op, err := lang.DecodeOperand(word)
+			if err != nil {
+				return "", fmt.Errorf("turbine::leaf: %w", err)
+			}
+			leaf.Args = append(leaf.Args, op)
+			if !op.Imm {
+				sc.wait = append(sc.wait, op.ID)
+			}
+		}
+		sc.ops = leaf.Args
+		if s := eng.stats(); s != nil {
+			s.RulesCreated.Add(1)
+		}
+		rec, err := leafRecord(&leaf, &sc.rows)
+		if err != nil {
+			return "", err
+		}
+		return "", env.Client.Put(TypeWork, 0, adlb.AnyRank, rec, sc.wait...)
 	})
 
 	// turbine::spawn <action>: release a control fragment to any engine,

@@ -1,10 +1,15 @@
 package turbine
 
-// The typed data plane: lang.Install's <name>::call commands move
-// interlanguage arguments and results between the ADLB data store and
-// embedded engines through this adapter, so numeric and blob payloads
-// cross the boundary as typed values — blob bytes flow store -> engine
-// -> store with their dims and element kind intact, and nothing is
+// A work item's payload is a record: one chunk frame
+// (adlb.EncodeChunkFrame), so every TypeWork payload decodes one way.
+// A leaf record is a lang.Leaf's rows: a compiled interlanguage call,
+// which the worker runs through the rank's lang.Table with no Tcl on the
+// way. A script record is one string row: Tcl the worker's interpreter
+// evaluates (template and app functions, sw:leaf, sw:vunpack, the vector
+// gather). A leaf's arguments and result move between the ADLB data store
+// and its engine through the typed data plane below, so numeric and blob
+// payloads cross the boundary as typed values — blob bytes flow store ->
+// engine -> store with their dims and element kind intact, and nothing is
 // formatted as text unless a string slot demands it. The chunk surface
 // (LoadChunk, StoreChunk) carries argument vectors and backs the
 // container<->vector bridge: gathers and scatters cost one RPC per owning
@@ -14,14 +19,52 @@ import (
 	"fmt"
 
 	"repro/internal/adlb"
+	"repro/internal/chunk"
 	"repro/internal/faultinject"
 	"repro/internal/lang"
 )
 
-// DataPlane returns the typed LoadChunk/StoreAs/StoreChunk surface over
-// this rank's ADLB client, for installing embedded-language engines.
-func (e *Env) DataPlane() lang.DataPlane { return dataPlane{cl: e.Client} }
+// scriptRecord frames a Tcl script as a script record.
+func scriptRecord(script string) ([]byte, error) {
+	var c chunk.Chunk
+	c.AppendString(script)
+	return adlb.EncodeChunkFrame(c)
+}
 
+// leafRecord frames a leaf call as a leaf record, building its rows in
+// scratch.
+func leafRecord(l *lang.Leaf, scratch *chunk.Chunk) ([]byte, error) {
+	scratch.Reset()
+	if err := l.AppendRows(scratch); err != nil {
+		return nil, err
+	}
+	return adlb.EncodeChunkFrame(*scratch)
+}
+
+// record is a worker's decoded work item, its storage reused from one
+// task to the next.
+type record struct {
+	rows chunk.Chunk
+	leaf lang.Leaf
+}
+
+// decode reads a work item's payload: a leaf record into r.leaf, or a
+// script record.
+func (r *record) decode(payload []byte) (script string, isLeaf bool, err error) {
+	if r.rows, err = adlb.DecodeChunkFrame(payload); err != nil {
+		return "", false, fmt.Errorf("turbine: work record: %w", err)
+	}
+	if r.rows.Len() == 1 && r.rows.Kinds[0] == chunk.KindString {
+		return string(r.rows.Raw), false, nil
+	}
+	if err := lang.DecodeLeaf(&r.rows, &r.leaf); err != nil {
+		return "", false, err
+	}
+	return "", true, nil
+}
+
+// dataPlane is the typed LoadChunk/StoreAs/StoreChunk surface over one
+// rank's ADLB client.
 type dataPlane struct {
 	cl *adlb.Client
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/adlb"
+	"repro/internal/chunk"
 	"repro/internal/faultinject"
 	"repro/internal/lang"
 )
@@ -29,6 +30,16 @@ type engine struct {
 	closed  map[int64]bool    // ids known closed (local cache)
 	subbed  map[int64]bool    // ids with an active subscription
 	ask     []int64           // addControl's scratch: the ids one rule must ask about
+	leaf    leafScratch       // turbine::leaf's scratch
+}
+
+// leafScratch is what turbine::leaf reuses from one leaf to the next: the
+// decoded operands, the TD ids among them and the record's rows. Put
+// copies the record onto the wire, so nothing outlives the command.
+type leafScratch struct {
+	ops  []lang.Operand
+	wait []int64
+	rows chunk.Chunk
 }
 
 func newEngine(env *Env) *engine {
@@ -54,7 +65,11 @@ func (e *engine) addRule(inputs []int64, args []string) error {
 		s.RulesCreated.Add(1)
 	}
 	if work {
-		return e.env.Client.Put(TypeWork, priority, target, []byte(args[2]), inputs...)
+		rec, err := scriptRecord(args[2])
+		if err != nil {
+			return err
+		}
+		return e.env.Client.Put(TypeWork, priority, target, rec, inputs...)
 	}
 	return e.addControl(inputs, &rule{action: args[2]})
 }
@@ -195,9 +210,11 @@ func (e *engine) stallDiagnostic() error {
 }
 
 // runWorker is the worker main loop: pull leaf tasks under a lease and
-// evaluate them with failure containment. Leaf tasks retrieve their
-// (already closed) inputs from the data store, run user code in whatever
-// language the task wraps, and store outputs. A failed task is reported
+// run them with failure containment. A task is a record (see
+// dataplane.go): a leaf call goes straight to its engine through the
+// rank's lang.Table, a script to the rank's Tcl interpreter; either reads
+// its (already closed) inputs from the data store, most from the rows its
+// work item carried, and stores its outputs. A failed task is reported
 // to the server via Fail — retriable failures (engine panics, injected
 // faults, data-plane errors) requeue under the task's retry budget;
 // deterministic evaluation errors poison the task immediately. The lease
@@ -253,8 +270,8 @@ func (env *Env) failTask(leaseID int64, cause error, retriable bool) error {
 	return env.Client.Fail(leaseID, cause.Error(), retriable)
 }
 
-// evalLeafContained evaluates one leaf task with panic containment: a
-// panic anywhere under the task (Tcl command, engine glue) fails the
+// evalLeafContained runs one leaf task's record with panic containment:
+// a panic anywhere under the task (Tcl command, engine glue) fails the
 // task retriably instead of killing the rank. Typed failures
 // (lang.TaskError) carry their own retriability; untyped evaluation
 // errors are deterministic user-code failures and are not retried.
@@ -265,7 +282,15 @@ func evalLeafContained(env *Env, payload []byte) (err error, retriable bool) {
 			retriable = true
 		}
 	}()
-	if _, evalErr := env.interp.Eval(string(payload)); evalErr != nil {
+	script, isLeaf, evalErr := env.rec.decode(payload)
+	if evalErr == nil {
+		if isLeaf {
+			evalErr = env.Langs.Leaf(&env.rec.leaf, dataPlane{env.Client})
+		} else {
+			_, evalErr = env.interp.Eval(script)
+		}
+	}
+	if evalErr != nil {
 		var te *lang.TaskError
 		if errors.As(evalErr, &te) {
 			return evalErr, te.Retriable

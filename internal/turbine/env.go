@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/adlb"
+	"repro/internal/lang"
 	"repro/internal/mpi"
 	"repro/internal/tcl"
 )
@@ -55,7 +56,7 @@ type Config struct {
 	Elastic bool
 	// Setup, if non-nil, runs on every rank's interpreter before
 	// execution begins; used to install the embedded-language engines
-	// from the lang registry (the <name>::eval dispatch commands),
+	// from the lang registry (Env.Langs and the <name>::eval commands),
 	// SWIG-generated wrappers, and user packages.
 	Setup func(in *tcl.Interp, env *Env) error
 	// ProgramScript, if non-nil, is the Turbine code (Tcl) loaded into
@@ -138,8 +139,12 @@ type Env struct {
 	Client *adlb.Client
 	Cfg    *Config
 	Rank   int
+	// Langs is the rank's embedded-language engines, which run the leaf
+	// records a worker receives; Setup installs it (lang.Install).
+	Langs  *lang.Table
 	engine *engine // non-nil on engine ranks
 	interp *tcl.Interp
+	rec    record // a worker's last work item, its storage reused by the next
 }
 
 // Interp returns the rank's Tcl interpreter.
