@@ -87,7 +87,9 @@
 // owns into the Get response, which the worker's Retrieve and
 // RetrieveChunk serve with no RPC. So a leaf costs its engine no
 // subscribe and no notification, and its worker no chunk load: an engine
-// holds control rules only. Actions are
+// holds control rules only. Its result rides the other way: stored by
+// the worker's next Get when the worker's home server owns the output
+// (see the failure model), so the worker makes one request per leaf. Actions are
 // built with Tcl's list command, never by interpolation, so an immediate
 // of any bytes parses back as the word it was. A known value is minted
 // as a TD (turbine::literal_*, once per generated proc body) only where
@@ -311,11 +313,14 @@
 // data-plane calls — while bulk paths that finish inside the window
 // (vpack, vunpack, the gather/scatter benchmark) stay zero-copy. Rows a
 // work item carried alias its Get response frame, which lives longer:
-// until the client's next Get, Fail or Leave. On the
+// until the client's next Get, Fail or Leave is on the wire (a result
+// riding that Get may be an input passed straight through). On the
 // server side the mirror rule: request frames are released after
-// handling except for store-class ops, whose decoded rows alias the
-// frame for the datum's lifetime (zero-copy store), and mutating a stale
-// client view never corrupts a datum (adlb.TestZeroCopyAliasingContract).
+// handling except for those that carry a store — Store, StoreChunk, and
+// a Get whose flags say it carries a result — whose decoded rows alias
+// the frame for the datum's lifetime (zero-copy store), and mutating a
+// stale client view never corrupts a datum
+// (adlb.TestZeroCopyAliasingContract, TestResultFrameSurvivesPoolReuse).
 //
 // # Transport
 //
@@ -355,7 +360,17 @@
 // under a lease: adlb.Client.GetLeased hands out each work item with a
 // server-tracked lease id, settled implicitly by the worker's next Get
 // (success) or explicitly by Client.Fail (failure, with a retriable
-// flag). A worker that departs mid-task (Client.Leave, or a crash that
+// flag). A leaf record's result rides that Get when the worker's home
+// server owns the output (adlb.Client.StoreResult): the server stores
+// it, with Store's checks, then settles the lease and announces the
+// close, so a leaf costs the worker one round trip and its store and
+// settle are one message. A task that fails or whose worker departs
+// before that Get leaves its output open, so the re-run's store lands
+// once; a riding store the server refuses fails the lease retriably
+// with the refusal, as a Fail after a refused Store would. An output
+// another server owns is a separate Store first, and keeps the window
+// in which a worker lost between that Store and its Get has its re-run
+// refused as already set. A worker that departs mid-task (Client.Leave, or a crash that
 // reaches the departed-client path) has its outstanding leases reclaimed
 // by the server and the items requeued at their original priority —
 // items the victim had targeted at itself retarget to AnyRank so a

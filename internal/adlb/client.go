@@ -31,6 +31,12 @@ type Client struct {
 	// piggybacks on the request the client was about to send anyway — or
 	// explicitly by Fail.
 	held int64
+	// result is the held task's result store (see StoreResult), sent in
+	// the next Get; result.row is empty when none is pending.
+	result struct {
+		id  int64
+		row chunk.Chunk
+	}
 
 	// Zero-copy frame pinning. Payload slices returned by Retrieve and
 	// RetrieveChunk alias the response frames they were decoded from;
@@ -49,7 +55,7 @@ type Client struct {
 
 // item is the rows a delivered work item carried: the values of the
 // inputs its server owns. They alias the Get response frame, which stays
-// pinned until the next Get, Fail or Leave.
+// pinned until the next Get, Fail or Leave is on the wire.
 type item struct {
 	frame []byte
 	ids   []int64 // row i holds ids[i]
@@ -58,14 +64,17 @@ type item struct {
 	index map[int64]int // id -> row, made at first lookup in a long list
 }
 
-// dropItem forgets the item's rows and releases their frame at once: the
-// Get, Fail or Leave that drops them reads nothing from them, and the
-// frame is back in the pool for the reply.
-func (cl *Client) dropItem() {
+// dropTask forgets the task's rows and its pending result as the Get,
+// Fail or Leave that ends the task begins. The rows' frame is retired,
+// not released: a result riding the Get may alias it (an input passed
+// straight through), so it goes back to the pool once that request is
+// on the wire.
+func (cl *Client) dropTask() {
 	if cl.item.frame != nil {
-		cl.c.Release(cl.item.frame)
+		cl.retired = append(cl.retired, cl.item.frame)
 	}
 	cl.item = item{ids: cl.item.ids[:0], vals: cl.item.vals[:0]}
+	cl.result.id, cl.result.row = 0, chunk.Chunk{}
 }
 
 // at returns the row holding id: a leaf's few inputs are scanned, a
@@ -233,25 +242,28 @@ func (cl *Client) GetLeased(workType int) (payload []byte, leaseID int64, ok boo
 	return cl.get(workType, true)
 }
 
-// get is Get and GetLeased. The response is a status byte, the lease id
-// when leased, the payload, then the item's rows (encodeRows).
+// get is Get and GetLeased. The request settles the held lease, carrying
+// its pending result (encodeGet); the response is a status byte, the
+// lease id when leased, the payload, then the item's rows (encodeRows).
 func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64, ok bool, err error) {
-	settle := cl.held
-	cl.dropItem()
+	g := getRequest{typ: workType, settle: cl.held}
+	if leased {
+		g.flags |= getFlagLeased
+	}
+	if cl.result.row.Len() > 0 {
+		g.flags |= getFlagStore
+		g.out, g.row = cl.result.id, cl.result.row
+	}
+	cl.dropTask()
 	d, err := cl.rpc(cl.myServer, func(e *encoder) {
 		e.u8(opGet)
-		e.i32(int32(workType))
-		var flags uint8
-		if leased {
-			flags |= getFlagLeased
-		}
-		e.u8(flags)
-		e.i64(settle)
+		encodeGet(e, &g)
 	})
 	if err != nil {
 		return nil, 0, false, err
 	}
-	// The request reached the server, which settles before anything else.
+	// The request reached the server, which stores and settles before
+	// anything else.
 	cl.held = 0
 	st, err := checkStatus(d, "get")
 	if err != nil {
@@ -267,7 +279,7 @@ func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64,
 	it := &cl.item
 	it.ids, it.rows = decodeRows(d, it.ids)
 	if err := d.finish("get response"); err != nil {
-		cl.dropItem()
+		cl.dropTask()
 		return nil, 0, false, err
 	}
 	if len(it.ids) > 0 {
@@ -290,12 +302,13 @@ func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64,
 // server until the task's retry budget is exhausted; non-retriable ones
 // (and budget exhaustion) poison the task, which ends the run with an
 // error naming it — the caller's own error return then typically reports
-// the aborted world.
+// the aborted world. A result pending from StoreResult is dropped, so
+// the output stays open for the re-run.
 func (cl *Client) Fail(leaseID int64, reason string, retriable bool) error {
 	if cl.held == leaseID {
 		cl.held = 0
 	}
-	cl.dropItem()
+	cl.dropTask()
 	d, err := cl.rpc(cl.myServer, func(e *encoder) {
 		e.u8(opFail)
 		e.i64(leaseID)
@@ -314,10 +327,11 @@ func (cl *Client) Fail(leaseID int64, reason string, retriable bool) error {
 // Leave departs the runtime: the home server reclaims any lease this
 // client still holds (requeueing the work) and stops counting the client
 // toward termination. It models a detected rank crash — after Leave the
-// client must not issue further calls.
+// client must not issue further calls. A result pending from StoreResult
+// dies with the client: the requeued task's re-run stores it.
 func (cl *Client) Leave() error {
 	cl.held = 0
-	cl.dropItem()
+	cl.dropTask()
 	d, err := cl.rpc(cl.myServer, func(e *encoder) {
 		e.u8(opLeave)
 	})
@@ -398,6 +412,28 @@ func (cl *Client) Store(id int64, v Value) error {
 		return err
 	}
 	return d.finish("store response")
+}
+
+// StoreResult stores v into id as the result of the leased task the
+// client holds. When the home server owns id the value waits on the
+// client and rides the next Get, which the server applies with Store's
+// checks before it settles the lease: the store and the settle are one
+// message, and a task ended by Fail or Leave instead leaves id open for
+// its re-run. A store the server refuses there fails the lease
+// retriably, with the server's message, as a Fail after a refused Store
+// would. Otherwise — no lease held, another server owns id, or a result
+// already pending — it is Store. v's bytes must stay unchanged until the
+// next Get, Fail or Leave.
+func (cl *Client) StoreResult(id int64, v Value) error {
+	if cl.held == 0 || cl.result.row.Len() > 0 || cl.l.OwnerOf(id) != cl.myServer {
+		return cl.Store(id, v)
+	}
+	c, err := row(v)
+	if err != nil {
+		return err
+	}
+	cl.result.id, cl.result.row = id, c
+	return nil
 }
 
 // Retrieve fetches a datum's value: from the current item's rows, or a

@@ -33,6 +33,22 @@
 // Nothing asks a datum whether it exists or what type it has: a reader
 // waits on it and names the type it wants.
 //
+// A Get is the work type (i32), a flags byte and the id of the lease it
+// settles (i64; 0: none), so the worker's loop pays no RPC to report a
+// task done. With getFlagStore it also carries that task's result — the
+// output id and a one-row chunk, Store's body — which Client.StoreResult
+// holds for it when the client's home server owns the output. The
+// server applies the store as Store would (issued id, single
+// assignment, type; the Get frame kept as the datum's backing), then
+// settles the lease, then runs the close's notifications, then serves
+// the Get: store and settle are one message, and a rule the store
+// releases can go out in the reply. A refused store settles the lease
+// as a retriable failure carrying the refusal (requeue, or poison past
+// the budget). A store flag without a settle id, a store of other than
+// one row, and an unknown flag are decode errors. An output another
+// server owns is an ordinary Store, and Fail and Leave drop a pending
+// result, so the output stays open for the re-run.
+//
 // Rules wait at the servers, as ADLB_Dput's tasks do. A Put carries a
 // counted list of wait ids (none: an ordinary Put) and goes to the owner
 // of the first. That server drops the ids it owns that are closed and
@@ -80,8 +96,10 @@
 // data operation, whatever it carries. The Stats.Op* counters split it
 // by kind of request (create, store, subscribe, container insert, lookup
 // and enumerate, write-refcount, chunk load — Retrieve's one id included
-// — and chunk store) and sum to it exactly, so what a program pays the
-// data store for — a third of it was once create+store pairs for
-// compiler literals — reads off `swiftt -stats` instead of off the code
-// generator.
+// — and chunk store) and sum to it exactly. A result riding a Get counts
+// as one store, in OpStore and DataOps, though it is not its own RPC,
+// so the counts read the same whichever way a value travels. What a
+// program pays the data store for — a third of it was once create+store
+// pairs for compiler literals — reads off `swiftt -stats` instead of off
+// the code generator.
 package adlb

@@ -67,7 +67,60 @@ const (
 	// getFlagLeased asks for the work item to be delivered under a
 	// server-tracked lease (see the failure model in the package doc).
 	getFlagLeased uint8 = 1 << 0
+	// getFlagStore marks a Get carrying the settled task's result: the
+	// output id and its one-row chunk follow the settle id.
+	getFlagStore uint8 = 1 << 1
 )
+
+// getRequest is a Get's body after the opcode: the work type, the flags,
+// the lease the Get settles (0: none) and, with getFlagStore, that
+// lease's result store — the output id and its value as a one-row chunk.
+type getRequest struct {
+	typ    int
+	flags  uint8
+	settle int64
+	out    int64
+	row    chunk.Chunk
+}
+
+func (g *getRequest) carriesStore() bool { return g.flags&getFlagStore != 0 }
+
+func encodeGet(e *encoder, g *getRequest) {
+	e.i32(int32(g.typ))
+	e.u8(g.flags)
+	e.i64(g.settle)
+	if g.carriesStore() {
+		e.i64(g.out)
+		encodeChunk(e, g.row)
+	}
+}
+
+// decodeGet reads encodeGet's form. A store must settle a lease and be
+// exactly one row, and unknown flags are refused: each is a decode
+// error, since no client builds such a Get.
+func decodeGet(d *decoder) getRequest {
+	g := getRequest{typ: int(d.i32()), flags: d.u8(), settle: d.i64()}
+	if d.err != nil {
+		return g
+	}
+	if g.flags&^(getFlagLeased|getFlagStore) != 0 {
+		d.err = fmt.Errorf("adlb: wire decode: get: unknown flags %#x", g.flags)
+		return g
+	}
+	if !g.carriesStore() {
+		return g
+	}
+	if g.settle == 0 {
+		d.err = fmt.Errorf("adlb: wire decode: get: a store with no lease to settle")
+		return g
+	}
+	g.out = d.i64()
+	g.row = decodeChunk(d)
+	if d.err == nil && g.row.Len() != 1 {
+		d.err = fmt.Errorf("adlb: wire decode: get: store of %d rows, want 1", g.row.Len())
+	}
+	return g
+}
 
 // workItem is one unit of work in a server queue.
 type workItem struct {

@@ -158,3 +158,66 @@ func TestPooledFramesConcurrentClients(t *testing.T) {
 		return drainClient(cl)
 	})
 }
+
+// TestResultFrameSurvivesPoolReuse: a result stored by a riding Get lives
+// in that Get's request frame, retained as the datum's backing, so it
+// must read back intact after many later frames have cycled through the
+// pool. Each result here is its task's input passed straight through: a
+// value aliasing the item's frame, which the client may hand back to the
+// pool only once the Get carrying the result is on the wire.
+func TestResultFrameSurvivesPoolReuse(t *testing.T) {
+	const iters = 60
+	runWorld(t, 4, 1, func(cl *Client) error {
+		fill := func(i int) []byte {
+			return bytes.Repeat([]byte{byte(cl.Rank()*61 + i)}, 64<<(i%5))
+		}
+		outs := make([]int64, iters)
+		for i := range outs {
+			in, err := cl.Unique()
+			if err != nil {
+				return err
+			}
+			if outs[i], err = cl.Unique(); err != nil {
+				return err
+			}
+			if err := cl.Store(in, BlobValue(fill(i))); err != nil {
+				return err
+			}
+			// Pinned here: this rank runs the rule, and its Get carries
+			// the previous iteration's result.
+			if err := cl.Put(typeWork, 0, cl.Rank(), nil, in); err != nil {
+				return err
+			}
+			if _, _, ok, err := cl.GetLeased(typeWork); err != nil || !ok {
+				return fmt.Errorf("rank %d iter %d: ok=%v err=%v", cl.Rank(), i, ok, err)
+			}
+			v, found, err := cl.Retrieve(in)
+			if err != nil || !found {
+				return fmt.Errorf("rank %d iter %d: input found=%v err=%v", cl.Rank(), i, found, err)
+			}
+			if err := cl.StoreResult(outs[i], v); err != nil {
+				return err
+			}
+		}
+		// One more task carries the last result.
+		if err := cl.Put(typeWork, 0, cl.Rank(), nil); err != nil {
+			return err
+		}
+		if _, _, ok, err := cl.GetLeased(typeWork); err != nil || !ok {
+			return fmt.Errorf("rank %d last task: ok=%v err=%v", cl.Rank(), ok, err)
+		}
+		for i, out := range outs {
+			v, found, err := cl.Retrieve(out)
+			if err != nil || !found {
+				return fmt.Errorf("rank %d result %d: found=%v err=%v", cl.Rank(), i, found, err)
+			}
+			if v.Type != TypeBlob || !bytes.Equal(v.Bytes, fill(i)) {
+				return fmt.Errorf("rank %d result %d corrupted", cl.Rank(), i)
+			}
+		}
+		if _, hits, _ := cl.Comm().World().FramePoolStats(); hits == 0 {
+			return fmt.Errorf("frame pool recorded no reuse")
+		}
+		return drainClient(cl)
+	})
+}

@@ -391,12 +391,16 @@ func (s *server) dispatch(data []byte, st mpi.Status) error {
 	op := d.u8()
 	switch st.Tag {
 	case tagRequest:
-		err := s.handleRequest(op, d, st.Source)
-		// Request frames are recycled once handled — except for store-ish
-		// ops, whose decoded value bytes alias the frame (the zero-copy
-		// store: datums keep views into the request instead of copies),
-		// making the frame's lifetime the datum's.
-		if !retainsRequestFrame(op) {
+		var get getRequest
+		if op == opGet {
+			get = decodeGet(d)
+		}
+		err := s.handleRequest(op, d, &get, st.Source)
+		// Request frames are recycled once handled — except for those
+		// that carry a store, whose decoded value bytes alias the frame
+		// (the zero-copy store: datums keep views into the request
+		// instead of copies), making the frame's lifetime the datum's.
+		if !retainsRequestFrame(op, &get) {
 			s.c.Release(data)
 		}
 		return err
@@ -411,11 +415,15 @@ func (s *server) dispatch(data []byte, st mpi.Status) error {
 }
 
 // retainsRequestFrame reports whether handling op stores slices that
-// alias the request frame, pinning it for the life of the data store.
-func retainsRequestFrame(op uint8) bool {
+// alias the request frame, pinning it for the life of the data store: a
+// Store, a StoreChunk, and a Get whose decoded flags say it carries its
+// settled task's result.
+func retainsRequestFrame(op uint8, get *getRequest) bool {
 	switch op {
 	case opStore, opStoreChunk:
 		return true
+	case opGet:
+		return get.carriesStore()
 	}
 	return false
 }
@@ -442,7 +450,9 @@ func (s *server) respondError(client int, msg string) error {
 	})
 }
 
-func (s *server) handleRequest(op uint8, d *decoder, client int) error {
+// handleRequest handles one client request; get is the decoded body of
+// a Get (dispatch decodes it to decide the frame's fate).
+func (s *server) handleRequest(op uint8, d *decoder, get *getRequest, client int) error {
 	// Any client RPC is progress for the hang watchdog.
 	s.progress = true
 	// Elastic registration: a client joins this server's roster on its
@@ -456,7 +466,7 @@ func (s *server) handleRequest(op uint8, d *decoder, client int) error {
 	case opPut:
 		return s.handlePut(d, client)
 	case opGet:
-		return s.handleGet(d, client)
+		return s.handleGet(get, d, client)
 	case opFail:
 		return s.handleFail(d, client)
 	case opLeave:
@@ -798,21 +808,17 @@ func (s *server) clientDeparted(client int) {
 	}
 }
 
-func (s *server) handleGet(d *decoder, client int) error {
-	typ := int(d.i32())
-	flags := d.u8()
-	settle := d.i64()
+// handleGet settles the client's previous lease — storing its result
+// first when the Get carries one — and then answers with work, or parks.
+func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 	if err := d.finish("get request"); err != nil {
 		return err
 	}
-	leased := flags&getFlagLeased != 0
-	// A non-zero settle id completes the client's previous lease: the
-	// task ran to completion, so the retained copy of the item can go.
-	// Settlement piggybacks on the next Get rather than costing a
-	// dedicated RPC per task. An unknown id is benign (e.g. the lease was
-	// already settled by an explicit Fail).
-	if settle != 0 {
-		delete(s.leases, settle)
+	typ, leased := g.typ, g.flags&getFlagLeased != 0
+	if g.settle != 0 {
+		if err := s.settle(g); err != nil {
+			return err
+		}
 	}
 	if s.draining {
 		s.clientDeparted(client)
@@ -848,6 +854,40 @@ func (s *server) handleGet(d *decoder, client int) error {
 		s.maybeSteal()
 	}
 	return nil
+}
+
+// settle completes the lease a Get names: the task ran to completion,
+// so the retained copy of the item can go. Settlement piggybacks on the
+// next Get rather than costing a dedicated RPC per task, and so does the
+// task's result when this server owns its output: the store is applied
+// with Store's checks and counted as one, and its close is announced
+// before the Get is served, so a rule the store releases can go out in
+// this Get's reply. A refused store settles the lease as a retriable
+// failure carrying the refusal, exactly as the client's Fail after a
+// refused Store would. An unknown lease id with no store is benign (e.g.
+// the lease was already settled by an explicit Fail); with a refused
+// store there is no lease left to fail, so the run ends, as that Fail
+// would end it.
+func (s *server) settle(g *getRequest) error {
+	le, held := s.leases[g.settle]
+	delete(s.leases, g.settle)
+	if !g.carriesStore() {
+		return nil
+	}
+	if st := s.stats(); st != nil {
+		st.countDataOp(opStore)
+	}
+	r := g.row.Reader()
+	r.Next()
+	dm, err := s.storeValue(g.out, rowValue(&r))
+	if err == nil {
+		s.notifyAll(dm, g.out)
+		return nil
+	}
+	if !held {
+		return fmt.Errorf("adlb: server %d: a Get settling unknown lease %d carried a refused store: %v", s.idx, g.settle, err)
+	}
+	return s.requeueOrPoison(le.w, "adlb: store: "+err.Error(), true)
 }
 
 // handleFail settles a lease as failed: the item is requeued (bounded by
@@ -1000,29 +1040,10 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		}
 		r := c.Reader()
 		r.Next()
-		v := rowValue(&r)
-		dm, ok := s.store[id]
-		if !ok {
-			if !s.issued(id) {
-				return s.respondError(client, fmt.Sprintf("store: no such id %d", id))
-			}
-			dm = &datum{}
-			s.store[id] = dm
+		dm, err := s.storeValue(id, rowValue(&r))
+		if err != nil {
+			return s.respondError(client, err.Error())
 		}
-		if dm.typ == 0 {
-			dm.typ = v.Type
-		}
-		if dm.set {
-			return s.respondError(client, fmt.Sprintf("store: id %d already set (single-assignment violation)", id))
-		}
-		if dm.typ == TypeContainer {
-			return s.respondError(client, fmt.Sprintf("store: id %d is a container", id))
-		}
-		if v.Type != dm.typ && dm.typ != TypeVoid {
-			return s.respondError(client, fmt.Sprintf("store: id %d is %v, value is %v", id, dm.typ, v.Type))
-		}
-		dm.val = v
-		dm.set = true
 		return s.respondThenNotify(client, dm, id)
 
 	case opSubscribe:
@@ -1214,6 +1235,37 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		return s.respond(client, func(e *encoder) { e.u8(stOK) })
 	}
 	return fmt.Errorf("adlb: unhandled data op %d", op)
+}
+
+// storeValue sets id to v, whose bytes alias the retained request frame:
+// the one store of a Store request and of a result riding a Get. An id
+// the owner issued but nobody created comes into being here, typed by v;
+// a set id, a container, a type mismatch and an id never issued are
+// refused, with nothing changed. The caller announces the close.
+func (s *server) storeValue(id int64, v Value) (*datum, error) {
+	dm, ok := s.store[id]
+	if !ok {
+		if !s.issued(id) {
+			return nil, fmt.Errorf("store: no such id %d", id)
+		}
+		dm = &datum{}
+		s.store[id] = dm
+	}
+	if dm.typ == 0 {
+		dm.typ = v.Type
+	}
+	if dm.set {
+		return nil, fmt.Errorf("store: id %d already set (single-assignment violation)", id)
+	}
+	if dm.typ == TypeContainer {
+		return nil, fmt.Errorf("store: id %d is a container", id)
+	}
+	if v.Type != dm.typ && dm.typ != TypeVoid {
+		return nil, fmt.Errorf("store: id %d is %v, value is %v", id, dm.typ, v.Type)
+	}
+	dm.val = v
+	dm.set = true
+	return dm, nil
 }
 
 // respondThenNotify answers the client whose store or refcount closed dm,

@@ -46,6 +46,18 @@ func FuzzWireRoundTrip(f *testing.F) {
 	e.bytes([]byte("sw:vunpack 5 float 4"))
 	encodeRows(e, []int64{4, 8, 4}, seedChunk)
 	f.Add(e.buf, int64(3), uint8(3))
+	// A leased Get carrying its settled task's result: whole, cut short,
+	// with two rows, and with no lease to settle.
+	e = &encoder{}
+	encodeGet(e, storeGet(storeRow))
+	f.Add(e.buf, int64(9), uint8(4))
+	f.Add(e.buf[:len(e.buf)-5], int64(9), uint8(4))
+	e = &encoder{}
+	encodeGet(e, storeGet(seedChunk))
+	f.Add(e.buf, int64(9), uint8(4))
+	e = &encoder{}
+	encodeGet(e, &getRequest{typ: 1, flags: getFlagStore, out: 5, row: storeRow})
+	f.Add(e.buf, int64(0), uint8(4))
 	// The counted bodies (a Put's wait ids, a delivered item's rows,
 	// batched subscribe request and response, the enumerate response, a
 	// blob row's dims): whole, cut short, and claiming more entries than
@@ -69,6 +81,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 				d.bytes()
 				if ids, rows := decodeRows(d, nil); rows.Len() != len(ids) || len(ids) > len(raw)/8 {
 					t.Fatalf("%d row ids, %d rows, out of %d bytes", len(ids), rows.Len(), len(raw))
+				}
+			},
+			func(d *decoder) {
+				// A Get: a store decodes as one row settling a lease, or
+				// not at all.
+				g := decodeGet(d)
+				if d.err == nil && g.carriesStore() && (g.settle == 0 || g.row.Len() != 1) {
+					t.Fatalf("Get store decoded with settle %d and %d rows", g.settle, g.row.Len())
 				}
 			},
 			func(d *decoder) { d.u8(); d.str(); d.i64(); d.boolean() },
@@ -146,6 +166,30 @@ func FuzzWireRoundTrip(f *testing.F) {
 		d.boolean()
 		if err := d.finish("round trip"); err == nil {
 			t.Fatal("trailing garbage accepted")
+		}
+
+		// A Get carrying a result built from the input round-trips, and
+		// rejects a trailing byte.
+		res, err := row(Value{Type: TypeBlob, Bytes: raw, Dims: []int{len(raw)}, Elem: tag})
+		if err != nil {
+			t.Fatalf("row: %v", err)
+		}
+		g := getRequest{typ: int(int32(n)), flags: getFlagStore | tag&getFlagLeased, settle: n | 1, out: -n, row: res}
+		e = &encoder{}
+		encodeGet(e, &g)
+		d = &decoder{buf: e.buf}
+		gotG := decodeGet(d)
+		if err := d.finish("get round trip"); err != nil {
+			t.Fatalf("clean Get round trip rejected: %v", err)
+		}
+		if gotG.typ != g.typ || gotG.flags != g.flags || gotG.settle != g.settle || gotG.out != g.out ||
+			!bytes.Equal(gotG.row.Raw, raw) || gotG.row.Meta[0].Elem != tag {
+			t.Fatalf("Get round trip: got %+v want %+v", gotG, g)
+		}
+		d = &decoder{buf: append(append([]byte(nil), e.buf...), 0x5A)}
+		decodeGet(d)
+		if err := d.finish("get round trip"); err == nil {
+			t.Fatal("trailing garbage accepted after a Get")
 		}
 
 		// 3. Chunk frame round-trip identity: a chunk synthesized from the

@@ -127,6 +127,59 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 	})
 }
 
+// storeGet is a leased Get settling lease 9 with its result: id 5 and c.
+func storeGet(c chunk.Chunk) *getRequest {
+	return &getRequest{typ: 1, flags: getFlagLeased | getFlagStore, settle: 9, out: 5, row: c}
+}
+
+// A Get carrying a store decodes to its parts; one cut short, one whose
+// store has no row or two, one whose store settles no lease, and one with
+// an unknown flag are decode errors, never a panic or a store.
+func TestGetStoreDecode(t *testing.T) {
+	frame := func(g *getRequest) []byte {
+		e := &encoder{}
+		encodeGet(e, g)
+		return e.buf
+	}
+	one, err := row(StringValue("result"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := frame(storeGet(one))
+	d := &decoder{buf: clean}
+	g := decodeGet(d)
+	if err := d.finish("get request"); err != nil {
+		t.Fatalf("clean Get rejected: %v", err)
+	}
+	if !g.carriesStore() || g.typ != 1 || g.settle != 9 || g.out != 5 || g.row.Len() != 1 || string(g.row.Raw) != "result" {
+		t.Fatalf("decoded %+v", g)
+	}
+	noSettle := storeGet(one)
+	noSettle.settle = 0
+	unknown := storeGet(one)
+	unknown.flags |= 1 << 7
+	bad := map[string][]byte{
+		"truncated": clean[:len(clean)-3],
+		"no rows":   frame(storeGet(chunk.Chunk{})),
+		"two rows":  frame(storeGet(intChunk(1, 2))),
+		"no settle": frame(noSettle),
+		"unknown":   frame(unknown),
+		"trailing":  append(append([]byte(nil), clean...), 0),
+	}
+	for name, f := range bad {
+		d := &decoder{buf: f}
+		decodeGet(d)
+		if err := d.finish("get request"); err == nil {
+			t.Errorf("%s: malformed Get accepted", name)
+		}
+	}
+	// Without the store flag the body ends at the settle id.
+	d = &decoder{buf: frame(&getRequest{typ: 1, settle: 9})}
+	if g := decodeGet(d); d.finish("get request") != nil || g.carriesStore() {
+		t.Fatalf("plain Get: %+v, %v", g, d.err)
+	}
+}
+
 // countedFrame is one clean frame of a count-prefixed message body;
 // decode reads the shape back and reports how many entries it produced.
 type countedFrame struct {

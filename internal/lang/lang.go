@@ -245,7 +245,8 @@ func (c *Counters) Snapshot() map[string]int64 {
 type DataPlane interface {
 	// StoreAs stores a typed value into a TD of the named turbine type
 	// ("integer", "float", "string", "blob", "void"), converting where
-	// the kinds differ.
+	// the kinds differ. Over ADLB, a leaf's store may complete with the
+	// worker's next request rather than as its own.
 	StoreAs(id int64, td string, v Value) error
 	// LoadChunk retrieves many closed TDs as one columnar Chunk (row i
 	// is ids[i]) — a million-float gather is two column buffers, not a

@@ -285,7 +285,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 			seen[idx] = true
 			ids[idx] = p.Member
 		}
-		dp := dataPlane{cl}
+		dp := dataPlane{cl: cl}
 		// Columnar gather: the members arrive as one chunk per owning
 		// server. A homogeneous numeric chunk's Num column is already the
 		// packed payload — the blob below aliases it (which may alias the
@@ -350,7 +350,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		dp := dataPlane{cl}
+		dp := dataPlane{cl: cl}
 		// Columnar scatter: load the blob as a chunk row (its payload
 		// aliases the response frame — no copy), and when the element
 		// width already matches the stored encoding hand the payload

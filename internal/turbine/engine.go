@@ -218,7 +218,8 @@ func (e *engine) stallDiagnostic() error {
 // to the server via Fail — retriable failures (engine panics, injected
 // faults, data-plane errors) requeue under the task's retry budget;
 // deterministic evaluation errors poison the task immediately. The lease
-// of a successful task is settled implicitly by the next Get.
+// of a successful task is settled implicitly by the next Get, which also
+// carries a leaf record's result when this rank's home server owns it.
 func runWorker(env *Env) error {
 	for {
 		payload, leaseID, ok, err := env.Client.GetLeased(TypeWork)
@@ -285,7 +286,7 @@ func evalLeafContained(env *Env, payload []byte) (err error, retriable bool) {
 	script, isLeaf, evalErr := env.rec.decode(payload)
 	if evalErr == nil {
 		if isLeaf {
-			evalErr = env.Langs.Leaf(&env.rec.leaf, dataPlane{env.Client})
+			evalErr = env.Langs.Leaf(&env.rec.leaf, dataPlane{cl: env.Client, leaf: true})
 		} else {
 			_, evalErr = env.interp.Eval(script)
 		}
