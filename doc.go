@@ -198,11 +198,19 @@
 // binds blobs as mutable 1-based Vec views with the same zero-copy
 // discipline and the same write guards as pylite (integer writes into
 // integer element kinds stay on an exact integer path beyond 2^53;
-// inexact narrowing errors rather than rounding); fresh vectors born
-// from its broadcast operators (.+ .- .* ./ .^ over `function…end` /
-// `for…end` fragments) repack via blob.PackLike under the sole blob
-// argument's prototype, all-int64 vectors staying on the exact integer
-// path when provenance is ambiguous.
+// inexact narrowing errors rather than rounding). An array born inside
+// jlite (collect, zeros/ones, a literal, a broadcast .+ .- .* ./ .^ or a
+// math function over a vector) is held in that same packed form, an
+// int64 or float64 column, so its arithmetic runs as typed loops
+// (internal/vecview) with no per-element value; it unpacks into boxed
+// elements at the first write a column cannot hold (a push! or store of
+// another kind) and at its first scalar read (v[i] or iteration, which
+// hand out boxed values), and a broadcast whose per-element result kind
+// varies builds a boxed array. A column leaves as a blob as its own
+// bytes when no blob argument constrains it — the int64 or float64
+// packing a boxed array would get — and under the sole blob argument's
+// prototype via blob.PackLike otherwise, all-int64 vectors staying on
+// the exact integer path against an int64 prototype.
 //
 // Swift containers reach the typed plane through the container<->vector
 // bridge: vpack(A) gathers a closed int or float array into one blob TD

@@ -1,13 +1,16 @@
 package jlite
 
 // The builtin set: the numeric core a Julia-flavoured analysis fragment
-// leans on. Vector-aware reductions use the Vec fast paths (no boxing of
-// element data); scalar math follows Julia's Int64/Float64 promotion.
+// leans on. Vector builtins run vecview's typed loops over columns, blob
+// views and ranges (no boxing of element data); scalar math follows
+// Julia's Int64/Float64 promotion.
 
 import (
 	"fmt"
 	"math"
 	"strings"
+
+	"repro/internal/vecview"
 )
 
 var jBuiltins map[string]Builtin
@@ -47,16 +50,19 @@ func mathUnary(name string, f func(float64) float64) Builtin {
 			return nil, fmt.Errorf("jlite: %s takes 1 argument", name)
 		}
 		if isVector(args[0]) {
+			if o, ok := operand(args[0]); ok {
+				return column(vecview.Map(vecProfile, o, vecLen(args[0]), f)), nil
+			}
 			items, _ := elemsOf(args[0])
-			out := &Arr{Elems: make([]Value, len(items))}
+			out := make([]Value, len(items))
 			for i, it := range items {
 				x, err := toFloat(it)
 				if err != nil {
 					return nil, err
 				}
-				out.Elems[i] = f(x)
+				out[i] = f(x)
 			}
-			return out, nil
+			return newArr(out), nil
 		}
 		x, err := toFloat(args[0])
 		if err != nil {
@@ -74,7 +80,7 @@ func bLength(in *Interp, args []Value) (Value, error) {
 	case *Vec:
 		return int64(x.Len()), nil
 	case *Arr:
-		return int64(len(x.Elems)), nil
+		return int64(x.Len()), nil
 	case *Range:
 		return int64(x.Len()), nil
 	case string:
@@ -98,9 +104,12 @@ func bSum(in *Interp, args []Value) (Value, error) {
 		n := x.Hi - x.Lo + 1
 		return n * (x.Lo + x.Hi) / 2, nil
 	case *Arr:
+		if x.col != nil {
+			return x.col.Sum(), nil
+		}
 		var si int64
 		sf, allInt := 0.0, true
-		for _, it := range x.Elems {
+		for _, it := range x.elems {
 			switch n := it.(type) {
 			case int64:
 				si += n
@@ -167,22 +176,21 @@ func filled(args []Value, name string, v float64) (Value, error) {
 	if !ok || n < 0 {
 		return nil, fmt.Errorf("jlite: %s needs a non-negative integer length", name)
 	}
-	out := &Arr{Elems: make([]Value, n)}
-	for i := range out.Elems {
-		out.Elems[i] = v
-	}
-	return out, nil
+	return column(vecview.Collect(vecProfile, vecview.Float(v), int(n))), nil
 }
 
 func bCollect(in *Interp, args []Value) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("jlite: collect takes 1 argument")
 	}
-	items, n := elemsOf(args[0])
+	n := vecLen(args[0])
 	if n < 0 {
 		return nil, fmt.Errorf("jlite: collect of %s", typeName(args[0]))
 	}
-	return &Arr{Elems: append([]Value(nil), items...)}, nil
+	if o, ok := operand(args[0]); ok {
+		return column(vecview.Collect(vecProfile, o, n)), nil
+	}
+	return &Arr{elems: append([]Value(nil), args[0].(*Arr).elems...)}, nil
 }
 
 func bPush(in *Interp, args []Value) (Value, error) {
@@ -198,7 +206,7 @@ func bPush(in *Interp, args []Value) (Value, error) {
 	if !isNumeric(args[1]) {
 		return nil, fmt.Errorf("jlite: cannot push %s onto a numeric vector", typeName(args[1]))
 	}
-	a.Elems = append(a.Elems, args[1])
+	a.push(args[1])
 	return a, nil
 }
 

@@ -9,17 +9,13 @@ import (
 	"strings"
 
 	"repro/internal/memo"
+	"repro/internal/vecview"
 )
 
 // Value is a jlite runtime value: nil (nothing), bool, int64, float64,
-// string, *Vec (blob-backed vector), *Arr (fresh vector), *Range, *Func,
-// or Builtin.
+// string, *Vec (blob-backed vector), *Arr (fresh vector, see vec.go),
+// *Range, *Func, or Builtin.
 type Value any
-
-// Arr is a fresh 1-based numeric vector born inside the interpreter (an
-// array literal, zeros(n), a broadcast result). Elements are int64,
-// float64, or bool.
-type Arr struct{ Elems []Value }
 
 // Range is an inclusive step-1 integer range (lo:hi), iterable and
 // 1-based indexable without materialising its elements.
@@ -281,8 +277,11 @@ func forEach(seq Value, f func(Value) error) error {
 		}
 		return nil
 	case *Arr:
-		for _, it := range s.Elems {
-			if err := each(it); err != nil {
+		// Bounded by the length at entry, as ranging over a slice is: a
+		// push! in the body does not extend the loop.
+		n := s.Len()
+		for i := 0; i < n; i++ {
+			if err := each(s.read(i)); err != nil {
 				return err
 			}
 		}
@@ -344,14 +343,14 @@ func (in *Interp) assign(st *sAssign, e *env) error {
 			}
 			return o.SetAt(i, v)
 		case *Arr:
-			i, err := oneBasedIndex(idx, len(o.Elems))
+			i, err := oneBasedIndex(idx, o.Len())
 			if err != nil {
 				return err
 			}
 			if !isNumeric(v) {
 				return fmt.Errorf("jlite: cannot store %s in a numeric vector", typeName(v))
 			}
-			o.Elems[i] = v
+			o.set(i, v)
 			return nil
 		}
 		return fmt.Errorf("jlite: cannot index-assign %s", typeName(obj))
@@ -493,7 +492,7 @@ func (in *Interp) eval(x jexpr, e *env) (Value, error) {
 		}
 		return nil, fmt.Errorf("jlite: unknown unary op %q", ex.op)
 	case *jArrLit:
-		arr := &Arr{Elems: make([]Value, 0, len(ex.elems))}
+		elems := make([]Value, 0, len(ex.elems))
 		for _, el := range ex.elems {
 			v, err := in.eval(el, e)
 			if err != nil {
@@ -502,9 +501,9 @@ func (in *Interp) eval(x jexpr, e *env) (Value, error) {
 			if !isNumeric(v) {
 				return nil, fmt.Errorf("jlite: vector literals hold numbers, got %s", typeName(v))
 			}
-			arr.Elems = append(arr.Elems, v)
+			elems = append(elems, v)
 		}
-		return arr, nil
+		return newArr(elems), nil
 	case *jIndex:
 		obj, err := in.eval(ex.obj, e)
 		if err != nil {
@@ -522,11 +521,11 @@ func (in *Interp) eval(x jexpr, e *env) (Value, error) {
 			}
 			return o.At(i), nil
 		case *Arr:
-			i, err := oneBasedIndex(idx, len(o.Elems))
+			i, err := oneBasedIndex(idx, o.Len())
 			if err != nil {
 				return nil, err
 			}
-			return o.Elems[i], nil
+			return o.read(i), nil
 		case *Range:
 			i, err := oneBasedIndex(idx, o.Len())
 			if err != nil {
@@ -658,12 +657,24 @@ func asExactInt(v Value) (int64, bool) {
 	return 0, false
 }
 
-// elemsOf materialises a vector operand for broadcasting; scalars return
-// (nil, -1).
+// vecLen is a vector's length, -1 for a scalar.
+func vecLen(v Value) int {
+	switch s := v.(type) {
+	case *Arr:
+		return s.Len()
+	case *Vec:
+		return s.Len()
+	case *Range:
+		return s.Len()
+	}
+	return -1
+}
+
+// elemsOf materialises a vector operand boxed; scalars return (nil, -1).
 func elemsOf(v Value) ([]Value, int) {
 	switch s := v.(type) {
 	case *Arr:
-		return s.Elems, len(s.Elems)
+		return s.items(), s.Len()
 	case *Vec:
 		out := make([]Value, s.Len())
 		for i := range out {
@@ -680,22 +691,32 @@ func elemsOf(v Value) ([]Value, int) {
 	return nil, -1
 }
 
+var kernelOf = map[string]vecview.Op{"+": vecview.Add, "-": vecview.Sub, "*": vecview.Mul, "/": vecview.Div, "^": vecview.Pow}
+
 // broadcast applies a scalar operator elementwise. Operand lengths must
-// match exactly — Julia broadcasts, it does not recycle like R.
+// match exactly — Julia broadcasts, it does not recycle like R. Columns,
+// blob views, ranges and numbers go through vecview's typed kernel; a
+// boxed array, a non-number, or an Int ^ Int whose exponents have both
+// signs takes the per-element scalarBinop path.
 func (in *Interp) broadcast(op string, l, r Value) (Value, error) {
-	le, ln := elemsOf(l)
-	re, rn := elemsOf(r)
+	ln, rn := vecLen(l), vecLen(r)
 	if ln < 0 && rn < 0 {
 		return scalarBinop(op, l, r)
 	}
 	if ln >= 0 && rn >= 0 && ln != rn {
 		return nil, fmt.Errorf("jlite: DimensionMismatch: vectors of length %d and %d", ln, rn)
 	}
-	n := ln
-	if n < 0 {
-		n = rn
+	n := max(ln, rn)
+	if lo, ok := operand(l); ok {
+		if ro, ok := operand(r); ok {
+			if v, ok := vecview.Elementwise(vecProfile, kernelOf[op], lo, ro, n); ok {
+				return column(v), nil
+			}
+		}
 	}
-	out := &Arr{Elems: make([]Value, n)}
+	le, _ := elemsOf(l)
+	re, _ := elemsOf(r)
+	out := make([]Value, n)
 	for i := 0; i < n; i++ {
 		a, b := l, r
 		if ln >= 0 {
@@ -708,9 +729,9 @@ func (in *Interp) broadcast(op string, l, r Value) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.Elems[i] = v
+		out[i] = v
 	}
-	return out, nil
+	return newArr(out), nil
 }
 
 // vectorEqual implements == between vectors (elementwise all-equal, the
@@ -927,9 +948,9 @@ func Str(v Value) string {
 	case string:
 		return x
 	case *Arr:
-		parts := make([]string, len(x.Elems))
-		for i, it := range x.Elems {
-			parts[i] = Str(it)
+		parts := make([]string, x.Len())
+		for i := range parts {
+			parts[i] = Str(x.at(i))
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	case *Vec:

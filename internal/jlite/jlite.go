@@ -10,6 +10,12 @@
 // packed bytes (see vec.go), mirroring pylite's SLIRP-style binding:
 // element data never renders as text crossing the language boundary, and
 // in-place writes enforce exact representability under the element kind.
+// Arrays born inside the interpreter use the same packed form while their
+// elements are all Int64 or all Float64 (a column), so broadcasts and
+// sums run as typed loops; a column unpacks into boxed elements at the
+// first operation it cannot hold and at its first scalar read (v[i],
+// iteration), and every result, error and rendering reads as it would
+// boxed.
 // Parsing is compile-once through internal/memo, like every other
 // embedded interpreter in this repo.
 package jlite

@@ -197,6 +197,29 @@ func TestBroadcastOps(t *testing.T) {
 		// Broadcast over a range.
 		{"", "(1:4) .* 2", "[2, 4, 6, 8]"},
 		{"", "sum(a .* a)", "14"},
+		// Columns: a per-element result kind that varies falls back to
+		// boxed elements; one that does not stays packed.
+		{"", "collect(1:3) .^ -1", "[1.0, 0.5, 0.3333333333333333]"},
+		{"", "collect(-1:1) .^ collect(-1:1)", "[-1.0, 1, 1]"},
+		{"", "[2, 3] .^ [1, -1]", "[2, 0.3333333333333333]"},
+		{"", "collect(0:1) ./ 0", "[NaN, +Inf]"},
+		{"", "[9223372036854775807] .+ 1", "[-9223372036854775808]"},
+		{"", "[1, 2.5] .+ 1", "[2, 3.5]"},
+		{"", "[true, false] .+ 1", "[2, 1]"},
+		{"", "collect(1:3) .* true", "[1, 2, 3]"},
+		{"", "1 .- (1:3)", "[0, -1, -2]"},
+		{"", "-ones(2)", "[-1.0, -1.0]"},
+		{"", "sqrt(collect(1:4))", "[1.0, 1.4142135623730951, 1.7320508075688772, 2.0]"},
+		{"", "sqrt([1, 4.0, true])", "[1.0, 2.0, 1.0]"},
+		{"", "sum(ones(3) .* 0.1)", "0.30000000000000004"},
+		{"", "zeros(0) .* \"a\"", "[]"},
+		{"", "sum(zeros(0) .+ 1.5)", "0"},
+		{"x = ones(2)\nx[1] += 1", "x", "[2.0, 1.0]"},
+		// == between a column and a boxed array compares elements.
+		{"", "collect(1:3) == [1.0, 2.0, 3.0]", "true"},
+		{"", "ones(3) == [1, 1, 1]", "true"},
+		{"", "ones(3) != [1, 1, 2]", "true"},
+		{"", "collect(1:3) == [1, 2, 3]", "true"},
 	}
 	for _, tc := range cases {
 		if got := evalStr(t, in, tc.code, tc.expr); got != tc.want {
@@ -235,6 +258,24 @@ func TestRangesAndCollect(t *testing.T) {
 	if got := evalStr(t, in, "n = 5", "sum(1:n-1)"); got != "10" {
 		t.Fatalf("sum(1:n-1) = %q", got)
 	}
+	// collect builds an Int64 column; it reads, sums, renders and
+	// iterates as the boxed array did.
+	for _, tc := range []struct{ code, expr, want string }{
+		{"", "typeof(collect(1:3))", "Vector"},
+		{"", "sum(collect(1:0))", "0"},
+		{"", "collect(1:3)[3]", "3"},
+		{"s = 0\nfor x in collect(1:4)\ns = s + x\nend", "s", "10"},
+		{"", "collect(ones(2))", "[1.0, 1.0]"},
+		{"", "collect([1, 2.5])", "[1, 2.5]"},
+		{"", "string(collect(1:3), ones(2))", "[1, 2, 3][1.0, 1.0]"},
+	} {
+		if got := evalStr(t, in, tc.code, tc.expr); got != tc.want {
+			t.Fatalf("%s = %q, want %q", tc.expr, got, tc.want)
+		}
+	}
+	if _, err := in.EvalExpr("collect(1:3)[4]"); err == nil || err.Error() != "jlite: BoundsError: attempt to access 3-element vector at index [4]" {
+		t.Fatalf("out of bounds: %v", err)
+	}
 }
 
 func TestZerosOnesPush(t *testing.T) {
@@ -247,6 +288,43 @@ func TestZerosOnesPush(t *testing.T) {
 	}
 	if got := evalStr(t, in, "a = [1]\npush!(a, 2)\npush!(a, 3)", "a"); got != "[1, 2, 3]" {
 		t.Fatalf("push! = %q", got)
+	}
+	// A column holds what it can; anything else unpacks it to boxed
+	// elements in place, so another name for the array sees the change.
+	for _, tc := range []struct{ code, expr, want string }{
+		{"a = ones(3)\npush!(a, 2)", "a", "[1.0, 1.0, 1.0, 2]"},
+		{"a = ones(3)\npush!(a, 2.5)", "a", "[1.0, 1.0, 1.0, 2.5]"},
+		{"a = collect(1:3)\npush!(a, 4)", "a", "[1, 2, 3, 4]"},
+		{"a = collect(1:3)\npush!(a, 4.5)", "a", "[1, 2, 3, 4.5]"},
+		{"a = collect(1:3)\npush!(a, true)", "a", "[1, 2, 3, true]"},
+		{"a = ones(3)\na[2] = 5", "a", "[1.0, 5, 1.0]"},
+		{"a = ones(3)\na[2] = 5.5", "a", "[1.0, 5.5, 1.0]"},
+		{"a = collect(1:3)\na[2] = 2.5", "a", "[1, 2.5, 3]"},
+		{"a = collect(1:3)\na[2] = 7", "a", "[1, 7, 3]"},
+		{"a = collect(1:3)\na[2] = false", "a", "[1, false, 3]"},
+		{"a = ones(2)\nb = a\na[1] = 3", "b", "[3, 1.0]"},
+		{"a = collect(1:3)\nb = a\npush!(a, 0.5)", "b", "[1, 2, 3, 0.5]"},
+		{"a = collect(1:3)\nfor x in a\npush!(a, x)\nend", "a", "[1, 2, 3, 1, 2, 3]"},
+		{"", "typeof(ones(2))", "Vector"},
+		{"", "sum(zeros(0))", "0"},
+		{"", "zeros(0)", "[]"},
+		{"", "length(ones(5))", "5"},
+		{"", "ones(3)[2]", "1.0"},
+	} {
+		if got := evalStr(t, in, tc.code, tc.expr); got != tc.want {
+			t.Fatalf("%s; %s = %q, want %q", tc.code, tc.expr, got, tc.want)
+		}
+	}
+	var buf strings.Builder
+	in.Out = &buf
+	if err := in.Exec("a = collect(1:3)\nfor x in a\na[3] = 9\nprintln(x)\nend\nprintln(ones(2), a)"); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != "1\n2\n9\n[1.0, 1.0][1, 2, 9]\n" {
+		t.Fatalf("println = %q", buf.String())
+	}
+	if err := in.Exec("a = ones(2)\na[1] = \"x\""); err == nil || err.Error() != "jlite: cannot store String in a numeric vector" {
+		t.Fatalf("string store: %v", err)
 	}
 }
 

@@ -292,15 +292,11 @@ func jlResult(v jlite.Value, c Call, _ []jlite.Value) (Value, error) {
 		// fresh arrays (and the other engines' list behaviour there).
 	case *jlite.Arr:
 		if c.Want == KindBlob {
-			return packFresh(x.Elems, c)
+			return packFresh(x, c)
 		}
 	case *jlite.Range:
 		if c.Want == KindBlob {
-			elems := make([]jlite.Value, x.Len())
-			for i := range elems {
-				elems[i] = x.Lo + int64(i)
-			}
-			return packFresh(elems, c)
+			return packFresh(x.Collect(), c)
 		}
 	case nil:
 		return Str(""), nil
@@ -312,28 +308,30 @@ func jlResult(v jlite.Value, c Call, _ []jlite.Value) (Value, error) {
 // the sole blob argument's prototype via blob.PackLike when there is
 // exactly one; otherwise provenance is ambiguous and the exact native
 // packing wins (all-int64 vectors stay on the integer path, everything
-// else packs flat float64, mirroring rlite's ambiguity rule).
-func packFresh(elems []jlite.Value, c Call) (Value, error) {
+// else packs flat float64, mirroring rlite's ambiguity rule). An array
+// held as a column is already that native packing: it leaves as its own
+// bytes.
+func packFresh(a *jlite.Arr, c Call) (Value, error) {
 	if proto, ok := soleBlob(c); ok {
 		// An int64 prototype keeps all-integer results on the exact
 		// integer path: narrowing through float64 would reject values
 		// beyond 2^53 that the prototype's own element kind represents
 		// exactly. Dims reattach under PackLike's rule (count match).
 		if proto.Elem == blob.ElemI64 {
-			if b, err := jlite.PackValues(elems); err == nil && b.Elem == blob.ElemI64 {
+			if b, err := a.Pack(); err == nil && b.Elem == blob.ElemI64 {
 				if n := dimsProduct(proto.Dims); proto.Dims != nil && n == b.Count() {
 					b.Dims = append([]int(nil), proto.Dims...)
 				}
 				return BlobOf(b), nil
 			}
 		}
-		xs, err := jlite.FloatsExact(elems)
+		xs, err := a.Floats()
 		if err != nil {
 			return Value{}, err
 		}
 		return BlobOf(blob.PackLike(xs, proto)), nil
 	}
-	b, err := jlite.PackValues(elems)
+	b, err := a.Pack()
 	if err != nil {
 		return Value{}, err
 	}

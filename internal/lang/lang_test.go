@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -536,5 +537,69 @@ func TestValueConversions(t *testing.T) {
 	var zero Value
 	if zero.Kind() != KindString || zero.Render() != "" {
 		t.Fatal("zero Value is not the empty string")
+	}
+}
+
+func TestJuliaEngineFreshVectorsPackToTheSameBytes(t *testing.T) {
+	// Ranges and columns leave as the bytes the boxed packing gave:
+	// int64 with no prototype, the prototype's view (and dims) when
+	// there is one, and an error for an int64 a float64 cannot hold.
+	f32 := blob.FromFloat32s([]float32{0, 0, 0, 0})
+	f32.Dims = []int{2, 2}
+	i64 := blob.FromInt64s([]int64{0, 0, 0, 0})
+	i64.Dims = []int{4}
+	wantF32 := blob.FromFloat32s([]float32{1, 2, 3, 4})
+	wantF32.Dims = []int{2, 2}
+	wantI64 := blob.FromInt64s([]int64{1, 2, 3, 4})
+	wantI64.Dims = []int{4}
+	cases := []struct {
+		expr string
+		args []Value
+		want blob.Blob
+	}{
+		{"1:4", nil, blob.FromInt64s([]int64{1, 2, 3, 4})},
+		{"1:0", nil, blob.FromInt64s(nil)},
+		{"1:4", []Value{BlobOf(f32)}, wantF32},
+		{"1:4", []Value{BlobOf(i64)}, wantI64},
+		{"collect(1:4)", []Value{BlobOf(i64)}, wantI64},
+		{"collect(1:4) .* 1.0", []Value{BlobOf(f32)}, wantF32},
+		{"ones(3)", nil, blob.FromFloat64s([]float64{1, 1, 1})},
+		{"zeros(0)", nil, blob.FromInt64s(nil)},
+	}
+	reg, _ := Lookup("julia")
+	eng := reg.New(Host{Out: io.Discard})
+	for _, tc := range cases {
+		res, err := eng.Eval(Call{Expr: tc.expr, Args: tc.args, Want: KindBlob})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.expr, err)
+		}
+		got := res.AsBlob()
+		if string(got.Data) != string(tc.want.Data) || got.Elem != tc.want.Elem || fmt.Sprint(got.Dims) != fmt.Sprint(tc.want.Dims) {
+			t.Fatalf("%s = %v %v %v, want %v %v %v", tc.expr, got.Elem, got.Dims, got.Data, tc.want.Elem, tc.want.Dims, tc.want.Data)
+		}
+	}
+	_, err := eng.Eval(Call{Expr: "9007199254740993:9007199254740994", Args: []Value{BlobOf(blob.FromFloat64s([]float64{0, 0}))}, Want: KindBlob})
+	if err == nil || !strings.Contains(err.Error(), "not exactly representable") {
+		t.Fatalf("inexact range: %v", err)
+	}
+}
+
+func TestJuliaEngineColumnOutlivesLaterWrites(t *testing.T) {
+	// A column leaves as its own bytes; a later fragment writing into
+	// the same array must not reach the value already handed out.
+	reg, _ := Lookup("julia")
+	eng := reg.New(Host{Out: io.Discard})
+	first, err := eng.Eval(Call{Code: "x = ones(3)", Expr: "x", Want: KindBlob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := eng.Eval(Call{Code: "x[1] = 5.0", Expr: "x", Want: KindBlob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := blob.ToFloat64s(first.AsBlob())
+	b, _ := blob.ToFloat64s(second.AsBlob())
+	if fmt.Sprint(a) != "[1 1 1]" || fmt.Sprint(b) != "[5 1 1]" {
+		t.Fatalf("first %v, second %v", a, b)
 	}
 }

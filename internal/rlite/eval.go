@@ -572,15 +572,16 @@ func rBinop(op string, l, r Value) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		var out []float64
-		if a <= b {
-			for i := a; i <= b; i++ {
-				out = append(out, float64(i))
-			}
-		} else {
-			for i := a; i >= b; i-- {
-				out = append(out, float64(i))
-			}
+		step, n := 1, b-a
+		if a > b {
+			step, n = -1, a-b
+		}
+		if n < 0 || n >= maxSeqLen {
+			return nil, fmt.Errorf("rlite: result would be too long a vector")
+		}
+		out := make([]float64, n+1)
+		for i := range out {
+			out[i] = float64(a + i*step)
 		}
 		return &NumVec{V: out}, nil
 	}
@@ -669,52 +670,87 @@ func rBinop(op string, l, r Value) (Value, error) {
 	if len(ln.V) == 0 || len(rn.V) == 0 {
 		return &NumVec{}, nil
 	}
-	n := recycleLen(len(ln.V), len(rn.V))
+	a, b := ln.V, rn.V
+	n := recycleLen(len(a), len(b))
+	// One loop per operator; ia and ib wrap at their operand's length,
+	// which is R's recycling with no per-element divide.
 	switch op {
 	case "+", "-", "*", "/", "^", "%%", "%/%":
 		out := make([]float64, n)
-		for i := 0; i < n; i++ {
-			a, b := ln.V[i%len(ln.V)], rn.V[i%len(rn.V)]
-			switch op {
-			case "+":
-				out[i] = a + b
-			case "-":
-				out[i] = a - b
-			case "*":
-				out[i] = a * b
-			case "/":
-				out[i] = a / b
-			case "^":
-				out[i] = math.Pow(a, b)
-			case "%%":
-				out[i] = math.Mod(math.Mod(a, b)+b, b)
-			case "%/%":
-				out[i] = math.Floor(a / b)
+		switch op {
+		case "+":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = a[ia] + b[ib]
+			}
+		case "-":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = a[ia] - b[ib]
+			}
+		case "*":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = a[ia] * b[ib]
+			}
+		case "/":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = a[ia] / b[ib]
+			}
+		case "^":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = math.Pow(a[ia], b[ib])
+			}
+		case "%%":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = math.Mod(math.Mod(a[ia], b[ib])+b[ib], b[ib])
+			}
+		case "%/%":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = math.Floor(a[ia] / b[ib])
 			}
 		}
 		return &NumVec{V: out}, nil
 	case "==", "!=", "<", "<=", ">", ">=":
 		out := make([]bool, n)
-		for i := 0; i < n; i++ {
-			a, b := ln.V[i%len(ln.V)], rn.V[i%len(rn.V)]
-			switch op {
-			case "==":
-				out[i] = a == b
-			case "!=":
-				out[i] = a != b
-			case "<":
-				out[i] = a < b
-			case "<=":
-				out[i] = a <= b
-			case ">":
-				out[i] = a > b
-			case ">=":
-				out[i] = a >= b
+		switch op {
+		case "==":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = a[ia] == b[ib]
+			}
+		case "!=":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = a[ia] != b[ib]
+			}
+		case "<":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = a[ia] < b[ib]
+			}
+		case "<=":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = a[ia] <= b[ib]
+			}
+		case ">":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = a[ia] > b[ib]
+			}
+		case ">=":
+			for i, ia, ib := 0, 0, 0; i < n; i, ia, ib = i+1, wrap(ia, a), wrap(ib, b) {
+				out[i] = a[ia] >= b[ib]
 			}
 		}
 		return &BoolVec{V: out}, nil
 	}
 	return nil, fmt.Errorf("rlite: unknown operator %q", op)
+}
+
+// maxSeqLen bounds a:b, whose length a and b alone decide: past it the
+// count overflows or the vector cannot be allocated.
+const maxSeqLen = math.MaxInt32
+
+// wrap is the index after i into v, back to 0 past its end.
+func wrap(i int, v []float64) int {
+	if i++; i == len(v) {
+		return 0
+	}
+	return i
 }
 
 func recycleLen(a, b int) int {

@@ -8,6 +8,11 @@
 // and the element kind travel back out bit-exact, without the elements
 // ever being rendered as text.
 //
+// jlite also holds an array born inside it in this form while its
+// elements are all int64 or all float64 (a column), and the elementwise
+// kernels in kernel.go run as typed loops over columns and blob views
+// alike.
+//
 // pylite and jlite share this one implementation; each configures a
 // Profile so error messages keep their package's prefix and type
 // vocabulary ("pylite: ... got str" vs "jlite: ... got String"), which
@@ -100,11 +105,9 @@ func (v *Vec) SetAt(i int, x any) error {
 			return nil
 		}
 		// Float element kinds: the integer must be exactly representable
-		// in float64 before the float path may narrow it further. 2^63
-		// is the one round-trip boundary int64(f) cannot probe safely.
-		const twoTo63 = float64(9223372036854775808)
-		f := float64(n)
-		if f == twoTo63 || int64(f) != n {
+		// in float64 before the float path may narrow it further.
+		f, ok := exactFloat(n)
+		if !ok {
 			return fmt.Errorf("%s: %d is not representable as %s", v.p.Prefix, n, v.B.Elem)
 		}
 		return v.setFloat(i, f)
@@ -239,10 +242,9 @@ func FloatsExact[V any](p *Profile, items []V) ([]float64, error) {
 	out := make([]float64, len(items))
 	for i, it := range items {
 		if n, ok := any(it).(int64); ok {
-			const twoTo63 = float64(9223372036854775808)
-			f := float64(n)
-			if f == twoTo63 || int64(f) != n {
-				return nil, fmt.Errorf("%s: int64 value %d is not exactly representable as a float64", p.Prefix, n)
+			f, err := p.exactFloat(n)
+			if err != nil {
+				return nil, err
 			}
 			out[i] = f
 			continue
@@ -254,4 +256,22 @@ func FloatsExact[V any](p *Profile, items []V) ([]float64, error) {
 		out[i] = f
 	}
 	return out, nil
+}
+
+// exactFloat converts n to float64, reporting whether the conversion is
+// exact. 2^63 is the one round-trip boundary int64(f) cannot probe
+// safely.
+func exactFloat(n int64) (float64, bool) {
+	const twoTo63 = float64(9223372036854775808)
+	f := float64(n)
+	return f, f != twoTo63 && int64(f) == n
+}
+
+// exactFloat is exactFloat with FloatsExact's error.
+func (p *Profile) exactFloat(n int64) (float64, error) {
+	f, ok := exactFloat(n)
+	if !ok {
+		return 0, fmt.Errorf("%s: int64 value %d is not exactly representable as a float64", p.Prefix, n)
+	}
+	return f, nil
 }
