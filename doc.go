@@ -120,10 +120,16 @@
 // stores: turbine::value reads the source as that type, promoting an
 // integer member into a float destination, so nothing asks a TD its type.
 //
-// Caching is keyed purely on source text and stores only parse results —
-// never values, bindings, or namespace state — so behaviour under upvar,
-// uplevel, catch, and proc redefinition is unchanged; see
-// internal/tcl/cache_test.go for the invariants. The bounded cache type
+// Caching is keyed purely on source text and stores parse results, never
+// values or bindings, so behaviour under upvar, uplevel, catch, and proc
+// redefinition is unchanged; see internal/tcl/cache_test.go for the
+// invariants. One kind of namespace state does ride in a cached parse:
+// pylite resolves each name once, so its cached AST holds a def's frame
+// slot numbers (fixed by the source) and, per module-scope name, the
+// number of its slot in that interpreter's global table, trusted only
+// while the table's generation is unchanged (Reset and each new global
+// name advance it); a cached fragment therefore still sees every
+// rebinding, deletion and Reset. The bounded cache type
 // itself lives in internal/memo and is shared by every embedded
 // interpreter: internal/pylite, internal/rlite, internal/jlite and the
 // tcl engine memoize fragment parses through one front door over it,

@@ -834,17 +834,7 @@ func scalarBinop(op string, l, r Value) (Value, error) {
 			if ri < 0 {
 				return math.Pow(float64(li), float64(ri)), nil
 			}
-			// Exponentiation by squaring: same wrap-on-overflow semantics
-			// as Julia's Int ^, but O(log n) — a huge computed exponent
-			// must not spin the worker rank.
-			base, out := li, int64(1)
-			for e := ri; e > 0; e >>= 1 {
-				if e&1 == 1 {
-					out *= base
-				}
-				base *= base
-			}
-			return out, nil
+			return vecview.IntPow(li, ri), nil // wraps as Julia's Int ^ does
 		case "==", "!=", "<", "<=", ">", ">=":
 			return cmpResult(op, cmpInt(li, ri)), nil
 		}

@@ -57,7 +57,21 @@ func init() {
 }
 
 // argName is the pre-bound variable name of extra argument i (0-based).
-func argName(i int) string { return fmt.Sprintf("argv%d", i+1) }
+// Every leaf binds its arguments by name, so the first few names are
+// made once rather than formatted per argument per leaf.
+func argName(i int) string {
+	if i < len(argNames) {
+		return argNames[i]
+	}
+	return fmt.Sprintf("argv%d", i+1)
+}
+
+var argNames = func() (names [16]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("argv%d", i+1)
+	}
+	return names
+}()
 
 // scriptInterp is what a script engine needs of an interpreter whose
 // native values are N: argv binding, the code and expression halves of a

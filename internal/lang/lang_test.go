@@ -603,3 +603,11 @@ func TestJuliaEngineColumnOutlivesLaterWrites(t *testing.T) {
 		t.Fatalf("first %v, second %v", a, b)
 	}
 }
+
+func TestArgNamesAcrossTheTable(t *testing.T) {
+	for i := 0; i < 2*len(argNames)+2; i++ {
+		if got, want := argName(i), fmt.Sprintf("argv%d", i+1); got != want {
+			t.Fatalf("argName(%d) = %q, want %q", i, got, want)
+		}
+	}
+}

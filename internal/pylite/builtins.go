@@ -38,40 +38,18 @@ func init() {
 			return nil, fmt.Errorf("pylite: object of type %s has no len()", typeName(args[0]))
 		}),
 		"range": Builtin(func(in *Interp, args []Value) (Value, error) {
-			var lo, hi, step int64 = 0, 0, 1
-			switch len(args) {
-			case 1:
-				h, ok := args[0].(int64)
-				if !ok {
-					return nil, fmt.Errorf("pylite: range() needs ints")
-				}
-				hi = h
-			case 2, 3:
-				l, ok1 := args[0].(int64)
-				h, ok2 := args[1].(int64)
-				if !ok1 || !ok2 {
-					return nil, fmt.Errorf("pylite: range() needs ints")
-				}
-				lo, hi = l, h
-				if len(args) == 3 {
-					s, ok := args[2].(int64)
-					if !ok || s == 0 {
-						return nil, fmt.Errorf("pylite: range() step must be a non-zero int")
-					}
-					step = s
-				}
-			default:
-				return nil, fmt.Errorf("pylite: range() takes 1-3 arguments")
+			vs := make([]val, len(args))
+			for i, a := range args {
+				vs[i] = unbox(a)
+			}
+			i, step, n, err := rangeOf(vs)
+			if err != nil {
+				return nil, err
 			}
 			out := &List{}
-			if step > 0 {
-				for i := lo; i < hi; i += step {
-					out.Items = append(out.Items, i)
-				}
-			} else {
-				for i := lo; i > hi; i += step {
-					out.Items = append(out.Items, i)
-				}
+			for ; n > 0; n-- {
+				out.Items = append(out.Items, i)
+				i += step
 			}
 			return out, nil
 		}),
@@ -215,7 +193,7 @@ func init() {
 			out := append([]Value(nil), items...)
 			var sortErr error
 			sort.SliceStable(out, func(i, j int) bool {
-				c, err := binop("<", out[i], out[j])
+				c, err := binop(opLt, out[i], out[j])
 				if err != nil && sortErr == nil {
 					sortErr = err
 				}
@@ -329,9 +307,9 @@ func minMax(name string, sign int) func(*Interp, []Value) (Value, error) {
 		if len(items) == 0 {
 			return nil, fmt.Errorf("pylite: %s() of empty sequence", name)
 		}
-		op := "<"
+		op := opLt
 		if sign > 0 {
-			op = ">"
+			op = opGt
 		}
 		best := items[0]
 		for _, it := range items[1:] {
@@ -405,7 +383,7 @@ func boundMethod(obj Value, name string) (Value, error) {
 			return Builtin(func(in *Interp, args []Value) (Value, error) {
 				var sortErr error
 				sort.SliceStable(o.Items, func(i, j int) bool {
-					c, err := binop("<", o.Items[i], o.Items[j])
+					c, err := binop(opLt, o.Items[i], o.Items[j])
 					if err != nil && sortErr == nil {
 						sortErr = err
 					}

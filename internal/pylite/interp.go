@@ -21,9 +21,10 @@ type Value any
 type List struct{ Items []Value }
 
 // Dict is a Python dict with insertion-ordered keys. Keys must be
-// hashable values (bool, int64, float64, string).
+// hashable values (bool, int64, float64, string); equal numbers (True,
+// 1 and 1.0) are one key, which keeps the form it was first set with.
 type Dict struct {
-	m     map[Value]Value
+	m     map[Value]Value // by dictKey
 	order []Value
 }
 
@@ -32,26 +33,28 @@ func NewDict() *Dict { return &Dict{m: map[Value]Value{}} }
 
 // Get looks up a key.
 func (d *Dict) Get(k Value) (Value, bool) {
-	v, ok := d.m[k]
+	v, ok := d.m[dictKey(k)]
 	return v, ok
 }
 
 // Set assigns a key.
 func (d *Dict) Set(k, v Value) {
-	if _, exists := d.m[k]; !exists {
+	dk := dictKey(k)
+	if _, exists := d.m[dk]; !exists {
 		d.order = append(d.order, k)
 	}
-	d.m[k] = v
+	d.m[dk] = v
 }
 
 // Del removes a key.
 func (d *Dict) Del(k Value) {
-	if _, exists := d.m[k]; !exists {
+	dk := dictKey(k)
+	if _, exists := d.m[dk]; !exists {
 		return
 	}
-	delete(d.m, k)
+	delete(d.m, dk)
 	for i, o := range d.order {
-		if o == k {
+		if dictKey(o) == dk {
 			d.order = append(d.order[:i], d.order[i+1:]...)
 			break
 		}
@@ -64,32 +67,33 @@ func (d *Dict) Keys() []Value { return append([]Value(nil), d.order...) }
 // Len returns the entry count.
 func (d *Dict) Len() int { return len(d.m) }
 
-// Func is a user-defined function (def or lambda).
+// Func is a user-defined function (def or lambda) and the frame it
+// closes over (nil at module scope).
 type Func struct {
-	name    string
-	params  []string
-	body    []pstmt
-	expr    pexpr // lambda body
-	closure *env
+	code    *fnCode
+	closure *frame
 }
 
 // Builtin is a Go-implemented function.
 type Builtin func(in *Interp, args []Value) (Value, error)
 
-// env is a lexical environment.
-type env struct {
-	vars    map[string]Value
-	parent  *env
-	globals map[string]bool // names declared global in this scope
+// frame is one call's slots, sized by resolveFn; up is the frame the
+// function closes over. A call allocates its frame and nothing else:
+// a small one keeps its slots inline.
+type frame struct {
+	up    *frame
+	slots []val
+	small [4]val
 }
 
-func (e *env) lookup(name string) (Value, bool) {
-	for cur := e; cur != nil; cur = cur.parent {
-		if v, ok := cur.vars[name]; ok {
-			return v, true
-		}
+func newFrame(fn *Func) *frame {
+	fr := &frame{up: fn.closure}
+	if n := fn.code.nslots; n <= len(fr.small) {
+		fr.slots = fr.small[:n]
+	} else {
+		fr.slots = make([]val, n)
 	}
-	return nil, false
+	return fr
 }
 
 // Interp is one embedded Python interpreter instance with persistent
@@ -97,9 +101,16 @@ func (e *env) lookup(name string) (Value, bool) {
 // output. Each worker rank owns its own instance; the retain/reinit state
 // policy of the paper is implemented by Reset.
 type Interp struct {
-	globals *env
-	Out     io.Writer
-	depth   int
+	// gslots is the global namespace, one slot per name bound since the
+	// last Reset; gindex numbers the names. gen changes whenever a name
+	// is numbered or Reset renumbers them all, so a cached resolution
+	// (eName.gslot) is good while its ggen equals gen.
+	gslots []val
+	gindex map[string]int
+	gen    uint64
+	ret    val // the value a return statement is unwinding with
+	Out    io.Writer
+	depth  int
 	// InitCost simulates the fixed cost of interpreter initialisation
 	// (loading an interpreter library is not free on a real system);
 	// benchmarks use it to model retain-vs-reinit trade-offs.
@@ -112,13 +123,16 @@ type Interp struct {
 
 // New creates an interpreter with builtins installed.
 func New() *Interp {
-	in := &Interp{Out: os.Stdout, parses: memo.NewParses(parseModule, parseExprString)}
+	in := &Interp{Out: os.Stdout, gindex: map[string]int{}, parses: memo.NewParses(parseModule, parseExprString)}
 	in.reset()
 	return in
 }
 
 func (in *Interp) reset() {
-	in.globals = &env{vars: map[string]Value{}}
+	clear(in.gslots)
+	in.gslots = in.gslots[:0]
+	clear(in.gindex)
+	in.gen++
 	if in.InitCost != nil {
 		in.InitCost()
 	}
@@ -131,16 +145,86 @@ func (in *Interp) Reset() { in.reset() }
 // SetGlobal binds a value (including a Builtin) into the interpreter's
 // global namespace; hosts use it to expose Go functions to Python code,
 // as a C embedding would via the CPython API.
-func (in *Interp) SetGlobal(name string, v Value) { in.globals.vars[name] = v }
+func (in *Interp) SetGlobal(name string, v Value) {
+	i := in.global(name) // may grow gslots: index it after
+	in.gslots[i] = unbox(v)
+}
 
 // DelGlobal removes a global binding (a no-op if absent); hosts use it
 // to unbind stale pre-bound arguments between fragments.
-func (in *Interp) DelGlobal(name string) { delete(in.globals.vars, name) }
+func (in *Interp) DelGlobal(name string) {
+	if i, ok := in.gindex[name]; ok {
+		in.gslots[i] = val{}
+	}
+}
+
+// global returns name's global slot, numbering a new one if need be.
+func (in *Interp) global(name string) int {
+	i, ok := in.gindex[name]
+	if !ok {
+		i = len(in.gslots)
+		in.gslots = append(in.gslots, val{})
+		in.gindex[name] = i
+		in.gen++
+	}
+	return i
+}
+
+// gslot returns x's global slot, or -1 when x has none and bind is
+// false; the answer is cached in x until gen moves.
+func (in *Interp) gslot(x *eName, bind bool) int {
+	if x.ggen != in.gen || (x.gslot < 0 && bind) {
+		x.gslot = -1
+		if i, ok := in.gindex[x.name]; ok {
+			x.gslot = i
+		} else if bind {
+			x.gslot = in.global(x.name)
+		}
+		x.ggen = in.gen
+	}
+	return x.gslot
+}
+
+// slot returns the slot a read of x finds set: x's own frame's, then
+// each enclosing frame's that binds it, then its global one; nil when
+// none is. The pointer is good until the next global is numbered.
+func (in *Interp) slot(x *eName, f *frame) *val {
+	if x.local >= 0 {
+		if s := &f.slots[x.local]; s.k != kUnset {
+			return s
+		}
+	}
+	for _, u := range x.outer {
+		g := f
+		for d := u.depth; d > 0; d-- {
+			g = g.up
+		}
+		if s := &g.slots[u.slot]; s.k != kUnset {
+			return s
+		}
+	}
+	if i := in.gslot(x, false); i >= 0 {
+		if s := &in.gslots[i]; s.k != kUnset {
+			return s
+		}
+	}
+	return nil
+}
+
+// store binds x, in its frame slot or else its global one.
+func (in *Interp) store(x *eName, f *frame, v val) {
+	if x.local >= 0 {
+		f.slots[x.local] = v
+		return
+	}
+	i := in.gslot(x, true) // may grow gslots: index it after
+	in.gslots[i] = v
+}
 
 // control-flow sentinels
 type breakErr struct{}
 type continueErr struct{}
-type returnErr struct{ v Value }
+type returnErr struct{} // the value is in Interp.ret
 
 func (breakErr) Error() string    { return "pylite: break outside loop" }
 func (continueErr) Error() string { return "pylite: continue outside loop" }
@@ -154,12 +238,7 @@ func (in *Interp) Exec(code string) error {
 	if err != nil {
 		return err
 	}
-	for _, s := range stmts {
-		if err := in.execStmt(s, in.globals); err != nil {
-			return err
-		}
-	}
-	return nil
+	return in.execBlock(stmts, nil)
 }
 
 // EvalExpr evaluates a single expression against the globals, memoizing
@@ -169,7 +248,7 @@ func (in *Interp) EvalExpr(expr string) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return in.eval(e, in.globals)
+	return in.eval(e, nil)
 }
 
 // ParseStats reports the fragment cache's counters.
@@ -193,53 +272,61 @@ func (in *Interp) EvalFragment(code, expr string) (string, error) {
 	return Str(v), nil
 }
 
-func (in *Interp) execBlock(stmts []pstmt, e *env) error {
+func (in *Interp) execBlock(stmts []pstmt, f *frame) error {
 	for _, s := range stmts {
-		if err := in.execStmt(s, e); err != nil {
+		if err := in.execStmt(s, f); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (in *Interp) execStmt(s pstmt, e *env) error {
+// loopBody runs one iteration; stop reports a break, or an error.
+func (in *Interp) loopBody(body []pstmt, f *frame) (stop bool, err error) {
+	err = in.execBlock(body, f)
+	switch err.(type) {
+	case nil, continueErr:
+		return false, nil
+	case breakErr:
+		return true, nil
+	}
+	return true, err
+}
+
+func (in *Interp) execStmt(s pstmt, f *frame) error {
 	switch st := s.(type) {
-	case *sExpr:
-		_, err := in.eval(st.x, e)
-		return err
 	case *sAssign:
-		return in.assign(st, e)
+		return in.assign(st, f)
+	case *sExpr:
+		_, err := in.ev(st.x, f)
+		return err
 	case *sIf:
-		c, err := in.eval(st.cond, e)
+		c, err := in.ev(st.cond, f)
 		if err != nil {
 			return err
 		}
-		if truthy(c) {
-			return in.execBlock(st.then, e)
+		if c.truthy() {
+			return in.execBlock(st.then, f)
 		}
-		return in.execBlock(st.els, e)
+		return in.execBlock(st.els, f)
 	case *sWhile:
 		for {
-			c, err := in.eval(st.cond, e)
+			c, err := in.ev(st.cond, f)
 			if err != nil {
 				return err
 			}
-			if !truthy(c) {
+			if !c.truthy() {
 				return nil
 			}
-			err = in.execBlock(st.body, e)
-			if _, ok := err.(breakErr); ok {
-				return nil
-			}
-			if _, ok := err.(continueErr); ok {
-				continue
-			}
-			if err != nil {
+			if stop, err := in.loopBody(st.body, f); stop {
 				return err
 			}
 		}
 	case *sFor:
-		seq, err := in.eval(st.seq, e)
+		if st.rng != nil && in.slot(st.rng.fn.(*eName), f) == nil {
+			return in.forRange(st, f)
+		}
+		seq, err := in.eval(st.seq, f)
 		if err != nil {
 			return err
 		}
@@ -249,74 +336,62 @@ func (in *Interp) execStmt(s pstmt, e *env) error {
 		}
 		for _, item := range items {
 			if len(st.vars) == 1 {
-				in.bind(e, st.vars[0], item)
+				in.store(st.vars[0], f, unbox(item))
 			} else {
 				parts, ok := item.(*List)
 				if !ok || len(parts.Items) != len(st.vars) {
 					return fmt.Errorf("pylite: cannot unpack %s into %d variables", Repr(item), len(st.vars))
 				}
-				for i, name := range st.vars {
-					in.bind(e, name, parts.Items[i])
+				for i, x := range st.vars {
+					in.store(x, f, unbox(parts.Items[i]))
 				}
 			}
-			err := in.execBlock(st.body, e)
-			if _, ok := err.(breakErr); ok {
-				return nil
-			}
-			if _, ok := err.(continueErr); ok {
-				continue
-			}
-			if err != nil {
+			if stop, err := in.loopBody(st.body, f); stop {
 				return err
 			}
 		}
 		return nil
 	case *sDef:
-		fn := &Func{name: st.name, params: st.params, body: st.body, closure: e}
-		in.bind(e, st.name, fn)
+		in.store(st.target, f, val{k: kBoxed, x: &Func{code: st.fn, closure: f}})
 		return nil
 	case *sReturn:
-		var v Value
+		v := none
 		if st.x != nil {
 			var err error
-			v, err = in.eval(st.x, e)
-			if err != nil {
+			if v, err = in.ev(st.x, f); err != nil {
 				return err
 			}
 		}
-		return returnErr{v: v}
+		in.ret = v
+		return returnErr{}
 	case *sBreak:
 		return breakErr{}
 	case *sContinue:
 		return continueErr{}
-	case *sPass:
-		return nil
-	case *sGlobal:
-		if e.globals == nil {
-			e.globals = map[string]bool{}
-		}
-		for _, n := range st.names {
-			e.globals[n] = true
-		}
+	case *sPass, *sGlobal: // a global declaration acts through resolveFn
 		return nil
 	case *sImport:
-		mod, err := in.importModule(st.name)
+		mod, err := in.importModule(st.target.name)
 		if err != nil {
 			return err
 		}
-		in.bind(e, st.name, mod)
+		in.store(st.target, f, val{k: kBoxed, x: mod})
 		return nil
 	case *sDel:
 		switch t := st.target.(type) {
 		case *eName:
-			delete(e.vars, t.name)
+			if t.local >= 0 {
+				f.slots[t.local] = val{}
+			} else if i := in.gslot(t, false); i >= 0 {
+				in.gslots[i] = val{}
+			}
 			return nil
 		case *eSub:
-			obj, err := in.eval(t.obj, e)
+			obj, err := in.eval(t.obj, f)
 			if err != nil {
 				return err
 			}
-			idx, err := in.eval(t.idx, e)
+			idx, err := in.eval(t.idx, f)
 			if err != nil {
 				return err
 			}
@@ -331,63 +406,115 @@ func (in *Interp) execStmt(s pstmt, e *env) error {
 	return fmt.Errorf("pylite: unknown statement %T", s)
 }
 
-func (in *Interp) bind(e *env, name string, v Value) {
-	if e.globals != nil && e.globals[name] {
-		in.globals.vars[name] = v
-		return
-	}
-	e.vars[name] = v
-}
-
-func (in *Interp) assign(st *sAssign, e *env) error {
-	v, err := in.eval(st.value, e)
-	if err != nil {
-		return err
-	}
-	if st.op != "=" {
-		// Augmented: read-modify-write.
-		old, err := in.eval(st.target, e)
+// forRange runs "for v in range(...)" while range is still the builtin:
+// its arguments are evaluated once and v steps as an unboxed int, with
+// no list built.
+func (in *Interp) forRange(st *sFor, f *frame) error {
+	var buf [3]val
+	args := buf[:0]
+	for _, a := range st.rng.args {
+		v, err := in.ev(a, f)
 		if err != nil {
 			return err
 		}
-		op := strings.TrimSuffix(st.op, "=")
-		v, err = binop(op, old, v)
+		args = append(args, v)
+	}
+	i, step, n, err := rangeOf(args)
+	if err != nil {
+		return err
+	}
+	for ; n > 0; n-- {
+		in.store(st.vars[0], f, intv(i))
+		if stop, err := in.loopBody(st.body, f); stop {
+			return err
+		}
+		i += step
+	}
+	return nil
+}
+
+// rangeOf reads range()'s arguments as its first item, step and length.
+func rangeOf(args []val) (lo, step int64, n uint64, err error) {
+	var hi int64
+	step = 1
+	switch len(args) {
+	case 1:
+		if args[0].k != kInt {
+			return 0, 0, 0, fmt.Errorf("pylite: range() needs ints")
+		}
+		hi = args[0].int()
+	case 2, 3:
+		if args[0].k != kInt || args[1].k != kInt {
+			return 0, 0, 0, fmt.Errorf("pylite: range() needs ints")
+		}
+		lo, hi = args[0].int(), args[1].int()
+		if len(args) == 3 {
+			if args[2].k != kInt || args[2].n == 0 {
+				return 0, 0, 0, fmt.Errorf("pylite: range() step must be a non-zero int")
+			}
+			step = args[2].int()
+		}
+	default:
+		return 0, 0, 0, fmt.Errorf("pylite: range() takes 1-3 arguments")
+	}
+	switch {
+	case step > 0 && lo < hi:
+		n = (uint64(hi)-uint64(lo)-1)/uint64(step) + 1
+	case step < 0 && lo > hi:
+		n = (uint64(lo)-uint64(hi)-1)/(-uint64(step)) + 1
+	}
+	return lo, step, n, nil
+}
+
+func (in *Interp) assign(st *sAssign, f *frame) error {
+	v, err := in.ev(st.value, f)
+	if err != nil {
+		return err
+	}
+	if st.aug {
+		// Augmented: read-modify-write.
+		old, err := in.ev(st.target, f)
+		if err != nil {
+			return err
+		}
+		v, err = binv(st.op, old, v)
 		if err != nil {
 			return err
 		}
 	}
 	switch t := st.target.(type) {
 	case *eName:
-		in.bind(e, t.name, v)
+		in.store(t, f, v)
 		return nil
 	case *eSub:
-		obj, err := in.eval(t.obj, e)
+		obj, err := in.eval(t.obj, f)
 		if err != nil {
 			return err
 		}
-		idx, err := in.eval(t.idx, e)
+		idx, err := in.ev(t.idx, f)
 		if err != nil {
 			return err
 		}
 		switch o := obj.(type) {
 		case *List:
-			i, err := listIndex(idx, len(o.Items))
+			i, err := index(idx, len(o.Items))
 			if err != nil {
 				return err
 			}
-			o.Items[i] = v
+			o.Items[i] = v.box()
 			return nil
 		case *Vec:
-			i, err := listIndex(idx, o.Len())
+			i, err := index(idx, o.Len())
 			if err != nil {
 				return err
 			}
-			return o.SetAt(i, v)
+			return o.SetAt(i, v.box())
 		case *Dict:
-			if !hashable(idx) {
-				return fmt.Errorf("pylite: unhashable key %s", Repr(idx))
+			k := idx.box()
+			if !hashable(k) {
+				return fmt.Errorf("pylite: unhashable key %s", Repr(k))
 			}
-			o.Set(idx, v)
+			o.Set(k, v.box())
 			return nil
 		}
 		return fmt.Errorf("pylite: cannot subscript-assign %s", typeName(obj))
@@ -403,11 +530,13 @@ func hashable(v Value) bool {
 	return false
 }
 
-func listIndex(idx Value, n int) (int, error) {
-	i, ok := idx.(int64)
-	if !ok {
-		return 0, fmt.Errorf("pylite: list index must be int, got %s", typeName(idx))
+func listIndex(idx Value, n int) (int, error) { return index(unbox(idx), n) }
+
+func index(idx val, n int) (int, error) {
+	if idx.k != kInt {
+		return 0, fmt.Errorf("pylite: list index must be int, got %s", typeName(idx.box()))
 	}
+	i := idx.int()
 	j := int(i)
 	if j < 0 {
 		j += n
@@ -632,142 +761,136 @@ func statMedian(in *Interp, args []Value) (Value, error) {
 
 // ---- evaluation ----
 
-func (in *Interp) eval(x pexpr, e *env) (Value, error) {
+// eval evaluates x to a Value. A name's number is boxed in its slot, so
+// it escapes from there at most once.
+func (in *Interp) eval(x pexpr, f *frame) (Value, error) {
+	if n, ok := x.(*eName); ok {
+		if s := in.slot(n, f); s != nil {
+			return s.box(), nil
+		}
+	}
+	v, err := in.ev(x, f)
+	return v.box(), err
+}
+
+// ev evaluates x, leaving a number unboxed.
+func (in *Interp) ev(x pexpr, f *frame) (val, error) {
 	switch ex := x.(type) {
-	case *eNum:
-		if ex.isFloat {
-			return ex.f, nil
-		}
-		return ex.i, nil
-	case *eStr:
-		return ex.s, nil
-	case *eBool:
-		return ex.b, nil
-	case *eNone:
-		return nil, nil
 	case *eName:
-		if v, ok := e.lookup(ex.name); ok {
-			return v, nil
+		if s := in.slot(ex, f); s != nil {
+			return *s, nil
 		}
-		if b, ok := pyBuiltins[ex.name]; ok {
-			return b, nil
+		if ex.builtin != nil {
+			return val{k: kBoxed, x: ex.builtin}, nil
 		}
-		return nil, fmt.Errorf("pylite: name %q is not defined", ex.name)
+		return val{}, fmt.Errorf("pylite: name %q is not defined", ex.name)
+	case *eConst:
+		return ex.v, nil
 	case *eBin:
-		if ex.op == "and" {
-			l, err := in.eval(ex.l, e)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(l) {
-				return l, nil
-			}
-			return in.eval(ex.r, e)
-		}
-		if ex.op == "or" {
-			l, err := in.eval(ex.l, e)
-			if err != nil {
-				return nil, err
-			}
-			if truthy(l) {
-				return l, nil
-			}
-			return in.eval(ex.r, e)
-		}
-		l, err := in.eval(ex.l, e)
+		l, err := in.ev(ex.l, f)
 		if err != nil {
-			return nil, err
-		}
-		r, err := in.eval(ex.r, e)
-		if err != nil {
-			return nil, err
-		}
-		return binop(ex.op, l, r)
-	case *eUn:
-		v, err := in.eval(ex.x, e)
-		if err != nil {
-			return nil, err
+			return val{}, err
 		}
 		switch ex.op {
-		case "-":
-			switch n := v.(type) {
-			case int64:
-				return -n, nil
-			case float64:
-				return -n, nil
+		case opAnd:
+			if !l.truthy() {
+				return l, nil
 			}
-			return nil, fmt.Errorf("pylite: bad operand for unary -: %s", typeName(v))
-		case "not":
-			return !truthy(v), nil
+			return in.ev(ex.r, f)
+		case opOr:
+			if l.truthy() {
+				return l, nil
+			}
+			return in.ev(ex.r, f)
 		}
-		return nil, fmt.Errorf("pylite: unknown unary op %q", ex.op)
+		r, err := in.ev(ex.r, f)
+		if err != nil {
+			return val{}, err
+		}
+		return binv(ex.op, l, r)
+	case *eUn:
+		v, err := in.ev(ex.x, f)
+		if err != nil {
+			return val{}, err
+		}
+		if ex.op == opNot {
+			return boolv(!v.truthy()), nil
+		}
+		switch v.k {
+		case kInt:
+			return intv(-v.int()), nil
+		case kFloat:
+			return floatv(-v.float()), nil
+		}
+		return val{}, fmt.Errorf("pylite: bad operand for unary -: %s", typeName(v.box()))
 	case *eList:
 		lst := &List{}
 		for _, el := range ex.elems {
-			v, err := in.eval(el, e)
+			v, err := in.eval(el, f)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
 			lst.Items = append(lst.Items, v)
 		}
-		return lst, nil
+		return val{k: kBoxed, x: lst}, nil
 	case *eDict:
 		d := NewDict()
 		for i := range ex.keys {
-			k, err := in.eval(ex.keys[i], e)
+			k, err := in.eval(ex.keys[i], f)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
 			if !hashable(k) {
-				return nil, fmt.Errorf("pylite: unhashable key %s", Repr(k))
+				return val{}, fmt.Errorf("pylite: unhashable key %s", Repr(k))
 			}
-			v, err := in.eval(ex.vals[i], e)
+			v, err := in.eval(ex.vals[i], f)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
 			d.Set(k, v)
 		}
-		return d, nil
+		return val{k: kBoxed, x: d}, nil
 	case *eSub:
-		obj, err := in.eval(ex.obj, e)
+		obj, err := in.eval(ex.obj, f)
 		if err != nil {
-			return nil, err
+			return val{}, err
 		}
-		idx, err := in.eval(ex.idx, e)
+		idx, err := in.ev(ex.idx, f)
 		if err != nil {
-			return nil, err
+			return val{}, err
 		}
 		switch o := obj.(type) {
 		case *List:
-			i, err := listIndex(idx, len(o.Items))
+			i, err := index(idx, len(o.Items))
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return o.Items[i], nil
+			return unbox(o.Items[i]), nil
 		case *Vec:
-			i, err := listIndex(idx, o.Len())
+			i, err := index(idx, o.Len())
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return o.At(i), nil
+			return unbox(o.At(i)), nil
 		case string:
-			i, err := listIndex(idx, len(o))
+			i, err := index(idx, len(o))
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return string(o[i]), nil
+			return val{k: kBoxed, x: string(o[i])}, nil
 		case *Dict:
-			v, ok := o.Get(idx)
+			k := idx.box()
+			v, ok := o.Get(k)
 			if !ok {
-				return nil, fmt.Errorf("pylite: KeyError: %s", Repr(idx))
+				return val{}, fmt.Errorf("pylite: KeyError: %s", Repr(k))
 			}
-			return v, nil
+			return unbox(v), nil
 		}
-		return nil, fmt.Errorf("pylite: %s is not subscriptable", typeName(obj))
+		return val{}, fmt.Errorf("pylite: %s is not subscriptable", typeName(obj))
 	case *eSlice:
-		obj, err := in.eval(ex.obj, e)
+		obj, err := in.eval(ex.obj, f)
 		if err != nil {
-			return nil, err
+			return val{}, err
 		}
 		var length int
 		switch o := obj.(type) {
@@ -776,71 +899,80 @@ func (in *Interp) eval(x pexpr, e *env) (Value, error) {
 		case string:
 			length = len(o)
 		default:
-			return nil, fmt.Errorf("pylite: %s is not sliceable", typeName(obj))
+			return val{}, fmt.Errorf("pylite: %s is not sliceable", typeName(obj))
 		}
 		lo, hi := 0, length
 		if ex.lo != nil {
-			v, err := in.eval(ex.lo, e)
+			v, err := in.ev(ex.lo, f)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
 			lo = clampIndex(v, length)
 		}
 		if ex.hi != nil {
-			v, err := in.eval(ex.hi, e)
+			v, err := in.ev(ex.hi, f)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
 			hi = clampIndex(v, length)
 		}
 		if lo > hi {
 			lo = hi
 		}
-		switch o := obj.(type) {
-		case *List:
-			return &List{Items: append([]Value(nil), o.Items[lo:hi]...)}, nil
-		case string:
-			return o[lo:hi], nil
+		if o, ok := obj.(*List); ok {
+			return val{k: kBoxed, x: &List{Items: append([]Value(nil), o.Items[lo:hi]...)}}, nil
 		}
-		return nil, nil
+		return val{k: kBoxed, x: obj.(string)[lo:hi]}, nil
 	case *eAttr:
-		obj, err := in.eval(ex.obj, e)
+		obj, err := in.eval(ex.obj, f)
 		if err != nil {
-			return nil, err
+			return val{}, err
 		}
 		if m, ok := obj.(*Dict2Mod); ok {
 			if v, ok := m.vars[ex.name]; ok {
-				return v, nil
+				return unbox(v), nil
 			}
-			return nil, fmt.Errorf("pylite: module %q has no attribute %q", m.name, ex.name)
+			return val{}, fmt.Errorf("pylite: module %q has no attribute %q", m.name, ex.name)
 		}
-		return boundMethod(obj, ex.name)
+		v, err := boundMethod(obj, ex.name)
+		return val{k: kBoxed, x: v}, err
 	case *eLambda:
-		return &Func{name: "<lambda>", params: ex.params, expr: ex.body, closure: e}, nil
+		return val{k: kBoxed, x: &Func{code: ex.fn, closure: f}}, nil
 	case *eCall:
-		fn, err := in.eval(ex.fn, e)
+		fv, err := in.ev(ex.fn, f)
 		if err != nil {
-			return nil, err
+			return val{}, err
+		}
+		if fn, ok := fv.x.(*Func); ok && len(ex.args) == len(fn.code.params) {
+			// A user function's arguments go straight into its frame,
+			// numbers unboxed.
+			fr := newFrame(fn)
+			for i, a := range ex.args {
+				if fr.slots[i], err = in.ev(a, f); err != nil {
+					return val{}, err
+				}
+			}
+			return in.run(fn, fr)
 		}
 		var args []Value
 		for _, a := range ex.args {
-			v, err := in.eval(a, e)
+			v, err := in.eval(a, f)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
 			args = append(args, v)
 		}
-		return in.call(fn, args)
+		v, err := in.call(fv.box(), args)
+		return unbox(v), err
 	}
-	return nil, fmt.Errorf("pylite: unknown expression %T", x)
+	return val{}, fmt.Errorf("pylite: unknown expression %T", x)
 }
 
-func clampIndex(v Value, n int) int {
-	i, ok := v.(int64)
-	if !ok {
+func clampIndex(v val, n int) int {
+	if v.k != kInt {
 		return 0
 	}
-	j := int(i)
+	j := int(v.int())
 	if j < 0 {
 		j += n
 	}
@@ -853,279 +985,46 @@ func clampIndex(v Value, n int) int {
 	return j
 }
 
+// call calls fn with boxed arguments (the route builtins such as map
+// take).
 func (in *Interp) call(fn Value, args []Value) (Value, error) {
 	switch f := fn.(type) {
 	case Builtin:
 		return f(in, args)
 	case *Func:
-		if len(args) != len(f.params) {
-			return nil, fmt.Errorf("pylite: %s() takes %d arguments, got %d", f.name, len(f.params), len(args))
+		if len(args) != len(f.code.params) {
+			return nil, fmt.Errorf("pylite: %s() takes %d arguments, got %d", f.code.name, len(f.code.params), len(args))
 		}
-		in.depth++
-		defer func() { in.depth-- }()
-		if in.depth > 500 {
-			return nil, fmt.Errorf("pylite: maximum recursion depth exceeded")
+		fr := newFrame(f)
+		for i, a := range args {
+			fr.slots[i] = unbox(a)
 		}
-		local := &env{vars: map[string]Value{}, parent: f.closure}
-		for i, p := range f.params {
-			local.vars[p] = args[i]
-		}
-		if f.expr != nil { // lambda
-			return in.eval(f.expr, local)
-		}
-		err := in.execBlock(f.body, local)
-		if r, ok := err.(returnErr); ok {
-			return r.v, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		return nil, nil
+		v, err := in.run(f, fr)
+		return v.box(), err
 	}
 	return nil, fmt.Errorf("pylite: %s is not callable", typeName(fn))
 }
 
-// binop implements arithmetic and comparison.
-func binop(op string, l, r Value) (Value, error) {
-	// String operations.
-	if ls, ok := l.(string); ok && op != "in" {
-		switch op {
-		case "+":
-			if rs, ok := r.(string); ok {
-				return ls + rs, nil
-			}
-		case "*":
-			if n, ok := r.(int64); ok {
-				return strings.Repeat(ls, int(n)), nil
-			}
-		case "%":
-			return pyFormat(ls, r)
-		case "==", "!=", "<", "<=", ">", ">=":
-			if rs, ok := r.(string); ok {
-				return cmpResult(op, strings.Compare(ls, rs)), nil
-			}
-			if op == "==" {
-				return false, nil
-			}
-			if op == "!=" {
-				return true, nil
-			}
-		}
+// run executes fn's body in its bound frame.
+func (in *Interp) run(fn *Func, fr *frame) (val, error) {
+	in.depth++
+	defer func() { in.depth-- }()
+	if in.depth > 500 {
+		return val{}, fmt.Errorf("pylite: maximum recursion depth exceeded")
 	}
-	if op == "in" {
-		switch c := r.(type) {
-		case *List:
-			for _, it := range c.Items {
-				if equal(l, it) {
-					return true, nil
-				}
-			}
-			return false, nil
-		case *Dict:
-			if !hashable(l) {
-				return false, nil
-			}
-			_, ok := c.Get(l)
-			return ok, nil
-		case string:
-			ls, ok := l.(string)
-			if !ok {
-				return nil, fmt.Errorf("pylite: 'in <string>' requires string operand")
-			}
-			return strings.Contains(c, ls), nil
-		}
-		return nil, fmt.Errorf("pylite: argument of type %s is not iterable", typeName(r))
+	if fn.code.expr != nil { // lambda
+		return in.ev(fn.code.expr, fr)
 	}
-	// List concatenation/repetition.
-	if ll, ok := l.(*List); ok {
-		switch op {
-		case "+":
-			if rl, ok := r.(*List); ok {
-				return &List{Items: append(append([]Value(nil), ll.Items...), rl.Items...)}, nil
-			}
-		case "*":
-			if n, ok := r.(int64); ok {
-				out := &List{}
-				for i := int64(0); i < n; i++ {
-					out.Items = append(out.Items, ll.Items...)
-				}
-				return out, nil
-			}
-		case "==":
-			rl, ok := r.(*List)
-			return ok && listEqual(ll, rl), nil
-		case "!=":
-			rl, ok := r.(*List)
-			return !(ok && listEqual(ll, rl)), nil
-		}
+	err := in.execBlock(fn.code.body, fr)
+	if _, ok := err.(returnErr); ok {
+		v := in.ret
+		in.ret = val{}
+		return v, nil
 	}
-	if op == "==" {
-		return equal(l, r), nil
+	if err != nil {
+		return val{}, err
 	}
-	if op == "!=" {
-		return !equal(l, r), nil
-	}
-	// Numeric.
-	li, lIsInt := l.(int64)
-	ri, rIsInt := r.(int64)
-	if lb, ok := l.(bool); ok {
-		li, lIsInt = boolToInt(lb), true
-	}
-	if rb, ok := r.(bool); ok {
-		ri, rIsInt = boolToInt(rb), true
-	}
-	if lIsInt && rIsInt {
-		switch op {
-		case "+":
-			return li + ri, nil
-		case "-":
-			return li - ri, nil
-		case "*":
-			return li * ri, nil
-		case "/":
-			if ri == 0 {
-				return nil, fmt.Errorf("pylite: division by zero")
-			}
-			return float64(li) / float64(ri), nil // Python 3 true division
-		case "//":
-			if ri == 0 {
-				return nil, fmt.Errorf("pylite: division by zero")
-			}
-			q := li / ri
-			if (li%ri != 0) && ((li < 0) != (ri < 0)) {
-				q--
-			}
-			return q, nil
-		case "%":
-			if ri == 0 {
-				return nil, fmt.Errorf("pylite: division by zero")
-			}
-			m := li % ri
-			if m != 0 && ((li < 0) != (ri < 0)) {
-				m += ri
-			}
-			return m, nil
-		case "**":
-			if ri < 0 {
-				return math.Pow(float64(li), float64(ri)), nil
-			}
-			out := int64(1)
-			for i := int64(0); i < ri; i++ {
-				out *= li
-			}
-			return out, nil
-		case "<", "<=", ">", ">=":
-			return cmpResult(op, cmpInt(li, ri)), nil
-		}
-	}
-	lf, errL := toFloat(l)
-	rf, errR := toFloat(r)
-	if errL != nil || errR != nil {
-		return nil, fmt.Errorf("pylite: unsupported operand types for %s: %s and %s", op, typeName(l), typeName(r))
-	}
-	switch op {
-	case "+":
-		return lf + rf, nil
-	case "-":
-		return lf - rf, nil
-	case "*":
-		return lf * rf, nil
-	case "/":
-		if rf == 0 {
-			return nil, fmt.Errorf("pylite: division by zero")
-		}
-		return lf / rf, nil
-	case "//":
-		if rf == 0 {
-			return nil, fmt.Errorf("pylite: division by zero")
-		}
-		return math.Floor(lf / rf), nil
-	case "%":
-		if rf == 0 {
-			return nil, fmt.Errorf("pylite: division by zero")
-		}
-		return math.Mod(math.Mod(lf, rf)+rf, rf), nil
-	case "**":
-		return math.Pow(lf, rf), nil
-	case "<", "<=", ">", ">=":
-		return cmpResult(op, cmpFloat(lf, rf)), nil
-	}
-	return nil, fmt.Errorf("pylite: unknown operator %q", op)
-}
-
-func boolToInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func cmpResult(op string, c int) bool {
-	switch op {
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	case ">=":
-		return c >= 0
-	case "==":
-		return c == 0
-	case "!=":
-		return c != 0
-	}
-	return false
-}
-
-func equal(l, r Value) bool {
-	if ll, ok := l.(*List); ok {
-		rl, ok := r.(*List)
-		return ok && listEqual(ll, rl)
-	}
-	lf, okL := l.(float64)
-	ri, okR := r.(int64)
-	if okL && okR {
-		return lf == float64(ri)
-	}
-	li, okL2 := l.(int64)
-	rf, okR2 := r.(float64)
-	if okL2 && okR2 {
-		return float64(li) == rf
-	}
-	return l == r
-}
-
-func listEqual(a, b *List) bool {
-	if len(a.Items) != len(b.Items) {
-		return false
-	}
-	for i := range a.Items {
-		if !equal(a.Items[i], b.Items[i]) {
-			return false
-		}
-	}
-	return true
+	return none, nil
 }
 
 // pyFormat implements the % operator on strings for common verbs.
@@ -1212,7 +1111,7 @@ func Str(v Value) string {
 	case *List, *Dict, *Vec:
 		return Repr(v)
 	case *Func:
-		return "<function " + x.name + ">"
+		return "<function " + x.code.name + ">"
 	case Builtin:
 		return "<built-in function>"
 	case *Dict2Mod:

@@ -7,6 +7,18 @@
 // (unavailable here). The interpreter supports the imperative core used
 // by scientific glue code: numbers, strings, lists, dicts, functions,
 // control flow, and a math/statistics builtin surface.
+//
+// The evaluator walks the parsed AST, which the fragment cache keeps per
+// interpreter. A name is a slot, resolved once: a name a def or lambda
+// binds is a slot of the call's frame, numbered at parse time, so a call
+// allocates that frame and nothing else; a module-scope name is a slot
+// of the interpreter's global table, found by name once and then cached
+// in the AST node until the table changes shape. Reset empties the
+// table, and the cached nodes find their names afresh. An int, float or
+// bool is held unboxed, in its slot and through arithmetic, and is
+// boxed at most once, when it escapes into a list, a builtin's
+// arguments, or the result of EvalExpr; so a scalar loop allocates
+// nothing per iteration.
 package pylite
 
 import (

@@ -6,21 +6,34 @@ import "fmt"
 
 type pexpr interface{ pexprNode() }
 
-type eNum struct {
-	isFloat bool
-	i       int64
-	f       float64
+// eConst is a literal: a number, string, True, False or None, boxed once
+// at parse time (a number is held unboxed too).
+type eConst struct{ v val }
+
+// eName is a name, read or bound. resolve fixes where it lives: local
+// is its slot in the innermost function frame that binds it (-1 at
+// module scope or when declared global), outer the enclosing frames
+// that bind it, innermost first. Every other read goes to the global
+// slot table and then to builtin. gslot caches the name's global slot
+// (-1: none yet), valid while ggen equals its Interp's gen.
+type eName struct {
+	name    string
+	local   int
+	outer   []upvar
+	builtin Value
+	gslot   int
+	ggen    uint64
 }
-type eStr struct{ s string }
-type eBool struct{ b bool }
-type eNone struct{}
-type eName struct{ name string }
+
+// upvar is a slot in the frame depth levels up from the current one.
+type upvar struct{ depth, slot int }
+
 type eBin struct {
-	op   string
+	op   opcode
 	l, r pexpr
 }
 type eUn struct {
-	op string
+	op opcode // opNeg or opNot
 	x  pexpr
 }
 type eCall struct {
@@ -41,15 +54,19 @@ type eAttr struct {
 	obj  pexpr
 	name string
 }
-type eLambda struct {
+type eLambda struct{ fn *fnCode }
+
+// fnCode is a def or lambda with its scope resolved: a call's frame has
+// nslots slots, the params first, then every other name the body binds.
+type fnCode struct {
+	name   string
 	params []string
-	body   pexpr
+	nslots int
+	body   []pstmt
+	expr   pexpr // lambda body
 }
 
-func (*eNum) pexprNode()    {}
-func (*eStr) pexprNode()    {}
-func (*eBool) pexprNode()   {}
-func (*eNone) pexprNode()   {}
+func (*eConst) pexprNode()  {}
 func (*eName) pexprNode()   {}
 func (*eBin) pexprNode()    {}
 func (*eUn) pexprNode()     {}
@@ -65,8 +82,9 @@ type pstmt interface{ pstmtNode() }
 
 type sExpr struct{ x pexpr }
 type sAssign struct {
-	target pexpr  // eName, eSub, or eAttr
-	op     string // "=" or augmented "+=" etc.
+	target pexpr // eName, eSub, or eAttr
+	aug    bool  // target op= value
+	op     opcode
 	value  pexpr
 }
 type sIf struct {
@@ -78,21 +96,21 @@ type sWhile struct {
 	body []pstmt
 }
 type sFor struct {
-	vars []string
+	vars []*eName
 	seq  pexpr
+	rng  *eCall // seq, when it is a call of the name range with one loop variable
 	body []pstmt
 }
 type sDef struct {
-	name   string
-	params []string
-	body   []pstmt
+	target *eName
+	fn     *fnCode
 }
 type sReturn struct{ x pexpr } // x may be nil
 type sBreak struct{}
 type sContinue struct{}
 type sPass struct{}
 type sGlobal struct{ names []string }
-type sImport struct{ name string }
+type sImport struct{ target *eName }
 type sDel struct{ target pexpr }
 
 func (*sExpr) pstmtNode()     {}
@@ -134,6 +152,7 @@ func parseModule(src string) ([]pstmt, error) {
 		}
 		stmts = append(stmts, s...)
 	}
+	resolveModule(stmts, nil)
 	return stmts, nil
 }
 
@@ -154,7 +173,12 @@ func parseExprString(src string) (pexpr, error) {
 	if p.cur().kind != tEOF {
 		return nil, fmt.Errorf("pylite: line %d: trailing tokens after expression", p.cur().line)
 	}
+	resolveModule(nil, e)
 	return e, nil
+}
+
+func newName(name string) *eName {
+	return &eName{name: name, local: -1, gslot: -1, builtin: pyBuiltins[name]}
 }
 
 func (p *pparser) cur() token { return p.toks[p.pos] }
@@ -201,12 +225,12 @@ func (p *pparser) stmt() ([]pstmt, error) {
 			return []pstmt{&sWhile{cond: cond, body: body}}, nil
 		case "for":
 			p.pos++
-			var vars []string
+			var vars []*eName
 			for {
 				if p.cur().kind != tName {
 					return nil, fmt.Errorf("pylite: line %d: expected loop variable", p.cur().line)
 				}
-				vars = append(vars, p.cur().text)
+				vars = append(vars, newName(p.cur().text))
 				p.pos++
 				if !p.eat(tOp, ",") {
 					break
@@ -223,7 +247,13 @@ func (p *pparser) stmt() ([]pstmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			return []pstmt{&sFor{vars: vars, seq: seq, body: body}}, nil
+			st := &sFor{vars: vars, seq: seq, body: body}
+			if c, ok := seq.(*eCall); ok && len(vars) == 1 {
+				if n, ok := c.fn.(*eName); ok && n.name == "range" {
+					st.rng = c
+				}
+			}
+			return []pstmt{st}, nil
 		case "def":
 			p.pos++
 			if p.cur().kind != tName {
@@ -252,7 +282,7 @@ func (p *pparser) stmt() ([]pstmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			return []pstmt{&sDef{name: name, params: params, body: body}}, nil
+			return []pstmt{&sDef{target: newName(name), fn: &fnCode{name: name, params: params, body: body}}}, nil
 		case "return":
 			p.pos++
 			var x pexpr
@@ -297,7 +327,7 @@ func (p *pparser) stmt() ([]pstmt, error) {
 			name := p.cur().text
 			p.pos++
 			p.eat(tNewline, "")
-			return []pstmt{&sImport{name: name}}, nil
+			return []pstmt{&sImport{target: newName(name)}}, nil
 		case "del":
 			p.pos++
 			target, err := p.expr()
@@ -313,21 +343,18 @@ func (p *pparser) stmt() ([]pstmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, op := range []string{"=", "+=", "-=", "*=", "/=", "//=", "%=", "**="} {
-		if p.at(tOp, op) {
-			// Disambiguate "=" from "==" (already a distinct token).
-			p.pos++
-			rhs, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			p.eat(tNewline, "")
-			switch x.(type) {
-			case *eName, *eSub, *eAttr:
-				return []pstmt{&sAssign{target: x, op: op, value: rhs}}, nil
-			}
-			return nil, fmt.Errorf("pylite: cannot assign to this expression")
+	if op, aug := augOps[p.cur().text]; p.cur().kind == tOp && (aug || p.cur().text == "=") {
+		p.pos++
+		rhs, err := p.expr()
+		if err != nil {
+			return nil, err
 		}
+		p.eat(tNewline, "")
+		switch x.(type) {
+		case *eName, *eSub, *eAttr:
+			return []pstmt{&sAssign{target: x, aug: aug, op: op, value: rhs}}, nil
+		}
+		return nil, fmt.Errorf("pylite: cannot assign to this expression")
 	}
 	p.eat(tNewline, "")
 	return []pstmt{&sExpr{x: x}}, nil
@@ -407,7 +434,7 @@ func (p *pparser) orExpr() (pexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &eBin{op: "or", l: l, r: r}
+		l = &eBin{op: opOr, l: l, r: r}
 	}
 	return l, nil
 }
@@ -422,7 +449,7 @@ func (p *pparser) andExpr() (pexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &eBin{op: "and", l: l, r: r}
+		l = &eBin{op: opAnd, l: l, r: r}
 	}
 	return l, nil
 }
@@ -433,7 +460,7 @@ func (p *pparser) notExpr() (pexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &eUn{op: "not", x: x}, nil
+		return &eUn{op: opNot, x: x}, nil
 	}
 	return p.cmpExpr()
 }
@@ -444,23 +471,9 @@ func (p *pparser) cmpExpr() (pexpr, error) {
 		return nil, err
 	}
 	for {
-		var op string
-		switch {
-		case p.at(tOp, "=="):
-			op = "=="
-		case p.at(tOp, "!="):
-			op = "!="
-		case p.at(tOp, "<="):
-			op = "<="
-		case p.at(tOp, ">="):
-			op = ">="
-		case p.at(tOp, "<"):
-			op = "<"
-		case p.at(tOp, ">"):
-			op = ">"
-		case p.at(tKeyword, "in"):
-			op = "in"
-		default:
+		t := p.cur()
+		op := binOps[t.text]
+		if !(t.kind == tOp && op >= opLt && op <= opNe || t.kind == tKeyword && op == opIn) {
 			return l, nil
 		}
 		p.pos++
@@ -478,7 +491,7 @@ func (p *pparser) addExpr() (pexpr, error) {
 		return nil, err
 	}
 	for p.at(tOp, "+") || p.at(tOp, "-") {
-		op := p.cur().text
+		op := binOps[p.cur().text]
 		p.pos++
 		r, err := p.mulExpr()
 		if err != nil {
@@ -495,7 +508,7 @@ func (p *pparser) mulExpr() (pexpr, error) {
 		return nil, err
 	}
 	for p.at(tOp, "*") || p.at(tOp, "/") || p.at(tOp, "//") || p.at(tOp, "%") {
-		op := p.cur().text
+		op := binOps[p.cur().text]
 		p.pos++
 		r, err := p.unExpr()
 		if err != nil {
@@ -513,7 +526,7 @@ func (p *pparser) unExpr() (pexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &eUn{op: "-", x: x}, nil
+		return &eUn{op: opNeg, x: x}, nil
 	}
 	if p.at(tOp, "+") {
 		p.pos++
@@ -533,7 +546,7 @@ func (p *pparser) powExpr() (pexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &eBin{op: "**", l: l, r: r}, nil
+		return &eBin{op: opPow, l: l, r: r}, nil
 	}
 	return l, nil
 }
@@ -610,26 +623,26 @@ func (p *pparser) atom() (pexpr, error) {
 		if _, err := fmt.Sscanf(t.text, "%d", &v); err != nil {
 			return nil, fmt.Errorf("pylite: line %d: bad int %q", t.line, t.text)
 		}
-		return &eNum{i: v}, nil
+		return &eConst{v: unbox(v)}, nil
 	case t.kind == tFloat:
 		p.pos++
 		var v float64
 		if _, err := fmt.Sscanf(t.text, "%g", &v); err != nil {
 			return nil, fmt.Errorf("pylite: line %d: bad float %q", t.line, t.text)
 		}
-		return &eNum{isFloat: true, f: v}, nil
+		return &eConst{v: unbox(v)}, nil
 	case t.kind == tStr:
 		p.pos++
-		return &eStr{s: t.text}, nil
+		return &eConst{v: unbox(t.text)}, nil
 	case t.kind == tKeyword && t.text == "True":
 		p.pos++
-		return &eBool{b: true}, nil
+		return &eConst{v: unbox(true)}, nil
 	case t.kind == tKeyword && t.text == "False":
 		p.pos++
-		return &eBool{b: false}, nil
+		return &eConst{v: unbox(false)}, nil
 	case t.kind == tKeyword && t.text == "None":
 		p.pos++
-		return &eNone{}, nil
+		return &eConst{v: none}, nil
 	case t.kind == tKeyword && t.text == "lambda":
 		p.pos++
 		var params []string
@@ -647,10 +660,10 @@ func (p *pparser) atom() (pexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &eLambda{params: params, body: body}, nil
+		return &eLambda{fn: &fnCode{name: "<lambda>", params: params, expr: body}}, nil
 	case t.kind == tName:
 		p.pos++
-		return &eName{name: t.text}, nil
+		return newName(t.text), nil
 	case t.kind == tOp && t.text == "(":
 		p.pos++
 		x, err := p.expr()

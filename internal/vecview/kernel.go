@@ -210,7 +210,7 @@ func Elementwise(p *Profile, op Op, l, r Operand, n int) (*Vec, bool) {
 		}
 	case Pow:
 		for k, o := 0, 0; k < len(b); k, o = k+8, o+rs {
-			put(k, intPow(get(b, k), get(rb, o)))
+			put(k, IntPow(get(b, k), get(rb, o)))
 		}
 	}
 	return out, true
@@ -304,9 +304,11 @@ func intDiv(a, b int64) float64 {
 	return float64(a) / float64(b)
 }
 
-// intPow is Int ^ Int for e >= 0: exponentiation by squaring, wrapping
-// on overflow, O(log e).
-func intPow(base, e int64) int64 {
+// IntPow is an int raised to an exponent e >= 0 by squaring: O(log e),
+// so a huge computed exponent cannot spin a worker, and wrapping on
+// overflow exactly as e repeated multiplications would. The int power
+// operators of pylite and jlite and the int64 column kernel share it.
+func IntPow(base, e int64) int64 {
 	out := int64(1)
 	for ; e > 0; e >>= 1 {
 		if e&1 == 1 {
