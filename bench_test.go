@@ -870,7 +870,7 @@ func TestC6BlobMarshal(t *testing.T) {
 
 func BenchmarkGatherScatter1e6(b *testing.B) {
 	const n = 1_000_000
-	cfg := adlb.Config{Servers: 1, Types: 2, NotifyType: 0}
+	cfg := adlb.Config{Servers: 1, Types: 2}
 	w, err := mpi.NewWorld(2)
 	if err != nil {
 		b.Fatal(err)

@@ -81,13 +81,16 @@
 // of the same value read the same. So the message that starts a piece of work carries
 // its small data: the code and expr strings of a python(...) call, the
 // subscript of xs[7], the bounds of a range, a loop index. A leaf's TD
-// inputs ride it too. A work rule is one Client.Put carrying the rule's
-// wait ids; the data servers hold it until they close and then queue
-// it, and the server that delivers it writes the row of each input it
-// owns into the Get response, which the worker's Retrieve and
-// RetrieveChunk serve with no RPC. So a leaf costs its engine no
-// subscribe and no notification, and its worker no chunk load: an engine
-// holds control rules only. Its result rides the other way: stored by
+// inputs ride it too. One held Put is how any rule waits: a rule is one
+// Client.Put carrying its wait ids, which the data servers hold until
+// they close. A work rule is then queued for any worker; a control rule
+// is targeted at the engine that made it, whose Get loop runs its action
+// as Tcl, as it runs a fragment turbine::spawn released. The server that
+// delivers either writes the row of each input it owns into the Get
+// response, which Retrieve and RetrieveChunk serve with no RPC. So a
+// leaf costs its worker no chunk load, and a control rule's reads of its
+// inputs cost its engine none; an engine holds no wait state of its own.
+// A leaf's result rides the other way: stored by
 // the worker's next Get when the worker's home server owns the output
 // (see the failure model), so the worker makes one request per leaf. Actions are
 // built with Tcl's list command, never by interpolation, so an immediate
@@ -110,9 +113,9 @@
 // is Client.Unique alone (ids come in blocks from the home server, so
 // most allocations are no RPC at all), and turbine::literal_* is Unique
 // plus one Store. The owning server makes the datum at its first use: a
-// Store creates it typed by the value and closed, a Subscribe or a work
-// rule waiting on it creates an open, untyped placeholder that the first
-// Store types. Only ids the
+// Store creates it typed by the value and closed, a rule waiting on it
+// creates an open, untyped placeholder that the first Store types. Only
+// ids the
 // owner issued may come into being this way, so a garbage id still
 // fails. The Turbine runtime sends opCreate only for containers;
 // Client.Create of a scalar is a typed declaration, whose store keeps its
@@ -424,10 +427,10 @@
 // loss, torn frames) run under -race in CI. Counters:
 // Result.TaskRetries/TaskFailures, adlb Stats.Requeued/Poisoned/
 // LeasesIssued/LeasesReclaimed, and the UnfilledTDs gauge, which counts
-// the data-store entries subscribed to, waited on by a work rule, or
-// created but never closed at drain (a scalar nobody stored or waited on
-// never existed). A work rule a server still holds at drain fails the
-// run, named by its action, as an engine's stalled control rule does.
+// the data-store entries waited on by a rule, or created, but never
+// closed at drain (a scalar nobody stored or waited on never existed). A
+// rule a server still holds at drain, work or control, fails the run,
+// named by its action.
 //
 // # Serving model
 //

@@ -96,13 +96,13 @@ func TestStoreChunkPopulatesContainer(t *testing.T) {
 			return err
 		}
 		// The caller still owns the creation write reference.
-		if closed, err := cl.Subscribe(cl.Rank(), []int64{c}); err != nil || closed[0] {
+		if closed, err := probeClosed(cl, c); err != nil || closed {
 			return fmt.Errorf("container closed before refcount drop: %v", err)
 		}
 		if err := cl.WriteRefcount(c, -1); err != nil {
 			return err
 		}
-		if err := awaitNotification(cl, c); err != nil {
+		if err := awaitProbe(cl, c); err != nil {
 			return fmt.Errorf("container not closed after refcount drop: %w", err)
 		}
 		pairs, err := cl.Enumerate(c)

@@ -198,10 +198,10 @@ func checkStatus(d *decoder, what string) (uint8, error) {
 }
 
 // Put submits a work item. target is AnyRank for load-balanced dispatch or
-// a specific client rank for targeted delivery (used for notifications and
+// a specific client rank for targeted delivery (used for control rules and
 // location-pinned tasks). Higher priority items are delivered first.
 //
-// With wait ids the item is a work rule: it goes to the owner of wait[0],
+// With wait ids the item is a rule: it goes to the owner of wait[0],
 // and the servers hold it until every id has closed (a scalar stored, a
 // container's write refcount at zero), then queue it. The server that
 // delivers it sends the values of the ids it owns along with it, for
@@ -374,7 +374,7 @@ func (cl *Client) Unique() (int64, error) {
 
 // Create allocates a datum of the given type under id (id must come from
 // Unique so that ownership routes correctly). Containers need it; a
-// scalar does not, since its first Store or Subscribe makes it, but a
+// scalar does not, since its first Store or wait makes it, but a
 // created scalar's Store must match typ.
 func (cl *Client) Create(id int64, typ DataType) error {
 	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
@@ -392,7 +392,7 @@ func (cl *Client) Create(id int64, typ DataType) error {
 }
 
 // Store writes the value of a single-assignment datum, closing it and
-// triggering any subscriptions. An issued id with no datum yet gets one,
+// releasing the rules held on it. An issued id with no datum yet gets one,
 // typed by v. The value travels as a one-row chunk aliasing v.Bytes, so
 // its payload is copied once, onto the wire.
 func (cl *Client) Store(id int64, v Value) error {
@@ -587,65 +587,6 @@ func (cl *Client) StoreChunk(container int64, c chunk.Chunk) error {
 	return d.finish("store_chunk response")
 }
 
-// Subscribe registers rank for a close notification on each of ids, and
-// reports which are closed already: closed[i] means ids[i] needs no wait
-// and no notification for it will be sent. The ids are grouped by owning
-// server and each server is asked once — O(servers) RPCs however many
-// ids — and each server's group is all-or-nothing: an id the owner
-// neither holds nor issued fails the call with no subscriber registered
-// on that server. An issued id with no datum yet gets an open, untyped
-// one. An id given
-// twice is subscribed twice.
-func (cl *Client) Subscribe(rank int, ids []int64) (closed []bool, err error) {
-	closed = make([]bool, len(ids))
-	// One pass over ids per server rather than a map of groups: rules
-	// have one to three inputs far more often than a container's worth.
-	for s, left := 0, len(ids); left > 0 && s < cl.l.Servers; s++ {
-		server := cl.l.ServerRank(s)
-		n := 0
-		for _, id := range ids {
-			if cl.l.OwnerOf(id) == server {
-				n++
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		left -= n
-		d, err := cl.rpc(server, func(e *encoder) {
-			e.u8(opSubscribe)
-			e.i32(int32(rank))
-			e.u32(uint32(n))
-			for _, id := range ids {
-				if cl.l.OwnerOf(id) == server {
-					e.i64(id)
-				}
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := checkStatus(d, "subscribe"); err != nil {
-			return nil, err
-		}
-		flags := d.bytes()
-		if err := d.finish("subscribe response"); err != nil {
-			return nil, err
-		}
-		if len(flags) != n {
-			return nil, fmt.Errorf("adlb: subscribe: asked about %d ids, got %d flags", n, len(flags))
-		}
-		k := 0
-		for i, id := range ids {
-			if cl.l.OwnerOf(id) == server {
-				closed[i] = flags[k] != 0
-				k++
-			}
-		}
-	}
-	return closed, nil
-}
-
 // Insert adds an existing datum as a member of a container.
 func (cl *Client) Insert(container int64, subscript string, member int64) error {
 	d, err := cl.rpc(cl.l.OwnerOf(container), func(e *encoder) {
@@ -705,7 +646,7 @@ func (cl *Client) Enumerate(container int64) ([]Pair, error) {
 }
 
 // WriteRefcount adjusts a container's write refcount. The container closes
-// (and notifies subscribers) when the count reaches zero.
+// (and releases the rules held on it) when the count reaches zero.
 func (cl *Client) WriteRefcount(id int64, delta int) error {
 	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
 		e.u8(opWriteRefcount)

@@ -17,9 +17,8 @@ type Config struct {
 	Servers int
 	// Types is the number of distinct work types (e.g. CONTROL and WORK).
 	Types int
-	// NotifyType is the work type used to wrap data-store notifications
-	// so they are delivered through the normal Get path of the
-	// subscribing rank (Turbine sets this to its control type).
+	// Deprecated: NotifyType is ignored. The servers send no close
+	// notifications; a client waits on data with a held Put.
 	NotifyType int
 	// Tick is the server housekeeping interval (steal retries,
 	// termination-token initiation). Zero selects a default of 200µs.
@@ -85,9 +84,6 @@ func (c *Config) Validate(worldSize int) error {
 	if c.Types < 1 {
 		return fmt.Errorf("adlb: config needs at least 1 work type, got %d", c.Types)
 	}
-	if c.NotifyType < 0 || c.NotifyType >= c.Types {
-		return fmt.Errorf("adlb: notify type %d out of range [0,%d)", c.NotifyType, c.Types)
-	}
 	return nil
 }
 
@@ -152,7 +148,9 @@ type Stats struct {
 	StealReqs     atomic.Int64 // steal requests sent
 	StealHits     atomic.Int64 // steal responses that contained work
 	ItemsStolen   atomic.Int64 // total items moved by stealing
-	Notifications atomic.Int64 // data-store notifications generated
+	// Deprecated: Notifications reads zero. The servers send no close
+	// notifications; a client waits on data with a held Put.
+	Notifications atomic.Int64
 	DataOps       atomic.Int64 // data-store requests served: the sum of the Op* kinds below
 	TokenRounds   atomic.Int64 // Safra termination-detection rounds begun
 	// TargetedDropped counts targeted work items discarded because the
@@ -172,7 +170,6 @@ type Stats struct {
 	// one count per request, a batched request counting once.
 	OpCreate        atomic.Int64
 	OpStore         atomic.Int64 // a result riding a Get included
-	OpSubscribe     atomic.Int64
 	OpInsert        atomic.Int64 // container insert
 	OpLookup        atomic.Int64 // container lookup
 	OpEnumerate     atomic.Int64 // container enumerate
@@ -189,8 +186,6 @@ func (s *Stats) countDataOp(op uint8) {
 		s.OpCreate.Add(1)
 	case opStore:
 		s.OpStore.Add(1)
-	case opSubscribe:
-		s.OpSubscribe.Add(1)
 	case opInsert:
 		s.OpInsert.Add(1)
 	case opLookup:
@@ -227,7 +222,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		UnfilledTDs:     s.UnfilledTDs.Load(),
 		OpCreate:        s.OpCreate.Load(),
 		OpStore:         s.OpStore.Load(),
-		OpSubscribe:     s.OpSubscribe.Load(),
 		OpInsert:        s.OpInsert.Load(),
 		OpLookup:        s.OpLookup.Load(),
 		OpEnumerate:     s.OpEnumerate.Load(),
@@ -246,7 +240,6 @@ type StatsSnapshot struct {
 	StealReqs       int64
 	StealHits       int64
 	ItemsStolen     int64
-	Notifications   int64
 	DataOps         int64
 	TokenRounds     int64
 	TargetedDropped int64
@@ -257,13 +250,14 @@ type StatsSnapshot struct {
 	UnfilledTDs     int64
 	OpCreate        int64
 	OpStore         int64
-	OpSubscribe     int64
 	OpInsert        int64
 	OpLookup        int64
 	OpEnumerate     int64
 	OpWriteRefcount int64
 	OpChunkLoad     int64
 	OpChunkStore    int64
+	// Deprecated: Notifications reads zero, as Stats.Notifications does.
+	Notifications int64
 }
 
 // Serve runs the ADLB server protocol on the calling rank until global

@@ -12,24 +12,24 @@
 // Get returns "no more work" and the deployment shuts down.
 //
 // The data store provides Turbine's typed futures: Create/Store/Retrieve
-// with single-assignment semantics, Subscribe for close notifications
-// (delivered as targeted work items through the normal Get path), and
+// with single-assignment semantics, rules held until their data closes
+// (a Put with wait ids, delivered through the normal Get path), and
 // containers with insert/lookup/enumerate plus write-refcount close
 // semantics. A scalar needs no Create: an id its owner issued through
 // Unique comes into being at its first Store (typed by the value, and
-// closed) or its first wait — a Subscribe, or a work rule held on it —
-// as an open placeholder with no type, which the first Store types
-// (reads fail until then). An id the owner never issued still fails
-// Store, Subscribe and a Put that waits on it. Create is for containers
-// and for typed declarations, whose Store checks the type. Lookup only
-// finds: a container member is always inserted by its writer.
+// closed) or its first wait — a rule held on it — as an open placeholder
+// with no type, which the first Store types (reads fail until then). An
+// id the owner never issued still fails Store and a Put that waits on
+// it. Create is for containers and for typed declarations, whose Store
+// checks the type. Lookup only finds: a container member is always
+// inserted by its writer.
 // Stats.UnfilledTDs counts the entries waited on or created but never
 // closed when a server drains.
 //
-// The client protocol is fourteen request opcodes, each with a caller in
+// The client protocol is thirteen request opcodes, each with a caller in
 // the Turbine runtime: work (put, get, fail, leave), ids (unique), the
-// data store (create, store, subscribe, insert, lookup, enumerate,
-// write-refcount) and the columnar plane (retrieve_chunk, store_chunk).
+// data store (create, store, insert, lookup, enumerate, write-refcount)
+// and the columnar plane (retrieve_chunk, store_chunk).
 // Nothing asks a datum whether it exists or what type it has: a reader
 // waits on it and names the type it wants.
 //
@@ -40,7 +40,7 @@
 // holds for it when the client's home server owns the output. The
 // server applies the store as Store would (issued id, single
 // assignment, type; the Get frame kept as the datum's backing), then
-// settles the lease, then runs the close's notifications, then serves
+// settles the lease, then releases the rules the close frees, then serves
 // the Get: store and settle are one message, and a rule the store
 // releases can go out in the reply. A refused store settles the lease
 // as a retriable failure carrying the refusal (requeue, or poison past
@@ -49,14 +49,16 @@
 // server owns is an ordinary Store, and Fail and Leave drop a pending
 // result, so the output stays open for the re-run.
 //
-// Rules wait at the servers, as ADLB_Dput's tasks do. A Put carries a
-// counted list of wait ids (none: an ordinary Put) and goes to the owner
-// of the first. That server drops the ids it owns that are closed and
+// Rules wait at the servers, as ADLB_Dput's tasks do, and a held Put is
+// the one way to wait: a Turbine work rule is one, queued for any
+// worker, and so is a control rule, targeted at the engine that made it.
+// A Put carries a counted list of wait ids (none: an ordinary Put) and
+// goes to the owner of the first. That server drops the ids it owns that are closed and
 // holds the rule on its first open one; when none of its ids is open it
 // forwards the rule, with the other owners' ids, to the next owner over
 // sopPutForward, which Safra counts like any work-bearing message. With
 // no id left open the rule is enqueued at its priority and target. A
-// held rule moves on wherever a close notifies: a Store, or a
+// held rule moves on wherever a close happens: a Store, or a
 // container's write refcount reaching zero. A repeated id is waited on
 // once, an id its owner neither holds nor issued fails the Put (or, on a
 // further owner, the run) with nothing held, and a rule still held when
@@ -69,16 +71,7 @@
 // and RetrieveChunk answer those ids from the item, valid until its next
 // Get, Fail or Leave, and make an RPC only for ids owned elsewhere.
 //
-// Subscribe — what an engine's control rules wait through — is batched,
-// and is the only form on the wire: the request is
-// opSubscribe, the subscriber's rank (i32), and a counted id list (u32 n,
-// n x i64); the response is a status byte and n closed flags as one
-// length-prefixed byte field. The client groups a call's ids by owning
-// server and sends each server one request, so a rule waiting on a whole
-// container's members costs O(servers) RPCs. A server answers its group
-// all-or-nothing: an id it neither holds nor issued fails the request,
-// naming the id, before any subscriber is registered or placeholder
-// made. A value has one wire form too, the chunk row: RetrieveChunk and
+// A value has one wire form, the chunk row: RetrieveChunk and
 // StoreChunk move a columnar chunk frame per owning server, Store sends
 // the id and a one-row chunk, and Retrieve is a one-id retrieve_chunk
 // whose not-found reply carries the id. A scalar's DataType is its row
@@ -94,7 +87,7 @@
 // frame before anything is allocated.
 // Stats.DataOps counts requests, not ids: one batch to one server is one
 // data operation, whatever it carries. The Stats.Op* counters split it
-// by kind of request (create, store, subscribe, container insert, lookup
+// by kind of request (create, store, container insert, lookup
 // and enumerate, write-refcount, chunk load — Retrieve's one id included
 // — and chunk store) and sum to it exactly. A result riding a Get counts
 // as one store, in OpStore and DataOps, though it is not its own RPC,

@@ -92,6 +92,163 @@ func readInputs(cl *Client, ids []int64, want []int64, loads int64) error {
 	return nil
 }
 
+// probe puts a rule on id targeted at the calling rank, the way a rank
+// waits on data: awaitProbe then receives it once id has closed.
+func probe(cl *Client, id int64) error {
+	return cl.Put(typeControl, 0, cl.Rank(), probePayload(id), id)
+}
+
+func probePayload(id int64) []byte { return fmt.Appendf(nil, "probe %d", id) }
+
+// probeClosed probes id and reports whether the probe was released at
+// once. On one server that is whether id is closed: the server queues a
+// probe on a closed id before answering the Put, and holds one on an
+// open id.
+func probeClosed(cl *Client, id int64) (bool, error) {
+	before := cl.cfg.Stats.PutsLocal.Load()
+	if err := probe(cl, id); err != nil {
+		return false, err
+	}
+	return cl.cfg.Stats.PutsLocal.Load() > before, nil
+}
+
+// awaitProbe receives the probe on id, which comes once id has closed.
+func awaitProbe(cl *Client, id int64) error {
+	p, ok, err := cl.Get(typeControl)
+	if err != nil || !ok {
+		return fmt.Errorf("no probe for %d: ok=%v err=%v", id, ok, err)
+	}
+	if want := probePayload(id); string(p) != string(want) {
+		return fmt.Errorf("got %q, want %q", p, want)
+	}
+	return nil
+}
+
+// TestWaitAndStoreCreateIssuedIDsAtFirstUse pins first-use creation: an
+// id its owner issued through Unique, but nobody created, comes into
+// being at its first Store (typed by the value) or at the first rule
+// waiting on it (an open placeholder the first Store types). Either
+// order releases a probe on it exactly once, reads before the store
+// fail, and an id the owner never issued still fails both. An id waited
+// on and never stored is one unfilled TD, and its rule stalls the run.
+// The two-server case has rank 2 mint the ids, so their owner is not the
+// home server of rank 0, which uses them.
+func TestWaitAndStoreCreateIssuedIDsAtFirstUse(t *testing.T) {
+	for _, tc := range []struct {
+		name                  string
+		size, servers, minter int
+	}{
+		{"one server", 3, 1, 0},
+		{"owner is not home", 6, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var never int64
+			snap, err := runWorldCfg(t, tc.size, testConfig(tc.servers), func(cl *Client) error {
+				if cl.Rank() != 0 && cl.Rank() != tc.minter {
+					return drainShutdown(cl)
+				}
+				var ids [3]int64
+				for i := range ids {
+					id, err := cl.Unique()
+					if err != nil {
+						return err
+					}
+					ids[i] = id
+				}
+				if cl.Rank() != 0 {
+					msg := fmt.Sprint(ids[0], ids[1], ids[2])
+					if err := cl.Put(typeWork, 0, 0, []byte(msg)); err != nil {
+						return err
+					}
+					return drainShutdown(cl)
+				}
+				if tc.minter != 0 {
+					p, ok, err := cl.Get(typeWork)
+					if err != nil || !ok {
+						return fmt.Errorf("ids from rank %d: ok=%v err=%v", tc.minter, ok, err)
+					}
+					if _, err := fmt.Sscan(string(p), &ids[0], &ids[1], &ids[2]); err != nil {
+						return err
+					}
+					if owner := cl.l.OwnerOf(ids[0]); owner == cl.myServer {
+						return fmt.Errorf("id %d is owned by rank 0's home server %d", ids[0], owner)
+					}
+				}
+				storeFirst, waitFirst := ids[0], ids[1]
+				never = ids[2]
+				readFails := func(id int64, when string) error {
+					if _, found, err := cl.Retrieve(id); err == nil && found {
+						return fmt.Errorf("%s: retrieve of %d succeeded", when, id)
+					}
+					if _, err := cl.RetrieveChunk([]int64{id}); err == nil {
+						return fmt.Errorf("%s: retrieve_chunk of %d succeeded", when, id)
+					}
+					return nil
+				}
+				for _, id := range ids {
+					if err := readFails(id, "unseen"); err != nil {
+						return err
+					}
+				}
+				if err := cl.Store(storeFirst, IntValue(7)); err != nil {
+					return err
+				}
+				if err := cl.Store(storeFirst, IntValue(8)); err == nil {
+					return fmt.Errorf("second store to first-use id %d succeeded", storeFirst)
+				}
+				if err := probe(cl, storeFirst); err != nil {
+					return err
+				}
+				if err := awaitProbe(cl, storeFirst); err != nil {
+					return err
+				}
+				if err := probe(cl, waitFirst); err != nil {
+					return err
+				}
+				if err := readFails(waitFirst, "waited on"); err != nil {
+					return err
+				}
+				if err := cl.Store(waitFirst, FloatValue(2.5)); err != nil {
+					return err
+				}
+				if err := awaitProbe(cl, waitFirst); err != nil {
+					return err
+				}
+				if v, _, err := cl.Retrieve(waitFirst); err != nil || v.Type != TypeFloat {
+					return fmt.Errorf("retrieve after the store: %v %v", v, err)
+				}
+				if v, _, err := cl.Retrieve(storeFirst); err != nil || v.Type != TypeInteger {
+					return fmt.Errorf("retrieve of %d: %v %v", storeFirst, v, err)
+				}
+				// Beyond anything its owner issued: the same owner, but no
+				// first use can make it exist.
+				bogus := never + 1000*int64(tc.servers)
+				if err := cl.Store(bogus, IntValue(1)); err == nil || !strings.Contains(err.Error(), "no such id") {
+					return fmt.Errorf("store to unissued id %d: err = %v", bogus, err)
+				}
+				if err := probe(cl, bogus); err == nil || !strings.Contains(err.Error(), "no such id") {
+					return fmt.Errorf("wait on unissued id %d: err = %v", bogus, err)
+				}
+				if err := probe(cl, never); err != nil {
+					return err
+				}
+				if p, ok, err := cl.Get(typeControl); err != nil || ok {
+					return fmt.Errorf("a further delivery: %q, %v", p, err)
+				}
+				return nil
+			})
+			want := fmt.Sprintf("stalled on 1 unfilled TD(s) [%d]; stalled rules: [\"probe %d\"]", never, never)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want it to contain %q", err, want)
+			}
+			// never was waited on and never stored: one open entry.
+			if snap.UnfilledTDs != 1 {
+				t.Fatalf("UnfilledTDs = %d, want 1", snap.UnfilledTDs)
+			}
+		})
+	}
+}
+
 func TestHeldRuleAllClosedEnqueuesAtOnce(t *testing.T) {
 	heldWorlds(t, func(cl *Client) error {
 		servers := cl.l.Servers

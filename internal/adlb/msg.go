@@ -25,8 +25,7 @@ const (
 	opPut uint8 = iota + 1
 	opGet
 	opCreate
-	opStore     // id + one-row chunk
-	opSubscribe // rank + counted id list -> one closed flag per id (see Client.Subscribe)
+	opStore // id + one-row chunk
 	opInsert
 	opLookup
 	opEnumerate
@@ -274,7 +273,7 @@ func encodeIDs(e *encoder, ids []int64) {
 }
 
 // decodeIDs reads a counted id list (u32 n, then n i64): the body of the
-// batched ops retrieve_chunk and subscribe, a work item's inputs, a
+// batched op retrieve_chunk, a work item's inputs, a
 // forwarded rule's wait list and a delivered item's row ids.
 func decodeIDs(d *decoder, what string) []int64 {
 	return appendIDs(nil, d, what)

@@ -13,18 +13,15 @@ import (
 
 // datum is one entry of the distributed data store. Scalars close when
 // stored; containers close when their write refcount drops to zero.
-// Subscribers are client ranks to be notified (via targeted notification
-// work items) when the datum closes; held are the work rules waiting here
-// for it to close. A scalar the owner issued but nobody created comes into
-// being at its first use: a Store makes it typed and closed, a Subscribe
-// or a rule waiting on it makes it an untyped placeholder (typ 0) that the
-// first Store types.
+// held are the rules waiting here for it to close. A scalar the owner
+// issued but nobody created comes into being at its first use: a Store
+// makes it typed and closed, a rule waiting on it makes it an untyped
+// placeholder (typ 0) that the first Store types.
 type datum struct {
-	typ         DataType
-	set         bool
-	val         Value
-	subscribers []int
-	held        []heldRule
+	typ  DataType
+	set  bool
+	val  Value
+	held []heldRule
 	// container state
 	members   map[string]int64
 	order     []string
@@ -38,7 +35,7 @@ func (d *datum) closed() bool {
 	return d.set
 }
 
-// heldRule is a work rule a server holds on the datum at wait[at]: wait
+// heldRule is a rule a server holds on the datum at wait[at]: wait
 // is the id list the rule still had to see closed when it reached this
 // server, and the ids before at that this server owns are closed.
 type heldRule struct {
@@ -99,7 +96,7 @@ type server struct {
 
 	store  map[int64]*datum
 	nextID int64
-	held   int // work rules held on open data here
+	held   int // rules held on open data here
 	// scratch is the reusable column buffer behind multi-row replies, and
 	// rowVals and rowIDs the values and ids that fill it (the server loop
 	// is single-goroutine, so one of each is enough).
@@ -252,7 +249,7 @@ func (s *server) gaugeUnfilled() {
 }
 
 // stalledRules runs once the server has drained: a clean termination
-// leaves no work rule held here on an unfilled TD. If any remain — a task
+// leaves no rule held here on an unfilled TD. If any remain — a task
 // was poisoned upstream, or the program never writes the data — name
 // them, by action, instead of returning a silent success.
 func (s *server) stalledRules() error {
@@ -473,7 +470,7 @@ func (s *server) handleRequest(op uint8, d *decoder, get *getRequest, client int
 		return s.handleLeave(d, client)
 	case opUnique:
 		return s.handleUnique(d, client)
-	case opCreate, opStore, opSubscribe, opInsert, opLookup,
+	case opCreate, opStore, opInsert, opLookup,
 		opEnumerate, opWriteRefcount, opRetrieveChunk, opStoreChunk:
 		if st := s.stats(); st != nil {
 			st.countDataOp(op)
@@ -483,7 +480,7 @@ func (s *server) handleRequest(op uint8, d *decoder, get *getRequest, client int
 	return fmt.Errorf("adlb: server %d: unknown opcode %d from client %d", s.idx, op, client)
 }
 
-// handlePut accepts a work item, or a work rule: an item whose Inputs it
+// handlePut accepts a work item, or a rule: an item whose Inputs it
 // must wait on. The client sends it to the owner of its first input (home
 // otherwise), and route takes it from there.
 func (s *server) handlePut(d *decoder, client int) error {
@@ -543,7 +540,7 @@ func (s *server) route(w workItem, wait []int64, at int) error {
 		dm := s.store[id]
 		if dm == nil {
 			// An issued id (unknownID checked it on arrival) comes into
-			// being as a placeholder, as at a Subscribe.
+			// being as an open placeholder.
 			dm = &datum{}
 			s.store[id] = dm
 		}
@@ -881,7 +878,7 @@ func (s *server) settle(g *getRequest) error {
 	r.Next()
 	dm, err := s.storeValue(g.out, rowValue(&r))
 	if err == nil {
-		s.notifyAll(dm, g.out)
+		s.notifyAll(dm)
 		return nil
 	}
 	if !held {
@@ -984,7 +981,7 @@ func (s *server) requeueOrPoison(w workItem, reason string, retriable bool) erro
 
 // issued reports whether this server handed id out: ids it issues are
 // ≡ idx (mod Servers), from Servers+idx up to (excluding) nextID. Only
-// such an id may come into being at its first Store or Subscribe, so a
+// such an id may come into being at its first Store or wait, so a
 // garbage id still fails.
 func (s *server) issued(id int64) bool {
 	first, stride := int64(s.l.Servers+s.idx), int64(s.l.Servers)
@@ -1044,38 +1041,7 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		if err != nil {
 			return s.respondError(client, err.Error())
 		}
-		return s.respondThenNotify(client, dm, id)
-
-	case opSubscribe:
-		rank := int(d.i32())
-		ids := decodeIDs(d, "subscribe ids")
-		if err := d.finish("subscribe request"); err != nil {
-			return err
-		}
-		// All-or-nothing: resolve every id before registering anything,
-		// so a failed batch leaves no subscriber behind.
-		for _, id := range ids {
-			if _, ok := s.store[id]; !ok && !s.issued(id) {
-				return s.respondError(client, fmt.Sprintf("subscribe: no such id %d", id))
-			}
-		}
-		closed := make([]byte, len(ids))
-		for i, id := range ids {
-			dm := s.store[id]
-			if dm == nil {
-				dm = &datum{}
-				s.store[id] = dm
-			}
-			if dm.closed() {
-				closed[i] = 1
-				continue
-			}
-			dm.subscribers = append(dm.subscribers, rank)
-		}
-		return s.respond(client, func(e *encoder) {
-			e.u8(stOK)
-			e.bytes(closed)
-		})
+		return s.respondThenNotify(client, dm)
 
 	case opInsert:
 		cid := d.i64()
@@ -1154,7 +1120,7 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 			return s.respondError(client, fmt.Sprintf("refcount: id %d dropped below zero", id))
 		}
 		if !wasClosed && dm.closed() {
-			return s.respondThenNotify(client, dm, id)
+			return s.respondThenNotify(client, dm)
 		}
 		return s.respond(client, func(e *encoder) { e.u8(stOK) })
 
@@ -1272,20 +1238,18 @@ func (s *server) storeValue(id int64, v Value) (*datum, error) {
 // then runs notifyAll: the writer goes on while this server delivers what
 // the close released, whose rows may be large. The server handles nothing
 // else in between, so no later request sees the close unannounced.
-func (s *server) respondThenNotify(client int, dm *datum, id int64) error {
+func (s *server) respondThenNotify(client int, dm *datum) error {
 	if err := s.respond(client, func(e *encoder) { e.u8(stOK) }); err != nil {
 		return err
 	}
-	s.notifyAll(dm, id)
+	s.notifyAll(dm)
 	return nil
 }
 
-// notifyAll runs when a datum closes. It moves on each work rule held on
-// it, and wraps a close notification for each subscriber into a
-// high-priority targeted work item routed to the subscriber's server.
-// This is how a Store on one rank releases a leaf for a worker, or wakes
-// an engine's control rules on another.
-func (s *server) notifyAll(dm *datum, id int64) {
+// notifyAll runs when a datum closes and moves on each rule held on it.
+// This is how a Store on one rank releases a leaf for a worker, or a
+// control rule for the engine that made it.
+func (s *server) notifyAll(dm *datum) {
 	held := dm.held
 	dm.held = nil
 	s.held -= len(held)
@@ -1295,36 +1259,7 @@ func (s *server) notifyAll(dm *datum, id int64) {
 			return
 		}
 	}
-	for _, rank := range dm.subscribers {
-		w := workItem{
-			Type:     s.cfg.NotifyType,
-			Priority: notifyPriority,
-			Target:   rank,
-			Payload:  EncodeNotification(id),
-		}
-		if err := faultinject.At(faultinject.SitePutTargeted); err != nil {
-			s.c.World().Abort(err)
-			return
-		}
-		if s.stats() != nil {
-			s.stats().Notifications.Add(1)
-		}
-		owner := s.l.ServerOf(rank)
-		if owner == s.c.Rank() {
-			s.acceptWork(w)
-			continue
-		}
-		if err := s.forward(owner, w, nil); err != nil {
-			s.c.World().Abort(err)
-			return
-		}
-	}
-	dm.subscribers = nil
 }
-
-// notifyPriority outranks ordinary work so dataflow wake-ups preempt
-// queued leaf tasks, keeping engines busy generating work.
-const notifyPriority = 1 << 20
 
 // ---------- server-to-server ----------
 
@@ -1577,34 +1512,4 @@ func (s *server) beginDrain() {
 	}
 	s.parkOrder = nil
 	s.selfHalted = true
-}
-
-const notifyMagic = 0xD7
-
-// EncodeNotification builds the payload of a data-close notification work
-// item. Turbine engines decode these in their Get loop.
-func EncodeNotification(id int64) []byte {
-	e := &encoder{}
-	e.u8(notifyMagic)
-	e.i64(id)
-	frame, err := e.frame()
-	if err != nil {
-		// Two fixed-width scalars cannot fail to encode.
-		panic(err)
-	}
-	return frame
-}
-
-// DecodeNotification reports whether payload is a data-close notification
-// and, if so, the id that closed.
-func DecodeNotification(payload []byte) (int64, bool) {
-	if len(payload) != 9 || payload[0] != notifyMagic {
-		return 0, false
-	}
-	d := &decoder{buf: payload, off: 1}
-	id := d.i64()
-	if d.finish("notification") != nil {
-		return 0, false
-	}
-	return id, true
 }

@@ -39,8 +39,6 @@ func TestDataOpKindsSumToDataOps(t *testing.T) {
 			func() error { return cl.Store(b, IntValue(8)) },
 			// Retrieve is a one-id chunk load.
 			func() error { _, _, err := cl.Retrieve(a); return err },
-			// One batch spanning both owners is one request per server.
-			func() error { _, err := cl.Subscribe(cl.Rank(), []int64{a, b}); return err },
 			func() error { return cl.Insert(c, "0", a) },
 			func() error { return cl.Insert(c, "1", b) },
 			func() error { _, _, err := cl.Lookup(c, "0"); return err },
@@ -63,7 +61,7 @@ func TestDataOpKindsSumToDataOps(t *testing.T) {
 		return drainShutdown(cl)
 	})
 	want := StatsSnapshot{
-		OpCreate: 3, OpStore: 2, OpSubscribe: 2, OpInsert: 2, OpLookup: 1,
+		OpCreate: 3, OpStore: 2, OpInsert: 2, OpLookup: 1,
 		OpEnumerate: 3, OpChunkLoad: 3, OpChunkStore: 1, OpWriteRefcount: 1,
 	}
 	var sum int64
@@ -78,7 +76,7 @@ func TestDataOpKindsSumToDataOps(t *testing.T) {
 		}
 		sum += sv.Field(i).Int()
 	}
-	if sum != snap.DataOps || sum != 18 {
-		t.Fatalf("kinds sum to %d, DataOps = %d, want both 18", sum, snap.DataOps)
+	if sum != snap.DataOps || sum != 16 {
+		t.Fatalf("kinds sum to %d, DataOps = %d, want both 16", sum, snap.DataOps)
 	}
 }

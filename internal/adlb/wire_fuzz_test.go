@@ -58,9 +58,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 	e = &encoder{}
 	encodeGet(e, &getRequest{typ: 1, flags: getFlagStore, out: 5, row: storeRow})
 	f.Add(e.buf, int64(0), uint8(4))
-	// The counted bodies (a Put's wait ids, a delivered item's rows,
-	// batched subscribe request and response, the enumerate response, a
-	// blob row's dims): whole, cut short, and claiming more entries than
+	// The counted bodies (a Put's wait ids, a delivered item's rows and
+	// payload, a retrieve_chunk request, the enumerate response, a blob
+	// row's dims): whole, cut short, and claiming more entries than
 	// the frame has bytes for.
 	for _, cf := range countedFrames() {
 		f.Add(cf.frame, int64(cf.count), uint8(0))
@@ -131,7 +131,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 			run(d) // must not panic
 			_ = d.finish("fuzz")
 		}
-		DecodeNotification(raw)
 
 		// 2. Round-trip identity for a message built from the input.
 		w := workItem{Type: int(int32(n)), Priority: int(tag), Target: int(int32(n >> 32)), Payload: raw, Inputs: []int64{n, -n, int64(tag)}}

@@ -190,21 +190,17 @@ type countedFrame struct {
 	decode func(d *decoder) int
 }
 
-// countedFrames builds one of each: a batched subscribe request (rank +
-// id list), its response (a length-prefixed run of closed flags), an
+// countedFrames builds one of each: a retrieve_chunk request (an id
+// list), a delivered item's payload (a length-prefixed byte field), an
 // enumerate response (subscript/member pairs), a blob value (its row's
 // dims table, the last field of its chunk frame), a Put's work item (its
 // wait ids, the last field) and a delivered item's rows (their ids, then
 // one chunk).
 func countedFrames() []countedFrame {
-	sub := &encoder{}
-	sub.i32(3)
-	sub.u32(4)
-	for _, id := range []int64{7, -9, 1 << 40, 0} {
-		sub.i64(id)
-	}
-	flags := &encoder{}
-	flags.bytes([]byte{1, 0, 0, 1})
+	gather := &encoder{}
+	encodeIDs(gather, []int64{7, -9, 1 << 40, 0})
+	payload := &encoder{}
+	payload.bytes([]byte{1, 0, 0, 1})
 	pairs := &encoder{}
 	pairs.u32(3)
 	for i, sub := range []string{"0", "", "a long subscript"} {
@@ -230,8 +226,8 @@ func countedFrames() []countedFrame {
 	return []countedFrame{
 		{"put-wait-ids", put.buf, 3, 4*4 + 4 + 3, func(d *decoder) int { return len(decodeWorkItem(d).Inputs) }},
 		{"item-rows", rows.buf, 2, 0, func(d *decoder) int { ids, _ := decodeRows(d, nil); return len(ids) }},
-		{"subscribe-request", sub.buf, 4, 4, func(d *decoder) int { d.i32(); return len(decodeIDs(d, "subscribe ids")) }},
-		{"subscribe-response", flags.buf, 4, 0, func(d *decoder) int { return len(d.bytes()) }},
+		{"retrieve-chunk-request", gather.buf, 4, 0, func(d *decoder) int { return len(decodeIDs(d, "retrieve_chunk ids")) }},
+		{"item-payload", payload.buf, 4, 0, func(d *decoder) int { return len(d.bytes()) }},
 		{"enumerate-response", pairs.buf, 3, 0, func(d *decoder) int { return len(decodePairs(d)) }},
 		{"blob-value-dims", blob.buf, 3, len(blob.buf) - 4 - 3*8, blobDims},
 	}

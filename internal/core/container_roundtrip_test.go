@@ -176,16 +176,16 @@ func TestVunpackRejectsNonIntegralIntContext(t *testing.T) {
 // RPCs at 2n elements as at n, and the vector that comes back is the one
 // that went in, bit for bit. (The member wait is one Put of the member
 // ids; before waits were batched this count grew by one RPC per element.)
-// On one server nothing is stolen, so every leaf's inputs ride its item
-// and the count is exact, chunk loads included. On two servers a worker
-// that stole an item loads its inputs from their owner, which depends on
-// the schedule, not on n: there the data ops other than chunk loads are
-// exact and the chunk loads are bounded by one each for the engine's
-// vunpack, the gather and the capture.
+// On one server nothing is stolen, so every leaf's inputs ride its item,
+// as the engine's vunpack's ride its rule, and the count is exact, chunk
+// loads included (none). On two servers a worker that stole an item
+// loads its inputs from their owner, which depends on the schedule, not
+// on n: there the data ops other than chunk loads are exact and the
+// chunk loads are bounded by one each for the gather and the capture.
 func TestVectorBridgeDataOpsIndependentOfLength(t *testing.T) {
 	const (
-		oneServerLoads = 1
-		maxLoads       = 3
+		oneServerLoads = 0
+		maxLoads       = 2
 	)
 	trip := func(t *testing.T, n, servers int) (dataOps, loads int64) {
 		t.Helper()
@@ -241,8 +241,8 @@ func TestVectorBridgeDataOpsIndependentOfLength(t *testing.T) {
 		small, smallLoads := trip(t, 500, 2)
 		large, largeLoads := trip(t, 1000, 2)
 		for _, l := range []int64{smallLoads, largeLoads} {
-			if l < 1 || l > maxLoads {
-				t.Fatalf("chunk loads: %d at n=500, %d at n=1000; want 1 to %d at each",
+			if l > maxLoads {
+				t.Fatalf("chunk loads: %d at n=500, %d at n=1000; want 0 to %d at each",
 					smallLoads, largeLoads, maxLoads)
 			}
 		}

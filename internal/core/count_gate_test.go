@@ -42,14 +42,13 @@ printf("total=%.17g", total);
 // literal_float store and insert per xs member — 2. Each leaf is one Put
 // carrying its input's id: the server holds it until the input is stored
 // and hands its row to the worker with the item, so a leaf costs no
-// subscribe, no notification and no chunk load. No scalar TD is created:
-// a, c, out's member and the literals come into being at their first
-// store or wait, so the only creates are the containers xs and out. What
-// is left waits on the engine: three control rules (asplit on xs, vpack
-// on out, printf on total), one subscribe each, and printf's
-// turbine::value of total is the one chunk load. Notifications are
-// bounded, not exact: a rule registered after its input already closed
-// learns so from the subscribe's answer and gets none.
+// chunk load. No scalar TD is created: a, c, out's member and the
+// literals come into being at their first store or wait, so the only
+// creates are the containers xs and out. The three control
+// rules (asplit on xs, vpack on out, printf on total) wait the same way,
+// each one Put held at the servers and delivered to the engine with its
+// inputs' rows, so printf's turbine::value of total loads nothing either.
+// Every Put is queued locally on the one server: 3n+2 leaves and 3 rules.
 func TestEnsembleCountGate(t *testing.T) {
 	const n = 12
 	st, ts := &adlb.Stats{}, &turbine.Stats{}
@@ -67,33 +66,31 @@ func TestEnsembleCountGate(t *testing.T) {
 	}
 	a := res.ADLB
 	leaves := float64(res.LeafTasks)
-	t.Logf("per leaf (%d leaves): data ops %.3f, rules %.3f, control %.3f, notifications %.3f, puts %.3f",
+	t.Logf("per leaf (%d leaves): data ops %.3f, rules %.3f, control %.3f, puts %.3f",
 		res.LeafTasks, float64(a.DataOps)/leaves, float64(ts.RulesCreated.Load())/leaves,
-		float64(res.ControlTasks)/leaves, float64(ts.Notifications.Load())/leaves, float64(a.PutsLocal)/leaves)
+		float64(res.ControlTasks)/leaves, float64(a.PutsLocal)/leaves)
 	t.Logf("data ops by kind: %+v", a)
 	for _, c := range []struct {
 		name      string
 		got, want int64
 	}{
 		{"leaf tasks", res.LeafTasks, 3*n + 2},
-		{"adlb.DataOps", a.DataOps, 6*n + 15},
+		{"adlb.DataOps", a.DataOps, 6*n + 11},
 		{"adlb.OpCreate", a.OpCreate, 2},
 		{"adlb.OpStore", a.OpStore, 4*n + 2},
-		{"adlb.OpSubscribe", a.OpSubscribe, 3},
-		{"adlb.OpChunkLoad", a.OpChunkLoad, 1},
+		{"adlb.OpChunkLoad", a.OpChunkLoad, 0},
 		{"adlb.OpInsert", a.OpInsert, 2 * n},
 		{"adlb.OpWriteRefcount", a.OpWriteRefcount, 4},
 		{"adlb.OpEnumerate", a.OpEnumerate, 3},
-		{"adlb.PutsLocal", a.PutsLocal, 3*n + 2},
+		{"adlb.PutsLocal", a.PutsLocal, 3*n + 5},
+		{"adlb.Notifications", a.Notifications, 0},
+		{"turbine.Notifications", ts.Notifications.Load(), 0},
 		{"turbine.RulesCreated", ts.RulesCreated.Load(), 3*n + 5},
 		{"turbine.ControlTasks", res.ControlTasks, 3},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
-	}
-	if got, max := ts.Notifications.Load(), int64(3); got > max || got != a.Notifications {
-		t.Errorf("engine saw %d notifications, servers sent %d; want equal and at most %d", got, a.Notifications, max)
 	}
 }
 
@@ -153,10 +150,11 @@ func bridgeShape(n int) string {
 // TestVectorBridgeCountGate pins the container<->vector bridge's data ops
 // as a count that does not grow with n: each scatter is one chunk RPC per
 // owning server, each gather's members ride its work item, and the engine
-// waits on a container, not on each member. A bridge that goes back to
-// one op per member fails here.
+// waits on a container, not on each member, its vunpack reading the
+// members that ride the rule. A bridge that goes back to one op per
+// member fails here.
 func TestVectorBridgeCountGate(t *testing.T) {
-	const wantOps = 19
+	const wantOps = 15
 	for _, n := range []int{800, 8000} {
 		res, err := Run(bridgeShape(n), Config{Engines: 1, Workers: 2, Servers: 1})
 		if err != nil {

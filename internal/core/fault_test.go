@@ -313,8 +313,8 @@ func TestChaosWorkerKilledHoldingServerFiredLeaf(t *testing.T) {
 	faultinject.Reset()
 	// The worker that leases the second leaf — the one the server fired
 	// when a closed — dies holding it. The requeued item must carry a's
-	// row again: the survivor loads nothing, and the run's one chunk load
-	// is the engine's printf of b.
+	// row again: the survivor loads nothing, and neither does the engine,
+	// whose printf rule carries b's row.
 	faultinject.Arm(faultinject.SiteWorkerTask, faultinject.Plan{
 		Hit: 2, Action: faultinject.ActCrash, Msg: "worker dies",
 	})
@@ -329,8 +329,8 @@ func TestChaosWorkerKilledHoldingServerFiredLeaf(t *testing.T) {
 	if a.LeasesReclaimed != 1 || a.Requeued != 1 {
 		t.Fatalf("LeasesReclaimed = %d, Requeued = %d; want 1, 1", a.LeasesReclaimed, a.Requeued)
 	}
-	if a.OpChunkLoad != 1 {
-		t.Fatalf("OpChunkLoad = %d, want 1 (printf's read of b): the requeued leaf loaded its input", a.OpChunkLoad)
+	if a.OpChunkLoad != 0 {
+		t.Fatalf("OpChunkLoad = %d, want 0: the requeued leaf loaded its input", a.OpChunkLoad)
 	}
 }
 
@@ -338,8 +338,8 @@ func TestChaosStolenItemLoadsItsInputsFromTheirOwner(t *testing.T) {
 	// Two servers: the engine and every TD live on server 0, the one
 	// worker on server 1, so each leaf reaches the worker by a steal and
 	// is delivered by a server that owns none of its inputs. The second
-	// leaf loads a from its owner; with printf's read of b that is two
-	// chunk loads.
+	// leaf loads a from its owner, the run's one chunk load: printf's
+	// rule, delivered to the engine by b's owner, carries b's row.
 	res, err := Run(serverFiredChain, Config{Engines: 1, Workers: 1, Servers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +351,7 @@ func TestChaosStolenItemLoadsItsInputsFromTheirOwner(t *testing.T) {
 	if a.ItemsStolen != res.LeafTasks || res.LeafTasks != 2 {
 		t.Fatalf("ItemsStolen = %d, LeafTasks = %d; want both leaves stolen", a.ItemsStolen, res.LeafTasks)
 	}
-	if a.OpChunkLoad != 2 {
-		t.Fatalf("OpChunkLoad = %d, want 2: the stolen leaf's load of a and printf's of b", a.OpChunkLoad)
+	if a.OpChunkLoad != 1 {
+		t.Fatalf("OpChunkLoad = %d, want 1: the stolen leaf's load of a", a.OpChunkLoad)
 	}
 }

@@ -51,8 +51,8 @@ const (
 	// SiteGetDeliver fires on the ADLB server just before work is
 	// handed to a client (both the direct-serve and parked paths).
 	SiteGetDeliver Site = "adlb.get.deliver"
-	// SitePutTargeted fires when the ADLB server routes a targeted work
-	// item (notifications and targeted puts).
+	// SitePutTargeted fires when the ADLB server accepts a targeted Put
+	// (a control rule, or a location-pinned task).
 	SitePutTargeted Site = "adlb.put.targeted"
 	// SiteLangEvalPre fires inside the contained evaluation region of a
 	// rank's engine table (lang.Install) and of lang.Pool, just before the

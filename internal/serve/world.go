@@ -25,10 +25,9 @@ func (s *Server) runWorld() error {
 		return err
 	}
 	acfg := adlb.Config{
-		Servers:    s.cfg.Servers,
-		Types:      2,
-		NotifyType: typeResp,
-		Stats:      s.adlbStats,
+		Servers: s.cfg.Servers,
+		Types:   2,
+		Stats:   s.adlbStats,
 	}
 	l := adlb.NewLayout(size, s.cfg.Servers)
 	return w.Run(func(c *mpi.Comm) error {

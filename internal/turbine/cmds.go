@@ -540,8 +540,8 @@ func registerEngineCmds(in *tcl.Interp, env *Env) {
 	// A rule on every member of a closed container (same options as
 	// turbine::rule). The container is enumerated here, in Go, so a
 	// whole-array wait costs one enumerate and then one Put of the member
-	// ids (a work rule) or one subscribe per server (a control rule), and
-	// no Tcl text per member; an empty container releases at once.
+	// ids, work rule or control rule alike, and no Tcl text per member; an
+	// empty container releases at once.
 	in.RegisterCommand("turbine::rule_members", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 3 {
 			return "", fmt.Errorf("usage: turbine::rule_members <container> <action> ?options?")

@@ -3,34 +3,21 @@ package turbine
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"repro/internal/adlb"
 	"repro/internal/chunk"
 	"repro/internal/faultinject"
 	"repro/internal/lang"
 )
 
-// rule is one dataflow rule: when all inputs are closed, the action is
-// released. This realises the paper's Fig. 1 semantics: statements become
-// rules, and execution order is determined by data availability. An
-// engine holds control rules only, whose actions it runs itself; a work
-// rule is one Put carrying its inputs, which the data servers hold until
-// they close and then queue for a worker.
-type rule struct {
-	action  string
-	pending int // unclosed inputs remaining
-}
-
-// engine holds the control rules of one engine rank.
+// engine is one engine rank's dataflow state. A statement becomes a
+// rule, released when all its inputs close (the paper's Fig. 1
+// semantics), and every rule waits at the data servers (see addRule), so
+// an engine keeps no wait state: ready holds only the control actions
+// that wait on nothing.
 type engine struct {
-	env     *Env
-	ready   []string          // actions whose inputs are all closed
-	waiting map[int64][]*rule // input id -> rules blocked on it
-	closed  map[int64]bool    // ids known closed (local cache)
-	subbed  map[int64]bool    // ids with an active subscription
-	ask     []int64           // addControl's scratch: the ids one rule must ask about
-	leaf    leafScratch       // turbine::leaf's scratch
+	env   *Env
+	ready []string    // control actions with no inputs, run before the next Get
+	leaf  leafScratch // turbine::leaf's scratch
 }
 
 // leafScratch is what turbine::leaf reuses from one leaf to the next: the
@@ -42,20 +29,15 @@ type leafScratch struct {
 	rows chunk.Chunk
 }
 
-func newEngine(env *Env) *engine {
-	return &engine{
-		env:     env,
-		waiting: make(map[int64][]*rule),
-		closed:  make(map[int64]bool),
-		subbed:  make(map[int64]bool),
-	}
-}
+func newEngine(env *Env) *engine { return &engine{env: env} }
 
 func (e *engine) stats() *Stats { return e.env.Cfg.TurbineStats }
 
 // addRule registers the rule a rule command's words describe (see
-// parseRule): a work rule is Put with its inputs as wait ids, and a
-// control rule waits here.
+// parseRule): a work rule is a script record Put for any worker, a
+// control rule its action Put at this engine, each with its inputs as
+// wait ids. The delivered item carries the rows of the inputs its server
+// owns, so the action's reads of them cost no load.
 func (e *engine) addRule(inputs []int64, args []string) error {
 	work, target, priority, err := parseRule(args)
 	if err != nil {
@@ -71,142 +53,46 @@ func (e *engine) addRule(inputs []int64, args []string) error {
 		}
 		return e.env.Client.Put(TypeWork, priority, target, rec, inputs...)
 	}
-	return e.addControl(inputs, &rule{action: args[2]})
+	if len(inputs) == 0 {
+		e.ready = append(e.ready, args[2])
+		return nil
+	}
+	return e.env.Client.Put(TypeControl, 0, e.env.Rank, []byte(args[2]), inputs...)
 }
 
-// addControl subscribes a control rule to its unclosed inputs; with none
-// pending it is immediately ready. Every input not already known closed
-// or subscribed goes into one Subscribe call — one RPC per owning server,
-// whether the rule waits on two TDs or on a container's members.
-func (e *engine) addControl(inputs []int64, r *rule) error {
-	// Subscribe once per id; the notification wakes all waiters. Marking
-	// an id subscribed as it is collected keeps a repeated input from
-	// being asked about twice.
-	e.ask = e.ask[:0]
-	for _, id := range inputs {
-		if !e.closed[id] && !e.subbed[id] {
-			e.subbed[id] = true
-			e.ask = append(e.ask, id)
-		}
-	}
-	if len(e.ask) > 0 {
-		isClosed, err := e.env.Client.Subscribe(e.env.Rank, e.ask)
-		if err != nil {
-			for _, id := range e.ask {
-				delete(e.subbed, id)
-			}
-			return err
-		}
-		for i, id := range e.ask {
-			if isClosed[i] {
-				delete(e.subbed, id)
-				e.closed[id] = true
-			}
-		}
-	}
-	for _, id := range inputs {
-		if e.closed[id] {
-			continue
-		}
-		r.pending++
-		e.waiting[id] = append(e.waiting[id], r)
-	}
-	if r.pending == 0 {
-		e.ready = append(e.ready, r.action)
-	}
-	return nil
-}
-
-// onClosed processes a data-close notification, readying the rules it
-// leaves with no input pending.
-func (e *engine) onClosed(id int64) {
-	if s := e.stats(); s != nil {
-		s.Notifications.Add(1)
-	}
-	e.closed[id] = true
-	delete(e.subbed, id)
-	rules := e.waiting[id]
-	delete(e.waiting, id)
-	for _, r := range rules {
-		r.pending--
-		if r.pending == 0 {
-			e.ready = append(e.ready, r.action)
-		}
-	}
-}
-
-// run is the engine main loop: drain locally ready actions, then block on
-// ADLB for control work (notifications or distributed control fragments).
+// run is the engine main loop: drain the ready actions, then block on
+// ADLB for control work — a control rule whose inputs have closed, or a
+// fragment turbine::spawn released — until the run terminates. A rule
+// still held then is the servers' to report (they name it by its action).
 func (e *engine) run() error {
 	for {
 		for len(e.ready) > 0 {
 			action := e.ready[0]
 			e.ready = e.ready[1:]
-			if s := e.stats(); s != nil {
-				s.ControlTasks.Add(1)
-			}
-			if _, err := e.env.interp.Eval(action); err != nil {
-				return fmt.Errorf("turbine: engine %d: control action failed: %w\n  action: %.200s",
-					e.env.Rank, err, action)
+			if err := e.control(action); err != nil {
+				return err
 			}
 		}
 		payload, ok, err := e.env.Client.Get(TypeControl)
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return e.stallDiagnostic()
-		}
-		if id, isNote := adlb.DecodeNotification(payload); isNote {
-			e.onClosed(id)
-			continue
-		}
-		// A distributed control fragment from another engine.
-		if s := e.stats(); s != nil {
-			s.ControlTasks.Add(1)
-		}
-		if _, err := e.env.interp.Eval(string(payload)); err != nil {
-			return fmt.Errorf("turbine: engine %d: control task failed: %w\n  task: %.200s",
-				e.env.Rank, err, payload)
+		if err := e.control(string(payload)); err != nil {
+			return err
 		}
 	}
 }
 
-// stallDiagnostic runs when the engine's Get loop ends: a clean
-// termination should leave no control rule waiting on an unfilled TD.
-// If any remain — a task was poisoned upstream, or the program never
-// writes the data — name them instead of returning a silent success. (The
-// servers name the work rules they still hold the same way.)
-func (e *engine) stallDiagnostic() error {
-	stalled := map[*rule]bool{}
-	var ids []int64
-	for id, rules := range e.waiting {
-		live := false
-		for _, r := range rules {
-			if r.pending > 0 {
-				stalled[r] = true
-				live = true
-			}
-		}
-		if live {
-			ids = append(ids, id)
-		}
+// control runs one control action on the engine's interpreter.
+func (e *engine) control(action string) error {
+	if s := e.stats(); s != nil {
+		s.ControlTasks.Add(1)
 	}
-	if len(stalled) == 0 {
-		return nil
+	if _, err := e.env.interp.Eval(action); err != nil {
+		return fmt.Errorf("turbine: engine %d: control action failed: %w\n  action: %.200s",
+			e.env.Rank, err, action)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// A rule is named by its action, truncated as control-action errors are.
-	var actions []string
-	for r := range stalled {
-		actions = append(actions, fmt.Sprintf("%.200s", r.action))
-	}
-	sort.Strings(actions)
-	if len(actions) > 5 {
-		actions = append(actions[:5], "...")
-	}
-	return fmt.Errorf("turbine: engine %d: run terminated with %d dataflow rule(s) stalled on %d unfilled TD(s) %v; stalled rules: %q",
-		e.env.Rank, len(stalled), len(ids), ids, actions)
+	return nil
 }
 
 // runWorker is the worker main loop: pull leaf tasks under a lease and

@@ -1,10 +1,10 @@
 // Package turbine implements the Turbine dataflow engine of Swift/T
 // (paper §II-B): the runtime layer that evaluates compiled Swift programs
 // as distributed-memory dataflow. MPI ranks are partitioned into engines
-// (which hold control rules and run their actions as their inputs
-// close), ADLB servers (work queues and the data store, which also hold
-// work rules until their inputs close), and workers (which execute leaf
-// tasks, their inputs' values delivered with them). Turbine code is Tcl; every rank hosts a Tcl
+// (which make the rules and run control actions once their inputs
+// close), ADLB servers (work queues and the data store, which hold every
+// rule until its inputs close), and workers (which execute leaf tasks,
+// their inputs' values delivered with them). Turbine code is Tcl; every rank hosts a Tcl
 // interpreter with the turbine::* command set registered, and leaf tasks
 // may additionally call into embedded Python/R interpreters, SWIG-wrapped
 // native kernels, or the shell, as the higher layers arrange.
@@ -25,8 +25,10 @@ import (
 
 // Work types used on the ADLB queues.
 const (
-	// TypeControl carries dataflow control fragments and data-close
-	// notifications; engines Get this type.
+	// TypeControl carries control actions as Tcl text: a control rule,
+	// delivered to the engine that made it once its inputs close, and a
+	// fragment turbine::spawn releases to any engine. Engines Get this
+	// type.
 	TypeControl = 0
 	// TypeWork carries leaf tasks; workers Get this type.
 	TypeWork = 1
@@ -89,7 +91,6 @@ func (c *Config) adlbConfig() adlb.Config {
 	return adlb.Config{
 		Servers:           c.Servers,
 		Types:             2,
-		NotifyType:        TypeControl,
 		Tick:              c.Tick,
 		Stats:             c.Stats,
 		DisableSteal:      c.DisableSteal,
@@ -101,9 +102,11 @@ func (c *Config) adlbConfig() adlb.Config {
 
 // Stats aggregates Turbine-level counters across ranks.
 type Stats struct {
-	RulesCreated  atomic.Int64
-	ControlTasks  atomic.Int64
-	LeafTasks     atomic.Int64
+	RulesCreated atomic.Int64
+	ControlTasks atomic.Int64
+	LeafTasks    atomic.Int64
+	// Deprecated: Notifications reads zero. No rule waits through close
+	// notifications any more; every rule is a held Put.
 	Notifications atomic.Int64
 	// TaskFailures counts leaf tasks that failed under containment
 	// (whether later retried successfully or poisoned).

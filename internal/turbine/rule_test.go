@@ -27,39 +27,26 @@ func registerCreate(in *tcl.Interp, env *Env) {
 	})
 }
 
-// addControl asks the servers once per rule — one Subscribe RPC per owning
-// server — about exactly the inputs it knows nothing of: not the ones it
-// has seen closed, not the ones an earlier rule subscribed, and a
-// repeated input once. The world has two servers; ids are minted by hand
-// so that id mod 2 picks the owner.
-func TestAddRuleBatchesSubscribes(t *testing.T) {
+// A control rule waits at the servers as a work rule does, as one Put
+// carrying its inputs, so registering one costs no data op whatever it
+// waits on: a repeated input, a closed one, an input another rule waits
+// on too. It fires once, on the engine that made it, when its last input
+// closes, and its action reads the inputs the delivering server owns
+// from the rows that came with it, with no chunk load. A rule with no
+// inputs runs with no Put. The world has two servers; ids are minted by
+// hand so that id mod 2 picks the owner, and the engine's home server,
+// which delivers its rules, owns the even ones.
+func TestControlRuleIsOneHeldPut(t *testing.T) {
 	stats := &adlb.Stats{}
 	cfg := &Config{
 		Engines: 1, Servers: 2, Stats: stats,
 		Setup: func(in *tcl.Interp, env *Env) error {
 			registerCreate(in, env)
-			// test::addrule <label> <inputs> <wantPending> <wantRPCs>
-			in.RegisterCommand("test::addrule", func(in *tcl.Interp, args []string) (string, error) {
-				fields, err := tcl.ParseList(args[2])
-				if err != nil {
-					return "", err
-				}
-				inputs := make([]int64, len(fields))
-				for i, f := range fields {
-					if inputs[i], err = parseInt(f); err != nil {
-						return "", err
-					}
-				}
-				r := &rule{action: "test::record fired " + args[1]}
-				before := stats.DataOps.Load()
-				if err := env.engine.addControl(inputs, r); err != nil {
-					return "", err
-				}
-				got := fmt.Sprintf("%d %d", r.pending, stats.DataOps.Load()-before)
-				if want := args[3] + " " + args[4]; got != want {
-					return "", fmt.Errorf("rule %s on %v: pending and RPCs = %s, want %s", args[1], inputs, got, want)
-				}
-				return "", nil
+			in.RegisterCommand("test::dataops", func(in *tcl.Interp, args []string) (string, error) {
+				return fmtInt(stats.DataOps.Load()), nil
+			})
+			in.RegisterCommand("test::loads", func(in *tcl.Interp, args []string) (string, error) {
+				return fmtInt(stats.OpChunkLoad.Load()), nil
 			})
 			return nil
 		},
@@ -71,25 +58,32 @@ func TestAddRuleBatchesSubscribes(t *testing.T) {
 				turbine::store_integer $a 1
 				turbine::store_integer $d 4
 
-				test::addrule open [list $b] 1 1
-				# a: asked (closed); b: subscribed by the rule above; c: asked
-				# once though named twice (open); d: asked (closed).
-				test::addrule mixed [list $a $b $c $c $d] 3 2
-				# Everything already known closed: no RPC, fires at once.
-				test::addrule known [list $a $d $a] 0 0
-				test::addrule none {} 0 0
-				# Already subscribed and still open: waits without asking.
-				test::addrule again [list $c $b] 2 0
+				set before [test::dataops]
+				turbine::rule [list $b] "test::record fired open"
+				turbine::rule [list $a $b $c $c $d] "reads mixed $a $c"
+				turbine::rule [list $a $d $a] "reads known $a $a"
+				turbine::rule {} "test::record fired none"
+				turbine::rule [list $c $b] "test::record fired again"
+				test::record registering cost [expr {[test::dataops] - $before}] data ops
 
 				turbine::store_integer $b 2
 				turbine::store_integer $c 3
+			}
+			proc reads {label x y} {
+				set before [test::loads]
+				set sum [expr {[turbine::value integer $x] + [turbine::value integer $y]}]
+				test::record fired $label $sum with [expr {[test::loads] - $before}] loads
 			}
 		`),
 		Main: "main",
 	}
 	rows := runTurbine(t, 4, cfg).sorted()
-	if want := "fired again,fired known,fired mixed,fired none,fired open"; strings.Join(rows, ",") != want {
-		t.Fatalf("rows = %v, want %s", rows, want)
+	want := []string{
+		"fired again", "fired known 2 with 0 loads", "fired mixed 4 with 0 loads",
+		"fired none", "fired open", "registering cost 0 data ops",
+	}
+	if strings.Join(rows, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("rows:\n%s\nwant:\n%s", strings.Join(rows, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -133,8 +127,8 @@ func TestRuleOptionsSharedParser(t *testing.T) {
 
 // turbine::rule_members waits on a closed container's members, wherever
 // they are and whether or not they are closed yet, for one enumerate and
-// one subscribe per server; container_size and container_values read the
-// container the same way.
+// one Put, which is not a data op; container_size and container_values
+// read the container the same way.
 func TestRuleMembers(t *testing.T) {
 	stats := &adlb.Stats{}
 	cfg := &Config{
@@ -184,8 +178,8 @@ func TestRuleMembers(t *testing.T) {
 			vals = append(vals, fmt.Sprint(i))
 		}
 	}
-	// One enumerate, then one subscribe on each of the two servers.
-	want := []string{"empty 0 <>", "rpcs 3", "size 40", "values " + strings.Join(vals, " ")}
+	// One enumerate; the rule's Put is not a data op.
+	want := []string{"empty 0 <>", "rpcs 1", "size 40", "values " + strings.Join(vals, " ")}
 	if strings.Join(rows, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("rows:\n%s\nwant:\n%s", strings.Join(rows, "\n"), strings.Join(want, "\n"))
 	}

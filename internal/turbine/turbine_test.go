@@ -454,6 +454,53 @@ func TestStallNamesRulesByAction(t *testing.T) {
 	}
 }
 
+// TestStallNamesControlRulesByAction: a control rule waits at the servers
+// as a work rule does, so one on a TD nobody stores ends the run with the
+// same error, naming the rule by its action text.
+func TestStallNamesControlRulesByAction(t *testing.T) {
+	cfg := &Config{
+		Engines: 1, Servers: 1,
+		ProgramScript: script(t, `
+			proc main {} {
+				set x [turbine::allocate integer]
+				turbine::rule [list $x] [list test::never $x]
+			}
+		`),
+		Main: "main",
+	}
+	w, _ := mpi.NewWorld(3)
+	watchdog := time.AfterFunc(30*time.Second, func() { w.Abort(fmt.Errorf("hang")) })
+	defer watchdog.Stop()
+	err := w.Run(func(c *mpi.Comm) error { return Run(c, cfg) })
+	if err == nil || !strings.Contains(err.Error(), "stalled on 1 unfilled TD") ||
+		!strings.Contains(err.Error(), `stalled rules: ["test::never `) {
+		t.Fatalf("err = %v, want the stalled rule named by its action", err)
+	}
+}
+
+// TestSpawnedFragmentRunsWhateverItsBytes: an engine runs every control
+// payload it gets as Tcl. This one is 9 bytes starting with 0xD7, the
+// shape close notifications once had, and an engine that sniffed for
+// them dropped it unrun.
+func TestSpawnedFragmentRunsWhateverItsBytes(t *testing.T) {
+	const frag = "ש 123456"
+	if len(frag) != 9 || frag[0] != 0xD7 {
+		t.Fatalf("fragment is %d bytes starting %#x, want 9 starting 0xd7", len(frag), frag[0])
+	}
+	cfg := &Config{
+		Engines: 1, Servers: 1,
+		ProgramScript: script(t, `
+			proc ש {n} { test::record ran $n }
+			proc main {} { turbine::spawn "`+frag+`" }
+		`),
+		Main: "main",
+	}
+	rows := runTurbine(t, 3, cfg).sorted()
+	if strings.Join(rows, "|") != "ran 123456" {
+		t.Fatalf("rows = %v, want the spawned fragment to run once", rows)
+	}
+}
+
 func TestLeafTaskErrorAbortsRun(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 1,
@@ -573,8 +620,8 @@ func TestManyWorkersLoadBalance(t *testing.T) {
 }
 
 func TestMultiServerDataflow(t *testing.T) {
-	// Same pipeline with 2 engines and 2 servers: exercises cross-server
-	// notification forwarding and multi-engine control.
+	// Same pipeline with 2 engines and 2 servers: exercises rules
+	// forwarded between servers and multi-engine control.
 	stats := &adlb.Stats{}
 	cfg := &Config{
 		Engines: 2, Servers: 2,
