@@ -23,9 +23,11 @@
 //   - Parse cache. Interp.Eval memoizes parseScript results in a bounded
 //     (LRU-evicted) per-interpreter cache keyed by source text, so a
 //     loop body or rule action is parsed once no matter how many times
-//     it runs. Proc bodies compile on first call and the compiled form
-//     is stored on the proc definition; redefinition installs a fresh
-//     definition, which invalidates naturally. The `while`, `for`,
+//     it runs. A proc body compiles when the proc is defined and the
+//     compiled form is stored on the immutable proc definition (a body
+//     that does not parse raises its error at each call);
+//     redefinition installs a fresh definition, which invalidates
+//     naturally. The `while`, `for`,
 //     `foreach`, `lmap`, and `dict for` commands hoist body compilation
 //     out of their iteration loops.
 //
@@ -54,7 +56,17 @@
 //     *tcl.Script (turbine.Config.ProgramScript, the only program form
 //     a rank takes) instead of re-parsing the program per rank at
 //     startup. An elastic worker process compiles the program its
-//     welcome carries the same way, once.
+//     welcome carries the same way, once. CompileScript also builds
+//     each proc command whose words are all literal (the whole prelude
+//     and every generated proc): parameters parsed, body compiled. A
+//     rank evaluating the script installs that one definition with a
+//     map insert, so ranks and repeated runs of one stc.Output share a
+//     single parse and compiled body per proc. The command runs as
+//     written instead inside a namespace, once the proc command has
+//     been renamed or re-registered, and when a word substitutes. Each
+//     interpreter starts from a copy of the core command table, built
+//     once per process, and swig.Bind parses a native library's header
+//     once per process.
 //
 // What the pipeline evaluates is action text, and what an action's
 // words are is decided by the compiler. The turbine:: commands a rank
@@ -431,6 +443,17 @@
 // closed at drain (a scalar nobody stored or waited on never existed). A
 // rule a server still holds at drain, work or control, fails the run,
 // named by its action.
+//
+// A run ends at its drain. A server checks whether its run is over once
+// per loop iteration, after dispatch and housekeeping, so it returns as
+// soon as its clients have NO_MORE_WORK and not after a further idle
+// housekeeping tick. The stall diagnostics meet at the master: every
+// other server sends the master its list of stalled rules (empty when
+// it has none) and returns nil; the master waits for all of them and
+// returns one error naming the stalled rules of every server, in server
+// order. That error aborts the world only after every client's
+// NO_MORE_WORK is queued, and a receive still delivers a message queued
+// before an abort (mpi), so each client sees its drain.
 //
 // # Serving model
 //

@@ -9,7 +9,11 @@
 // type is delivered. Servers steal work from one another when their own
 // clients go idle, and run Safra's termination-detection algorithm on a
 // token ring to discover global quiescence, at which point every parked
-// Get returns "no more work" and the deployment shuts down.
+// Get returns "no more work" and the deployment shuts down. A server
+// leaves its loop at the drain itself: it checks for the end of its run
+// after dispatch and housekeeping in the same iteration, so no idle
+// housekeeping tick passes between the last NO_MORE_WORK and Serve's
+// return.
 //
 // The data store provides Turbine's typed futures: Create/Store/Retrieve
 // with single-assignment semantics, rules held until their data closes
@@ -63,7 +67,13 @@
 // once, an id its owner neither holds nor issued fails the Put (or, on a
 // further owner, the run) with nothing held, and a rule still held when
 // the run terminates fails it, named by its action; the hang watchdog
-// counts held rules beside queued items. Inputs ride the item: the
+// counts held rules beside queued items. The stall reports meet at the
+// master: at drain every other server sends it the list of rules it
+// still holds (sopStallReport, empty when none) and returns nil, and
+// the master, once it has every report, returns one error naming each
+// server's stalled rules in server order. So the run fails
+// deterministically, and only after each server has told its clients
+// NO_MORE_WORK. Inputs ride the item: the
 // server that delivers it writes a row for each of the item's wait ids
 // that it owns into the Get response (a counted id list, then one chunk
 // frame). Closed data never changes, so rows are read at delivery, and a

@@ -48,6 +48,7 @@ const (
 	sopPutForward
 	sopToken
 	sopShutdown
+	sopStallReport // a drained server's stalled rules ("" if none), to the master
 )
 
 // Response status codes.

@@ -1,6 +1,7 @@
 package adlb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -118,7 +119,11 @@ type server struct {
 	stealWait    int  // remaining ticks before the next steal attempt
 	draining     bool
 	doneCount    int // clients that have received NO_MORE_WORK
-	selfHalted   bool
+
+	// Master only: the stall reports of every server, by server index,
+	// and how many of the other servers' have arrived.
+	stalls   []string
+	reported int
 }
 
 func newServer(c *mpi.Comm, cfg Config, l Layout) *server {
@@ -137,6 +142,9 @@ func newServer(c *mpi.Comm, cfg Config, l Layout) *server {
 		store:      make(map[int64]*datum),
 		nextID:     int64(l.Servers + idx), // ids ≡ idx (mod Servers), skipping id 0
 		stealRR:    (idx + 1) % l.Servers,
+	}
+	if idx == 0 {
+		s.stalls = make([]string, l.Servers)
 	}
 	if cfg.Elastic {
 		s.known = make(map[int]bool)
@@ -194,10 +202,6 @@ func (s *server) run() error {
 				return err
 			}
 		}
-		if s.selfHalted && s.doneCount >= s.clientCount() {
-			s.gaugeUnfilled()
-			return s.stalledRules()
-		}
 		if !s.draining {
 			s.housekeeping()
 			if s.progress {
@@ -211,7 +215,46 @@ func (s *server) run() error {
 				return err
 			}
 		}
+		// Checked after housekeeping, where a drain may just have begun,
+		// so no idle tick passes between the drain and the return.
+		if s.drained() {
+			s.gaugeUnfilled()
+			return s.finish()
+		}
 	}
+}
+
+// drained reports whether the server's run is over: it is draining and
+// every client has been told NO_MORE_WORK, and, on the master, every
+// other server has sent its stall report.
+func (s *server) drained() bool {
+	return s.draining && s.doneCount >= s.clientCount() &&
+		(s.idx != 0 || s.reported == s.l.Servers-1)
+}
+
+// finish ends a drained run. The servers' stall diagnostics meet at the
+// master: another server sends it its report ("" when no rule is stalled
+// there) and returns nil, and the master, holding every report, returns
+// one error naming the stalled rules of each server that has any. So the
+// world aborts only once every server has drained and every client's
+// NO_MORE_WORK is queued.
+func (s *server) finish() error {
+	if s.idx != 0 {
+		return s.sendServer(s.l.ServerRank(0), sopStallReport, false, func(e *encoder) {
+			e.str(s.stallReport())
+		})
+	}
+	s.stalls[0] = s.stallReport()
+	var msgs []string
+	for _, m := range s.stalls {
+		if m != "" {
+			msgs = append(msgs, m)
+		}
+	}
+	if len(msgs) == 0 {
+		return nil
+	}
+	return errors.New(strings.Join(msgs, "; "))
 }
 
 // releaseParked answers every client still parked in Get with an error.
@@ -248,13 +291,14 @@ func (s *server) gaugeUnfilled() {
 	}
 }
 
-// stalledRules runs once the server has drained: a clean termination
+// stallReport runs once the server has drained: a clean termination
 // leaves no rule held here on an unfilled TD. If any remain — a task
-// was poisoned upstream, or the program never writes the data — name
-// them, by action, instead of returning a silent success.
-func (s *server) stalledRules() error {
+// was poisoned upstream, or the program never writes the data — it
+// names them, by action, so the run fails instead of returning a silent
+// success. "" means none.
+func (s *server) stallReport() string {
 	if s.held == 0 {
-		return nil
+		return ""
 	}
 	var ids []int64
 	var actions []string
@@ -272,7 +316,7 @@ func (s *server) stalledRules() error {
 	if len(actions) > 5 {
 		actions = append(actions[:5], "...")
 	}
-	return fmt.Errorf("adlb: server %d: run terminated with %d dataflow rule(s) stalled on %d unfilled TD(s) %v; stalled rules: %q",
+	return fmt.Sprintf("adlb: server %d: run terminated with %d dataflow rule(s) stalled on %d unfilled TD(s) %v; stalled rules: %q",
 		s.idx, s.held, len(ids), ids, actions)
 }
 
@@ -282,10 +326,11 @@ func (s *server) stalledRules() error {
 // iterations, no TD can ever make progress — the demand for the queued
 // types is gone. Abort with a diagnostic naming the stranded work and
 // parked ranks instead of deadlocking. Mid-task clients (neither parked
-// nor departed) suppress the watchdog: they may yet produce progress.
+// nor departed) suppress the watchdog: they may yet produce progress,
+// and so does a drain, which ends the run on its own.
 func (s *server) checkStalled() error {
 	limit := s.cfg.watchdogTicks()
-	if limit <= 0 || s.idle < limit {
+	if s.draining || limit <= 0 || s.idle < limit {
 		return nil
 	}
 	if len(s.parked)+s.doneCount < s.clientCount() {
@@ -1387,6 +1432,15 @@ func (s *server) handleServer(op uint8, d *decoder, source int) error {
 		}
 		s.beginDrain()
 		return nil
+
+	case sopStallReport:
+		msg := d.str()
+		if err := d.finish("stall report"); err != nil {
+			return err
+		}
+		s.stalls[s.l.ServerIndex(source)] = msg
+		s.reported++
+		return nil
 	}
 	return fmt.Errorf("adlb: unhandled server op %d from %d", op, source)
 }
@@ -1511,5 +1565,4 @@ func (s *server) beginDrain() {
 		}
 	}
 	s.parkOrder = nil
-	s.selfHalted = true
 }

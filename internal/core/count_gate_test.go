@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/adlb"
+	"repro/internal/nativelib"
+	"repro/internal/stc"
 	"repro/internal/tcl"
 	"repro/internal/turbine"
 )
@@ -171,5 +173,28 @@ func TestVectorBridgeCountGate(t *testing.T) {
 		if res.ADLB.DataOps != wantOps {
 			t.Errorf("n=%d: adlb.DataOps = %d, want %d", n, res.ADLB.DataOps, wantOps)
 		}
+	}
+}
+
+// TestWorldStandUpAllocs: standing up a world costs its ranks, not the
+// program's text. The empty program at 1 engine, 4 workers and 1 server
+// (cold_runs' world, the native library bound on every rank) allocates
+// at most 1000 times a run: each rank installs the program's pre-built
+// procs, starts from a copy of the core command table and reuses the
+// header's parsed declarations.
+func TestWorldStandUpAllocs(t *testing.T) {
+	empty, err := stc.Compile("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Engines: 1, Workers: 4, Servers: 1, NativeLibs: []*nativelib.Library{nativelib.NewSimLibrary()}}
+	run := func() {
+		if _, err := RunCompiled(empty, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // the per-process tables are built once, by the first world
+	if allocs := testing.AllocsPerRun(20, run); allocs > 1000 {
+		t.Fatalf("an empty world stands up with %.0f allocations, want <= 1000", allocs)
 	}
 }

@@ -28,7 +28,9 @@ const (
 )
 
 // ErrAborted is returned from blocking calls after the world is aborted,
-// either explicitly via World.Abort or by the deadlock watchdog.
+// either explicitly via World.Abort or by the deadlock watchdog. A receive
+// still delivers a matching message queued before the abort, and fails
+// only once none is left.
 var ErrAborted = errors.New("mpi: world aborted")
 
 // Status describes a matched message, mirroring MPI_Status.
@@ -522,14 +524,17 @@ func (c *Comm) recv(source, tag int, timed bool, d time.Duration) ([]byte, Statu
 		err error
 	)
 	for {
-		if mb.aborted {
-			err = ErrAborted
-			break
-		}
+		// A message queued before an abort is still delivered: a server
+		// that drained and then ended the run has already answered its
+		// clients, and those answers must not be lost to the abort.
 		if i := match(mb.queue, source, tag); i >= 0 {
 			env = mb.queue[i]
 			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
 			ok = true
+			break
+		}
+		if mb.aborted {
+			err = ErrAborted
 			break
 		}
 		if timed && (d <= 0 || w != nil && w.expired) {

@@ -363,6 +363,35 @@ func TestAbortUnblocksRecv(t *testing.T) {
 	}
 }
 
+// TestRecvDeliversQueuedBeforeAbort: a message queued before the world
+// aborts is still received, by Recv and RecvTimeout alike, in order; a
+// receive fails with ErrAborted only once nothing queued matches.
+func TestRecvDeliversQueuedBeforeAbort(t *testing.T) {
+	w, _ := NewWorld(2)
+	c0, _ := w.Comm(0)
+	c1, _ := w.Comm(1)
+	for _, msg := range []string{"first", "second"} {
+		if err := c0.Send(1, 3, []byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Abort(errors.New("test abort"))
+	if _, _, err := c1.Recv(0, 4); !errors.Is(err, ErrAborted) {
+		t.Fatalf("recv of an unqueued tag after abort: err = %v, want ErrAborted", err)
+	}
+	data, st, err := c1.Recv(AnySource, AnyTag)
+	if err != nil || string(data) != "first" || st.Source != 0 || st.Tag != 3 {
+		t.Fatalf("recv after abort = %q %+v %v, want the first queued message", data, st, err)
+	}
+	data, _, ok, err := c1.RecvTimeout(0, 3, time.Hour)
+	if err != nil || !ok || string(data) != "second" {
+		t.Fatalf("recv timeout after abort = %q %v %v, want the second queued message", data, ok, err)
+	}
+	if _, _, ok, err := c1.RecvTimeout(0, 3, time.Hour); ok || !errors.Is(err, ErrAborted) {
+		t.Fatalf("recv of an emptied queue after abort: ok = %v, err = %v, want ErrAborted", ok, err)
+	}
+}
+
 func TestRunPropagatesError(t *testing.T) {
 	w, _ := NewWorld(3)
 	sentinel := errors.New("rank failure")

@@ -14,8 +14,10 @@ package swig
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/blob"
 	"repro/internal/lang"
@@ -189,12 +191,33 @@ func parseCType(s, context string) (CType, error) {
 	return CVoid, fmt.Errorf("swig: unsupported C type %q (near %s)", s, context)
 }
 
-// Bind parses the library's header and registers one Tcl command per
-// declaration, named <libname>::<func> (and also the bare function name,
+// declsByHeader holds each header's declarations by header text: a
+// library is bound on every rank of every run, and its header is parsed
+// once per process.
+var declsByHeader sync.Map // string -> []*FuncDecl
+
+// declarations returns ParseHeader(header), parsed once per process. The
+// slice and its FuncDecls are shared, and must not be modified.
+func declarations(header string) ([]*FuncDecl, error) {
+	if d, ok := declsByHeader.Load(header); ok {
+		return d.([]*FuncDecl), nil
+	}
+	decls, err := ParseHeader(header)
+	if err != nil {
+		return nil, err
+	}
+	d, _ := declsByHeader.LoadOrStore(header, slices.Clip(decls))
+	return d.([]*FuncDecl), nil
+}
+
+// Bind registers one Tcl command per declaration of the library's
+// header, named <libname>::<func> (and also the bare function name,
 // matching Tcl package conventions where the pkgIndex imports names).
-// This is the runtime effect of loading a SWIG-generated module.
+// This is the runtime effect of loading a SWIG-generated module. The
+// declarations returned are shared by every Bind of the same header and
+// must not be modified.
 func Bind(in *tcl.Interp, lib *nativelib.Library) ([]*FuncDecl, error) {
-	decls, err := ParseHeader(lib.Header)
+	decls, err := declarations(lib.Header)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +288,7 @@ func makeWrapper(d *FuncDecl, kernel nativelib.Kernel) tcl.Command {
 // GenerateWrapper renders the generated wrapper module source (the
 // wrap.c / pkgIndex.tcl analogue) for documentation and packaging.
 func GenerateWrapper(lib *nativelib.Library) (string, error) {
-	decls, err := ParseHeader(lib.Header)
+	decls, err := declarations(lib.Header)
 	if err != nil {
 		return "", err
 	}

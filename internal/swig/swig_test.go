@@ -153,3 +153,25 @@ func TestResolveErrors(t *testing.T) {
 		t.Fatal("expected resolve error")
 	}
 }
+
+// TestBindParsesHeaderOnce: every rank binds the same library, and each
+// Bind after the first reuses the first's declarations; the commands it
+// registers are still the interpreter's own.
+func TestBindParsesHeaderOnce(t *testing.T) {
+	a, b := tcl.New(), tcl.New()
+	da, err := Bind(a, nativelib.NewSimLibrary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Bind(b, nativelib.NewSimLibrary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(da) == 0 || len(da) != len(db) || da[0] != db[0] {
+		t.Fatal("the second Bind parsed the header again")
+	}
+	a.UnregisterCommand("sim_version")
+	if out, err := b.Eval("sim_version"); err != nil || !strings.Contains(out, "libsim") {
+		t.Fatalf("sim_version on the other interpreter: %q %v", out, err)
+	}
+}

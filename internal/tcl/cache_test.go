@@ -270,7 +270,7 @@ func TestProcCallDoesNotReparseBody(t *testing.T) {
 	}
 	def := in.procs["p"]
 	if def == nil || def.compiled == nil {
-		t.Fatal("proc body was not compiled on first call")
+		t.Fatal("proc body was not compiled")
 	}
 	first := def.compiled
 	mustEval(t, in, "p")

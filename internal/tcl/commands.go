@@ -124,24 +124,9 @@ func cmdProc(in *Interp, args []string) (string, error) {
 	if len(args) != 4 {
 		return "", arityErr("proc", "name args body")
 	}
-	params, err := ParseList(args[2])
+	def, err := newProcDef("proc", args[2], args[3], in.ns, in.compile)
 	if err != nil {
 		return "", err
-	}
-	def := &procDef{body: args[3], ns: in.ns}
-	for _, prm := range params {
-		parts, err := ParseList(prm)
-		if err != nil {
-			return "", err
-		}
-		switch len(parts) {
-		case 1:
-			def.params = append(def.params, param{name: parts[0]})
-		case 2:
-			def.params = append(def.params, param{name: parts[0], def: parts[1], hasDef: true})
-		default:
-			return "", fmt.Errorf("tcl: proc: bad parameter %q", prm)
-		}
 	}
 	in.procs[in.qualify(args[1])] = def
 	return "", nil
@@ -939,9 +924,9 @@ func cmdRename(in *Interp, args []string) (string, error) {
 		return "", nil
 	}
 	if c, ok := in.cmds[in.qualify(old)]; ok {
-		delete(in.cmds, in.qualify(old))
+		in.UnregisterCommand(in.qualify(old))
 		if nw != "" {
-			in.cmds[in.qualify(nw)] = c
+			in.RegisterCommand(in.qualify(nw), c)
 		}
 		return "", nil
 	}
@@ -1039,24 +1024,9 @@ func cmdApply(in *Interp, args []string) (string, error) {
 	if len(lam) < 2 || len(lam) > 3 {
 		return "", fmt.Errorf("tcl: apply: lambda must be {params body ?ns?}")
 	}
-	params, err := ParseList(lam[0])
+	def, err := newProcDef("apply", lam[0], lam[1], in.ns, in.compile)
 	if err != nil {
 		return "", err
-	}
-	def := &procDef{body: lam[1], ns: in.ns}
-	for _, prm := range params {
-		parts, err := ParseList(prm)
-		if err != nil {
-			return "", err
-		}
-		switch len(parts) {
-		case 1:
-			def.params = append(def.params, param{name: parts[0]})
-		case 2:
-			def.params = append(def.params, param{name: parts[0], def: parts[1], hasDef: true})
-		default:
-			return "", fmt.Errorf("tcl: apply: bad parameter %q", prm)
-		}
 	}
 	return in.callProc("apply-lambda", def, args[2:])
 }

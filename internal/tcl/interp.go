@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"strings"
+	"sync"
 
 	"repro/internal/memo"
 )
@@ -94,16 +96,56 @@ type Interp struct {
 	// and uncached evaluation are indistinguishable.
 	scripts *memo.Budget[*Script]
 	exprs   *memo.Budget[exprNode]
+
+	// procRebound is set once the proc command's name has been
+	// registered, unregistered or renamed: from then on a pre-built
+	// proc command is evaluated like any other command, through
+	// whatever proc now is.
+	procRebound bool
 }
 
+// procDef is a procedure definition. It is immutable once built, so
+// one procDef may be installed in any number of interpreters: a proc
+// command that CompileScript pre-built is installed that way, sharing
+// one parse and one compiled body among every rank that evaluates the
+// script. A redefinition installs a fresh procDef.
 type procDef struct {
 	params []param
 	body   string
 	ns     string
-	// compiled is the parsed body, filled in on first call so that
-	// subsequent calls skip parseScript entirely. A redefinition installs
-	// a fresh procDef, so stale compiled bodies cannot survive.
+	// compiled is the parsed body; bodyErr, when the body does not
+	// parse, is raised at each call instead, so a syntax error surfaces
+	// at call time as uncompiled evaluation reported it.
 	compiled *Script
+	bodyErr  error
+}
+
+// newProcDef builds the definition of the proc command cmd (proc or
+// apply) from its parameter list and body, compiling the body with
+// compile. A malformed parameter list is an error; a body that does not
+// parse is kept as the definition's bodyErr.
+func newProcDef(cmd, params, body, ns string, compile func(string) (*Script, error)) (*procDef, error) {
+	list, err := ParseList(params)
+	if err != nil {
+		return nil, err
+	}
+	def := &procDef{body: body, ns: ns, params: make([]param, 0, len(list))}
+	for _, prm := range list {
+		parts, err := ParseList(prm)
+		if err != nil {
+			return nil, err
+		}
+		switch len(parts) {
+		case 1:
+			def.params = append(def.params, param{name: parts[0]})
+		case 2:
+			def.params = append(def.params, param{name: parts[0], def: parts[1], hasDef: true})
+		default:
+			return nil, fmt.Errorf("tcl: %s: bad parameter %q", cmd, prm)
+		}
+	}
+	def.compiled, def.bodyErr = compile(body)
+	return def, nil
 }
 
 type param struct {
@@ -112,10 +154,21 @@ type param struct {
 	hasDef bool
 }
 
+// coreCommands is the core command set, built once per process. Each
+// interpreter starts from its own copy, so rename and UnregisterCommand
+// stay local to one interpreter.
+var coreCommands = sync.OnceValue(func() map[string]Command {
+	in := &Interp{cmds: make(map[string]Command)}
+	registerCore(in)
+	registerStringCmds(in)
+	registerListCmds(in)
+	return in.cmds
+})
+
 // New creates an interpreter with the core command set registered.
 func New() *Interp {
 	in := &Interp{
-		cmds:       make(map[string]Command),
+		cmds:       maps.Clone(coreCommands()),
 		procs:      make(map[string]*procDef),
 		global:     &frame{vars: map[string]*variable{}},
 		Out:        os.Stdout,
@@ -126,9 +179,6 @@ func New() *Interp {
 		exprs:      memo.NewBudget[exprNode](defaultExprCacheSize, memo.UnitCost[exprNode]),
 	}
 	in.stack = []*frame{in.global}
-	registerCore(in)
-	registerStringCmds(in)
-	registerListCmds(in)
 	return in
 }
 
@@ -136,11 +186,13 @@ func New() *Interp {
 // Tcl_CreateObjCommand, used by the Turbine runtime, SWIG-generated
 // wrappers, and the Python/R extension packages.
 func (in *Interp) RegisterCommand(name string, fn Command) {
+	in.procRebound = in.procRebound || name == "proc"
 	in.cmds[name] = fn
 }
 
 // UnregisterCommand removes a command (rename name "").
 func (in *Interp) UnregisterCommand(name string) {
+	in.procRebound = in.procRebound || name == "proc"
 	delete(in.cmds, name)
 }
 
@@ -355,6 +407,11 @@ func (in *Interp) EvalScript(s *Script) (string, error) {
 }
 
 func (in *Interp) evalCommand(cmd *command) (string, error) {
+	if d := cmd.proc; d != nil && in.ns == "" && !in.procRebound {
+		// The core proc command, its definition built at compile time.
+		in.procs[d.key] = d.def
+		return "", nil
+	}
 	words := make([]string, 0, len(cmd.words))
 	for i := range cmd.words {
 		w := &cmd.words[i]
@@ -488,16 +545,8 @@ func (in *Interp) callProc(name string, p *procDef, args []string) (string, erro
 		return "", fmt.Errorf(`tcl: wrong # args: should be "%s %s"`, name, procSignature(p))
 	}
 
-	// Compile the body once, on first call; later calls skip parsing.
-	// (Definition time would also work, but first-call keeps proc-body
-	// syntax errors surfacing at call time, as uncached evaluation did,
-	// and ranks never pay for procs they never invoke.)
-	if p.compiled == nil {
-		s, err := in.compile(p.body)
-		if err != nil {
-			return "", err
-		}
-		p.compiled = s
+	if p.bodyErr != nil {
+		return "", p.bodyErr
 	}
 
 	in.stack = append(in.stack, f)

@@ -208,6 +208,16 @@ func (in *Interp) substSeg(s *seg) (string, error) {
 type command struct {
 	words []word
 	line  int
+	// proc is set on a proc command whose words are all literal: its
+	// definition, built once by CompileScript.
+	proc *procDecl
+}
+
+// procDecl is a pre-built proc command: evaluating it installs def
+// under the qualified name key.
+type procDecl struct {
+	key string
+	def *procDef
 }
 
 // isLiteralText reports whether substitution of text is the identity.

@@ -1,5 +1,7 @@
 package tcl
 
+import "strings"
+
 // Compile-once support: scripts and expressions are parsed to an
 // immutable compiled form that can be evaluated any number of times, by
 // any interpreter. This is the analogue of Tcl's bytecode compiler for
@@ -31,13 +33,38 @@ type Script struct {
 	cmds []command
 }
 
-// CompileScript parses src into a reusable compiled script.
+// CompileScript parses src into a reusable compiled script. A proc
+// command whose words are all literal is built here too, its parameters
+// parsed and its body compiled, so every interpreter that evaluates the
+// script installs the same definition instead of parsing it again.
 func CompileScript(src string) (*Script, error) {
 	cmds, err := parseScript(src)
 	if err != nil {
 		return nil, err
 	}
+	for i := range cmds {
+		cmds[i].proc = prebuildProc(cmds[i].words)
+	}
 	return &Script{src: src, cmds: cmds}, nil
+}
+
+// prebuildProc returns the definition of `proc name params body` when
+// every word is literal and the definition builds; otherwise nil, and
+// the command is evaluated as it stands (raising any error then).
+func prebuildProc(words []word) *procDecl {
+	if len(words) != 4 || words[0].text != "proc" {
+		return nil
+	}
+	for _, w := range words {
+		if w.kind == wordExpand || (w.kind != wordBraced && !w.literal) {
+			return nil
+		}
+	}
+	def, err := newProcDef("proc", words[2].text, words[3].text, "", CompileScript)
+	if err != nil {
+		return nil
+	}
+	return &procDecl{key: strings.TrimPrefix(words[1].text, "::"), def: def}
 }
 
 // Source returns the source text the script was compiled from.
