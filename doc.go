@@ -418,11 +418,11 @@
 // rank, and zero simulated processes die.
 //
 // Two backstops make failures diagnosable instead of silent. The ADLB
-// servers run a hang watchdog (Config.WatchdogIdleTicks): a world whose
-// remaining work can never execute — queued items no one asks for,
-// leases that will never settle, unfilled TDs — ends with a diagnostic
-// error listing the stranded work and parked ranks instead of
-// deadlocking. And a server that exits while clients are parked in Get
+// servers run a hang watchdog (Config.WatchdogIdle of wall time): a
+// world whose remaining work can never execute — queued items no one
+// asks for, leases that will never settle, unfilled TDs — ends with a
+// diagnostic error listing the stranded work and parked ranks instead
+// of deadlocking. And a server that exits while clients are parked in Get
 // releases them with an explicit shutdown error rather than leaving
 // them in Recv forever.
 //
@@ -444,10 +444,10 @@
 // rule a server still holds at drain, work or control, fails the run,
 // named by its action.
 //
-// A run ends at its drain. A server checks whether its run is over once
-// per loop iteration, after dispatch and housekeeping, so it returns as
-// soon as its clients have NO_MORE_WORK and not after a further idle
-// housekeeping tick. The stall diagnostics meet at the master: every
+// A run ends at its drain. A server sleeps in Recv unless a steal
+// retry or the watchdog is armed, and checks whether its run is over
+// once per loop iteration, after dispatch and housekeeping, so it
+// returns as soon as its clients have NO_MORE_WORK. The stall diagnostics meet at the master: every
 // other server sends the master its list of stalled rules (empty when
 // it has none) and returns nil; the master waits for all of them and
 // returns one error naming the stalled rules of every server, in server

@@ -3,6 +3,7 @@ package adlb
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,6 +100,22 @@ func TestLayout(t *testing.T) {
 		if l.OwnerOf(id) != l.ServerRank(i) {
 			t.Fatalf("owner of %d = %d", id, l.OwnerOf(id))
 		}
+	}
+}
+
+// TestOwnerOfIsAlwaysAServer: every id, math.MinInt64 included (whose
+// negation overflows), is owned by a server rank, never a client.
+func TestOwnerOfIsAlwaysAServer(t *testing.T) {
+	l := NewLayout(10, 3)
+	ids := []int64{math.MinInt64, math.MinInt64 + 1, -3, -1, 0, 1, 2, math.MaxInt64}
+	f := func(id int64) bool { return l.IsServer(l.OwnerOf(id)) }
+	for _, id := range ids {
+		if !f(id) {
+			t.Fatalf("OwnerOf(%d) = %d, a client rank", id, l.OwnerOf(id))
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -20,9 +20,6 @@ type Config struct {
 	// Deprecated: NotifyType is ignored. The servers send no close
 	// notifications; a client waits on data with a held Put.
 	NotifyType int
-	// Tick is the server housekeeping interval (steal retries,
-	// termination-token initiation). Zero selects a default of 200µs.
-	Tick time.Duration
 	// Stats, if non-nil, accumulates runtime counters across all servers.
 	Stats *Stats
 	// DisableSteal turns off inter-server work stealing (for ablation
@@ -47,30 +44,12 @@ type Config struct {
 	// first request) would look like a drained run. Ignored unless
 	// Elastic is set; Turbine sets it to its engine count.
 	StaticClients int
-	// WatchdogIdleTicks is the number of consecutive idle server-loop
-	// iterations after which a server with every assigned client parked
-	// (or departed) but work still queued declares the run hung and
-	// aborts with a diagnostic instead of deadlocking. Zero selects the
-	// default of 25000 ticks (~5s at the default Tick); negative disables
-	// the watchdog.
-	WatchdogIdleTicks int
-}
-
-func (c *Config) tick() time.Duration {
-	if c.Tick <= 0 {
-		return 200 * time.Microsecond
-	}
-	return c.Tick
-}
-
-func (c *Config) watchdogTicks() int {
-	if c.WatchdogIdleTicks == 0 {
-		return 25000
-	}
-	if c.WatchdogIdleTicks < 0 {
-		return 0
-	}
-	return c.WatchdogIdleTicks
+	// WatchdogIdle is how long a server with every assigned client
+	// parked (or departed) may go without progress before, if work is
+	// still queued or leased, it declares the run hung and aborts with a
+	// diagnostic instead of deadlocking. Zero selects a default of 5s;
+	// negative disables the watchdog.
+	WatchdogIdle time.Duration
 }
 
 // Validate checks the configuration against a world of the given size.
@@ -121,10 +100,12 @@ func (l Layout) ServerOf(client int) int {
 // ids allocated by server i satisfy id % Servers == i, so allocation is
 // always owner-local.
 func (l Layout) OwnerOf(id int64) int {
+	// The unsigned magnitude: -id overflows at math.MinInt64.
+	mag := uint64(id)
 	if id < 0 {
-		id = -id
+		mag = -mag
 	}
-	return l.ServerRank(int(id % int64(l.Servers)))
+	return l.ServerRank(int(mag % uint64(l.Servers)))
 }
 
 // clientsOfServer returns how many clients are assigned to server index i.

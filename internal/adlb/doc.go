@@ -10,10 +10,10 @@
 // clients go idle, and run Safra's termination-detection algorithm on a
 // token ring to discover global quiescence, at which point every parked
 // Get returns "no more work" and the deployment shuts down. A server
-// leaves its loop at the drain itself: it checks for the end of its run
-// after dispatch and housekeeping in the same iteration, so no idle
-// housekeeping tick passes between the last NO_MORE_WORK and Serve's
-// return.
+// acts on messages: it sleeps in Recv, with a timeout only while a steal
+// retry or the hang watchdog is armed, and leaves its loop in the
+// iteration that completes its drain, so no wait comes between the last
+// NO_MORE_WORK and Serve's return.
 //
 // The data store provides Turbine's typed futures: Create/Store/Retrieve
 // with single-assignment semantics, rules held until their data closes

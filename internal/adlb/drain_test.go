@@ -1,7 +1,7 @@
 package adlb
 
 // How a run ends: the servers leave their loops at the drain, with no
-// idle tick between, and their stall diagnostics meet at the master.
+// idle wait between, and their stall diagnostics meet at the master.
 
 import (
 	"fmt"
@@ -12,14 +12,14 @@ import (
 	"repro/internal/mpi"
 )
 
-// TestDrainDoesNotWaitOnTick: five clients that each do one Get end the
-// run as soon as termination is detected, even when the housekeeping
-// tick is an hour. A server that idled one tick before returning would
-// hold the run that long.
-func TestDrainDoesNotWaitOnTick(t *testing.T) {
+// TestRunEndsAtItsDrain: five clients that each do one Get end the run
+// as soon as termination is detected. With the watchdog off no server
+// deadline is armed at the drain, so a server that waited for one more
+// message before returning would hold the run until the test's limit.
+func TestRunEndsAtItsDrain(t *testing.T) {
 	for servers := 1; servers <= 2; servers++ {
 		t.Run(fmt.Sprintf("servers=%d", servers), func(t *testing.T) {
-			cfg := Config{Servers: servers, Types: 2, Tick: time.Hour, WatchdogIdleTicks: -1}
+			cfg := Config{Servers: servers, Types: 2, WatchdogIdle: -1}
 			w, err := mpi.NewWorld(5 + servers)
 			if err != nil {
 				t.Fatal(err)

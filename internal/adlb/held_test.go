@@ -6,6 +6,7 @@ package adlb
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -406,6 +407,18 @@ func TestHeldRuleUnknownIDFailsThePut(t *testing.T) {
 	}, nil)
 }
 
+// TestHeldRuleMinInt64IsAnUnknownID: a Put waiting on math.MinInt64
+// goes to a server, which refuses it as an id it never issued.
+func TestHeldRuleMinInt64IsAnUnknownID(t *testing.T) {
+	runWorld(t, 2, 1, func(cl *Client) error {
+		err := cl.Put(typeWork, 0, AnyRank, []byte("bad"), math.MinInt64)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("no such id %d", int64(math.MinInt64))) {
+			return fmt.Errorf("put waiting on MinInt64: err = %v, want the unknown id named", err)
+		}
+		return noMoreWork(cl)
+	})
+}
+
 // An unknown id on a further owner is found only when the rule reaches
 // it, after the Put has returned: the run fails, naming the id.
 func TestHeldRuleUnknownIDOnFurtherOwnerFailsTheRun(t *testing.T) {
@@ -568,8 +581,7 @@ func TestHeldSafraWaitsForForwardedRule(t *testing.T) {
 
 func TestHeldWatchdogCountsHeldRules(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.Tick = 100 * time.Microsecond
-	cfg.WatchdogIdleTicks = 50
+	cfg.WatchdogIdle = 5 * time.Millisecond
 	_, err := runWorldCfg(t, 3, cfg, func(cl *Client) error {
 		if cl.Rank() == 0 {
 			// Both clients only ever ask for control work: the queued item

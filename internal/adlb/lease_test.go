@@ -207,8 +207,7 @@ func TestServerCrashReleasesParkedClient(t *testing.T) {
 
 func TestWatchdogDiagnosesStrandedWork(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.Tick = 100 * time.Microsecond
-	cfg.WatchdogIdleTicks = 50
+	cfg.WatchdogIdle = 5 * time.Millisecond
 	_, err := runWorldCfg(t, 3, cfg, func(cl *Client) error {
 		if cl.Rank() == 0 {
 			// Strand a work item: both clients will only ever ask for

@@ -70,9 +70,9 @@ func runPinWorld(t *testing.T, size, servers int, hold bool, window time.Duratio
 // TestPinnedIdleWorldStaysUp: every client but one parked over empty
 // queues, and that one never parks. Quiescence termination must NOT fire
 // — the world is still up when the observation window closes. The
-// window (200ms) is three orders of magnitude beyond the default 200µs
-// housekeeping tick, so an all-parked world reaches termination well
-// inside it (proven by TestUnpinnedIdleWorldTerminates below).
+// servers act on the last park as it arrives, so an all-parked world
+// reaches termination well inside the 200ms window (proven by
+// TestUnpinnedIdleWorldTerminates below).
 func TestPinnedIdleWorldStaysUp(t *testing.T) {
 	terminated, aborted := runPinWorld(t, 3, 1, true, 200*time.Millisecond)
 	if terminated {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/faultinject"
@@ -90,10 +91,9 @@ type server struct {
 	leases    map[int64]lease // outstanding leased work, by lease id
 	nextLease int64
 
-	// Watchdog state: consecutive loop iterations without a client RPC
-	// or work-bearing server message. See checkStalled.
-	idle     int
-	progress bool
+	// watchAt is the hang watchdog's deadline, zero while unarmed; progress
+	// (a client RPC or a work-bearing server message) disarms it.
+	watchAt time.Time
 
 	store  map[int64]*datum
 	nextID int64
@@ -113,10 +113,10 @@ type server struct {
 	tokenBlack bool
 	roundOpen  bool // master only: a token is circulating
 
-	stealOut     bool // a steal request is outstanding
-	stealRR      int  // round-robin victim cursor
-	stealBackoff int  // ticks to wait between steals after empty responses
-	stealWait    int  // remaining ticks before the next steal attempt
+	stealOut     bool          // a steal request is outstanding
+	stealRR      int           // round-robin victim cursor
+	stealBackoff time.Duration // wait after the last empty steal reply; 0 after a hit
+	stealAt      time.Time     // no steal retry before this; zero: none pending
 	draining     bool
 	doneCount    int // clients that have received NO_MORE_WORK
 
@@ -175,15 +175,25 @@ func (s *server) clientCount() int {
 
 func (s *server) stats() *Stats { return s.cfg.Stats }
 
+// Steal retries back off after an empty steal reply, from minStealBackoff
+// doubling to maxStealBackoff, so idle servers stop hammering each other
+// while termination detection proceeds. A steal hit resets the backoff.
+const (
+	minStealBackoff = 200 * time.Microsecond
+	maxStealBackoff = 64 * minStealBackoff
+)
+
+// run is the server loop. Every state change it acts on arrives as a
+// message, so it sleeps in Recv, and in RecvTimeout only while a
+// deadline is armed: a steal retry, or the hang watchdog.
 func (s *server) run() error {
 	// Whatever ends this loop — clean drain, internal error, or an
 	// injected crash — clients still parked in Get must be unblocked with
 	// an error response, or they hang in Recv forever (their Gets are
 	// synchronous and the dead server would never answer).
 	defer s.releaseParked()
-	tick := s.cfg.tick()
 	for {
-		data, st, ok, err := s.c.RecvTimeout(mpi.AnySource, mpi.AnyTag, tick)
+		data, st, ok, err := s.recv()
 		if err != nil {
 			return err
 		}
@@ -204,19 +214,13 @@ func (s *server) run() error {
 		}
 		if !s.draining {
 			s.housekeeping()
-			if s.progress {
-				s.progress = false
-				s.idle = 0
-			} else {
-				s.idle++
-			}
-			if err := s.checkStalled(); err != nil {
-				s.c.World().Abort(err)
-				return err
-			}
+		}
+		if err := s.watch(); err != nil {
+			s.c.World().Abort(err)
+			return err
 		}
 		// Checked after housekeeping, where a drain may just have begun,
-		// so no idle tick passes between the drain and the return.
+		// so no idle wait comes between the drain and the return.
 		if s.drained() {
 			s.gaugeUnfilled()
 			return s.finish()
@@ -320,24 +324,56 @@ func (s *server) stallReport() string {
 		s.idx, s.held, len(ids), ids, actions)
 }
 
-// checkStalled is the hang watchdog: when every assigned client is
-// parked or departed, yet work is still queued (or leases are still
-// outstanding) and nothing has arrived for watchdogTicks loop
-// iterations, no TD can ever make progress — the demand for the queued
-// types is gone. Abort with a diagnostic naming the stranded work and
-// parked ranks instead of deadlocking. Mid-task clients (neither parked
-// nor departed) suppress the watchdog: they may yet produce progress,
-// and so does a drain, which ends the run on its own.
-func (s *server) checkStalled() error {
-	limit := s.cfg.watchdogTicks()
-	if s.draining || limit <= 0 || s.idle < limit {
-		return nil
+// recv returns the next message, waiting in Recv unless a deadline is
+// armed; ok is false when the armed deadline came first.
+func (s *server) recv() ([]byte, mpi.Status, bool, error) {
+	if d, armed := s.wait(); armed {
+		return s.c.RecvTimeout(mpi.AnySource, mpi.AnyTag, d)
 	}
-	if len(s.parked)+s.doneCount < s.clientCount() {
-		// Someone is mid-task (e.g. a long-running leaf); not a hang.
-		s.idle = 0
-		return nil
+	data, st, err := s.c.Recv(mpi.AnySource, mpi.AnyTag)
+	return data, st, err == nil, err
+}
+
+// wait is how long the server may block for its next message: until the
+// earlier of its armed deadlines, a steal retry (pending while clients
+// are parked and no steal is out) and the watchdog. armed is false when
+// neither is, and the server sleeps in Recv.
+func (s *server) wait() (d time.Duration, armed bool) {
+	at := s.watchAt
+	if len(s.parked) > 0 && !s.stealOut && !s.stealAt.IsZero() && (at.IsZero() || s.stealAt.Before(at)) {
+		at = s.stealAt
 	}
+	if at.IsZero() {
+		return 0, false
+	}
+	return time.Until(at), true
+}
+
+// watch keeps the hang watchdog. It is armed, WatchdogIdle after the
+// last progress, only while every assigned client is parked or departed
+// and the server is not draining: a mid-task client (e.g. a long-running
+// leaf) may yet produce progress, and a drain ends the run on its own.
+func (s *server) watch() error {
+	limit := s.cfg.WatchdogIdle
+	if limit == 0 {
+		limit = 5 * time.Second
+	}
+	if s.draining || limit < 0 || len(s.parked)+s.doneCount < s.clientCount() {
+		s.watchAt = time.Time{}
+	} else if s.watchAt.IsZero() {
+		s.watchAt = time.Now().Add(limit)
+	} else if now := time.Now(); !now.Before(s.watchAt) {
+		return s.checkStalled(now, limit)
+	}
+	return nil
+}
+
+// checkStalled runs when the watchdog expires: every assigned client is
+// parked or departed and nothing has arrived for limit. If work is still
+// queued (or leases are still outstanding), no TD can ever make progress
+// — the demand for the queued types is gone. Abort with a diagnostic
+// naming the stranded work and parked ranks instead of deadlocking.
+func (s *server) checkStalled(now time.Time, limit time.Duration) error {
 	queued := 0
 	byType := make(map[int]int)
 	for t, q := range s.untargeted {
@@ -350,7 +386,7 @@ func (s *server) checkStalled() error {
 	}
 	if queued == 0 && len(s.leases) == 0 {
 		// Idle but healthy: termination detection will finish the run.
-		s.idle = 0
+		s.watchAt = now.Add(limit)
 		return nil
 	}
 	var types []string
@@ -375,21 +411,17 @@ func (s *server) checkStalled() error {
 			unfilled++
 		}
 	}
-	return fmt.Errorf("adlb: server %d: hang detected — no progress for %d ticks with work stranded: "+
+	return fmt.Errorf("adlb: server %d: hang detected — no progress for %v with work stranded: "+
 		"queued [%s], %d held rule(s), %d outstanding lease(s), %d unfilled TD(s); parked clients [%s], departed clients %v",
-		s.idx, s.idle, strings.Join(types, "; "), s.held, len(s.leases), unfilled,
+		s.idx, (now.Sub(s.watchAt) + limit).Round(time.Millisecond), strings.Join(types, "; "), s.held, len(s.leases), unfilled,
 		strings.Join(parked, ", "), departed)
 }
 
-// housekeeping runs between messages: retries steals, forwards or
-// initiates termination tokens.
+// housekeeping runs after each message and each expired wait: retries
+// steals, forwards or initiates termination tokens.
 func (s *server) housekeeping() {
-	if len(s.parked) > 0 && !s.stealOut {
-		if s.stealWait > 0 {
-			s.stealWait--
-		} else {
-			s.maybeSteal()
-		}
+	if len(s.parked) > 0 && !s.stealOut && (s.stealAt.IsZero() || !time.Now().Before(s.stealAt)) {
+		s.maybeSteal()
 	}
 	if s.haveToken && s.quiet() {
 		s.forwardToken()
@@ -495,8 +527,8 @@ func (s *server) respondError(client int, msg string) error {
 // handleRequest handles one client request; get is the decoded body of
 // a Get (dispatch decodes it to decide the frame's fate).
 func (s *server) handleRequest(op uint8, d *decoder, get *getRequest, client int) error {
-	// Any client RPC is progress for the hang watchdog.
-	s.progress = true
+	// Any client RPC is progress, which disarms the hang watchdog.
+	s.watchAt = time.Time{}
 	// Elastic registration: a client joins this server's roster on its
 	// first RPC — but only on its home server. Data ops route by id owner
 	// and may land on any server; counting those would inflate rosters
@@ -1337,7 +1369,7 @@ func (s *server) handleServer(op uint8, d *decoder, source int) error {
 	case sopPutForward:
 		s.mcount--
 		s.black = true
-		s.progress = true
+		s.watchAt = time.Time{}
 		w := decodeWorkItem(d)
 		wait := decodeIDs(d, "put-forward wait ids")
 		if err := d.finish("put-forward"); err != nil {
@@ -1371,22 +1403,17 @@ func (s *server) handleServer(op uint8, d *decoder, source int) error {
 		if n > 0 {
 			s.mcount--
 			s.black = true
-			s.progress = true
+			s.watchAt = time.Time{}
 			s.stealBackoff = 0
+			s.stealAt = time.Time{}
 			if s.stats() != nil {
 				s.stats().StealHits.Add(1)
 				s.stats().ItemsStolen.Add(int64(n))
 			}
-		} else if s.stealBackoff < 64 {
-			// Empty response: back off exponentially so idle servers stop
-			// hammering each other while termination detection proceeds.
-			if s.stealBackoff == 0 {
-				s.stealBackoff = 1
-			} else {
-				s.stealBackoff *= 2
-			}
+		} else {
+			s.stealBackoff = min(max(2*s.stealBackoff, minStealBackoff), maxStealBackoff)
+			s.stealAt = time.Now().Add(s.stealBackoff)
 		}
-		s.stealWait = s.stealBackoff
 		// Enqueue the whole batch before matching any parked client:
 		// item-by-item acceptance would hand the first-arrived item to
 		// the longest-parked client even when a higher-priority sibling
@@ -1534,14 +1561,7 @@ func (s *server) forwardToken() {
 // the local drain.
 func (s *server) terminate() {
 	for i := 1; i < s.l.Servers; i++ {
-		e := getEncoder()
-		e.u8(sopShutdown)
-		frame, err := e.frame()
-		if err == nil {
-			err = s.c.Send(s.l.ServerRank(i), tagServer, frame)
-		}
-		putEncoder(e)
-		if err != nil {
+		if err := s.sendServer(s.l.ServerRank(i), sopShutdown, false, func(*encoder) {}); err != nil {
 			s.c.World().Abort(err)
 			return
 		}

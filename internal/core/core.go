@@ -100,13 +100,11 @@ type Config struct {
 	TurbineStats *turbine.Stats
 	// DisableSteal turns off inter-server work stealing (ablation).
 	DisableSteal bool
-	// Tick overrides the ADLB server housekeeping interval.
-	Tick time.Duration
 
-	// WatchdogIdleTicks tunes the ADLB hang watchdog (0 = default,
+	// WatchdogIdle tunes the ADLB hang watchdog (0 = the 5s default,
 	// negative = disabled): a run whose remaining work can never be
 	// executed ends with a diagnostic error instead of deadlocking.
-	WatchdogIdleTicks int
+	WatchdogIdle time.Duration
 }
 
 func (c *Config) withDefaults() Config {
@@ -270,15 +268,14 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 	}
 
 	tcfg := &turbine.Config{
-		Engines:           cfg.Engines,
-		Servers:           cfg.Servers,
-		Tick:              cfg.Tick,
-		Stats:             r.stats,
-		TurbineStats:      r.tstats,
-		DisableSteal:      cfg.DisableSteal,
-		WatchdogIdleTicks: cfg.WatchdogIdleTicks,
-		ProgramScript:     programScript,
-		Main:              compiled.Main,
+		Engines:       cfg.Engines,
+		Servers:       cfg.Servers,
+		Stats:         r.stats,
+		TurbineStats:  r.tstats,
+		DisableSteal:  cfg.DisableSteal,
+		WatchdogIdle:  cfg.WatchdogIdle,
+		ProgramScript: programScript,
+		Main:          compiled.Main,
 		Setup: r.setup(cfg.Policy, cfg.NativeLibs, func(in *tcl.Interp) error {
 			in.PkgPath = cfg.PkgPath
 			in.SourceFS = func(path string) (string, error) {

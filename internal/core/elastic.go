@@ -22,8 +22,8 @@ import (
 
 // ElasticConfig describes the hub side of an out-of-process run. Every
 // rank retains embedded-interpreter state across tasks (PolicyRetain),
-// and the ADLB housekeeping, retry and watchdog settings and the
-// transport's heartbeats keep their defaults.
+// and the ADLB retry and watchdog settings and the transport's
+// heartbeats keep their defaults.
 type ElasticConfig struct {
 	// Engines and Servers run as goroutines inside the hub process.
 	// Both default to 1.

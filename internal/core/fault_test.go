@@ -138,9 +138,8 @@ func TestChaosHangWatchdogWhenAllWorkersDie(t *testing.T) {
 	// the run must end with the watchdog's diagnostic, not a deadlock.
 	armWorkerCrash()
 	_, err := Run(ensemble16, Config{
-		Workers:           1,
-		Tick:              100 * time.Microsecond,
-		WatchdogIdleTicks: 200,
+		Workers:      1,
+		WatchdogIdle: 20 * time.Millisecond,
 	})
 	if err == nil {
 		t.Fatal("expected hang-watchdog diagnostic, got clean run")

@@ -135,7 +135,7 @@ type mailbox struct {
 // sleeps on in Recv or RecvTimeout, and the deadline timer RecvTimeout
 // re-arms. A handle parks at most one goroutine at a time, so both are
 // made at the handle's first park and reused by every later one: a
-// server loop parking thousands of times a second allocates nothing.
+// server loop parking on every message allocates nothing.
 // Every field but timer is guarded by mb.mu; timer belongs to the
 // handle's goroutine.
 type waiter struct {
@@ -504,8 +504,8 @@ func (c *Comm) Recv(source, tag int) ([]byte, Status, error) {
 }
 
 // RecvTimeout behaves like Recv but gives up after d, returning ok=false
-// with no error. It is used by server loops that multiplex message
-// handling with periodic housekeeping (steal retries, termination tokens).
+// with no error. An ADLB server uses it only while a deadline is armed
+// (a steal retry, the hang watchdog), with d the time left until it.
 func (c *Comm) RecvTimeout(source, tag int, d time.Duration) ([]byte, Status, bool, error) {
 	return c.recv(source, tag, true, d)
 }

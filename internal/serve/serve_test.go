@@ -191,10 +191,10 @@ func TestStatsSnapshotCoversLayers(t *testing.T) {
 	}
 }
 
-// TestIdleWorldStaysUpAndServes: a warm world left idle for thousands of
-// housekeeping ticks (200µs each) is still up — the never-parking
-// gateway keeps termination from collecting it — and then serves, on a
-// two-server ring, a fragment and a session-sticky one.
+// TestIdleWorldStaysUpAndServes: a warm world left idle for half a
+// second, its servers asleep on their mailboxes, is still up — the
+// never-parking gateway keeps termination from collecting it — and then
+// serves, on a two-server ring, a fragment and a session-sticky one.
 func TestIdleWorldStaysUpAndServes(t *testing.T) {
 	s := newTestServer(t, Config{Servers: 2})
 	time.Sleep(500 * time.Millisecond)

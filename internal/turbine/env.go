@@ -40,17 +40,15 @@ const (
 type Config struct {
 	Engines int
 	Servers int
-	// Tick forwards to adlb.Config.Tick.
-	Tick time.Duration
 	// Stats, if non-nil, collects ADLB counters.
 	Stats *adlb.Stats
 	// TurbineStats, if non-nil, collects engine/worker counters.
 	TurbineStats *Stats
 	// DisableSteal forwards to adlb.Config.DisableSteal.
 	DisableSteal bool
-	// WatchdogIdleTicks forwards to adlb.Config.WatchdogIdleTicks (the
-	// hang watchdog; 0 = default, negative = disabled).
-	WatchdogIdleTicks int
+	// WatchdogIdle forwards to adlb.Config.WatchdogIdle (the hang
+	// watchdog; 0 = the 5s default, negative = disabled).
+	WatchdogIdle time.Duration
 	// Elastic forwards to adlb.Config.Elastic: client membership is the
 	// dynamically registered roster rather than the static layout. Set by
 	// the out-of-process runtime, where worker ranks are TCP joins that
@@ -89,14 +87,13 @@ func (c *Config) Validate(worldSize int) error {
 
 func (c *Config) adlbConfig() adlb.Config {
 	return adlb.Config{
-		Servers:           c.Servers,
-		Types:             2,
-		Tick:              c.Tick,
-		Stats:             c.Stats,
-		DisableSteal:      c.DisableSteal,
-		WatchdogIdleTicks: c.WatchdogIdleTicks,
-		Elastic:           c.Elastic,
-		StaticClients:     c.Engines,
+		Servers:       c.Servers,
+		Types:         2,
+		Stats:         c.Stats,
+		DisableSteal:  c.DisableSteal,
+		WatchdogIdle:  c.WatchdogIdle,
+		Elastic:       c.Elastic,
+		StaticClients: c.Engines,
 	}
 }
 
