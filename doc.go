@@ -104,7 +104,15 @@
 // inputs cost its engine none; an engine holds no wait state of its own.
 // A leaf's result rides the other way: stored by
 // the worker's next Get when the worker's home server owns the output
-// (see the failure model), so the worker makes one request per leaf. Actions are
+// (see the failure model), so the worker makes one request per leaf.
+// The engine's writes — the leaf Puts, the literal stores, the inserts
+// and refcount changes — are one-way within a control action: they ride
+// one frame per server (adlb.Client batches them, up to maxBatch
+// writes or maxBatchBytes, a larger write going alone), the action
+// ends with Client.Flush, and a refused write fails the action that
+// made it. So the ensemble's engine sends under a tenth of a
+// request frame a leaf (core.TestEngineFramesPerLeaf) where it once made
+// two round trips. Actions are
 // built with Tcl's list command, never by interpolation, so an immediate
 // of any bytes parses back as the word it was. A known value is minted
 // as a TD (turbine::literal_*, once per generated proc body) only where
@@ -243,7 +251,7 @@
 // actions carrying TD ids and the element type only, and every
 // per-member cost on the route sits inside one vectorised Go call, never
 // in the interpreter or on the wire. vunpack is one worker leaf task
-// and one StoreChunk RPC: the container's owner creates an owner-local
+// and one StoreChunk write: the container's owner creates an owner-local
 // closed member per row. vpack waits twice. When the container closes,
 // sw:vpack makes one call, turbine::rule_members: the engine enumerates
 // the closed container in Go (one Enumerate RPC — the enumeration never
@@ -345,7 +353,8 @@
 // until the client's next Get, Fail or Leave is on the wire (a result
 // riding that Get may be an input passed straight through). On the
 // server side the mirror rule: request frames are released after
-// handling except for those that carry a store — Store, StoreChunk, and
+// handling except for those that carry a store — a batch of writes with
+// a Store or a StoreChunk among them, and
 // a Get whose flags say it carries a result — whose decoded rows alias
 // the frame for the datum's lifetime (zero-copy store), and mutating a
 // stale client view never corrupts a datum
@@ -532,7 +541,10 @@
 //     ownership is transferred (returned, stored, appended, or passed
 //     on); no use or escape after Release. The same discipline covers
 //     the transport's framePool directly: a buffer from framePool.get is
-//     put back exactly once unless ownership transfers.
+//     put back exactly once unless ownership transfers. A function that
+//     consults a retention predicate (a bool retains* function: adlb's
+//     retainsRequestFrame keeps a batch frame iff it carries a Store or
+//     a StoreChunk) releases only under `if !retains...(...)`.
 //   - statsmirror: every exported atomic.Int64 counter in a Stats struct
 //     has a same-named int64 mirror in its StatsSnapshot sibling, no
 //     stale mirrors survive counter removal, and Snapshot() loads and

@@ -24,6 +24,15 @@ func testConfig(servers int) Config {
 	return Config{Servers: servers, Types: 2, Stats: &Stats{}}
 }
 
+// sent is a write's outcome once it is on the wire: the write's own
+// error, or the refusal the flush of its frame brings back.
+func sent(cl *Client, err error) error {
+	if err != nil {
+		return err
+	}
+	return cl.Flush()
+}
+
 // runWorld runs a world with the given total size and server count.
 // clientFn is invoked on client ranks.
 func runWorld(t *testing.T, size, servers int, clientFn func(cl *Client) error) StatsSnapshot {
@@ -384,15 +393,15 @@ func TestUntargetedDispatchFIFOAfterTargetedDelivery(t *testing.T) {
 			return drain(cl)
 		case 2:
 			time.Sleep(step)
-			if err := cl.Put(typeWork, 0, 0, []byte("targeted")); err != nil {
+			if err := sent(cl, cl.Put(typeWork, 0, 0, []byte("targeted"))); err != nil {
 				return err
 			}
 			time.Sleep(5 * step)
-			if err := cl.Put(typeWork, 0, AnyRank, []byte("first-untargeted")); err != nil {
+			if err := sent(cl, cl.Put(typeWork, 0, AnyRank, []byte("first-untargeted"))); err != nil {
 				return err
 			}
 			time.Sleep(step)
-			if err := cl.Put(typeWork, 0, AnyRank, []byte("second-untargeted")); err != nil {
+			if err := sent(cl, cl.Put(typeWork, 0, AnyRank, []byte("second-untargeted"))); err != nil {
 				return err
 			}
 			// Park too, so the server can reach quiescence and terminate.
@@ -532,7 +541,7 @@ func TestDataStoreScalars(t *testing.T) {
 			return err
 		}
 		// Double store must fail.
-		if err := cl.Store(idI, IntValue(43)); err == nil {
+		if err := sent(cl, cl.Store(idI, IntValue(43))); err == nil {
 			return fmt.Errorf("double store succeeded")
 		}
 		// Type mismatch must fail.
@@ -540,7 +549,7 @@ func TestDataStoreScalars(t *testing.T) {
 		if err := cl.Create(idF, TypeFloat); err != nil {
 			return err
 		}
-		if err := cl.Store(idF, StringValue("oops")); err == nil {
+		if err := sent(cl, cl.Store(idF, StringValue("oops"))); err == nil {
 			return fmt.Errorf("type-mismatched store succeeded")
 		}
 		if err := cl.Store(idF, FloatValue(2.5)); err != nil {
@@ -633,7 +642,7 @@ func TestProbeReleasedByAnotherClientsStore(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := cl.Create(id, TypeInteger); err != nil {
+			if err := sent(cl, cl.Create(id, TypeInteger)); err != nil {
 				return err
 			}
 			idCh <- id
@@ -702,7 +711,7 @@ func TestContainers(t *testing.T) {
 		if err := cl.Insert(c, "1", m1); err != nil {
 			return err
 		}
-		if err := cl.Insert(c, "1", m1); err == nil {
+		if err := sent(cl, cl.Insert(c, "1", m1)); err == nil {
 			return fmt.Errorf("duplicate insert succeeded")
 		}
 		pairs, err := cl.Enumerate(c)
@@ -722,7 +731,7 @@ func TestContainers(t *testing.T) {
 		if err := awaitProbe(cl, c); err != nil {
 			return err
 		}
-		if err := cl.Insert(c, "2", m1); err == nil {
+		if err := sent(cl, cl.Insert(c, "2", m1)); err == nil {
 			return fmt.Errorf("insert into closed container succeeded")
 		}
 		closed, err := probeClosed(cl, c)
@@ -884,10 +893,10 @@ func TestTerminationAfterChainedWork(t *testing.T) {
 
 func TestPutInvalidType(t *testing.T) {
 	runWorld(t, 2, 1, func(cl *Client) error {
-		if err := cl.Put(99, 0, AnyRank, nil); err == nil {
+		if err := sent(cl, cl.Put(99, 0, AnyRank, nil)); err == nil {
 			return fmt.Errorf("invalid work type accepted")
 		}
-		if err := cl.Put(typeWork, 0, 50, nil); err == nil {
+		if err := sent(cl, cl.Put(typeWork, 0, 50, nil)); err == nil {
 			return fmt.Errorf("invalid target accepted")
 		}
 		return drainShutdown(cl)

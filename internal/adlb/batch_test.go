@@ -131,7 +131,7 @@ func TestStoreChunkPopulatesContainer(t *testing.T) {
 			}
 		}
 		// Storing into a closed container must fail.
-		if err := cl.StoreChunk(c, vals); err == nil ||
+		if err := sent(cl, cl.StoreChunk(c, vals)); err == nil ||
 			!strings.Contains(err.Error(), "closed") {
 			return fmt.Errorf("store into closed container: err = %v", err)
 		}
@@ -165,7 +165,7 @@ func TestStoreChunkIsAllOrNothing(t *testing.T) {
 		if err := cl.Insert(c, "2", m); err != nil {
 			return err
 		}
-		err = cl.StoreChunk(c, intChunk(10, 11, 12))
+		err = sent(cl, cl.StoreChunk(c, intChunk(10, 11, 12)))
 		if err == nil || !strings.Contains(err.Error(), "already has subscript") {
 			return fmt.Errorf("colliding StoreChunk: err = %v", err)
 		}

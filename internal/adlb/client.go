@@ -13,8 +13,16 @@ import (
 
 // Client is one ADLB client rank (a Turbine engine or worker). A Client is
 // bound to its home server for work operations; data operations are routed
-// to the owning server of each id. All calls are synchronous RPCs, which
-// is essential to the termination-detection protocol: a client that is
+// to the owning server of each id. A write — Put, Create, Store, Insert,
+// WriteRefcount, StoreChunk: a request whose reply is only a status — is
+// one-way: it joins the pending frame of writes to its server, which
+// goes out, and its one reply is awaited, when it holds maxBatch writes
+// or maxBatchBytes, before a write that would take it past
+// maxBatchBytes, when a write for another server is queued (so writes
+// keep program order across servers), before any request that waits
+// for an answer, and at Flush. Every other call is a synchronous RPC.
+// So a client never blocks with a write unsent or unanswered, which is
+// essential to the termination-detection protocol: a client that is
 // parked in Get has no in-flight requests.
 type Client struct {
 	c        *mpi.Comm
@@ -51,7 +59,29 @@ type Client struct {
 	// item holds the input rows that came with the work item of the last
 	// Get, which Retrieve and RetrieveChunk serve with no RPC.
 	item item
+
+	// batch is the pending write frame: opBatch, then n length-prefixed
+	// writes to server. e is nil when no write is pending.
+	batch struct {
+		e      *encoder
+		server int
+		n      int
+	}
 }
+
+// maxBatch is the most writes one frame carries. On swiftbench's
+// ensemble_small (one engine, 6 writes per 3 leaves; 2 cores), 64 and
+// 256 read the same work_per_s within noise, about 95k a second against
+// 64k with one round trip per write, and 128 no better, so the smaller
+// frame (see CHANGES.md).
+const maxBatch = 64
+
+// maxBatchBytes bounds a frame of several writes: a write whose value
+// bytes would take the pending frame past it goes in a frame of its
+// own, and a frame past it goes out at once. Batching saves round
+// trips, which only small writes notice, and the bound keeps a batch far
+// under mpi.MaxFrameBody, so a write that fits a frame alone still does.
+const maxBatchBytes = 1 << 20
 
 // item is the rows a delivered work item carried: the values of the
 // inputs its server owns. They alias the Get response frame, which stays
@@ -143,8 +173,12 @@ func (cl *Client) rpc(server int, build func(*encoder)) (*decoder, error) {
 // rpcKeep issues a request without retiring the frames pinned by earlier
 // calls in the same batched operation: RetrieveChunk fans out one RPC
 // per owning server, and every per-server response must stay alive until
-// the whole batch is assembled.
+// the whole batch is assembled. The pending writes go first (Flush), so
+// the request sees them applied.
 func (cl *Client) rpcKeep(server int, build func(*encoder)) (*decoder, error) {
+	if err := cl.Flush(); err != nil {
+		return nil, err
+	}
 	e := getEncoder()
 	build(e)
 	frame, err := e.frame()
@@ -181,6 +215,96 @@ func (cl *Client) releaseRetired() {
 	cl.retired = cl.retired[:0]
 }
 
+// write queues one write for server, built by build, on the pending
+// frame. size is about the write's value bytes. The frame goes out first
+// when it holds writes for another server or size would take it past
+// maxBatchBytes, and after this write when it is full. Its error is an
+// encoding error, or a refusal the sending of a frame brought back. The
+// write's value bytes are copied into the frame here, so they may change
+// as soon as write returns.
+func (cl *Client) write(server, size int, build func(*encoder)) error {
+	b := &cl.batch
+	if b.n > 0 && (b.server != server || b.e.size()+size > maxBatchBytes) {
+		if err := cl.Flush(); err != nil {
+			return err
+		}
+	}
+	if b.e == nil {
+		b.e = getEncoder()
+		b.e.u8(opBatch)
+	}
+	at := b.e.begin()
+	build(b.e)
+	if err := b.e.end(at); err != nil {
+		return err // the frame keeps the writes before this one
+	}
+	b.server = server
+	b.n++
+	if b.n == maxBatch || b.e.size() > maxBatchBytes {
+		return cl.Flush()
+	}
+	return nil
+}
+
+// chunkBytes is about the bytes c takes in a frame.
+func chunkBytes(c chunk.Chunk) int {
+	return len(c.Kinds) + len(c.Num) + len(c.Raw) + 4*len(c.Off)
+}
+
+// Flush sends the pending write frame, if any, and waits for its one
+// reply: nil when every write applied, or the first refused write's
+// error, with the text a lone write's refusal has always had. The
+// server applies the writes in order and stops at a refusal, so those
+// before it are applied and those after it are not. A caller whose next
+// move is to wait on something other than this client — an engine
+// ending a control action, a worker ending a task, a gateway waiting on
+// a channel — calls Flush, which is also where its writes' refusals
+// surface.
+func (cl *Client) Flush() error {
+	b := &cl.batch
+	if b.n == 0 {
+		return nil
+	}
+	e, server := b.e, b.server
+	b.e, b.n = nil, 0
+	frame, err := e.frame()
+	if err == nil {
+		err = cl.c.Send(server, tagRequest, frame)
+	}
+	putEncoder(e)
+	if err != nil {
+		return err
+	}
+	data, _, err := cl.c.Recv(server, tagResponse)
+	if err != nil {
+		return err
+	}
+	err = batchStatus(&decoder{buf: data})
+	cl.c.Release(data)
+	return err
+}
+
+// batchStatus reads a batch reply: OK, or the refused write's opcode
+// and the server's message.
+func batchStatus(d *decoder) error {
+	switch st := d.u8(); st {
+	case stOK:
+		return d.finish("batch response")
+	case stError:
+		op := d.u8()
+		msg := d.str()
+		if err := d.finish("batch response"); err != nil {
+			return err
+		}
+		return fmt.Errorf("adlb: %s: %s", writeName(op), msg)
+	default:
+		if d.err != nil {
+			return d.err
+		}
+		return fmt.Errorf("adlb: batch response: status %d", st)
+	}
+}
+
 // checkStatus consumes the status byte and translates errors.
 func checkStatus(d *decoder, what string) (uint8, error) {
 	st := d.u8()
@@ -207,22 +331,17 @@ func checkStatus(d *decoder, what string) (uint8, error) {
 // delivers it sends the values of the ids it owns along with it, for
 // Retrieve and RetrieveChunk to serve. An id its owner neither holds nor
 // issued fails the Put if that owner is wait[0]'s, and the run if not.
+// A Put is a write: it goes out with its frame (see Client), and its
+// refusal comes back from the call that sends the frame.
 func (cl *Client) Put(workType, priority, target int, payload []byte, wait ...int64) error {
 	server := cl.myServer
 	if len(wait) > 0 {
 		server = cl.l.OwnerOf(wait[0])
 	}
-	d, err := cl.rpc(server, func(e *encoder) {
+	return cl.write(server, len(payload)+8*len(wait), func(e *encoder) {
 		e.u8(opPut)
 		encodeWorkItem(e, workItem{Type: workType, Priority: priority, Target: target, Payload: payload, Inputs: wait})
 	})
-	if err != nil {
-		return err
-	}
-	if _, err = checkStatus(d, "put"); err != nil {
-		return err
-	}
-	return d.finish("put response")
 }
 
 // Get blocks until a work item of the requested type is available, and
@@ -377,41 +496,28 @@ func (cl *Client) Unique() (int64, error) {
 // scalar does not, since its first Store or wait makes it, but a
 // created scalar's Store must match typ.
 func (cl *Client) Create(id int64, typ DataType) error {
-	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
+	return cl.write(cl.l.OwnerOf(id), 0, func(e *encoder) {
 		e.u8(opCreate)
 		e.i64(id)
 		e.u8(uint8(typ))
 	})
-	if err != nil {
-		return err
-	}
-	if _, err = checkStatus(d, "create"); err != nil {
-		return err
-	}
-	return d.finish("create response")
 }
 
 // Store writes the value of a single-assignment datum, closing it and
 // releasing the rules held on it. An issued id with no datum yet gets one,
 // typed by v. The value travels as a one-row chunk aliasing v.Bytes, so
-// its payload is copied once, onto the wire.
+// its payload is copied once, into the write's frame. Create, Store,
+// Insert, WriteRefcount and StoreChunk are writes, like Put.
 func (cl *Client) Store(id int64, v Value) error {
 	c, err := row(v)
 	if err != nil {
 		return err
 	}
-	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
+	return cl.write(cl.l.OwnerOf(id), chunkBytes(c), func(e *encoder) {
 		e.u8(opStore)
 		e.i64(id)
 		encodeChunk(e, c)
 	})
-	if err != nil {
-		return err
-	}
-	if _, err = checkStatus(d, "store"); err != nil {
-		return err
-	}
-	return d.finish("store response")
 }
 
 // StoreResult stores v into id as the result of the leased task the
@@ -563,7 +669,7 @@ func (cl *Client) retrieveFrom(server int, ids []int64) (chunk.Chunk, error) {
 }
 
 // StoreChunk appends a columnar chunk of element values to a container in
-// a single RPC: the owning server creates one owner-local closed datum
+// a single write: the owning server creates one owner-local closed datum
 // per row at consecutive integer subscripts after any existing members
 // (an empty container gets 0..c.Len()-1), all or nothing. The container's
 // write refcount is untouched — the caller still owns its reference and
@@ -573,35 +679,21 @@ func (cl *Client) StoreChunk(container int64, c chunk.Chunk) error {
 	if err := c.Validate(); err != nil {
 		return fmt.Errorf("adlb: store_chunk: %w", err)
 	}
-	d, err := cl.rpc(cl.l.OwnerOf(container), func(e *encoder) {
+	return cl.write(cl.l.OwnerOf(container), chunkBytes(c), func(e *encoder) {
 		e.u8(opStoreChunk)
 		e.i64(container)
 		encodeChunk(e, c)
 	})
-	if err != nil {
-		return err
-	}
-	if _, err = checkStatus(d, "store_chunk"); err != nil {
-		return err
-	}
-	return d.finish("store_chunk response")
 }
 
 // Insert adds an existing datum as a member of a container.
 func (cl *Client) Insert(container int64, subscript string, member int64) error {
-	d, err := cl.rpc(cl.l.OwnerOf(container), func(e *encoder) {
+	return cl.write(cl.l.OwnerOf(container), len(subscript), func(e *encoder) {
 		e.u8(opInsert)
 		e.i64(container)
 		e.str(subscript)
 		e.i64(member)
 	})
-	if err != nil {
-		return err
-	}
-	if _, err = checkStatus(d, "insert"); err != nil {
-		return err
-	}
-	return d.finish("insert response")
 }
 
 // Lookup finds the member id at a subscript; exists is false if the
@@ -648,18 +740,11 @@ func (cl *Client) Enumerate(container int64) ([]Pair, error) {
 // WriteRefcount adjusts a container's write refcount. The container closes
 // (and releases the rules held on it) when the count reaches zero.
 func (cl *Client) WriteRefcount(id int64, delta int) error {
-	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
+	return cl.write(cl.l.OwnerOf(id), 0, func(e *encoder) {
 		e.u8(opWriteRefcount)
 		e.i64(id)
 		e.i32(int32(delta))
 	})
-	if err != nil {
-		return err
-	}
-	if _, err = checkStatus(d, "refcount"); err != nil {
-		return err
-	}
-	return d.finish("refcount response")
 }
 
 // ---- typed value helpers ----

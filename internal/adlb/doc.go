@@ -30,10 +30,34 @@
 // Stats.UnfilledTDs counts the entries waited on or created but never
 // closed when a server drains.
 //
-// The client protocol is thirteen request opcodes, each with a caller in
+// The client protocol is fourteen request opcodes, each with a caller in
 // the Turbine runtime: work (put, get, fail, leave), ids (unique), the
-// data store (create, store, insert, lookup, enumerate, write-refcount)
-// and the columnar plane (retrieve_chunk, store_chunk).
+// data store (create, store, insert, lookup, enumerate, write-refcount),
+// the columnar plane (retrieve_chunk, store_chunk) and batch. The six
+// writes — put, create, store, insert, write-refcount and store_chunk,
+// whose reply is only a status — travel only inside a batch frame: a
+// client's writes to one server, each length-prefixed, answered by one
+// reply. The other eight each start a frame of their own, answered by
+// its own reply. A client's pending frame goes out, and its reply is
+// awaited, when it holds maxBatch writes or maxBatchBytes (1 MiB),
+// before a write that would take it past that bound (so a large write
+// travels alone, far under the transport's frame limit), when a write
+// for another server is queued (so writes keep program order across
+// servers), before any request that waits for an answer, and at
+// Client.Flush, which a Turbine engine calls as each control action
+// ends, a worker as each task ends, and swiftd's gateway after each Put.
+// So a client never blocks with a write unsent or unanswered, and
+// Safra's protocol sees what it saw when every write was a round trip. The server applies a
+// batch's writes in order through one handler per write and stops at
+// the first refusal: the reply is OK, or the refused write's opcode and
+// message, which the client reports as that write's error with the text
+// a lone write's refusal had. A batch whose framing is malformed
+// (empty, a length cut short, a request that is not a write, a nested
+// batch) is a decode error before any write applies; a write whose own
+// body is malformed is a decode error when the server reaches it, after
+// the writes before it applied. Either ends the run. Deliveries the batch's closes release
+// go to the clients they are for, after the batching client's reply,
+// and Stats counts each write of a batch as it applies.
 // Nothing asks a datum whether it exists or what type it has: a reader
 // waits on it and names the type it wants.
 //
@@ -82,7 +106,7 @@
 // Get, Fail or Leave, and make an RPC only for ids owned elsewhere.
 //
 // A value has one wire form, the chunk row: RetrieveChunk and
-// StoreChunk move a columnar chunk frame per owning server, Store sends
+// StoreChunk move a columnar chunk frame per owning server, a Store is
 // the id and a one-row chunk, and Retrieve is a one-id retrieve_chunk
 // whose not-found reply carries the id. A scalar's DataType is its row
 // kind. The same chunk frame is exported as EncodeChunkFrame/
@@ -95,8 +119,9 @@
 // response, and the dims and offset tables of chunk frames) go through
 // decoder.count, which checks them against the bytes remaining in the
 // frame before anything is allocated.
-// Stats.DataOps counts requests, not ids: one batch to one server is one
-// data operation, whatever it carries. The Stats.Op* counters split it
+// Stats.DataOps counts requests, not ids or frames: one chunk to one
+// server is one data operation, whatever it carries, and each write of
+// a batch frame is one. The Stats.Op* counters split it
 // by kind of request (create, store, container insert, lookup
 // and enumerate, write-refcount, chunk load — Retrieve's one id included
 // — and chunk store) and sum to it exactly. A result riding a Get counts

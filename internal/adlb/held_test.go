@@ -96,7 +96,7 @@ func readInputs(cl *Client, ids []int64, want []int64, loads int64) error {
 // probe puts a rule on id targeted at the calling rank, the way a rank
 // waits on data: awaitProbe then receives it once id has closed.
 func probe(cl *Client, id int64) error {
-	return cl.Put(typeControl, 0, cl.Rank(), probePayload(id), id)
+	return sent(cl, cl.Put(typeControl, 0, cl.Rank(), probePayload(id), id))
 }
 
 func probePayload(id int64) []byte { return fmt.Appendf(nil, "probe %d", id) }
@@ -194,7 +194,7 @@ func TestWaitAndStoreCreateIssuedIDsAtFirstUse(t *testing.T) {
 				if err := cl.Store(storeFirst, IntValue(7)); err != nil {
 					return err
 				}
-				if err := cl.Store(storeFirst, IntValue(8)); err == nil {
+				if err := sent(cl, cl.Store(storeFirst, IntValue(8))); err == nil {
 					return fmt.Errorf("second store to first-use id %d succeeded", storeFirst)
 				}
 				if err := probe(cl, storeFirst); err != nil {
@@ -224,7 +224,7 @@ func TestWaitAndStoreCreateIssuedIDsAtFirstUse(t *testing.T) {
 				// Beyond anything its owner issued: the same owner, but no
 				// first use can make it exist.
 				bogus := never + 1000*int64(tc.servers)
-				if err := cl.Store(bogus, IntValue(1)); err == nil || !strings.Contains(err.Error(), "no such id") {
+				if err := sent(cl, cl.Store(bogus, IntValue(1))); err == nil || !strings.Contains(err.Error(), "no such id") {
 					return fmt.Errorf("store to unissued id %d: err = %v", bogus, err)
 				}
 				if err := probe(cl, bogus); err == nil || !strings.Contains(err.Error(), "no such id") {
@@ -392,12 +392,12 @@ func TestHeldRuleUnknownIDFailsThePut(t *testing.T) {
 		}
 		// Owned by server 0, like a, and never issued or created.
 		garbage := int64(heldBase + cl.l.Servers*999)
-		err = cl.Put(typeWork, 0, AnyRank, []byte("bad"), a, garbage)
+		err = sent(cl, cl.Put(typeWork, 0, AnyRank, []byte("bad"), a, garbage))
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("no such id %d", garbage)) {
 			return fmt.Errorf("put with an unknown id: err = %v, want it named", err)
 		}
 		// Nothing was held on a: closing it releases nothing.
-		if err := cl.Store(a, IntValue(0)); err != nil {
+		if err := sent(cl, cl.Store(a, IntValue(0))); err != nil {
 			return err
 		}
 		if n := cl.cfg.Stats.PutsLocal.Load(); n != 0 {
@@ -411,7 +411,7 @@ func TestHeldRuleUnknownIDFailsThePut(t *testing.T) {
 // goes to a server, which refuses it as an id it never issued.
 func TestHeldRuleMinInt64IsAnUnknownID(t *testing.T) {
 	runWorld(t, 2, 1, func(cl *Client) error {
-		err := cl.Put(typeWork, 0, AnyRank, []byte("bad"), math.MinInt64)
+		err := sent(cl, cl.Put(typeWork, 0, AnyRank, []byte("bad"), math.MinInt64))
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("no such id %d", int64(math.MinInt64))) {
 			return fmt.Errorf("put waiting on MinInt64: err = %v, want the unknown id named", err)
 		}

@@ -11,7 +11,8 @@ import (
 
 // Message tags used on the simulated MPI transport. Client requests all
 // travel on tagRequest and carry an opcode; each client has at most one
-// outstanding request, so a single tagResponse suffices for replies.
+// outstanding request frame, so a single tagResponse suffices for
+// replies.
 // Server-to-server traffic uses dedicated tags so that a server's main
 // loop can receive with wildcards and dispatch on the tag.
 const (
@@ -20,7 +21,10 @@ const (
 	tagServer   = 3 // server -> server control (steal, forward, token)
 )
 
-// Request opcodes.
+// Request opcodes. The writes (put, create, store, insert,
+// write-refcount, store_chunk), whose reply is only a status, travel
+// only inside a batch frame (opBatch); every other opcode starts a frame
+// of its own and is answered by its own reply.
 const (
 	opPut uint8 = iota + 1
 	opGet
@@ -38,8 +42,57 @@ const (
 	// O(servers) RPCs, not O(elements), and each RPC carries one chunk
 	// frame (contiguous typed columns).
 	opRetrieveChunk // ids -> one columnar chunk, one RPC per owning server (Retrieve is one id)
-	opStoreChunk    // container + chunk -> owner-local member data, one RPC
+	opStoreChunk    // container + chunk -> owner-local member data
+	// opBatch is a client's writes to one server, each length-prefixed,
+	// answered by one reply: OK, or the first refused write's opcode and
+	// message.
+	opBatch
 )
+
+// writeName is a write's name in its refusal's text, and "" for an
+// opcode that is not a write: a write is a request that travels in a
+// batch frame.
+func writeName(op uint8) string {
+	switch op {
+	case opPut:
+		return "put"
+	case opCreate:
+		return "create"
+	case opStore:
+		return "store"
+	case opInsert:
+		return "insert"
+	case opWriteRefcount:
+		return "refcount"
+	case opStoreChunk:
+		return "store_chunk"
+	}
+	return ""
+}
+
+// decodeBatch reads a batch frame's body into subs, reusing its
+// storage: length-prefixed write requests up to the frame's end, each a
+// write opcode and its body, aliasing the frame. An empty batch, a cut
+// short length and a request that is not a write (a Get, a nested
+// batch) fail the whole frame before any write is applied; a write's
+// own body is decoded only when the server applies it.
+func decodeBatch(d *decoder, subs [][]byte) [][]byte {
+	subs = subs[:0]
+	for d.err == nil && d.off < len(d.buf) {
+		sub := d.bytes()
+		if d.err == nil && (len(sub) == 0 || writeName(sub[0]) == "") {
+			d.err = fmt.Errorf("adlb: wire decode: batch: request %d is not a write", len(subs))
+		}
+		subs = append(subs, sub)
+	}
+	if d.err == nil && len(subs) == 0 {
+		d.err = fmt.Errorf("adlb: wire decode: empty batch")
+	}
+	if d.err != nil {
+		return subs[:0]
+	}
+	return subs
+}
 
 // Server-to-server opcodes.
 const (

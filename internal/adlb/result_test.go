@@ -21,7 +21,8 @@ func framesSent(cl *Client) uint64 {
 // TestResultRidesNextGet runs n leased tasks, each storing one result
 // its home server owns, then a last task that reads them all back. With
 // StoreResult the worker sends one request per task (n+1 Gets for n+1
-// tasks); with Store it sends 2n+1. Both count n stores.
+// tasks); with Store it sends 2n+1, the Store's frame flushed by the
+// next Get. Both count n stores.
 func TestResultRidesNextGet(t *testing.T) {
 	const n = 16
 	for _, mode := range []struct {
@@ -45,7 +46,7 @@ func TestResultRidesNextGet(t *testing.T) {
 						return err
 					}
 				}
-				if err := cl.Put(typeWork, 0, AnyRank, []byte("check")); err != nil {
+				if err := sent(cl, cl.Put(typeWork, 0, AnyRank, []byte("check"))); err != nil {
 					return err
 				}
 				before := framesSent(cl)
@@ -193,7 +194,7 @@ func TestResultRefusedSettlesLikeRefusedStore(t *testing.T) {
 							}
 							continue
 						}
-						if err := cl.Store(out, IntValue(2)); err != nil {
+						if err := sent(cl, cl.Store(out, IntValue(2))); err != nil {
 							if err := cl.Fail(lease, err.Error(), true); err != nil {
 								return err
 							}
@@ -217,8 +218,9 @@ func TestResultRefusedSettlesLikeRefusedStore(t *testing.T) {
 }
 
 // TestResultOwnedElsewhereIsStore: on two servers, a result the other
-// server owns is stored at once (a Store, readable before the next Get);
-// one the home server owns waits for the Get.
+// server owns is a Store, applied when the task's writes are flushed and
+// readable before the next Get; one the home server owns waits for the
+// Get.
 func TestResultOwnedElsewhereIsStore(t *testing.T) {
 	runWorld(t, 4, 2, func(cl *Client) error {
 		if cl.Rank() != 0 {
@@ -246,7 +248,7 @@ func TestResultOwnedElsewhereIsStore(t *testing.T) {
 				id, stored = away, 1
 			}
 			stores := st.OpStore.Load()
-			if err := cl.StoreResult(id, IntValue(7)); err != nil {
+			if err := sent(cl, cl.StoreResult(id, IntValue(7))); err != nil {
 				return err
 			}
 			if got := st.OpStore.Load() - stores; got != stored {

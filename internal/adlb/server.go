@@ -104,6 +104,10 @@ type server struct {
 	scratch chunk.Chunk
 	rowVals []*Value
 	rowIDs  []int64
+	// subs and closed are a batch frame's writes and the data they
+	// closed, reused from one batch to the next.
+	subs   [][]byte
+	closed []*datum
 
 	// Safra termination detection state.
 	black      bool  // this server's colour
@@ -461,41 +465,55 @@ func (s *server) quiet() bool {
 }
 
 func (s *server) dispatch(data []byte, st mpi.Status) error {
-	d := &decoder{buf: data}
-	op := d.u8()
 	switch st.Tag {
 	case tagRequest:
-		var get getRequest
-		if op == opGet {
-			get = decodeGet(d)
-		}
-		err := s.handleRequest(op, d, &get, st.Source)
-		// Request frames are recycled once handled — except for those
-		// that carry a store, whose decoded value bytes alias the frame
-		// (the zero-copy store: datums keep views into the request
-		// instead of copies), making the frame's lifetime the datum's.
-		if !retainsRequestFrame(op, &get) {
-			s.c.Release(data)
-		}
-		return err
+		return s.requestFrame(data, st.Source)
 	case tagServer:
 		// Server-to-server frames never leak aliases: work-item payloads
 		// are copied at decode (they outlive frames in queues and leases).
-		err := s.handleServer(op, d, st.Source)
+		d := &decoder{buf: data}
+		err := s.handleServer(d.u8(), d, st.Source)
 		s.c.Release(data)
 		return err
 	}
 	return fmt.Errorf("adlb: server %d: unexpected tag %d from %d", s.idx, st.Tag, st.Source)
 }
 
+// requestFrame handles one client request frame. Request frames are
+// recycled once handled — except for those that carry a store, whose
+// decoded value bytes alias the frame (the zero-copy store: datums keep
+// views into the request instead of copies), making the frame's lifetime
+// the datum's. retainsRequestFrame is the one place that decides.
+func (s *server) requestFrame(data []byte, client int) error {
+	d := &decoder{buf: data}
+	op := d.u8()
+	var get getRequest
+	switch op {
+	case opGet:
+		get = decodeGet(d)
+	case opBatch:
+		s.subs = decodeBatch(d, s.subs)
+	}
+	err := s.handleRequest(op, d, &get, client)
+	if !retainsRequestFrame(op, &get, s.subs) {
+		s.c.Release(data)
+	}
+	return err
+}
+
 // retainsRequestFrame reports whether handling op stores slices that
 // alias the request frame, pinning it for the life of the data store: a
-// Store, a StoreChunk, and a Get whose decoded flags say it carries its
-// settled task's result.
-func retainsRequestFrame(op uint8, get *getRequest) bool {
+// batch whose decoded writes (subs) include a Store or a StoreChunk,
+// and a Get whose decoded flags say it carries its settled task's
+// result. A batch that failed to decode has no writes and is released.
+func retainsRequestFrame(op uint8, get *getRequest, subs [][]byte) bool {
 	switch op {
-	case opStore, opStoreChunk:
-		return true
+	case opBatch:
+		for _, sub := range subs {
+			if sub[0] == opStore || sub[0] == opStoreChunk {
+				return true
+			}
+		}
 	case opGet:
 		return get.carriesStore()
 	}
@@ -537,8 +555,11 @@ func (s *server) handleRequest(op uint8, d *decoder, get *getRequest, client int
 		s.known[client] = true
 	}
 	switch op {
-	case opPut:
-		return s.handlePut(d, client)
+	case opBatch:
+		if err := d.finish("batch request"); err != nil {
+			return err
+		}
+		return s.handleBatch(client)
 	case opGet:
 		return s.handleGet(get, d, client)
 	case opFail:
@@ -547,42 +568,177 @@ func (s *server) handleRequest(op uint8, d *decoder, get *getRequest, client int
 		return s.handleLeave(d, client)
 	case opUnique:
 		return s.handleUnique(d, client)
-	case opCreate, opStore, opInsert, opLookup,
-		opEnumerate, opWriteRefcount, opRetrieveChunk, opStoreChunk:
+	case opLookup, opEnumerate, opRetrieveChunk:
 		if st := s.stats(); st != nil {
 			st.countDataOp(op)
 		}
-		return s.handleData(op, d, client)
+		return s.handleRead(op, d, client)
 	}
 	return fmt.Errorf("adlb: server %d: unknown opcode %d from client %d", s.idx, op, client)
 }
 
-// handlePut accepts a work item, or a rule: an item whose Inputs it
-// must wait on. The client sends it to the owner of its first input (home
-// otherwise), and route takes it from there.
-func (s *server) handlePut(d *decoder, client int) error {
-	w := decodeWorkItem(d)
-	if err := d.finish("put request"); err != nil {
+// handleBatch applies a batch frame's writes (s.subs) in order through
+// applyWrite, stopping at the first refusal, and answers the client
+// once: OK, or the refused write's opcode and message. The closes the
+// applied writes made are announced after the reply, as a lone write's
+// were: the writer goes on while this server delivers what they
+// released, straight to the clients it goes to. The server handles
+// nothing else in between, so no later request sees a close
+// unannounced. Every write counts in the stats as it is applied.
+func (s *server) handleBatch(client int) error {
+	s.closed = s.closed[:0]
+	refused, msg := uint8(0), ""
+	for _, sub := range s.subs {
+		op := sub[0]
+		if st := s.stats(); st != nil && op != opPut {
+			st.countDataOp(op)
+		}
+		m, dm, err := s.applyWrite(op, &decoder{buf: sub, off: 1})
+		if err != nil {
+			return err
+		}
+		if dm != nil {
+			s.closed = append(s.closed, dm)
+		}
+		if m != "" {
+			refused, msg = op, m
+			break
+		}
+	}
+	err := s.respond(client, func(e *encoder) {
+		if msg == "" {
+			e.u8(stOK)
+			return
+		}
+		e.u8(stError)
+		e.u8(refused)
+		e.str(msg)
+	})
+	if err != nil {
 		return err
 	}
+	for _, dm := range s.closed {
+		s.notifyAll(dm)
+	}
+	return nil
+}
+
+// applyWrite applies one write of a batch. It returns the refusal's
+// message, "" when the write applied; the datum the write closed, if
+// any; and an error only for a malformed request, which ends the run.
+func (s *server) applyWrite(op uint8, d *decoder) (refusal string, closed *datum, err error) {
+	switch op {
+	case opPut:
+		refusal, err = s.applyPut(d)
+		return refusal, nil, err
+	case opCreate:
+		id := d.i64()
+		typ := DataType(d.u8())
+		if err := d.finish("create request"); err != nil {
+			return "", nil, err
+		}
+		if _, exists := s.store[id]; exists {
+			return fmt.Sprintf("create: id %d already exists", id), nil, nil
+		}
+		dm := &datum{typ: typ}
+		if typ == TypeContainer {
+			dm.members = make(map[string]int64)
+			dm.writeRefs = 1
+		}
+		s.store[id] = dm
+		return "", nil, nil
+
+	case opStore:
+		id := d.i64()
+		c := decodeChunk(d)
+		if err := d.finish("store request"); err != nil {
+			return "", nil, err
+		}
+		if c.Len() != 1 {
+			return fmt.Sprintf("store: id %d: %d rows, want 1", id, c.Len()), nil, nil
+		}
+		r := c.Reader()
+		r.Next()
+		dm, err := s.storeValue(id, rowValue(&r))
+		if err != nil {
+			return err.Error(), nil, nil
+		}
+		return "", dm, nil
+
+	case opInsert:
+		cid := d.i64()
+		sub := d.str()
+		member := d.i64()
+		if err := d.finish("insert request"); err != nil {
+			return "", nil, err
+		}
+		dm, ok := s.store[cid]
+		if !ok || dm.typ != TypeContainer {
+			return fmt.Sprintf("insert: id %d is not a container", cid), nil, nil
+		}
+		if dm.closed() {
+			return fmt.Sprintf("insert: container %d is closed", cid), nil, nil
+		}
+		if _, dup := dm.members[sub]; dup {
+			return fmt.Sprintf("insert: container %d already has subscript %q", cid, sub), nil, nil
+		}
+		dm.members[sub] = member
+		dm.order = append(dm.order, sub)
+		return "", nil, nil
+
+	case opWriteRefcount:
+		id := d.i64()
+		delta := int(d.i32())
+		if err := d.finish("refcount request"); err != nil {
+			return "", nil, err
+		}
+		dm, ok := s.store[id]
+		if !ok {
+			return fmt.Sprintf("refcount: no such id %d", id), nil, nil
+		}
+		if dm.typ != TypeContainer {
+			return fmt.Sprintf("refcount: id %d is not a container", id), nil, nil
+		}
+		wasClosed := dm.closed()
+		dm.writeRefs += delta
+		if dm.writeRefs < 0 {
+			return fmt.Sprintf("refcount: id %d dropped below zero", id), nil, nil
+		}
+		if !wasClosed && dm.closed() {
+			return "", dm, nil
+		}
+		return "", nil, nil
+
+	case opStoreChunk:
+		refusal, err = s.applyStoreChunk(d)
+		return refusal, nil, err
+	}
+	return "", nil, fmt.Errorf("adlb: unhandled write op %d", op)
+}
+
+// applyPut accepts a work item, or a rule: an item whose Inputs it must
+// wait on. The client sends it to the owner of its first input (home
+// otherwise), and route takes it from there.
+func (s *server) applyPut(d *decoder) (refusal string, err error) {
+	w := decodeWorkItem(d)
+	if err := d.finish("put request"); err != nil {
+		return "", err
+	}
 	if w.Type < 0 || w.Type >= s.cfg.Types {
-		return s.respondError(client, fmt.Sprintf("put: invalid work type %d", w.Type))
+		return fmt.Sprintf("put: invalid work type %d", w.Type), nil
 	}
 	if w.Target != AnyRank {
 		if w.Target < 0 || w.Target >= s.l.Clients() {
-			return s.respondError(client, fmt.Sprintf("put: invalid target rank %d", w.Target))
+			return fmt.Sprintf("put: invalid target rank %d", w.Target), nil
 		}
 		if err := faultinject.At(faultinject.SitePutTargeted); err != nil {
-			return s.respondError(client, err.Error())
+			return err.Error(), nil
 		}
 	}
 	if id, ok := s.unknownID(w.Inputs); ok {
-		return s.respondError(client, fmt.Sprintf("put: no such id %d", id))
+		return fmt.Sprintf("put: no such id %d", id), nil
 	}
-	if err := s.route(w, w.Inputs, 0); err != nil {
-		return err
-	}
-	return s.respond(client, func(e *encoder) { e.u8(stOK) })
+	return "", s.route(w, w.Inputs, 0)
 }
 
 // unknownID returns the first id of wait that this server owns but
@@ -1084,63 +1240,10 @@ func (s *server) handleUnique(d *decoder, client int) error {
 
 // ---------- data store ----------
 
-func (s *server) handleData(op uint8, d *decoder, client int) error {
+// handleRead answers a read of the data store: lookup, enumerate and
+// retrieve_chunk, each a frame of its own with a reply of its own.
+func (s *server) handleRead(op uint8, d *decoder, client int) error {
 	switch op {
-	case opCreate:
-		id := d.i64()
-		typ := DataType(d.u8())
-		if err := d.finish("create request"); err != nil {
-			return err
-		}
-		if _, exists := s.store[id]; exists {
-			return s.respondError(client, fmt.Sprintf("create: id %d already exists", id))
-		}
-		dm := &datum{typ: typ}
-		if typ == TypeContainer {
-			dm.members = make(map[string]int64)
-			dm.writeRefs = 1
-		}
-		s.store[id] = dm
-		return s.respond(client, func(e *encoder) { e.u8(stOK) })
-
-	case opStore:
-		id := d.i64()
-		c := decodeChunk(d)
-		if err := d.finish("store request"); err != nil {
-			return err
-		}
-		if c.Len() != 1 {
-			return s.respondError(client, fmt.Sprintf("store: id %d: %d rows, want 1", id, c.Len()))
-		}
-		r := c.Reader()
-		r.Next()
-		dm, err := s.storeValue(id, rowValue(&r))
-		if err != nil {
-			return s.respondError(client, err.Error())
-		}
-		return s.respondThenNotify(client, dm)
-
-	case opInsert:
-		cid := d.i64()
-		sub := d.str()
-		member := d.i64()
-		if err := d.finish("insert request"); err != nil {
-			return err
-		}
-		dm, ok := s.store[cid]
-		if !ok || dm.typ != TypeContainer {
-			return s.respondError(client, fmt.Sprintf("insert: id %d is not a container", cid))
-		}
-		if dm.closed() {
-			return s.respondError(client, fmt.Sprintf("insert: container %d is closed", cid))
-		}
-		if _, dup := dm.members[sub]; dup {
-			return s.respondError(client, fmt.Sprintf("insert: container %d already has subscript %q", cid, sub))
-		}
-		dm.members[sub] = member
-		dm.order = append(dm.order, sub)
-		return s.respond(client, func(e *encoder) { e.u8(stOK) })
-
 	case opLookup:
 		cid := d.i64()
 		sub := d.str()
@@ -1178,29 +1281,6 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 			}
 		})
 
-	case opWriteRefcount:
-		id := d.i64()
-		delta := int(d.i32())
-		if err := d.finish("refcount request"); err != nil {
-			return err
-		}
-		dm, ok := s.store[id]
-		if !ok {
-			return s.respondError(client, fmt.Sprintf("refcount: no such id %d", id))
-		}
-		if dm.typ != TypeContainer {
-			return s.respondError(client, fmt.Sprintf("refcount: id %d is not a container", id))
-		}
-		wasClosed := dm.closed()
-		dm.writeRefs += delta
-		if dm.writeRefs < 0 {
-			return s.respondError(client, fmt.Sprintf("refcount: id %d dropped below zero", id))
-		}
-		if !wasClosed && dm.closed() {
-			return s.respondThenNotify(client, dm)
-		}
-		return s.respond(client, func(e *encoder) { e.u8(stOK) })
-
 	case opRetrieveChunk:
 		// Columnar gather: all requested ids are owned here (the client
 		// grouped by owner), so the whole lookup is local and the reply is
@@ -1231,57 +1311,59 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 			e.u8(stOK)
 			encodeChunk(e, c)
 		})
-
-	case opStoreChunk:
-		// Columnar scatter into a container: one owner-local closed datum
-		// per row, inserted at consecutive subscripts, all in one RPC. The
-		// write refcount is the caller's to manage, as with Insert. Row
-		// payloads alias the (retained) request frame and the datums come
-		// from one slab, so the per-element cost is the subscript string
-		// and its container map entry — no value copies, no boxes.
-		cid := d.i64()
-		c := decodeChunk(d)
-		if err := d.finish("store_chunk request"); err != nil {
-			return err
-		}
-		dm, ok := s.store[cid]
-		if !ok || dm.typ != TypeContainer {
-			return s.respondError(client, fmt.Sprintf("store_chunk: id %d is not a container", cid))
-		}
-		if dm.closed() {
-			return s.respondError(client, fmt.Sprintf("store_chunk: container %d is closed", cid))
-		}
-		n := c.Len()
-		base := len(dm.order)
-		// Validate every target subscript before mutating anything, so a
-		// failed store is all-or-nothing: partial member creation would
-		// leave the container in a layout no call described.
-		subs := make([]string, n)
-		for i := range subs {
-			subs[i] = strconv.Itoa(base + i)
-			if _, dup := dm.members[subs[i]]; dup {
-				return s.respondError(client, fmt.Sprintf("store_chunk: container %d already has subscript %q", cid, subs[i]))
-			}
-		}
-		slab := make([]datum, n)
-		r := c.Reader()
-		for i := 0; i < n && r.Next(); i++ {
-			dmv := &slab[i]
-			dmv.val = rowValue(&r)
-			dmv.typ, dmv.set = dmv.val.Type, true
-			id := s.nextID
-			s.nextID += int64(s.l.Servers)
-			s.store[id] = dmv
-			dm.members[subs[i]] = id
-			dm.order = append(dm.order, subs[i])
-		}
-		return s.respond(client, func(e *encoder) { e.u8(stOK) })
 	}
-	return fmt.Errorf("adlb: unhandled data op %d", op)
+	return fmt.Errorf("adlb: unhandled read op %d", op)
+}
+
+// applyStoreChunk is the columnar scatter into a container: one
+// owner-local closed datum per row, inserted at consecutive subscripts
+// after any existing members, all or nothing. The write refcount is the
+// caller's to manage, as with Insert. Row payloads alias the (retained)
+// request frame and the datums come from one slab, so the per-element
+// cost is the subscript string and its container map entry — no value
+// copies, no boxes.
+func (s *server) applyStoreChunk(d *decoder) (refusal string, err error) {
+	cid := d.i64()
+	c := decodeChunk(d)
+	if err := d.finish("store_chunk request"); err != nil {
+		return "", err
+	}
+	dm, ok := s.store[cid]
+	if !ok || dm.typ != TypeContainer {
+		return fmt.Sprintf("store_chunk: id %d is not a container", cid), nil
+	}
+	if dm.closed() {
+		return fmt.Sprintf("store_chunk: container %d is closed", cid), nil
+	}
+	n := c.Len()
+	base := len(dm.order)
+	// Validate every target subscript before mutating anything, so a
+	// failed store is all-or-nothing: partial member creation would
+	// leave the container in a layout no call described.
+	subs := make([]string, n)
+	for i := range subs {
+		subs[i] = strconv.Itoa(base + i)
+		if _, dup := dm.members[subs[i]]; dup {
+			return fmt.Sprintf("store_chunk: container %d already has subscript %q", cid, subs[i]), nil
+		}
+	}
+	slab := make([]datum, n)
+	r := c.Reader()
+	for i := 0; i < n && r.Next(); i++ {
+		dmv := &slab[i]
+		dmv.val = rowValue(&r)
+		dmv.typ, dmv.set = dmv.val.Type, true
+		id := s.nextID
+		s.nextID += int64(s.l.Servers)
+		s.store[id] = dmv
+		dm.members[subs[i]] = id
+		dm.order = append(dm.order, subs[i])
+	}
+	return "", nil
 }
 
 // storeValue sets id to v, whose bytes alias the retained request frame:
-// the one store of a Store request and of a result riding a Get. An id
+// the one store of a batched Store and of a result riding a Get. An id
 // the owner issued but nobody created comes into being here, typed by v;
 // a set id, a container, a type mismatch and an id never issued are
 // refused, with nothing changed. The caller announces the close.
@@ -1309,18 +1391,6 @@ func (s *server) storeValue(id int64, v Value) (*datum, error) {
 	dm.val = v
 	dm.set = true
 	return dm, nil
-}
-
-// respondThenNotify answers the client whose store or refcount closed dm,
-// then runs notifyAll: the writer goes on while this server delivers what
-// the close released, whose rows may be large. The server handles nothing
-// else in between, so no later request sees the close unannounced.
-func (s *server) respondThenNotify(client int, dm *datum) error {
-	if err := s.respond(client, func(e *encoder) { e.u8(stOK) }); err != nil {
-		return err
-	}
-	s.notifyAll(dm)
-	return nil
 }
 
 // notifyAll runs when a datum closes and moves on each rule held on it.

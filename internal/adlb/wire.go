@@ -61,9 +61,37 @@ func (e *encoder) str(v string) {
 	e.buf = append(e.buf, v...)
 }
 
+// begin starts a length-prefixed field whose content the caller then
+// encodes piece by piece, and returns where it starts for end.
+func (e *encoder) begin() int {
+	at := len(e.buf)
+	e.u32(0)
+	return at
+}
+
+// end closes the field begin started at: it sets the length prefix, or,
+// when the field failed to encode or overflows the prefix, removes it,
+// clears the sticky error and returns that error, so the fields before
+// it stay usable.
+func (e *encoder) end(at int) error {
+	n := uint64(len(e.buf) - at - 4)
+	if e.err == nil && n > maxFieldBytes {
+		e.err = fmt.Errorf("adlb: wire encode: %d-byte field overflows the u32 length prefix", n)
+	}
+	if err := e.err; err != nil {
+		e.buf, e.err = e.buf[:at], nil
+		return err
+	}
+	binary.LittleEndian.PutUint32(e.buf[at:], uint32(n))
+	return nil
+}
+
 // grow makes room for n more bytes, so a frame whose size is known up
 // front is built in one allocation.
 func (e *encoder) grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
+// size is the number of bytes encoded so far.
+func (e *encoder) size() int { return len(e.buf) }
 
 func (e *encoder) boolean(v bool) {
 	if v {

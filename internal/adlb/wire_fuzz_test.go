@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
+	"repro/internal/mpi"
 )
 
 // FuzzWireRoundTrip drives the wire codec two ways with the same input:
@@ -235,6 +236,87 @@ func FuzzWireRoundTrip(f *testing.F) {
 		decodeChunk(d)
 		if err := d.finish("chunk round trip"); err == nil {
 			t.Fatal("chunk trailing garbage accepted")
+		}
+	})
+}
+
+// FuzzBatchFrame feeds arbitrary bytes after the batch opcode to a
+// server's dispatch: it must never panic. A frame that is not a
+// well-formed batch — an empty one, a write's length cut short, a
+// request that is not a write (a Get, a nested batch) — is an error,
+// with no write applied, and the frame goes back to the pool. A
+// well-formed batch goes back too, unless it carries a Store or a
+// StoreChunk, whose rows the data store keeps aliasing the frame.
+//
+// Run with: go test -fuzz=FuzzBatchFrame ./internal/adlb
+func FuzzBatchFrame(f *testing.F) {
+	write := func(op uint8, body func(e *encoder)) []byte {
+		e := &encoder{}
+		at := e.begin()
+		e.u8(op)
+		body(e)
+		if err := e.end(at); err != nil {
+			f.Fatal(err)
+		}
+		return e.buf
+	}
+	store := write(opStore, func(e *encoder) {
+		e.i64(heldBase)
+		encodeChunk(e, intChunk(7))
+	})
+	put := write(opPut, func(e *encoder) {
+		encodeWorkItem(e, workItem{Type: 1, Target: AnyRank, Payload: []byte("rule"), Inputs: []int64{heldBase}})
+	})
+	create := write(opCreate, func(e *encoder) {
+		e.i64(heldBase)
+		e.u8(uint8(TypeInteger))
+	})
+	valueless := write(opStore, func(e *encoder) { e.i64(heldBase) })
+	get := write(opGet, func(e *encoder) { encodeGet(e, &getRequest{typ: 1}) })
+	nested := write(opBatch, func(e *encoder) { e.buf = append(e.buf, create...) })
+	cat := func(subs ...[]byte) []byte { return bytes.Join(subs, nil) }
+	f.Add(cat(create, store, put))
+	f.Add(cat(create, put))
+	f.Add(cat(create, store)[:len(create)+3]) // the store's length cut short
+	f.Add(cat(create, store[:len(store)-2]))  // the store's body cut short
+	f.Add(cat(create, valueless))             // well framed, a store with no value
+	f.Add(cat(create, nested))
+	f.Add(cat(put, get))
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := testServer(t, 2, 1, 0, Config{})
+		frame := append([]byte{opBatch}, body...)
+		_, _, puts := s.c.World().FramePoolStats()
+		err := s.dispatch(frame, mpi.Status{Source: 0, Tag: tagRequest})
+		_, _, after := s.c.World().FramePoolStats()
+		released := after > puts
+
+		// The oracle: walk the length-prefixed writes independently.
+		wellFormed, retains := len(body) > 0, false
+		for rest := body; len(rest) > 0 && wellFormed; {
+			if len(rest) < 4 {
+				wellFormed = false
+				break
+			}
+			n := uint64(binary.LittleEndian.Uint32(rest))
+			if n == 0 || n > uint64(len(rest)-4) || writeName(rest[4]) == "" {
+				wellFormed = false
+				break
+			}
+			retains = retains || rest[4] == opStore || rest[4] == opStoreChunk
+			rest = rest[4+n:]
+		}
+		switch {
+		case !wellFormed && err == nil:
+			t.Fatalf("malformed batch %x accepted", body)
+		case !wellFormed && !released:
+			t.Fatalf("malformed batch %x (%v) was not released", body, err)
+		case !wellFormed && (len(s.store) > 0 || len(s.untargeted) > 0):
+			t.Fatalf("malformed batch %x applied a write", body)
+		case wellFormed && released == retains:
+			t.Fatalf("batch %x carrying a store: %v, released: %v", body, retains, released)
 		}
 	})
 }

@@ -19,12 +19,22 @@
 // builtins (len, cap, copy, append with ..., string/byte conversions)
 // count as uses, not transfers; appending the slice header itself into
 // a container is a transfer.
+//
+// A frame the receiver may keep has one decision point: a retention
+// predicate, a bool function named retains* (adlb's retainsRequestFrame:
+// a batch frame is retained iff it carries a Store or a StoreChunk,
+// whose rows the data store keeps aliasing the frame). In a function
+// that consults one, every Release must sit in the body of an
+// `if !retains...(...)` — a Release the predicate does not guard would
+// recycle a frame the data store still reads. What the predicate
+// answers for each frame is pinned at run time (adlb's FuzzBatchFrame).
 package framerelease
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/internal/analysis/driver"
 )
@@ -45,6 +55,7 @@ func run(pass *driver.Pass) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
 					checkFunc(pass, n.Body)
+					checkRetention(pass, n.Body)
 				}
 			case *ast.FuncLit:
 				checkFunc(pass, n.Body)
@@ -52,6 +63,84 @@ func run(pass *driver.Pass) {
 			return true
 		})
 	}
+}
+
+// checkRetention reports each Release in body that no negated retention
+// predicate guards, when body consults a retention predicate at all.
+func checkRetention(pass *driver.Pass, body *ast.BlockStmt) {
+	c := &checker{pass: pass}
+	consults := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && c.retentionCall(call) {
+			consults = true
+		}
+		return !consults
+	})
+	if !consults {
+		return
+	}
+	var walk func(n ast.Node, guarded bool)
+	walk = func(n ast.Node, guarded bool) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.IfStmt:
+				if n.Init != nil {
+					walk(n.Init, guarded)
+				}
+				walk(n.Cond, guarded)
+				walk(n.Body, guarded || c.notRetained(n.Cond))
+				if n.Else != nil {
+					walk(n.Else, guarded)
+				}
+				return false
+			case *ast.CallExpr:
+				if c.releaseCall(n) && !guarded {
+					pass.Reportf(n.Pos(), "Release outside `if !retains...`: this function consults a retention predicate, and a frame it retains must not be recycled under the data aliasing it")
+				}
+			}
+			return true
+		})
+	}
+	walk(body, false)
+}
+
+// retentionCall reports whether call is a retention predicate: a
+// function or method named retains* returning one bool.
+func (c *checker) retentionCall(call *ast.CallExpr) bool {
+	var name string
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		name = f.Name
+	case *ast.SelectorExpr:
+		name = f.Sel.Name
+	default:
+		return false
+	}
+	if !strings.HasPrefix(name, "retains") {
+		return false
+	}
+	b, ok := c.pass.TypesInfo.TypeOf(call).(*types.Basic)
+	return ok && b.Kind() == types.Bool
+}
+
+// notRetained reports whether cond is the negation of a retention
+// predicate's call.
+func (c *checker) notRetained(cond ast.Expr) bool {
+	for {
+		p, ok := cond.(*ast.ParenExpr)
+		if !ok {
+			break
+		}
+		cond = p.X
+	}
+	u, ok := cond.(*ast.UnaryExpr)
+	if !ok || u.Op != token.NOT {
+		return false
+	}
+	call, ok := ast.Unparen(u.X).(*ast.CallExpr)
+	return ok && c.retentionCall(call)
 }
 
 // frameState is the per-path state of each tracked frame group. All

@@ -50,3 +50,22 @@ func escapeAfter(c *Comm, h *holder) {
 	c.Release(data)
 	h.b = data // want `frame "data" escapes after Release`
 }
+
+// retainsFrame is a retention predicate: a frame carrying op 3 keeps
+// slices into it alive past handling.
+func retainsFrame(op byte) bool { return op == 3 }
+
+// retainUnguarded recycles the frame whatever the predicate said.
+func retainUnguarded(c *Comm, data []byte, keep *[]byte) {
+	if retainsFrame(data[0]) {
+		*keep = data[1:]
+	}
+	c.Release(data) // want `Release outside .if !retains`
+}
+
+// retainWrongBranch releases exactly the frames the predicate retains.
+func retainWrongBranch(c *Comm, data []byte) {
+	if retainsFrame(data[0]) {
+		c.Release(data) // want `Release outside .if !retains`
+	}
+}

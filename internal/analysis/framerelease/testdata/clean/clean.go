@@ -58,3 +58,17 @@ func okLoop(c *Comm) error {
 		c.Release(data)
 	}
 }
+
+// retainsFrame is a retention predicate: a frame carrying op 3 keeps
+// slices into it alive past handling.
+func retainsFrame(op byte) bool { return op == 3 }
+
+// okRetain is the request-frame shape: one decision, at the predicate.
+func okRetain(c *Comm, data []byte, keep *[]byte) {
+	if data[0] == 3 {
+		*keep = data[1:]
+	}
+	if !retainsFrame(data[0]) {
+		c.Release(data)
+	}
+}

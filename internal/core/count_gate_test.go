@@ -5,9 +5,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/adlb"
+	"repro/internal/mpi"
 	"repro/internal/nativelib"
+	"repro/internal/shell"
 	"repro/internal/stc"
 	"repro/internal/tcl"
 	"repro/internal/turbine"
@@ -93,6 +96,70 @@ func TestEnsembleCountGate(t *testing.T) {
 		if c.got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
+	}
+}
+
+// TestEngineFramesPerLeaf pins the engine's request frames per leaf on
+// the ensemble shape at 0.1 or less, counted off the world's frame-pool
+// draws. The one worker waits in its interpreter setup until the engine
+// has parked in Get with every control action it can run done (main,
+// the loop, vpack's rule), so until then every frame drawn is an engine
+// request or the one server's reply to it. The engine's writes — main's
+// literal stores and inserts, each loop body's three leaf Puts and its
+// insert — travel in one frame per server per control action, or per
+// maxBatch writes; at one round trip per write they cost about 2
+// frames a leaf.
+func TestEngineFramesPerLeaf(t *testing.T) {
+	const n = 200
+	compiled, err := stc.Compile(ensembleShape(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := compiled.Script()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &adlb.Stats{}
+	r := newRig(nil, shell.NewSystem(shell.ModeCluster, nil), st, nil)
+	release := make(chan struct{})
+	tcfg := &turbine.Config{
+		Engines: 1, Servers: 1, Stats: st, TurbineStats: r.tstats,
+		ProgramScript: script, Main: compiled.Main,
+		Setup: r.setup(PolicyRetain, nil, func(in *tcl.Interp) error {
+			if !in.HasCommand("turbine::rule") { // registered on engine ranks only
+				<-release
+			}
+			return nil
+		}),
+	}
+	w, err := mpi.NewWorld(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.Run(func(c *mpi.Comm) error { return turbine.Run(c, tcfg) }) }()
+	for deadline := time.Now().Add(30 * time.Second); st.GetsParked.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			w.Abort(fmt.Errorf("the engine never parked"))
+			close(release)
+			t.Fatal(<-done)
+		}
+	}
+	gets, _, _ := w.FramePoolStats()
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	leaves := r.tstats.LeafTasks.Load()
+	if leaves != 3*n+2 {
+		t.Fatalf("%d leaf tasks, want %d", leaves, 3*n+2)
+	}
+	// Each request frame and its reply; the parked Get's reply is due.
+	requests := (gets + 1) / 2
+	perLeaf := float64(requests) / float64(leaves)
+	t.Logf("the engine sent %d request frames for %d leaves: %.3f a leaf", requests, leaves, perLeaf)
+	if perLeaf > 0.1 {
+		t.Fatalf("the engine sends %.3f request frames a leaf, want <= 0.1", perLeaf)
 	}
 }
 

@@ -163,6 +163,21 @@ func TestBothDoorsAgree(t *testing.T) {
 	}
 }
 
+// TestGatewayFlushesItsPut: the gateway's Put of a fragment task is a
+// batched write, and the gateway then waits on the request's channel,
+// not on ADLB, so nothing but its own Flush would send it. A lone
+// fragment on a quiet server must be answered, not time out.
+func TestGatewayFlushesItsPut(t *testing.T) {
+	s := newTestServer(t, Config{RequestTimeout: 5 * time.Second})
+	res, err := s.EvalFragment(FragmentRequest{Tenant: "a", Lang: "python", Expr: "6 * 7", Want: "int"})
+	if err != nil {
+		t.Fatalf("a lone fragment: %v", err)
+	}
+	if res.Value.Kind != "int" || res.Value.Int != 42 {
+		t.Fatalf("a lone fragment reads %+v, want the int 42", res.Value)
+	}
+}
+
 // TestSecondResponseIsLate: when a lease is reclaimed and its task runs
 // twice, the collector sees two responses for one request id. The second
 // finds no waiter and must be dropped and counted, not delivered.
@@ -177,6 +192,9 @@ func TestSecondResponseIsLate(t *testing.T) {
 	}
 	s.gwMu.Lock()
 	err = s.gw.Put(typeResp, 0, collectorRank, again)
+	if err == nil {
+		err = s.gw.Flush()
+	}
 	s.gwMu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -286,7 +286,12 @@ func (s *Server) EvalFragment(req FragmentRequest) (FragmentResult, error) {
 		return FragmentResult{}, errShuttingDown
 	default:
 	}
+	// The Put is one-way until flushed, and the gateway next waits on
+	// ch, not on ADLB: flush it now.
 	err = s.gw.Put(typeTask, gate.cfg.Priority, target, payload)
+	if err == nil {
+		err = s.gw.Flush()
+	}
 	s.gwMu.Unlock()
 	if err != nil {
 		return FragmentResult{}, fmt.Errorf("serve: submit: %w", err)

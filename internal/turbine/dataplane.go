@@ -133,7 +133,7 @@ func (p dataPlane) LoadChunk(ids []int64) (lang.Chunk, error) {
 	return p.cl.RetrieveChunk(ids)
 }
 
-// StoreChunk appends a columnar chunk to a container TD in one RPC to
+// StoreChunk appends a columnar chunk to a container TD in one write to
 // the container's owner (consecutive integer subscripts after any
 // existing members). The caller keeps (and eventually drops) the
 // container's write reference.

@@ -83,12 +83,18 @@ func (e *engine) run() error {
 	}
 }
 
-// control runs one control action on the engine's interpreter.
+// control runs one control action on the engine's interpreter, then
+// flushes the writes it made: they travel in one frame per server (see
+// adlb.Client), and a refused one fails the action that made it.
 func (e *engine) control(action string) error {
 	if s := e.stats(); s != nil {
 		s.ControlTasks.Add(1)
 	}
-	if _, err := e.env.interp.Eval(action); err != nil {
+	_, err := e.env.interp.Eval(action)
+	if err == nil {
+		err = e.env.Client.Flush()
+	}
+	if err != nil {
 		return fmt.Errorf("turbine: engine %d: control action failed: %w\n  action: %.200s",
 			e.env.Rank, err, action)
 	}
@@ -135,6 +141,11 @@ func runWorker(env *Env) error {
 			s.LeafTasks.Add(1)
 		}
 		evalErr, retriable := evalLeafContained(env, payload)
+		// The task's writes go out as it ends. A refused one fails the
+		// task retriably, as a refused result riding the next Get does.
+		if err := env.Client.Flush(); err != nil && evalErr == nil {
+			evalErr, retriable = err, true
+		}
 		if evalErr == nil {
 			continue
 		}

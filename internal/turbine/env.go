@@ -185,7 +185,11 @@ func Run(c *mpi.Comm, cfg *Config) error {
 	}
 	if role == RoleEngine {
 		if c.Rank() == 0 && cfg.Main != "" {
-			if _, err := in.Eval(cfg.Main); err != nil {
+			_, err := in.Eval(cfg.Main)
+			if err == nil {
+				err = client.Flush()
+			}
+			if err != nil {
 				return fmt.Errorf("turbine: seeding main: %w", err)
 			}
 		}

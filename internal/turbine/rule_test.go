@@ -43,6 +43,10 @@ func TestControlRuleIsOneHeldPut(t *testing.T) {
 		Setup: func(in *tcl.Interp, env *Env) error {
 			registerCreate(in, env)
 			in.RegisterCommand("test::dataops", func(in *tcl.Interp, args []string) (string, error) {
+				// The engine's writes so far reach the servers first.
+				if err := env.Client.Flush(); err != nil {
+					return "", err
+				}
 				return fmtInt(stats.DataOps.Load()), nil
 			})
 			in.RegisterCommand("test::loads", func(in *tcl.Interp, args []string) (string, error) {
@@ -136,6 +140,10 @@ func TestRuleMembers(t *testing.T) {
 		Setup: func(in *tcl.Interp, env *Env) error {
 			registerCreate(in, env)
 			in.RegisterCommand("test::dataops", func(in *tcl.Interp, args []string) (string, error) {
+				// The engine's writes so far reach the servers first.
+				if err := env.Client.Flush(); err != nil {
+					return "", err
+				}
 				return fmtInt(stats.DataOps.Load()), nil
 			})
 			return nil

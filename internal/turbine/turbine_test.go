@@ -347,6 +347,10 @@ func TestValueReadsTDsAndImmediatesAlike(t *testing.T) {
 		Main: "main",
 		Setup: func(in *tcl.Interp, env *Env) error {
 			in.RegisterCommand("test::dataops", func(*tcl.Interp, []string) (string, error) {
+				// The engine's writes so far reach the servers first.
+				if err := env.Client.Flush(); err != nil {
+					return "", err
+				}
 				return fmtInt(stats.DataOps.Load()), nil
 			})
 			return nil
