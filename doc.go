@@ -397,22 +397,27 @@
 // Leaf-task execution is fault-tolerant end to end. Workers take work
 // under a lease: adlb.Client.GetLeased hands out each work item with a
 // server-tracked lease id, settled implicitly by the worker's next Get
-// (success) or explicitly by Client.Fail (failure, with a retriable
-// flag). A leaf record's result rides that Get when the worker's home
-// server owns the output (adlb.Client.StoreResult): the server stores
-// it, with Store's checks, then settles the lease and announces the
-// close, so a leaf costs the worker one round trip and its store and
-// settle are one message. A task that fails or whose worker departs
-// before that Get leaves its output open, so the re-run's store lands
-// once; a riding store the server refuses fails the lease retriably
-// with the refusal, as a Fail after a refused Store would. An output
-// another server owns is a separate Store first, and keeps the window
-// in which a worker lost between that Store and its Get has its re-run
+// to its server (success) or explicitly by Client.Fail (failure, with a
+// retriable flag). One Get brings back the worker's share of the queue,
+// up to 8 items, which the worker runs one by one with no round trip
+// between them; a leaf record's result rides the next Get with its
+// settle when the worker's home server owns the output
+// (adlb.Client.StoreResult): the server stores it, with Store's checks,
+// then settles the lease and announces the close, so a leaf costs the
+// worker a fraction of a round trip and its store and settle are one
+// message. A task that fails or whose worker departs before that Get
+// leaves its output open, so the re-run's store lands once; a riding
+// store the server refuses fails the lease retriably with the refusal,
+// as a Fail after a refused Store would. An output another server owns
+// is a separate Store first, and the task's settle then reaches its
+// server before the worker starts another task, which keeps to one task
+// the window in which a worker lost after that Store has a re-run
 // refused as already set. A worker that departs mid-task (Client.Leave, or a crash that
 // reaches the departed-client path) has its outstanding leases reclaimed
 // by the server and the items requeued at their original priority —
 // items the victim had targeted at itself retarget to AnyRank so a
-// survivor can take them. A retriably-failed task is requeued at most
+// survivor can take them; the items a Leave hands back unstarted are
+// requeued with no attempt charged. A retriably-failed task is requeued at most
 // twice (3 attempts in all); past the budget — or immediately, when the failure is not retriable — the
 // task is poisoned: the run ends with an error naming the task and the
 // original failure reason rather than hanging or silently dropping work.

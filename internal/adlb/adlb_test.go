@@ -242,7 +242,7 @@ func TestPriorityAwareParkedMatching(t *testing.T) {
 				return fmt.Errorf("recv: ok=%v err=%v", ok, err)
 			}
 			d := &decoder{buf: data}
-			if st.Tag != tagResponse || d.u8() != stOK {
+			if st.Tag != tagResponse || d.u8() != stOK || d.u32() != 1 {
 				return fmt.Errorf("unexpected response tag=%d", st.Tag)
 			}
 			got := d.bytes()

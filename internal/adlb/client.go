@@ -20,10 +20,12 @@ import (
 // or maxBatchBytes, before a write that would take it past
 // maxBatchBytes, when a write for another server is queued (so writes
 // keep program order across servers), before any request that waits
-// for an answer, and at Flush. Every other call is a synchronous RPC.
-// So a client never blocks with a write unsent or unanswered, which is
+// for an answer, and at Flush. Every other call is a synchronous RPC,
+// except a GetLeased that the items of an earlier reply answer. So a
+// client never blocks with a write unsent or unanswered, which is
 // essential to the termination-detection protocol: a client that is
-// parked in Get has no in-flight requests.
+// parked in Get has no in-flight requests, and a client holding items
+// is not parked.
 type Client struct {
 	c        *mpi.Comm
 	cfg      Config
@@ -34,17 +36,40 @@ type Client struct {
 	idStride int64
 	idRemain int64
 
-	// held is the lease id of the task currently being executed (0 when
-	// none). It is settled implicitly by the next Get — completion
-	// piggybacks on the request the client was about to send anyway — or
-	// explicitly by Fail.
-	held int64
-	// result is the held task's result store (see StoreResult), sent in
-	// the next Get; result.row is empty when none is pending.
+	// lease is the lease id of the task currently being executed (0 when
+	// none). Its settle joins the next Get's request as the task ends —
+	// completion piggybacks on a request the client sends anyway — unless
+	// Fail settles it.
+	lease int64
+	// result is the running task's result store (see StoreResult), which
+	// joins its settle; result.row is empty when none is pending.
 	result struct {
 		id  int64
 		row chunk.Chunk
 	}
+	// settles is the next Get's request, built as leased tasks end: room
+	// for the opcode and head, which the send fills in, then nSettles
+	// settles, each copying its result's bytes, so nothing a result
+	// aliased need outlive its task. bare are the leases of those
+	// settles that carry no result: what a Leave settles. wrote is set
+	// when a task whose settle is in settles sent writes: its settle
+	// reaches the server before another held item starts, so a client
+	// lost after that leaves no finished task's writes to collide with a
+	// re-run.
+	settles  encoder
+	nSettles int
+	bare     []int64
+	wrote    bool
+
+	// items are the work items of the last Get reply that brought work,
+	// of type itemType; those from next on are held, handed out one per
+	// GetLeased with no RPC. Their payloads and rows alias deliv, the
+	// reply's frame, which is retired by the next Get that asks for work
+	// and released once that Get is on the wire.
+	items    []delivered
+	next     int
+	itemType int
+	deliv    []byte
 
 	// Zero-copy frame pinning. Payload slices returned by Retrieve and
 	// RetrieveChunk alias the response frames they were decoded from;
@@ -56,8 +81,8 @@ type Client struct {
 	pinned  [][]byte // response frames backing the last call's payloads
 	retired [][]byte // previous call's frames, released after the next Send
 
-	// item holds the input rows that came with the work item of the last
-	// Get, which Retrieve and RetrieveChunk serve with no RPC.
+	// item holds the input rows that came with the running task's work
+	// item, which Retrieve and RetrieveChunk serve with no RPC.
 	item item
 
 	// batch is the pending write frame: opBatch, then n length-prefixed
@@ -84,27 +109,46 @@ const maxBatch = 64
 const maxBatchBytes = 1 << 20
 
 // item is the rows a delivered work item carried: the values of the
-// inputs its server owns. They alias the Get response frame, which stays
-// pinned until the next Get, Fail or Leave is on the wire.
+// inputs its server owns. They alias the Get reply frame (Client.deliv).
 type item struct {
-	frame []byte
 	ids   []int64 // row i holds ids[i]
 	rows  chunk.Chunk
 	vals  []Value       // rows as values, made at first use out of order
 	index map[int64]int // id -> row, made at first lookup in a long list
 }
 
-// dropTask forgets the task's rows and its pending result as the Get,
-// Fail or Leave that ends the task begins. The rows' frame is retired,
-// not released: a result riding the Get may alias it (an input passed
-// straight through), so it goes back to the pool once that request is
-// on the wire.
+// dropTask forgets the running task's rows and its pending result, as
+// the Get, Fail or Leave that ends the task begins. The rows' frame
+// stays: the held items alias it too.
 func (cl *Client) dropTask() {
-	if cl.item.frame != nil {
-		cl.retired = append(cl.retired, cl.item.frame)
-	}
-	cl.item = item{ids: cl.item.ids[:0], vals: cl.item.vals[:0]}
+	cl.item = item{vals: cl.item.vals[:0]}
 	cl.result.id, cl.result.row = 0, chunk.Chunk{}
+}
+
+// endTask ends the running task as a Get begins: a leased task's settle,
+// with its pending result, joins the next Get's request, and the task's
+// rows go.
+func (cl *Client) endTask() {
+	if cl.lease != 0 {
+		e := &cl.settles
+		if e.size() == 0 {
+			e.reserve(getHeadBytes)
+		}
+		encodeSettle(e, &settle{lease: cl.lease, out: cl.result.id, row: cl.result.row})
+		cl.nSettles++
+		if cl.result.id == 0 {
+			cl.bare = append(cl.bare, cl.lease)
+		}
+		cl.lease = 0
+	}
+	cl.dropTask()
+}
+
+// clearSettles empties the settle list once a Get or Leave carrying it
+// is sent.
+func (cl *Client) clearSettles() {
+	cl.settles.reset()
+	cl.nSettles, cl.bare, cl.wrote = 0, cl.bare[:0], false
 }
 
 // at returns the row holding id: a leaf's few inputs are scanned, a
@@ -181,13 +225,17 @@ func (cl *Client) rpcKeep(server int, build func(*encoder)) (*decoder, error) {
 	}
 	e := getEncoder()
 	build(e)
-	frame, err := e.frame()
-	if err != nil {
-		putEncoder(e)
-		return nil, err
-	}
-	err = cl.c.Send(server, tagRequest, frame)
+	d, err := cl.roundTrip(server, e)
 	putEncoder(e)
+	return d, err
+}
+
+// roundTrip sends e's frame as a request to server and pins the reply.
+func (cl *Client) roundTrip(server int, e *encoder) (*decoder, error) {
+	frame, err := e.frame()
+	if err == nil {
+		err = cl.c.Send(server, tagRequest, frame)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -267,6 +315,9 @@ func (cl *Client) Flush() error {
 	}
 	e, server := b.e, b.server
 	b.e, b.n = nil, 0
+	if cl.lease != 0 {
+		cl.wrote = true
+	}
 	frame, err := e.frame()
 	if err == nil {
 		err = cl.c.Send(server, tagRequest, frame)
@@ -355,35 +406,61 @@ func (cl *Client) Get(workType int) (payload []byte, ok bool, err error) {
 // GetLeased is Get with fault tolerance: the returned item is tracked by
 // the home server under leaseID until the client settles it — implicitly
 // by its next Get (success) or explicitly by Fail. A client that departs
-// (Leave) with the lease outstanding has the item requeued. Only one
-// lease is held at a time, matching the one-task-at-a-time worker loop.
+// (Leave) with the lease outstanding has the item requeued.
+//
+// One reply may bring up to maxDelivery items, the client's share of
+// the queue (see the package doc). The client holds the rest and hands
+// them out one per call, with no RPC, after its pending writes are on
+// the wire; the settles of the tasks they run ride the next Get that
+// goes to the server, or a Get that only settles when a task sent
+// writes or the results waiting pass maxBatchBytes. Until every held
+// item is handed out, a GetLeased must ask for their type and a Get is
+// refused.
 func (cl *Client) GetLeased(workType int) (payload []byte, leaseID int64, ok bool, err error) {
 	return cl.get(workType, true)
 }
 
-// get is Get and GetLeased. The request settles the held lease, carrying
-// its pending result (encodeGet); the response is a status byte, the
-// lease id when leased, the payload, then the item's rows (encodeRows).
+// get is Get and GetLeased. The ended task's writes go out first, and
+// its settle joins the next Get's request (endTask). A held item is
+// handed out then, after a Get that only settles if a task whose settle
+// is pending sent writes, or the pending results pass maxBatchBytes (a
+// large result's waiters should not wait on the next task); with none
+// held the Get goes to the server, wanting up to maxDelivery items when
+// leased and one otherwise.
 func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64, ok bool, err error) {
-	g := getRequest{typ: workType, settle: cl.held}
+	if err := cl.Flush(); err != nil {
+		return nil, 0, false, err
+	}
+	cl.endTask()
+	if cl.next < len(cl.items) {
+		if !leased || workType != cl.itemType {
+			return nil, 0, false, fmt.Errorf("adlb: get: asked for type %d while holding %d leased item(s) of type %d",
+				workType, len(cl.items)-cl.next, cl.itemType)
+		}
+		if cl.wrote || cl.settles.size() > maxBatchBytes {
+			d, err := cl.sendGet(workType, leased, 0)
+			if err != nil {
+				return nil, 0, false, err
+			}
+			if _, err := checkStatus(d, "get"); err != nil {
+				return nil, 0, false, err
+			}
+			decodeDelivery(d, leased, 0, nil)
+			if err := d.finish("get response"); err != nil {
+				return nil, 0, false, err
+			}
+		}
+		payload, leaseID = cl.handOut()
+		return payload, leaseID, true, nil
+	}
+	want := 1
 	if leased {
-		g.flags |= getFlagLeased
+		want = maxDelivery
 	}
-	if cl.result.row.Len() > 0 {
-		g.flags |= getFlagStore
-		g.out, g.row = cl.result.id, cl.result.row
-	}
-	cl.dropTask()
-	d, err := cl.rpc(cl.myServer, func(e *encoder) {
-		e.u8(opGet)
-		encodeGet(e, &g)
-	})
+	d, err := cl.sendGet(workType, leased, want)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	// The request reached the server, which stores and settles before
-	// anything else.
-	cl.held = 0
 	st, err := checkStatus(d, "get")
 	if err != nil {
 		return nil, 0, false, err
@@ -391,22 +468,16 @@ func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64,
 	if st == stNoMoreWork {
 		return nil, 0, false, d.finish("get response")
 	}
-	if leased {
-		leaseID = d.i64()
-	}
-	payload = append([]byte(nil), d.bytes()...)
-	it := &cl.item
-	it.ids, it.rows = decodeRows(d, it.ids)
+	cl.items = decodeDelivery(d, leased, want, cl.items)
 	if err := d.finish("get response"); err != nil {
-		cl.dropTask()
+		cl.items = cl.items[:0]
 		return nil, 0, false, err
 	}
-	if len(it.ids) > 0 {
-		// The rows outlive this call: the frame leaves pinned for the item.
-		last := len(cl.pinned) - 1
-		it.frame, cl.pinned = cl.pinned[last], cl.pinned[:last]
-	}
-	cl.held = leaseID
+	// The items outlive this call: the frame leaves pinned for them.
+	last := len(cl.pinned) - 1
+	cl.deliv, cl.pinned = cl.pinned[last], cl.pinned[:last]
+	cl.next, cl.itemType = 0, workType
+	payload, leaseID = cl.handOut()
 	// Yield before running the task. Real MPI ranks are separate
 	// processes that progress concurrently; in the simulation, ranks are
 	// goroutines that may outnumber cores, and the scheduler's wakeup
@@ -417,15 +488,60 @@ func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64,
 	return payload, leaseID, true, nil
 }
 
+// sendGet sends the Get the settle list has been building, wanting want
+// items, and returns its reply. A Get that asks for work retires the
+// last reply's frame, whose items are all handed out by then.
+func (cl *Client) sendGet(workType int, leased bool, want int) (*decoder, error) {
+	cl.retire()
+	if want > 0 {
+		cl.retireItems()
+	}
+	e := &cl.settles
+	if e.size() == 0 {
+		e.reserve(getHeadBytes)
+	}
+	var flags uint8
+	if leased {
+		flags = getFlagLeased
+	}
+	e.patch(0, getHeadBytes, func(h *encoder) {
+		h.u8(opGet)
+		encodeGetHead(h, workType, flags, uint8(want), cl.nSettles)
+	})
+	d, err := cl.roundTrip(cl.myServer, e)
+	cl.clearSettles()
+	return d, err
+}
+
+// retireItems forgets the last reply's items and retires its frame,
+// which goes back to the pool once the next request is on the wire.
+func (cl *Client) retireItems() {
+	if cl.deliv != nil {
+		cl.retired = append(cl.retired, cl.deliv)
+	}
+	cl.deliv, cl.items, cl.next = nil, cl.items[:0], 0
+}
+
+// handOut makes the next held item the running task and returns its
+// payload, copied, and lease.
+func (cl *Client) handOut() ([]byte, int64) {
+	it := &cl.items[cl.next]
+	cl.next++
+	cl.lease = it.lease
+	cl.item.ids, cl.item.rows = it.ids, it.rows
+	return append([]byte(nil), it.payload...), it.lease
+}
+
 // Fail settles a lease as failed. Retriable failures are requeued by the
 // server until the task's retry budget is exhausted; non-retriable ones
 // (and budget exhaustion) poison the task, which ends the run with an
 // error naming it — the caller's own error return then typically reports
 // the aborted world. A result pending from StoreResult is dropped, so
-// the output stays open for the re-run.
+// the output stays open for the re-run. The settles of tasks that ended
+// before wait for the next Get.
 func (cl *Client) Fail(leaseID int64, reason string, retriable bool) error {
-	if cl.held == leaseID {
-		cl.held = 0
+	if cl.lease == leaseID {
+		cl.lease, cl.wrote = 0, false
 	}
 	cl.dropTask()
 	d, err := cl.rpc(cl.myServer, func(e *encoder) {
@@ -443,16 +559,27 @@ func (cl *Client) Fail(leaseID int64, reason string, retriable bool) error {
 	return d.finish("fail response")
 }
 
-// Leave departs the runtime: the home server reclaims any lease this
-// client still holds (requeueing the work) and stops counting the client
-// toward termination. It models a detected rank crash — after Leave the
-// client must not issue further calls. A result pending from StoreResult
-// dies with the client: the requeued task's re-run stores it.
+// Leave departs the runtime: the home server reclaims the lease of the
+// task this client is running (requeueing the work) and stops counting
+// the client toward termination. It models a detected rank crash — after
+// Leave the client must not issue further calls. The Leave settles the
+// tasks that ended with no result pending, and hands back the held items
+// never started, which are requeued with no attempt charged. A result
+// pending from StoreResult dies with the client, and its task's lease is
+// reclaimed like the running one's: the requeued task's re-run stores it.
 func (cl *Client) Leave() error {
-	cl.held = 0
+	cl.lease = 0
 	cl.dropTask()
+	var unstarted []int64
+	for _, it := range cl.items[cl.next:] {
+		unstarted = append(unstarted, it.lease)
+	}
+	cl.retireItems()
+	bare := cl.bare
+	defer cl.clearSettles()
 	d, err := cl.rpc(cl.myServer, func(e *encoder) {
 		e.u8(opLeave)
+		encodeLeave(e, bare, unstarted)
 	})
 	if err != nil {
 		return err
@@ -463,14 +590,20 @@ func (cl *Client) Leave() error {
 	return d.finish("leave response")
 }
 
+// idBlock is how many ids one Unique round trip fetches. Each such round
+// trip also flushes the pending writes, so a small block splits an
+// engine's batches: at 64 ids, Unique's round trips were 18 of the 45
+// request frames an engine sent on the ensemble shape at n = 200, and at
+// 1024 the engine sends 27 in all.
+const idBlock = 1024
+
 // Unique returns a fresh data id. Ids are allocated in blocks from the
 // client's home server so the owner of each id is that same server.
 func (cl *Client) Unique() (int64, error) {
-	const block = 64
 	if cl.idRemain == 0 {
 		d, err := cl.rpc(cl.myServer, func(e *encoder) {
 			e.u8(opUnique)
-			e.i32(block)
+			e.i32(idBlock)
 		})
 		if err != nil {
 			return 0, err
@@ -483,7 +616,7 @@ func (cl *Client) Unique() (int64, error) {
 		if err := d.finish("unique response"); err != nil {
 			return 0, err
 		}
-		cl.idRemain = block
+		cl.idRemain = idBlock
 	}
 	id := cl.idNext
 	cl.idNext += cl.idStride
@@ -529,9 +662,9 @@ func (cl *Client) Store(id int64, v Value) error {
 // retriably, with the server's message, as a Fail after a refused Store
 // would. Otherwise — no lease held, another server owns id, or a result
 // already pending — it is Store. v's bytes must stay unchanged until the
-// next Get, Fail or Leave.
+// next Get, Fail or Leave, which copies them into the settle.
 func (cl *Client) StoreResult(id int64, v Value) error {
-	if cl.held == 0 || cl.result.row.Len() > 0 || cl.l.OwnerOf(id) != cl.myServer {
+	if cl.lease == 0 || id == 0 || cl.result.row.Len() > 0 || cl.l.OwnerOf(id) != cl.myServer {
 		return cl.Store(id, v)
 	}
 	c, err := row(v)

@@ -61,21 +61,54 @@
 // Nothing asks a datum whether it exists or what type it has: a reader
 // waits on it and names the type it wants.
 //
-// A Get is the work type (i32), a flags byte and the id of the lease it
-// settles (i64; 0: none), so the worker's loop pays no RPC to report a
-// task done. With getFlagStore it also carries that task's result — the
-// output id and a one-row chunk, Store's body — which Client.StoreResult
-// holds for it when the client's home server owns the output. The
-// server applies the store as Store would (issued id, single
-// assignment, type; the Get frame kept as the datum's backing), then
-// settles the lease, then releases the rules the close frees, then serves
-// the Get: store and settle are one message, and a rule the store
-// releases can go out in the reply. A refused store settles the lease
-// as a retriable failure carrying the refusal (requeue, or poison past
-// the budget). A store flag without a settle id, a store of other than
-// one row, and an unknown flag are decode errors. An output another
+// A Get is the work type (i32), a flags byte, the count of items it
+// wants (u8: up to maxDelivery for a leased Get, 1 for any other, 0 for
+// a Get that only settles) and a counted list of settles, one for each
+// leased task the client ended since its last Get, so the worker's loop
+// pays no RPC to report a task done. A settle is the lease (i64) and an
+// output id (i64; 0: no result), followed, when there is one, by the
+// task's result as a one-row chunk, Store's body — which
+// Client.StoreResult holds for it when the client's home server owns
+// the output. The server applies each store as Store would (issued id,
+// single assignment, type; the Get frame kept as the datum's backing),
+// settles the lease and releases the rules the close frees, settle by
+// settle, then serves the Get: store and settle are one message, and a
+// rule a store releases can go out in the reply. A refused store
+// settles its lease as a retriable failure carrying the refusal
+// (requeue, or poison past the budget). A settle count the frame cannot
+// hold, a settle of lease 0, a store of other than one row, a want past
+// maxDelivery and an unknown flag are decode errors. An output another
 // server owns is an ordinary Store, and Fail and Leave drop a pending
 // result, so the output stays open for the re-run.
+//
+// A reply with work is a count of items, then each item's lease (when
+// leased), payload and rows. A leased Get served from the untargeted
+// queue takes the first item and then its share of what is left, by
+// guided self-scheduling: at most maxDelivery-1 (7) more, and at most
+// the queue left over divided among the server's clients that have not
+// departed, so each share is a fraction of what remains and a draining
+// queue goes out one item a Get; a share also stops before the reply
+// passes maxBatchBytes (1 MiB), so an item with a large input travels
+// alone. Targeted, parked and non-leased deliveries carry one item, and
+// Stats.GetsServed counts items. The client holds the items beyond the
+// first and hands them out one per GetLeased with no RPC, after sending
+// its pending writes; a held item is not stealable, and the shrinking
+// shares bound the tail instead. The items' payloads and rows alias the
+// reply frame, which the client keeps until the Get that asks for work
+// next is on the wire; a settle copies its result into the next Get's
+// request as its task ends, so a result may alias the frame, or
+// anything else, until then. Results past maxBatchBytes go to the
+// server before the next held item starts, so their waiters do not wait
+// on it. A task that sent writes — a Store to another server, say — is
+// settled before the client starts another held item, by a Get that
+// only settles when no Get for work is due (the one that sends large
+// results too), so a client lost after a finished task's writes landed
+// never has that task re-run into "already set": the window is one
+// task, as with a one-item Get. A Leave settles the ended tasks that
+// carry no result, names the held items never started, which the server
+// requeues with no attempt charged, and leaves every other lease to be
+// reclaimed and charged once; the crash Leave NotifyCrashed synthesizes
+// names nothing, so each lease the dead rank held is charged once.
 //
 // Rules wait at the servers, as ADLB_Dput's tasks do, and a held Put is
 // the one way to wait: a Turbine work rule is one, queued for any
@@ -115,8 +148,9 @@
 // validates the chunk's cross-column invariants and rejects trailing
 // bytes, and the decoded columns alias the frame, so rows that outlive it
 // are copied out. Counts read off the wire (here, in RetrieveChunk's id
-// list, a Put's wait ids, a delivered item's row ids, the enumerate
-// response, and the dims and offset tables of chunk frames) go through
+// list, a Put's wait ids, a Get's settles, a Get reply's items and
+// their row ids, a Leave's lease lists, the enumerate response, and the
+// dims and offset tables of chunk frames) go through
 // decoder.count, which checks them against the bytes remaining in the
 // frame before anything is allocated.
 // Stats.DataOps counts requests, not ids or frames: one chunk to one

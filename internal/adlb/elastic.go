@@ -8,11 +8,13 @@ import (
 
 // NotifyCrashed synthesizes a Leave on behalf of a client rank that
 // vanished without sending one — the TCP transport's crash-detection
-// path. It builds an opLeave request exactly as Client.Leave would and
-// sends it to the rank's home server from the dead rank's own Comm, so
-// the server reclaims and requeues the rank's leases through the
-// ordinary departure path (LeasesReclaimed, retry budgets, targeted
-// retargeting all apply unchanged).
+// path. It builds an opLeave request and sends it to the rank's home
+// server from the dead rank's own Comm, so the server reclaims and
+// requeues the rank's leases through the ordinary departure path
+// (LeasesReclaimed, retry budgets, targeted retargeting all apply
+// unchanged). It settles no lease and names none unstarted: what the
+// rank finished or never started died with it, so every lease it held
+// is charged one attempt.
 //
 // Unlike Client.Leave it never waits for the response: the dead rank has
 // no goroutine to receive it. The transport has already tombstoned the
@@ -30,6 +32,7 @@ func NotifyCrashed(w *mpi.World, servers, rank int) error {
 	}
 	e := getEncoder()
 	e.u8(opLeave)
+	encodeLeave(e, nil, nil)
 	frame, err := e.frame()
 	if err != nil {
 		putEncoder(e)

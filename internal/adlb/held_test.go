@@ -223,7 +223,7 @@ func TestWaitAndStoreCreateIssuedIDsAtFirstUse(t *testing.T) {
 				}
 				// Beyond anything its owner issued: the same owner, but no
 				// first use can make it exist.
-				bogus := never + 1000*int64(tc.servers)
+				bogus := never + 2*idBlock*int64(tc.servers)
 				if err := sent(cl, cl.Store(bogus, IntValue(1))); err == nil || !strings.Contains(err.Error(), "no such id") {
 					return fmt.Errorf("store to unissued id %d: err = %v", bogus, err)
 				}

@@ -115,64 +115,188 @@ const (
 // Target sentinel: work item may run on any rank.
 const AnyRank = -1
 
-// Get request flags.
-const (
-	// getFlagLeased asks for the work item to be delivered under a
-	// server-tracked lease (see the failure model in the package doc).
-	getFlagLeased uint8 = 1 << 0
-	// getFlagStore marks a Get carrying the settled task's result: the
-	// output id and its one-row chunk follow the settle id.
-	getFlagStore uint8 = 1 << 1
-)
+// getFlagLeased, the one Get request flag, asks for work delivered
+// under server-tracked leases (see the failure model in the package doc).
+const getFlagLeased uint8 = 1 << 0
+
+// maxDelivery is the most work items one Get reply carries. A leased Get
+// served from the untargeted queue takes its first item and a share of
+// the rest: at most maxDelivery-1 more, and at most the queue left over
+// divided among the server's clients still running, so a draining queue
+// goes out one item at a time. On swiftbench's elastic_tcp (2 TCP
+// workers, 1 server; a 2 vCPU Xeon) shares of up to 8 read work_per_s
+// 2.25 times the one-item Get's (see CHANGES.md).
+const maxDelivery = 8
 
 // getRequest is a Get's body after the opcode: the work type, the flags,
-// the lease the Get settles (0: none) and, with getFlagStore, that
-// lease's result store — the output id and its value as a one-row chunk.
+// how many items the client wants — up to maxDelivery for a leased Get,
+// 1 for any other, and 0 for a Get that only settles — and the settles
+// of the leased tasks the client ended since its last Get, in the order
+// they ended.
 type getRequest struct {
-	typ    int
-	flags  uint8
-	settle int64
-	out    int64
-	row    chunk.Chunk
+	typ     int
+	flags   uint8
+	want    uint8
+	settles []settle
 }
 
-func (g *getRequest) carriesStore() bool { return g.flags&getFlagStore != 0 }
+// settle ends one leased task that ran to completion: its lease and,
+// when out is not 0, its result store — the output id and its value as
+// a one-row chunk.
+type settle struct {
+	lease int64
+	out   int64
+	row   chunk.Chunk
+}
+
+// getHeadBytes is a Get request's opcode and head: the work type, the
+// flags, the count wanted and the count of settles.
+const getHeadBytes = 1 + 4 + 1 + 1 + 4
+
+func encodeGetHead(e *encoder, typ int, flags, want uint8, settles int) {
+	e.i32(int32(typ))
+	e.u8(flags)
+	e.u8(want)
+	e.u32(uint32(settles))
+}
+
+func encodeSettle(e *encoder, s *settle) {
+	e.i64(s.lease)
+	e.i64(s.out)
+	if s.out != 0 {
+		encodeChunk(e, s.row)
+	}
+}
 
 func encodeGet(e *encoder, g *getRequest) {
-	e.i32(int32(g.typ))
-	e.u8(g.flags)
-	e.i64(g.settle)
-	if g.carriesStore() {
-		e.i64(g.out)
-		encodeChunk(e, g.row)
+	encodeGetHead(e, g.typ, g.flags, g.want, len(g.settles))
+	for i := range g.settles {
+		encodeSettle(e, &g.settles[i])
 	}
 }
 
-// decodeGet reads encodeGet's form. A store must settle a lease and be
-// exactly one row, and unknown flags are refused: each is a decode
-// error, since no client builds such a Get.
-func decodeGet(d *decoder) getRequest {
-	g := getRequest{typ: int(d.i32()), flags: d.u8(), settle: d.i64()}
-	if d.err != nil {
-		return g
-	}
-	if g.flags&^(getFlagLeased|getFlagStore) != 0 {
+// decodeGet reads encodeGet's form into g, reusing its settles' storage.
+// A settle count beyond the frame, a want past maxDelivery, an unknown
+// flag, a settle of lease 0 and a store of other than one row are
+// decode errors, since no client builds such a Get; g then has no
+// settles.
+func decodeGet(d *decoder, g *getRequest) {
+	g.typ, g.flags, g.want = int(d.i32()), d.u8(), d.u8()
+	n := d.count(16, "get settles")
+	g.settles = g.settles[:0]
+	switch {
+	case d.err != nil:
+		return
+	case g.flags&^getFlagLeased != 0:
 		d.err = fmt.Errorf("adlb: wire decode: get: unknown flags %#x", g.flags)
-		return g
+	case g.want > maxDelivery:
+		d.err = fmt.Errorf("adlb: wire decode: get: wants %d items, at most %d", g.want, maxDelivery)
 	}
-	if !g.carriesStore() {
-		return g
+	for i := 0; i < n && d.err == nil; i++ {
+		s := settle{lease: d.i64(), out: d.i64()}
+		if d.err == nil && s.lease == 0 {
+			d.err = fmt.Errorf("adlb: wire decode: get: settle %d names no lease", i)
+		}
+		if d.err == nil && s.out != 0 {
+			s.row = decodeChunk(d)
+			if d.err == nil && s.row.Len() != 1 {
+				d.err = fmt.Errorf("adlb: wire decode: get: store of %d rows, want 1", s.row.Len())
+			}
+		}
+		g.settles = append(g.settles, s)
 	}
-	if g.settle == 0 {
-		d.err = fmt.Errorf("adlb: wire decode: get: a store with no lease to settle")
-		return g
+	if d.err != nil {
+		g.settles = g.settles[:0]
 	}
-	g.out = d.i64()
-	g.row = decodeChunk(d)
-	if d.err == nil && g.row.Len() != 1 {
-		d.err = fmt.Errorf("adlb: wire decode: get: store of %d rows, want 1", g.row.Len())
+}
+
+// carriesStore reports whether any of the Get's settles stores a result.
+func (g *getRequest) carriesStore() bool {
+	for i := range g.settles {
+		if g.settles[i].out != 0 {
+			return true
+		}
 	}
-	return g
+	return false
+}
+
+// delivered is one work item of a Get reply: its lease (0 when the Get
+// was not leased), its payload and the rows of its inputs the delivering
+// server owns. As the client decodes it, payload and rows alias the
+// reply frame.
+type delivered struct {
+	lease   int64
+	payload []byte
+	ids     []int64
+	rows    chunk.Chunk
+}
+
+// A Get reply with work is stOK, a u32 count of items, then each item:
+// the lease when leased, the payload, and its rows (encodeRows).
+func encodeDelivered(e *encoder, leased bool, it *delivered) {
+	if leased {
+		e.i64(it.lease)
+	}
+	e.bytes(it.payload)
+	encodeRows(e, it.ids, it.rows)
+}
+
+// decodeDelivery reads a Get reply's count and items, after its status,
+// into items, reusing their storage. The count must be at least 1 and
+// at most want, the items the Get asked for (0 for a Get that only
+// settles, which is answered with none), and a leased item must carry a
+// lease: anything else is a decode error, and yields no items.
+func decodeDelivery(d *decoder, leased bool, want int, items []delivered) []delivered {
+	minBytes := 8 // the payload's length and the row ids' count
+	if leased {
+		minBytes += 8
+	}
+	n := d.count(minBytes, "get items")
+	if d.err == nil && (n > want || n == 0 && want > 0) {
+		d.err = fmt.Errorf("adlb: wire decode: get: %d items for a Get wanting %d", n, want)
+	}
+	if d.err != nil {
+		return items[:0]
+	}
+	if cap(items) < n {
+		items = append(items[:cap(items)], make([]delivered, n-cap(items))...)
+	}
+	items = items[:n]
+	for i := range items {
+		it := &items[i]
+		it.lease = 0
+		if leased {
+			if it.lease = d.i64(); d.err == nil && it.lease <= 0 {
+				d.err = fmt.Errorf("adlb: wire decode: get: item %d has lease %d", i, it.lease)
+			}
+		}
+		it.payload = d.bytes()
+		it.ids, it.rows = decodeRows(d, it.ids)
+	}
+	if d.err != nil {
+		return items[:0]
+	}
+	return items
+}
+
+// encodeLeave writes a Leave's body: the leases of the tasks the client
+// ended whose settles carry no result, which the server settles, and the
+// leases of items it was handed but never started, which the server
+// requeues without charging an attempt. Any other lease the client holds
+// is reclaimed as lost mid-task.
+func encodeLeave(e *encoder, settled, unstarted []int64) {
+	encodeIDs(e, settled)
+	encodeIDs(e, unstarted)
+}
+
+// decodeLeave reads encodeLeave's form; a malformed one yields neither
+// list.
+func decodeLeave(d *decoder) (settled, unstarted []int64) {
+	settled, unstarted = decodeIDs(d, "leave settles"), decodeIDs(d, "leave unstarted leases")
+	if d.err != nil {
+		return nil, nil
+	}
+	return settled, unstarted
 }
 
 // workItem is one unit of work in a server queue.
@@ -328,7 +452,8 @@ func encodeIDs(e *encoder, ids []int64) {
 
 // decodeIDs reads a counted id list (u32 n, then n i64): the body of the
 // batched op retrieve_chunk, a work item's inputs, a
-// forwarded rule's wait list and a delivered item's row ids.
+// forwarded rule's wait list, a delivered item's row ids and a Leave's
+// two lease lists.
 func decodeIDs(d *decoder, what string) []int64 {
 	return appendIDs(nil, d, what)
 }

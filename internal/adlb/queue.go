@@ -48,6 +48,14 @@ func (q *workQueue) pop() (workItem, bool) {
 	return e.item, true
 }
 
+// peek returns the item pop would return, leaving it queued.
+func (q *workQueue) peek() (workItem, bool) {
+	if len(q.h) == 0 {
+		return workItem{}, false
+	}
+	return q.h[0].item, true
+}
+
 func (q *workQueue) len() int { return len(q.h) }
 
 // drainHalf removes up to half the queued items (at least one if any are

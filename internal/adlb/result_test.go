@@ -20,9 +20,11 @@ func framesSent(cl *Client) uint64 {
 
 // TestResultRidesNextGet runs n leased tasks, each storing one result
 // its home server owns, then a last task that reads them all back. With
-// StoreResult the worker sends one request per task (n+1 Gets for n+1
-// tasks); with Store it sends 2n+1, the Store's frame flushed by the
-// next Get. Both count n stores.
+// StoreResult the worker sends one Get per reply of up to maxDelivery
+// items (the one worker's share is the whole queue), each carrying the
+// settles and results of the tasks before it; with Store it sends 2n+1,
+// each task's Store frame flushed, and its settle sent, before the next
+// task starts. Both count n stores.
 func TestResultRidesNextGet(t *testing.T) {
 	const n = 16
 	for _, mode := range []struct {
@@ -30,7 +32,7 @@ func TestResultRidesNextGet(t *testing.T) {
 		store    func(cl *Client, id int64, v Value) error
 		requests int
 	}{
-		{"StoreResult", (*Client).StoreResult, n + 1},
+		{"StoreResult", (*Client).StoreResult, (n + maxDelivery) / maxDelivery},
 		{"Store", (*Client).Store, 2*n + 1},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

@@ -105,9 +105,12 @@ type server struct {
 	rowVals []*Value
 	rowIDs  []int64
 	// subs and closed are a batch frame's writes and the data they
-	// closed, reused from one batch to the next.
+	// closed, reused from one batch to the next; get is the last Get's
+	// decoded body and items the work items of the reply being built.
 	subs   [][]byte
 	closed []*datum
+	get    getRequest
+	items  []workItem
 
 	// Safra termination detection state.
 	black      bool  // this server's colour
@@ -487,15 +490,14 @@ func (s *server) dispatch(data []byte, st mpi.Status) error {
 func (s *server) requestFrame(data []byte, client int) error {
 	d := &decoder{buf: data}
 	op := d.u8()
-	var get getRequest
 	switch op {
 	case opGet:
-		get = decodeGet(d)
+		decodeGet(d, &s.get)
 	case opBatch:
 		s.subs = decodeBatch(d, s.subs)
 	}
-	err := s.handleRequest(op, d, &get, client)
-	if !retainsRequestFrame(op, &get, s.subs) {
+	err := s.handleRequest(op, d, &s.get, client)
+	if !retainsRequestFrame(op, &s.get, s.subs) {
 		s.c.Release(data)
 	}
 	return err
@@ -504,8 +506,9 @@ func (s *server) requestFrame(data []byte, client int) error {
 // retainsRequestFrame reports whether handling op stores slices that
 // alias the request frame, pinning it for the life of the data store: a
 // batch whose decoded writes (subs) include a Store or a StoreChunk,
-// and a Get whose decoded flags say it carries its settled task's
-// result. A batch that failed to decode has no writes and is released.
+// and a Get one of whose decoded settles carries its task's result. A
+// batch or Get that failed to decode has no writes or settles and is
+// released.
 func retainsRequestFrame(op uint8, get *getRequest, subs [][]byte) bool {
 	switch op {
 	case opBatch:
@@ -913,20 +916,24 @@ func (s *server) deliver(client int, w workItem) {
 	req := s.parked[client]
 	delete(s.parked, client)
 	s.unpark(client)
-	s.serve(client, req.leased, w)
+	s.serve(client, req.leased, append(s.items[:0], w))
 }
 
-// serve answers a Get (parked or direct) with a work item, minting a
-// lease when the client asked for one.
-func (s *server) serve(client int, leased bool, w workItem) {
+// serve answers a Get (parked or direct) with items, s.items' storage,
+// minting a lease for each when the client asked for leases.
+func (s *server) serve(client int, leased bool, items []workItem) {
+	defer clear(items) // the queues and leases hold the items, not s.items
+	s.items = items
 	if s.stats() != nil {
-		s.stats().GetsServed.Add(1)
+		s.stats().GetsServed.Add(int64(len(items)))
 	}
 	if err := faultinject.At(faultinject.SiteGetDeliver); err != nil {
 		if !faultinject.IsCrash(err) {
 			// Requeue so the injected delivery failure loses no work, then
 			// surface the fault to the requesting client.
-			s.enqueue(w)
+			for _, w := range items {
+				s.enqueue(w)
+			}
 			if rerr := s.respondError(client, err.Error()); rerr != nil {
 				s.c.World().Abort(rerr)
 			}
@@ -935,20 +942,26 @@ func (s *server) serve(client int, leased bool, w workItem) {
 		s.c.World().Abort(err)
 		return
 	}
-	var id int64
-	if leased {
-		id = s.newLease(client, w)
-	}
-	rows, err := s.inputRows(w.Inputs)
-	if err == nil {
-		err = s.respond(client, func(e *encoder) {
-			e.u8(stOK)
+	var rowsErr error
+	err := s.respond(client, func(e *encoder) {
+		e.u8(stOK)
+		e.u32(uint32(len(items)))
+		for _, w := range items {
+			it := delivered{payload: w.Payload}
 			if leased {
-				e.i64(id)
+				it.lease = s.newLease(client, w)
 			}
-			e.bytes(w.Payload)
-			encodeRows(e, s.rowIDs, rows)
-		})
+			// inputRows reuses one buffer, so each item's rows are
+			// encoded before the next item's are gathered.
+			if it.rows, rowsErr = s.inputRows(w.Inputs); rowsErr != nil {
+				return
+			}
+			it.ids = s.rowIDs
+			encodeDelivered(e, leased, &it)
+		}
+	})
+	if err == nil {
+		err = rowsErr
 	}
 	if err != nil {
 		s.c.World().Abort(err)
@@ -1038,17 +1051,33 @@ func (s *server) clientDeparted(client int) {
 	}
 }
 
-// handleGet settles the client's previous lease — storing its result
-// first when the Get carries one — and then answers with work, or parks.
+// handleGet settles the leases the Get names — storing each result
+// first when it carries one — and then answers with work, or parks. A
+// Get that wants no work is answered at once with none. A leased Get
+// served from the untargeted queue takes the first item and then, by
+// guided self-scheduling, a share of what is left: at most
+// maxDelivery-1 more, and at most the queue left over divided among the
+// clients that have not departed, so each share is a fraction of what
+// remains and a draining queue goes out one item a Get. The share stops
+// short of a reply past maxBatchBytes: sharing saves round trips, which
+// only small items notice, and a large item held behind another would
+// wait for nothing. Targeted, parked and non-leased deliveries carry one
+// item.
 func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 	if err := d.finish("get request"); err != nil {
 		return err
 	}
 	typ, leased := g.typ, g.flags&getFlagLeased != 0
-	if g.settle != 0 {
-		if err := s.settle(g); err != nil {
+	for i := range g.settles {
+		if err := s.settle(&g.settles[i]); err != nil {
 			return err
 		}
+	}
+	if g.want == 0 {
+		return s.respond(client, func(e *encoder) {
+			e.u8(stOK)
+			e.u32(0)
+		})
 	}
 	if s.draining {
 		s.clientDeparted(client)
@@ -1063,14 +1092,26 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 			if q.len() == 0 {
 				delete(s.targeted, k)
 			}
-			s.serve(client, leased, w)
+			s.serve(client, leased, append(s.items[:0], w))
 			return nil
 		}
 		delete(s.targeted, k)
 	}
 	if q, ok := s.untargeted[typ]; ok {
 		if w, ok := q.pop(); ok {
-			s.serve(client, leased, w)
+			items := append(s.items[:0], w)
+			if leased {
+				size := s.itemBytes(w)
+				for n := min(int(g.want)-1, q.len()/s.running()); n > 0; n-- {
+					w, _ := q.peek()
+					if size += s.itemBytes(w); size > maxBatchBytes {
+						break
+					}
+					q.pop()
+					items = append(items, w)
+				}
+			}
+			s.serve(client, leased, items)
 			return nil
 		}
 	}
@@ -1086,9 +1127,27 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 	return nil
 }
 
-// settle completes the lease a Get names: the task ran to completion,
-// so the retained copy of the item can go. Settlement piggybacks on the
-// next Get rather than costing a dedicated RPC per task, and so does the
+// itemBytes is about the bytes w takes in a Get reply: its payload and
+// the values of the inputs this server holds.
+func (s *server) itemBytes(w workItem) int {
+	n := len(w.Payload)
+	for _, id := range w.Inputs {
+		if dm := s.store[id]; dm != nil && dm.set {
+			n += len(dm.val.Bytes)
+		}
+	}
+	return n
+}
+
+// running is how many of this server's clients have not departed (the
+// Get being served is from one of them).
+func (s *server) running() int {
+	return max(1, s.clientCount()-s.doneCount)
+}
+
+// settle completes a lease a Get names: the task ran to completion, so
+// the retained copy of the item can go. Settlement piggybacks on a later
+// Get rather than costing a dedicated RPC per task, and so does the
 // task's result when this server owns its output: the store is applied
 // with Store's checks and counted as one, and its close is announced
 // before the Get is served, so a rule the store releases can go out in
@@ -1098,10 +1157,10 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 // the lease was already settled by an explicit Fail); with a refused
 // store there is no lease left to fail, so the run ends, as that Fail
 // would end it.
-func (s *server) settle(g *getRequest) error {
-	le, held := s.leases[g.settle]
-	delete(s.leases, g.settle)
-	if !g.carriesStore() {
+func (s *server) settle(g *settle) error {
+	le, held := s.leases[g.lease]
+	delete(s.leases, g.lease)
+	if g.out == 0 {
 		return nil
 	}
 	if st := s.stats(); st != nil {
@@ -1115,7 +1174,7 @@ func (s *server) settle(g *getRequest) error {
 		return nil
 	}
 	if !held {
-		return fmt.Errorf("adlb: server %d: a Get settling unknown lease %d carried a refused store: %v", s.idx, g.settle, err)
+		return fmt.Errorf("adlb: server %d: a Get settling unknown lease %d carried a refused store: %v", s.idx, g.lease, err)
 	}
 	return s.requeueOrPoison(le.w, "adlb: store: "+err.Error(), true)
 }
@@ -1143,13 +1202,37 @@ func (s *server) handleFail(d *decoder, client int) error {
 	return s.respond(client, func(e *encoder) { e.u8(stOK) })
 }
 
-// handleLeave processes a voluntary or simulated-crash departure: every
-// lease held by the client is reclaimed and requeued (or poisoned if its
-// budget is spent), and the client is unregistered so termination
-// detection treats it as passive from now on.
+// handleLeave processes a voluntary or simulated-crash departure. The
+// leases the Leave settles go, and those it names unstarted are
+// requeued as they were, with no attempt charged; every other lease the
+// client holds — its task lost mid-run — is reclaimed and requeued with
+// one (or poisoned if its budget is spent). A crash Leave the hub
+// synthesizes names none, so each outstanding lease is charged once.
+// The client is unregistered, so termination detection treats it as
+// passive from now on.
 func (s *server) handleLeave(d *decoder, client int) error {
+	settled, unstarted := decodeLeave(d)
 	if err := d.finish("leave request"); err != nil {
 		return err
+	}
+	for _, id := range settled {
+		if le, ok := s.leases[id]; ok && le.client == client {
+			delete(s.leases, id)
+		}
+	}
+	for _, id := range unstarted {
+		le, ok := s.leases[id]
+		if !ok || le.client != client {
+			continue
+		}
+		delete(s.leases, id)
+		if s.stats() != nil {
+			s.stats().LeasesReclaimed.Add(1)
+		}
+		if le.w.Target == client {
+			le.w.Target = AnyRank
+		}
+		s.acceptWork(le.w)
 	}
 	var ids []int64
 	for id, le := range s.leases {

@@ -93,6 +93,29 @@ func (e *encoder) grow(n int) { e.buf = slices.Grow(e.buf, n) }
 // size is the number of bytes encoded so far.
 func (e *encoder) size() int { return len(e.buf) }
 
+// reserve appends n zero bytes, room for a field that patch fills in
+// once its value is known.
+func (e *encoder) reserve(n int) { e.buf = append(e.buf, make([]byte, n)...) }
+
+// patch encodes fill over the n bytes at off, which reserve left. fill
+// must encode exactly n bytes; anything else is a sticky error.
+func (e *encoder) patch(off, n int, fill func(*encoder)) {
+	p := encoder{buf: e.buf[off : off : off+n]}
+	fill(&p)
+	if len(p.buf) != n && e.err == nil {
+		e.err = fmt.Errorf("adlb: wire encode: a %d-byte patch over %d reserved bytes", len(p.buf), n)
+	}
+}
+
+// reset empties e for reuse, keeping its buffer unless it has grown
+// past maxRetainedEncoder (a one-off giant frame).
+func (e *encoder) reset() {
+	e.buf, e.err = e.buf[:0], nil
+	if cap(e.buf) > maxRetainedEncoder {
+		e.buf = nil
+	}
+}
+
 func (e *encoder) boolean(v bool) {
 	if v {
 		e.u8(1)

@@ -40,25 +40,36 @@ func FuzzWireRoundTrip(f *testing.F) {
 	e = &encoder{}
 	encodeWorkItem(e, workItem{Type: 1, Target: AnyRank, Payload: []byte("sw:vunpack 9 float 7"), Inputs: []int64{7, 7, 1 << 33}})
 	f.Add(e.buf, int64(7), uint8(2))
-	// A leased Get reply carrying its inputs' rows.
+	// A leased Get reply of two items, each carrying its inputs' rows, and
+	// one claiming more items than a Get wants.
 	e = &encoder{}
 	e.u8(stOK)
-	e.i64(3)
-	e.bytes([]byte("sw:vunpack 5 float 4"))
-	encodeRows(e, []int64{4, 8, 4}, seedChunk)
+	e.u32(2)
+	for _, lease := range []int64{3, 4} {
+		encodeDelivered(e, true, &delivered{lease: lease, payload: []byte("sw:vunpack 5 float 4"), ids: []int64{4, 8, 4}, rows: seedChunk})
+	}
 	f.Add(e.buf, int64(3), uint8(3))
-	// A leased Get carrying its settled task's result: whole, cut short,
-	// with two rows, and with no lease to settle.
+	binary.LittleEndian.PutUint32(e.buf[1:], maxDelivery+1)
+	f.Add(e.buf, int64(3), uint8(3))
+	// A leased Get carrying its settled tasks, one with a result: whole,
+	// cut short, with two rows, with no lease to settle, and claiming a
+	// hostile count of settles.
 	e = &encoder{}
 	encodeGet(e, storeGet(storeRow))
 	f.Add(e.buf, int64(9), uint8(4))
 	f.Add(e.buf[:len(e.buf)-5], int64(9), uint8(4))
+	binary.LittleEndian.PutUint32(e.buf[getHeadBytes-5:], 1<<31-1)
+	f.Add(e.buf, int64(9), uint8(4))
 	e = &encoder{}
 	encodeGet(e, storeGet(seedChunk))
 	f.Add(e.buf, int64(9), uint8(4))
 	e = &encoder{}
-	encodeGet(e, &getRequest{typ: 1, flags: getFlagStore, out: 5, row: storeRow})
+	encodeGet(e, &getRequest{typ: 1, want: 1, settles: []settle{{out: 5, row: storeRow}}})
 	f.Add(e.buf, int64(0), uint8(4))
+	// A Leave: the settled leases, then the unstarted ones.
+	e = &encoder{}
+	encodeLeave(e, []int64{9}, []int64{10, 11})
+	f.Add(e.buf, int64(2), uint8(5))
 	// The counted bodies (a Put's wait ids, a delivered item's rows and
 	// payload, a retrieve_chunk request, the enumerate response, a blob
 	// row's dims): whole, cut short, and claiming more entries than
@@ -76,20 +87,38 @@ func FuzzWireRoundTrip(f *testing.F) {
 		for _, run := range []func(d *decoder){
 			func(d *decoder) { decodeWorkItem(d) },
 			func(d *decoder) {
-				// A leased Get reply: rows decode one per id, or not at all.
+				// A leased Get reply: 1 to maxDelivery items, each with a
+				// lease and its rows one per id, or none at all.
 				d.u8()
-				d.i64()
-				d.bytes()
-				if ids, rows := decodeRows(d, nil); rows.Len() != len(ids) || len(ids) > len(raw)/8 {
-					t.Fatalf("%d row ids, %d rows, out of %d bytes", len(ids), rows.Len(), len(raw))
+				items := decodeDelivery(d, true, maxDelivery, nil)
+				if d.err == nil && (len(items) == 0 || len(items) > maxDelivery) {
+					t.Fatalf("%d items decoded", len(items))
+				}
+				for _, it := range items {
+					if it.lease <= 0 || it.rows.Len() != len(it.ids) || len(it.ids) > len(raw)/8 {
+						t.Fatalf("lease %d, %d row ids, %d rows, out of %d bytes", it.lease, len(it.ids), it.rows.Len(), len(raw))
+					}
 				}
 			},
 			func(d *decoder) {
-				// A Get: a store decodes as one row settling a lease, or
-				// not at all.
-				g := decodeGet(d)
-				if d.err == nil && g.carriesStore() && (g.settle == 0 || g.row.Len() != 1) {
-					t.Fatalf("Get store decoded with settle %d and %d rows", g.settle, g.row.Len())
+				// A Get: each settle names a lease and each store is one
+				// row, or nothing decodes.
+				var g getRequest
+				decodeGet(d, &g)
+				if len(g.settles) > len(raw)/16 || d.err != nil && len(g.settles) > 0 {
+					t.Fatalf("%d settles out of %d bytes (err %v)", len(g.settles), len(raw), d.err)
+				}
+				for _, st := range g.settles {
+					if st.lease == 0 || st.out != 0 && st.row.Len() != 1 {
+						t.Fatalf("settle decoded with lease %d and %d rows", st.lease, st.row.Len())
+					}
+				}
+			},
+			func(d *decoder) {
+				// A Leave: two lease lists, or neither.
+				settled, unstarted := decodeLeave(d)
+				if len(settled)+len(unstarted) > len(raw)/8 || d.err != nil && settled != nil {
+					t.Fatalf("leave decoded %d and %d leases out of %d bytes", len(settled), len(unstarted), len(raw))
 				}
 			},
 			func(d *decoder) { d.u8(); d.str(); d.i64(); d.boolean() },
@@ -168,28 +197,69 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatal("trailing garbage accepted")
 		}
 
-		// A Get carrying a result built from the input round-trips, and
-		// rejects a trailing byte.
+		// A Get carrying settles built from the input — tag%4 of them,
+		// each other one with a result — round-trips, and rejects a
+		// trailing byte.
 		res, err := row(Value{Type: TypeBlob, Bytes: raw, Dims: []int{len(raw)}, Elem: tag})
 		if err != nil {
 			t.Fatalf("row: %v", err)
 		}
-		g := getRequest{typ: int(int32(n)), flags: getFlagStore | tag&getFlagLeased, settle: n | 1, out: -n, row: res}
+		g := getRequest{typ: int(int32(n)), flags: tag & getFlagLeased, want: tag % (maxDelivery + 1)}
+		for i := range int(tag % 4) {
+			st := settle{lease: n | 1 + int64(i)}
+			if st.lease == 0 {
+				st.lease = 1
+			}
+			if i%2 == 0 {
+				st.out, st.row = -n|1, res
+			}
+			g.settles = append(g.settles, st)
+		}
 		e = &encoder{}
 		encodeGet(e, &g)
 		d = &decoder{buf: e.buf}
-		gotG := decodeGet(d)
+		var gotG getRequest
+		decodeGet(d, &gotG)
 		if err := d.finish("get round trip"); err != nil {
 			t.Fatalf("clean Get round trip rejected: %v", err)
 		}
-		if gotG.typ != g.typ || gotG.flags != g.flags || gotG.settle != g.settle || gotG.out != g.out ||
-			!bytes.Equal(gotG.row.Raw, raw) || gotG.row.Meta[0].Elem != tag {
+		if gotG.typ != g.typ || gotG.flags != g.flags || gotG.want != g.want || len(gotG.settles) != len(g.settles) {
 			t.Fatalf("Get round trip: got %+v want %+v", gotG, g)
 		}
+		for i, st := range gotG.settles {
+			if want := g.settles[i]; st.lease != want.lease || st.out != want.out ||
+				st.out != 0 && (!bytes.Equal(st.row.Raw, raw) || st.row.Meta[0].Elem != tag) {
+				t.Fatalf("settle %d round trip: got %+v want %+v", i, st, want)
+			}
+		}
 		d = &decoder{buf: append(append([]byte(nil), e.buf...), 0x5A)}
-		decodeGet(d)
+		decodeGet(d, &gotG)
 		if err := d.finish("get round trip"); err == nil {
 			t.Fatal("trailing garbage accepted after a Get")
+		}
+
+		// A leased Get reply of 1 to maxDelivery items built from the
+		// input round-trips.
+		items := make([]delivered, 1+int(tag)%maxDelivery)
+		for i := range items {
+			items[i] = delivered{lease: int64(i) + 1, payload: raw, ids: []int64{n}, rows: intChunk(int64(i))}
+		}
+		e = &encoder{}
+		e.u32(uint32(len(items)))
+		for i := range items {
+			encodeDelivered(e, true, &items[i])
+		}
+		d = &decoder{buf: e.buf}
+		gotItems := decodeDelivery(d, true, maxDelivery, nil)
+		if err := d.finish("get reply round trip"); err != nil || len(gotItems) != len(items) {
+			t.Fatalf("clean Get reply round trip: %d of %d items, %v", len(gotItems), len(items), err)
+		}
+		for i, it := range gotItems {
+			r := it.rows.Reader()
+			if it.lease != items[i].lease || !bytes.Equal(it.payload, raw) || !slices.Equal(it.ids, []int64{n}) ||
+				!r.Next() || r.Int() != int64(i) {
+				t.Fatalf("item %d round trip: got %+v want %+v", i, it, items[i])
+			}
 		}
 
 		// 3. Chunk frame round-trip identity: a chunk synthesized from the
@@ -272,7 +342,7 @@ func FuzzBatchFrame(f *testing.F) {
 		e.u8(uint8(TypeInteger))
 	})
 	valueless := write(opStore, func(e *encoder) { e.i64(heldBase) })
-	get := write(opGet, func(e *encoder) { encodeGet(e, &getRequest{typ: 1}) })
+	get := write(opGet, func(e *encoder) { encodeGet(e, &getRequest{typ: 1, want: 1}) })
 	nested := write(opBatch, func(e *encoder) { e.buf = append(e.buf, create...) })
 	cat := func(subs ...[]byte) []byte { return bytes.Join(subs, nil) }
 	f.Add(cat(create, store, put))

@@ -2,6 +2,7 @@ package adlb
 
 import (
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,14 +128,17 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 	})
 }
 
-// storeGet is a leased Get settling lease 9 with its result: id 5 and c.
+// storeGet is a leased Get settling lease 9 with its result, id 5 and
+// c, and then lease 10 with none.
 func storeGet(c chunk.Chunk) *getRequest {
-	return &getRequest{typ: 1, flags: getFlagLeased | getFlagStore, settle: 9, out: 5, row: c}
+	return &getRequest{typ: 1, flags: getFlagLeased, want: maxDelivery, settles: []settle{{lease: 9, out: 5, row: c}, {lease: 10}}}
 }
 
-// A Get carrying a store decodes to its parts; one cut short, one whose
-// store has no row or two, one whose store settles no lease, and one with
-// an unknown flag are decode errors, never a panic or a store.
+// A Get carrying settles decodes to its parts; one cut short, one whose
+// store has no row or two, one whose settle names no lease, one wanting
+// more than maxDelivery items, one claiming more settles than it holds
+// and one with an unknown flag are decode errors, never a panic or a
+// store.
 func TestGetStoreDecode(t *testing.T) {
 	frame := func(g *getRequest) []byte {
 		e := &encoder{}
@@ -147,36 +151,106 @@ func TestGetStoreDecode(t *testing.T) {
 	}
 	clean := frame(storeGet(one))
 	d := &decoder{buf: clean}
-	g := decodeGet(d)
+	var g getRequest
+	decodeGet(d, &g)
 	if err := d.finish("get request"); err != nil {
 		t.Fatalf("clean Get rejected: %v", err)
 	}
-	if !g.carriesStore() || g.typ != 1 || g.settle != 9 || g.out != 5 || g.row.Len() != 1 || string(g.row.Raw) != "result" {
+	if !g.carriesStore() || g.typ != 1 || g.want != maxDelivery || len(g.settles) != 2 {
 		t.Fatalf("decoded %+v", g)
 	}
-	noSettle := storeGet(one)
-	noSettle.settle = 0
+	if s := g.settles[0]; s.lease != 9 || s.out != 5 || s.row.Len() != 1 || string(s.row.Raw) != "result" {
+		t.Fatalf("decoded store settle %+v", s)
+	}
+	if s := g.settles[1]; s.lease != 10 || s.out != 0 || s.row.Len() != 0 {
+		t.Fatalf("decoded bare settle %+v", s)
+	}
+	noLease := storeGet(one)
+	noLease.settles[0].lease = 0
+	bareNoLease := storeGet(one)
+	bareNoLease.settles[1].lease = 0
+	greedy := storeGet(one)
+	greedy.want = maxDelivery + 1
 	unknown := storeGet(one)
 	unknown.flags |= 1 << 7
+	overclaim := append([]byte(nil), clean...)
+	binary.LittleEndian.PutUint32(overclaim[getHeadBytes-5:], 3)
 	bad := map[string][]byte{
-		"truncated": clean[:len(clean)-3],
-		"no rows":   frame(storeGet(chunk.Chunk{})),
-		"two rows":  frame(storeGet(intChunk(1, 2))),
-		"no settle": frame(noSettle),
-		"unknown":   frame(unknown),
-		"trailing":  append(append([]byte(nil), clean...), 0),
+		"truncated":     clean[:len(clean)-3],
+		"no rows":       frame(storeGet(chunk.Chunk{})),
+		"two rows":      frame(storeGet(intChunk(1, 2))),
+		"store lease 0": frame(noLease),
+		"bare lease 0":  frame(bareNoLease),
+		"greedy":        frame(greedy),
+		"unknown":       frame(unknown),
+		"overclaim":     overclaim,
+		"trailing":      append(append([]byte(nil), clean...), 0),
 	}
 	for name, f := range bad {
 		d := &decoder{buf: f}
-		decodeGet(d)
+		decodeGet(d, &g)
 		if err := d.finish("get request"); err == nil {
 			t.Errorf("%s: malformed Get accepted", name)
+		} else if d.err != nil && len(g.settles) != 0 {
+			t.Errorf("%s: a decode error left %d settles", name, len(g.settles))
 		}
 	}
-	// Without the store flag the body ends at the settle id.
-	d = &decoder{buf: frame(&getRequest{typ: 1, settle: 9})}
-	if g := decodeGet(d); d.finish("get request") != nil || g.carriesStore() {
-		t.Fatalf("plain Get: %+v, %v", g, d.err)
+	// A Get that only asks, and one that only settles.
+	for _, plain := range []*getRequest{{typ: 1, want: 1}, {typ: 1, settles: []settle{{lease: 9}}}} {
+		d = &decoder{buf: frame(plain)}
+		if decodeGet(d, &g); d.finish("get request") != nil || g.carriesStore() || g.want != plain.want || len(g.settles) != len(plain.settles) {
+			t.Fatalf("plain Get %+v: %+v, %v", plain, g, d.err)
+		}
+	}
+}
+
+// A Get reply's item count is checked against the Get: more items than
+// it wanted, none for a Get that wanted work, any for one that only
+// settled, and a leased item with no lease are decode errors.
+func TestGetReplyDecode(t *testing.T) {
+	reply := func(leased bool, items ...delivered) []byte {
+		e := &encoder{}
+		e.u32(uint32(len(items)))
+		for i := range items {
+			encodeDelivered(e, leased, &items[i])
+		}
+		return e.buf
+	}
+	rows := intChunk(4, 5)
+	item := func(lease int64) delivered {
+		return delivered{lease: lease, payload: []byte("task"), ids: []int64{40, 50}, rows: rows}
+	}
+	three := reply(true, item(1), item(2), item(3))
+	d := &decoder{buf: three}
+	got := decodeDelivery(d, true, maxDelivery, nil)
+	if err := d.finish("get reply"); err != nil || len(got) != 3 {
+		t.Fatalf("three items: %d decoded, %v", len(got), err)
+	}
+	for i, it := range got {
+		if it.lease != int64(i+1) || string(it.payload) != "task" || !slices.Equal(it.ids, []int64{40, 50}) || it.rows.Len() != 2 {
+			t.Fatalf("item %d decoded as %+v", i, it)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		frame  []byte
+		leased bool
+		want   int
+	}{
+		{"more than wanted", three, true, 2},
+		{"none for a Get wanting work", reply(true), true, maxDelivery},
+		{"some for a Get that settles", reply(true, item(1)), true, 0},
+		{"a leased item with lease 0", reply(true, item(1), item(0)), true, maxDelivery},
+		{"two for a Get not leased", reply(false, item(0), item(0)), false, 1},
+	} {
+		d := &decoder{buf: c.frame}
+		if got := decodeDelivery(d, c.leased, c.want, got); d.finish(c.name) == nil || len(got) != 0 {
+			t.Errorf("%s: accepted (%d items)", c.name, len(got))
+		}
+	}
+	d = &decoder{buf: reply(true)}
+	if got := decodeDelivery(d, true, 0, nil); d.finish("settle reply") != nil || len(got) != 0 {
+		t.Fatalf("a settle-only reply: %d items, %v", len(got), d.err)
 	}
 }
 
@@ -194,8 +268,8 @@ type countedFrame struct {
 // list), a delivered item's payload (a length-prefixed byte field), an
 // enumerate response (subscript/member pairs), a blob value (its row's
 // dims table, the last field of its chunk frame), a Put's work item (its
-// wait ids, the last field) and a delivered item's rows (their ids, then
-// one chunk).
+// wait ids, the last field), a delivered item's rows (their ids, then
+// one chunk), a Get's settles, a Get reply's items and a Leave's lists.
 func countedFrames() []countedFrame {
 	gather := &encoder{}
 	encodeIDs(gather, []int64{7, -9, 1 << 40, 0})
@@ -223,7 +297,24 @@ func countedFrames() []countedFrame {
 	rowChunk.AppendInt(-7)
 	rowChunk.AppendString("row")
 	encodeRows(rows, []int64{11, 12}, rowChunk)
+	res, _ := row(StringValue("result"))
+	get := &encoder{}
+	encodeGet(get, &getRequest{typ: 1, flags: getFlagLeased, want: 1, settles: []settle{{lease: 3, out: 7, row: res}, {lease: 4}}})
+	reply := &encoder{}
+	reply.u32(2)
+	for _, lease := range []int64{5, 6} {
+		encodeDelivered(reply, true, &delivered{lease: lease, payload: []byte("job"), ids: []int64{11, 12}, rows: rowChunk})
+	}
+	leave := &encoder{}
+	encodeLeave(leave, []int64{1, 2}, []int64{3, 4, 5})
 	return []countedFrame{
+		{"get-settles", get.buf, 2, getHeadBytes - 5, func(d *decoder) int {
+			var g getRequest
+			decodeGet(d, &g)
+			return len(g.settles)
+		}},
+		{"get-reply-items", reply.buf, 2, 0, func(d *decoder) int { return len(decodeDelivery(d, true, maxDelivery, nil)) }},
+		{"leave-unstarted", leave.buf, 3, 4 + 2*8, func(d *decoder) int { _, unstarted := decodeLeave(d); return len(unstarted) }},
 		{"put-wait-ids", put.buf, 3, 4*4 + 4 + 3, func(d *decoder) int { return len(decodeWorkItem(d).Inputs) }},
 		{"item-rows", rows.buf, 2, 0, func(d *decoder) int { ids, _ := decodeRows(d, nil); return len(ids) }},
 		{"retrieve-chunk-request", gather.buf, 4, 0, func(d *decoder) int { return len(decodeIDs(d, "retrieve_chunk ids")) }},

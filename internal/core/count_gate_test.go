@@ -99,18 +99,14 @@ func TestEnsembleCountGate(t *testing.T) {
 	}
 }
 
-// TestEngineFramesPerLeaf pins the engine's request frames per leaf on
-// the ensemble shape at 0.1 or less, counted off the world's frame-pool
-// draws. The one worker waits in its interpreter setup until the engine
-// has parked in Get with every control action it can run done (main,
-// the loop, vpack's rule), so until then every frame drawn is an engine
-// request or the one server's reply to it. The engine's writes — main's
-// literal stores and inserts, each loop body's three leaf Puts and its
-// insert — travel in one frame per server per control action, or per
-// maxBatch writes; at one round trip per write they cost about 2
-// frames a leaf.
-func TestEngineFramesPerLeaf(t *testing.T) {
-	const n = 200
+// heldEnsemble runs the ensemble shape at n on one engine, one server
+// and the given workers, which wait in their interpreter setup until the
+// engine has parked in Get with every control action it can run done
+// (main, the loop, vpack's rule). It returns the world's frame-pool draws
+// — on an in-process world, one per Send — when the engine parked and
+// when the run ended, and the leaves run.
+func heldEnsemble(t *testing.T, n, workers int) (atPark, atEnd uint64, leaves int64) {
+	t.Helper()
 	compiled, err := stc.Compile(ensembleShape(n))
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +128,7 @@ func TestEngineFramesPerLeaf(t *testing.T) {
 			return nil
 		}),
 	}
-	w, err := mpi.NewWorld(3)
+	w, err := mpi.NewWorld(2 + workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,21 +141,63 @@ func TestEngineFramesPerLeaf(t *testing.T) {
 			t.Fatal(<-done)
 		}
 	}
-	gets, _, _ := w.FramePoolStats()
+	atPark, _, _ = w.FramePoolStats()
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	leaves := r.tstats.LeafTasks.Load()
-	if leaves != 3*n+2 {
+	atEnd, _, _ = w.FramePoolStats()
+	leaves = r.tstats.LeafTasks.Load()
+	if leaves != int64(3*n+2) {
 		t.Fatalf("%d leaf tasks, want %d", leaves, 3*n+2)
 	}
+	return atPark, atEnd, leaves
+}
+
+// TestEngineFramesPerLeaf pins the engine's request frames per leaf on
+// the ensemble shape at 0.06 or less, counted off the world's frame-pool
+// draws. The one worker waits in its interpreter setup until the engine
+// has parked in Get, so until then every frame drawn is an engine
+// request or the one server's reply to it. The engine's writes — main's
+// literal stores and inserts, each loop body's three leaf Puts and its
+// insert — travel in one frame per server per control action, or per
+// maxBatch writes, and its ids come 1024 to a Unique round trip; at one
+// round trip per write they cost about 2 frames a leaf, and with 64-id
+// blocks, whose round trips each also flush a partial batch, 0.075.
+func TestEngineFramesPerLeaf(t *testing.T) {
+	const n = 200
+	atPark, _, leaves := heldEnsemble(t, n, 1)
 	// Each request frame and its reply; the parked Get's reply is due.
-	requests := (gets + 1) / 2
+	requests := (atPark + 1) / 2
 	perLeaf := float64(requests) / float64(leaves)
 	t.Logf("the engine sent %d request frames for %d leaves: %.3f a leaf", requests, leaves, perLeaf)
-	if perLeaf > 0.1 {
-		t.Fatalf("the engine sends %.3f request frames a leaf, want <= 0.1", perLeaf)
+	if perLeaf > 0.06 {
+		t.Fatalf("the engine sends %.3f request frames a leaf, want <= 0.06", perLeaf)
+	}
+}
+
+// TestWorkerFramesPerLeaf pins the workers' request frames per leaf on
+// the ensemble shape at 0.25 or less, with 1, 2 and 4 workers. The
+// workers wait in setup until the engine has parked (heldEnsemble), so
+// the frames drawn from then on are the workers' requests and replies,
+// and the few of the engine's last control actions, which this counts
+// as the workers'. A leased Get brings back the worker's share of the
+// queue, up to maxDelivery items, whose settles and results ride the
+// next Get: at one Get per leaf the workers sent 1.007 frames a leaf.
+func TestWorkerFramesPerLeaf(t *testing.T) {
+	const n = 200
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			atPark, atEnd, leaves := heldEnsemble(t, n, workers)
+			// Each request frame and its reply; the engine's parked Get's
+			// reply was due at the park.
+			requests := (atEnd - atPark - 1) / 2
+			perLeaf := float64(requests) / float64(leaves)
+			t.Logf("%d workers sent %d request frames for %d leaves: %.3f a leaf", workers, requests, leaves, perLeaf)
+			if perLeaf > 0.25 {
+				t.Fatalf("the workers send %.3f request frames a leaf, want <= 0.25", perLeaf)
+			}
+		})
 	}
 }
 

@@ -15,11 +15,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/adlb"
 	"repro/internal/blob"
 	"repro/internal/lang"
 	"repro/internal/mpi"
@@ -175,6 +177,67 @@ func TestGatewayFlushesItsPut(t *testing.T) {
 	}
 	if res.Value.Kind != "int" || res.Value.Int != 42 {
 		t.Fatalf("a lone fragment reads %+v, want the int 42", res.Value)
+	}
+}
+
+// TestWorkerFlushesHeldResponses: a worker's response Put is a batched
+// write, and a leased Get may answer the worker from the items it holds
+// with no RPC. The Get still sends the pending response first, so a
+// held fragment's response reaches the collector before the worker runs
+// the next held fragment. Eight fragments go out in one frame to the one
+// worker, whose Gets then take shares of them; the third is slow (a few
+// hundred milliseconds), so when the second's response arrives no
+// fragment after the third can have started.
+func TestWorkerFlushesHeldResponses(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	if _, err := s.EvalFragment(FragmentRequest{Tenant: "a", Lang: "python", Expr: "1", Want: "int"}); err != nil {
+		t.Fatal(err)
+	}
+	base := s.poolStats.Evals.Load()
+	const slow = "s = 0\nfor k in range(8000000):\n    s = s + k"
+	chans := make([]chan fragResp, 8)
+	s.gwMu.Lock()
+	for i := range chans {
+		req := FragmentRequest{Tenant: "a", Lang: "python", Expr: strconv.Itoa(i), Want: "int"}
+		if i == 2 {
+			req.Code, req.Expr = slow, "s"
+		}
+		task, err := newFragTask(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task.ReqID = s.nextReq.Add(1)
+		chans[i] = make(chan fragResp, 1)
+		s.pendMu.Lock()
+		s.pending[task.ReqID] = chans[i]
+		s.pendMu.Unlock()
+		payload, err := task.encode()
+		if err == nil {
+			err = s.gw.Put(typeTask, 0, adlb.AnyRank, payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := s.gw.Flush()
+	s.gwMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range chans {
+		select {
+		case r := <-ch:
+			if r.Err != "" {
+				t.Fatalf("fragment %d: %s", i, r.Err)
+			}
+			if i == 1 {
+				if started := s.poolStats.Evals.Load() - base; started > 3 {
+					t.Fatalf("fragment 1's response arrived after %d fragments ran: it waited behind the slow one", started)
+				}
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("fragment %d never answered", i)
+		}
 	}
 }
 
