@@ -412,12 +412,18 @@
 // is a separate Store first, and the task's settle then reaches its
 // server before the worker starts another task, which keeps to one task
 // the window in which a worker lost after that Store has a re-run
-// refused as already set. A worker that departs mid-task (Client.Leave, or a crash that
-// reaches the departed-client path) has its outstanding leases reclaimed
-// by the server and the items requeued at their original priority —
-// items the victim had targeted at itself retarget to AnyRank so a
-// survivor can take them; the items a Leave hands back unstarted are
-// requeued with no attempt charged. A retriably-failed task is requeued at most
+// refused as already set. A lease ends one way, by a settle riding a Get
+// — the task done (with its result), failed, or handed back never
+// started — so a Fail is a Get that only settles, carrying the settles
+// of the tasks that ended before it, and a lease settles at most once: a
+// Fail of a lease already ended is refused. A worker that departs
+// mid-task (Client.Leave, a Get that departs, or a crash that
+// adlb.NotifyCrashed turns into the same Get) has its finished tasks'
+// settles and results applied and its outstanding leases reclaimed by
+// the server, the items requeued at their original priority — items the
+// victim had targeted at itself retarget to AnyRank so a survivor can
+// take them; the items a Leave hands back unstarted are requeued with no
+// attempt charged. A retriably-failed task is requeued at most
 // twice (3 attempts in all); past the budget — or immediately, when the failure is not retriable — the
 // task is poisoned: the run ends with an error naming the task and the
 // original failure reason rather than hanging or silently dropping work.

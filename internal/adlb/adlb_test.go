@@ -778,13 +778,13 @@ func TestCrossRankDataFlow(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := cl.Create(id, TypeInteger); err != nil {
+			if err := sent(cl, cl.Create(id, TypeInteger)); err != nil {
 				return err
 			}
 			ids <- id
 		case 1:
 			id := <-ids
-			if err := cl.Store(id, IntValue(1234)); err != nil {
+			if err := sent(cl, cl.Store(id, IntValue(1234))); err != nil {
 				return err
 			}
 			vals <- id

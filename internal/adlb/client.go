@@ -25,7 +25,8 @@ import (
 // client never blocks with a write unsent or unanswered, which is
 // essential to the termination-detection protocol: a client that is
 // parked in Get has no in-flight requests, and a client holding items
-// is not parked.
+// is not parked. A lease ends one way, by a settle a Get carries, so
+// Fail is a Get that only settles and Leave a Get that departs.
 type Client struct {
 	c        *mpi.Comm
 	cfg      Config
@@ -39,7 +40,7 @@ type Client struct {
 	// lease is the lease id of the task currently being executed (0 when
 	// none). Its settle joins the next Get's request as the task ends —
 	// completion piggybacks on a request the client sends anyway — unless
-	// Fail settles it.
+	// Fail or Leave ends it otherwise.
 	lease int64
 	// result is the running task's result store (see StoreResult), which
 	// joins its settle; result.row is empty when none is pending.
@@ -50,15 +51,12 @@ type Client struct {
 	// settles is the next Get's request, built as leased tasks end: room
 	// for the opcode and head, which the send fills in, then nSettles
 	// settles, each copying its result's bytes, so nothing a result
-	// aliased need outlive its task. bare are the leases of those
-	// settles that carry no result: what a Leave settles. wrote is set
-	// when a task whose settle is in settles sent writes: its settle
-	// reaches the server before another held item starts, so a client
-	// lost after that leaves no finished task's writes to collide with a
-	// re-run.
+	// aliased need outlive its task. wrote is set when a task whose
+	// settle is in settles sent writes: its settle reaches the server
+	// before another held item starts, so a client lost after that leaves
+	// no finished task's writes to collide with a re-run.
 	settles  encoder
 	nSettles int
-	bare     []int64
 	wrote    bool
 
 	// items are the work items of the last Get reply that brought work,
@@ -125,30 +123,31 @@ func (cl *Client) dropTask() {
 	cl.result.id, cl.result.row = 0, chunk.Chunk{}
 }
 
-// endTask ends the running task as a Get begins: a leased task's settle,
-// with its pending result, joins the next Get's request, and the task's
-// rows go.
+// endTask ends the running task as a Get begins: a leased task's done
+// settle, with its pending result, joins the next Get's request, and the
+// task's rows go.
 func (cl *Client) endTask() {
 	if cl.lease != 0 {
-		e := &cl.settles
-		if e.size() == 0 {
-			e.reserve(getHeadBytes)
-		}
-		encodeSettle(e, &settle{lease: cl.lease, out: cl.result.id, row: cl.result.row})
-		cl.nSettles++
-		if cl.result.id == 0 {
-			cl.bare = append(cl.bare, cl.lease)
-		}
+		cl.addSettle(&settle{lease: cl.lease, out: cl.result.id, row: cl.result.row})
 		cl.lease = 0
 	}
 	cl.dropTask()
 }
 
-// clearSettles empties the settle list once a Get or Leave carrying it
-// is sent.
+// addSettle appends st to the next Get's settles.
+func (cl *Client) addSettle(st *settle) {
+	e := &cl.settles
+	if e.size() == 0 {
+		e.reserve(getHeadBytes)
+	}
+	encodeSettle(e, st)
+	cl.nSettles++
+}
+
+// clearSettles empties the settle list once a Get carrying it is sent.
 func (cl *Client) clearSettles() {
 	cl.settles.reset()
-	cl.nSettles, cl.bare, cl.wrote = 0, cl.bare[:0], false
+	cl.nSettles, cl.wrote = 0, false
 }
 
 // at returns the row holding id: a leaf's few inputs are scanned, a
@@ -406,7 +405,8 @@ func (cl *Client) Get(workType int) (payload []byte, ok bool, err error) {
 // GetLeased is Get with fault tolerance: the returned item is tracked by
 // the home server under leaseID until the client settles it — implicitly
 // by its next Get (success) or explicitly by Fail. A client that departs
-// (Leave) with the lease outstanding has the item requeued.
+// (Leave) with the lease outstanding has the item requeued, charged one
+// attempt.
 //
 // One reply may bring up to maxDelivery items, the client's share of
 // the queue (see the package doc). The client holds the rest and hands
@@ -438,26 +438,18 @@ func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64,
 				workType, len(cl.items)-cl.next, cl.itemType)
 		}
 		if cl.wrote || cl.settles.size() > maxBatchBytes {
-			d, err := cl.sendGet(workType, leased, 0)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			if _, err := checkStatus(d, "get"); err != nil {
-				return nil, 0, false, err
-			}
-			decodeDelivery(d, leased, 0, nil)
-			if err := d.finish("get response"); err != nil {
+			if err := cl.sendSettles(0, "get"); err != nil {
 				return nil, 0, false, err
 			}
 		}
 		payload, leaseID = cl.handOut()
 		return payload, leaseID, true, nil
 	}
-	want := 1
+	want, flags := 1, uint8(0)
 	if leased {
-		want = maxDelivery
+		want, flags = maxDelivery, getFlagLeased
 	}
-	d, err := cl.sendGet(workType, leased, want)
+	d, err := cl.sendGet(workType, flags, want)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -488,10 +480,11 @@ func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64,
 	return payload, leaseID, true, nil
 }
 
-// sendGet sends the Get the settle list has been building, wanting want
-// items, and returns its reply. A Get that asks for work retires the
-// last reply's frame, whose items are all handed out by then.
-func (cl *Client) sendGet(workType int, leased bool, want int) (*decoder, error) {
+// sendGet sends the Get the settle list has been building, with flags
+// and wanting want items, and returns its reply. A Get that asks for
+// work retires the last reply's frame, whose items are all handed out by
+// then.
+func (cl *Client) sendGet(workType int, flags uint8, want int) (*decoder, error) {
 	cl.retire()
 	if want > 0 {
 		cl.retireItems()
@@ -499,10 +492,6 @@ func (cl *Client) sendGet(workType int, leased bool, want int) (*decoder, error)
 	e := &cl.settles
 	if e.size() == 0 {
 		e.reserve(getHeadBytes)
-	}
-	var flags uint8
-	if leased {
-		flags = getFlagLeased
 	}
 	e.patch(0, getHeadBytes, func(h *encoder) {
 		h.u8(opGet)
@@ -532,62 +521,63 @@ func (cl *Client) handOut() ([]byte, int64) {
 	return append([]byte(nil), it.payload...), it.lease
 }
 
+// sendSettles sends the settle list in a Get that wants no work — one
+// that only settles, or departs with flags getFlagDepart — and reads its
+// reply, which brings none; what names the request in a refusal.
+func (cl *Client) sendSettles(flags uint8, what string) error {
+	d, err := cl.sendGet(0, flags, 0)
+	if err != nil {
+		return err
+	}
+	if _, err := checkStatus(d, what); err != nil {
+		return err
+	}
+	decodeDelivery(d, false, 0, nil)
+	return d.finish("get response")
+}
+
 // Fail settles a lease as failed. Retriable failures are requeued by the
 // server until the task's retry budget is exhausted; non-retriable ones
 // (and budget exhaustion) poison the task, which ends the run with an
 // error naming it — the caller's own error return then typically reports
-// the aborted world. A result pending from StoreResult is dropped, so
-// the output stays open for the re-run. The settles of tasks that ended
-// before wait for the next Get.
+// the aborted world. The failed settle goes at once, after the pending
+// writes, in a Get that only settles, behind the settles of the tasks
+// that ended before it: one request frame. A failed running task's
+// pending result from StoreResult is dropped, so the output stays open
+// for the re-run; held items stay held. A lease already ended is refused
+// as unknown, so a lease settles at most once.
 func (cl *Client) Fail(leaseID int64, reason string, retriable bool) error {
+	if err := cl.Flush(); err != nil {
+		return err
+	}
 	if cl.lease == leaseID {
-		cl.lease, cl.wrote = 0, false
+		cl.lease = 0
+		cl.dropTask()
 	}
-	cl.dropTask()
-	d, err := cl.rpc(cl.myServer, func(e *encoder) {
-		e.u8(opFail)
-		e.i64(leaseID)
-		e.str(reason)
-		e.boolean(retriable)
-	})
-	if err != nil {
-		return err
-	}
-	if _, err = checkStatus(d, "fail"); err != nil {
-		return err
-	}
-	return d.finish("fail response")
+	cl.addSettle(&settle{lease: leaseID, kind: settleFailed, reason: reason, retriable: retriable})
+	return cl.sendSettles(0, "fail")
 }
 
-// Leave departs the runtime: the home server reclaims the lease of the
-// task this client is running (requeueing the work) and stops counting
-// the client toward termination. It models a detected rank crash — after
-// Leave the client must not issue further calls. The Leave settles the
-// tasks that ended with no result pending, and hands back the held items
-// never started, which are requeued with no attempt charged. A result
-// pending from StoreResult dies with the client, and its task's lease is
-// reclaimed like the running one's: the requeued task's re-run stores it.
+// Leave departs the runtime: it sends the pending writes, then one Get
+// that departs, carrying the settle of every task that ended, with its
+// result, and handing back each held item never started, which the
+// server requeues with no attempt charged. The server reclaims the lease
+// of the task this client is running, charged one attempt, and stops
+// counting the client toward termination. It models a detected rank
+// crash — after Leave the client must not issue further calls. The
+// running task's pending result from StoreResult dies with the client:
+// the requeued task's re-run stores it.
 func (cl *Client) Leave() error {
+	if err := cl.Flush(); err != nil {
+		return err
+	}
 	cl.lease = 0
 	cl.dropTask()
-	var unstarted []int64
 	for _, it := range cl.items[cl.next:] {
-		unstarted = append(unstarted, it.lease)
+		cl.addSettle(&settle{lease: it.lease, kind: settleHandedBack})
 	}
 	cl.retireItems()
-	bare := cl.bare
-	defer cl.clearSettles()
-	d, err := cl.rpc(cl.myServer, func(e *encoder) {
-		e.u8(opLeave)
-		encodeLeave(e, bare, unstarted)
-	})
-	if err != nil {
-		return err
-	}
-	if _, err = checkStatus(d, "leave"); err != nil {
-		return err
-	}
-	return d.finish("leave response")
+	return cl.sendSettles(getFlagDepart, "leave")
 }
 
 // idBlock is how many ids one Unique round trip fetches. Each such round
@@ -657,8 +647,8 @@ func (cl *Client) Store(id int64, v Value) error {
 // client holds. When the home server owns id the value waits on the
 // client and rides the next Get, which the server applies with Store's
 // checks before it settles the lease: the store and the settle are one
-// message, and a task ended by Fail or Leave instead leaves id open for
-// its re-run. A store the server refuses there fails the lease
+// message, and a task that Fail or Leave ends while it runs leaves id
+// open for its re-run. A store the server refuses there fails the lease
 // retriably, with the server's message, as a Fail after a refused Store
 // would. Otherwise — no lease held, another server owns id, or a result
 // already pending — it is Store. v's bytes must stay unchanged until the

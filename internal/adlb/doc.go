@@ -30,14 +30,14 @@
 // Stats.UnfilledTDs counts the entries waited on or created but never
 // closed when a server drains.
 //
-// The client protocol is fourteen request opcodes, each with a caller in
-// the Turbine runtime: work (put, get, fail, leave), ids (unique), the
+// The client protocol is twelve request opcodes, each with a caller in
+// the Turbine runtime: work (put, get), ids (unique), the
 // data store (create, store, insert, lookup, enumerate, write-refcount),
 // the columnar plane (retrieve_chunk, store_chunk) and batch. The six
 // writes — put, create, store, insert, write-refcount and store_chunk,
 // whose reply is only a status — travel only inside a batch frame: a
 // client's writes to one server, each length-prefixed, answered by one
-// reply. The other eight each start a frame of their own, answered by
+// reply. The other six each start a frame of their own, answered by
 // its own reply. A client's pending frame goes out, and its reply is
 // awaited, when it holds maxBatch writes or maxBatchBytes (1 MiB),
 // before a write that would take it past that bound (so a large write
@@ -61,25 +61,39 @@
 // Nothing asks a datum whether it exists or what type it has: a reader
 // waits on it and names the type it wants.
 //
-// A Get is the work type (i32), a flags byte, the count of items it
-// wants (u8: up to maxDelivery for a leased Get, 1 for any other, 0 for
-// a Get that only settles) and a counted list of settles, one for each
-// leased task the client ended since its last Get, so the worker's loop
-// pays no RPC to report a task done. A settle is the lease (i64) and an
-// output id (i64; 0: no result), followed, when there is one, by the
-// task's result as a one-row chunk, Store's body — which
-// Client.StoreResult holds for it when the client's home server owns
-// the output. The server applies each store as Store would (issued id,
-// single assignment, type; the Get frame kept as the datum's backing),
-// settles the lease and releases the rules the close frees, settle by
-// settle, then serves the Get: store and settle are one message, and a
-// rule a store releases can go out in the reply. A refused store
-// settles its lease as a retriable failure carrying the refusal
-// (requeue, or poison past the budget). A settle count the frame cannot
-// hold, a settle of lease 0, a store of other than one row, a want past
-// maxDelivery and an unknown flag are decode errors. An output another
-// server owns is an ordinary Store, and Fail and Leave drop a pending
-// result, so the output stays open for the re-run.
+// A Get is the work type (i32), a flags byte (leased, depart), the count
+// of items it wants (u8: up to maxDelivery for a leased Get, 1 for any
+// other, 0 for a Get that only settles or departs) and a counted list of
+// settles, one for each leased task the client ended since its last Get,
+// so the worker's loop pays no RPC to report a task done. A settle is
+// the lease (i64), its kind (u8: done, failed, handed back) and an
+// output id (i64; 0: no result), then a done task's result as a one-row
+// chunk, Store's body — which Client.StoreResult holds for it when the
+// client's home server owns the output — or a failed task's reason and
+// retriable flag. The server applies each store as Store would (issued
+// id, single assignment, type; the Get frame kept as the datum's
+// backing), settles the lease and releases the rules the close frees,
+// settle by settle, then serves the Get: store and settle are one
+// message, and a rule a store releases can go out in the reply. A
+// refused store fails its lease retriably with the refusal. A settle
+// count the frame cannot hold, a settle of lease 0 or of an unknown
+// kind, a result on a settle not done, a store of other than one row,
+// an item handed back by a Get that does not depart, a departing Get
+// that wants work, a want past maxDelivery and an unknown flag are
+// decode errors. An output another server owns is an ordinary Store.
+//
+// A lease ends one way, by a settle riding a Get (server.settle). Fail
+// sends its failed settle at once, behind the settles waiting, in a Get
+// that only settles, and drops a failed running task's pending result; a
+// Fail of a lease whose done settle went ahead of it is refused as an
+// unknown lease, so a lease settles at most once.
+// Leave is a Get that departs, carrying every ended task's settle and
+// result and handing back the held items never started, requeued with
+// no attempt charged; the server departs the client, and reclaims every
+// lease it still holds — the running task, whose pending result is
+// dropped so its output stays open for the re-run — charging each one
+// attempt, with the item pinned to no one. It answers OK even while it
+// drains. NotifyCrashed sends the same Get with no settles.
 //
 // A reply with work is a count of items, then each item's lease (when
 // leased), payload and rows. A leased Get served from the untargeted
@@ -104,11 +118,7 @@
 // only settles when no Get for work is due (the one that sends large
 // results too), so a client lost after a finished task's writes landed
 // never has that task re-run into "already set": the window is one
-// task, as with a one-item Get. A Leave settles the ended tasks that
-// carry no result, names the held items never started, which the server
-// requeues with no attempt charged, and leaves every other lease to be
-// reclaimed and charged once; the crash Leave NotifyCrashed synthesizes
-// names nothing, so each lease the dead rank held is charged once.
+// task, as with a one-item Get.
 //
 // Rules wait at the servers, as ADLB_Dput's tasks do, and a held Put is
 // the one way to wait: a Turbine work rule is one, queued for any
@@ -149,8 +159,8 @@
 // bytes, and the decoded columns alias the frame, so rows that outlive it
 // are copied out. Counts read off the wire (here, in RetrieveChunk's id
 // list, a Put's wait ids, a Get's settles, a Get reply's items and
-// their row ids, a Leave's lease lists, the enumerate response, and the
-// dims and offset tables of chunk frames) go through
+// their row ids, the enumerate response, and the dims and offset tables
+// of chunk frames) go through
 // decoder.count, which checks them against the bytes remaining in the
 // frame before anything is allocated.
 // Stats.DataOps counts requests, not ids or frames: one chunk to one

@@ -8,13 +8,12 @@ import (
 
 // NotifyCrashed synthesizes a Leave on behalf of a client rank that
 // vanished without sending one — the TCP transport's crash-detection
-// path. It builds an opLeave request and sends it to the rank's home
-// server from the dead rank's own Comm, so the server reclaims and
+// path. It sends a Get that departs and settles nothing to the rank's
+// home server from the dead rank's own Comm, so the server reclaims and
 // requeues the rank's leases through the ordinary departure path
 // (LeasesReclaimed, retry budgets, targeted retargeting all apply
-// unchanged). It settles no lease and names none unstarted: what the
-// rank finished or never started died with it, so every lease it held
-// is charged one attempt.
+// unchanged). What the rank finished or never started died with it, so
+// every lease it held is charged one attempt.
 //
 // Unlike Client.Leave it never waits for the response: the dead rank has
 // no goroutine to receive it. The transport has already tombstoned the
@@ -31,8 +30,8 @@ func NotifyCrashed(w *mpi.World, servers, rank int) error {
 		return err
 	}
 	e := getEncoder()
-	e.u8(opLeave)
-	encodeLeave(e, nil, nil)
+	e.u8(opGet)
+	encodeGet(e, &getRequest{flags: getFlagDepart})
 	frame, err := e.frame()
 	if err != nil {
 		putEncoder(e)

@@ -35,9 +35,6 @@ const (
 	opEnumerate
 	opWriteRefcount
 	opUnique
-	// Fault-tolerance ops: lease settlement and client departure.
-	opFail  // report a leased task failed; server requeues or poisons
-	opLeave // client departs; server reclaims its leases and unregisters it
 	// Columnar data-plane ops: the container<->vector bridge costs
 	// O(servers) RPCs, not O(elements), and each RPC carries one chunk
 	// frame (contiguous typed columns).
@@ -115,9 +112,13 @@ const (
 // Target sentinel: work item may run on any rank.
 const AnyRank = -1
 
-// getFlagLeased, the one Get request flag, asks for work delivered
-// under server-tracked leases (see the failure model in the package doc).
-const getFlagLeased uint8 = 1 << 0
+// Get request flags: getFlagLeased asks for work under server-tracked
+// leases, and getFlagDepart makes the Get, which wants none, the
+// client's last (see the package doc).
+const (
+	getFlagLeased uint8 = 1 << iota
+	getFlagDepart
+)
 
 // maxDelivery is the most work items one Get reply carries. A leased Get
 // served from the untargeted queue takes its first item and a share of
@@ -130,9 +131,9 @@ const maxDelivery = 8
 
 // getRequest is a Get's body after the opcode: the work type, the flags,
 // how many items the client wants — up to maxDelivery for a leased Get,
-// 1 for any other, and 0 for a Get that only settles — and the settles
-// of the leased tasks the client ended since its last Get, in the order
-// they ended.
+// 1 for any other, and 0 for a Get that only settles or departs — and
+// the settles of the leased tasks the client ended since its last Get,
+// in the order they ended.
 type getRequest struct {
 	typ     int
 	flags   uint8
@@ -140,14 +141,27 @@ type getRequest struct {
 	settles []settle
 }
 
-// settle ends one leased task that ran to completion: its lease and,
-// when out is not 0, its result store — the output id and its value as
-// a one-row chunk.
+// Settle kinds: how a leased task ended — done, failed, or handed back
+// never started by a client that departs.
+const (
+	settleDone uint8 = iota
+	settleFailed
+	settleHandedBack
+)
+
+// settle ends one leased task, the one way a lease ends.
 type settle struct {
-	lease int64
-	out   int64
-	row   chunk.Chunk
+	lease     int64
+	kind      uint8
+	out       int64       // done: the result's output id, 0 for none
+	row       chunk.Chunk // done: the result, one row
+	reason    string      // failed
+	retriable bool        // failed
 }
+
+// settleBytes is the least a settle takes on the wire: the lease, the
+// kind and the output id.
+const settleBytes = 8 + 1 + 8
 
 // getHeadBytes is a Get request's opcode and head: the work type, the
 // flags, the count wanted and the count of settles.
@@ -162,9 +176,14 @@ func encodeGetHead(e *encoder, typ int, flags, want uint8, settles int) {
 
 func encodeSettle(e *encoder, s *settle) {
 	e.i64(s.lease)
+	e.u8(s.kind)
 	e.i64(s.out)
 	if s.out != 0 {
 		encodeChunk(e, s.row)
+	}
+	if s.kind == settleFailed {
+		e.str(s.reason)
+		e.boolean(s.retriable)
 	}
 }
 
@@ -177,31 +196,44 @@ func encodeGet(e *encoder, g *getRequest) {
 
 // decodeGet reads encodeGet's form into g, reusing its settles' storage.
 // A settle count beyond the frame, a want past maxDelivery, an unknown
-// flag, a settle of lease 0 and a store of other than one row are
-// decode errors, since no client builds such a Get; g then has no
-// settles.
+// flag, a departing Get that wants work, a settle of lease 0 or of an
+// unknown kind, a result on a settle not done, a store of other than one
+// row and an item handed back by a Get that does not depart are decode
+// errors, since no client builds such a Get; g then has no settles.
 func decodeGet(d *decoder, g *getRequest) {
 	g.typ, g.flags, g.want = int(d.i32()), d.u8(), d.u8()
-	n := d.count(16, "get settles")
+	n := d.count(settleBytes, "get settles")
 	g.settles = g.settles[:0]
+	depart := g.flags&getFlagDepart != 0
 	switch {
 	case d.err != nil:
 		return
-	case g.flags&^getFlagLeased != 0:
+	case g.flags&^(getFlagLeased|getFlagDepart) != 0:
 		d.err = fmt.Errorf("adlb: wire decode: get: unknown flags %#x", g.flags)
 	case g.want > maxDelivery:
 		d.err = fmt.Errorf("adlb: wire decode: get: wants %d items, at most %d", g.want, maxDelivery)
+	case depart && g.want > 0:
+		d.err = fmt.Errorf("adlb: wire decode: get: a departing Get wants %d items", g.want)
 	}
 	for i := 0; i < n && d.err == nil; i++ {
-		s := settle{lease: d.i64(), out: d.i64()}
-		if d.err == nil && s.lease == 0 {
+		s := settle{lease: d.i64(), kind: d.u8(), out: d.i64()}
+		switch {
+		case d.err != nil:
+		case s.lease == 0:
 			d.err = fmt.Errorf("adlb: wire decode: get: settle %d names no lease", i)
-		}
-		if d.err == nil && s.out != 0 {
+		case s.kind > settleHandedBack:
+			d.err = fmt.Errorf("adlb: wire decode: get: settle %d of unknown kind %d", i, s.kind)
+		case s.kind != settleDone && s.out != 0:
+			d.err = fmt.Errorf("adlb: wire decode: get: settle %d carries a result but its task is not done", i)
+		case s.kind == settleHandedBack && !depart:
+			d.err = fmt.Errorf("adlb: wire decode: get: settle %d hands an item back in a Get that does not depart", i)
+		case s.out != 0:
 			s.row = decodeChunk(d)
 			if d.err == nil && s.row.Len() != 1 {
 				d.err = fmt.Errorf("adlb: wire decode: get: store of %d rows, want 1", s.row.Len())
 			}
+		case s.kind == settleFailed:
+			s.reason, s.retriable = d.str(), d.boolean()
 		}
 		g.settles = append(g.settles, s)
 	}
@@ -277,26 +309,6 @@ func decodeDelivery(d *decoder, leased bool, want int, items []delivered) []deli
 		return items[:0]
 	}
 	return items
-}
-
-// encodeLeave writes a Leave's body: the leases of the tasks the client
-// ended whose settles carry no result, which the server settles, and the
-// leases of items it was handed but never started, which the server
-// requeues without charging an attempt. Any other lease the client holds
-// is reclaimed as lost mid-task.
-func encodeLeave(e *encoder, settled, unstarted []int64) {
-	encodeIDs(e, settled)
-	encodeIDs(e, unstarted)
-}
-
-// decodeLeave reads encodeLeave's form; a malformed one yields neither
-// list.
-func decodeLeave(d *decoder) (settled, unstarted []int64) {
-	settled, unstarted = decodeIDs(d, "leave settles"), decodeIDs(d, "leave unstarted leases")
-	if d.err != nil {
-		return nil, nil
-	}
-	return settled, unstarted
 }
 
 // workItem is one unit of work in a server queue.
@@ -451,9 +463,8 @@ func encodeIDs(e *encoder, ids []int64) {
 }
 
 // decodeIDs reads a counted id list (u32 n, then n i64): the body of the
-// batched op retrieve_chunk, a work item's inputs, a
-// forwarded rule's wait list, a delivered item's row ids and a Leave's
-// two lease lists.
+// batched op retrieve_chunk, a work item's inputs, a forwarded rule's
+// wait list and a delivered item's row ids.
 func decodeIDs(d *decoder, what string) []int64 {
 	return appendIDs(nil, d, what)
 }

@@ -59,9 +59,9 @@ type parkedReq struct {
 }
 
 // lease tracks one work item handed to a client under a lease. The item
-// is kept server-side until the client settles the lease (implicitly by
-// its next Get, or explicitly via Fail) or departs, at which point the
-// item can be requeued with its priority preserved.
+// is kept server-side until a settle ends the lease (see settle): the
+// task done, failed, handed back, or lost with its departed client, when
+// the item is requeued with its priority preserved.
 type lease struct {
 	w      workItem
 	client int
@@ -565,10 +565,6 @@ func (s *server) handleRequest(op uint8, d *decoder, get *getRequest, client int
 		return s.handleBatch(client)
 	case opGet:
 		return s.handleGet(get, d, client)
-	case opFail:
-		return s.handleFail(d, client)
-	case opLeave:
-		return s.handleLeave(d, client)
 	case opUnique:
 		return s.handleUnique(d, client)
 	case opLookup, opEnumerate, opRetrieveChunk:
@@ -1051,27 +1047,47 @@ func (s *server) clientDeparted(client int) {
 	}
 }
 
-// handleGet settles the leases the Get names — storing each result
-// first when it carries one — and then answers with work, or parks. A
-// Get that wants no work is answered at once with none. A leased Get
-// served from the untargeted queue takes the first item and then, by
-// guided self-scheduling, a share of what is left: at most
-// maxDelivery-1 more, and at most the queue left over divided among the
-// clients that have not departed, so each share is a fraction of what
-// remains and a draining queue goes out one item a Get. The share stops
-// short of a reply past maxBatchBytes: sharing saves round trips, which
-// only small items notice, and a large item held behind another would
-// wait for nothing. Targeted, parked and non-leased deliveries carry one
-// item.
+// handleGet ends the leases the Get settles, in order, and then answers
+// with work, or parks. A departing Get departs the client before its
+// settles, so what they requeue is pinned to no one, and reclaims every
+// lease left after them (depart); it is answered OK even while the
+// server drains. A Get that wants no work is answered at once with none,
+// or with a failed settle's refusal. A leased Get served from the untargeted queue takes the
+// first item and then, by guided self-scheduling, a share of what is
+// left: at most maxDelivery-1 more, and at most the queue left over
+// divided among the clients that have not departed, so each share is a
+// fraction of what remains and a draining queue goes out one item a Get.
+// The share stops short of a reply past maxBatchBytes: sharing saves
+// round trips, which only small items notice, and a large item held
+// behind another would wait for nothing. Targeted, parked and non-leased
+// deliveries carry one item.
 func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 	if err := d.finish("get request"); err != nil {
 		return err
 	}
-	typ, leased := g.typ, g.flags&getFlagLeased != 0
+	typ, leased, depart := g.typ, g.flags&getFlagLeased != 0, g.flags&getFlagDepart != 0
+	if depart {
+		delete(s.parked, client)
+		s.unpark(client)
+		s.clientDeparted(client)
+	}
+	refusal := ""
 	for i := range g.settles {
-		if err := s.settle(&g.settles[i]); err != nil {
+		m, err := s.settle(&g.settles[i])
+		if err != nil {
 			return err
 		}
+		if refusal == "" {
+			refusal = m
+		}
+	}
+	if depart {
+		if err := s.depart(client); err != nil {
+			return err
+		}
+	}
+	if refusal != "" {
+		return s.respondError(client, refusal)
 	}
 	if g.want == 0 {
 		return s.respond(client, func(e *encoder) {
@@ -1145,95 +1161,63 @@ func (s *server) running() int {
 	return max(1, s.clientCount()-s.doneCount)
 }
 
-// settle completes a lease a Get names: the task ran to completion, so
-// the retained copy of the item can go. Settlement piggybacks on a later
-// Get rather than costing a dedicated RPC per task, and so does the
-// task's result when this server owns its output: the store is applied
-// with Store's checks and counted as one, and its close is announced
-// before the Get is served, so a rule the store releases can go out in
-// this Get's reply. A refused store settles the lease as a retriable
-// failure carrying the refusal, exactly as the client's Fail after a
-// refused Store would. An unknown lease id with no store is benign (e.g.
-// the lease was already settled by an explicit Fail); with a refused
-// store there is no lease left to fail, so the run ends, as that Fail
-// would end it.
-func (s *server) settle(g *settle) error {
+// settle ends the lease g names, as its kind says: the one place a lease
+// ends. A done task's result, when it carries one, is stored with
+// Store's checks and counted as one, and its close announced before the
+// Get is served, so a rule it releases can go out in the reply; a
+// refused store fails the lease retriably with the refusal, or ends the
+// run when no lease is left to fail. A failed task is requeued, one
+// attempt charged, or poisoned (requeueOrPoison), and a Fail of a lease
+// not held — already settled, say — is refused. An item handed back is
+// requeued as it was. A departed holder's item is reclaimed: counted,
+// unless done, and pinned to no one, since the holder never Gets again.
+func (s *server) settle(g *settle) (refusal string, err error) {
 	le, held := s.leases[g.lease]
 	delete(s.leases, g.lease)
-	if g.out == 0 {
-		return nil
+	reason, retriable := g.reason, g.retriable
+	switch {
+	case g.kind == settleDone && g.out == 0:
+		return "", nil
+	case g.kind == settleDone:
+		if st := s.stats(); st != nil {
+			st.countDataOp(opStore)
+		}
+		r := g.row.Reader()
+		r.Next()
+		dm, err := s.storeValue(g.out, rowValue(&r))
+		if err == nil {
+			s.notifyAll(dm)
+			return "", nil
+		}
+		if !held {
+			return "", fmt.Errorf("adlb: server %d: a Get settling unknown lease %d carried a refused store: %v", s.idx, g.lease, err)
+		}
+		reason, retriable = "adlb: store: "+err.Error(), true
+	case !held && g.kind == settleFailed:
+		return fmt.Sprintf("fail: unknown lease %d", g.lease), nil
+	case !held:
+		return "", nil
 	}
-	if st := s.stats(); st != nil {
-		st.countDataOp(opStore)
+	w := le.w
+	if s.departed[le.client] {
+		if st := s.stats(); st != nil && g.kind != settleDone {
+			st.LeasesReclaimed.Add(1)
+		}
+		if w.Target == le.client {
+			w.Target = AnyRank
+		}
 	}
-	r := g.row.Reader()
-	r.Next()
-	dm, err := s.storeValue(g.out, rowValue(&r))
-	if err == nil {
-		s.notifyAll(dm)
-		return nil
+	if g.kind == settleHandedBack {
+		s.acceptWork(w)
+		return "", nil
 	}
-	if !held {
-		return fmt.Errorf("adlb: server %d: a Get settling unknown lease %d carried a refused store: %v", s.idx, g.lease, err)
-	}
-	return s.requeueOrPoison(le.w, "adlb: store: "+err.Error(), true)
+	return "", s.requeueOrPoison(w, reason, retriable)
 }
 
-// handleFail settles a lease as failed: the item is requeued (bounded by
-// the retry budget, priority preserved) or poisoned. Poisoning returns a
-// run-ending error rather than a response — the task's outputs will
-// never be stored, so every downstream rule would hang; surfacing the
-// original failure reason beats deadlocking on it.
-func (s *server) handleFail(d *decoder, client int) error {
-	id := d.i64()
-	reason := d.str()
-	retriable := d.boolean()
-	if err := d.finish("fail request"); err != nil {
-		return err
-	}
-	le, ok := s.leases[id]
-	if !ok {
-		return s.respondError(client, fmt.Sprintf("fail: unknown lease %d", id))
-	}
-	delete(s.leases, id)
-	if err := s.requeueOrPoison(le.w, reason, retriable); err != nil {
-		return err
-	}
-	return s.respond(client, func(e *encoder) { e.u8(stOK) })
-}
-
-// handleLeave processes a voluntary or simulated-crash departure. The
-// leases the Leave settles go, and those it names unstarted are
-// requeued as they were, with no attempt charged; every other lease the
-// client holds — its task lost mid-run — is reclaimed and requeued with
-// one (or poisoned if its budget is spent). A crash Leave the hub
-// synthesizes names none, so each outstanding lease is charged once.
-// The client is unregistered, so termination detection treats it as
-// passive from now on.
-func (s *server) handleLeave(d *decoder, client int) error {
-	settled, unstarted := decodeLeave(d)
-	if err := d.finish("leave request"); err != nil {
-		return err
-	}
-	for _, id := range settled {
-		if le, ok := s.leases[id]; ok && le.client == client {
-			delete(s.leases, id)
-		}
-	}
-	for _, id := range unstarted {
-		le, ok := s.leases[id]
-		if !ok || le.client != client {
-			continue
-		}
-		delete(s.leases, id)
-		if s.stats() != nil {
-			s.stats().LeasesReclaimed.Add(1)
-		}
-		if le.w.Target == client {
-			le.w.Target = AnyRank
-		}
-		s.acceptWork(le.w)
-	}
+// depart reclaims every lease a departing client holds after its last
+// Get's settles, in the order they were issued: each task was lost
+// mid-run, so it ends as a retriable failure, charged one attempt.
+func (s *server) depart(client int) error {
 	var ids []int64
 	for id, le := range s.leases {
 		if le.client == client {
@@ -1241,29 +1225,13 @@ func (s *server) handleLeave(d *decoder, client int) error {
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	reason := fmt.Sprintf("owning client %d departed mid-task", client)
 	for _, id := range ids {
-		le := s.leases[id]
-		delete(s.leases, id)
-		if s.stats() != nil {
-			s.stats().LeasesReclaimed.Add(1)
-		}
-		if le.w.Target == client {
-			// The item was pinned to the rank that just died; requeueing it
-			// still targeted would drop it as targeted-at-departed. Any
-			// surviving rank may run it.
-			le.w.Target = AnyRank
-		}
-		reason := fmt.Sprintf("owning client %d departed mid-task", client)
-		if err := s.requeueOrPoison(le.w, reason, true); err != nil {
+		if _, err := s.settle(&settle{lease: id, kind: settleFailed, reason: reason, retriable: true}); err != nil {
 			return err
 		}
 	}
-	if _, wasParked := s.parked[client]; wasParked {
-		delete(s.parked, client)
-		s.unpark(client)
-	}
-	s.clientDeparted(client)
-	return s.respond(client, func(e *encoder) { e.u8(stOK) })
+	return nil
 }
 
 // maxTaskRetries bounds how many times a leased work item that failed

@@ -66,9 +66,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	e = &encoder{}
 	encodeGet(e, &getRequest{typ: 1, want: 1, settles: []settle{{out: 5, row: storeRow}}})
 	f.Add(e.buf, int64(0), uint8(4))
-	// A Leave: the settled leases, then the unstarted ones.
+	// A Leave: a Get that departs, settling a task done with its result
+	// and handing back an item never started.
 	e = &encoder{}
-	encodeLeave(e, []int64{9}, []int64{10, 11})
+	encodeGet(e, departGet(storeRow))
 	f.Add(e.buf, int64(2), uint8(5))
 	// The counted bodies (a Put's wait ids, a delivered item's rows and
 	// payload, a retrieve_chunk request, the enumerate response, a blob
@@ -80,6 +81,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 		huge := append([]byte(nil), cf.frame...)
 		binary.LittleEndian.PutUint32(huge[cf.at:], 1<<31-1)
 		f.Add(huge, int64(cf.count), uint8(0))
+	}
+	// A Fail: a Get that only settles, the failed task after one done;
+	// and the Gets no client builds (see TestGetStoreDecode).
+	e = &encoder{}
+	encodeGet(e, failGet())
+	f.Add(e.buf, int64(7), uint8(6))
+	for _, bad := range malformedGets(storeRow) {
+		f.Add(bad.frame, int64(7), uint8(7))
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte, n int64, tag uint8) {
@@ -101,24 +110,25 @@ func FuzzWireRoundTrip(f *testing.F) {
 				}
 			},
 			func(d *decoder) {
-				// A Get: each settle names a lease and each store is one
-				// row, or nothing decodes.
+				// A Get: each settle names a lease, is of a known kind,
+				// carries a one-row store only when done, and hands an
+				// item back only when the Get departs, which wants no
+				// work; or nothing decodes.
 				var g getRequest
 				decodeGet(d, &g)
-				if len(g.settles) > len(raw)/16 || d.err != nil && len(g.settles) > 0 {
+				if len(g.settles) > len(raw)/settleBytes || d.err != nil && len(g.settles) > 0 {
 					t.Fatalf("%d settles out of %d bytes (err %v)", len(g.settles), len(raw), d.err)
 				}
-				for _, st := range g.settles {
-					if st.lease == 0 || st.out != 0 && st.row.Len() != 1 {
-						t.Fatalf("settle decoded with lease %d and %d rows", st.lease, st.row.Len())
-					}
+				depart := g.flags&getFlagDepart != 0
+				if d.err == nil && depart && g.want != 0 {
+					t.Fatalf("a departing Get decoded wanting %d items", g.want)
 				}
-			},
-			func(d *decoder) {
-				// A Leave: two lease lists, or neither.
-				settled, unstarted := decodeLeave(d)
-				if len(settled)+len(unstarted) > len(raw)/8 || d.err != nil && settled != nil {
-					t.Fatalf("leave decoded %d and %d leases out of %d bytes", len(settled), len(unstarted), len(raw))
+				for _, st := range g.settles {
+					if st.lease == 0 || st.kind > settleHandedBack || st.out != 0 && (st.kind != settleDone || st.row.Len() != 1) ||
+						st.kind == settleHandedBack && !depart {
+						t.Fatalf("settle decoded with lease %d, kind %d, output %d and %d rows (flags %#x)",
+							st.lease, st.kind, st.out, st.row.Len(), g.flags)
+					}
 				}
 			},
 			func(d *decoder) { d.u8(); d.str(); d.i64(); d.boolean() },
@@ -197,21 +207,33 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatal("trailing garbage accepted")
 		}
 
-		// A Get carrying settles built from the input — tag%4 of them,
-		// each other one with a result — round-trips, and rejects a
+		// A Get carrying settles built from the input — tag%4 of them, of
+		// each kind in turn, a done one with a result every other time, a
+		// failed one with the input as its reason, and an item handed
+		// back only when the Get departs — round-trips, and rejects a
 		// trailing byte.
 		res, err := row(Value{Type: TypeBlob, Bytes: raw, Dims: []int{len(raw)}, Elem: tag})
 		if err != nil {
 			t.Fatalf("row: %v", err)
 		}
-		g := getRequest{typ: int(int32(n)), flags: tag & getFlagLeased, want: tag % (maxDelivery + 1)}
+		g := getRequest{typ: int(int32(n)), flags: tag & (getFlagLeased | getFlagDepart), want: tag % (maxDelivery + 1)}
+		depart := g.flags&getFlagDepart != 0
+		if depart {
+			g.want = 0
+		}
 		for i := range int(tag % 4) {
-			st := settle{lease: n | 1 + int64(i)}
+			st := settle{lease: n | 1 + int64(i), kind: uint8((uint64(n) + uint64(i)) % 3)}
 			if st.lease == 0 {
 				st.lease = 1
 			}
-			if i%2 == 0 {
+			if st.kind == settleHandedBack && !depart {
+				st.kind = settleDone
+			}
+			switch {
+			case st.kind == settleDone && i%2 == 0:
 				st.out, st.row = -n|1, res
+			case st.kind == settleFailed:
+				st.reason, st.retriable = string(raw), tag&4 != 0
 			}
 			g.settles = append(g.settles, st)
 		}
@@ -227,7 +249,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("Get round trip: got %+v want %+v", gotG, g)
 		}
 		for i, st := range gotG.settles {
-			if want := g.settles[i]; st.lease != want.lease || st.out != want.out ||
+			if want := g.settles[i]; st.lease != want.lease || st.kind != want.kind || st.out != want.out ||
+				st.reason != want.reason || st.retriable != want.retriable ||
 				st.out != 0 && (!bytes.Equal(st.row.Raw, raw) || st.row.Meta[0].Elem != tag) {
 				t.Fatalf("settle %d round trip: got %+v want %+v", i, st, want)
 			}

@@ -1,6 +1,7 @@
 package adlb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"slices"
 	"strings"
@@ -134,11 +135,60 @@ func storeGet(c chunk.Chunk) *getRequest {
 	return &getRequest{typ: 1, flags: getFlagLeased, want: maxDelivery, settles: []settle{{lease: 9, out: 5, row: c}, {lease: 10}}}
 }
 
-// A Get carrying settles decodes to its parts; one cut short, one whose
-// store has no row or two, one whose settle names no lease, one wanting
-// more than maxDelivery items, one claiming more settles than it holds
-// and one with an unknown flag are decode errors, never a panic or a
-// store.
+// departGet is a Leave: a Get that departs, settling lease 9 done with
+// its result, id 5 and c, and handing back lease 11, never started.
+func departGet(c chunk.Chunk) *getRequest {
+	return &getRequest{flags: getFlagDepart, settles: []settle{{lease: 9, out: 5, row: c}, {lease: 11, kind: settleHandedBack}}}
+}
+
+// failGet is a Fail: a Get that only settles lease 10 done, with no
+// result, and then lease 12 failed, retriably.
+func failGet() *getRequest {
+	return &getRequest{settles: []settle{{lease: 10}, {lease: 12, kind: settleFailed, reason: "task exploded", retriable: true}}}
+}
+
+// malformedGets are Gets no client builds, each a decode error: a settle
+// of an unknown kind, a failed or handed-back settle that carries a
+// result, an item handed back by a Get that does not depart, and a
+// departing Get that wants work.
+func malformedGets(c chunk.Chunk) []struct {
+	name  string
+	frame []byte
+} {
+	frame := func(g *getRequest) []byte {
+		e := &encoder{}
+		encodeGet(e, g)
+		return e.buf
+	}
+	unknownKind := failGet()
+	unknownKind.settles[1].kind = settleHandedBack + 1
+	failedResult := failGet()
+	failedResult.settles[1].out, failedResult.settles[1].row = 5, c
+	handedResult := departGet(c)
+	handedResult.settles[1].out, handedResult.settles[1].row = 5, c
+	handedStaying := departGet(c)
+	handedStaying.flags = getFlagLeased
+	departWanting := departGet(c)
+	departWanting.want = 1
+	return []struct {
+		name  string
+		frame []byte
+	}{
+		{"unknown kind", frame(unknownKind)},
+		{"failed with a result", frame(failedResult)},
+		{"handed back with a result", frame(handedResult)},
+		{"handed back staying", frame(handedStaying)},
+		{"departing wanting work", frame(departWanting)},
+	}
+}
+
+// A Get carrying settles decodes to its parts, each settle's kind with
+// what it carries: a done task's result, a failed task's reason, an
+// item handed back by a Get that departs. One cut short, one whose store
+// has no row or two, one whose settle names no lease, one wanting more
+// than maxDelivery items, one claiming more settles than it holds, one
+// with an unknown flag and the malformedGets are decode errors, never a
+// panic or a store.
 func TestGetStoreDecode(t *testing.T) {
 	frame := func(g *getRequest) []byte {
 		e := &encoder{}
@@ -186,6 +236,9 @@ func TestGetStoreDecode(t *testing.T) {
 		"overclaim":     overclaim,
 		"trailing":      append(append([]byte(nil), clean...), 0),
 	}
+	for _, m := range malformedGets(one) {
+		bad[m.name] = m.frame
+	}
 	for name, f := range bad {
 		d := &decoder{buf: f}
 		decodeGet(d, &g)
@@ -202,11 +255,27 @@ func TestGetStoreDecode(t *testing.T) {
 			t.Fatalf("plain Get %+v: %+v, %v", plain, g, d.err)
 		}
 	}
+	// A Fail and a Leave round-trip exactly, settle by settle.
+	for _, want := range []*getRequest{failGet(), departGet(one)} {
+		d = &decoder{buf: frame(want)}
+		if decodeGet(d, &g); d.finish("get request") != nil || g.flags != want.flags || g.want != 0 || len(g.settles) != len(want.settles) {
+			t.Fatalf("Get %+v decoded as %+v, %v", want, g, d.err)
+		}
+		for i, st := range g.settles {
+			w := want.settles[i]
+			if st.lease != w.lease || st.kind != w.kind || st.out != w.out || st.reason != w.reason ||
+				st.retriable != w.retriable || st.row.Len() != w.row.Len() || !bytes.Equal(st.row.Raw, w.row.Raw) {
+				t.Fatalf("settle %d decoded as %+v, want %+v", i, st, w)
+			}
+		}
+	}
 }
 
 // A Get reply's item count is checked against the Get: more items than
 // it wanted, none for a Get that wanted work, any for one that only
-// settled, and a leased item with no lease are decode errors.
+// settled or departed, and a leased item with no lease are decode
+// errors. A failed settle the server refuses comes back as the Fail's
+// error, its text unchanged.
 func TestGetReplyDecode(t *testing.T) {
 	reply := func(leased bool, items ...delivered) []byte {
 		e := &encoder{}
@@ -240,6 +309,7 @@ func TestGetReplyDecode(t *testing.T) {
 		{"more than wanted", three, true, 2},
 		{"none for a Get wanting work", reply(true), true, maxDelivery},
 		{"some for a Get that settles", reply(true, item(1)), true, 0},
+		{"some for a Get that departs", reply(false, item(0)), false, 0},
 		{"a leased item with lease 0", reply(true, item(1), item(0)), true, maxDelivery},
 		{"two for a Get not leased", reply(false, item(0), item(0)), false, 1},
 	} {
@@ -251,6 +321,13 @@ func TestGetReplyDecode(t *testing.T) {
 	d = &decoder{buf: reply(true)}
 	if got := decodeDelivery(d, true, 0, nil); d.finish("settle reply") != nil || len(got) != 0 {
 		t.Fatalf("a settle-only reply: %d items, %v", len(got), d.err)
+	}
+	refusal := &encoder{}
+	refusal.u8(stError)
+	refusal.str("fail: unknown lease 12")
+	d = &decoder{buf: refusal.buf}
+	if _, err := checkStatus(d, "fail"); err == nil || err.Error() != "adlb: fail: fail: unknown lease 12" || d.finish("fail refusal") != nil {
+		t.Fatalf("a refused Fail reads %v", err)
 	}
 }
 
@@ -269,7 +346,8 @@ type countedFrame struct {
 // enumerate response (subscript/member pairs), a blob value (its row's
 // dims table, the last field of its chunk frame), a Put's work item (its
 // wait ids, the last field), a delivered item's rows (their ids, then
-// one chunk), a Get's settles, a Get reply's items and a Leave's lists.
+// one chunk), a Get's settles, a Get reply's items and a Leave's settles:
+// the ended tasks' and the items it hands back.
 func countedFrames() []countedFrame {
 	gather := &encoder{}
 	encodeIDs(gather, []int64{7, -9, 1 << 40, 0})
@@ -306,7 +384,8 @@ func countedFrames() []countedFrame {
 		encodeDelivered(reply, true, &delivered{lease: lease, payload: []byte("job"), ids: []int64{11, 12}, rows: rowChunk})
 	}
 	leave := &encoder{}
-	encodeLeave(leave, []int64{1, 2}, []int64{3, 4, 5})
+	encodeGet(leave, &getRequest{flags: getFlagDepart, settles: []settle{{lease: 1, out: 7, row: res}, {lease: 2},
+		{lease: 3, kind: settleHandedBack}, {lease: 4, kind: settleHandedBack}, {lease: 5, kind: settleHandedBack}}})
 	return []countedFrame{
 		{"get-settles", get.buf, 2, getHeadBytes - 5, func(d *decoder) int {
 			var g getRequest
@@ -314,7 +393,11 @@ func countedFrames() []countedFrame {
 			return len(g.settles)
 		}},
 		{"get-reply-items", reply.buf, 2, 0, func(d *decoder) int { return len(decodeDelivery(d, true, maxDelivery, nil)) }},
-		{"leave-unstarted", leave.buf, 3, 4 + 2*8, func(d *decoder) int { _, unstarted := decodeLeave(d); return len(unstarted) }},
+		{"leave-unstarted", leave.buf, 5, getHeadBytes - 5, func(d *decoder) int {
+			var g getRequest
+			decodeGet(d, &g)
+			return len(g.settles)
+		}},
 		{"put-wait-ids", put.buf, 3, 4*4 + 4 + 3, func(d *decoder) int { return len(decodeWorkItem(d).Inputs) }},
 		{"item-rows", rows.buf, 2, 0, func(d *decoder) int { ids, _ := decodeRows(d, nil); return len(ids) }},
 		{"retrieve-chunk-request", gather.buf, 4, 0, func(d *decoder) int { return len(decodeIDs(d, "retrieve_chunk ids")) }},
