@@ -102,15 +102,15 @@
 // response, which Retrieve and RetrieveChunk serve with no RPC. So a
 // leaf costs its worker no chunk load, and a control rule's reads of its
 // inputs cost its engine none; an engine holds no wait state of its own.
-// A leaf's result rides the other way: stored by
+// A leaf's result rides the other way: its Store joins
 // the worker's next Get when the worker's home server owns the output
-// (see the failure model), so the worker makes one request per leaf.
-// The engine's writes — the leaf Puts, the literal stores, the inserts
-// and refcount changes — are one-way within a control action: they ride
-// one frame per server (adlb.Client batches them, up to maxBatch
-// writes or maxBatchBytes, a larger write going alone), the action
-// ends with Client.Flush, and a refused write fails the action that
-// made it. So the ensemble's engine sends under a tenth of a
+// (see the failure model), so the worker makes a fraction of a request
+// per leaf. The engine's writes — the leaf Puts, the literal stores, the
+// inserts and refcount changes — are one-way within a control action:
+// they ride one frame per server, a Get's entries (adlb.Client batches
+// them, up to maxBatch writes or maxBatchBytes, a larger write going
+// alone), the action ends with Client.Flush, and a refused write fails
+// the action that made it. So the ensemble's engine sends under a tenth of a
 // request frame a leaf (core.TestEngineFramesPerLeaf) where it once made
 // two round trips. Actions are
 // built with Tcl's list command, never by interpolation, so an immediate
@@ -350,14 +350,12 @@
 // data-plane calls — while bulk paths that finish inside the window
 // (vpack, vunpack, the gather/scatter benchmark) stay zero-copy. Rows a
 // work item carried alias its Get response frame, which lives longer:
-// until the client's next Get, Fail or Leave is on the wire (a result
-// riding that Get may be an input passed straight through). On the
+// until the client's next Get, Fail or Leave is on the wire. On the
 // server side the mirror rule: request frames are released after
-// handling except for those that carry a store — a batch of writes with
-// a Store or a StoreChunk among them, and
-// a Get whose flags say it carries a result — whose decoded rows alias
-// the frame for the datum's lifetime (zero-copy store), and mutating a
-// stale client view never corrupts a datum
+// handling except for those that carry a store — a Get with a Store or
+// a StoreChunk among its entries — whose decoded rows alias the frame
+// for the datum's lifetime (zero-copy store), and mutating a stale
+// client view never corrupts a datum
 // (adlb.TestZeroCopyAliasingContract, TestResultFrameSurvivesPoolReuse).
 //
 // # Transport
@@ -400,26 +398,28 @@
 // to its server (success) or explicitly by Client.Fail (failure, with a
 // retriable flag). One Get brings back the worker's share of the queue,
 // up to 8 items, which the worker runs one by one with no round trip
-// between them; a leaf record's result rides the next Get with its
-// settle when the worker's home server owns the output
-// (adlb.Client.StoreResult): the server stores it, with Store's checks,
-// then settles the lease and announces the close, so a leaf costs the
-// worker a fraction of a round trip and its store and settle are one
-// message. A task that fails or whose worker departs before that Get
-// leaves its output open, so the re-run's store lands once; a riding
-// store the server refuses fails the lease retriably with the refusal,
-// as a Fail after a refused Store would. An output another server owns
-// is a separate Store first, and the task's settle then reaches its
-// server before the worker starts another task, which keeps to one task
-// the window in which a worker lost after that Store has a re-run
-// refused as already set. A lease ends one way, by a settle riding a Get
-// — the task done (with its result), failed, or handed back never
-// started — so a Fail is a Get that only settles, carrying the settles
-// of the tasks that ended before it, and a lease settles at most once: a
-// Fail of a lease already ended is refused. A worker that departs
-// mid-task (Client.Leave, a Get that departs, or a crash that
-// adlb.NotifyCrashed turns into the same Get) has its finished tasks'
-// settles and results applied and its outstanding leases reclaimed by
+// between them; a task's writes for the worker's home server — a leaf
+// record's result, a Store like any other — ride the next Get there
+// with its settle, as entries of one ordered list: the server applies
+// them, then settles the lease and announces the closes, so a leaf
+// costs the worker a fraction of a round trip and its store and settle
+// are one message. A task that fails or whose worker departs before
+// that Get leaves its home outputs open, its pending writes dropped, so
+// the re-run's store lands once; a write the server refuses fails the
+// lease retriably with the refusal, at the server, as a Fail after a
+// refused Store would. A write for another server goes to it first, and
+// the task's settle then reaches its server before the worker starts
+// another task, which keeps to one task the window in which a worker
+// lost after that Store has a re-run refused as already set; so does a
+// Put, so that the item it made is not held behind the next task. A
+// lease ends one way, by a settle riding a Get — the task done, failed,
+// or handed back never started — so a Fail is a Get that wants
+// nothing, carrying the entries of the tasks that ended before it, and
+// a lease settles at most once: a Fail of a lease already ended is
+// refused. A worker that departs mid-task (Client.Leave, a Get that
+// departs, or a crash that adlb.NotifyCrashed turns into the same Get)
+// has its finished tasks' writes and settles applied and its
+// outstanding leases reclaimed by
 // the server, the items requeued at their original priority — items the
 // victim had targeted at itself retarget to AnyRank so a survivor can
 // take them; the items a Leave hands back unstarted are requeued with no
@@ -554,8 +554,8 @@
 //     the transport's framePool directly: a buffer from framePool.get is
 //     put back exactly once unless ownership transfers. A function that
 //     consults a retention predicate (a bool retains* function: adlb's
-//     retainsRequestFrame keeps a batch frame iff it carries a Store or
-//     a StoreChunk) releases only under `if !retains...(...)`.
+//     retainsRequestFrame keeps a Get frame iff one of its entries is a
+//     Store or a StoreChunk) releases only under `if !retains...(...)`.
 //   - statsmirror: every exported atomic.Int64 counter in a Stats struct
 //     has a same-named int64 mirror in its StatsSnapshot sibling, no
 //     stale mirrors survive counter removal, and Snapshot() loads and

@@ -2,6 +2,7 @@ package adlb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -15,18 +16,21 @@ import (
 // bound to its home server for work operations; data operations are routed
 // to the owning server of each id. A write — Put, Create, Store, Insert,
 // WriteRefcount, StoreChunk: a request whose reply is only a status — is
-// one-way: it joins the pending frame of writes to its server, which
-// goes out, and its one reply is awaited, when it holds maxBatch writes
-// or maxBatchBytes, before a write that would take it past
-// maxBatchBytes, when a write for another server is queued (so writes
-// keep program order across servers), before any request that waits
-// for an answer, and at Flush. Every other call is a synchronous RPC,
-// except a GetLeased that the items of an earlier reply answer. So a
-// client never blocks with a write unsent or unanswered, which is
-// essential to the termination-detection protocol: a client that is
-// parked in Get has no in-flight requests, and a client holding items
-// is not parked. A lease ends one way, by a settle a Get carries, so
-// Fail is a Get that only settles and Leave a Get that departs.
+// one-way: one for the home server joins the entries of the next Get
+// there, beside the settles of the leased tasks that ended, and one for
+// another server joins the writes pending for it, which go out as a Get
+// that wants nothing. Pending writes go out, and the reply is awaited,
+// at maxBatch writes or maxBatchBytes, before a write that would take
+// them past maxBatchBytes, before a write for another server (so writes
+// keep program order across servers), before any request that waits for
+// an answer, and at Flush; the home entries also go with every Get that
+// asks for work. Every other call is a synchronous RPC, except a
+// GetLeased that the items of an earlier reply answer. So a client never
+// blocks with a write unsent or unanswered, which is essential to the
+// termination-detection protocol: a client that is parked in Get has no
+// in-flight requests, and a client holding items is not parked. A lease
+// ends one way, by a settle a Get carries, so Fail is a Get that only
+// carries entries and Leave a Get that departs.
 type Client struct {
 	c        *mpi.Comm
 	cfg      Config
@@ -38,26 +42,20 @@ type Client struct {
 	idRemain int64
 
 	// lease is the lease id of the task currently being executed (0 when
-	// none). Its settle joins the next Get's request as the task ends —
+	// none). Its settle joins the next Get's entries as the task ends —
 	// completion piggybacks on a request the client sends anyway — unless
 	// Fail or Leave ends it otherwise.
 	lease int64
-	// result is the running task's result store (see StoreResult), which
-	// joins its settle; result.row is empty when none is pending.
-	result struct {
-		id  int64
-		row chunk.Chunk
-	}
-	// settles is the next Get's request, built as leased tasks end: room
-	// for the opcode and head, which the send fills in, then nSettles
-	// settles, each copying its result's bytes, so nothing a result
-	// aliased need outlive its task. wrote is set when a task whose
-	// settle is in settles sent writes: its settle reaches the server
-	// before another held item starts, so a client lost after that leaves
-	// no finished task's writes to collide with a re-run.
-	settles  encoder
-	nSettles int
-	wrote    bool
+	// home is the next Get to the home server and away the writes for one
+	// other server. mark is where the running task's entries begin in
+	// home: Fail and Leave drop what follows, so a task that did not
+	// finish leaves its outputs open for its re-run. wrote is set when
+	// the running task sent writes: its settle reaches the server before
+	// another held item starts, so a client lost after that leaves no
+	// finished task's writes to collide with a re-run.
+	home, away pending
+	mark       struct{ size, n, writes int }
+	wrote      bool
 
 	// items are the work items of the last Get reply that brought work,
 	// of type itemType; those from next on are held, handed out one per
@@ -82,14 +80,38 @@ type Client struct {
 	// item holds the input rows that came with the running task's work
 	// item, which Retrieve and RetrieveChunk serve with no RPC.
 	item item
+}
 
-	// batch is the pending write frame: opBatch, then n length-prefixed
-	// writes to server. e is nil when no write is pending.
-	batch struct {
-		e      *encoder
-		server int
-		n      int
+// pending is a Get being built for server: room for the opcode and
+// head, which the send fills in, then n entries, each copying its
+// bytes, so nothing an entry aliased need outlive the call that made
+// it. writes counts the writes among them, and put is set when one is a
+// Put. e, from the encoder pool, is nil when nothing is pending.
+type pending struct {
+	e      *encoder
+	server int
+	n      int
+	writes int
+	put    bool
+}
+
+// open returns p's encoder, with room for the head.
+func (p *pending) open() *encoder {
+	if p.e == nil {
+		p.e = getEncoder()
 	}
+	if p.e.size() == 0 {
+		p.e.reserve(getHeadBytes)
+	}
+	return p.e
+}
+
+// size is the bytes p holds.
+func (p *pending) size() int {
+	if p.e == nil {
+		return 0
+	}
+	return p.e.size()
 }
 
 // maxBatch is the most writes one frame carries. On swiftbench's
@@ -100,10 +122,11 @@ type Client struct {
 const maxBatch = 64
 
 // maxBatchBytes bounds a frame of several writes: a write whose value
-// bytes would take the pending frame past it goes in a frame of its
-// own, and a frame past it goes out at once. Batching saves round
-// trips, which only small writes notice, and the bound keeps a batch far
-// under mpi.MaxFrameBody, so a write that fits a frame alone still does.
+// bytes would take the pending writes past it goes in a frame of its
+// own, and writes past it go out at once, or, for a running task's home
+// writes, as the task ends. Batching saves round trips, which only small
+// writes notice, and the bound keeps a frame far under
+// mpi.MaxFrameBody, so a write that fits a frame alone still does.
 const maxBatchBytes = 1 << 20
 
 // item is the rows a delivered work item carried: the values of the
@@ -115,39 +138,37 @@ type item struct {
 	index map[int64]int // id -> row, made at first lookup in a long list
 }
 
-// dropTask forgets the running task's rows and its pending result, as
-// the Get, Fail or Leave that ends the task begins. The rows' frame
-// stays: the held items alias it too.
-func (cl *Client) dropTask() {
-	cl.item = item{vals: cl.item.vals[:0]}
-	cl.result.id, cl.result.row = 0, chunk.Chunk{}
-}
-
-// endTask ends the running task as a Get begins: a leased task's done
-// settle, with its pending result, joins the next Get's request, and the
-// task's rows go.
-func (cl *Client) endTask() {
+// endTask ends the running task as a Get begins: a leased task's settle
+// joins the next Get's entries — done, or failed retriably with err, the
+// refusal of the task's writes to another server — and the task's rows
+// go. The rows' frame stays: the held items alias it too.
+func (cl *Client) endTask(err error) {
 	if cl.lease != 0 {
-		cl.addSettle(&settle{lease: cl.lease, out: cl.result.id, row: cl.result.row})
-		cl.lease = 0
+		st := settle{lease: cl.lease}
+		if err != nil {
+			st.kind, st.reason, st.retriable = settleFailed, err.Error(), true
+		}
+		cl.addSettle(&st)
 	}
-	cl.dropTask()
+	cl.lease = 0
+	cl.item = item{vals: cl.item.vals[:0]}
 }
 
-// addSettle appends st to the next Get's settles.
+// abandon ends the running task as Fail or Leave does, with no settle:
+// its writes still pending in home are dropped, and its rows go.
+func (cl *Client) abandon() {
+	h := &cl.home
+	if h.e != nil {
+		h.e.truncate(cl.mark.size)
+	}
+	h.n, h.writes, h.put = cl.mark.n, cl.mark.writes, false
+	cl.lease, cl.item = 0, item{vals: cl.item.vals[:0]}
+}
+
+// addSettle appends st to the next Get's entries.
 func (cl *Client) addSettle(st *settle) {
-	e := &cl.settles
-	if e.size() == 0 {
-		e.reserve(getHeadBytes)
-	}
-	encodeSettle(e, st)
-	cl.nSettles++
-}
-
-// clearSettles empties the settle list once a Get carrying it is sent.
-func (cl *Client) clearSettles() {
-	cl.settles.reset()
-	cl.nSettles, cl.wrote = 0, false
+	encodeSettle(cl.home.open(), st)
+	cl.home.n++
 }
 
 // at returns the row holding id: a leaf's few inputs are scanned, a
@@ -191,7 +212,9 @@ func NewClient(c *mpi.Comm, cfg Config) (*Client, error) {
 	if l.IsServer(c.Rank()) {
 		return nil, fmt.Errorf("adlb: NewClient called on server rank %d", c.Rank())
 	}
-	return &Client{c: c, cfg: cfg, l: l, myServer: l.ServerOf(c.Rank())}, nil
+	cl := &Client{c: c, cfg: cfg, l: l, myServer: l.ServerOf(c.Rank())}
+	cl.home.server = cl.myServer
+	return cl, nil
 }
 
 // Rank returns the client's world rank.
@@ -216,11 +239,13 @@ func (cl *Client) rpc(server int, build func(*encoder)) (*decoder, error) {
 // rpcKeep issues a request without retiring the frames pinned by earlier
 // calls in the same batched operation: RetrieveChunk fans out one RPC
 // per owning server, and every per-server response must stay alive until
-// the whole batch is assembled. The pending writes go first (Flush), so
-// the request sees them applied.
+// the whole batch is assembled. The pending writes go first, so the
+// request sees them applied.
 func (cl *Client) rpcKeep(server int, build func(*encoder)) (*decoder, error) {
-	if err := cl.Flush(); err != nil {
-		return nil, err
+	for _, p := range []*pending{&cl.away, &cl.home} {
+		if err := cl.sendWrites(p); err != nil {
+			return nil, err
+		}
 	}
 	e := getEncoder()
 	build(e)
@@ -262,33 +287,41 @@ func (cl *Client) releaseRetired() {
 	cl.retired = cl.retired[:0]
 }
 
-// write queues one write for server, built by build, on the pending
-// frame. size is about the write's value bytes. The frame goes out first
-// when it holds writes for another server or size would take it past
-// maxBatchBytes, and after this write when it is full. Its error is an
-// encoding error, or a refusal the sending of a frame brought back. The
-// write's value bytes are copied into the frame here, so they may change
-// as soon as write returns.
-func (cl *Client) write(server, size int, build func(*encoder)) error {
-	b := &cl.batch
-	if b.n > 0 && (b.server != server || b.e.size()+size > maxBatchBytes) {
-		if err := cl.Flush(); err != nil {
+// write queues one write for server: op and the body body builds, whose
+// value bytes are about size. The writes pending for another server go
+// out first, and the pending writes for server too when size would take
+// them past maxBatchBytes; after this write they go out when they are
+// maxBatch writes or past maxBatchBytes — but a running task's home
+// writes past it wait for the task's end (see get), where its result
+// rides. Its error is an encoding error, or a refusal the sending of
+// writes brought back. The write's value bytes are copied here, so they
+// may change as soon as write returns.
+func (cl *Client) write(server int, op uint8, size int, body func(*encoder)) error {
+	p, other := &cl.home, &cl.away
+	if server != cl.myServer {
+		p, other = other, p
+	}
+	if err := cl.sendWrites(other); err != nil {
+		return err
+	}
+	if p.writes > 0 && (p.server != server || p.size()+size > maxBatchBytes) {
+		if err := cl.send(p, 0, "get"); err != nil {
 			return err
 		}
 	}
-	if b.e == nil {
-		b.e = getEncoder()
-		b.e.u8(opBatch)
+	p.server = server
+	e := p.open()
+	at := e.begin()
+	e.u8(op)
+	body(e)
+	if err := e.end(at); err != nil {
+		return err // p keeps the entries before this one
 	}
-	at := b.e.begin()
-	build(b.e)
-	if err := b.e.end(at); err != nil {
-		return err // the frame keeps the writes before this one
-	}
-	b.server = server
-	b.n++
-	if b.n == maxBatch || b.e.size() > maxBatchBytes {
-		return cl.Flush()
+	p.n++
+	p.writes++
+	p.put = p.put || op == opPut
+	if p.writes == maxBatch || p.size() > maxBatchBytes && (p == &cl.away || cl.lease == 0) {
+		return cl.send(p, 0, "get")
 	}
 	return nil
 }
@@ -298,61 +331,85 @@ func chunkBytes(c chunk.Chunk) int {
 	return len(c.Kinds) + len(c.Num) + len(c.Raw) + 4*len(c.Off)
 }
 
-// Flush sends the pending write frame, if any, and waits for its one
-// reply: nil when every write applied, or the first refused write's
-// error, with the text a lone write's refusal has always had. The
-// server applies the writes in order and stops at a refusal, so those
-// before it are applied and those after it are not. A caller whose next
-// move is to wait on something other than this client — an engine
-// ending a control action, a worker ending a task, a gateway waiting on
-// a channel — calls Flush, which is also where its writes' refusals
-// surface.
+// Flush sends the pending entries, if any, as Gets that want nothing —
+// the writes for another server, then the home server's writes and
+// settles — and waits for their replies: nil when every write applied,
+// or a refused write's error, with the text a lone write's refusal has
+// always had. The server applies the entries in order and stops at a
+// refusal with no settle after it, so the writes before it are applied
+// and those after it are not. A caller whose next move is to wait on
+// something other than this client — an engine ending a control action,
+// a gateway waiting on a channel — calls Flush, which is also where its
+// writes' refusals surface.
 func (cl *Client) Flush() error {
-	b := &cl.batch
-	if b.n == 0 {
+	if err := cl.sendWrites(&cl.away); err != nil {
+		return err
+	}
+	if cl.home.n == 0 {
 		return nil
 	}
-	e, server := b.e, b.server
-	b.e, b.n = nil, 0
-	if cl.lease != 0 {
-		cl.wrote = true
+	return cl.send(&cl.home, 0, "get")
+}
+
+// sendWrites sends p if it holds writes.
+func (cl *Client) sendWrites(p *pending) error {
+	if p.writes == 0 {
+		return nil
 	}
-	frame, err := e.frame()
+	return cl.send(p, 0, "get")
+}
+
+// send sends p to its server as a Get that wants nothing, with flags,
+// and reads the reply, which brings none: OK, or a refusal, what naming
+// the request in one that is not a write's. It neither retires nor
+// releases the frames earlier calls pinned: the write it goes out for
+// may alias one.
+func (cl *Client) send(p *pending, flags uint8, what string) error {
+	frame, err := p.seal(0, flags, 0).frame()
 	if err == nil {
-		err = cl.c.Send(server, tagRequest, frame)
+		err = cl.c.Send(p.server, tagRequest, frame)
 	}
-	putEncoder(e)
+	cl.sent(p)
 	if err != nil {
 		return err
 	}
-	data, _, err := cl.c.Recv(server, tagResponse)
+	data, _, err := cl.c.Recv(p.server, tagResponse)
 	if err != nil {
 		return err
 	}
-	err = batchStatus(&decoder{buf: data})
+	d := &decoder{buf: data}
+	if _, err = checkStatus(d, what); err == nil {
+		decodeDelivery(d, false, 0, nil)
+		err = d.finish("get response")
+	}
 	cl.c.Release(data)
 	return err
 }
 
-// batchStatus reads a batch reply: OK, or the refused write's opcode
-// and the server's message.
-func batchStatus(d *decoder) error {
-	switch st := d.u8(); st {
-	case stOK:
-		return d.finish("batch response")
-	case stError:
-		op := d.u8()
-		msg := d.str()
-		if err := d.finish("batch response"); err != nil {
-			return err
-		}
-		return fmt.Errorf("adlb: %s: %s", writeName(op), msg)
-	default:
-		if d.err != nil {
-			return d.err
-		}
-		return fmt.Errorf("adlb: batch response: status %d", st)
+// seal fills in p's opcode and head, a Get of type typ, with flags,
+// wanting want items, and returns its encoder.
+func (p *pending) seal(typ int, flags uint8, want int) *encoder {
+	e := p.open()
+	e.patch(0, getHeadBytes, func(h *encoder) {
+		h.u8(opGet)
+		encodeGetHead(h, typ, flags, uint8(want), p.n)
+	})
+	return e
+}
+
+// sent empties p once it is on the wire, noting that the running task
+// sent writes if p held any of its own: in home, those after the mark.
+func (cl *Client) sent(p *pending) {
+	own := p.writes
+	if p == &cl.home {
+		own -= cl.mark.writes
+		cl.mark.size, cl.mark.n, cl.mark.writes = 0, 0, 0
 	}
+	if cl.lease != 0 && own > 0 {
+		cl.wrote = true
+	}
+	putEncoder(p.e)
+	p.e, p.n, p.writes, p.put = nil, 0, 0, false
 }
 
 // checkStatus consumes the status byte and translates errors.
@@ -361,10 +418,13 @@ func checkStatus(d *decoder, what string) (uint8, error) {
 	if d.err != nil {
 		return st, d.err
 	}
-	if st == stError {
+	if st == stError || st == stRefused {
 		msg := d.str()
 		if d.err != nil {
 			return st, d.err
+		}
+		if st == stRefused {
+			return st, errors.New(msg)
 		}
 		return st, fmt.Errorf("adlb: %s: %s", what, msg)
 	}
@@ -381,15 +441,14 @@ func checkStatus(d *decoder, what string) (uint8, error) {
 // delivers it sends the values of the ids it owns along with it, for
 // Retrieve and RetrieveChunk to serve. An id its owner neither holds nor
 // issued fails the Put if that owner is wait[0]'s, and the run if not.
-// A Put is a write: it goes out with its frame (see Client), and its
-// refusal comes back from the call that sends the frame.
+// A Put is a write: it goes out with the entries it joins (see Client),
+// and its refusal comes back from the call that sends them.
 func (cl *Client) Put(workType, priority, target int, payload []byte, wait ...int64) error {
 	server := cl.myServer
 	if len(wait) > 0 {
 		server = cl.l.OwnerOf(wait[0])
 	}
-	return cl.write(server, len(payload)+8*len(wait), func(e *encoder) {
-		e.u8(opPut)
+	return cl.write(server, opPut, len(payload)+8*len(wait), func(e *encoder) {
 		encodeWorkItem(e, workItem{Type: workType, Priority: priority, Target: target, Payload: payload, Inputs: wait})
 	})
 }
@@ -410,35 +469,36 @@ func (cl *Client) Get(workType int) (payload []byte, ok bool, err error) {
 //
 // One reply may bring up to maxDelivery items, the client's share of
 // the queue (see the package doc). The client holds the rest and hands
-// them out one per call, with no RPC, after its pending writes are on
-// the wire; the settles of the tasks they run ride the next Get that
-// goes to the server, or a Get that only settles when a task sent
-// writes or the results waiting pass maxBatchBytes. Until every held
-// item is handed out, a GetLeased must ask for their type and a Get is
-// refused.
+// them out one per call, with no RPC; the settles of the tasks they run,
+// and the writes they made for the home server, ride the next Get that
+// goes to the server. The home entries go first, in a Get that wants
+// nothing, when the task that ended queued a Put (its waiters should
+// not wait on the next task), sent writes, or left the entries past
+// maxBatchBytes. Until every held item is handed out, a GetLeased must
+// ask for their type and a Get is refused.
 func (cl *Client) GetLeased(workType int) (payload []byte, leaseID int64, ok bool, err error) {
 	return cl.get(workType, true)
 }
 
-// get is Get and GetLeased. The ended task's writes go out first, and
-// its settle joins the next Get's request (endTask). A held item is
-// handed out then, after a Get that only settles if a task whose settle
-// is pending sent writes, or the pending results pass maxBatchBytes (a
-// large result's waiters should not wait on the next task); with none
-// held the Get goes to the server, wanting up to maxDelivery items when
-// leased and one otherwise.
+// get is Get and GetLeased. The ended task's writes for another server
+// go out first — a refusal there fails the task, retriably — and its
+// settle joins the home entries (endTask). A held item is handed out
+// then, after the entries if GetLeased says they go; with none held the
+// Get goes to the server with the entries, wanting up to maxDelivery
+// items when leased and one otherwise.
 func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64, ok bool, err error) {
-	if err := cl.Flush(); err != nil {
+	err = cl.sendWrites(&cl.away)
+	if err != nil && cl.lease == 0 {
 		return nil, 0, false, err
 	}
-	cl.endTask()
+	cl.endTask(err)
 	if cl.next < len(cl.items) {
 		if !leased || workType != cl.itemType {
 			return nil, 0, false, fmt.Errorf("adlb: get: asked for type %d while holding %d leased item(s) of type %d",
 				workType, len(cl.items)-cl.next, cl.itemType)
 		}
-		if cl.wrote || cl.settles.size() > maxBatchBytes {
-			if err := cl.sendSettles(0, "get"); err != nil {
+		if cl.wrote || cl.home.put || cl.home.size() > maxBatchBytes {
+			if err := cl.send(&cl.home, 0, "get"); err != nil {
 				return nil, 0, false, err
 			}
 		}
@@ -449,7 +509,10 @@ func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64,
 	if leased {
 		want, flags = maxDelivery, getFlagLeased
 	}
-	d, err := cl.sendGet(workType, flags, want)
+	cl.retire()
+	cl.retireItems()
+	d, err := cl.roundTrip(cl.myServer, cl.home.seal(workType, flags, want))
+	cl.sent(&cl.home)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -480,28 +543,6 @@ func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64,
 	return payload, leaseID, true, nil
 }
 
-// sendGet sends the Get the settle list has been building, with flags
-// and wanting want items, and returns its reply. A Get that asks for
-// work retires the last reply's frame, whose items are all handed out by
-// then.
-func (cl *Client) sendGet(workType int, flags uint8, want int) (*decoder, error) {
-	cl.retire()
-	if want > 0 {
-		cl.retireItems()
-	}
-	e := &cl.settles
-	if e.size() == 0 {
-		e.reserve(getHeadBytes)
-	}
-	e.patch(0, getHeadBytes, func(h *encoder) {
-		h.u8(opGet)
-		encodeGetHead(h, workType, flags, uint8(want), cl.nSettles)
-	})
-	d, err := cl.roundTrip(cl.myServer, e)
-	cl.clearSettles()
-	return d, err
-}
-
 // retireItems forgets the last reply's items and retires its frame,
 // which goes back to the pool once the next request is on the wire.
 func (cl *Client) retireItems() {
@@ -511,73 +552,68 @@ func (cl *Client) retireItems() {
 	cl.deliv, cl.items, cl.next = nil, cl.items[:0], 0
 }
 
-// handOut makes the next held item the running task and returns its
-// payload, copied, and lease.
+// handOut makes the next held item the running task, its entries
+// starting at the end of home, and returns its payload, copied, and
+// lease.
 func (cl *Client) handOut() ([]byte, int64) {
 	it := &cl.items[cl.next]
 	cl.next++
-	cl.lease = it.lease
+	cl.lease, cl.wrote = it.lease, false
+	cl.mark.size, cl.mark.n, cl.mark.writes = cl.home.size(), cl.home.n, cl.home.writes
 	cl.item.ids, cl.item.rows = it.ids, it.rows
 	return append([]byte(nil), it.payload...), it.lease
-}
-
-// sendSettles sends the settle list in a Get that wants no work — one
-// that only settles, or departs with flags getFlagDepart — and reads its
-// reply, which brings none; what names the request in a refusal.
-func (cl *Client) sendSettles(flags uint8, what string) error {
-	d, err := cl.sendGet(0, flags, 0)
-	if err != nil {
-		return err
-	}
-	if _, err := checkStatus(d, what); err != nil {
-		return err
-	}
-	decodeDelivery(d, false, 0, nil)
-	return d.finish("get response")
 }
 
 // Fail settles a lease as failed. Retriable failures are requeued by the
 // server until the task's retry budget is exhausted; non-retriable ones
 // (and budget exhaustion) poison the task, which ends the run with an
 // error naming it — the caller's own error return then typically reports
-// the aborted world. The failed settle goes at once, after the pending
-// writes, in a Get that only settles, behind the settles of the tasks
-// that ended before it: one request frame. A failed running task's
-// pending result from StoreResult is dropped, so the output stays open
-// for the re-run; held items stay held. A lease already ended is refused
-// as unknown, so a lease settles at most once.
+// the aborted world. The failed settle goes at once, after the writes
+// pending for another server, in a Get that wants nothing, behind the
+// home entries of the tasks that ended before it: one request frame. A
+// failed running task's home writes still pending are dropped, so its
+// outputs stay open for the re-run, and a refusal of its writes for
+// another server joins the reason; held items stay held. Any other
+// refusal of those writes is returned once the settle has gone. A lease
+// already ended is refused as unknown, so a lease settles at most once.
 func (cl *Client) Fail(leaseID int64, reason string, retriable bool) error {
-	if err := cl.Flush(); err != nil {
-		return err
-	}
+	refused := cl.sendWrites(&cl.away)
 	if cl.lease == leaseID {
-		cl.lease = 0
-		cl.dropTask()
+		if refused != nil {
+			reason, refused = reason+"; "+refused.Error(), nil
+		}
+		cl.abandon()
 	}
 	cl.addSettle(&settle{lease: leaseID, kind: settleFailed, reason: reason, retriable: retriable})
-	return cl.sendSettles(0, "fail")
-}
-
-// Leave departs the runtime: it sends the pending writes, then one Get
-// that departs, carrying the settle of every task that ended, with its
-// result, and handing back each held item never started, which the
-// server requeues with no attempt charged. The server reclaims the lease
-// of the task this client is running, charged one attempt, and stops
-// counting the client toward termination. It models a detected rank
-// crash — after Leave the client must not issue further calls. The
-// running task's pending result from StoreResult dies with the client:
-// the requeued task's re-run stores it.
-func (cl *Client) Leave() error {
-	if err := cl.Flush(); err != nil {
+	if err := cl.send(&cl.home, 0, "fail"); err != nil {
 		return err
 	}
-	cl.lease = 0
-	cl.dropTask()
+	return refused
+}
+
+// Leave departs the runtime: it sends the writes pending for another
+// server, then one Get that departs, carrying the home entries — every
+// ended task's writes and settle — and handing back each held item
+// never started, which the server requeues with no attempt charged. The
+// server reclaims the lease of the task this client is running, charged
+// one attempt, and stops counting the client toward termination. It
+// models a detected rank crash — after Leave the client must not issue
+// further calls. The running task's home writes still pending die with
+// the client: the requeued task's re-run makes them. A refusal of the
+// writes for another server is returned once the client has departed.
+func (cl *Client) Leave() error {
+	refused := cl.sendWrites(&cl.away)
+	if cl.lease != 0 {
+		cl.abandon()
+	}
 	for _, it := range cl.items[cl.next:] {
 		cl.addSettle(&settle{lease: it.lease, kind: settleHandedBack})
 	}
 	cl.retireItems()
-	return cl.sendSettles(getFlagDepart, "leave")
+	if err := cl.send(&cl.home, getFlagDepart, "leave"); err != nil {
+		return err
+	}
+	return refused
 }
 
 // idBlock is how many ids one Unique round trip fetches. Each such round
@@ -619,8 +655,7 @@ func (cl *Client) Unique() (int64, error) {
 // scalar does not, since its first Store or wait makes it, but a
 // created scalar's Store must match typ.
 func (cl *Client) Create(id int64, typ DataType) error {
-	return cl.write(cl.l.OwnerOf(id), 0, func(e *encoder) {
-		e.u8(opCreate)
+	return cl.write(cl.l.OwnerOf(id), opCreate, 0, func(e *encoder) {
 		e.i64(id)
 		e.u8(uint8(typ))
 	})
@@ -636,33 +671,10 @@ func (cl *Client) Store(id int64, v Value) error {
 	if err != nil {
 		return err
 	}
-	return cl.write(cl.l.OwnerOf(id), chunkBytes(c), func(e *encoder) {
-		e.u8(opStore)
+	return cl.write(cl.l.OwnerOf(id), opStore, chunkBytes(c), func(e *encoder) {
 		e.i64(id)
 		encodeChunk(e, c)
 	})
-}
-
-// StoreResult stores v into id as the result of the leased task the
-// client holds. When the home server owns id the value waits on the
-// client and rides the next Get, which the server applies with Store's
-// checks before it settles the lease: the store and the settle are one
-// message, and a task that Fail or Leave ends while it runs leaves id
-// open for its re-run. A store the server refuses there fails the lease
-// retriably, with the server's message, as a Fail after a refused Store
-// would. Otherwise — no lease held, another server owns id, or a result
-// already pending — it is Store. v's bytes must stay unchanged until the
-// next Get, Fail or Leave, which copies them into the settle.
-func (cl *Client) StoreResult(id int64, v Value) error {
-	if cl.lease == 0 || id == 0 || cl.result.row.Len() > 0 || cl.l.OwnerOf(id) != cl.myServer {
-		return cl.Store(id, v)
-	}
-	c, err := row(v)
-	if err != nil {
-		return err
-	}
-	cl.result.id, cl.result.row = id, c
-	return nil
 }
 
 // Retrieve fetches a datum's value: from the current item's rows, or a
@@ -802,8 +814,7 @@ func (cl *Client) StoreChunk(container int64, c chunk.Chunk) error {
 	if err := c.Validate(); err != nil {
 		return fmt.Errorf("adlb: store_chunk: %w", err)
 	}
-	return cl.write(cl.l.OwnerOf(container), chunkBytes(c), func(e *encoder) {
-		e.u8(opStoreChunk)
+	return cl.write(cl.l.OwnerOf(container), opStoreChunk, chunkBytes(c), func(e *encoder) {
 		e.i64(container)
 		encodeChunk(e, c)
 	})
@@ -811,8 +822,7 @@ func (cl *Client) StoreChunk(container int64, c chunk.Chunk) error {
 
 // Insert adds an existing datum as a member of a container.
 func (cl *Client) Insert(container int64, subscript string, member int64) error {
-	return cl.write(cl.l.OwnerOf(container), len(subscript), func(e *encoder) {
-		e.u8(opInsert)
+	return cl.write(cl.l.OwnerOf(container), opInsert, len(subscript), func(e *encoder) {
 		e.i64(container)
 		e.str(subscript)
 		e.i64(member)
@@ -863,8 +873,7 @@ func (cl *Client) Enumerate(container int64) ([]Pair, error) {
 // WriteRefcount adjusts a container's write refcount. The container closes
 // (and releases the rules held on it) when the count reaches zero.
 func (cl *Client) WriteRefcount(id int64, delta int) error {
-	return cl.write(cl.l.OwnerOf(id), 0, func(e *encoder) {
-		e.u8(opWriteRefcount)
+	return cl.write(cl.l.OwnerOf(id), opWriteRefcount, 0, func(e *encoder) {
 		e.i64(id)
 		e.i32(int32(delta))
 	})

@@ -150,7 +150,7 @@ type Stats struct {
 	// store for can be read off the counters rather than off the compiler:
 	// one count per request, a batched request counting once.
 	OpCreate        atomic.Int64
-	OpStore         atomic.Int64 // a result riding a Get included
+	OpStore         atomic.Int64
 	OpInsert        atomic.Int64 // container insert
 	OpLookup        atomic.Int64 // container lookup
 	OpEnumerate     atomic.Int64 // container enumerate

@@ -30,70 +30,69 @@
 // Stats.UnfilledTDs counts the entries waited on or created but never
 // closed when a server drains.
 //
-// The client protocol is twelve request opcodes, each with a caller in
-// the Turbine runtime: work (put, get), ids (unique), the
-// data store (create, store, insert, lookup, enumerate, write-refcount),
-// the columnar plane (retrieve_chunk, store_chunk) and batch. The six
-// writes — put, create, store, insert, write-refcount and store_chunk,
-// whose reply is only a status — travel only inside a batch frame: a
-// client's writes to one server, each length-prefixed, answered by one
-// reply. The other six each start a frame of their own, answered by
-// its own reply. A client's pending frame goes out, and its reply is
-// awaited, when it holds maxBatch writes or maxBatchBytes (1 MiB),
-// before a write that would take it past that bound (so a large write
-// travels alone, far under the transport's frame limit), when a write
-// for another server is queued (so writes keep program order across
-// servers), before any request that waits for an answer, and at
-// Client.Flush, which a Turbine engine calls as each control action
-// ends, a worker as each task ends, and swiftd's gateway after each Put.
-// So a client never blocks with a write unsent or unanswered, and
-// Safra's protocol sees what it saw when every write was a round trip. The server applies a
-// batch's writes in order through one handler per write and stops at
-// the first refusal: the reply is OK, or the refused write's opcode and
-// message, which the client reports as that write's error with the text
-// a lone write's refusal had. A batch whose framing is malformed
-// (empty, a length cut short, a request that is not a write, a nested
-// batch) is a decode error before any write applies; a write whose own
-// body is malformed is a decode error when the server reaches it, after
-// the writes before it applied. Either ends the run. Deliveries the batch's closes release
-// go to the clients they are for, after the batching client's reply,
-// and Stats counts each write of a batch as it applies.
+// The client protocol is eleven request opcodes, each with a caller in
+// the Turbine runtime: work (put, get), ids (unique), the data store
+// (create, store, insert, lookup, enumerate, write-refcount) and the
+// columnar plane (retrieve_chunk, store_chunk). The six writes — put,
+// create, store, insert, write-refcount and store_chunk, whose reply is
+// only a status — travel only as entries of a Get; the other five each
+// start a frame of their own, answered by its own reply.
 // Nothing asks a datum whether it exists or what type it has: a reader
 // waits on it and names the type it wants.
 //
-// A Get is the work type (i32), a flags byte (leased, depart), the count
+// A Get is the one frame that carries what a client changes at a
+// server: the work type (i32), a flags byte (leased, depart), the count
 // of items it wants (u8: up to maxDelivery for a leased Get, 1 for any
-// other, 0 for a Get that only settles or departs) and a counted list of
-// settles, one for each leased task the client ended since its last Get,
-// so the worker's loop pays no RPC to report a task done. A settle is
-// the lease (i64), its kind (u8: done, failed, handed back) and an
-// output id (i64; 0: no result), then a done task's result as a one-row
-// chunk, Store's body — which Client.StoreResult holds for it when the
-// client's home server owns the output — or a failed task's reason and
-// retriable flag. The server applies each store as Store would (issued
-// id, single assignment, type; the Get frame kept as the datum's
-// backing), settles the lease and releases the rules the close frees,
-// settle by settle, then serves the Get: store and settle are one
-// message, and a rule a store releases can go out in the reply. A
-// refused store fails its lease retriably with the refusal. A settle
-// count the frame cannot hold, a settle of lease 0 or of an unknown
-// kind, a result on a settle not done, a store of other than one row,
-// an item handed back by a Get that does not depart, a departing Get
-// that wants work, a want past maxDelivery and an unknown flag are
-// decode errors. An output another server owns is an ordinary Store.
+// other, 0 for a Get that wants nothing or departs) and a counted list
+// of entries in program order, each length-prefixed and starting with
+// its kind: a write (its opcode and body) or a settle (kind 0), the end
+// of a leased task — its lease (i64), how it ended (u8: done, failed,
+// handed back) and a failed task's reason and retriable flag. A
+// client's writes for its home server join the entries of its next Get
+// there, beside the settles of the tasks that ended, so a worker's loop
+// pays no RPC to report a task done or to store its result; its writes
+// for another server go to it as a Get that wants nothing. Pending
+// writes go out, and the reply is awaited, at maxBatch writes or
+// maxBatchBytes (1 MiB), before a write that would take them past that
+// bound (so a large write travels alone, far under the transport's
+// frame limit), before a write for another server (so writes keep
+// program order across servers), before any request that waits for an
+// answer, and at Client.Flush, which a Turbine engine calls as each
+// control action ends and swiftd's gateway after each Put. So a client
+// never blocks with a write unsent or unanswered, and Safra's protocol
+// sees what it saw when every write was a round trip. The server
+// applies the entries in order, each write through one handler per
+// write, counted in Stats as it applies (the Get frame kept as a
+// store's backing), and each settle through server.settle, then serves
+// the Get. The closes the writes made are announced before the Get is
+// served, so a rule a task's result releases can go out in the reply,
+// or, in a Get that wants nothing, after the reply, to the clients they
+// are for. A refused write skips the rest of its task's writes and
+// fails the next done settle retriably with the refusal (a failed or
+// handed-back settle between them names another lease and leaves it
+// standing); one with no done settle after it refuses the Get, with the
+// text a lone write's refusal had, and the writes after it are not
+// applied. An entry count the frame cannot hold, an empty entry or one
+// of an unknown kind, a settle cut short or of lease 0 or of an unknown
+// kind, an item handed back by a Get that does not depart, a departing
+// Get that wants work, a want past maxDelivery and an unknown flag are
+// decode errors before any entry applies; a write whose own body is
+// malformed is a decode error when the server reaches it, after the
+// entries before it applied. Either ends the run.
 //
 // A lease ends one way, by a settle riding a Get (server.settle). Fail
-// sends its failed settle at once, behind the settles waiting, in a Get
-// that only settles, and drops a failed running task's pending result; a
-// Fail of a lease whose done settle went ahead of it is refused as an
-// unknown lease, so a lease settles at most once.
-// Leave is a Get that departs, carrying every ended task's settle and
-// result and handing back the held items never started, requeued with
-// no attempt charged; the server departs the client, and reclaims every
-// lease it still holds — the running task, whose pending result is
-// dropped so its output stays open for the re-run — charging each one
-// attempt, with the item pinned to no one. It answers OK even while it
-// drains. NotifyCrashed sends the same Get with no settles.
+// sends its failed settle at once, behind the entries waiting, in a Get
+// that wants nothing, and drops a failed running task's home writes
+// still pending, so its outputs stay open for the re-run, and joins a
+// refusal of its writes for another server to the reason; a Fail of a
+// lease whose done settle went ahead of it is refused as an unknown
+// lease, so a lease settles at most once. Leave is a Get that departs,
+// carrying every ended task's writes and settle and handing back the
+// held items never started, requeued with no attempt charged; the
+// server departs the client, and reclaims every lease it still holds —
+// the running task, whose pending home writes are dropped — charging
+// each one attempt, with the item pinned to no one. It answers OK even
+// while it drains. NotifyCrashed sends the same Get with no entries.
 //
 // A reply with work is a count of items, then each item's lease (when
 // leased), payload and rows. A leased Get served from the untargeted
@@ -105,20 +104,20 @@
 // passes maxBatchBytes (1 MiB), so an item with a large input travels
 // alone. Targeted, parked and non-leased deliveries carry one item, and
 // Stats.GetsServed counts items. The client holds the items beyond the
-// first and hands them out one per GetLeased with no RPC, after sending
-// its pending writes; a held item is not stealable, and the shrinking
-// shares bound the tail instead. The items' payloads and rows alias the
-// reply frame, which the client keeps until the Get that asks for work
-// next is on the wire; a settle copies its result into the next Get's
-// request as its task ends, so a result may alias the frame, or
-// anything else, until then. Results past maxBatchBytes go to the
-// server before the next held item starts, so their waiters do not wait
-// on it. A task that sent writes — a Store to another server, say — is
-// settled before the client starts another held item, by a Get that
-// only settles when no Get for work is due (the one that sends large
-// results too), so a client lost after a finished task's writes landed
-// never has that task re-run into "already set": the window is one
-// task, as with a one-item Get.
+// first and hands them out one per GetLeased with no RPC; a held item
+// is not stealable, and the shrinking shares bound the tail instead.
+// The items' payloads and rows alias the reply frame, which the client
+// keeps until the Get that asks for work next is on the wire; a write
+// copies its value into the entries, so it may alias the frame, or
+// anything else. The entries go to the server, in a Get that wants
+// nothing, before the next held item starts when the task that ended
+// queued a Put (its waiters, a fragment's caller say, should not wait
+// on the next task), left them past maxBatchBytes, or sent writes — a
+// Store to another server, say: so a client lost after a finished
+// task's writes landed never has that task re-run into "already set",
+// the window is one task, as with a one-item Get. A task that only
+// Stores for its home server sends nothing: its results ride the next
+// Get.
 //
 // Rules wait at the servers, as ADLB_Dput's tasks do, and a held Put is
 // the one way to wait: a Turbine work rule is one, queued for any
@@ -158,19 +157,17 @@
 // validates the chunk's cross-column invariants and rejects trailing
 // bytes, and the decoded columns alias the frame, so rows that outlive it
 // are copied out. Counts read off the wire (here, in RetrieveChunk's id
-// list, a Put's wait ids, a Get's settles, a Get reply's items and
+// list, a Put's wait ids, a Get's entries, a Get reply's items and
 // their row ids, the enumerate response, and the dims and offset tables
 // of chunk frames) go through
 // decoder.count, which checks them against the bytes remaining in the
 // frame before anything is allocated.
 // Stats.DataOps counts requests, not ids or frames: one chunk to one
-// server is one data operation, whatever it carries, and each write of
-// a batch frame is one. The Stats.Op* counters split it
+// server is one data operation, whatever it carries, and each write a
+// Get carries is one. The Stats.Op* counters split it
 // by kind of request (create, store, container insert, lookup
 // and enumerate, write-refcount, chunk load — Retrieve's one id included
-// — and chunk store) and sum to it exactly. A result riding a Get counts
-// as one store, in OpStore and DataOps, though it is not its own RPC,
-// so the counts read the same whichever way a value travels. What a
+// — and chunk store) and sum to it exactly. What a
 // program pays the data store for — a third of it was once create+store
 // pairs for compiler literals — reads off `swiftt -stats` instead of off
 // the code generator.

@@ -23,8 +23,8 @@ const (
 
 // Request opcodes. The writes (put, create, store, insert,
 // write-refcount, store_chunk), whose reply is only a status, travel
-// only inside a batch frame (opBatch); every other opcode starts a frame
-// of its own and is answered by its own reply.
+// only as entries of a Get (see getRequest); every other opcode starts a
+// frame of its own and is answered by its own reply.
 const (
 	opPut uint8 = iota + 1
 	opGet
@@ -40,15 +40,11 @@ const (
 	// frame (contiguous typed columns).
 	opRetrieveChunk // ids -> one columnar chunk, one RPC per owning server (Retrieve is one id)
 	opStoreChunk    // container + chunk -> owner-local member data
-	// opBatch is a client's writes to one server, each length-prefixed,
-	// answered by one reply: OK, or the first refused write's opcode and
-	// message.
-	opBatch
 )
 
 // writeName is a write's name in its refusal's text, and "" for an
-// opcode that is not a write: a write is a request that travels in a
-// batch frame.
+// opcode that is not a write: a write is a request that travels as a
+// Get's entry.
 func writeName(op uint8) string {
 	switch op {
 	case opPut:
@@ -67,30 +63,6 @@ func writeName(op uint8) string {
 	return ""
 }
 
-// decodeBatch reads a batch frame's body into subs, reusing its
-// storage: length-prefixed write requests up to the frame's end, each a
-// write opcode and its body, aliasing the frame. An empty batch, a cut
-// short length and a request that is not a write (a Get, a nested
-// batch) fail the whole frame before any write is applied; a write's
-// own body is decoded only when the server applies it.
-func decodeBatch(d *decoder, subs [][]byte) [][]byte {
-	subs = subs[:0]
-	for d.err == nil && d.off < len(d.buf) {
-		sub := d.bytes()
-		if d.err == nil && (len(sub) == 0 || writeName(sub[0]) == "") {
-			d.err = fmt.Errorf("adlb: wire decode: batch: request %d is not a write", len(subs))
-		}
-		subs = append(subs, sub)
-	}
-	if d.err == nil && len(subs) == 0 {
-		d.err = fmt.Errorf("adlb: wire decode: empty batch")
-	}
-	if d.err != nil {
-		return subs[:0]
-	}
-	return subs
-}
-
 // Server-to-server opcodes.
 const (
 	sopStealReq uint8 = iota + 64
@@ -107,6 +79,10 @@ const (
 	stError
 	stNoMoreWork
 	stNotFound
+	// stRefused refuses a Get at a write it carried: the reply's text is
+	// the error's whole text, the one a lone write's refusal has always
+	// had.
+	stRefused
 )
 
 // Target sentinel: work item may run on any rank.
@@ -131,15 +107,28 @@ const maxDelivery = 8
 
 // getRequest is a Get's body after the opcode: the work type, the flags,
 // how many items the client wants — up to maxDelivery for a leased Get,
-// 1 for any other, and 0 for a Get that only settles or departs — and
-// the settles of the leased tasks the client ended since its last Get,
-// in the order they ended.
+// 1 for any other, and 0 for a Get that only carries entries or departs
+// — and the entries: what the client changed at the server since its
+// last Get there, in program order.
 type getRequest struct {
 	typ     int
 	flags   uint8
 	want    uint8
-	settles []settle
+	entries []entry
 }
+
+// entry is one of a Get's entries: a write — its opcode and body,
+// aliasing the frame, and decoded only when the server applies it — or,
+// when write is nil, a settle. On the
+// wire each entry is length-prefixed and starts with its kind byte: the
+// write's opcode, or entrySettle.
+type entry struct {
+	write  []byte
+	settle settle
+}
+
+// entrySettle is a settle entry's kind byte; no opcode is 0.
+const entrySettle uint8 = 0
 
 // Settle kinds: how a leased task ended — done, failed, or handed back
 // never started by a client that departs.
@@ -153,57 +142,61 @@ const (
 type settle struct {
 	lease     int64
 	kind      uint8
-	out       int64       // done: the result's output id, 0 for none
-	row       chunk.Chunk // done: the result, one row
-	reason    string      // failed
-	retriable bool        // failed
+	reason    string // failed
+	retriable bool   // failed
 }
 
-// settleBytes is the least a settle takes on the wire: the lease, the
-// kind and the output id.
-const settleBytes = 8 + 1 + 8
-
 // getHeadBytes is a Get request's opcode and head: the work type, the
-// flags, the count wanted and the count of settles.
+// flags, the count wanted and the count of entries.
 const getHeadBytes = 1 + 4 + 1 + 1 + 4
 
-func encodeGetHead(e *encoder, typ int, flags, want uint8, settles int) {
+func encodeGetHead(e *encoder, typ int, flags, want uint8, entries int) {
 	e.i32(int32(typ))
 	e.u8(flags)
 	e.u8(want)
-	e.u32(uint32(settles))
+	e.u32(uint32(entries))
 }
 
-func encodeSettle(e *encoder, s *settle) {
-	e.i64(s.lease)
-	e.u8(s.kind)
-	e.i64(s.out)
-	if s.out != 0 {
-		encodeChunk(e, s.row)
+// encodeSettle appends st as an entry.
+func encodeSettle(e *encoder, st *settle) {
+	n := 1 + 8 + 1
+	if st.kind == settleFailed {
+		n += 4 + len(st.reason) + 1
 	}
-	if s.kind == settleFailed {
-		e.str(s.reason)
-		e.boolean(s.retriable)
+	e.u32(uint32(n))
+	e.u8(entrySettle)
+	e.i64(st.lease)
+	e.u8(st.kind)
+	if st.kind == settleFailed {
+		e.str(st.reason)
+		e.boolean(st.retriable)
 	}
 }
 
 func encodeGet(e *encoder, g *getRequest) {
-	encodeGetHead(e, g.typ, g.flags, g.want, len(g.settles))
-	for i := range g.settles {
-		encodeSettle(e, &g.settles[i])
+	encodeGetHead(e, g.typ, g.flags, g.want, len(g.entries))
+	for i := range g.entries {
+		if en := &g.entries[i]; en.write != nil {
+			e.bytes(en.write)
+		} else {
+			encodeSettle(e, &en.settle)
+		}
 	}
 }
 
-// decodeGet reads encodeGet's form into g, reusing its settles' storage.
-// A settle count beyond the frame, a want past maxDelivery, an unknown
-// flag, a departing Get that wants work, a settle of lease 0 or of an
-// unknown kind, a result on a settle not done, a store of other than one
-// row and an item handed back by a Get that does not depart are decode
-// errors, since no client builds such a Get; g then has no settles.
+// decodeGet reads encodeGet's form into g, reusing its entries' storage.
+// An entry count beyond the frame, a want past maxDelivery, an unknown
+// flag, a departing Get that wants work, an empty entry, one of an
+// unknown kind, a settle cut short, of lease 0, of an unknown kind or
+// handing an item back in a Get that does not depart, and bytes after
+// the last entry are decode errors, since no client builds such a Get;
+// g then has no entries, so a malformed frame is never kept for the
+// stores it names. A write's own body is decoded only when the server
+// applies it.
 func decodeGet(d *decoder, g *getRequest) {
 	g.typ, g.flags, g.want = int(d.i32()), d.u8(), d.u8()
-	n := d.count(settleBytes, "get settles")
-	g.settles = g.settles[:0]
+	n := d.count(4+1, "get entries") // each at least a length and a kind byte
+	g.entries = g.entries[:0]
 	depart := g.flags&getFlagDepart != 0
 	switch {
 	case d.err != nil:
@@ -216,40 +209,39 @@ func decodeGet(d *decoder, g *getRequest) {
 		d.err = fmt.Errorf("adlb: wire decode: get: a departing Get wants %d items", g.want)
 	}
 	for i := 0; i < n && d.err == nil; i++ {
-		s := settle{lease: d.i64(), kind: d.u8(), out: d.i64()}
-		switch {
+		var en entry
+		switch b := d.bytes(); {
 		case d.err != nil:
-		case s.lease == 0:
-			d.err = fmt.Errorf("adlb: wire decode: get: settle %d names no lease", i)
-		case s.kind > settleHandedBack:
-			d.err = fmt.Errorf("adlb: wire decode: get: settle %d of unknown kind %d", i, s.kind)
-		case s.kind != settleDone && s.out != 0:
-			d.err = fmt.Errorf("adlb: wire decode: get: settle %d carries a result but its task is not done", i)
-		case s.kind == settleHandedBack && !depart:
-			d.err = fmt.Errorf("adlb: wire decode: get: settle %d hands an item back in a Get that does not depart", i)
-		case s.out != 0:
-			s.row = decodeChunk(d)
-			if d.err == nil && s.row.Len() != 1 {
-				d.err = fmt.Errorf("adlb: wire decode: get: store of %d rows, want 1", s.row.Len())
+		case len(b) == 0:
+			d.err = fmt.Errorf("adlb: wire decode: get: entry %d is empty", i)
+		case b[0] != entrySettle:
+			if writeName(b[0]) == "" {
+				d.err = fmt.Errorf("adlb: wire decode: get: entry %d is neither a write nor a settle", i)
 			}
-		case s.kind == settleFailed:
-			s.reason, s.retriable = d.str(), d.boolean()
+			en.write = b
+		default:
+			sd := &decoder{buf: b, off: 1}
+			s := &en.settle
+			s.lease, s.kind = sd.i64(), sd.u8()
+			if s.kind == settleFailed {
+				s.reason, s.retriable = sd.str(), sd.boolean()
+			}
+			switch err := sd.finish("get settle"); {
+			case err != nil:
+				d.err = err
+			case s.lease == 0:
+				d.err = fmt.Errorf("adlb: wire decode: get: settle %d names no lease", i)
+			case s.kind > settleHandedBack:
+				d.err = fmt.Errorf("adlb: wire decode: get: settle %d of unknown kind %d", i, s.kind)
+			case s.kind == settleHandedBack && !depart:
+				d.err = fmt.Errorf("adlb: wire decode: get: settle %d hands an item back in a Get that does not depart", i)
+			}
 		}
-		g.settles = append(g.settles, s)
+		g.entries = append(g.entries, en)
 	}
-	if d.err != nil {
-		g.settles = g.settles[:0]
+	if d.err = d.finish("get request"); d.err != nil {
+		g.entries = g.entries[:0]
 	}
-}
-
-// carriesStore reports whether any of the Get's settles stores a result.
-func (g *getRequest) carriesStore() bool {
-	for i := range g.settles {
-		if g.settles[i].out != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // delivered is one work item of a Get reply: its lease (0 when the Get
@@ -275,8 +267,8 @@ func encodeDelivered(e *encoder, leased bool, it *delivered) {
 
 // decodeDelivery reads a Get reply's count and items, after its status,
 // into items, reusing their storage. The count must be at least 1 and
-// at most want, the items the Get asked for (0 for a Get that only
-// settles, which is answered with none), and a leased item must carry a
+// at most want, the items the Get asked for (0 for a Get that wants
+// nothing, which is answered with none), and a leased item must carry a
 // lease: anything else is a decode error, and yields no items.
 func decodeDelivery(d *decoder, leased bool, want int, items []delivered) []delivered {
 	minBytes := 8 // the payload's length and the row ids' count

@@ -159,12 +159,12 @@ func TestPooledFramesConcurrentClients(t *testing.T) {
 	})
 }
 
-// TestResultFrameSurvivesPoolReuse: a result stored by a riding Get lives
-// in that Get's request frame, retained as the datum's backing, so it
-// must read back intact after many later frames have cycled through the
-// pool. Each result here is its task's input passed straight through: a
-// value aliasing the item's frame, which the client may hand back to the
-// pool only once the Get carrying the result is on the wire.
+// TestResultFrameSurvivesPoolReuse: a result stored by the Get it rides
+// lives in that Get's request frame, retained as the datum's backing, so
+// it must read back intact after many later frames have cycled through
+// the pool. Each result here is its task's input passed straight
+// through: a value aliasing the item's frame, which the Store copies
+// into the Get's entries.
 func TestResultFrameSurvivesPoolReuse(t *testing.T) {
 	const iters = 60
 	runWorld(t, 4, 1, func(cl *Client) error {
@@ -195,7 +195,7 @@ func TestResultFrameSurvivesPoolReuse(t *testing.T) {
 			if err != nil || !found {
 				return fmt.Errorf("rank %d iter %d: input found=%v err=%v", cl.Rank(), i, found, err)
 			}
-			if err := cl.StoreResult(outs[i], v); err != nil {
+			if err := cl.Store(outs[i], v); err != nil {
 				return err
 			}
 		}

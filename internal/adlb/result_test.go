@@ -1,9 +1,10 @@
 package adlb
 
-// A leased task's result riding the worker's next Get (StoreResult):
-// one request per task at the worker, the store and the lease settle as
-// one message, and every refusal, failure and departure handled as the
-// separate Store they replace would be — or, for a departure, better.
+// A leased task's result riding the worker's next Get: a Store its home
+// server owns joins the Get's entries, so the worker sends a fraction of
+// a request per task, the store and the lease settle are one message,
+// and a task that fails or departs leaves its output open for its
+// re-run. A refused store fails the task as a Fail after it would.
 
 import (
 	"bytes"
@@ -19,12 +20,13 @@ func framesSent(cl *Client) uint64 {
 }
 
 // TestResultRidesNextGet runs n leased tasks, each storing one result
-// its home server owns, then a last task that reads them all back. With
-// StoreResult the worker sends one Get per reply of up to maxDelivery
-// items (the one worker's share is the whole queue), each carrying the
-// settles and results of the tasks before it; with Store it sends 2n+1,
-// each task's Store frame flushed, and its settle sent, before the next
-// task starts. Both count n stores.
+// its home server owns, then a last task that reads them all back. In
+// the StoreResult case each task's result is a plain Store, and the
+// worker sends one Get per reply of up to maxDelivery items (the one
+// worker's share is the whole queue), each carrying the results and
+// settles of the tasks before it. In the Store case a Flush follows each
+// Store, and the worker sends 2n+1, each task's Store sent, and its
+// settle sent, before the next task starts. Both count n stores.
 func TestResultRidesNextGet(t *testing.T) {
 	const n = 16
 	for _, mode := range []struct {
@@ -32,8 +34,8 @@ func TestResultRidesNextGet(t *testing.T) {
 		store    func(cl *Client, id int64, v Value) error
 		requests int
 	}{
-		{"StoreResult", (*Client).StoreResult, (n + maxDelivery) / maxDelivery},
-		{"Store", (*Client).Store, 2*n + 1},
+		{"StoreResult", (*Client).Store, (n + maxDelivery) / maxDelivery},
+		{"Store", func(cl *Client, id int64, v Value) error { return sent(cl, cl.Store(id, v)) }, 2*n + 1},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			snap := runWorld(t, 2, 1, func(cl *Client) error {
@@ -87,10 +89,9 @@ func TestResultRidesNextGet(t *testing.T) {
 }
 
 // TestResultDroppedByLeaveAndFail: a task that ends in Leave (a crash)
-// or Fail after StoreResult leaves its output open, so the re-run's store
-// lands once and the run succeeds. A rule waiting on the output sees the
-// re-run's value. (With Store, the first attempt's store lands before the
-// crash and the re-run's is refused as already set.)
+// or Fail after its Store leaves its output open: the Store was still
+// pending, and is dropped, so the re-run's store lands once and the run
+// succeeds. A rule waiting on the output sees the re-run's value.
 func TestResultDroppedByLeaveAndFail(t *testing.T) {
 	for _, end := range []string{"Leave", "Fail"} {
 		t.Run(end, func(t *testing.T) {
@@ -114,7 +115,7 @@ func TestResultDroppedByLeaveAndFail(t *testing.T) {
 				if err != nil || !ok || string(p) != fmt.Sprintf("task %d", out) {
 					return fmt.Errorf("first attempt: %q ok=%v err=%v", p, ok, err)
 				}
-				if err := cl.StoreResult(out, IntValue(1)); err != nil {
+				if err := cl.Store(out, IntValue(1)); err != nil {
 					return err
 				}
 				if end == "Leave" {
@@ -148,7 +149,7 @@ func rerun(cl *Client) error {
 			return fmt.Errorf("task %q: %v", p, err)
 		}
 		if kind == "task" {
-			if err := cl.StoreResult(out, IntValue(2)); err != nil {
+			if err := cl.Store(out, IntValue(2)); err != nil {
 				return err
 			}
 			continue
@@ -162,8 +163,9 @@ func rerun(cl *Client) error {
 
 // TestResultRefusedSettlesLikeRefusedStore: a riding store the server
 // refuses (already set, wrong type) fails its lease retriably with the
-// server's message, exactly as a worker's Fail after a refused Store:
-// the same requeue and poison counts, and the same poison error.
+// server's message, exactly as a worker's Fail after a Store refused at
+// its Flush: the same requeue and poison counts, and the same poison
+// error.
 func TestResultRefusedSettlesLikeRefusedStore(t *testing.T) {
 	for _, refusal := range []string{"already set", "wrong type"} {
 		t.Run(refusal, func(t *testing.T) {
@@ -191,7 +193,7 @@ func TestResultRefusedSettlesLikeRefusedStore(t *testing.T) {
 							return err
 						}
 						if riding {
-							if err := cl.StoreResult(out, IntValue(2)); err != nil {
+							if err := cl.Store(out, IntValue(2)); err != nil {
 								return err
 							}
 							continue
@@ -220,9 +222,8 @@ func TestResultRefusedSettlesLikeRefusedStore(t *testing.T) {
 }
 
 // TestResultOwnedElsewhereIsStore: on two servers, a result the other
-// server owns is a Store, applied when the task's writes are flushed and
-// readable before the next Get; one the home server owns waits for the
-// Get.
+// server owns goes out before a read, and is readable before the next
+// Get; one the home server owns waits for the Get.
 func TestResultOwnedElsewhereIsStore(t *testing.T) {
 	runWorld(t, 4, 2, func(cl *Client) error {
 		if cl.Rank() != 0 {
@@ -250,16 +251,16 @@ func TestResultOwnedElsewhereIsStore(t *testing.T) {
 				id, stored = away, 1
 			}
 			stores := st.OpStore.Load()
-			if err := sent(cl, cl.StoreResult(id, IntValue(7))); err != nil {
+			if err := cl.Store(id, IntValue(7)); err != nil {
 				return err
-			}
-			if got := st.OpStore.Load() - stores; got != stored {
-				return fmt.Errorf("%s result: %d stores before the next Get, want %d", p, got, stored)
 			}
 			if id == away {
 				if v, found, err := cl.Retrieve(away); err != nil || !found || v.Type != TypeInteger {
 					return fmt.Errorf("away result not readable at once: %+v %v %v", v, found, err)
 				}
+			}
+			if got := st.OpStore.Load() - stores; got != stored {
+				return fmt.Errorf("%s result: %d stores before the next Get, want %d", p, got, stored)
 			}
 		}
 	})
@@ -283,7 +284,7 @@ func TestResultReleasesRuleToSameGet(t *testing.T) {
 		if err := takeRule(cl, "task"); err != nil {
 			return err
 		}
-		if err := cl.StoreResult(out, StringValue("released")); err != nil {
+		if err := cl.Store(out, StringValue("released")); err != nil {
 			return err
 		}
 		before := framesSent(cl)
@@ -306,4 +307,100 @@ func TestResultReleasesRuleToSameGet(t *testing.T) {
 	if snap.OpStore != 1 || snap.DataOps != 1 {
 		t.Fatalf("OpStore %d, DataOps %d; want the riding store counted once as both", snap.OpStore, snap.DataOps)
 	}
+}
+
+// TestFailedTaskStoreLeavesOutputOpen: on one server, a leased task
+// Stores an output its home server owns and then fails retriably. The
+// Store was still pending, so the Fail drops it: the re-run's store is
+// the only one, and the output reads the re-run's value.
+func TestFailedTaskStoreLeavesOutputOpen(t *testing.T) {
+	attempts := 0
+	snap := runWorld(t, 2, 1, func(cl *Client) error {
+		out, err := cl.Unique()
+		if err != nil {
+			return err
+		}
+		if err := cl.Put(typeWork, 0, AnyRank, []byte("task")); err != nil {
+			return err
+		}
+		for {
+			p, lease, ok, err := cl.GetLeased(typeWork)
+			if err != nil || !ok {
+				return err
+			}
+			if attempts++; string(p) != "task" || attempts > 2 {
+				return fmt.Errorf("attempt %d: %q", attempts, p)
+			}
+			if err := cl.Store(out, IntValue(int64(attempts))); err != nil {
+				return err
+			}
+			if attempts == 1 {
+				if err := cl.Fail(lease, "failed after its store", true); err != nil {
+					return err
+				}
+				continue
+			}
+			if v, found, err := cl.Retrieve(out); err != nil || !found || !equalValue(v, IntValue(2)) {
+				return fmt.Errorf("the output reads %+v (found %v, err %v), want the re-run's 2", v, found, err)
+			}
+		}
+	})
+	if attempts != 2 || snap.Requeued != 1 || snap.Poisoned != 0 || snap.OpStore != 1 {
+		t.Fatalf("attempts %d, Requeued %d, Poisoned %d, OpStore %d; want 2, 1, 0, 1",
+			attempts, snap.Requeued, snap.Poisoned, snap.OpStore)
+	}
+}
+
+// TestHeldTaskFrames: a worker holds a share of three items. A task that
+// only Stores an output its home server owns sends nothing before the
+// next held item starts: its store waits for the next Get. A task that
+// Puts sends one request frame before the next held item starts — its
+// writes and the pending settles in one Get that wants nothing — so the
+// item it made is queued while the worker runs on.
+func TestHeldTaskFrames(t *testing.T) {
+	runWorld(t, 2, 1, func(cl *Client) error {
+		out, err := cl.Unique()
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 3; i++ {
+			if err := cl.Put(typeWork, 0, AnyRank, []byte{byte(i)}); err != nil {
+				return err
+			}
+		}
+		if p, _, ok, err := cl.GetLeased(typeWork); err != nil || !ok || p[0] != 0 || len(cl.items) != 3 {
+			return fmt.Errorf("first task: %q ok=%v err=%v, holding %d", p, ok, err, len(cl.items))
+		}
+		frames := func(task func() error) (uint64, error) {
+			before := framesSent(cl)
+			if err := task(); err != nil {
+				return 0, err
+			}
+			if p, _, ok, err := cl.GetLeased(typeWork); err != nil || !ok || len(p) != 1 {
+				return 0, fmt.Errorf("the next held task: %q ok=%v err=%v", p, ok, err)
+			}
+			return framesSent(cl) - before, nil
+		}
+		stores, err := frames(func() error { return cl.Store(out, IntValue(1)) })
+		if err != nil {
+			return err
+		}
+		puts, err := frames(func() error { return cl.Put(typeWork, 0, AnyRank, []byte("made")) })
+		if err != nil {
+			return err
+		}
+		if stores != 0 || puts != 2 {
+			return fmt.Errorf("a Store drew %d frames and a Put %d before the next held task; want 0, and 2: one request and its reply", stores, puts)
+		}
+		if n := cl.cfg.Stats.PutsLocal.Load(); n != 4 {
+			return fmt.Errorf("%d items queued before the third task ran, want the Put's too", n)
+		}
+		if err := takeRule(cl, "made"); err != nil {
+			return err
+		}
+		if v, found, err := cl.Retrieve(out); err != nil || !found || !equalValue(v, IntValue(1)) {
+			return fmt.Errorf("the output reads %+v (found %v, err %v)", v, found, err)
+		}
+		return noMoreWork(cl)
+	})
 }

@@ -104,12 +104,11 @@ type server struct {
 	scratch chunk.Chunk
 	rowVals []*Value
 	rowIDs  []int64
-	// subs and closed are a batch frame's writes and the data they
-	// closed, reused from one batch to the next; get is the last Get's
-	// decoded body and items the work items of the reply being built.
-	subs   [][]byte
-	closed []*datum
+	// get is the last Get's decoded body, closed the data its writes
+	// closed, and items the work items of the reply being built, each
+	// reused from one Get to the next.
 	get    getRequest
+	closed []*datum
 	items  []workItem
 
 	// Safra termination detection state.
@@ -490,14 +489,11 @@ func (s *server) dispatch(data []byte, st mpi.Status) error {
 func (s *server) requestFrame(data []byte, client int) error {
 	d := &decoder{buf: data}
 	op := d.u8()
-	switch op {
-	case opGet:
+	if op == opGet {
 		decodeGet(d, &s.get)
-	case opBatch:
-		s.subs = decodeBatch(d, s.subs)
 	}
 	err := s.handleRequest(op, d, &s.get, client)
-	if !retainsRequestFrame(op, &s.get, s.subs) {
+	if !retainsRequestFrame(op, &s.get) {
 		s.c.Release(data)
 	}
 	return err
@@ -505,20 +501,16 @@ func (s *server) requestFrame(data []byte, client int) error {
 
 // retainsRequestFrame reports whether handling op stores slices that
 // alias the request frame, pinning it for the life of the data store: a
-// batch whose decoded writes (subs) include a Store or a StoreChunk,
-// and a Get one of whose decoded settles carries its task's result. A
-// batch or Get that failed to decode has no writes or settles and is
-// released.
-func retainsRequestFrame(op uint8, get *getRequest, subs [][]byte) bool {
-	switch op {
-	case opBatch:
-		for _, sub := range subs {
-			if sub[0] == opStore || sub[0] == opStoreChunk {
-				return true
-			}
+// Get one of whose decoded entries is a Store or a StoreChunk. A Get
+// that failed to decode has no entries and is released.
+func retainsRequestFrame(op uint8, get *getRequest) bool {
+	if op != opGet {
+		return false
+	}
+	for _, en := range get.entries {
+		if len(en.write) > 0 && (en.write[0] == opStore || en.write[0] == opStoreChunk) {
+			return true
 		}
-	case opGet:
-		return get.carriesStore()
 	}
 	return false
 }
@@ -558,11 +550,6 @@ func (s *server) handleRequest(op uint8, d *decoder, get *getRequest, client int
 		s.known[client] = true
 	}
 	switch op {
-	case opBatch:
-		if err := d.finish("batch request"); err != nil {
-			return err
-		}
-		return s.handleBatch(client)
 	case opGet:
 		return s.handleGet(get, d, client)
 	case opUnique:
@@ -576,53 +563,7 @@ func (s *server) handleRequest(op uint8, d *decoder, get *getRequest, client int
 	return fmt.Errorf("adlb: server %d: unknown opcode %d from client %d", s.idx, op, client)
 }
 
-// handleBatch applies a batch frame's writes (s.subs) in order through
-// applyWrite, stopping at the first refusal, and answers the client
-// once: OK, or the refused write's opcode and message. The closes the
-// applied writes made are announced after the reply, as a lone write's
-// were: the writer goes on while this server delivers what they
-// released, straight to the clients it goes to. The server handles
-// nothing else in between, so no later request sees a close
-// unannounced. Every write counts in the stats as it is applied.
-func (s *server) handleBatch(client int) error {
-	s.closed = s.closed[:0]
-	refused, msg := uint8(0), ""
-	for _, sub := range s.subs {
-		op := sub[0]
-		if st := s.stats(); st != nil && op != opPut {
-			st.countDataOp(op)
-		}
-		m, dm, err := s.applyWrite(op, &decoder{buf: sub, off: 1})
-		if err != nil {
-			return err
-		}
-		if dm != nil {
-			s.closed = append(s.closed, dm)
-		}
-		if m != "" {
-			refused, msg = op, m
-			break
-		}
-	}
-	err := s.respond(client, func(e *encoder) {
-		if msg == "" {
-			e.u8(stOK)
-			return
-		}
-		e.u8(stError)
-		e.u8(refused)
-		e.str(msg)
-	})
-	if err != nil {
-		return err
-	}
-	for _, dm := range s.closed {
-		s.notifyAll(dm)
-	}
-	return nil
-}
-
-// applyWrite applies one write of a batch. It returns the refusal's
+// applyWrite applies one write a Get carried. It returns the refusal's
 // message, "" when the write applied; the datum the write closed, if
 // any; and an error only for a malformed request, which ends the run.
 func (s *server) applyWrite(op uint8, d *decoder) (refusal string, closed *datum, err error) {
@@ -1047,20 +988,31 @@ func (s *server) clientDeparted(client int) {
 	}
 }
 
-// handleGet ends the leases the Get settles, in order, and then answers
-// with work, or parks. A departing Get departs the client before its
-// settles, so what they requeue is pinned to no one, and reclaims every
-// lease left after them (depart); it is answered OK even while the
-// server drains. A Get that wants no work is answered at once with none,
-// or with a failed settle's refusal. A leased Get served from the untargeted queue takes the
-// first item and then, by guided self-scheduling, a share of what is
-// left: at most maxDelivery-1 more, and at most the queue left over
-// divided among the clients that have not departed, so each share is a
-// fraction of what remains and a draining queue goes out one item a Get.
-// The share stops short of a reply past maxBatchBytes: sharing saves
-// round trips, which only small items notice, and a large item held
-// behind another would wait for nothing. Targeted, parked and non-leased
-// deliveries carry one item.
+// handleGet applies the Get's entries in order — each write through
+// applyWrite, counted as it applies, and each settle through settle —
+// and then answers with work, or parks. A refused write skips the rest
+// of its task's writes, up to the next done settle, which becomes a
+// retriable failure carrying the refusal; a failed or handed-back
+// settle in between names another lease and leaves the refusal
+// standing. A refusal no done settle follows refuses the Get, with the
+// text a lone write's refusal has always had. The closes the writes
+// made are announced before the Get is served, so a rule they release
+// can go out in its reply, or, in a Get that wants no work, after the
+// reply: the writer goes on while this server delivers what they
+// released, and the server handles nothing else in between, so no later
+// request sees a close unannounced. A departing Get departs the client
+// before its entries, so what they requeue is pinned to no one, and
+// reclaims every lease left after them (depart); it is answered OK even
+// while the server drains. A Get that wants no work is answered at once
+// with none, or with a refusal. A leased Get served from the untargeted
+// queue takes the first item and then, by guided self-scheduling, a
+// share of what is left: at most maxDelivery-1 more, and at most the
+// queue left over divided among the clients that have not departed, so
+// each share is a fraction of what remains and a draining queue goes
+// out one item a Get. The share stops short of a reply past
+// maxBatchBytes: sharing saves round trips, which only small items
+// notice, and a large item held behind another would wait for nothing.
+// Targeted, parked and non-leased deliveries carry one item.
 func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 	if err := d.finish("get request"); err != nil {
 		return err
@@ -1071,14 +1023,39 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 		s.unpark(client)
 		s.clientDeparted(client)
 	}
-	refusal := ""
-	for i := range g.settles {
-		m, err := s.settle(&g.settles[i])
+	s.closed = s.closed[:0]
+	refused, failed := "", ""
+	for i := range g.entries {
+		en := &g.entries[i]
+		if en.write == nil {
+			m, err := s.settle(&en.settle, refused)
+			if err != nil {
+				return err
+			}
+			if en.settle.kind == settleDone {
+				refused = ""
+			}
+			if failed == "" {
+				failed = m
+			}
+			continue
+		}
+		if refused != "" {
+			continue
+		}
+		op := en.write[0]
+		if st := s.stats(); st != nil && op != opPut {
+			st.countDataOp(op)
+		}
+		m, dm, err := s.applyWrite(op, &decoder{buf: en.write, off: 1})
 		if err != nil {
 			return err
 		}
-		if refusal == "" {
-			refusal = m
+		if dm != nil {
+			s.closed = append(s.closed, dm)
+		}
+		if m != "" {
+			refused = fmt.Sprintf("adlb: %s: %s", writeName(op), m)
 		}
 	}
 	if depart {
@@ -1086,15 +1063,24 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 			return err
 		}
 	}
-	if refusal != "" {
-		return s.respondError(client, refusal)
-	}
-	if g.want == 0 {
-		return s.respond(client, func(e *encoder) {
-			e.u8(stOK)
-			e.u32(0)
+	if refused != "" || failed != "" || g.want == 0 {
+		err := s.respond(client, func(e *encoder) {
+			switch {
+			case refused != "":
+				e.u8(stRefused)
+				e.str(refused)
+			case failed != "":
+				e.u8(stError)
+				e.str(failed)
+			default:
+				e.u8(stOK)
+				e.u32(0)
+			}
 		})
+		s.announce()
+		return err
 	}
+	s.announce()
 	if s.draining {
 		s.clientDeparted(client)
 		return s.respond(client, func(e *encoder) { e.u8(stNoMoreWork) })
@@ -1161,38 +1147,34 @@ func (s *server) running() int {
 	return max(1, s.clientCount()-s.doneCount)
 }
 
-// settle ends the lease g names, as its kind says: the one place a lease
-// ends. A done task's result, when it carries one, is stored with
-// Store's checks and counted as one, and its close announced before the
-// Get is served, so a rule it releases can go out in the reply; a
-// refused store fails the lease retriably with the refusal, or ends the
-// run when no lease is left to fail. A failed task is requeued, one
-// attempt charged, or poisoned (requeueOrPoison), and a Fail of a lease
-// not held — already settled, say — is refused. An item handed back is
-// requeued as it was. A departed holder's item is reclaimed: counted,
-// unless done, and pinned to no one, since the holder never Gets again.
-func (s *server) settle(g *settle) (refusal string, err error) {
+// announce moves on the rules held on the data the last Get's writes
+// closed.
+func (s *server) announce() {
+	for _, dm := range s.closed {
+		s.notifyAll(dm)
+	}
+}
+
+// settle ends the lease g names, as its kind says: the one place a
+// lease ends. refused is the refusal of a write the task sent before
+// its settle, "" when none was: it fails a done task retriably, or ends
+// the run when no lease is left to fail; other kinds ignore it. A
+// failed task is requeued, one attempt charged, or poisoned
+// (requeueOrPoison), and a Fail of a lease not held — already settled,
+// say — is refused. An item handed back is requeued as it was. A
+// departed holder's item is reclaimed: counted, unless done, and pinned
+// to no one, since the holder never Gets again.
+func (s *server) settle(g *settle, refused string) (refusal string, err error) {
 	le, held := s.leases[g.lease]
 	delete(s.leases, g.lease)
 	reason, retriable := g.reason, g.retriable
 	switch {
-	case g.kind == settleDone && g.out == 0:
+	case g.kind == settleDone && refused == "":
 		return "", nil
+	case g.kind == settleDone && !held:
+		return "", fmt.Errorf("adlb: server %d: a Get settling unknown lease %d carried a refused write: %s", s.idx, g.lease, refused)
 	case g.kind == settleDone:
-		if st := s.stats(); st != nil {
-			st.countDataOp(opStore)
-		}
-		r := g.row.Reader()
-		r.Next()
-		dm, err := s.storeValue(g.out, rowValue(&r))
-		if err == nil {
-			s.notifyAll(dm)
-			return "", nil
-		}
-		if !held {
-			return "", fmt.Errorf("adlb: server %d: a Get settling unknown lease %d carried a refused store: %v", s.idx, g.lease, err)
-		}
-		reason, retriable = "adlb: store: "+err.Error(), true
+		reason, retriable = refused, true
 	case !held && g.kind == settleFailed:
 		return fmt.Sprintf("fail: unknown lease %d", g.lease), nil
 	case !held:
@@ -1215,7 +1197,7 @@ func (s *server) settle(g *settle) (refusal string, err error) {
 }
 
 // depart reclaims every lease a departing client holds after its last
-// Get's settles, in the order they were issued: each task was lost
+// Get's entries, in the order they were issued: each task was lost
 // mid-run, so it ends as a retriable failure, charged one attempt.
 func (s *server) depart(client int) error {
 	var ids []int64
@@ -1227,7 +1209,7 @@ func (s *server) depart(client int) error {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	reason := fmt.Sprintf("owning client %d departed mid-task", client)
 	for _, id := range ids {
-		if _, err := s.settle(&settle{lease: id, kind: settleFailed, reason: reason, retriable: true}); err != nil {
+		if _, err := s.settle(&settle{lease: id, kind: settleFailed, reason: reason, retriable: true}, ""); err != nil {
 			return err
 		}
 	}
@@ -1413,10 +1395,9 @@ func (s *server) applyStoreChunk(d *decoder) (refusal string, err error) {
 	return "", nil
 }
 
-// storeValue sets id to v, whose bytes alias the retained request frame:
-// the one store of a batched Store and of a result riding a Get. An id
-// the owner issued but nobody created comes into being here, typed by v;
-// a set id, a container, a type mismatch and an id never issued are
+// storeValue sets id to v, whose bytes alias the retained request frame.
+// An id the owner issued but nobody created comes into being here, typed
+// by v; a set id, a container, a type mismatch and an id never issued are
 // refused, with nothing changed. The caller announces the close.
 func (s *server) storeValue(id int64, v Value) (*datum, error) {
 	dm, ok := s.store[id]

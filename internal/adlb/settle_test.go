@@ -1,10 +1,9 @@
 package adlb
 
-// A lease ends one way: a settle riding a Get — a task done (with its
-// result), failed, or handed back never started — and a departure is a
-// Get that departs. So a Leave applies the results of the tasks that
-// ended, a Fail carries the settles ahead of it, and a lease settles at
-// most once.
+// A lease ends one way: a settle riding a Get — a task done, failed, or
+// handed back never started — and a departure is a Get that departs. So
+// a Leave applies the writes of the tasks that ended, a Fail carries the
+// entries ahead of it, and a lease settles at most once.
 
 import (
 	"fmt"
@@ -14,7 +13,7 @@ import (
 )
 
 // TestLeaveSettlesEndedTasks: on one server, a worker holds a share of
-// five items. Task A ends with its result riding, the held task B
+// five items. Task A ends with its result pending, the held task B
 // starts, and the worker Leaves, B's pending result with it. The Leave
 // is one request frame, and applies A's result: A runs once and its
 // output reads its value. Only B is requeued with an attempt charged
@@ -33,7 +32,7 @@ func TestLeaveSettlesEndedTasks(t *testing.T) {
 		mu.Lock()
 		runs[k]++
 		mu.Unlock()
-		return cl.StoreResult(outs[k], IntValue(int64(10*k)))
+		return cl.Store(outs[k], IntValue(int64(10*k)))
 	}
 	snap, err := runWorldCfg(t, 4, testConfig(1), func(cl *Client) error {
 		switch cl.Rank() {
@@ -86,7 +85,7 @@ func TestLeaveSettlesEndedTasks(t *testing.T) {
 			if p, _, ok, err = cl.GetLeased(typeWork); err != nil || !ok {
 				return fmt.Errorf("task B: %q ok=%v err=%v", p, ok, err)
 			}
-			if err := cl.StoreResult(outs[p[0]], IntValue(-1)); err != nil {
+			if err := cl.Store(outs[p[0]], IntValue(-1)); err != nil {
 				return err
 			}
 			if err := cl.Leave(); err != nil {
@@ -124,7 +123,7 @@ func TestLeaveSettlesEndedTasks(t *testing.T) {
 }
 
 // TestFailWhileHoldingRidesOneGet: a worker holds four items; task 0
-// ends with its result riding, and the held doomed task fails. The Fail
+// ends with its result pending, and the held doomed task fails. The Fail
 // is one request frame carrying both settles, so task 0's result is
 // stored by it, and the held items still run with no RPC. The doomed
 // task's requeue and poison counts, and the poison error, read as
@@ -165,7 +164,7 @@ func TestFailWhileHoldingRidesOneGet(t *testing.T) {
 				if err != nil || !ok || string(p) != "task 0" || len(cl.items) != len(outs) {
 					return fmt.Errorf("first task: %q ok=%v err=%v, holding %d", p, ok, err, len(cl.items))
 				}
-				if err := cl.StoreResult(outs[0], IntValue(0)); err != nil {
+				if err := cl.Store(outs[0], IntValue(0)); err != nil {
 					return err
 				}
 				p, lease, ok, err := cl.GetLeased(typeWork)
@@ -191,7 +190,7 @@ func TestFailWhileHoldingRidesOneGet(t *testing.T) {
 					if p, _, ok, err := cl.GetLeased(typeWork); err != nil || !ok || string(p) != fmt.Sprintf("task %d", k) {
 						return fmt.Errorf("held task %d: %q ok=%v err=%v", k, p, ok, err)
 					}
-					if err := cl.StoreResult(outs[k], IntValue(int64(k))); err != nil {
+					if err := cl.Store(outs[k], IntValue(int64(k))); err != nil {
 						return err
 					}
 				}
@@ -229,7 +228,7 @@ func TestFailWhileHoldingRidesOneGet(t *testing.T) {
 }
 
 // TestFailOfEndedLeaseRefused: a lease settles at most once. A task
-// ends with its result riding, the next held task starts, and a Fail
+// ends with its result pending, the next held task starts, and a Fail
 // names the ended task's lease while its done settle still waits in the
 // client. The done settle goes first in the Fail's Get, so the Fail is
 // refused as naming an unknown lease: the task runs once, and its
@@ -257,7 +256,7 @@ func TestFailOfEndedLeaseRefused(t *testing.T) {
 			if runs++; runs > 1 {
 				return fmt.Errorf("the task ran %d times", runs)
 			}
-			if err := cl.StoreResult(out, IntValue(7)); err != nil {
+			if err := cl.Store(out, IntValue(7)); err != nil {
 				return err
 			}
 			if p, _, ok, err := cl.GetLeased(typeWork); err != nil || !ok || string(p) != "next" {
@@ -274,5 +273,46 @@ func TestFailOfEndedLeaseRefused(t *testing.T) {
 	})
 	if runs != 1 || snap.OpStore != 1 || snap.Requeued != 0 || snap.Poisoned != 0 {
 		t.Fatalf("runs %d, OpStore %d, Requeued %d, Poisoned %d; want 1, 1, 0, 0", runs, snap.OpStore, snap.Requeued, snap.Poisoned)
+	}
+}
+
+// TestFailFoldsAwayRefusal: on two servers, a leased task Stores an id
+// the other server owns, already set, and then Fails retriably. The
+// refusal joins the failed settle's reason, so the Fail still settles:
+// it returns nil, the task is requeued once, and its re-run ends clean.
+func TestFailFoldsAwayRefusal(t *testing.T) {
+	attempts := 0
+	snap := runWorld(t, 4, 2, func(cl *Client) error {
+		if cl.Rank() != 0 {
+			return drainShutdown(cl)
+		}
+		away, err := heldDatum(cl, 0, 1, true)
+		if err := sent(cl, err); err != nil {
+			return err
+		}
+		if err := cl.Put(typeWork, 0, AnyRank, []byte("task")); err != nil {
+			return err
+		}
+		for {
+			p, lease, ok, err := cl.GetLeased(typeWork)
+			if err != nil || !ok {
+				return err
+			}
+			if attempts++; string(p) != "task" || attempts > 2 {
+				return fmt.Errorf("attempt %d: %q", attempts, p)
+			}
+			if attempts > 1 {
+				continue
+			}
+			if err := cl.Store(away, IntValue(9)); err != nil {
+				return err
+			}
+			if err := cl.Fail(lease, "failed after its store", true); err != nil {
+				return fmt.Errorf("fail: %v, want the refusal in its reason", err)
+			}
+		}
+	})
+	if attempts != 2 || snap.Requeued != 1 || snap.Poisoned != 0 {
+		t.Fatalf("attempts %d, Requeued %d, Poisoned %d; want 2, 1, 0", attempts, snap.Requeued, snap.Poisoned)
 	}
 }

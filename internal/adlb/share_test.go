@@ -62,7 +62,7 @@ func TestGetShareOfTheQueue(t *testing.T) {
 // TestLargeItemsAndResultsTravelAlone: sharing saves round trips, which
 // only small items notice, so a share stops before its reply passes
 // maxBatchBytes, and a held task's result past that bound goes to the
-// server, in a Get that only settles, before the next held task starts,
+// server, in a Get that wants nothing, before the next held task starts,
 // where a small one waits for the next Get.
 func TestLargeItemsAndResultsTravelAlone(t *testing.T) {
 	runWorld(t, 2, 1, func(cl *Client) error {
@@ -99,7 +99,7 @@ func TestLargeItemsAndResultsTravelAlone(t *testing.T) {
 			if i == 2 {
 				v = BlobValue(make([]byte, maxBatchBytes))
 			}
-			if err := cl.StoreResult(out, v); err != nil {
+			if err := cl.Store(out, v); err != nil {
 				return err
 			}
 		}
@@ -114,9 +114,8 @@ func TestLargeItemsAndResultsTravelAlone(t *testing.T) {
 // which stays out of the LIFO frame pool until every item is handed out
 // and the Get carrying their settles is on the wire. Each of three
 // held tasks passes its input straight through as its result, after
-// RPCs that cycle frames of the reply's size through the pool, so the
-// first task's result, aliasing the delivery frame, rides a Get after
-// two more held tasks; the inputs and results must read back intact.
+// RPCs that cycle frames of the reply's size through the pool; the
+// inputs and results must read back intact.
 func TestHeldItemsOutliveRPCs(t *testing.T) {
 	const tasks = 3
 	runWorld(t, 2, 1, func(cl *Client) error {
@@ -164,7 +163,7 @@ func TestHeldItemsOutliveRPCs(t *testing.T) {
 			if err != nil || !found || !bytes.Equal(v.Bytes, fill(i)) {
 				return fmt.Errorf("task %d: its input does not read back intact (found %v, err %v)", i, found, err)
 			}
-			if err := cl.StoreResult(outs[i], v); err != nil {
+			if err := cl.Store(outs[i], v); err != nil {
 				return err
 			}
 		}
@@ -192,7 +191,7 @@ func TestHeldItemsOutliveRPCs(t *testing.T) {
 // servers, a worker holds five items of its home server's queue, and
 // its first task's output lives on the other server: that Store goes
 // out as the task ends, so the task's settle reaches the server, in a
-// Get that only settles, before the second task starts. The worker then
+// Get that wants nothing, before the second task starts. The worker then
 // departs holding the second task and three unstarted ones, by Leave
 // and by the synthesized crash Leave. Either way every task completes
 // exactly once, with no store refused (the re-run of a finished task
@@ -219,7 +218,7 @@ func TestLeaveWithHeldItems(t *testing.T) {
 				mu.Lock()
 				runs[k]++
 				mu.Unlock()
-				return cl.StoreResult(outs[k], IntValue(int64(10*k)))
+				return cl.Store(outs[k], IntValue(int64(10*k)))
 			}
 			// Clients 0 and 1 are served by server 0, client 2 by server 1.
 			snap, err := runWorldCfg(t, 5, testConfig(2), func(cl *Client) error {

@@ -107,6 +107,9 @@ func (e *encoder) patch(off, n int, fill func(*encoder)) {
 	}
 }
 
+// truncate drops what was encoded after the first n bytes.
+func (e *encoder) truncate(n int) { e.buf = e.buf[:n] }
+
 // reset empties e for reuse, keeping its buffer unless it has grown
 // past maxRetainedEncoder (a one-off giant frame).
 func (e *encoder) reset() {

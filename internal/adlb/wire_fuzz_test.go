@@ -51,9 +51,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(e.buf, int64(3), uint8(3))
 	binary.LittleEndian.PutUint32(e.buf[1:], maxDelivery+1)
 	f.Add(e.buf, int64(3), uint8(3))
-	// A leased Get carrying its settled tasks, one with a result: whole,
-	// cut short, with two rows, with no lease to settle, and claiming a
-	// hostile count of settles.
+	// A leased Get carrying a store and its settled tasks: whole, cut
+	// short, claiming a hostile count of entries, storing three rows, and
+	// settling no lease.
 	e = &encoder{}
 	encodeGet(e, storeGet(storeRow))
 	f.Add(e.buf, int64(9), uint8(4))
@@ -64,10 +64,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	encodeGet(e, storeGet(seedChunk))
 	f.Add(e.buf, int64(9), uint8(4))
 	e = &encoder{}
-	encodeGet(e, &getRequest{typ: 1, want: 1, settles: []settle{{out: 5, row: storeRow}}})
+	encodeGet(e, &getRequest{typ: 1, want: 1, entries: []entry{storeEntry(5, storeRow), {}}})
 	f.Add(e.buf, int64(0), uint8(4))
-	// A Leave: a Get that departs, settling a task done with its result
-	// and handing back an item never started.
+	// A Leave: a Get that departs, storing a task's result, settling it
+	// done and handing back an item never started.
 	e = &encoder{}
 	encodeGet(e, departGet(storeRow))
 	f.Add(e.buf, int64(2), uint8(5))
@@ -82,7 +82,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		binary.LittleEndian.PutUint32(huge[cf.at:], 1<<31-1)
 		f.Add(huge, int64(cf.count), uint8(0))
 	}
-	// A Fail: a Get that only settles, the failed task after one done;
+	// A Fail: a Get that wants nothing, the failed task after one done;
 	// and the Gets no client builds (see TestGetStoreDecode).
 	e = &encoder{}
 	encodeGet(e, failGet())
@@ -110,24 +110,25 @@ func FuzzWireRoundTrip(f *testing.F) {
 				}
 			},
 			func(d *decoder) {
-				// A Get: each settle names a lease, is of a known kind,
-				// carries a one-row store only when done, and hands an
-				// item back only when the Get departs, which wants no
-				// work; or nothing decodes.
+				// A Get: each entry is a write, or a settle that names a
+				// lease, is of a known kind and hands an item back only
+				// when the Get departs, which wants no work; or nothing
+				// decodes.
 				var g getRequest
 				decodeGet(d, &g)
-				if len(g.settles) > len(raw)/settleBytes || d.err != nil && len(g.settles) > 0 {
-					t.Fatalf("%d settles out of %d bytes (err %v)", len(g.settles), len(raw), d.err)
+				if len(g.entries) > len(raw)/5 || d.err != nil && len(g.entries) > 0 {
+					t.Fatalf("%d entries out of %d bytes (err %v)", len(g.entries), len(raw), d.err)
 				}
 				depart := g.flags&getFlagDepart != 0
 				if d.err == nil && depart && g.want != 0 {
 					t.Fatalf("a departing Get decoded wanting %d items", g.want)
 				}
-				for _, st := range g.settles {
-					if st.lease == 0 || st.kind > settleHandedBack || st.out != 0 && (st.kind != settleDone || st.row.Len() != 1) ||
-						st.kind == settleHandedBack && !depart {
-						t.Fatalf("settle decoded with lease %d, kind %d, output %d and %d rows (flags %#x)",
-							st.lease, st.kind, st.out, st.row.Len(), g.flags)
+				for _, en := range g.entries {
+					st := en.settle
+					if en.write != nil && (len(en.write) == 0 || writeName(en.write[0]) == "") ||
+						en.write == nil && (st.lease == 0 || st.kind > settleHandedBack || st.kind == settleHandedBack && !depart) {
+						t.Fatalf("entry decoded as write %x, settle of lease %d and kind %d (flags %#x)",
+							en.write, st.lease, st.kind, g.flags)
 					}
 				}
 			},
@@ -207,11 +208,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatal("trailing garbage accepted")
 		}
 
-		// A Get carrying settles built from the input — tag%4 of them, of
-		// each kind in turn, a done one with a result every other time, a
-		// failed one with the input as its reason, and an item handed
-		// back only when the Get departs — round-trips, and rejects a
-		// trailing byte.
+		// A Get carrying entries built from the input — tag%4 settles, of
+		// each kind in turn, a done one after a store of the input every
+		// other time, a failed one with the input as its reason, and an
+		// item handed back only when the Get departs — round-trips, and
+		// rejects a trailing byte.
 		res, err := row(Value{Type: TypeBlob, Bytes: raw, Dims: []int{len(raw)}, Elem: tag})
 		if err != nil {
 			t.Fatalf("row: %v", err)
@@ -231,11 +232,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 			switch {
 			case st.kind == settleDone && i%2 == 0:
-				st.out, st.row = -n|1, res
+				g.entries = append(g.entries, storeEntry(-n|1, res))
 			case st.kind == settleFailed:
 				st.reason, st.retriable = string(raw), tag&4 != 0
 			}
-			g.settles = append(g.settles, st)
+			g.entries = append(g.entries, entry{settle: st})
 		}
 		e = &encoder{}
 		encodeGet(e, &g)
@@ -245,14 +246,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err := d.finish("get round trip"); err != nil {
 			t.Fatalf("clean Get round trip rejected: %v", err)
 		}
-		if gotG.typ != g.typ || gotG.flags != g.flags || gotG.want != g.want || len(gotG.settles) != len(g.settles) {
+		if gotG.typ != g.typ || gotG.flags != g.flags || gotG.want != g.want || len(gotG.entries) != len(g.entries) {
 			t.Fatalf("Get round trip: got %+v want %+v", gotG, g)
 		}
-		for i, st := range gotG.settles {
-			if want := g.settles[i]; st.lease != want.lease || st.kind != want.kind || st.out != want.out ||
-				st.reason != want.reason || st.retriable != want.retriable ||
-				st.out != 0 && (!bytes.Equal(st.row.Raw, raw) || st.row.Meta[0].Elem != tag) {
-				t.Fatalf("settle %d round trip: got %+v want %+v", i, st, want)
+		for i, en := range gotG.entries {
+			if want := g.entries[i]; en.settle != want.settle || !bytes.Equal(en.write, want.write) {
+				t.Fatalf("entry %d round trip: got %+v want %+v", i, en, want)
 			}
 		}
 		d = &decoder{buf: append(append([]byte(nil), e.buf...), 0x5A)}
@@ -333,83 +332,126 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzBatchFrame feeds arbitrary bytes after the batch opcode to a
-// server's dispatch: it must never panic. A frame that is not a
-// well-formed batch — an empty one, a write's length cut short, a
-// request that is not a write (a Get, a nested batch) — is an error,
-// with no write applied, and the frame goes back to the pool. A
-// well-formed batch goes back too, unless it carries a Store or a
+// FuzzBatchFrame feeds arbitrary bytes after the Get opcode to a
+// server's dispatch: a Get's head and its entries, the batch of writes
+// and settles a client sends a server. It must never panic. A Get that
+// is not well formed — a bad head, an entry cut short, empty or of no
+// known kind, a malformed settle, bytes after the last entry — is an
+// error, with no write applied, and the frame goes back to the pool. A
+// well-formed Get goes back too, unless it carries a Store or a
 // StoreChunk, whose rows the data store keeps aliasing the frame.
 //
 // Run with: go test -fuzz=FuzzBatchFrame ./internal/adlb
 func FuzzBatchFrame(f *testing.F) {
-	write := func(op uint8, body func(e *encoder)) []byte {
+	entry := func(kind uint8, body func(e *encoder)) []byte {
 		e := &encoder{}
 		at := e.begin()
-		e.u8(op)
+		e.u8(kind)
 		body(e)
 		if err := e.end(at); err != nil {
 			f.Fatal(err)
 		}
 		return e.buf
 	}
-	store := write(opStore, func(e *encoder) {
+	get := func(n int, entries ...[]byte) []byte {
+		e := &encoder{}
+		encodeGetHead(e, 1, 0, 0, n)
+		return append(e.buf, bytes.Join(entries, nil)...)
+	}
+	store := entry(opStore, func(e *encoder) {
 		e.i64(heldBase)
 		encodeChunk(e, intChunk(7))
 	})
-	put := write(opPut, func(e *encoder) {
+	put := entry(opPut, func(e *encoder) {
 		encodeWorkItem(e, workItem{Type: 1, Target: AnyRank, Payload: []byte("rule"), Inputs: []int64{heldBase}})
 	})
-	create := write(opCreate, func(e *encoder) {
+	create := entry(opCreate, func(e *encoder) {
 		e.i64(heldBase)
 		e.u8(uint8(TypeInteger))
 	})
-	valueless := write(opStore, func(e *encoder) { e.i64(heldBase) })
-	get := write(opGet, func(e *encoder) { encodeGet(e, &getRequest{typ: 1, want: 1}) })
-	nested := write(opBatch, func(e *encoder) { e.buf = append(e.buf, create...) })
-	cat := func(subs ...[]byte) []byte { return bytes.Join(subs, nil) }
-	f.Add(cat(create, store, put))
-	f.Add(cat(create, put))
-	f.Add(cat(create, store)[:len(create)+3]) // the store's length cut short
-	f.Add(cat(create, store[:len(store)-2]))  // the store's body cut short
-	f.Add(cat(create, valueless))             // well framed, a store with no value
-	f.Add(cat(create, nested))
-	f.Add(cat(put, get))
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
+	valueless := entry(opStore, func(e *encoder) { e.i64(heldBase) })
+	nested := entry(opGet, func(e *encoder) { encodeGetHead(e, 1, 0, 1, 0) })
+	settled := entry(entrySettle, func(e *encoder) {
+		e.i64(7)
+		e.u8(settleDone)
+	})
+	head := getHeadBytes - 1
+	f.Add(get(3, create, store, put))
+	f.Add(get(2, create, put))
+	f.Add(get(2, create, store)[:head+len(create)+3]) // the store's length cut short
+	f.Add(get(2, create, store[:len(store)-2]))       // the store's body cut short
+	f.Add(get(2, create, valueless))                  // well framed, a store with no value
+	f.Add(get(2, create, nested))
+	f.Add(get(2, put, settled))
+	f.Add(get(0))
+	f.Add(get(1, []byte{0, 0, 0, 0}))
+	f.Add(append(get(3, create, store, put), 0)) // a byte after the last entry
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := testServer(t, 2, 1, 0, Config{})
-		frame := append([]byte{opBatch}, body...)
+		frame := append([]byte{opGet}, body...)
 		_, _, puts := s.c.World().FramePoolStats()
 		err := s.dispatch(frame, mpi.Status{Source: 0, Tag: tagRequest})
 		_, _, after := s.c.World().FramePoolStats()
 		released := after > puts
 
-		// The oracle: walk the length-prefixed writes independently.
-		wellFormed, retains := len(body) > 0, false
-		for rest := body; len(rest) > 0 && wellFormed; {
-			if len(rest) < 4 {
-				wellFormed = false
-				break
-			}
-			n := uint64(binary.LittleEndian.Uint32(rest))
-			if n == 0 || n > uint64(len(rest)-4) || writeName(rest[4]) == "" {
-				wellFormed = false
-				break
-			}
-			retains = retains || rest[4] == opStore || rest[4] == opStoreChunk
-			rest = rest[4+n:]
-		}
+		wellFormed, retains := wellFormedGet(body)
 		switch {
 		case !wellFormed && err == nil:
-			t.Fatalf("malformed batch %x accepted", body)
+			t.Fatalf("malformed Get %x accepted", body)
 		case !wellFormed && !released:
-			t.Fatalf("malformed batch %x (%v) was not released", body, err)
+			t.Fatalf("malformed Get %x (%v) was not released", body, err)
 		case !wellFormed && (len(s.store) > 0 || len(s.untargeted) > 0):
-			t.Fatalf("malformed batch %x applied a write", body)
+			t.Fatalf("malformed Get %x applied a write", body)
 		case wellFormed && released == retains:
-			t.Fatalf("batch %x carrying a store: %v, released: %v", body, retains, released)
+			t.Fatalf("Get %x carrying a store: %v, released: %v", body, retains, released)
 		}
 	})
+}
+
+// wellFormedGet is FuzzBatchFrame's oracle, walking a Get's body after
+// its opcode by hand: whether decodeGet must accept it, and whether one
+// of its entries is a Store or a StoreChunk.
+func wellFormedGet(b []byte) (ok, retains bool) {
+	if len(b) < getHeadBytes-1 {
+		return false, false
+	}
+	flags, want, n := b[4], b[5], binary.LittleEndian.Uint32(b[6:])
+	depart := flags&getFlagDepart != 0
+	if flags&^(getFlagLeased|getFlagDepart) != 0 || want > maxDelivery || depart && want > 0 {
+		return false, false
+	}
+	rest := b[getHeadBytes-1:]
+	for ; n > 0; n-- {
+		if len(rest) < 4 {
+			return false, false
+		}
+		m := uint64(binary.LittleEndian.Uint32(rest))
+		if m == 0 || m > uint64(len(rest)-4) {
+			return false, false
+		}
+		en := rest[4 : 4+m]
+		rest = rest[4+m:]
+		if en[0] != entrySettle {
+			if writeName(en[0]) == "" {
+				return false, false
+			}
+			retains = retains || en[0] == opStore || en[0] == opStoreChunk
+			continue
+		}
+		if len(en) < 10 {
+			return false, false
+		}
+		lease, kind, tail := binary.LittleEndian.Uint64(en[1:]), en[9], en[10:]
+		if kind == settleFailed {
+			if len(tail) < 4 || uint64(binary.LittleEndian.Uint32(tail)) >= uint64(len(tail)-4) {
+				return false, false
+			}
+			tail = tail[4+binary.LittleEndian.Uint32(tail)+1:]
+		}
+		if len(tail) != 0 || lease == 0 || kind > settleHandedBack || kind == settleHandedBack && !depart {
+			return false, false
+		}
+	}
+	return len(rest) == 0, retains
 }

@@ -3,11 +3,13 @@ package adlb
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/chunk"
+	"repro/internal/mpi"
 )
 
 // The encoder must reject fields whose length cannot be framed in the u32
@@ -129,28 +131,52 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 	})
 }
 
-// storeGet is a leased Get settling lease 9 with its result, id 5 and
-// c, and then lease 10 with none.
+// writeEntry is a write as a Get's entry: op and the body body builds.
+func writeEntry(op uint8, body func(e *encoder)) entry {
+	e := &encoder{}
+	e.u8(op)
+	body(e)
+	return entry{write: e.buf}
+}
+
+// storeEntry is a Store of c into id as a Get's entry.
+func storeEntry(id int64, c chunk.Chunk) entry {
+	return writeEntry(opStore, func(e *encoder) {
+		e.i64(id)
+		encodeChunk(e, c)
+	})
+}
+
+// rawSettle is s's entry without its length prefix, so a test can
+// frame a settle the encoder would not: cut short, or with bytes after.
+func rawSettle(s settle) []byte {
+	e := &encoder{}
+	encodeSettle(e, &s)
+	return e.buf[4:]
+}
+
+// storeGet is a leased Get storing c into id 5, then settling lease 9
+// and lease 10.
 func storeGet(c chunk.Chunk) *getRequest {
-	return &getRequest{typ: 1, flags: getFlagLeased, want: maxDelivery, settles: []settle{{lease: 9, out: 5, row: c}, {lease: 10}}}
+	return &getRequest{typ: 1, flags: getFlagLeased, want: maxDelivery, entries: []entry{storeEntry(5, c), {settle: settle{lease: 9}}, {settle: settle{lease: 10}}}}
 }
 
-// departGet is a Leave: a Get that departs, settling lease 9 done with
-// its result, id 5 and c, and handing back lease 11, never started.
+// departGet is a Leave: a Get that departs, storing c into id 5,
+// settling lease 9 done and handing back lease 11, never started.
 func departGet(c chunk.Chunk) *getRequest {
-	return &getRequest{flags: getFlagDepart, settles: []settle{{lease: 9, out: 5, row: c}, {lease: 11, kind: settleHandedBack}}}
+	return &getRequest{flags: getFlagDepart, entries: []entry{storeEntry(5, c), {settle: settle{lease: 9}}, {settle: settle{lease: 11, kind: settleHandedBack}}}}
 }
 
-// failGet is a Fail: a Get that only settles lease 10 done, with no
-// result, and then lease 12 failed, retriably.
+// failGet is a Fail: a Get that wants nothing, settling lease 10 done
+// and then lease 12 failed, retriably.
 func failGet() *getRequest {
-	return &getRequest{settles: []settle{{lease: 10}, {lease: 12, kind: settleFailed, reason: "task exploded", retriable: true}}}
+	return &getRequest{entries: []entry{{settle: settle{lease: 10}}, {settle: settle{lease: 12, kind: settleFailed, reason: "task exploded", retriable: true}}}}
 }
 
 // malformedGets are Gets no client builds, each a decode error: a settle
-// of an unknown kind, a failed or handed-back settle that carries a
-// result, an item handed back by a Get that does not depart, and a
-// departing Get that wants work.
+// of an unknown kind, an entry that is neither a write nor a settle, a
+// settle with bytes after it in its entry, an item handed back by a Get
+// that does not depart, and a departing Get that wants work.
 func malformedGets(c chunk.Chunk) []struct {
 	name  string
 	frame []byte
@@ -161,11 +187,11 @@ func malformedGets(c chunk.Chunk) []struct {
 		return e.buf
 	}
 	unknownKind := failGet()
-	unknownKind.settles[1].kind = settleHandedBack + 1
-	failedResult := failGet()
-	failedResult.settles[1].out, failedResult.settles[1].row = 5, c
-	handedResult := departGet(c)
-	handedResult.settles[1].out, handedResult.settles[1].row = 5, c
+	unknownKind.entries[1].settle.kind = settleHandedBack + 1
+	notWrite := failGet()
+	notWrite.entries[1] = entry{write: []byte{opGet}}
+	trailing := failGet()
+	trailing.entries[1] = entry{write: append(rawSettle(settle{lease: 12}), 0)}
 	handedStaying := departGet(c)
 	handedStaying.flags = getFlagLeased
 	departWanting := departGet(c)
@@ -175,20 +201,20 @@ func malformedGets(c chunk.Chunk) []struct {
 		frame []byte
 	}{
 		{"unknown kind", frame(unknownKind)},
-		{"failed with a result", frame(failedResult)},
-		{"handed back with a result", frame(handedResult)},
+		{"neither a write nor a settle", frame(notWrite)},
+		{"a settle with bytes after it", frame(trailing)},
 		{"handed back staying", frame(handedStaying)},
 		{"departing wanting work", frame(departWanting)},
 	}
 }
 
-// A Get carrying settles decodes to its parts, each settle's kind with
-// what it carries: a done task's result, a failed task's reason, an
-// item handed back by a Get that departs. One cut short, one whose store
-// has no row or two, one whose settle names no lease, one wanting more
-// than maxDelivery items, one claiming more settles than it holds, one
-// with an unknown flag and the malformedGets are decode errors, never a
-// panic or a store.
+// A Get carrying entries decodes to its parts: each write aliasing the
+// frame, each settle with its kind and what it carries — a failed
+// task's reason, an item handed back by a Get that departs. One cut
+// short, one with an empty entry, one whose settle is cut short in its
+// entry, one settling lease 0, one wanting more than maxDelivery items,
+// one claiming more entries than it holds, one with an unknown flag and
+// the malformedGets are decode errors, never a panic or a store.
 func TestGetStoreDecode(t *testing.T) {
 	frame := func(g *getRequest) []byte {
 		e := &encoder{}
@@ -206,35 +232,41 @@ func TestGetStoreDecode(t *testing.T) {
 	if err := d.finish("get request"); err != nil {
 		t.Fatalf("clean Get rejected: %v", err)
 	}
-	if !g.carriesStore() || g.typ != 1 || g.want != maxDelivery || len(g.settles) != 2 {
+	if !retainsRequestFrame(opGet, &g) || g.typ != 1 || g.want != maxDelivery || len(g.entries) != 3 {
 		t.Fatalf("decoded %+v", g)
 	}
-	if s := g.settles[0]; s.lease != 9 || s.out != 5 || s.row.Len() != 1 || string(s.row.Raw) != "result" {
-		t.Fatalf("decoded store settle %+v", s)
+	if w := g.entries[0].write; !bytes.Equal(w, storeEntry(5, one).write) {
+		t.Fatalf("decoded store entry %x", w)
 	}
-	if s := g.settles[1]; s.lease != 10 || s.out != 0 || s.row.Len() != 0 {
-		t.Fatalf("decoded bare settle %+v", s)
+	for i, lease := range []int64{9, 10} {
+		if en := g.entries[1+i]; en.write != nil || en.settle.lease != lease || en.settle.kind != settleDone {
+			t.Fatalf("decoded settle %+v, want lease %d done", en, lease)
+		}
 	}
-	noLease := storeGet(one)
-	noLease.settles[0].lease = 0
-	bareNoLease := storeGet(one)
-	bareNoLease.settles[1].lease = 0
+	doneLease0 := storeGet(one)
+	doneLease0.entries[1].settle.lease = 0
+	lastLease0 := storeGet(one)
+	lastLease0.entries[2].settle.lease = 0
+	empty := storeGet(one)
+	empty.entries[1] = entry{write: []byte{}}
+	cutSettle := storeGet(one)
+	cutSettle.entries[2] = entry{write: rawSettle(settle{lease: 10})[:5]}
 	greedy := storeGet(one)
 	greedy.want = maxDelivery + 1
 	unknown := storeGet(one)
 	unknown.flags |= 1 << 7
 	overclaim := append([]byte(nil), clean...)
-	binary.LittleEndian.PutUint32(overclaim[getHeadBytes-5:], 3)
+	binary.LittleEndian.PutUint32(overclaim[getHeadBytes-5:], 4)
 	bad := map[string][]byte{
-		"truncated":     clean[:len(clean)-3],
-		"no rows":       frame(storeGet(chunk.Chunk{})),
-		"two rows":      frame(storeGet(intChunk(1, 2))),
-		"store lease 0": frame(noLease),
-		"bare lease 0":  frame(bareNoLease),
-		"greedy":        frame(greedy),
-		"unknown":       frame(unknown),
-		"overclaim":     overclaim,
-		"trailing":      append(append([]byte(nil), clean...), 0),
+		"truncated":    clean[:len(clean)-3],
+		"empty entry":  frame(empty),
+		"settle cut":   frame(cutSettle),
+		"done lease 0": frame(doneLease0),
+		"last lease 0": frame(lastLease0),
+		"greedy":       frame(greedy),
+		"unknown":      frame(unknown),
+		"overclaim":    overclaim,
+		"trailing":     append(append([]byte(nil), clean...), 0),
 	}
 	for _, m := range malformedGets(one) {
 		bad[m.name] = m.frame
@@ -244,30 +276,99 @@ func TestGetStoreDecode(t *testing.T) {
 		decodeGet(d, &g)
 		if err := d.finish("get request"); err == nil {
 			t.Errorf("%s: malformed Get accepted", name)
-		} else if d.err != nil && len(g.settles) != 0 {
-			t.Errorf("%s: a decode error left %d settles", name, len(g.settles))
+		} else if len(g.entries) != 0 {
+			t.Errorf("%s: a decode error left %d entries", name, len(g.entries))
 		}
 	}
 	// A Get that only asks, and one that only settles.
-	for _, plain := range []*getRequest{{typ: 1, want: 1}, {typ: 1, settles: []settle{{lease: 9}}}} {
+	for _, plain := range []*getRequest{{typ: 1, want: 1}, {typ: 1, entries: []entry{{settle: settle{lease: 9}}}}} {
 		d = &decoder{buf: frame(plain)}
-		if decodeGet(d, &g); d.finish("get request") != nil || g.carriesStore() || g.want != plain.want || len(g.settles) != len(plain.settles) {
+		if decodeGet(d, &g); d.finish("get request") != nil || retainsRequestFrame(opGet, &g) || g.want != plain.want || len(g.entries) != len(plain.entries) {
 			t.Fatalf("plain Get %+v: %+v, %v", plain, g, d.err)
 		}
 	}
-	// A Fail and a Leave round-trip exactly, settle by settle.
+	// A Fail and a Leave round-trip exactly, entry by entry.
 	for _, want := range []*getRequest{failGet(), departGet(one)} {
 		d = &decoder{buf: frame(want)}
-		if decodeGet(d, &g); d.finish("get request") != nil || g.flags != want.flags || g.want != 0 || len(g.settles) != len(want.settles) {
+		if decodeGet(d, &g); d.finish("get request") != nil || g.flags != want.flags || g.want != 0 || len(g.entries) != len(want.entries) {
 			t.Fatalf("Get %+v decoded as %+v, %v", want, g, d.err)
 		}
-		for i, st := range g.settles {
-			w := want.settles[i]
-			if st.lease != w.lease || st.kind != w.kind || st.out != w.out || st.reason != w.reason ||
-				st.retriable != w.retriable || st.row.Len() != w.row.Len() || !bytes.Equal(st.row.Raw, w.row.Raw) {
-				t.Fatalf("settle %d decoded as %+v, want %+v", i, st, w)
+		for i, en := range g.entries {
+			if w := want.entries[i]; en.settle != w.settle || !bytes.Equal(en.write, w.write) {
+				t.Fatalf("entry %d decoded as %+v, want %+v", i, en, w)
 			}
 		}
+	}
+}
+
+// dispatchGet hands g to s as client 0's request and returns the
+// reply's error: nil for OK, or the refusal or error text it reads as.
+func dispatchGet(t *testing.T, s *server, g *getRequest) error {
+	t.Helper()
+	e := &encoder{}
+	e.u8(opGet)
+	encodeGet(e, g)
+	if err := s.dispatch(e.buf, mpi.Status{Source: 0, Tag: tagRequest}); err != nil {
+		t.Fatalf("dispatch: %v", err)
+	}
+	c, err := s.c.World().Comm(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := c.Recv(s.c.Rank(), tagResponse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = checkStatus(&decoder{buf: data}, "get")
+	return err
+}
+
+// A store whose value is not one row decodes, and is refused as it
+// applies: a Get carrying one with no row or two is refused with the
+// lone Store's text, nothing is stored, and the write after it is not
+// applied.
+func TestGetStoreRowCountRefused(t *testing.T) {
+	const x, later = int64(heldBase), int64(heldBase + 1)
+	for _, c := range []chunk.Chunk{{}, intChunk(1, 2)} {
+		s := testServer(t, 2, 1, 0, Config{})
+		create := writeEntry(opCreate, func(e *encoder) {
+			e.i64(later)
+			e.u8(uint8(TypeInteger))
+		})
+		err := dispatchGet(t, s, &getRequest{entries: []entry{storeEntry(x, c), create}})
+		want := fmt.Sprintf("adlb: store: store: id %d: %d rows, want 1", x, c.Len())
+		if err == nil || err.Error() != want {
+			t.Errorf("%d rows: %v, want %q", c.Len(), err, want)
+		}
+		if len(s.store) != 0 {
+			t.Errorf("%d rows: the store holds %d ids, want none", c.Len(), len(s.store))
+		}
+	}
+}
+
+// A refused write is charged to the next done settle, not to a failed
+// settle of another lease between them: a Fail of an ended lease sent
+// behind the running task's writes is refused as unknown, and the
+// refusal fails the running task when it settles.
+func TestRefusalChargedToNextDoneSettle(t *testing.T) {
+	const x = int64(heldBase)
+	s := testServer(t, 2, 1, 0, Config{Stats: &Stats{}})
+	s.leases[5] = lease{w: workItem{Type: typeWork, Target: AnyRank, Payload: []byte("task")}}
+	create := writeEntry(opCreate, func(e *encoder) {
+		e.i64(x)
+		e.u8(uint8(TypeInteger))
+	})
+	err := dispatchGet(t, s, &getRequest{entries: []entry{
+		create, storeEntry(x, intChunk(1)), storeEntry(x, intChunk(2)),
+		{settle: settle{lease: 77, kind: settleFailed, reason: "late", retriable: true}},
+		{settle: settle{lease: 5}},
+	}})
+	if want := "adlb: get: fail: unknown lease 77"; err == nil || err.Error() != want {
+		t.Fatalf("reply: %v, want %q", err, want)
+	}
+	q := s.untargeted[typeWork]
+	if snap := s.stats().Snapshot(); snap.Requeued != 1 || q == nil || q.len() != 1 {
+		t.Fatalf("Requeued %d, want lease 5's task requeued by the refusal", snap.Requeued)
 	}
 }
 
@@ -275,7 +376,7 @@ func TestGetStoreDecode(t *testing.T) {
 // it wanted, none for a Get that wanted work, any for one that only
 // settled or departed, and a leased item with no lease are decode
 // errors. A failed settle the server refuses comes back as the Fail's
-// error, its text unchanged.
+// error, and a refused write as the Get's, each text unchanged.
 func TestGetReplyDecode(t *testing.T) {
 	reply := func(leased bool, items ...delivered) []byte {
 		e := &encoder{}
@@ -329,6 +430,13 @@ func TestGetReplyDecode(t *testing.T) {
 	if _, err := checkStatus(d, "fail"); err == nil || err.Error() != "adlb: fail: fail: unknown lease 12" || d.finish("fail refusal") != nil {
 		t.Fatalf("a refused Fail reads %v", err)
 	}
+	refusal = &encoder{}
+	refusal.u8(stRefused)
+	refusal.str("adlb: insert: insert: id 5 is not a container")
+	d = &decoder{buf: refusal.buf}
+	if _, err := checkStatus(d, "get"); err == nil || err.Error() != "adlb: insert: insert: id 5 is not a container" || d.finish("write refusal") != nil {
+		t.Fatalf("a Get refused at a write reads %v", err)
+	}
 }
 
 // countedFrame is one clean frame of a count-prefixed message body;
@@ -346,8 +454,8 @@ type countedFrame struct {
 // enumerate response (subscript/member pairs), a blob value (its row's
 // dims table, the last field of its chunk frame), a Put's work item (its
 // wait ids, the last field), a delivered item's rows (their ids, then
-// one chunk), a Get's settles, a Get reply's items and a Leave's settles:
-// the ended tasks' and the items it hands back.
+// one chunk), a Get's settles, a Get reply's items and a Leave's entries:
+// an ended task's store and settles, and the items it hands back.
 func countedFrames() []countedFrame {
 	gather := &encoder{}
 	encodeIDs(gather, []int64{7, -9, 1 << 40, 0})
@@ -377,26 +485,26 @@ func countedFrames() []countedFrame {
 	encodeRows(rows, []int64{11, 12}, rowChunk)
 	res, _ := row(StringValue("result"))
 	get := &encoder{}
-	encodeGet(get, &getRequest{typ: 1, flags: getFlagLeased, want: 1, settles: []settle{{lease: 3, out: 7, row: res}, {lease: 4}}})
+	encodeGet(get, &getRequest{typ: 1, flags: getFlagLeased, want: 1, entries: []entry{{settle: settle{lease: 3}}, {settle: settle{lease: 4}}}})
 	reply := &encoder{}
 	reply.u32(2)
 	for _, lease := range []int64{5, 6} {
 		encodeDelivered(reply, true, &delivered{lease: lease, payload: []byte("job"), ids: []int64{11, 12}, rows: rowChunk})
 	}
 	leave := &encoder{}
-	encodeGet(leave, &getRequest{flags: getFlagDepart, settles: []settle{{lease: 1, out: 7, row: res}, {lease: 2},
-		{lease: 3, kind: settleHandedBack}, {lease: 4, kind: settleHandedBack}, {lease: 5, kind: settleHandedBack}}})
+	encodeGet(leave, &getRequest{flags: getFlagDepart, entries: []entry{storeEntry(7, res), {settle: settle{lease: 1}}, {settle: settle{lease: 2}},
+		{settle: settle{lease: 3, kind: settleHandedBack}}, {settle: settle{lease: 4, kind: settleHandedBack}}, {settle: settle{lease: 5, kind: settleHandedBack}}}})
 	return []countedFrame{
 		{"get-settles", get.buf, 2, getHeadBytes - 5, func(d *decoder) int {
 			var g getRequest
 			decodeGet(d, &g)
-			return len(g.settles)
+			return len(g.entries)
 		}},
 		{"get-reply-items", reply.buf, 2, 0, func(d *decoder) int { return len(decodeDelivery(d, true, maxDelivery, nil)) }},
-		{"leave-unstarted", leave.buf, 5, getHeadBytes - 5, func(d *decoder) int {
+		{"leave-unstarted", leave.buf, 6, getHeadBytes - 5, func(d *decoder) int {
 			var g getRequest
 			decodeGet(d, &g)
-			return len(g.settles)
+			return len(g.entries)
 		}},
 		{"put-wait-ids", put.buf, 3, 4*4 + 4 + 3, func(d *decoder) int { return len(decodeWorkItem(d).Inputs) }},
 		{"item-rows", rows.buf, 2, 0, func(d *decoder) int { ids, _ := decodeRows(d, nil); return len(ids) }},

@@ -1,8 +1,8 @@
 package adlb
 
 // Writes in batches: a client's Puts, Creates, Stores, Inserts,
-// refcount changes and StoreChunks to one server ride one frame, which
-// the server answers once. These pin what that must not change: program
+// refcount changes and StoreChunks to one server ride one frame, a
+// Get's entries, which the server answers once. These pin what that must not change: program
 // order across servers, deliveries a batched write releases to other
 // clients, a refusal's effect and text, and a frame's byte bound.
 
@@ -240,8 +240,8 @@ func TestBatchFrameStaysUnderItsByteBound(t *testing.T) {
 			if err := cl.Store(heldBase+k, part); err != nil {
 				return err
 			}
-			if b := cl.batch; b.n > 1 && len(b.e.buf) > maxBatchBytes {
-				return fmt.Errorf("store %d: %d writes in a %d-byte frame", k, b.n, len(b.e.buf))
+			if h := &cl.home; h.writes > 1 && h.size() > maxBatchBytes {
+				return fmt.Errorf("store %d: %d writes in a %d-byte frame", k, h.writes, h.size())
 			}
 		}
 		if err := cl.Flush(); err != nil {
@@ -259,8 +259,8 @@ func TestBatchFrameStaysUnderItsByteBound(t *testing.T) {
 		if err := cl.Store(heldBase+5, big); err != nil {
 			return err
 		}
-		if n := framesSent(cl) - before; n != 4 || cl.batch.n != 0 {
-			return fmt.Errorf("a small write, then a store past the bound: %d frames and %d writes pending, want 4 and 0", n, cl.batch.n)
+		if n := framesSent(cl) - before; n != 4 || cl.home.writes != 0 {
+			return fmt.Errorf("a small write, then a store past the bound: %d frames and %d writes pending, want 4 and 0", n, cl.home.writes)
 		}
 		for k, want := range map[int64]Value{heldBase + 4: part, heldBase + 5: big} {
 			v, _, err := cl.Retrieve(k)

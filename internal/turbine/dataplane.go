@@ -10,11 +10,11 @@ package turbine
 // and its engine through the typed data plane below, so numeric and blob
 // payloads cross the boundary as typed values — blob bytes flow store ->
 // engine -> store with their dims and element kind intact, and nothing is
-// formatted as text unless a string slot demands it. A leaf record's
-// result rides the worker's next Get when the worker's home server owns
-// the output (see StoreAs), so such a leaf costs the worker one round
-// trip: its inputs come with the item, its output goes with the request
-// for the next one. The chunk surface (LoadChunk, StoreChunk) carries
+// formatted as text unless a string slot demands it. A leaf's result is
+// a Store, which rides the worker's next Get when the worker's home
+// server owns the output, so such a leaf costs the worker a share of one
+// round trip: its inputs come with the item, its output goes with the
+// request for the next one. The chunk surface (LoadChunk, StoreChunk) carries
 // argument vectors and backs the container<->vector bridge: gathers and
 // scatters cost one RPC per owning server, not one per element.
 
@@ -70,10 +70,6 @@ func (r *record) decode(payload []byte) (script string, isLeaf bool, err error) 
 // rank's ADLB client.
 type dataPlane struct {
 	cl *adlb.Client
-	// leaf marks the plane a worker runs a leaf record through: its one
-	// store is the leased task's result, which rides the worker's next
-	// Get when the home server owns the output.
-	leaf bool
 }
 
 // toStore converts a typed lang value to the stored form of the named
@@ -105,11 +101,9 @@ func toStore(td string, v lang.Value) (adlb.Value, error) {
 }
 
 // StoreAs stores a typed value into a TD of the named turbine type,
-// converting where the kinds differ. A leaf's result goes through
-// Client.StoreResult: when the worker's home server owns the output it
-// is stored by the worker's next Get, in the message that settles the
-// task's lease, so a leaf costs the worker one round trip, not two.
-// Every other store (the engine's, a script record's) is Client.Store.
+// converting where the kinds differ. On a worker, a store its home
+// server owns rides the next Get, in the message that settles the
+// task's lease.
 func (p dataPlane) StoreAs(id int64, td string, v lang.Value) error {
 	if err := faultinject.At(faultinject.SiteDataPlaneStore); err != nil {
 		return err
@@ -117,9 +111,6 @@ func (p dataPlane) StoreAs(id int64, td string, v lang.Value) error {
 	sv, err := toStore(td, v)
 	if err != nil {
 		return err
-	}
-	if p.leaf {
-		return p.cl.StoreResult(id, sv)
 	}
 	return p.cl.Store(id, sv)
 }

@@ -84,8 +84,9 @@ func (e *engine) run() error {
 }
 
 // control runs one control action on the engine's interpreter, then
-// flushes the writes it made: they travel in one frame per server (see
-// adlb.Client), and a refused one fails the action that made it.
+// flushes the writes it made: they travel as one Get that wants nothing
+// per server (see adlb.Client), and a refused one fails the action that
+// made it.
 func (e *engine) control(action string) error {
 	if s := e.stats(); s != nil {
 		s.ControlTasks.Add(1)
@@ -111,7 +112,8 @@ func (e *engine) control(action string) error {
 // faults, data-plane errors) requeue under the task's retry budget;
 // deterministic evaluation errors poison the task immediately. The lease
 // of a successful task is settled implicitly by the next Get, which also
-// carries a leaf record's result when this rank's home server owns it.
+// carries the task's writes for this rank's home server; one of them
+// refused there fails the task retriably, at the server.
 func runWorker(env *Env) error {
 	for {
 		payload, leaseID, ok, err := env.Client.GetLeased(TypeWork)
@@ -141,11 +143,6 @@ func runWorker(env *Env) error {
 			s.LeafTasks.Add(1)
 		}
 		evalErr, retriable := evalLeafContained(env, payload)
-		// The task's writes go out as it ends. A refused one fails the
-		// task retriably, as a refused result riding the next Get does.
-		if err := env.Client.Flush(); err != nil && evalErr == nil {
-			evalErr, retriable = err, true
-		}
 		if evalErr == nil {
 			continue
 		}
@@ -183,7 +180,7 @@ func evalLeafContained(env *Env, payload []byte) (err error, retriable bool) {
 	script, isLeaf, evalErr := env.rec.decode(payload)
 	if evalErr == nil {
 		if isLeaf {
-			evalErr = env.Langs.Leaf(&env.rec.leaf, dataPlane{cl: env.Client, leaf: true})
+			evalErr = env.Langs.Leaf(&env.rec.leaf, dataPlane{cl: env.Client})
 		} else {
 			_, evalErr = env.interp.Eval(script)
 		}
