@@ -811,12 +811,15 @@ func TestNotificationAcrossServers(t *testing.T) {
 		// clients 0,1 -> server idx 0; clients 2,3 -> server idx 1.
 		switch cl.Rank() {
 		case 3:
-			// Allocate from server 1 so the datum is owned there.
+			// Allocate from server 1 so the datum is owned there, and
+			// create it there before the others use it: the Create
+			// otherwise waits for this client's next Get, behind which
+			// client 1's Store may land first.
 			id, err := cl.Unique()
 			if err != nil {
 				return err
 			}
-			if err := cl.Create(id, TypeFloat); err != nil {
+			if err := sent(cl, cl.Create(id, TypeFloat)); err != nil {
 				return err
 			}
 			ids <- id

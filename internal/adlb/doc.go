@@ -30,69 +30,77 @@
 // Stats.UnfilledTDs counts the entries waited on or created but never
 // closed when a server drains.
 //
-// The client protocol is eleven request opcodes, each with a caller in
-// the Turbine runtime: work (put, get), ids (unique), the data store
-// (create, store, insert, lookup, enumerate, write-refcount) and the
-// columnar plane (retrieve_chunk, store_chunk). The six writes — put,
-// create, store, insert, write-refcount and store_chunk, whose reply is
-// only a status — travel only as entries of a Get; the other five each
-// start a frame of their own, answered by its own reply.
+// Every request frame is a Get, and every request one of its entries,
+// each with a caller in the Turbine runtime: work (put), ids (unique),
+// the data store (create, store, insert, lookup, enumerate,
+// write-refcount) and the columnar plane (retrieve_chunk, store_chunk).
+// The six writes are answered only by the Get's status; the four reads —
+// lookup, enumerate, retrieve_chunk, and unique, which reads a block of
+// ids — each get an answer in the Get's reply.
 // Nothing asks a datum whether it exists or what type it has: a reader
 // waits on it and names the type it wants.
 //
-// A Get is the one frame that carries what a client changes at a
-// server: the work type (i32), a flags byte (leased, depart), the count
+// A Get carries what a client changes at a server and what it reads
+// there: the work type (i32), a flags byte (leased, depart), the count
 // of items it wants (u8: up to maxDelivery for a leased Get, 1 for any
 // other, 0 for a Get that wants nothing or departs) and a counted list
 // of entries in program order, each length-prefixed and starting with
-// its kind: a write (its opcode and body) or a settle (kind 0), the end
-// of a leased task — its lease (i64), how it ended (u8: done, failed,
-// handed back) and a failed task's reason and retriable flag. A
-// client's writes for its home server join the entries of its next Get
-// there, beside the settles of the tasks that ended, so a worker's loop
-// pays no RPC to report a task done or to store its result; its writes
-// for another server go to it as a Get that wants nothing. Pending
-// writes go out, and the reply is awaited, at maxBatch writes or
-// maxBatchBytes (1 MiB), before a write that would take them past that
-// bound (so a large write travels alone, far under the transport's
-// frame limit), before a write for another server (so writes keep
-// program order across servers), before any request that waits for an
-// answer, and at Client.Flush, which a Turbine engine calls as each
-// control action ends and swiftd's gateway after each Put. So a client
-// never blocks with a write unsent or unanswered, and Safra's protocol
-// sees what it saw when every write was a round trip. The server
-// applies the entries in order, each write through one handler per
-// write, counted in Stats as it applies (the Get frame kept as a
-// store's backing), and each settle through server.settle, then serves
-// the Get. The closes the writes made are announced before the Get is
-// served, so a rule a task's result releases can go out in the reply,
-// or, in a Get that wants nothing, after the reply, to the clients they
-// are for. A refused write skips the rest of its task's writes and
-// fails the next done settle retriably with the refusal (a failed or
-// handed-back settle between them names another lease and leaves it
-// standing); one with no done settle after it refuses the Get, with the
-// text a lone write's refusal had, and the writes after it are not
-// applied. An entry count the frame cannot hold, an empty entry or one
-// of an unknown kind, a settle cut short or of lease 0 or of an unknown
-// kind, an item handed back by a Get that does not depart, a departing
-// Get that wants work, a want past maxDelivery and an unknown flag are
-// decode errors before any entry applies; a write whose own body is
-// malformed is a decode error when the server reaches it, after the
-// entries before it applied. Either ends the run.
+// its kind: a write or a read (its opcode and body) or a settle (kind
+// 0), the end of a leased task — its lease (i64), how it ended (u8:
+// done, failed, handed back) and a failed task's reason and retriable
+// flag. A client's writes for its home server join the entries of its
+// next Get there, beside the settles of the tasks that ended, so a
+// worker's loop pays no round trip to report a task done or to store its
+// result; its writes for another server go to it as a Get that wants
+// nothing. Pending writes go out, and the reply is awaited, at maxBatch
+// writes or maxBatchBytes (1 MiB), before a write that would take them
+// past that bound (so a large write travels alone, far under the
+// transport's frame limit), before a write or a read for another server
+// (so writes keep program order across servers), and at Client.Flush,
+// which a Turbine engine calls as each control action ends and swiftd's
+// gateway after each Put. So a client never blocks with a write unsent
+// or unanswered, and Safra's protocol sees what it saw when every write
+// was a round trip. The server applies the entries in order, each write
+// through one handler per write and each read through server.answer,
+// counted in Stats as they apply (the Get frame kept as a store's
+// backing), and each settle through server.settle, then serves the Get.
+// The closes the writes made are announced before the Get is served, so
+// a rule a task's result releases can go out in the reply, or, in a Get
+// that wants nothing, after the reply, to the clients they are for. A
+// refused write skips the rest of its task's writes and fails the next
+// done settle retriably with the refusal (a failed or handed-back settle
+// between them names another lease and leaves it standing); one with no
+// done settle after it refuses the Get, with the text a lone write's
+// refusal had, and the writes and reads after it are not applied. A
+// frame that is not a Get, an entry count the frame cannot hold, an
+// empty entry or one of an unknown kind, a read in a Get that wants
+// work, a settle cut short or of lease 0 or of an unknown kind, an item
+// handed back by a Get that does not depart, a departing Get that wants
+// work, a want past maxDelivery and an unknown flag are decode errors
+// before any entry applies; a request whose own body is malformed is a
+// decode error when the server reaches it, after the entries before it
+// applied. Either ends the run.
+//
+// A read is the last entry of a Get that wants nothing, since the
+// client waits on its answer: it goes out at once with the entries
+// pending for its server, one request frame, and sees them applied. The
+// reply is the Get's status, each read's answer in entry order (a
+// status, then what the read found, or an error's text that leaves the
+// entries after it to apply), and a count of no items.
 //
 // A lease ends one way, by a settle riding a Get (server.settle). Fail
 // sends its failed settle at once, behind the entries waiting, in a Get
-// that wants nothing, and drops a failed running task's home writes
-// still pending, so its outputs stay open for the re-run, and joins a
-// refusal of its writes for another server to the reason; a Fail of a
-// lease whose done settle went ahead of it is refused as an unknown
-// lease, so a lease settles at most once. Leave is a Get that departs,
-// carrying every ended task's writes and settle and handing back the
-// held items never started, requeued with no attempt charged; the
-// server departs the client, and reclaims every lease it still holds —
-// the running task, whose pending home writes are dropped — charging
-// each one attempt, with the item pinned to no one. It answers OK even
-// while it drains. NotifyCrashed sends the same Get with no entries.
+// that wants nothing, and drops a failed running task's writes still
+// pending — for the home server and for another — so its outputs stay
+// open for the re-run; a Fail of a lease whose done settle went ahead of
+// it is refused as an unknown lease, so a lease settles at most once.
+// Leave is a Get that departs, carrying every ended task's writes and
+// settle and handing back the held items never started, requeued with no
+// attempt charged; the server departs the client, and reclaims every
+// lease it still holds — the running task, whose pending writes are
+// dropped — charging each one attempt, with the item pinned to no one.
+// It answers OK even while it drains. NotifyCrashed sends the same Get
+// with no entries.
 //
 // A reply with work is a count of items, then each item's lease (when
 // leased), payload and rows. A leased Get served from the untargeted
@@ -145,12 +153,12 @@
 // frame). Closed data never changes, so rows are read at delivery, and a
 // requeued or stolen item is served them afresh. The client's Retrieve
 // and RetrieveChunk answer those ids from the item, valid until its next
-// Get, Fail or Leave, and make an RPC only for ids owned elsewhere.
+// Get, Fail or Leave, and send a read only for ids owned elsewhere.
 //
 // A value has one wire form, the chunk row: RetrieveChunk and
 // StoreChunk move a columnar chunk frame per owning server, a Store is
 // the id and a one-row chunk, and Retrieve is a one-id retrieve_chunk
-// whose not-found reply carries the id. A scalar's DataType is its row
+// whose not-found answer carries the id. A scalar's DataType is its row
 // kind. The same chunk frame is exported as EncodeChunkFrame/
 // DecodeChunkFrame for callers that carry a chunk as a work-item payload
 // (swiftd frames its fragment tasks and responses this way): decoding
@@ -158,13 +166,14 @@
 // bytes, and the decoded columns alias the frame, so rows that outlive it
 // are copied out. Counts read off the wire (here, in RetrieveChunk's id
 // list, a Put's wait ids, a Get's entries, a Get reply's items and
-// their row ids, the enumerate response, and the dims and offset tables
+// their row ids, the enumerate answer, and the dims and offset tables
 // of chunk frames) go through
 // decoder.count, which checks them against the bytes remaining in the
 // frame before anything is allocated.
 // Stats.DataOps counts requests, not ids or frames: one chunk to one
-// server is one data operation, whatever it carries, and each write a
-// Get carries is one. The Stats.Op* counters split it
+// server is one data operation, whatever it carries, and each write or
+// read a Get carries is one, but a put or a unique is none. The
+// Stats.Op* counters split it
 // by kind of request (create, store, container insert, lookup
 // and enumerate, write-refcount, chunk load — Retrieve's one id included
 // — and chunk store) and sum to it exactly. What a

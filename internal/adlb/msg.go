@@ -9,22 +9,21 @@ import (
 	"repro/internal/chunk"
 )
 
-// Message tags used on the simulated MPI transport. Client requests all
-// travel on tagRequest and carry an opcode; each client has at most one
+// Message tags used on the simulated MPI transport. Every client request
+// is a Get and travels on tagRequest; each client has at most one
 // outstanding request frame, so a single tagResponse suffices for
 // replies.
 // Server-to-server traffic uses dedicated tags so that a server's main
 // loop can receive with wildcards and dispatch on the tag.
 const (
-	tagRequest  = 1 // client -> server RPC request
-	tagResponse = 2 // server -> client RPC response
+	tagRequest  = 1 // client -> server request: a Get
+	tagResponse = 2 // server -> client reply
 	tagServer   = 3 // server -> server control (steal, forward, token)
 )
 
-// Request opcodes. The writes (put, create, store, insert,
-// write-refcount, store_chunk), whose reply is only a status, travel
-// only as entries of a Get (see getRequest); every other opcode starts a
-// frame of its own and is answered by its own reply.
+// Request opcodes. Every request frame starts with opGet; each other
+// opcode is an entry's kind byte (see getRequest): a write, or a read
+// (isRead), which gets an answer in the Get's reply.
 const (
 	opPut uint8 = iota + 1
 	opGet
@@ -36,31 +35,21 @@ const (
 	opWriteRefcount
 	opUnique
 	// Columnar data-plane ops: the container<->vector bridge costs
-	// O(servers) RPCs, not O(elements), and each RPC carries one chunk
+	// O(servers) requests, not O(elements), and each carries one chunk
 	// frame (contiguous typed columns).
-	opRetrieveChunk // ids -> one columnar chunk, one RPC per owning server (Retrieve is one id)
+	opRetrieveChunk // ids -> one columnar chunk, one Get per owning server (Retrieve is one id)
 	opStoreChunk    // container + chunk -> owner-local member data
 )
 
-// writeName is a write's name in its refusal's text, and "" for an
-// opcode that is not a write: a write is a request that travels as a
-// Get's entry.
-func writeName(op uint8) string {
-	switch op {
-	case opPut:
-		return "put"
-	case opCreate:
-		return "create"
-	case opStore:
-		return "store"
-	case opInsert:
-		return "insert"
-	case opWriteRefcount:
-		return "refcount"
-	case opStoreChunk:
-		return "store_chunk"
-	}
-	return ""
+// opNames names each entry kind, by its byte, in the text of its
+// refusal or its answer's error; other bytes have no name.
+var opNames = [256]string{opPut: "put", opCreate: "create", opStore: "store", opInsert: "insert",
+	opWriteRefcount: "refcount", opStoreChunk: "store_chunk", opLookup: "lookup",
+	opEnumerate: "enumerate", opRetrieveChunk: "retrieve_chunk", opUnique: "unique"}
+
+// isRead reports whether op is a read, an entry the Get's reply answers.
+func isRead(op uint8) bool {
+	return op == opLookup || op == opEnumerate || op == opRetrieveChunk || op == opUnique
 }
 
 // Server-to-server opcodes.
@@ -109,7 +98,7 @@ const maxDelivery = 8
 // how many items the client wants — up to maxDelivery for a leased Get,
 // 1 for any other, and 0 for a Get that only carries entries or departs
 // — and the entries: what the client changed at the server since its
-// last Get there, in program order.
+// last Get there, in program order, and the read it waits on, if any.
 type getRequest struct {
 	typ     int
 	flags   uint8
@@ -117,13 +106,13 @@ type getRequest struct {
 	entries []entry
 }
 
-// entry is one of a Get's entries: a write — its opcode and body,
-// aliasing the frame, and decoded only when the server applies it — or,
-// when write is nil, a settle. On the
-// wire each entry is length-prefixed and starts with its kind byte: the
-// write's opcode, or entrySettle.
+// entry is one of a Get's entries: a write or a read — its opcode and
+// body, aliasing the frame, and decoded only when the server reaches it
+// — or, when req is nil, a settle. On the wire each entry is
+// length-prefixed and starts with its kind byte: the request's opcode,
+// or entrySettle.
 type entry struct {
-	write  []byte
+	req    []byte
 	settle settle
 }
 
@@ -176,8 +165,8 @@ func encodeSettle(e *encoder, st *settle) {
 func encodeGet(e *encoder, g *getRequest) {
 	encodeGetHead(e, g.typ, g.flags, g.want, len(g.entries))
 	for i := range g.entries {
-		if en := &g.entries[i]; en.write != nil {
-			e.bytes(en.write)
+		if en := &g.entries[i]; en.req != nil {
+			e.bytes(en.req)
 		} else {
 			encodeSettle(e, &en.settle)
 		}
@@ -187,12 +176,12 @@ func encodeGet(e *encoder, g *getRequest) {
 // decodeGet reads encodeGet's form into g, reusing its entries' storage.
 // An entry count beyond the frame, a want past maxDelivery, an unknown
 // flag, a departing Get that wants work, an empty entry, one of an
-// unknown kind, a settle cut short, of lease 0, of an unknown kind or
-// handing an item back in a Get that does not depart, and bytes after
-// the last entry are decode errors, since no client builds such a Get;
-// g then has no entries, so a malformed frame is never kept for the
-// stores it names. A write's own body is decoded only when the server
-// applies it.
+// unknown kind, a read in a Get that wants work, a settle cut short, of
+// lease 0, of an unknown kind or handing an item back in a Get that does
+// not depart, and bytes after the last entry are decode errors, since no
+// client builds such a Get; g then has no entries, so a malformed frame
+// is never kept for the stores it names. A request's own body is decoded
+// only when the server reaches it.
 func decodeGet(d *decoder, g *getRequest) {
 	g.typ, g.flags, g.want = int(d.i32()), d.u8(), d.u8()
 	n := d.count(4+1, "get entries") // each at least a length and a kind byte
@@ -214,11 +203,12 @@ func decodeGet(d *decoder, g *getRequest) {
 		case d.err != nil:
 		case len(b) == 0:
 			d.err = fmt.Errorf("adlb: wire decode: get: entry %d is empty", i)
+		case b[0] != entrySettle && opNames[b[0]] == "":
+			d.err = fmt.Errorf("adlb: wire decode: get: entry %d is neither a request nor a settle", i)
+		case isRead(b[0]) && g.want > 0:
+			d.err = fmt.Errorf("adlb: wire decode: get: entry %d is a read in a Get that wants work", i)
 		case b[0] != entrySettle:
-			if writeName(b[0]) == "" {
-				d.err = fmt.Errorf("adlb: wire decode: get: entry %d is neither a write nor a settle", i)
-			}
-			en.write = b
+			en.req = b
 		default:
 			sd := &decoder{buf: b, off: 1}
 			s := &en.settle
@@ -255,8 +245,10 @@ type delivered struct {
 	rows    chunk.Chunk
 }
 
-// A Get reply with work is stOK, a u32 count of items, then each item:
-// the lease when leased, the payload, and its rows (encodeRows).
+// A Get reply that is not a refusal is stOK, the answer to each read the
+// Get carried (a status, then what the read found or the error's text),
+// a u32 count of items, then each item: the lease when leased, the
+// payload, and its rows (encodeRows).
 func encodeDelivered(e *encoder, leased bool, it *delivered) {
 	if leased {
 		e.i64(it.lease)
@@ -454,8 +446,8 @@ func encodeIDs(e *encoder, ids []int64) {
 	}
 }
 
-// decodeIDs reads a counted id list (u32 n, then n i64): the body of the
-// batched op retrieve_chunk, a work item's inputs, a forwarded rule's
+// decodeIDs reads a counted id list (u32 n, then n i64): the body of a
+// retrieve_chunk entry, a work item's inputs, a forwarded rule's
 // wait list and a delivered item's row ids.
 func decodeIDs(d *decoder, what string) []int64 {
 	return appendIDs(nil, d, what)
@@ -498,7 +490,7 @@ func decodeRows(d *decoder, ids []int64) ([]int64, chunk.Chunk) {
 	return ids, rows
 }
 
-// decodePairs reads the enumerate response: u32 n, then n (subscript,
+// decodePairs reads an enumerate answer: u32 n, then n (subscript,
 // member id) pairs in insertion order. A pair is at least a u32 subscript
 // length and an i64 id, and the loop stops at the first decode error, so
 // a hostile count costs neither memory nor time.

@@ -481,34 +481,32 @@ func (s *server) dispatch(data []byte, st mpi.Status) error {
 	return fmt.Errorf("adlb: server %d: unexpected tag %d from %d", s.idx, st.Tag, st.Source)
 }
 
-// requestFrame handles one client request frame. Request frames are
+// requestFrame handles one client request frame, a Get; a frame that
+// starts with another opcode is a decode error. Request frames are
 // recycled once handled — except for those that carry a store, whose
 // decoded value bytes alias the frame (the zero-copy store: datums keep
 // views into the request instead of copies), making the frame's lifetime
 // the datum's. retainsRequestFrame is the one place that decides.
 func (s *server) requestFrame(data []byte, client int) error {
 	d := &decoder{buf: data}
-	op := d.u8()
-	if op == opGet {
-		decodeGet(d, &s.get)
+	if op := d.u8(); op != opGet && d.err == nil {
+		d.err = fmt.Errorf("adlb: wire decode: request opcode %d from client %d is not a Get", op, client)
 	}
-	err := s.handleRequest(op, d, &s.get, client)
-	if !retainsRequestFrame(op, &s.get) {
+	decodeGet(d, &s.get)
+	err := s.handleRequest(&s.get, d, client)
+	if !retainsRequestFrame(&s.get) {
 		s.c.Release(data)
 	}
 	return err
 }
 
-// retainsRequestFrame reports whether handling op stores slices that
-// alias the request frame, pinning it for the life of the data store: a
-// Get one of whose decoded entries is a Store or a StoreChunk. A Get
-// that failed to decode has no entries and is released.
-func retainsRequestFrame(op uint8, get *getRequest) bool {
-	if op != opGet {
-		return false
-	}
+// retainsRequestFrame reports whether handling get stores slices that
+// alias the request frame, pinning it for the life of the data store:
+// one of its decoded entries is a Store or a StoreChunk. A Get that
+// failed to decode has no entries and is released.
+func retainsRequestFrame(get *getRequest) bool {
 	for _, en := range get.entries {
-		if len(en.write) > 0 && (en.write[0] == opStore || en.write[0] == opStoreChunk) {
+		if len(en.req) > 0 && (en.req[0] == opStore || en.req[0] == opStoreChunk) {
 			return true
 		}
 	}
@@ -520,12 +518,15 @@ func retainsRequestFrame(op uint8, get *getRequest) bool {
 func (s *server) respond(client int, build func(*encoder)) error {
 	e := getEncoder()
 	build(e)
+	return s.reply(client, e)
+}
+
+// reply sends e's frame to client and returns e to the pool.
+func (s *server) reply(client int, e *encoder) error {
 	frame, err := e.frame()
-	if err != nil {
-		putEncoder(e)
-		return err
+	if err == nil {
+		err = s.c.Send(client, tagResponse, frame)
 	}
-	err = s.c.Send(client, tagResponse, frame)
 	putEncoder(e)
 	return err
 }
@@ -537,30 +538,18 @@ func (s *server) respondError(client int, msg string) error {
 	})
 }
 
-// handleRequest handles one client request; get is the decoded body of
-// a Get (dispatch decodes it to decide the frame's fate).
-func (s *server) handleRequest(op uint8, d *decoder, get *getRequest, client int) error {
-	// Any client RPC is progress, which disarms the hang watchdog.
+// handleRequest handles one client request, a Get; get is its decoded
+// body (requestFrame decodes it to decide the frame's fate).
+func (s *server) handleRequest(get *getRequest, d *decoder, client int) error {
+	// Any client request is progress, which disarms the hang watchdog.
 	s.watchAt = time.Time{}
-	// Elastic registration: a client joins this server's roster on its
-	// first RPC — but only on its home server. Data ops route by id owner
-	// and may land on any server; counting those would inflate rosters
-	// with clients whose Gets (and eventual departure) happen elsewhere.
+	// Elastic registration: a client joins its home server's roster on
+	// its first Get there, not on another server's, where its data ops
+	// land too but its work and its departure never do.
 	if s.known != nil && s.l.ServerOf(client) == s.c.Rank() {
 		s.known[client] = true
 	}
-	switch op {
-	case opGet:
-		return s.handleGet(get, d, client)
-	case opUnique:
-		return s.handleUnique(d, client)
-	case opLookup, opEnumerate, opRetrieveChunk:
-		if st := s.stats(); st != nil {
-			st.countDataOp(op)
-		}
-		return s.handleRead(op, d, client)
-	}
-	return fmt.Errorf("adlb: server %d: unknown opcode %d from client %d", s.idx, op, client)
+	return s.handleGet(get, d, client)
 }
 
 // applyWrite applies one write a Get carried. It returns the refusal's
@@ -989,13 +978,14 @@ func (s *server) clientDeparted(client int) {
 }
 
 // handleGet applies the Get's entries in order — each write through
-// applyWrite, counted as it applies, and each settle through settle —
-// and then answers with work, or parks. A refused write skips the rest
-// of its task's writes, up to the next done settle, which becomes a
-// retriable failure carrying the refusal; a failed or handed-back
-// settle in between names another lease and leaves the refusal
-// standing. A refusal no done settle follows refuses the Get, with the
-// text a lone write's refusal has always had. The closes the writes
+// applyWrite and each read through answer, into the reply, counted as
+// they apply, and each settle through settle — and then answers with
+// work, or parks. A refused write skips the rest of its task's writes
+// and reads, up to the next done settle, which becomes a retriable
+// failure carrying the refusal; a failed or handed-back settle in
+// between names another lease and leaves the refusal standing. A refusal
+// no done settle follows refuses the Get, with the text a lone write's
+// refusal has always had, and no read is answered. The closes the writes
 // made are announced before the Get is served, so a rule they release
 // can go out in its reply, or, in a Get that wants no work, after the
 // reply: the writer goes on while this server delivers what they
@@ -1025,9 +1015,14 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 	}
 	s.closed = s.closed[:0]
 	refused, failed := "", ""
+	var reply *encoder
+	if g.want == 0 {
+		reply = getEncoder() // the Get's status, then each read's answer
+		reply.u8(stOK)
+	}
 	for i := range g.entries {
 		en := &g.entries[i]
-		if en.write == nil {
+		if en.req == nil {
 			m, err := s.settle(&en.settle, refused)
 			if err != nil {
 				return err
@@ -1043,11 +1038,22 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 		if refused != "" {
 			continue
 		}
-		op := en.write[0]
-		if st := s.stats(); st != nil && op != opPut {
+		op := en.req[0]
+		if st := s.stats(); st != nil && op != opPut && op != opUnique {
 			st.countDataOp(op)
 		}
-		m, dm, err := s.applyWrite(op, &decoder{buf: en.write, off: 1})
+		if isRead(op) {
+			m, err := s.answer(op, &decoder{buf: en.req, off: 1}, reply)
+			if err != nil {
+				return err
+			}
+			if m != "" {
+				reply.u8(stError)
+				reply.str(m)
+			}
+			continue
+		}
+		m, dm, err := s.applyWrite(op, &decoder{buf: en.req, off: 1})
 		if err != nil {
 			return err
 		}
@@ -1055,7 +1061,7 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 			s.closed = append(s.closed, dm)
 		}
 		if m != "" {
-			refused = fmt.Sprintf("adlb: %s: %s", writeName(op), m)
+			refused = fmt.Sprintf("adlb: %s: %s", opNames[op], m)
 		}
 	}
 	if depart {
@@ -1064,19 +1070,22 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 		}
 	}
 	if refused != "" || failed != "" || g.want == 0 {
-		err := s.respond(client, func(e *encoder) {
-			switch {
-			case refused != "":
-				e.u8(stRefused)
-				e.str(refused)
-			case failed != "":
-				e.u8(stError)
-				e.str(failed)
-			default:
-				e.u8(stOK)
-				e.u32(0)
-			}
-		})
+		if reply == nil {
+			reply = getEncoder()
+		}
+		switch {
+		case refused != "":
+			reply.truncate(0)
+			reply.u8(stRefused)
+			reply.str(refused)
+		case failed != "":
+			reply.truncate(0)
+			reply.u8(stError)
+			reply.str(failed)
+		default:
+			reply.u32(0)
+		}
+		err := s.reply(client, reply)
 		s.announce()
 		return err
 	}
@@ -1254,98 +1263,85 @@ func (s *server) issued(id int64) bool {
 	return id >= first && id < s.nextID && (id-first)%stride == 0
 }
 
-func (s *server) handleUnique(d *decoder, client int) error {
-	count := int64(d.i32())
-	if err := d.finish("unique request"); err != nil {
-		return err
-	}
-	if count < 1 {
-		count = 1
-	}
-	start := s.nextID
-	s.nextID += count * int64(s.l.Servers)
-	return s.respond(client, func(e *encoder) {
-		e.u8(stOK)
-		e.i64(start)
-		e.i32(int32(s.l.Servers)) // stride
-	})
-}
-
 // ---------- data store ----------
 
-// handleRead answers a read of the data store: lookup, enumerate and
-// retrieve_chunk, each a frame of its own with a reply of its own.
-func (s *server) handleRead(op uint8, d *decoder, client int) error {
+// answer appends the answer to a read a Get carried to e: a status and
+// what the read found. It returns an error's text instead, "" when the
+// read found its answer, and an error only for a malformed request.
+func (s *server) answer(op uint8, d *decoder, e *encoder) (msg string, err error) {
 	switch op {
+	case opUnique:
+		count := int64(d.i32())
+		if err := d.finish("unique request"); err != nil {
+			return "", err
+		}
+		e.u8(stOK)
+		e.i64(s.nextID)
+		e.i32(int32(s.l.Servers)) // stride
+		s.nextID += max(count, 1) * int64(s.l.Servers)
+
 	case opLookup:
 		cid := d.i64()
 		sub := d.str()
 		if err := d.finish("lookup request"); err != nil {
-			return err
+			return "", err
 		}
 		dm, ok := s.store[cid]
 		if !ok || dm.typ != TypeContainer {
-			return s.respondError(client, fmt.Sprintf("lookup: id %d is not a container", cid))
+			return fmt.Sprintf("lookup: id %d is not a container", cid), nil
 		}
-		m, ok := dm.members[sub]
-		if !ok {
-			return s.respond(client, func(e *encoder) { e.u8(stNotFound) })
-		}
-		return s.respond(client, func(e *encoder) {
+		if m, ok := dm.members[sub]; ok {
 			e.u8(stOK)
 			e.i64(m)
-		})
+		} else {
+			e.u8(stNotFound)
+		}
 
 	case opEnumerate:
 		cid := d.i64()
 		if err := d.finish("enumerate request"); err != nil {
-			return err
+			return "", err
 		}
 		dm, ok := s.store[cid]
 		if !ok || dm.typ != TypeContainer {
-			return s.respondError(client, fmt.Sprintf("enumerate: id %d is not a container", cid))
+			return fmt.Sprintf("enumerate: id %d is not a container", cid), nil
 		}
-		return s.respond(client, func(e *encoder) {
-			e.u8(stOK)
-			e.u32(uint32(len(dm.order)))
-			for _, sub := range dm.order {
-				e.str(sub)
-				e.i64(dm.members[sub])
-			}
-		})
+		e.u8(stOK)
+		e.u32(uint32(len(dm.order)))
+		for _, sub := range dm.order {
+			e.str(sub)
+			e.i64(dm.members[sub])
+		}
 
 	case opRetrieveChunk:
 		// Columnar gather: all requested ids are owned here (the client
-		// grouped by owner), so the whole lookup is local and the reply is
-		// one chunk frame — contiguous typed columns (see gather).
+		// grouped by owner), so the whole lookup is local and the answer
+		// is one chunk frame — contiguous typed columns (see gather).
 		ids := decodeIDs(d, "retrieve_chunk ids")
 		if err := d.finish("retrieve_chunk request"); err != nil {
-			return err
+			return "", err
 		}
 		s.rowVals = s.rowVals[:0]
 		for _, id := range ids {
 			dm, ok := s.store[id]
 			if !ok && !s.issued(id) {
-				return s.respond(client, func(e *encoder) {
-					e.u8(stNotFound)
-					e.i64(id)
-				})
+				e.u8(stNotFound)
+				e.i64(id)
+				return "", nil
 			}
 			if !ok || !dm.set {
-				return s.respondError(client, fmt.Sprintf("retrieve_chunk: id %d is unset", id))
+				return fmt.Sprintf("retrieve_chunk: id %d is unset", id), nil
 			}
 			s.rowVals = append(s.rowVals, &dm.val)
 		}
 		c, err := s.gather(s.rowVals)
 		if err != nil {
-			return s.respondError(client, fmt.Sprintf("retrieve_chunk: %v", err))
+			return fmt.Sprintf("retrieve_chunk: %v", err), nil
 		}
-		return s.respond(client, func(e *encoder) {
-			e.u8(stOK)
-			encodeChunk(e, c)
-		})
+		e.u8(stOK)
+		encodeChunk(e, c)
 	}
-	return fmt.Errorf("adlb: unhandled read op %d", op)
+	return "", nil
 }
 
 // applyStoreChunk is the columnar scatter into a container: one

@@ -276,43 +276,61 @@ func TestFailOfEndedLeaseRefused(t *testing.T) {
 	}
 }
 
-// TestFailFoldsAwayRefusal: on two servers, a leased task Stores an id
-// the other server owns, already set, and then Fails retriably. The
-// refusal joins the failed settle's reason, so the Fail still settles:
-// it returns nil, the task is requeued once, and its re-run ends clean.
-func TestFailFoldsAwayRefusal(t *testing.T) {
-	attempts := 0
-	snap := runWorld(t, 4, 2, func(cl *Client) error {
-		if cl.Rank() != 0 {
-			return drainShutdown(cl)
-		}
-		away, err := heldDatum(cl, 0, 1, true)
-		if err := sent(cl, err); err != nil {
-			return err
-		}
-		if err := cl.Put(typeWork, 0, AnyRank, []byte("task")); err != nil {
-			return err
-		}
-		for {
-			p, lease, ok, err := cl.GetLeased(typeWork)
-			if err != nil || !ok {
-				return err
+// TestFailDropsAwayWrites: on two servers, a leased task Stores an id
+// the other server owns and then Fails retriably. The store is still
+// pending for the other server, so the Fail drops it with the task's
+// home writes: the Fail settles and returns nil, the task is requeued
+// once, and only the re-run stores — whether the id was open, when the
+// re-run's store is the one that lands, or already set, which the
+// dropped store never learns and the re-run leaves alone.
+func TestFailDropsAwayWrites(t *testing.T) {
+	for _, set := range []bool{false, true} {
+		t.Run(map[bool]string{false: "open", true: "set"}[set], func(t *testing.T) {
+			attempts := 0
+			snap := runWorld(t, 4, 2, func(cl *Client) error {
+				if cl.Rank() != 0 {
+					return drainShutdown(cl)
+				}
+				away, err := heldDatum(cl, 0, 1, set)
+				if err := sent(cl, err); err != nil {
+					return err
+				}
+				if err := cl.Put(typeWork, 0, AnyRank, []byte("task")); err != nil {
+					return err
+				}
+				for {
+					p, lease, ok, err := cl.GetLeased(typeWork)
+					if err != nil || !ok {
+						return err
+					}
+					if attempts++; string(p) != "task" || attempts > 2 {
+						return fmt.Errorf("attempt %d: %q", attempts, p)
+					}
+					if attempts == 1 {
+						if err := cl.Store(away, IntValue(1)); err != nil {
+							return err
+						}
+						if err := cl.Fail(lease, "failed after its store", true); err != nil {
+							return fmt.Errorf("fail: %v, want the store dropped", err)
+						}
+						continue
+					}
+					want := IntValue(0)
+					if !set {
+						want = IntValue(2)
+						if err := cl.Store(away, want); err != nil {
+							return err
+						}
+					}
+					if v, found, err := cl.Retrieve(away); err != nil || !found || !equalValue(v, want) {
+						return fmt.Errorf("the output reads %+v (found %v, err %v), want %+v", v, found, err, want)
+					}
+				}
+			})
+			if attempts != 2 || snap.Requeued != 1 || snap.Poisoned != 0 || snap.OpStore != 1 {
+				t.Fatalf("attempts %d, Requeued %d, Poisoned %d, OpStore %d; want 2, 1, 0, 1",
+					attempts, snap.Requeued, snap.Poisoned, snap.OpStore)
 			}
-			if attempts++; string(p) != "task" || attempts > 2 {
-				return fmt.Errorf("attempt %d: %q", attempts, p)
-			}
-			if attempts > 1 {
-				continue
-			}
-			if err := cl.Store(away, IntValue(9)); err != nil {
-				return err
-			}
-			if err := cl.Fail(lease, "failed after its store", true); err != nil {
-				return fmt.Errorf("fail: %v, want the refusal in its reason", err)
-			}
-		}
-	})
-	if attempts != 2 || snap.Requeued != 1 || snap.Poisoned != 0 {
-		t.Fatalf("attempts %d, Requeued %d, Poisoned %d; want 2, 1, 0", attempts, snap.Requeued, snap.Poisoned)
+		})
 	}
 }

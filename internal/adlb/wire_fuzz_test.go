@@ -110,10 +110,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 				}
 			},
 			func(d *decoder) {
-				// A Get: each entry is a write, or a settle that names a
-				// lease, is of a known kind and hands an item back only
-				// when the Get departs, which wants no work; or nothing
-				// decodes.
+				// A Get: each entry is a write, a read in a Get that
+				// wants no work, or a settle that names a lease, is of a
+				// known kind and hands an item back only when the Get
+				// departs, which wants no work; or nothing decodes.
 				var g getRequest
 				decodeGet(d, &g)
 				if len(g.entries) > len(raw)/5 || d.err != nil && len(g.entries) > 0 {
@@ -125,10 +125,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 				}
 				for _, en := range g.entries {
 					st := en.settle
-					if en.write != nil && (len(en.write) == 0 || writeName(en.write[0]) == "") ||
-						en.write == nil && (st.lease == 0 || st.kind > settleHandedBack || st.kind == settleHandedBack && !depart) {
-						t.Fatalf("entry decoded as write %x, settle of lease %d and kind %d (flags %#x)",
-							en.write, st.lease, st.kind, g.flags)
+					if en.req != nil && (len(en.req) == 0 || opNames[en.req[0]] == "" || isRead(en.req[0]) && g.want > 0) ||
+						en.req == nil && (st.lease == 0 || st.kind > settleHandedBack || st.kind == settleHandedBack && !depart) {
+						t.Fatalf("entry decoded as request %x, settle of lease %d and kind %d (flags %#x)",
+							en.req, st.lease, st.kind, g.flags)
 					}
 				}
 			},
@@ -211,8 +211,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// A Get carrying entries built from the input — tag%4 settles, of
 		// each kind in turn, a done one after a store of the input every
 		// other time, a failed one with the input as its reason, and an
-		// item handed back only when the Get departs — round-trips, and
-		// rejects a trailing byte.
+		// item handed back only when the Get departs, then, when it wants
+		// no work, a lookup of the input — round-trips, and rejects a
+		// trailing byte.
 		res, err := row(Value{Type: TypeBlob, Bytes: raw, Dims: []int{len(raw)}, Elem: tag})
 		if err != nil {
 			t.Fatalf("row: %v", err)
@@ -238,6 +239,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 			g.entries = append(g.entries, entry{settle: st})
 		}
+		if g.want == 0 {
+			g.entries = append(g.entries, reqEntry(opLookup, func(e *encoder) {
+				e.i64(n)
+				e.str(string(raw))
+			}))
+		}
 		e = &encoder{}
 		encodeGet(e, &g)
 		d = &decoder{buf: e.buf}
@@ -250,7 +257,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("Get round trip: got %+v want %+v", gotG, g)
 		}
 		for i, en := range gotG.entries {
-			if want := g.entries[i]; en.settle != want.settle || !bytes.Equal(en.write, want.write) {
+			if want := g.entries[i]; en.settle != want.settle || !bytes.Equal(en.req, want.req) {
 				t.Fatalf("entry %d round trip: got %+v want %+v", i, en, want)
 			}
 		}
@@ -333,13 +340,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 }
 
 // FuzzBatchFrame feeds arbitrary bytes after the Get opcode to a
-// server's dispatch: a Get's head and its entries, the batch of writes
-// and settles a client sends a server. It must never panic. A Get that
-// is not well formed — a bad head, an entry cut short, empty or of no
-// known kind, a malformed settle, bytes after the last entry — is an
-// error, with no write applied, and the frame goes back to the pool. A
-// well-formed Get goes back too, unless it carries a Store or a
-// StoreChunk, whose rows the data store keeps aliasing the frame.
+// server's dispatch: a Get's head and its entries, the writes, reads and
+// settles a client sends a server. It must never panic. A Get that is
+// not well formed — a bad head, an entry cut short, empty or of no known
+// kind, a read in a Get that wants work, a malformed settle, bytes after
+// the last entry — is an error, with no write applied, and the frame
+// goes back to the pool. A well-formed Get goes back too, unless it
+// carries a Store or a StoreChunk, whose rows the data store keeps
+// aliasing the frame.
 //
 // Run with: go test -fuzz=FuzzBatchFrame ./internal/adlb
 func FuzzBatchFrame(f *testing.F) {
@@ -375,7 +383,17 @@ func FuzzBatchFrame(f *testing.F) {
 		e.i64(7)
 		e.u8(settleDone)
 	})
+	lookup := entry(opLookup, func(e *encoder) {
+		e.i64(heldBase)
+		e.str("k")
+	})
+	enumerate := entry(opEnumerate, func(e *encoder) { e.i64(heldBase) })
+	retrieve := entry(opRetrieveChunk, func(e *encoder) { encodeIDs(e, []int64{heldBase}) })
+	unique := entry(opUnique, func(e *encoder) { e.i32(idBlock) })
+	headless := entry(opLookup, func(e *encoder) { e.i64(heldBase) }) // a lookup with no subscript
 	head := getHeadBytes - 1
+	wantsWork := get(2, create, lookup)
+	wantsWork[5] = 1
 	f.Add(get(3, create, store, put))
 	f.Add(get(2, create, put))
 	f.Add(get(2, create, store)[:head+len(create)+3]) // the store's length cut short
@@ -386,6 +404,11 @@ func FuzzBatchFrame(f *testing.F) {
 	f.Add(get(0))
 	f.Add(get(1, []byte{0, 0, 0, 0}))
 	f.Add(append(get(3, create, store, put), 0)) // a byte after the last entry
+	f.Add(get(3, create, store, retrieve))       // a read after the store it reads
+	f.Add(get(3, create, lookup, unique))        // two reads
+	f.Add(get(2, store, enumerate))              // a read behind a refused write: no such id
+	f.Add(get(2, create, headless))              // well framed, a read with no subscript
+	f.Add(wantsWork)                             // a read in a Get that wants work
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := testServer(t, 2, 1, 0, Config{})
@@ -433,7 +456,7 @@ func wellFormedGet(b []byte) (ok, retains bool) {
 		en := rest[4 : 4+m]
 		rest = rest[4+m:]
 		if en[0] != entrySettle {
-			if writeName(en[0]) == "" {
+			if opNames[en[0]] == "" || isRead(en[0]) && want > 0 {
 				return false, false
 			}
 			retains = retains || en[0] == opStore || en[0] == opStoreChunk

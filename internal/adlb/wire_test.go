@@ -131,17 +131,18 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 	})
 }
 
-// writeEntry is a write as a Get's entry: op and the body body builds.
-func writeEntry(op uint8, body func(e *encoder)) entry {
+// reqEntry is a write or a read as a Get's entry: op and the body body
+// builds.
+func reqEntry(op uint8, body func(e *encoder)) entry {
 	e := &encoder{}
 	e.u8(op)
 	body(e)
-	return entry{write: e.buf}
+	return entry{req: e.buf}
 }
 
 // storeEntry is a Store of c into id as a Get's entry.
 func storeEntry(id int64, c chunk.Chunk) entry {
-	return writeEntry(opStore, func(e *encoder) {
+	return reqEntry(opStore, func(e *encoder) {
 		e.i64(id)
 		encodeChunk(e, c)
 	})
@@ -174,9 +175,10 @@ func failGet() *getRequest {
 }
 
 // malformedGets are Gets no client builds, each a decode error: a settle
-// of an unknown kind, an entry that is neither a write nor a settle, a
+// of an unknown kind, an entry that is neither a request nor a settle, a
 // settle with bytes after it in its entry, an item handed back by a Get
-// that does not depart, and a departing Get that wants work.
+// that does not depart, a departing Get that wants work, and a read in a
+// Get that wants work.
 func malformedGets(c chunk.Chunk) []struct {
 	name  string
 	frame []byte
@@ -189,13 +191,15 @@ func malformedGets(c chunk.Chunk) []struct {
 	unknownKind := failGet()
 	unknownKind.entries[1].settle.kind = settleHandedBack + 1
 	notWrite := failGet()
-	notWrite.entries[1] = entry{write: []byte{opGet}}
+	notWrite.entries[1] = entry{req: []byte{opGet}}
 	trailing := failGet()
-	trailing.entries[1] = entry{write: append(rawSettle(settle{lease: 12}), 0)}
+	trailing.entries[1] = entry{req: append(rawSettle(settle{lease: 12}), 0)}
 	handedStaying := departGet(c)
 	handedStaying.flags = getFlagLeased
 	departWanting := departGet(c)
 	departWanting.want = 1
+	readWanting := storeGet(c)
+	readWanting.entries = append(readWanting.entries, reqEntry(opRetrieveChunk, func(e *encoder) { encodeIDs(e, []int64{5}) }))
 	return []struct {
 		name  string
 		frame []byte
@@ -205,6 +209,7 @@ func malformedGets(c chunk.Chunk) []struct {
 		{"a settle with bytes after it", frame(trailing)},
 		{"handed back staying", frame(handedStaying)},
 		{"departing wanting work", frame(departWanting)},
+		{"a read wanting work", frame(readWanting)},
 	}
 }
 
@@ -232,14 +237,14 @@ func TestGetStoreDecode(t *testing.T) {
 	if err := d.finish("get request"); err != nil {
 		t.Fatalf("clean Get rejected: %v", err)
 	}
-	if !retainsRequestFrame(opGet, &g) || g.typ != 1 || g.want != maxDelivery || len(g.entries) != 3 {
+	if !retainsRequestFrame(&g) || g.typ != 1 || g.want != maxDelivery || len(g.entries) != 3 {
 		t.Fatalf("decoded %+v", g)
 	}
-	if w := g.entries[0].write; !bytes.Equal(w, storeEntry(5, one).write) {
+	if w := g.entries[0].req; !bytes.Equal(w, storeEntry(5, one).req) {
 		t.Fatalf("decoded store entry %x", w)
 	}
 	for i, lease := range []int64{9, 10} {
-		if en := g.entries[1+i]; en.write != nil || en.settle.lease != lease || en.settle.kind != settleDone {
+		if en := g.entries[1+i]; en.req != nil || en.settle.lease != lease || en.settle.kind != settleDone {
 			t.Fatalf("decoded settle %+v, want lease %d done", en, lease)
 		}
 	}
@@ -248,9 +253,9 @@ func TestGetStoreDecode(t *testing.T) {
 	lastLease0 := storeGet(one)
 	lastLease0.entries[2].settle.lease = 0
 	empty := storeGet(one)
-	empty.entries[1] = entry{write: []byte{}}
+	empty.entries[1] = entry{req: []byte{}}
 	cutSettle := storeGet(one)
-	cutSettle.entries[2] = entry{write: rawSettle(settle{lease: 10})[:5]}
+	cutSettle.entries[2] = entry{req: rawSettle(settle{lease: 10})[:5]}
 	greedy := storeGet(one)
 	greedy.want = maxDelivery + 1
 	unknown := storeGet(one)
@@ -283,7 +288,7 @@ func TestGetStoreDecode(t *testing.T) {
 	// A Get that only asks, and one that only settles.
 	for _, plain := range []*getRequest{{typ: 1, want: 1}, {typ: 1, entries: []entry{{settle: settle{lease: 9}}}}} {
 		d = &decoder{buf: frame(plain)}
-		if decodeGet(d, &g); d.finish("get request") != nil || retainsRequestFrame(opGet, &g) || g.want != plain.want || len(g.entries) != len(plain.entries) {
+		if decodeGet(d, &g); d.finish("get request") != nil || retainsRequestFrame(&g) || g.want != plain.want || len(g.entries) != len(plain.entries) {
 			t.Fatalf("plain Get %+v: %+v, %v", plain, g, d.err)
 		}
 	}
@@ -294,7 +299,7 @@ func TestGetStoreDecode(t *testing.T) {
 			t.Fatalf("Get %+v decoded as %+v, %v", want, g, d.err)
 		}
 		for i, en := range g.entries {
-			if w := want.entries[i]; en.settle != w.settle || !bytes.Equal(en.write, w.write) {
+			if w := want.entries[i]; en.settle != w.settle || !bytes.Equal(en.req, w.req) {
 				t.Fatalf("entry %d decoded as %+v, want %+v", i, en, w)
 			}
 		}
@@ -331,7 +336,7 @@ func TestGetStoreRowCountRefused(t *testing.T) {
 	const x, later = int64(heldBase), int64(heldBase + 1)
 	for _, c := range []chunk.Chunk{{}, intChunk(1, 2)} {
 		s := testServer(t, 2, 1, 0, Config{})
-		create := writeEntry(opCreate, func(e *encoder) {
+		create := reqEntry(opCreate, func(e *encoder) {
 			e.i64(later)
 			e.u8(uint8(TypeInteger))
 		})
@@ -354,7 +359,7 @@ func TestRefusalChargedToNextDoneSettle(t *testing.T) {
 	const x = int64(heldBase)
 	s := testServer(t, 2, 1, 0, Config{Stats: &Stats{}})
 	s.leases[5] = lease{w: workItem{Type: typeWork, Target: AnyRank, Payload: []byte("task")}}
-	create := writeEntry(opCreate, func(e *encoder) {
+	create := reqEntry(opCreate, func(e *encoder) {
 		e.i64(x)
 		e.u8(uint8(TypeInteger))
 	})

@@ -158,8 +158,9 @@ func TestBatchRefusalMidBatch(t *testing.T) {
 }
 
 // TestBatchCarriesOneFramePerServer: maxBatch writes to one server are
-// one request frame and one reply, and a write for another server, or a
-// request that waits for an answer, sends what is pending first. Rank 1
+// one request frame and one reply, a write for another server sends
+// what is pending first, and a read rides the writes pending for its
+// server, answered in their reply. Rank 1
 // parks before rank 0 counts, and nothing steals, so every frame drawn
 // meanwhile is rank 0's or a reply to it.
 func TestBatchCarriesOneFramePerServer(t *testing.T) {
@@ -198,17 +199,88 @@ func TestBatchCarriesOneFramePerServer(t *testing.T) {
 			return fmt.Errorf("a write for the other server: %d frames (err %v), want 2", n, err)
 		}
 		n, err = frames(func() error {
-			_, _, err := cl.Lookup(heldBase+1, "0") // the pending Create goes first
+			_, _, err := cl.Lookup(heldBase+1, "0") // rides the pending Create
 			return err
 		})
-		if err == nil || n != 4 {
-			return fmt.Errorf("a lookup after a write: %d frames (err %v), want 4 and the lookup refused", n, err)
+		if err == nil || n != 2 {
+			return fmt.Errorf("a lookup after a write: %d frames (err %v), want 2 and the lookup refused", n, err)
 		}
 		return noMoreWork(cl)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReadRidesPendingWrites: a read, or a Unique, joins the entries
+// pending for its server and goes out with them: after writes to the
+// same server, each costs one request frame and one reply, and the
+// answer sees the writes applied, or the read returns their refusal.
+func TestReadRidesPendingWrites(t *testing.T) {
+	runWorld(t, 2, 1, func(cl *Client) error {
+		frames := func(what string, calls func() error) error {
+			before := framesSent(cl)
+			if err := calls(); err != nil {
+				return fmt.Errorf("%s: %v", what, err)
+			}
+			if n := framesSent(cl) - before; n != 2 {
+				return fmt.Errorf("%s: %d frames, want one request and its reply", what, n)
+			}
+			return nil
+		}
+		c, id := int64(heldBase), int64(0)
+		err := frames("unique after a write", func() error {
+			if err := cl.Create(c, TypeContainer); err != nil {
+				return err
+			}
+			var err error
+			id, err = cl.Unique()
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		err = frames("lookup after an insert", func() error {
+			if err := cl.Insert(c, "k", id); err != nil {
+				return err
+			}
+			if m, ok, err := cl.Lookup(c, "k"); err != nil || !ok || m != id {
+				return fmt.Errorf("found %d (%v, err %v)", m, ok, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		err = frames("retrieve after a store", func() error {
+			if err := cl.Store(id, IntValue(5)); err != nil {
+				return err
+			}
+			if v, ok, err := cl.Retrieve(id); err != nil || !ok || !equalValue(v, IntValue(5)) {
+				return fmt.Errorf("read %+v (%v, err %v)", v, ok, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		// A read behind a refused write goes unanswered: its call returns
+		// the refusal, with the text a lone write's refusal has.
+		err = frames("lookup after a refused store", func() error {
+			if err := cl.Store(id, IntValue(6)); err != nil {
+				return err
+			}
+			_, _, err := cl.Lookup(c, "k")
+			if want := fmt.Sprintf("adlb: store: store: id %d already set (single-assignment violation)", id); err == nil || err.Error() != want {
+				return fmt.Errorf("lookup: %v, want %q", err, want)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		return noMoreWork(cl)
+	})
 }
 
 func equalValue(a, b Value) bool {
