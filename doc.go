@@ -326,14 +326,24 @@
 // alias. The same type at every layer means no kind remapping at any
 // boundary.
 //
-// Pooled wire buffers. mpi.Send copies each payload into a frame drawn
-// from a world-level pool; ownership transfers to the receiver, which
-// hands it back via Comm.Release once every slice aliasing it is dead
-// (at most once; reuse is deliberately LIFO so tests can pin the
-// contract — mpi.TestFramePoolReuseAliasing does, deterministically).
-// On top of that, the ADLB codec reuses encoder scratch through a
-// sync.Pool: the rule is getEncoder -> build -> frame() -> Send ->
-// putEncoder, never retaining the encoder or its buffer past the Send.
+// Pooled wire buffers. A message travels in a frame drawn from a
+// world-level pool, and is built in it: the ADLB encoder draws its frame
+// with mpi.Comm.Frame — once, sized to the value, when a Store, a Put or
+// a Get reply knows its size; by doubling, each larger frame drawn from
+// the pool and the smaller one released, otherwise — and hands it over
+// with Comm.SendFrame, which takes ownership whatever it returns: the
+// sender must not touch the frame again. A local receiver owns the very
+// frame from Recv on; over TCP the frame is written from where it lies
+// (writev) and goes back to the sender's pool. A receiver hands a frame
+// back via Comm.Release once every slice aliasing it is dead, at most
+// once. Comm.Send keeps its copying contract on top: draw, copy,
+// SendFrame. A draw takes the smallest fitting frame, never one over
+// twice its size, so a small message cannot take or pin a blob's frame;
+// among equals the most recently released goes first, so tests can pin
+// the contract deterministically (mpi.TestFramePoolReuseAliasing,
+// TestFramePoolBestFit). cmd/swiftvet's framerelease analyzer checks the
+// transfer points: a Frame reaches SendFrame or Release exactly once,
+// and nothing touches it after.
 //
 // The zero-copy aliasing contract. Payload slices returned by
 // adlb.Client.Retrieve and RetrieveChunk alias the RPC response frame,
@@ -545,14 +555,18 @@
 //     leaf-record decoder in internal/lang) calls finish() on every
 //     non-error return path after a read (sticky decode errors and
 //     trailing bytes or rows must be checked); encoder buffers leave the
-//     codec file only via frame(); a frame() error is never
+//     codec file only via frame() or send(); a frame() error is never
 //     blank-discarded.
 //   - framerelease: every frame obtained from Comm.Recv/RecvTimeout that
 //     a path uses is Released exactly once on that path, unless its
 //     ownership is transferred (returned, stored, appended, or passed
 //     on); no use or escape after Release. The same discipline covers
 //     the transport's framePool directly: a buffer from framePool.get is
-//     put back exactly once unless ownership transfers. A function that
+//     put back exactly once unless ownership transfers, and a frame from
+//     Comm.Frame reaches Comm.SendFrame or Release exactly once, with no
+//     use, escape, Release or second send after SendFrame, which hands
+//     it to the receiver (a received frame may be sent on under the
+//     same rule). A function that
 //     consults a retention predicate (a bool retains* function: adlb's
 //     retainsRequestFrame keeps a Get frame iff one of its entries is a
 //     Store or a StoreChunk) releases only under `if !retains...(...)`.

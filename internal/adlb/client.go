@@ -82,36 +82,30 @@ type Client struct {
 	item item
 }
 
-// pending is a Get being built for server: room for the opcode and
-// head, which the send fills in, then n entries, each copying its
-// bytes, so nothing an entry aliased need outlive the call that made
-// it. writes counts the writes among them, and put is set when one is a
-// Put. e, from the encoder pool, is nil when nothing is pending.
+// pending is a Get being built for server, in the frame it travels in:
+// room for the opcode and head, which the send fills in, then n entries,
+// each copying its bytes, so nothing an entry aliased need outlive the
+// call that made it. writes counts the writes among them, and put is set
+// when one is a Put. e holds no frame when nothing is pending.
 type pending struct {
-	e      *encoder
+	e      encoder
 	server int
 	n      int
 	writes int
 	put    bool
 }
 
-// open returns p's encoder, with room for the head.
-func (p *pending) open() *encoder {
-	if p.e == nil {
-		p.e = getEncoder()
+// open returns p's encoder, with room for the head and n more bytes.
+// A frame drawn here has room for a settle besides, so the settle that
+// follows a leased task's result does not move the frame.
+func (p *pending) open(n int) *encoder {
+	e := &p.e
+	if e.size() == 0 {
+		e.grow(getHeadBytes + n + entryBytes)
+		e.reserve(getHeadBytes)
 	}
-	if p.e.size() == 0 {
-		p.e.reserve(getHeadBytes)
-	}
-	return p.e
-}
-
-// size is the bytes p holds.
-func (p *pending) size() int {
-	if p.e == nil {
-		return 0
-	}
-	return p.e.size()
+	e.grow(n)
+	return e
 }
 
 // maxBatch is the most writes one frame carries. On swiftbench's
@@ -159,21 +153,17 @@ func (cl *Client) endTask(err error) {
 // and all of away, which get sent before the task started — and its
 // rows go.
 func (cl *Client) abandon() {
-	h := &cl.home
-	if h.e != nil {
-		h.e.truncate(cl.mark.size)
-	}
+	h, a := &cl.home, &cl.away
+	h.e.truncate(cl.mark.size)
 	h.n, h.writes, h.put = cl.mark.n, cl.mark.writes, false
-	if a := &cl.away; a.e != nil {
-		a.e.truncate(0)
-		a.n, a.writes, a.put = 0, 0, false
-	}
+	a.e.truncate(0)
+	a.n, a.writes, a.put = 0, 0, false
 	cl.lease, cl.item = 0, item{vals: cl.item.vals[:0]}
 }
 
 // addSettle appends st to the next Get's entries.
 func (cl *Client) addSettle(st *settle) {
-	encodeSettle(cl.home.open(), st)
+	encodeSettle(cl.home.open(entryBytes+len(st.reason)), st)
 	cl.home.n++
 }
 
@@ -220,6 +210,7 @@ func NewClient(c *mpi.Comm, cfg Config) (*Client, error) {
 	}
 	cl := &Client{c: c, cfg: cfg, l: l, myServer: l.ServerOf(c.Rank())}
 	cl.home.server = cl.myServer
+	cl.home.e.c, cl.away.e.c = c, c
 	return cl, nil
 }
 
@@ -266,10 +257,11 @@ func (cl *Client) pendingFor(server int) (*pending, error) {
 	return p, nil
 }
 
-// add appends an entry to p: op and the body body builds. An encoding
+// add appends an entry to p: op and the body body builds, whose value
+// bytes are about size, so the frame grows once for them. An encoding
 // error leaves p with the entries before this one.
-func (p *pending) add(op uint8, body func(*encoder)) error {
-	e := p.open()
+func (p *pending) add(op uint8, size int, body func(*encoder)) error {
+	e := p.open(entryBytes + size)
 	at := e.begin()
 	e.u8(op)
 	body(e)
@@ -293,40 +285,40 @@ func (cl *Client) write(server int, op uint8, size int, body func(*encoder)) err
 	if err != nil {
 		return err
 	}
-	if p.writes > 0 && p.size()+size > maxBatchBytes {
+	if p.writes > 0 && p.e.size()+size > maxBatchBytes {
 		if err := cl.send(p, 0, "get", nil); err != nil {
 			return err
 		}
 	}
-	if err := p.add(op, body); err != nil {
+	if err := p.add(op, size, body); err != nil {
 		return err
 	}
 	p.writes++
 	p.put = p.put || op == opPut
-	if p.writes == maxBatch || p.size() > maxBatchBytes && (p == &cl.away || cl.lease == 0) {
+	if p.writes == maxBatch || p.e.size() > maxBatchBytes && (p == &cl.away || cl.lease == 0) {
 		return cl.send(p, 0, "get", nil)
 	}
 	return nil
 }
 
-// ask sends a read of server — op and the body body builds — as the last
-// entry of a Get that wants nothing, behind the entries pending for
-// server, and decodes its answer with answer (see send).
-func (cl *Client) ask(server int, op uint8, body func(*encoder), answer func(d *decoder, st uint8) (keep bool)) error {
+// ask sends a read of server — op and the body body builds, of about
+// size bytes beyond its fixed fields — as the last entry of a Get that
+// wants nothing, behind the entries pending for server, and decodes its
+// answer with answer (see send).
+func (cl *Client) ask(server int, op uint8, size int, body func(*encoder), answer func(d *decoder, st uint8) (keep bool)) error {
 	p, err := cl.pendingFor(server)
 	if err != nil {
 		return err
 	}
-	if err := p.add(op, body); err != nil {
+	if err := p.add(op, size, body); err != nil {
 		return err
 	}
 	return cl.send(p, 0, opNames[op], answer)
 }
 
-// chunkBytes is about the bytes c takes in a frame.
-func chunkBytes(c chunk.Chunk) int {
-	return len(c.Kinds) + len(c.Num) + len(c.Raw) + 4*len(c.Off)
-}
+// entryBytes bounds what an entry takes in a Get beyond its value
+// bytes: its length prefix, its kind byte and its fixed fields.
+const entryBytes = 32
 
 // Flush sends the pending entries, if any, as Gets that want nothing —
 // the writes for another server, then the home server's writes and
@@ -393,19 +385,15 @@ func (cl *Client) send(p *pending, flags uint8, what string, answer func(d *deco
 // last request of a read or a Get call: the frames the call retired go
 // back to the pool once it is on the wire, so the reply may reuse one.
 func (cl *Client) exchange(p *pending, typ int, flags uint8, want int, what string, release bool) (*decoder, uint8, error) {
-	frame, err := p.seal(typ, flags, want).frame()
-	if err == nil {
-		err = cl.c.Send(p.server, tagRequest, frame)
-	}
+	err := p.seal(typ, flags, want).send(p.server, tagRequest)
+	cl.sent(p)
 	if err != nil {
-		cl.sent(p)
 		return nil, 0, err
 	}
 	if release {
 		cl.releaseRetired()
 	}
 	data, _, err := cl.c.Recv(p.server, tagResponse)
-	cl.sent(p) // after the reply, so a server answering meanwhile does not take p's encoder
 	if err != nil {
 		return nil, 0, err
 	}
@@ -421,11 +409,10 @@ func (cl *Client) exchange(p *pending, typ int, flags uint8, want int, what stri
 // seal fills in p's opcode and head, a Get of type typ, with flags,
 // wanting want items, and returns its encoder.
 func (p *pending) seal(typ int, flags uint8, want int) *encoder {
-	e := p.open()
-	e.patch(0, getHeadBytes, func(h *encoder) {
-		h.u8(opGet)
-		encodeGetHead(h, typ, flags, uint8(want), p.n)
-	})
+	e := p.open(0)
+	h := e.patch(0, getHeadBytes)
+	h.u8(opGet)
+	encodeGetHead(&h, typ, flags, uint8(want), p.n)
 	return e
 }
 
@@ -440,8 +427,7 @@ func (cl *Client) sent(p *pending) {
 	if cl.lease != 0 && own > 0 {
 		cl.wrote = true
 	}
-	putEncoder(p.e)
-	p.e, p.n, p.writes, p.put = nil, 0, 0, false
+	p.n, p.writes, p.put = 0, 0, false
 }
 
 // checkStatus consumes the status byte and translates errors.
@@ -529,7 +515,7 @@ func (cl *Client) get(workType int, leased bool) (payload []byte, leaseID int64,
 			return nil, 0, false, fmt.Errorf("adlb: get: asked for type %d while holding %d leased item(s) of type %d",
 				workType, len(cl.items)-cl.next, cl.itemType)
 		}
-		if cl.wrote || cl.home.put || cl.home.size() > maxBatchBytes {
+		if cl.wrote || cl.home.put || cl.home.e.size() > maxBatchBytes {
 			if err := cl.send(&cl.home, 0, "get", nil); err != nil {
 				return nil, 0, false, err
 			}
@@ -584,7 +570,7 @@ func (cl *Client) handOut() ([]byte, int64) {
 	it := &cl.items[cl.next]
 	cl.next++
 	cl.lease, cl.wrote = it.lease, false
-	cl.mark.size, cl.mark.n, cl.mark.writes = cl.home.size(), cl.home.n, cl.home.writes
+	cl.mark.size, cl.mark.n, cl.mark.writes = cl.home.e.size(), cl.home.n, cl.home.writes
 	cl.item.ids, cl.item.rows = it.ids, it.rows
 	return append([]byte(nil), it.payload...), it.lease
 }
@@ -654,7 +640,7 @@ const idBlock = 1024
 func (cl *Client) Unique() (int64, error) {
 	if cl.idRemain == 0 {
 		cl.retire()
-		err := cl.ask(cl.myServer, opUnique, func(e *encoder) { e.i32(idBlock) }, func(d *decoder, _ uint8) bool {
+		err := cl.ask(cl.myServer, opUnique, 0, func(e *encoder) { e.i32(idBlock) }, func(d *decoder, _ uint8) bool {
 			cl.idNext, cl.idStride = d.i64(), int64(d.i32())
 			return false
 		})
@@ -795,7 +781,7 @@ func (id noSuchID) Error() string {
 func (cl *Client) retrieveFrom(server int, ids []int64) (chunk.Chunk, error) {
 	var c chunk.Chunk
 	var missing error
-	err := cl.ask(server, opRetrieveChunk, func(e *encoder) { encodeIDs(e, ids) }, func(d *decoder, st uint8) bool {
+	err := cl.ask(server, opRetrieveChunk, 8*len(ids), func(e *encoder) { encodeIDs(e, ids) }, func(d *decoder, st uint8) bool {
 		if st == stNotFound {
 			missing = noSuchID(d.i64())
 			return false
@@ -845,7 +831,7 @@ func (cl *Client) Insert(container int64, subscript string, member int64) error 
 // container has no member there.
 func (cl *Client) Lookup(container int64, subscript string) (member int64, exists bool, err error) {
 	cl.retire()
-	err = cl.ask(cl.l.OwnerOf(container), opLookup, func(e *encoder) {
+	err = cl.ask(cl.l.OwnerOf(container), opLookup, len(subscript), func(e *encoder) {
 		e.i64(container)
 		e.str(subscript)
 	}, func(d *decoder, st uint8) bool {
@@ -861,7 +847,7 @@ func (cl *Client) Lookup(container int64, subscript string) (member int64, exist
 func (cl *Client) Enumerate(container int64) ([]Pair, error) {
 	cl.retire()
 	var pairs []Pair
-	err := cl.ask(cl.l.OwnerOf(container), opEnumerate, func(e *encoder) { e.i64(container) }, func(d *decoder, _ uint8) bool {
+	err := cl.ask(cl.l.OwnerOf(container), opEnumerate, 0, func(e *encoder) { e.i64(container) }, func(d *decoder, _ uint8) bool {
 		pairs = decodePairs(d)
 		return false
 	})

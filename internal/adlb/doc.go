@@ -155,6 +155,13 @@
 // and RetrieveChunk answer those ids from the item, valid until its next
 // Get, Fail or Leave, and send a read only for ids owned elsewhere.
 //
+// A message is built in the frame it travels in: the encoder draws it
+// from the world's pool (mpi.Comm.Frame), sized once when the value's
+// size is known, and hands it over with mpi.Comm.SendFrame. From then
+// the receiver owns it: a client keeps a reply frame while values alias
+// it, a server keeps a Get frame that stored a value, and each releases
+// the rest to the pool.
+//
 // A value has one wire form, the chunk row: RetrieveChunk and
 // StoreChunk move a columnar chunk frame per owning server, a Store is
 // the id and a one-row chunk, and Retrieve is a one-id retrieve_chunk

@@ -29,15 +29,8 @@ func NotifyCrashed(w *mpi.World, servers, rank int) error {
 	if err != nil {
 		return err
 	}
-	e := getEncoder()
+	e := encoder{c: c}
 	e.u8(opGet)
-	encodeGet(e, &getRequest{flags: getFlagDepart})
-	frame, err := e.frame()
-	if err != nil {
-		putEncoder(e)
-		return err
-	}
-	err = c.Send(l.ServerOf(rank), tagRequest, frame)
-	putEncoder(e)
-	return err
+	encodeGet(&e, &getRequest{flags: getFlagDepart})
+	return e.send(l.ServerOf(rank), tagRequest)
 }

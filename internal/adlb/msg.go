@@ -516,6 +516,15 @@ func decodePairs(d *decoder) []Pair {
 // onto the wire, one alias off it); Off and Meta are small per-var-row
 // and per-blob-row tables.
 
+// chunkBytes is the bytes c takes in a chunk frame.
+func chunkBytes(c chunk.Chunk) int {
+	n := 3*4 + len(c.Kinds) + len(c.Num) + len(c.Raw) + 4 + 4*len(c.Off) + 4
+	for _, m := range c.Meta {
+		n += 1 + 4 + 8*len(m.Dims)
+	}
+	return n
+}
+
 func encodeChunk(e *encoder, c chunk.Chunk) {
 	e.bytes(c.Kinds)
 	e.bytes(c.Num)
@@ -573,12 +582,8 @@ func decodeChunk(d *decoder) chunk.Chunk {
 // RetrieveChunk carry, for callers that ship a chunk as a work-item
 // payload instead (swiftd's fragment tasks and responses).
 func EncodeChunkFrame(c chunk.Chunk) ([]byte, error) {
-	n := 3*4 + len(c.Kinds) + len(c.Num) + len(c.Raw) + 4 + 4*len(c.Off) + 4
-	for _, m := range c.Meta {
-		n += 1 + 4 + 8*len(m.Dims)
-	}
 	var e encoder
-	e.grow(n)
+	e.grow(chunkBytes(c))
 	encodeChunk(&e, c)
 	return e.frame()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
+	"repro/internal/mpi"
 )
 
 // TestZeroCopyAliasingContract pins the documented release point of
@@ -220,4 +221,122 @@ func TestResultFrameSurvivesPoolReuse(t *testing.T) {
 		}
 		return drainClient(cl)
 	})
+}
+
+// runServed runs a world of one client and one server, and returns the
+// server once the run is over, for a test to look into its data store.
+func runServed(t *testing.T, clientFn func(cl *Client) error) *server {
+	t.Helper()
+	cfg := testConfig(1)
+	w, err := mpi.NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLayout(2, 1)
+	var srv *server
+	err = w.Run(func(c *mpi.Comm) error {
+		if l.IsServer(c.Rank()) {
+			srv = newServer(c, cfg, l)
+			return srv.run()
+		}
+		cl, err := NewClient(c, cfg)
+		if err != nil {
+			return err
+		}
+		return clientFn(cl)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// storeBlob stores a fresh blob of n bytes of fill and returns its id.
+func storeBlob(cl *Client, n int, fill byte) (int64, error) {
+	id, err := cl.Unique()
+	if err != nil {
+		return 0, err
+	}
+	return id, sent(cl, cl.Store(id, BlobValue(bytes.Repeat([]byte{fill}, n))))
+}
+
+// TestSmallStoreSkipsReleasedBlobFrame: a frame is drawn best-fit, so a
+// small Store the server retains is not built in an 8 MiB frame just
+// released to the pool, which it would pin for the datum's life. Small
+// frames circulate first; then an 8 MiB blob is read back and its reply
+// frame released, and a 300-byte Store follows.
+func TestSmallStoreSkipsReleasedBlobFrame(t *testing.T) {
+	var small int64
+	srv := runServed(t, func(cl *Client) error {
+		s, err := storeBlob(cl, 300, 1)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 3; i++ {
+			if _, _, err := cl.Retrieve(s); err != nil {
+				return err
+			}
+		}
+		big, err := storeBlob(cl, 8<<20, 2)
+		if err != nil {
+			return err
+		}
+		if _, _, err := cl.Retrieve(big); err != nil {
+			return err
+		}
+		// This read releases the blob's reply frame.
+		if _, _, err := cl.Retrieve(s); err != nil {
+			return err
+		}
+		if small, err = storeBlob(cl, 300, 3); err != nil {
+			return err
+		}
+		return drainClient(cl)
+	})
+	v := srv.store[small].val
+	if len(v.Bytes) != 300 || cap(v.Bytes) > 64<<10 {
+		t.Fatalf("a retained 300-byte Store pins %d bytes of its frame, want at most 64 KiB", cap(v.Bytes))
+	}
+}
+
+// TestBlobTakesOneFrame: a 4 MiB Store, and the Get reply that delivers
+// the blob as an input, are each built in one frame sized once — drawn
+// once, never regrown by doubling — with at most 4 KiB to spare.
+func TestBlobTakesOneFrame(t *testing.T) {
+	const n = 4 << 20
+	const spare = 4 << 10
+	var id int64
+	srv := runServed(t, func(cl *Client) error {
+		w := cl.Comm().World()
+		draws := func() uint64 { gets, _, _ := w.FramePoolStats(); return gets }
+		var err error
+		if id, err = cl.Unique(); err != nil {
+			return err
+		}
+		if err := sent(cl, cl.Put(typeWork, 0, AnyRank, nil, id)); err != nil {
+			return err
+		}
+		d0, s0 := draws(), w.FramesSent()
+		if err := cl.Store(id, BlobValue(bytes.Repeat([]byte{7}, n))); err != nil {
+			return err
+		}
+		if d, s := draws()-d0, w.FramesSent()-s0; d != 2 || s != 2 {
+			return fmt.Errorf("the Store drew %d frames for %d sent, want 2 for 2: its request and the reply", d, s)
+		}
+		d0, s0 = draws(), w.FramesSent()
+		if _, _, ok, err := cl.GetLeased(typeWork); err != nil || !ok {
+			return fmt.Errorf("get: ok=%v err=%v", ok, err)
+		}
+		if d, s := draws()-d0, w.FramesSent()-s0; d != 2 || s != 2 {
+			return fmt.Errorf("the Get drew %d frames for %d sent, want 2 for 2: its request and the reply", d, s)
+		}
+		if cap(cl.deliv)-len(cl.deliv) > spare || len(cl.deliv) < n {
+			return fmt.Errorf("the Get reply is %d bytes in a frame of %d, want at most %d to spare", len(cl.deliv), cap(cl.deliv), spare)
+		}
+		return drainClient(cl)
+	})
+	v := srv.store[id].val
+	if len(v.Bytes) != n || cap(v.Bytes)-len(v.Bytes) > spare {
+		t.Fatalf("the stored blob's frame has %d bytes past the value, want at most %d", cap(v.Bytes)-len(v.Bytes), spare)
+	}
 }

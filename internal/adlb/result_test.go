@@ -12,12 +12,10 @@ import (
 	"testing"
 )
 
-// framesSent is the world's frame-pool draw count: on an in-process
-// world with one server, every request and every response is one Send.
-func framesSent(cl *Client) uint64 {
-	gets, _, _ := cl.Comm().World().FramePoolStats()
-	return gets
-}
+// framesSent is the frames the world's ranks have sent: on an
+// in-process world with one server, every request and every response is
+// one.
+func framesSent(cl *Client) uint64 { return cl.Comm().World().FramesSent() }
 
 // TestResultRidesNextGet runs n leased tasks, each storing one result
 // its home server owns, then a last task that reads them all back. In

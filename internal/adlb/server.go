@@ -275,7 +275,7 @@ func (s *server) finish() error {
 func (s *server) releaseParked() {
 	for client := range s.parked {
 		// Best-effort: the world may already be aborting.
-		_ = s.respondError(client, fmt.Sprintf(
+		_ = s.respond(client, stError, fmt.Sprintf(
 			"adlb: server %d shut down while client %d was parked in Get", s.idx, client))
 	}
 	s.parked = make(map[int]parkedReq)
@@ -515,27 +515,15 @@ func retainsRequestFrame(get *getRequest) bool {
 
 // ---------- client RPCs ----------
 
-func (s *server) respond(client int, build func(*encoder)) error {
-	e := getEncoder()
-	build(e)
-	return s.reply(client, e)
-}
-
-// reply sends e's frame to client and returns e to the pool.
-func (s *server) reply(client int, e *encoder) error {
-	frame, err := e.frame()
-	if err == nil {
-		err = s.c.Send(client, tagResponse, frame)
-	}
-	putEncoder(e)
-	return err
-}
-
-func (s *server) respondError(client int, msg string) error {
-	return s.respond(client, func(e *encoder) {
-		e.u8(stError)
+// respond answers client with a reply of status st alone, or, for
+// stError, with the error's text msg.
+func (s *server) respond(client int, st uint8, msg string) error {
+	e := encoder{c: s.c}
+	e.u8(st)
+	if st == stError {
 		e.str(msg)
-	})
+	}
+	return e.send(client, tagResponse)
 }
 
 // handleRequest handles one client request, a Get; get is its decoded
@@ -860,7 +848,7 @@ func (s *server) serve(client int, leased bool, items []workItem) {
 			for _, w := range items {
 				s.enqueue(w)
 			}
-			if rerr := s.respondError(client, err.Error()); rerr != nil {
+			if rerr := s.respond(client, stError, err.Error()); rerr != nil {
 				s.c.World().Abort(rerr)
 			}
 			return
@@ -868,26 +856,30 @@ func (s *server) serve(client int, leased bool, items []workItem) {
 		s.c.World().Abort(err)
 		return
 	}
-	var rowsErr error
-	err := s.respond(client, func(e *encoder) {
-		e.u8(stOK)
-		e.u32(uint32(len(items)))
-		for _, w := range items {
-			it := delivered{payload: w.Payload}
-			if leased {
-				it.lease = s.newLease(client, w)
-			}
-			// inputRows reuses one buffer, so each item's rows are
-			// encoded before the next item's are gathered.
-			if it.rows, rowsErr = s.inputRows(w.Inputs); rowsErr != nil {
-				return
-			}
-			it.ids = s.rowIDs
-			encodeDelivered(e, leased, &it)
+	e := encoder{c: s.c}
+	size := 1 + 4
+	for _, w := range items {
+		size += s.itemBytes(w)
+	}
+	e.grow(size)
+	e.u8(stOK)
+	e.u32(uint32(len(items)))
+	var err error
+	for _, w := range items {
+		it := delivered{payload: w.Payload}
+		if leased {
+			it.lease = s.newLease(client, w)
 		}
-	})
-	if err == nil {
-		err = rowsErr
+		// inputRows reuses one buffer, so each item's rows are
+		// encoded before the next item's are gathered.
+		if it.rows, err = s.inputRows(w.Inputs); err != nil {
+			break
+		}
+		it.ids = s.rowIDs
+		encodeDelivered(&e, leased, &it)
+	}
+	if serr := e.send(client, tagResponse); err == nil {
+		err = serr
 	}
 	if err != nil {
 		s.c.World().Abort(err)
@@ -1015,10 +1007,9 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 	}
 	s.closed = s.closed[:0]
 	refused, failed := "", ""
-	var reply *encoder
+	reply := encoder{c: s.c}
 	if g.want == 0 {
-		reply = getEncoder() // the Get's status, then each read's answer
-		reply.u8(stOK)
+		reply.u8(stOK) // the Get's status, then each read's answer
 	}
 	for i := range g.entries {
 		en := &g.entries[i]
@@ -1043,7 +1034,7 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 			st.countDataOp(op)
 		}
 		if isRead(op) {
-			m, err := s.answer(op, &decoder{buf: en.req, off: 1}, reply)
+			m, err := s.answer(op, &decoder{buf: en.req, off: 1}, &reply)
 			if err != nil {
 				return err
 			}
@@ -1070,9 +1061,6 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 		}
 	}
 	if refused != "" || failed != "" || g.want == 0 {
-		if reply == nil {
-			reply = getEncoder()
-		}
 		switch {
 		case refused != "":
 			reply.truncate(0)
@@ -1085,14 +1073,14 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 		default:
 			reply.u32(0)
 		}
-		err := s.reply(client, reply)
+		err := reply.send(client, tagResponse)
 		s.announce()
 		return err
 	}
 	s.announce()
 	if s.draining {
 		s.clientDeparted(client)
-		return s.respond(client, func(e *encoder) { e.u8(stNoMoreWork) })
+		return s.respond(client, stNoMoreWork, "")
 	}
 	// Targeted work for this client first. An emptied queue leaves the
 	// map immediately: long runs touch many (type, target) pairs, and the
@@ -1138,13 +1126,14 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 	return nil
 }
 
-// itemBytes is about the bytes w takes in a Get reply: its payload and
-// the values of the inputs this server holds.
+// itemBytes bounds the bytes w takes in a Get reply (encodeDelivered):
+// its lease, its payload, and the rows of the inputs this server holds,
+// with their ids.
 func (s *server) itemBytes(w workItem) int {
-	n := len(w.Payload)
+	n := 8 + 4 + len(w.Payload) + 4 + chunkBytes(chunk.Chunk{}) + 4
 	for _, id := range w.Inputs {
 		if dm := s.store[id]; dm != nil && dm.set {
-			n += len(dm.val.Bytes)
+			n += 8 + 1 + 4 + len(dm.val.Bytes) + 1 + 4 + 8*len(dm.val.Dims)
 		}
 	}
 	return n
@@ -1338,6 +1327,7 @@ func (s *server) answer(op uint8, d *decoder, e *encoder) (msg string, err error
 		if err != nil {
 			return fmt.Sprintf("retrieve_chunk: %v", err), nil
 		}
+		e.grow(1 + chunkBytes(c) + 4) // and the reply's item count after it
 		e.u8(stOK)
 		encodeChunk(e, c)
 	}
@@ -1446,20 +1436,13 @@ func (s *server) notifyAll(dm *datum) {
 // race with a completing round. Counting empty steal chatter would instead
 // livelock detection — retries would keep blackening servers forever.
 func (s *server) sendServer(dest int, op uint8, counted bool, build func(*encoder)) error {
-	e := getEncoder()
+	e := encoder{c: s.c}
 	e.u8(op)
-	build(e)
-	frame, err := e.frame()
-	if err != nil {
-		putEncoder(e)
-		return err
-	}
-	if counted {
+	build(&e)
+	if counted && e.err == nil {
 		s.mcount++
 	}
-	err = s.c.Send(dest, tagServer, frame)
-	putEncoder(e)
-	return err
+	return e.send(dest, tagServer)
 }
 
 func (s *server) handleServer(op uint8, d *decoder, source int) error {
@@ -1677,7 +1660,7 @@ func (s *server) beginDrain() {
 		}
 		delete(s.parked, r)
 		s.clientDeparted(r)
-		if err := s.respond(r, func(e *encoder) { e.u8(stNoMoreWork) }); err != nil {
+		if err := s.respond(r, stNoMoreWork, ""); err != nil {
 			s.c.World().Abort(err)
 			return
 		}

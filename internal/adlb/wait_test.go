@@ -72,7 +72,7 @@ func (s *server) testPark(client, typ int) {
 // stealReply hands s a steal response carrying items.
 func (s *server) stealReply(t *testing.T, items ...workItem) {
 	t.Helper()
-	e := getEncoder()
+	e := &encoder{}
 	e.u32(uint32(len(items)))
 	for _, w := range items {
 		encodeWorkItem(e, w)
@@ -84,7 +84,6 @@ func (s *server) stealReply(t *testing.T, items ...workItem) {
 	if err := s.handleServer(sopStealResp, &decoder{buf: frame}, s.l.ServerRank(1-s.idx)); err != nil {
 		t.Fatal(err)
 	}
-	putEncoder(e)
 }
 
 // TestServerWaitsOnlyOnArmedDeadlines pins the server's wait: a plain

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
+
+	"repro/internal/mpi"
 )
 
 // The ADLB wire format is a compact, hand-rolled binary encoding: the real
@@ -20,23 +21,31 @@ import (
 // a variable only so tests can lower it without allocating 4 GiB payloads.
 var maxFieldBytes uint64 = math.MaxUint32
 
+// encoder builds one frame. Through a Comm (c set) the frame is drawn
+// from the world's frame pool and handed over by send, so a message is
+// built in the frame it travels in; it grows only through the pool,
+// once when a builder knows the size up front (grow), by doubling
+// otherwise. With c nil it is a plain heap buffer (EncodeChunkFrame,
+// tests).
 type encoder struct {
+	c   *mpi.Comm
 	buf []byte
 	// err is sticky: the first encoding failure (an unframeable field)
 	// poisons the encoder, and callers must check it before sending.
 	err error
 }
 
-func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
+func (e *encoder) u8(v uint8) {
+	e.grow(1)
+	e.buf = append(e.buf, v)
+}
 func (e *encoder) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.buf = append(e.buf, b[:]...)
+	e.grow(4)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 }
 func (e *encoder) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
+	e.grow(8)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 }
 func (e *encoder) i32(v int32) { e.u32(uint32(v)) }
 func (e *encoder) i64(v int64) { e.u64(uint64(v)) }
@@ -47,6 +56,7 @@ func (e *encoder) bytes(v []byte) {
 		}
 		return
 	}
+	e.grow(4 + len(v))
 	e.u32(uint32(len(v)))
 	e.buf = append(e.buf, v...)
 }
@@ -57,6 +67,7 @@ func (e *encoder) str(v string) {
 		}
 		return
 	}
+	e.grow(4 + len(v))
 	e.u32(uint32(len(v)))
 	e.buf = append(e.buf, v...)
 }
@@ -87,37 +98,42 @@ func (e *encoder) end(at int) error {
 }
 
 // grow makes room for n more bytes, so a frame whose size is known up
-// front is built in one allocation.
-func (e *encoder) grow(n int) { e.buf = slices.Grow(e.buf, n) }
+// front is built in one frame.
+func (e *encoder) grow(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		e.regrow(n)
+	}
+}
+
+// regrow moves the frame to one with room for n more bytes: at least
+// twice the old capacity, drawn from the pool when e has a Comm, and
+// the old frame goes back to the pool.
+func (e *encoder) regrow(n int) {
+	if e.c == nil {
+		e.buf = slices.Grow(e.buf, n)
+		return
+	}
+	buf := append(e.c.Frame(max(len(e.buf)+n, 2*cap(e.buf))), e.buf...)
+	e.c.Release(e.buf)
+	e.buf = buf
+}
 
 // size is the number of bytes encoded so far.
 func (e *encoder) size() int { return len(e.buf) }
 
 // reserve appends n zero bytes, room for a field that patch fills in
 // once its value is known.
-func (e *encoder) reserve(n int) { e.buf = append(e.buf, make([]byte, n)...) }
-
-// patch encodes fill over the n bytes at off, which reserve left. fill
-// must encode exactly n bytes; anything else is a sticky error.
-func (e *encoder) patch(off, n int, fill func(*encoder)) {
-	p := encoder{buf: e.buf[off : off : off+n]}
-	fill(&p)
-	if len(p.buf) != n && e.err == nil {
-		e.err = fmt.Errorf("adlb: wire encode: a %d-byte patch over %d reserved bytes", len(p.buf), n)
-	}
+func (e *encoder) reserve(n int) {
+	e.grow(n)
+	e.buf = append(e.buf, make([]byte, n)...)
 }
+
+// patch returns an encoder over the n bytes at off, which reserve left,
+// for the caller to encode exactly those n bytes into.
+func (e *encoder) patch(off, n int) encoder { return encoder{buf: e.buf[off : off : off+n]} }
 
 // truncate drops what was encoded after the first n bytes.
 func (e *encoder) truncate(n int) { e.buf = e.buf[:n] }
-
-// reset empties e for reuse, keeping its buffer unless it has grown
-// past maxRetainedEncoder (a one-off giant frame).
-func (e *encoder) reset() {
-	e.buf, e.err = e.buf[:0], nil
-	if cap(e.buf) > maxRetainedEncoder {
-		e.buf = nil
-	}
-}
 
 func (e *encoder) boolean(v bool) {
 	if v {
@@ -127,9 +143,7 @@ func (e *encoder) boolean(v bool) {
 	}
 }
 
-// frame returns the encoded message, or the first encoding error. Every
-// send site goes through it so an unframeable field can never reach the
-// transport as a corrupted frame.
+// frame returns the encoded message, or the first encoding error.
 func (e *encoder) frame() ([]byte, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -137,30 +151,18 @@ func (e *encoder) frame() ([]byte, error) {
 	return e.buf, nil
 }
 
-// encoderPool recycles encoder scratch across RPCs: the frame is copied
-// onto the transport by mpi.Send, so an encoder's buffer is dead the
-// moment Send returns and the very next build on the same rank can reuse
-// it. Ownership rule: getEncoder -> build -> frame() -> Send -> putEncoder;
-// an encoder must not be put back while its frame() result is still
-// referenced.
-var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
-
-// maxRetainedEncoder bounds the scratch a pooled encoder may keep; a
-// larger buffer (a one-off giant frame) is dropped rather than parked.
-const maxRetainedEncoder = 32 << 20
-
-func getEncoder() *encoder {
-	e := encoderPool.Get().(*encoder)
-	e.buf = e.buf[:0]
-	e.err = nil
-	return e
-}
-
-func putEncoder(e *encoder) {
-	if cap(e.buf) > maxRetainedEncoder {
-		return
+// send hands the frame to dest with tag, and leaves e empty: the receiver
+// owns the frame now. Every send site goes through it: an encoding error
+// sends nothing and puts the frame back in the pool, so an unframeable
+// field never reaches the transport as a corrupted frame.
+func (e *encoder) send(dest, tag int) error {
+	buf, err := e.buf, e.err
+	e.buf, e.err = nil, nil
+	if err != nil {
+		e.c.Release(buf)
+		return err
 	}
-	encoderPool.Put(e)
+	return e.c.SendFrame(dest, tag, buf)
 }
 
 type decoder struct {

@@ -312,8 +312,8 @@ func TestBatchFrameStaysUnderItsByteBound(t *testing.T) {
 			if err := cl.Store(heldBase+k, part); err != nil {
 				return err
 			}
-			if h := &cl.home; h.writes > 1 && h.size() > maxBatchBytes {
-				return fmt.Errorf("store %d: %d writes in a %d-byte frame", k, h.writes, h.size())
+			if h := &cl.home; h.writes > 1 && h.e.size() > maxBatchBytes {
+				return fmt.Errorf("store %d: %d writes in a %d-byte frame", k, h.writes, h.e.size())
 			}
 		}
 		if err := cl.Flush(); err != nil {

@@ -14,9 +14,9 @@
 //     parameters carry no obligation: the constructor owns it.
 //   - encoder/frame: the encoder's raw buffer field (buf) may be touched
 //     only in the file that declares the encoder type; every other site
-//     must go through the sticky-error frame() helper, which makes an
-//     unframeable field unable to reach the transport as a corrupted
-//     frame. Discarding frame()'s error with a blank identifier is also
+//     must go through the sticky-error frame() helper (or a codec method
+//     such as adlb's send), which makes an unframeable field unable to
+//     reach the transport as a corrupted frame. Discarding frame()'s error with a blank identifier is also
 //     an error.
 //
 // The analyzer keys on structure, not import paths: it activates in any

@@ -15,7 +15,16 @@
 // tomorrow). The same ownership discipline covers the pool itself:
 // a buffer from framePool.get must reach framePool.put exactly once
 // unless ownership transfers — the TCP read loop draws frames straight
-// from the pool, so its acquire sites never pass through Recv. Copying
+// from the pool, so its acquire sites never pass through Recv.
+//
+// A sender's frame has a transfer point of its own: a buffer from
+// Comm.Frame must reach Comm.SendFrame or Comm.Release exactly once,
+// and SendFrame hands it, and every slice aliasing it, to the receiver,
+// so any use after SendFrame — a read, an escape, a Release, a second
+// send — is flagged like a use after Release. A received frame may be
+// handed on by SendFrame too, under the same rule. Appending to a
+// tracked buffer (buf = append(buf, ...)) keeps tracking it: a frame is
+// filled that way. Copying
 // builtins (len, cap, copy, append with ..., string/byte conversions)
 // count as uses, not transfers; appending the slice header itself into
 // a container is a transfer.
@@ -44,7 +53,7 @@ import (
 func New() *driver.Analyzer {
 	return &driver.Analyzer{
 		Name: "framerelease",
-		Doc:  "frames from Comm.Recv (and buffers from framePool.get) must be released exactly once on every used path and never touched after",
+		Doc:  "frames from Comm.Recv or Comm.Frame (and buffers from framePool.get) must be released or sent exactly once on every used path and never touched after",
 		Run:  run,
 	}
 }
@@ -145,16 +154,18 @@ func (c *checker) notRetained(cond ast.Expr) bool {
 }
 
 // frameState is the per-path state of each tracked frame group. All
-// three facts are "may" facts OR'd at joins: outstanding means some
+// four facts are "may" facts OR'd at joins: outstanding means some
 // path reaching here used the frame with Release still due (a frame
 // bound and discharged wholly inside one branch contributes nothing to
 // the joined state, so the untaken branch cannot mask or fake a leak);
 // released and dead likewise record that some path released or
-// transferred the frame, arming the use-after-release checks.
+// transferred the frame, arming the use-after-release checks, and sent
+// that the release was a SendFrame, for the diagnostics' wording.
 type frameState struct {
 	outstanding map[int]bool
 	released    map[int]bool
 	dead        map[int]bool
+	sent        map[int]bool
 }
 
 func newFrameState() *frameState {
@@ -162,6 +173,7 @@ func newFrameState() *frameState {
 		outstanding: map[int]bool{},
 		released:    map[int]bool{},
 		dead:        map[int]bool{},
+		sent:        map[int]bool{},
 	}
 }
 
@@ -176,6 +188,7 @@ func (s *frameState) CopyFrom(src driver.FlowState) {
 	s.outstanding = cloneSet(o.outstanding)
 	s.released = cloneSet(o.released)
 	s.dead = cloneSet(o.dead)
+	s.sent = cloneSet(o.sent)
 }
 
 func (s *frameState) Join(other driver.FlowState) {
@@ -183,6 +196,7 @@ func (s *frameState) Join(other driver.FlowState) {
 	orInto(s.outstanding, o.outstanding) // a leak on any path is a leak
 	orInto(s.released, o.released)       // a release on any path arms use-after
 	orInto(s.dead, o.dead)               // any transfer ends the obligation
+	orInto(s.sent, o.sent)
 }
 
 func cloneSet(m map[int]bool) map[int]bool {
@@ -206,8 +220,9 @@ func orInto(dst, src map[int]bool) {
 type srcKind int
 
 const (
-	srcRecv srcKind = iota // Comm.Recv / Comm.RecvTimeout, released by Comm.Release
-	srcPool                // framePool.get, released by framePool.put
+	srcRecv  srcKind = iota // Comm.Recv / Comm.RecvTimeout, released by Comm.Release
+	srcPool                 // framePool.get, released by framePool.put
+	srcFrame                // Comm.Frame, sent by Comm.SendFrame or released by Comm.Release
 )
 
 type checker struct {
@@ -233,9 +248,12 @@ func checkFunc(pass *driver.Pass, body *ast.BlockStmt) {
 			s := fs.(*frameState)
 			for _, g := range c.liveGroups() {
 				if s.outstanding[g] && !s.dead[g] && !c.deferred[g] {
-					if c.origin[g] == srcPool {
+					switch c.origin[g] {
+					case srcPool:
 						c.pass.Reportf(pos, "buffer %q from framePool.get is used on this path but never put back: the pooled buffer leaks to the garbage collector instead of the pool", c.names[g])
-					} else {
+					case srcFrame:
+						c.pass.Reportf(pos, "frame %q from Comm.Frame is used on this path but never sent or Released: the pooled buffer leaks to the garbage collector instead of the frame pool", c.names[g])
+					default:
 						c.pass.Reportf(pos, "frame %q from Recv is used on this path but never Released: the pooled buffer leaks back to the garbage collector instead of the frame pool", c.names[g])
 					}
 					delete(s.outstanding, g) // one report per path suffices
@@ -297,7 +315,20 @@ func (c *checker) acquireCall(call *ast.CallExpr) (srcKind, bool) {
 	if _, ok := c.isMethodOn(call, "framePool", "get"); ok {
 		return srcPool, true
 	}
+	if _, ok := c.isMethodOn(call, "Comm", "Frame"); ok {
+		return srcFrame, true
+	}
 	return 0, false
+}
+
+// sendCall reports whether call is Comm.SendFrame(dest, tag, buf), the
+// transfer point of a sender's frame.
+func (c *checker) sendCall(call *ast.CallExpr) bool {
+	if len(call.Args) != 3 {
+		return false
+	}
+	_, ok := c.isMethodOn(call, "Comm", "SendFrame")
+	return ok
 }
 
 // releaseCall reports whether call is a release site (Comm.Release or
@@ -347,7 +378,9 @@ func (c *checker) use(g int, pos token.Pos, st *frameState) {
 		return
 	}
 	if st.released[g] {
-		if c.origin[g] == srcPool {
+		if st.sent[g] {
+			c.pass.Reportf(pos, "frame %q used after SendFrame: the receiver owns it now and may already have released it to an unrelated Frame", c.names[g])
+		} else if c.origin[g] == srcPool {
 			c.pass.Reportf(pos, "buffer %q used after put: the pool may already have handed its bytes to an unrelated get", c.names[g])
 		} else {
 			c.pass.Reportf(pos, "frame %q used after Release: the pool may already have handed its bytes to an unrelated Send", c.names[g])
@@ -363,7 +396,9 @@ func (c *checker) transfer(g int, pos token.Pos, st *frameState) {
 		return
 	}
 	if st.released[g] {
-		if c.origin[g] == srcPool {
+		if st.sent[g] {
+			c.pass.Reportf(pos, "frame %q escapes after SendFrame: the receiver owns it now, so this would alias another rank's frame", c.names[g])
+		} else if c.origin[g] == srcPool {
 			c.pass.Reportf(pos, "buffer %q escapes after put: the receiver would alias recycled pool memory", c.names[g])
 		} else {
 			c.pass.Reportf(pos, "frame %q escapes after Release: the receiver would alias recycled pool memory", c.names[g])
@@ -416,11 +451,28 @@ func (c *checker) evalExpr(e ast.Expr, st *frameState) {
 }
 
 func (c *checker) evalCall(call *ast.CallExpr, st *frameState) {
+	// A send hands a tracked buffer on, discharging it as a release does.
+	if c.sendCall(call) {
+		for _, a := range call.Args[:2] {
+			c.evalExpr(a, st)
+		}
+		if g := c.frameGroup(call.Args[2]); g >= 0 {
+			if st.released[g] {
+				c.pass.Reportf(call.Pos(), "frame %q sent after it was already sent or Released: two owners would share one buffer", c.names[g])
+			}
+			st.released[g], st.sent[g] = true, true
+			delete(st.outstanding, g)
+			return
+		}
+	}
+
 	// A release on a tracked buffer discharges it (twice is an error).
 	if c.releaseCall(call) {
 		if g := c.frameGroup(call.Args[0]); g >= 0 {
 			if st.released[g] {
-				if c.origin[g] == srcPool {
+				if st.sent[g] {
+					c.pass.Reportf(call.Pos(), "frame %q Released after SendFrame: the receiver owns it now", c.names[g])
+				} else if c.origin[g] == srcPool {
 					c.pass.Reportf(call.Pos(), "buffer %q put twice: the pool would hand the same buffer to two callers", c.names[g])
 				} else {
 					c.pass.Reportf(call.Pos(), "frame %q Released twice: the pool would hand the same buffer to two Sends", c.names[g])
@@ -521,9 +573,15 @@ func (c *checker) evalAssign(a *ast.AssignStmt, st *frameState) {
 		}
 	}
 
-	// Alias: w := frame or w := frame[i:j].
+	// Alias: w := frame, w := frame[i:j] or w = append(frame, ...).
 	if len(a.Lhs) == 1 && len(a.Rhs) == 1 {
 		if id, ok := a.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
+			if g := c.appendedGroup(a.Rhs[0], st); g >= 0 {
+				if obj := c.defOrUse(id); obj != nil {
+					c.groups[obj] = g
+				}
+				return
+			}
 			if g := c.frameGroup(a.Rhs[0]); g >= 0 {
 				c.use(g, a.Rhs[0].Pos(), st)
 				if obj := c.defOrUse(id); obj != nil {
@@ -550,6 +608,37 @@ func (c *checker) evalAssign(a *ast.AssignStmt, st *frameState) {
 		}
 		c.evalExpr(e, st)
 	}
+}
+
+// appendedGroup resolves append(frame, ...) to frame's group, evaluating
+// the appended arguments, or returns -1. The result is the frame filled
+// in place, or its bytes moved to a fresh array: what must be sent or
+// released either way.
+func (c *checker) appendedGroup(e ast.Expr, st *frameState) int {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return -1
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || id.Name != "append" {
+		return -1
+	}
+	if _, ok := c.pass.TypesInfo.Uses[id].(*types.Builtin); !ok {
+		return -1
+	}
+	g := c.frameGroup(call.Args[0])
+	if g < 0 {
+		return -1
+	}
+	c.use(g, call.Args[0].Pos(), st)
+	for _, a := range call.Args[1:] {
+		if h := c.frameGroup(a); h >= 0 {
+			c.use(h, a.Pos(), st)
+			continue
+		}
+		c.evalExpr(a, st)
+	}
+	return g
 }
 
 func (c *checker) defOrUse(id *ast.Ident) types.Object {

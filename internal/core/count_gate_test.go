@@ -102,9 +102,9 @@ func TestEnsembleCountGate(t *testing.T) {
 // heldEnsemble runs the ensemble shape at n on one engine, one server
 // and the given workers, which wait in their interpreter setup until the
 // engine has parked in Get with every control action it can run done
-// (main, the loop, vpack's rule). It returns the world's frame-pool draws
-// — on an in-process world, one per Send — when the engine parked and
-// when the run ended, and the leaves run.
+// (main, the loop, vpack's rule). It returns the frames the world's
+// ranks had sent when the engine parked and when the run ended, and the
+// leaves run.
 func heldEnsemble(t *testing.T, n, workers int) (atPark, atEnd uint64, leaves int64) {
 	t.Helper()
 	compiled, err := stc.Compile(ensembleShape(n))
@@ -141,12 +141,12 @@ func heldEnsemble(t *testing.T, n, workers int) (atPark, atEnd uint64, leaves in
 			t.Fatal(<-done)
 		}
 	}
-	atPark, _, _ = w.FramePoolStats()
+	atPark = w.FramesSent()
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	atEnd, _, _ = w.FramePoolStats()
+	atEnd = w.FramesSent()
 	leaves = r.tstats.LeafTasks.Load()
 	if leaves != int64(3*n+2) {
 		t.Fatalf("%d leaf tasks, want %d", leaves, 3*n+2)
@@ -155,9 +155,9 @@ func heldEnsemble(t *testing.T, n, workers int) (atPark, atEnd uint64, leaves in
 }
 
 // TestEngineFramesPerLeaf pins the engine's request frames per leaf on
-// the ensemble shape at 0.06 or less, counted off the world's frame-pool
-// draws. The one worker waits in its interpreter setup until the engine
-// has parked in Get, so until then every frame drawn is an engine
+// the ensemble shape at 0.06 or less, counted off the frames the world's
+// ranks send. The one worker waits in its interpreter setup until the
+// engine has parked in Get, so until then every frame sent is an engine
 // request or the one server's reply to it. The engine's writes — main's
 // literal stores and inserts, each loop body's three leaf Puts and its
 // insert — travel in one frame per server per control action, or per
@@ -179,7 +179,7 @@ func TestEngineFramesPerLeaf(t *testing.T) {
 // TestWorkerFramesPerLeaf pins the workers' request frames per leaf on
 // the ensemble shape at 0.25 or less, with 1, 2 and 4 workers. The
 // workers wait in setup until the engine has parked (heldEnsemble), so
-// the frames drawn from then on are the workers' requests and replies,
+// the frames sent from then on are the workers' requests and replies,
 // and the few of the engine's last control actions, which this counts
 // as the workers'. A leased Get brings back the worker's share of the
 // queue, up to maxDelivery items, whose settles and results ride the

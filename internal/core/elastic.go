@@ -8,6 +8,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -185,7 +186,8 @@ func ServeElastic(compiled *stc.Output, cfg ElasticConfig) (*Result, error) {
 }
 
 // ElasticWorker joins the hub at addr and runs this process's single
-// worker rank until the run drains (NO_MORE_WORK) or aborts. Leaf-task
+// worker rank until the run drains (NO_MORE_WORK) or aborts, or the hub
+// closes a run that ended without it (nil). Leaf-task
 // output (python print and friends) goes to out. A clean drain sends the
 // hub a goodbye; any failure is reported upstream so the hub aborts the
 // run rather than hanging on a wedged peer.
@@ -225,6 +227,11 @@ func ElasticWorker(addr string, out io.Writer) error {
 		return err
 	}
 	if err := turbine.Run(c, tcfg); err != nil {
+		if errors.Is(wc.World().AbortErr(), mpi.ErrHubClosed) {
+			// The run ended without this worker: its first Get reached a
+			// server that had drained before it joined the roster.
+			return nil
+		}
 		wc.CloseWithError(err)
 		return err
 	}

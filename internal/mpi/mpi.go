@@ -33,6 +33,10 @@ const (
 // only once none is left.
 var ErrAborted = errors.New("mpi: world aborted")
 
+// ErrHubClosed is a TCP worker world's abort cause once the hub said
+// goodbye: the run is over, and a rank waiting on the hub would wait forever.
+var ErrHubClosed = errors.New("mpi: the hub closed the run")
+
 // Status describes a matched message, mirroring MPI_Status.
 type Status struct {
 	Source int // rank that sent the message
@@ -40,12 +44,14 @@ type Status struct {
 	Count  int // payload length in bytes
 }
 
-// framePool recycles the buffers Send copies payloads into. Receivers own
-// the buffer a Recv returns; a receiver that has fully consumed one may
-// hand it back via Release, and the next Send of a fitting size reuses it
-// instead of allocating. Reuse is LIFO (the most recently released fitting
-// buffer is taken first), which keeps the reuse order deterministic for
-// tests that pin the aliasing contract of zero-copy consumers.
+// framePool recycles the frames messages travel in (see Frame and
+// SendFrame): a receiver done with a frame hands it back via Release,
+// and the next fitting draw reuses it instead of allocating. A frame
+// fits a draw of n bytes when it holds n and is at most twice a fresh
+// frame for n, so a small message never takes, or pins for a retained
+// datum's life, a frame sized for a blob. A draw takes the smallest
+// fitting frame, the most recently released among equals, which keeps
+// reuse deterministic for tests that pin the aliasing contract.
 type framePool struct {
 	mu    sync.Mutex
 	free  [][]byte
@@ -56,7 +62,7 @@ type framePool struct {
 }
 
 const (
-	// minFrameCap rounds small sends up so tiny request frames recycle
+	// minFrameCap rounds small frames up so tiny request frames recycle
 	// for each other instead of fragmenting the pool by exact size.
 	minFrameCap = 256
 	// framePoolBytes bounds the total memory parked in the pool; buffers
@@ -67,20 +73,24 @@ const (
 	framePoolSlots = 64
 )
 
-// get returns a buffer of length n, reusing a released frame when one is
-// large enough.
+// get returns a buffer of length n, reusing the smallest released frame
+// that fits, the most recently released among equals.
 func (p *framePool) get(n int) []byte {
 	p.mu.Lock()
 	p.gets++
+	best, most := -1, 2*max(n, minFrameCap)
 	for i := len(p.free) - 1; i >= 0; i-- {
-		if cap(p.free[i]) >= n {
-			buf := p.free[i][:n]
-			p.bytes -= cap(buf)
-			p.free = append(p.free[:i], p.free[i+1:]...)
-			p.hits++
-			p.mu.Unlock()
-			return buf
+		if c := cap(p.free[i]); c >= n && c <= most && (best < 0 || c < cap(p.free[best])) {
+			best = i
 		}
+	}
+	if best >= 0 {
+		buf := p.free[best][:n]
+		p.bytes -= cap(buf)
+		p.free = append(p.free[:best], p.free[best+1:]...)
+		p.hits++
+		p.mu.Unlock()
+		return buf
 	}
 	p.mu.Unlock()
 	if n < minFrameCap {
@@ -90,7 +100,7 @@ func (p *framePool) get(n int) []byte {
 }
 
 // put parks a buffer for reuse, dropping it if the pool is full. The
-// caller must not touch buf afterwards: the next Send may own it.
+// caller must not touch buf afterwards: the next Frame may own it.
 func (p *framePool) put(buf []byte) {
 	if cap(buf) == 0 {
 		return
@@ -219,6 +229,7 @@ type World struct {
 	boxes   []*mailbox
 	barrier *barrierState
 	frames  framePool
+	sent    atomic.Uint64 // frames handed to SendFrame
 
 	// routes maps ranks living in other OS processes to their transport
 	// links (see tcp.go). nil in purely in-process worlds. abortHooks run
@@ -412,44 +423,49 @@ func (c *Comm) World() *World { return c.world }
 
 // Send delivers data to rank dest with the given tag. The send is eager
 // and buffered: it never blocks. The payload is copied, so the caller may
-// reuse the slice immediately. The copy lands in a buffer drawn from the
-// world's frame pool; ownership of it transfers to the receiver, which
-// may return it via Release once every slice aliasing it is dead.
+// reuse the slice immediately: Send draws a frame, copies data into it
+// and hands the frame over with SendFrame.
 func (c *Comm) Send(dest, tag int, data []byte) error {
-	if dest < 0 || dest >= c.world.size {
-		return fmt.Errorf("mpi: send from rank %d to invalid rank %d", c.rank, dest)
+	buf := c.Frame(len(data))
+	buf = append(buf, data...)
+	return c.SendFrame(dest, tag, buf)
+}
+
+// Frame draws an empty frame with room for n bytes from the world's
+// frame pool. The caller owns it, fills it by appending and hands it on
+// exactly once: to SendFrame, which delivers it, or to Release. An
+// append past its capacity would move the bytes to a fresh heap array
+// and drop the pooled one, so a builder that needs more room draws a
+// larger frame and Releases the smaller one.
+func (c *Comm) Frame(n int) []byte { return c.world.frames.get(n)[:0] }
+
+// SendFrame delivers buf, a frame from Frame or one received, to rank
+// dest with the given tag, and takes it over whatever it returns: the
+// caller must not touch buf or any slice aliasing it afterwards. To a
+// rank of this process the frame itself travels, with no copy, and the
+// receiver owns it from Recv on, as with Send; over a TCP route it is
+// written to the link and goes back to the pool.
+func (c *Comm) SendFrame(dest, tag int, buf []byte) error {
+	if dest < 0 || dest >= c.world.size || tag < 0 {
+		c.world.frames.put(buf)
+		return fmt.Errorf("mpi: send from rank %d to rank %d of [0,%d) with tag %d (tags must be >= 0)", c.rank, dest, c.world.size, tag)
 	}
-	if tag < 0 {
-		return fmt.Errorf("mpi: send with negative tag %d (tags must be >= 0)", tag)
-	}
+	c.world.sent.Add(1)
 	if r := c.world.routeFor(dest); r != nil {
-		if r.dead.Load() {
-			// The destination process crashed. Swallow the send: the
-			// fault-tolerance layer has already inferred its departure,
-			// and replies addressed to it must not error the sender.
-			return nil
+		var err error
+		if !r.dead.Load() { // a dead route swallows the send (see route)
+			err = r.link.sendData(c.rank, dest, tag, buf)
 		}
-		return r.link.sendData(c.rank, dest, tag, data)
+		c.world.frames.put(buf)
+		return err
 	}
-	buf := c.world.frames.get(len(data))
-	copy(buf, data)
-	env := envelope{source: c.rank, tag: tag, data: buf}
-	mb := c.world.boxes[dest]
-	mb.mu.Lock()
-	if mb.aborted {
-		mb.mu.Unlock()
-		return ErrAborted
-	}
-	mb.queue = append(mb.queue, env)
-	mb.wakeAll()
-	mb.mu.Unlock()
-	return nil
+	return c.world.inject(c.rank, dest, tag, buf)
 }
 
 // inject delivers an already-pooled buffer to a local rank's mailbox. It is
-// the transport's entry point: buf must come from this world's frame pool
-// (the TCP read loop fills pool buffers directly), and ownership transfers
-// to the receiving rank exactly as with a local Send.
+// the delivery path of SendFrame and of the transport (the TCP read loop
+// fills pool buffers directly), and ownership of buf transfers to the
+// receiving rank.
 func (w *World) inject(src, dest, tag int, buf []byte) error {
 	if dest < 0 || dest >= w.size || src < 0 || src >= w.size || tag < 0 {
 		w.frames.put(buf)
@@ -469,18 +485,24 @@ func (w *World) inject(src, dest, tag int, buf []byte) error {
 	return nil
 }
 
-// Release returns a buffer obtained from Recv to the world's frame pool
-// so a later Send can reuse it. The caller gives up ownership: after
-// Release, any slice still aliasing buf may be overwritten by unrelated
-// traffic. Releasing is optional — unreleased frames are simply garbage
-// collected — and a buffer must be released at most once.
+// Release returns a frame obtained from Recv or Frame to the world's
+// frame pool so a later Frame can reuse it. The caller gives up
+// ownership: after Release, any slice still aliasing buf may be
+// overwritten by unrelated traffic. Releasing is optional — unreleased
+// frames are simply garbage collected — and a frame must be released at
+// most once, and never after SendFrame took it.
 func (c *Comm) Release(buf []byte) { c.world.frames.put(buf) }
 
-// FramePoolStats reports the frame pool's counters: buffers requested by
-// Send, requests satisfied by reuse, and buffers accepted by Release.
-// Tests of zero-copy consumers use these to observe that reuse actually
-// occurs (hits > 0), making the aliasing contract load-bearing.
+// FramePoolStats reports the frame pool's counters: frames drawn (by
+// Frame, Send and the TCP read loop), draws satisfied by reuse, and
+// buffers accepted by Release. Tests of zero-copy consumers use these to
+// observe that reuse actually occurs (hits > 0), making the aliasing
+// contract load-bearing.
 func (w *World) FramePoolStats() (gets, hits, puts uint64) { return w.frames.stats() }
+
+// FramesSent reports the frames this process's ranks have handed to
+// SendFrame (or Send): one per message, however many draws built it.
+func (w *World) FramesSent() uint64 { return w.sent.Load() }
 
 // match returns the index in q of the first message matching (source, tag)
 // in arrival order, or -1.

@@ -109,3 +109,30 @@ func TestFramePoolSmallFramesRoundUp(t *testing.T) {
 		t.Fatalf("expected a pool hit for the rounded-up frame")
 	}
 }
+
+// TestFramePoolBestFit pins the draw policy: the smallest fitting frame,
+// the most recently released among equals, and never one more than
+// twice the size of a fresh frame for the draw — a small message must
+// not take, or pin, a frame sized for a blob.
+func TestFramePoolBestFit(t *testing.T) {
+	w, err := NewWorld(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := w.Comm(0)
+	blob := c.Frame(8 << 20)
+	older, newer := c.Frame(4096), c.Frame(4096)
+	c.Release(older)
+	c.Release(blob)
+	c.Release(newer)
+
+	if f := c.Frame(3000); cap(f) != 4096 || &f[:1][0] != &newer[:1][0] {
+		t.Fatalf("a 3000-byte draw took a %d-byte frame, want the 4096-byte one released last", cap(f))
+	}
+	if f := c.Frame(300); cap(f) > 2*minFrameCap {
+		t.Fatalf("a 300-byte draw took a %d-byte frame, want a fresh one", cap(f))
+	}
+	if f := c.Frame(5 << 20); cap(f) != 8<<20 {
+		t.Fatalf("a 5 MiB draw took a %d-byte frame, want the released 8 MiB one", cap(f))
+	}
+}

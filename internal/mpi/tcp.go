@@ -10,7 +10,7 @@
 //
 // Frames are `u32 big-endian body length | kind byte | body`. Data frames
 // carry `u32 src | u32 dest | u32 tag | payload`, where the payload is the
-// adlb wire codec's bytes exactly as an in-process Send would copy them.
+// frame a rank handed to SendFrame, written as it lies.
 // The receiving read loop reads each payload directly into a buffer drawn
 // from its World's frame pool, so the zero-copy aliasing contract of
 // doc.go's "Data plane and memory model" holds per process: a frame a rank
@@ -23,7 +23,8 @@
 // vanishes (EOF, RST, deadline expiry, torn frame) is reported through
 // HubConfig.OnLost so the caller can synthesize an ADLB Leave; the rank's
 // route is tombstoned so later sends to it are swallowed rather than
-// errored. A hub that vanishes aborts the worker's World.
+// errored. A hub that vanishes aborts the worker's World, and so does its
+// goodbye, with ErrHubClosed.
 package mpi
 
 import (
@@ -134,11 +135,10 @@ func readFrame(r io.Reader, frames *framePool) (tcpFrame, error) {
 	return tcpFrame{kind: kind, body: buf}, nil
 }
 
-// tcpLink is one end of a connection. Writes are synchronous: one
-// conn.Write per frame, serialized under wmu, assembled in a link-owned
-// buffer that is deliberately not pooled — pool buffers belong to
-// receivers, and sharing them with the writer would let wire traffic
-// scribble over frames a rank still holds.
+// tcpLink is one end of a connection. Writes are synchronous and
+// serialized under wmu: one writev per frame, of the link's header
+// bytes and the payload as it lies, so a data frame's payload is written
+// from the frame the sender handed over, with no copy.
 type tcpLink struct {
 	conn      net.Conn
 	role      int
@@ -147,7 +147,9 @@ type tcpLink struct {
 	closed    bool // under wmu
 
 	wmu  sync.Mutex
-	wbuf []byte
+	hdr  [5 + 4*4]byte // length, kind and up to four u32 header words (a welcome's)
+	vec  [2][]byte     // the header and the payload, written by writev
+	bufs net.Buffers   // over vec; a field, so a write allocates nothing
 }
 
 func newLink(conn net.Conn, role int) *tcpLink {
@@ -166,6 +168,7 @@ func (l *tcpLink) close() {
 
 // sendFrame writes one frame. Sends on a closed link are swallowed: by
 // then the peer is gone and the fault-tolerance layer has written it off.
+// payload is only read, and not retained once sendFrame returns.
 func (l *tcpLink) sendFrame(kind byte, hdr []uint32, payload []byte) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
@@ -186,29 +189,25 @@ func (l *tcpLink) sendFrame(kind byte, hdr []uint32, payload []byte) error {
 	if n > MaxFrameBody {
 		return fmt.Errorf("mpi: tcp frame body %d exceeds %d", n, MaxFrameBody)
 	}
-	need := 4 + n
-	if cap(l.wbuf) < need {
-		l.wbuf = make([]byte, need)
-	}
-	b := l.wbuf[:need]
+	b := l.hdr[:5+4*len(hdr)]
 	binary.BigEndian.PutUint32(b[0:4], uint32(n))
 	b[4] = kind
-	off := 5
-	for _, h := range hdr {
-		binary.BigEndian.PutUint32(b[off:], h)
-		off += 4
+	for i, h := range hdr {
+		binary.BigEndian.PutUint32(b[5+4*i:], h)
 	}
-	copy(b[off:], payload)
-	if _, err := l.conn.Write(b); err != nil {
+	l.vec = [2][]byte{b, payload}
+	l.bufs = l.vec[:]
+	_, err := l.bufs.WriteTo(l.conn)
+	l.vec = [2][]byte{} // retain no payload
+	if err != nil {
 		return fmt.Errorf("mpi: tcp send: %w", err)
 	}
 	return nil
 }
 
-// sendData frames a point-to-point payload. Called from Comm.Send on
-// routed destinations; data is copied into the link's write buffer before
-// Write returns, so the caller may reuse its slice immediately, matching
-// the local Send contract.
+// sendData frames a point-to-point payload. Called from Comm.SendFrame
+// on routed destinations; the payload is written before sendData
+// returns, so the caller may then reuse or release its frame.
 func (l *tcpLink) sendData(src, dest, tag int, data []byte) error {
 	return l.sendFrame(kindData, []uint32{uint32(src), uint32(dest), uint32(tag)}, data)
 }
@@ -460,7 +459,7 @@ loop:
 // deliver routes a worker's data frame: to a local mailbox when the
 // destination runs in this process, or relayed down the destination's own
 // link when it is another worker. Ownership of f.payload (a pool buffer)
-// transfers to inject; on the relay path sendData copies it out, so it
+// transfers to inject; on the relay path sendData writes it out, so it
 // returns to the pool here.
 func (h *Hub) deliver(f tcpFrame) {
 	if r := h.world.routeFor(f.dest); r != nil {
@@ -614,6 +613,7 @@ func (wc *WorkerConn) readLoop(br *bufio.Reader, hbTimeout time.Duration) {
 		case kindHeartbeat:
 		case kindGoodbye:
 			wc.link.close()
+			wc.world.Abort(ErrHubClosed) // what is already queued still arrives
 			return
 		case kindAbort:
 			wc.world.Abort(fmt.Errorf("mpi: hub aborted run: %s", f.body))

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -160,6 +161,35 @@ func TestTCPWorkerCrashFiresOnLost(t *testing.T) {
 	c0, _ := w.Comm(0)
 	if err := c0.Send(1, 1, []byte("into the void")); err != nil {
 		t.Fatalf("send to dead rank errored: %v", err)
+	}
+}
+
+// TestTCPHubGoodbyeEndsWorkerWorld: once the hub says goodbye, a worker
+// rank still waiting on it is released — its Recv first delivers what
+// was already sent, then fails with the world aborted by ErrHubClosed —
+// instead of waiting forever for a run that is over.
+func TestTCPHubGoodbyeEndsWorkerWorld(t *testing.T) {
+	w, h := hubWorld(t, 2, HubConfig{})
+	wc, err := JoinTCP(h.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+	c0, _ := w.Comm(0)
+	cw, _ := wc.World().Comm(1)
+	if err := c0.Send(1, 7, []byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	h.Close()
+	data, _, err := cw.Recv(0, 7)
+	if err != nil || string(data) != "last" {
+		t.Fatalf("the message sent before the goodbye: %q, %v", data, err)
+	}
+	if _, _, err := cw.Recv(0, 7); !errors.Is(err, ErrAborted) {
+		t.Fatalf("Recv after the hub's goodbye: %v, want ErrAborted", err)
+	}
+	if cause := wc.World().AbortErr(); !errors.Is(cause, ErrHubClosed) {
+		t.Fatalf("worker world's abort cause %v, want ErrHubClosed", cause)
 	}
 }
 
