@@ -358,15 +358,37 @@
 // keep payloads longer must copy on escape — lang.ChunkToValues takes
 // copyBytes because engines retain argv bindings across later
 // data-plane calls — while bulk paths that finish inside the window
-// (vpack, vunpack, the gather/scatter benchmark) stay zero-copy. Rows a
-// work item carried alias its Get response frame, which lives longer:
-// until the client's next Get, Fail or Leave is on the wire. On the
-// server side the mirror rule: request frames are released after
-// handling except for those that carry a store — a Get with a Store or
-// a StoreChunk among its entries — whose decoded rows alias the frame
-// for the datum's lifetime (zero-copy store), and mutating a stale
-// client view never corrupts a datum
-// (adlb.TestZeroCopyAliasingContract, TestResultFrameSurvivesPoolReuse).
+// (vpack, vunpack, the gather/scatter benchmark) stay zero-copy. A work
+// item's payload, and the rows it carried, alias its Get response frame,
+// which lives longer: until the client's next Get, Fail or Leave is on
+// the wire. Get and GetLeased copy no payload: every caller finishes
+// with it inside the task (a worker decodes its record, copying the
+// strings it keeps; an engine copies its control action; swiftd copies
+// its fragment's values out). On the server side the mirror rule:
+// request frames are released after handling except for those that
+// carry a store of bytes — a Get with a Store of a string or a blob, or
+// a StoreChunk, among its entries — whose decoded rows alias the frame
+// for the datum's lifetime (zero-copy store); a stored number is copied
+// into its datum, so its frame goes back to the pool. Mutating a stale
+// client view never corrupts a datum (adlb.TestZeroCopyAliasingContract,
+// TestResultFrameSurvivesPoolReuse).
+//
+// Outside the evaluators and Tcl, a leaf's path allocates almost nothing
+// (internal/turbine TestLeafPathAllocs: one server and two workers, 2.1
+// allocations a leaf against 18.3 before, the one that stays being
+// lang.buildCall's copy of the arguments an engine may keep). The
+// server's datums and work items come from slabs (adlb's arena): one
+// allocation a block of 128, a work item's payload and input ids carved
+// from blocks too, and a datum's container state is allocated for
+// containers alone. A block is freed only when nothing carved from it is
+// referenced, so one live datum, or one long-held rule, pins its block;
+// datums are never freed today, and ROADMAP's TD-lifetime item must
+// revisit the blocks when they are. Items move by pointer — through the
+// work queue, a typed binary heap, the datums' held-rule lists and the
+// leases — and a worker reuses its leaf scratch: the decoded record (a
+// repeated code or expr string is kept, not copied again), the argument
+// values and the bound natives. A numeric result is stored with no
+// allocation, its row built over the rank's scratch.
 //
 // # Transport
 //
@@ -497,7 +519,7 @@
 // dims or element size do not match its payload is a 400; a body past
 // the transport's frame bound is a 413), and encodes the result once on
 // the way out. Inside the warm world a fragment task and its response
-// are each one data-plane chunk frame (adlb.EncodeChunkFrame: header
+// are each one data-plane chunk frame (adlb.AppendChunkFrame: header
 // rows, then one row per value), so a blob crosses the world as raw
 // bytes. Three client roles share the warm world — a gateway that
 // submits fragment tasks, a collector that routes results back to
@@ -569,7 +591,8 @@
 //     same rule). A function that
 //     consults a retention predicate (a bool retains* function: adlb's
 //     retainsRequestFrame keeps a Get frame iff one of its entries is a
-//     Store or a StoreChunk) releases only under `if !retains...(...)`.
+//     Store of a string or a blob, or a StoreChunk) releases only under
+//     `if !retains...(...)`.
 //   - statsmirror: every exported atomic.Int64 counter in a Stats struct
 //     has a same-named int64 mirror in its StatsSnapshot sibling, no
 //     stale mirrors survive counter removal, and Snapshot() loads and

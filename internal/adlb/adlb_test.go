@@ -231,8 +231,8 @@ func TestPriorityAwareParkedMatching(t *testing.T) {
 		w.Abort(fmt.Errorf("test watchdog: world hung"))
 	})
 	defer fail.Stop()
-	item := func(prio int, tag byte) workItem {
-		return workItem{Type: typeWork, Priority: prio, Target: AnyRank, Payload: []byte{tag}}
+	item := func(prio int, tag byte) *workItem {
+		return &workItem{Type: typeWork, Priority: prio, Target: AnyRank, Payload: []byte{tag}}
 	}
 	err = w.Run(func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
@@ -766,6 +766,40 @@ func TestContainerRefcountNested(t *testing.T) {
 	})
 }
 
+// TestRefcountOnClosedContainerRefused: a container's close is announced
+// once, to the rules held on it, so a write refcount raised after the
+// close is refused, as an Insert into it is, and the container keeps the
+// members those rules saw.
+func TestRefcountOnClosedContainerRefused(t *testing.T) {
+	runWorld(t, 2, 1, func(cl *Client) error {
+		c, _ := cl.Unique()
+		if err := cl.Create(c, TypeContainer); err != nil {
+			return err
+		}
+		if err := probe(cl, c); err != nil {
+			return err
+		}
+		if err := cl.WriteRefcount(c, -1); err != nil {
+			return err
+		}
+		if err := awaitProbe(cl, c); err != nil {
+			return err
+		}
+		want := fmt.Sprintf("adlb: refcount: refcount: container %d is closed", c)
+		if err := sent(cl, cl.WriteRefcount(c, 1)); err == nil || err.Error() != want {
+			return fmt.Errorf("raising a closed container's refcount: err = %v, want %q", err, want)
+		}
+		m, _ := cl.Unique()
+		if err := sent(cl, cl.Insert(c, "9", m)); err == nil {
+			return fmt.Errorf("insert after the refused reopen succeeded")
+		}
+		if pairs, err := cl.Enumerate(c); err != nil || len(pairs) != 0 {
+			return fmt.Errorf("enumerate: %+v, %v; want no members", pairs, err)
+		}
+		return drainShutdown(cl)
+	})
+}
+
 func TestCrossRankDataFlow(t *testing.T) {
 	// Data created on one client, stored by another, read by a third,
 	// with 2 servers so ownership and forwarding paths are exercised.
@@ -909,7 +943,8 @@ func TestPutInvalidType(t *testing.T) {
 // readRow reads v through its row, as every reader of a stored scalar's
 // bytes does.
 func readRow(v Value) (chunk.Reader, error) {
-	c, err := row(v)
+	var c chunk.Chunk
+	err := row(&v, &c)
 	r := c.Reader()
 	r.Next()
 	return r, err
@@ -925,13 +960,14 @@ func TestValueCodecs(t *testing.T) {
 		if err != nil || DataType(r.Kind()) != v.Type {
 			t.Fatalf("%v: kind %d, %v", v, r.Kind(), err)
 		}
-		if back := rowValue(&r); back.Type != v.Type || !bytes.Equal(back.Bytes, v.Bytes) ||
+		var back Value
+		if rowValue(&r, &back); back.Type != v.Type || !bytes.Equal(back.Bytes, v.Bytes) ||
 			back.Elem != v.Elem || fmt.Sprint(back.Dims) != fmt.Sprint(v.Dims) {
 			t.Fatalf("%v read back as %v", v, back)
 		}
 	}
 	for _, bad := range []Value{{Type: TypeInteger, Bytes: []byte{1}}, {Type: TypeFloat}, {Type: TypeContainer}, {}} {
-		if _, err := row(bad); err == nil {
+		if err := row(&bad, &chunk.Chunk{}); err == nil {
 			t.Fatalf("row accepted %v", bad)
 		}
 	}
@@ -955,7 +991,7 @@ func TestValueCodecs(t *testing.T) {
 func TestWorkQueueDrainHalf(t *testing.T) {
 	q := &workQueue{}
 	for i := 0; i < 10; i++ {
-		q.push(workItem{Type: 0, Priority: i, Payload: []byte{byte(i)}})
+		q.push(&workItem{Type: 0, Priority: i, Payload: []byte{byte(i)}})
 	}
 	given := q.drainHalf()
 	if len(given) != 5 {
@@ -972,7 +1008,7 @@ func TestWorkQueueDrainHalf(t *testing.T) {
 	}
 	// Single-item queue gives its only item.
 	q2 := &workQueue{}
-	q2.push(workItem{})
+	q2.push(&workItem{})
 	if got := q2.drainHalf(); len(got) != 1 {
 		t.Fatalf("single-item drain: %d", len(got))
 	}
@@ -990,7 +1026,7 @@ func TestWorkQueueProperty(t *testing.T) {
 		}
 		q := &workQueue{}
 		for i, p := range prios {
-			q.push(workItem{Priority: int(p % 8), Payload: []byte{byte(i)}})
+			q.push(&workItem{Priority: int(p % 8), Payload: []byte{byte(i)}})
 		}
 		lastPrio := 1 << 30
 		seqAt := map[int]int{} // priority -> last seq seen

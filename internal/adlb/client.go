@@ -80,6 +80,11 @@ type Client struct {
 	// item holds the input rows that came with the running task's work
 	// item, which Retrieve and RetrieveChunk serve with no RPC.
 	item item
+
+	// dec reads the reply of the last exchange, and row is the one-row
+	// chunk a Store encodes; each is reused from one call to the next.
+	dec decoder
+	row chunk.Chunk
 }
 
 // pending is a Get being built for server, in the frame it travels in:
@@ -126,8 +131,8 @@ const maxBatchBytes = 1 << 20
 // item is the rows a delivered work item carried: the values of the
 // inputs its server owns. They alias the Get reply frame (Client.deliv).
 type item struct {
-	ids   []int64 // row i holds ids[i]
-	rows  chunk.Chunk
+	ids   []int64       // row i holds ids[i]
+	rows  *chunk.Chunk  // the delivered item's, when ids has any
 	vals  []Value       // rows as values, made at first use out of order
 	index map[int64]int // id -> row, made at first lookup in a long list
 }
@@ -189,14 +194,15 @@ func (it *item) at(id int64) (int, bool) {
 }
 
 // value returns row i as a Value aliasing the frame.
-func (it *item) value(i int) Value {
+func (it *item) value(i int) *Value {
 	if len(it.vals) == 0 {
 		r := it.rows.Reader()
 		for r.Next() {
-			it.vals = append(it.vals, rowValue(&r))
+			it.vals = append(it.vals, Value{})
+			rowValue(&r, &it.vals[len(it.vals)-1])
 		}
 	}
-	return it.vals[i]
+	return &it.vals[i]
 }
 
 // NewClient wraps the calling rank as an ADLB client.
@@ -397,7 +403,8 @@ func (cl *Client) exchange(p *pending, typ int, flags uint8, want int, what stri
 	if err != nil {
 		return nil, 0, err
 	}
-	d := &decoder{buf: data}
+	cl.dec = decoder{buf: data}
+	d := &cl.dec
 	st, err := checkStatus(d, what)
 	if err != nil {
 		cl.c.Release(data)
@@ -467,13 +474,15 @@ func (cl *Client) Put(workType, priority, target int, payload []byte, wait ...in
 		server = cl.l.OwnerOf(wait[0])
 	}
 	return cl.write(server, opPut, len(payload)+8*len(wait), func(e *encoder) {
-		encodeWorkItem(e, workItem{Type: workType, Priority: priority, Target: target, Payload: payload, Inputs: wait})
+		encodeWorkItem(e, &workItem{Type: workType, Priority: priority, Target: target, Payload: payload, Inputs: wait})
 	})
 }
 
 // Get blocks until a work item of the requested type is available, and
 // returns its payload. ok is false when the runtime has terminated and no
-// more work will ever arrive.
+// more work will ever arrive. The payload aliases the reply frame, with
+// no copy: it is valid until the next Get, GetLeased, Fail or Leave on
+// this Client, and a caller that keeps it longer copies it out.
 func (cl *Client) Get(workType int) (payload []byte, ok bool, err error) {
 	payload, _, ok, err = cl.get(workType, false)
 	return payload, ok, err
@@ -564,15 +573,16 @@ func (cl *Client) retireItems() {
 }
 
 // handOut makes the next held item the running task, its entries
-// starting at the end of home, and returns its payload, copied, and
-// lease.
+// starting at the end of home, and returns its payload, aliasing the
+// reply frame, and lease. The frame outlives the task: the Get that
+// retires it comes after the task's end.
 func (cl *Client) handOut() ([]byte, int64) {
 	it := &cl.items[cl.next]
 	cl.next++
 	cl.lease, cl.wrote = it.lease, false
 	cl.mark.size, cl.mark.n, cl.mark.writes = cl.home.e.size(), cl.home.n, cl.home.writes
-	cl.item.ids, cl.item.rows = it.ids, it.rows
-	return append([]byte(nil), it.payload...), it.lease
+	cl.item.ids, cl.item.rows = it.ids, &it.rows
+	return it.payload, it.lease
 }
 
 // Fail settles a lease as failed. Retriable failures are requeued by the
@@ -672,14 +682,17 @@ func (cl *Client) Create(id int64, typ DataType) error {
 // its payload is copied once, into the write's frame. Create, Store,
 // Insert, WriteRefcount and StoreChunk are writes, like Put.
 func (cl *Client) Store(id int64, v Value) error {
-	c, err := row(v)
-	if err != nil {
-		return err
+	c := &cl.row
+	err := row(&v, c)
+	if err == nil {
+		err = cl.write(cl.l.OwnerOf(id), opStore, chunkBytes(c), func(e *encoder) {
+			e.i64(id)
+			encodeChunk(e, c)
+		})
 	}
-	return cl.write(cl.l.OwnerOf(id), opStore, chunkBytes(c), func(e *encoder) {
-		e.i64(id)
-		encodeChunk(e, c)
-	})
+	c.Raw = nil // the frame holds the value now: keep no view of it
+	clear(c.Meta)
+	return err
 }
 
 // Retrieve fetches a datum's value: from the current item's rows, or a
@@ -695,7 +708,7 @@ func (cl *Client) Store(id int64, v Value) error {
 // or Leave.
 func (cl *Client) Retrieve(id int64) (v Value, found bool, err error) {
 	if i, ok := cl.item.at(id); ok {
-		return cl.item.value(i), true, nil
+		return *cl.item.value(i), true, nil
 	}
 	cl.retire()
 	c, err := cl.retrieveFrom(cl.l.OwnerOf(id), []int64{id})
@@ -707,7 +720,8 @@ func (cl *Client) Retrieve(id int64) (v Value, found bool, err error) {
 	}
 	r := c.Reader()
 	r.Next()
-	return rowValue(&r), true, nil
+	rowValue(&r, &v)
+	return v, true, nil
 }
 
 // RetrieveChunk fetches many closed data as one columnar chunk: row i is
@@ -729,7 +743,7 @@ func (cl *Client) RetrieveChunk(ids []int64) (chunk.Chunk, error) {
 		return out, nil
 	}
 	if slices.Equal(ids, cl.item.ids) {
-		return cl.item.rows, nil
+		return *cl.item.rows, nil
 	}
 	groups := make(map[int][]int64) // owning server rank -> its ids, in request order
 	for _, id := range ids {
@@ -752,16 +766,17 @@ func (cl *Client) RetrieveChunk(ids []int64) (chunk.Chunk, error) {
 		readers[server] = &r
 	}
 	// Merge the item's rows and the per-server chunks into request order.
+	var v Value
 	for _, id := range ids {
-		var v Value
+		vp := &v
 		if i, ok := cl.item.at(id); ok {
-			v = cl.item.value(i)
+			vp = cl.item.value(i)
 		} else {
 			r := readers[cl.l.OwnerOf(id)]
 			r.Next()
-			v = rowValue(r)
+			rowValue(r, &v)
 		}
-		if err := appendRow(&out, &v); err != nil {
+		if err := appendRow(&out, vp); err != nil {
 			return out, err
 		}
 	}
@@ -786,7 +801,7 @@ func (cl *Client) retrieveFrom(server int, ids []int64) (chunk.Chunk, error) {
 			missing = noSuchID(d.i64())
 			return false
 		}
-		c = decodeChunk(d)
+		decodeChunk(d, &c)
 		return true
 	})
 	if err != nil {
@@ -812,9 +827,9 @@ func (cl *Client) StoreChunk(container int64, c chunk.Chunk) error {
 	if err := c.Validate(); err != nil {
 		return fmt.Errorf("adlb: store_chunk: %w", err)
 	}
-	return cl.write(cl.l.OwnerOf(container), opStoreChunk, chunkBytes(c), func(e *encoder) {
+	return cl.write(cl.l.OwnerOf(container), opStoreChunk, chunkBytes(&c), func(e *encoder) {
 		e.i64(container)
-		encodeChunk(e, c)
+		encodeChunk(e, &c)
 	})
 }
 

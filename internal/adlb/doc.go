@@ -115,9 +115,10 @@
 // first and hands them out one per GetLeased with no RPC; a held item
 // is not stealable, and the shrinking shares bound the tail instead.
 // The items' payloads and rows alias the reply frame, which the client
-// keeps until the Get that asks for work next is on the wire; a write
-// copies its value into the entries, so it may alias the frame, or
-// anything else. The entries go to the server, in a Get that wants
+// keeps until the Get that asks for work next is on the wire: the
+// payload Get or GetLeased returns is no copy, valid until the client's
+// next Get, GetLeased, Fail or Leave. A write copies its value into the
+// entries, so it may alias the frame, or anything else. The entries go to the server, in a Get that wants
 // nothing, before the next held item starts when the task that ended
 // queued a Put (its waiters, a fragment's caller say, should not wait
 // on the next task), left them past maxBatchBytes, or sent writes — a
@@ -159,14 +160,25 @@
 // from the world's pool (mpi.Comm.Frame), sized once when the value's
 // size is known, and hands it over with mpi.Comm.SendFrame. From then
 // the receiver owns it: a client keeps a reply frame while values alias
-// it, a server keeps a Get frame that stored a value, and each releases
-// the rest to the pool.
+// it, a server keeps a Get frame that stored a string or a blob, or
+// carried a StoreChunk (a stored number is copied into its datum), and
+// each releases the rest to the pool.
+//
+// A server's datums and work items, and an item's payload and input
+// ids, come from slabs (arena): one allocation a block. A block is freed
+// when nothing carved from it is referenced, so one live datum or held
+// rule pins its block; datums are never freed today, and ROADMAP's
+// TD-lifetime item must revisit the blocks when they are. Items move by
+// pointer, through the work queue (a binary heap), a datum's held rules
+// and the leases. Open data are counted as they open and close
+// (Stats.UnfilledTDs), and a container whose close was announced refuses
+// a raised write refcount, as it refuses an Insert.
 //
 // A value has one wire form, the chunk row: RetrieveChunk and
 // StoreChunk move a columnar chunk frame per owning server, a Store is
 // the id and a one-row chunk, and Retrieve is a one-id retrieve_chunk
 // whose not-found answer carries the id. A scalar's DataType is its row
-// kind. The same chunk frame is exported as EncodeChunkFrame/
+// kind. The same chunk frame is exported as AppendChunkFrame/
 // DecodeChunkFrame for callers that carry a chunk as a work-item payload
 // (swiftd frames its fragment tasks and responses this way): decoding
 // validates the chunk's cross-column invariants and rejects trailing

@@ -534,7 +534,7 @@ func TestHeldSafraWaitsForForwardedRule(t *testing.T) {
 			s := newServer(c, cfg, l)
 			s.parked[0] = parkedReq{typ: typeWork}
 			s.parkOrder = []int{0}
-			r := workItem{Type: typeWork, Target: AnyRank, Payload: []byte("rule"), Inputs: []int64{id}}
+			r := &workItem{Type: typeWork, Target: AnyRank, Payload: []byte("rule"), Inputs: []int64{id}}
 			if err := s.route(r, r.Inputs, 0); err != nil {
 				return err
 			}

@@ -1,0 +1,17 @@
+package adlb
+
+import "repro/internal/chunk"
+
+// oneRow is v's one-row chunk, for tests that build frames.
+func oneRow(v Value) (chunk.Chunk, error) {
+	var c chunk.Chunk
+	err := row(&v, &c)
+	return c, err
+}
+
+// decodedChunk decodes a chunk frame into a fresh chunk.
+func decodedChunk(d *decoder) chunk.Chunk {
+	var c chunk.Chunk
+	decodeChunk(d, &c)
+	return c
+}

@@ -254,7 +254,7 @@ func encodeDelivered(e *encoder, leased bool, it *delivered) {
 		e.i64(it.lease)
 	}
 	e.bytes(it.payload)
-	encodeRows(e, it.ids, it.rows)
+	encodeRows(e, it.ids, &it.rows)
 }
 
 // decodeDelivery reads a Get reply's count and items, after its status,
@@ -287,7 +287,7 @@ func decodeDelivery(d *decoder, leased bool, want int, items []delivered) []deli
 			}
 		}
 		it.payload = d.bytes()
-		it.ids, it.rows = decodeRows(d, it.ids)
+		decodeRows(d, &it.ids, &it.rows)
 	}
 	if d.err != nil {
 		return items[:0]
@@ -295,7 +295,7 @@ func decodeDelivery(d *decoder, leased bool, want int, items []delivered) []deli
 	return items
 }
 
-// workItem is one unit of work in a server queue.
+// workItem is one unit of work in a server queue, moved by pointer.
 type workItem struct {
 	Type     int
 	Priority int
@@ -305,9 +305,17 @@ type workItem struct {
 	// Inputs are the ids the item waited on, in the Put's order; the
 	// server that delivers it sends the rows of those it owns along.
 	Inputs []int64
+
+	// seq orders equal priorities in a queue. A rule held on a datum
+	// waits on wait[at], the ids before at that this server owns closed,
+	// and next is the rule held on the same datum before it.
+	seq  uint64
+	wait []int64
+	at   int
+	next *workItem
 }
 
-func encodeWorkItem(e *encoder, w workItem) {
+func encodeWorkItem(e *encoder, w *workItem) {
 	e.i32(int32(w.Type))
 	e.i32(int32(w.Priority))
 	e.i32(int32(w.Target))
@@ -316,14 +324,18 @@ func encodeWorkItem(e *encoder, w workItem) {
 	encodeIDs(e, w.Inputs)
 }
 
-func decodeWorkItem(d *decoder) workItem {
-	var w workItem
+// decodeWorkItem reads a work item into a, its payload and inputs
+// copied there: the item outlives the frame.
+func decodeWorkItem(d *decoder, a *arena) *workItem {
+	w := a.workItem()
 	w.Type = int(d.i32())
 	w.Priority = int(d.i32())
 	w.Target = int(d.i32())
 	w.Attempts = int(d.i32())
-	w.Payload = append([]byte(nil), d.bytes()...)
-	w.Inputs = decodeIDs(d, "work item inputs")
+	p := d.bytes()
+	w.Payload = a.bytes.take(len(p), 16<<10)
+	copy(w.Payload, p)
+	w.Inputs = decodeIDsTo(d, "work item inputs", a)
 	return w
 }
 
@@ -373,9 +385,9 @@ func (t DataType) String() string {
 // value.
 type Value struct {
 	Type  DataType
+	Elem  uint8 // blob only: element kind (blob.Elem; 0 = raw bytes)
 	Bytes []byte
 	Dims  []int // blob only: logical extents, column-major
-	Elem  uint8 // blob only: element kind (blob.Elem; 0 = raw bytes)
 }
 
 // appendRow appends v to c as its next row, copying the payload: the
@@ -396,30 +408,35 @@ func appendRow(c *chunk.Chunk, v *Value) error {
 	return nil
 }
 
-// row is v alone as a one-row chunk whose string or blob payload column
-// is v.Bytes itself, not a copy, so a Store or a one-id retrieve reply
-// copies the payload once, onto the wire. Append nothing to the chunk:
-// that would write into v's bytes.
-func row(v Value) (chunk.Chunk, error) {
-	var c chunk.Chunk
-	payload := v.Bytes
-	if v.Type == TypeString || v.Type == TypeBlob {
-		v.Bytes = nil // appended empty, then pointed at the payload
+// row makes c, reused, v alone as a one-row chunk whose string or blob
+// payload column is v.Bytes itself, not a copy, so a Store or a one-id
+// retrieve reply copies the payload once, onto the wire. Append nothing
+// to the chunk: that would write into v's bytes.
+func row(v *Value, c *chunk.Chunk) error {
+	c.Reset()
+	switch v.Type {
+	case TypeVoid:
+		c.AppendVoid()
+	case TypeInteger, TypeFloat:
+		return c.AppendNumRaw(byte(v.Type), v.Bytes)
+	case TypeString, TypeBlob:
+		c.Kinds = append(c.Kinds, byte(v.Type))
+		c.Raw = v.Bytes
+		c.Off = append(c.Off, 0, uint32(len(v.Bytes)))
+		if v.Type == TypeBlob {
+			c.Meta = append(c.Meta, chunk.BlobMeta{Elem: v.Elem, Dims: v.Dims})
+		}
+	default:
+		return fmt.Errorf("adlb: a %v value has no row", v.Type)
 	}
-	if err := appendRow(&c, &v); err != nil {
-		return c, err
-	}
-	if len(c.Off) == 2 {
-		c.Raw, c.Off[1] = payload, uint32(len(payload))
-	}
-	return c, nil
+	return nil
 }
 
-// rowValue is the reader's current row as a Value aliasing the chunk's
+// rowValue sets v to the reader's current row, aliasing the chunk's
 // columns: on the client until the next call, on the server for the life
 // of the retained request frame (see dispatch).
-func rowValue(r *chunk.Reader) Value {
-	v := Value{Type: DataType(r.Kind())}
+func rowValue(r *chunk.Reader, v *Value) {
+	*v = Value{Type: DataType(r.Kind())}
 	switch v.Type {
 	case TypeInteger, TypeFloat:
 		v.Bytes = r.NumRaw()
@@ -429,7 +446,6 @@ func rowValue(r *chunk.Reader) Value {
 		m := r.Meta()
 		v.Bytes, v.Elem, v.Dims = r.Bytes(), m.Elem, m.Dims
 	}
-	return v
 }
 
 // Pair is one (subscript, member id) entry of a container enumeration.
@@ -447,10 +463,19 @@ func encodeIDs(e *encoder, ids []int64) {
 }
 
 // decodeIDs reads a counted id list (u32 n, then n i64): the body of a
-// retrieve_chunk entry, a work item's inputs, a forwarded rule's
-// wait list and a delivered item's row ids.
+// retrieve_chunk entry and a delivered item's row ids.
 func decodeIDs(d *decoder, what string) []int64 {
 	return appendIDs(nil, d, what)
+}
+
+// decodeIDsTo is decodeIDs into ids carved from a: a work item's inputs
+// and a forwarded rule's wait list.
+func decodeIDsTo(d *decoder, what string, a *arena) []int64 {
+	ids := a.ids.take(d.count(8, what), 512)
+	for i := range ids {
+		ids[i] = d.i64()
+	}
+	return ids
 }
 
 // appendIDs is decodeIDs appending to ids, for a caller that reuses the
@@ -466,28 +491,29 @@ func appendIDs(ids []int64, d *decoder, what string) []int64 {
 
 // encodeRows writes a delivered item's rows: the ids, counted, then —
 // unless there are none — one chunk with a row per id.
-func encodeRows(e *encoder, ids []int64, rows chunk.Chunk) {
+func encodeRows(e *encoder, ids []int64, rows *chunk.Chunk) {
 	encodeIDs(e, ids)
 	if len(ids) > 0 {
 		encodeChunk(e, rows)
 	}
 }
 
-// decodeRows reads encodeRows' form, reusing ids' storage. A frame that
-// fails to decode, or whose chunk has not one row per id, yields no ids
-// and an empty chunk.
-func decodeRows(d *decoder, ids []int64) ([]int64, chunk.Chunk) {
-	var rows chunk.Chunk
-	if ids = appendIDs(ids[:0], d, "item row ids"); len(ids) > 0 {
-		rows = decodeChunk(d)
-		if d.err == nil && rows.Len() != len(ids) {
-			d.err = fmt.Errorf("adlb: wire decode: %d row ids, %d rows", len(ids), rows.Len())
+// decodeRows reads encodeRows' form into ids and rows, reusing their
+// storage. A frame that fails to decode, or whose chunk has not one row
+// per id, yields no ids and an empty chunk.
+func decodeRows(d *decoder, ids *[]int64, rows *chunk.Chunk) {
+	*ids = appendIDs((*ids)[:0], d, "item row ids")
+	rows.Reset()
+	if len(*ids) > 0 {
+		decodeChunk(d, rows)
+		if d.err == nil && rows.Len() != len(*ids) {
+			d.err = fmt.Errorf("adlb: wire decode: %d row ids, %d rows", len(*ids), rows.Len())
 		}
 	}
 	if d.err != nil {
-		return ids[:0], chunk.Chunk{}
+		*ids = (*ids)[:0]
+		rows.Reset()
 	}
-	return ids, rows
 }
 
 // decodePairs reads an enumerate answer: u32 n, then n (subscript,
@@ -517,7 +543,7 @@ func decodePairs(d *decoder) []Pair {
 // and per-blob-row tables.
 
 // chunkBytes is the bytes c takes in a chunk frame.
-func chunkBytes(c chunk.Chunk) int {
+func chunkBytes(c *chunk.Chunk) int {
 	n := 3*4 + len(c.Kinds) + len(c.Num) + len(c.Raw) + 4 + 4*len(c.Off) + 4
 	for _, m := range c.Meta {
 		n += 1 + 4 + 8*len(m.Dims)
@@ -525,7 +551,7 @@ func chunkBytes(c chunk.Chunk) int {
 	return n
 }
 
-func encodeChunk(e *encoder, c chunk.Chunk) {
+func encodeChunk(e *encoder, c *chunk.Chunk) {
 	e.bytes(c.Kinds)
 	e.bytes(c.Num)
 	e.bytes(c.Raw)
@@ -543,19 +569,20 @@ func encodeChunk(e *encoder, c chunk.Chunk) {
 	}
 }
 
-// decodeChunk decodes a chunk frame zero-copy: the Kinds, Num, and Raw
-// columns alias the decoder's frame. The decoded chunk is validated, so
-// a malformed frame surfaces as a decode error rather than a chunk whose
-// readers index out of bounds.
-func decodeChunk(d *decoder) chunk.Chunk {
-	var c chunk.Chunk
+// decodeChunk decodes a chunk frame into c zero-copy: the Kinds, Num, and
+// Raw columns alias the decoder's frame, and the offsets reuse c's. The
+// metas are fresh, since a value read off the chunk keeps its blob's
+// dims. The decoded chunk is validated, so a malformed frame surfaces as
+// a decode error rather than a chunk whose readers index out of bounds.
+func decodeChunk(d *decoder, c *chunk.Chunk) {
 	c.Kinds = d.bytes()
 	c.Num = d.bytes()
 	c.Raw = d.bytes()
+	c.Off, c.Meta = c.Off[:0], nil
 	if nOff := d.count(4, "chunk offsets"); nOff > 0 {
-		c.Off = make([]uint32, nOff)
-		for i := range c.Off {
-			c.Off[i] = d.u32()
+		c.Off = slices.Grow(c.Off, nOff)
+		for range nOff {
+			c.Off = append(c.Off, d.u32())
 		}
 	}
 	if nMeta := d.count(5, "chunk metas"); nMeta > 0 {
@@ -575,35 +602,36 @@ func decodeChunk(d *decoder) chunk.Chunk {
 			d.err = fmt.Errorf("adlb: wire decode: %w", err)
 		}
 	}
-	return c
 }
 
-// EncodeChunkFrame renders c as a chunk frame: the bytes StoreChunk and
-// RetrieveChunk carry, for callers that ship a chunk as a work-item
-// payload instead (swiftd's fragment tasks and responses).
-func EncodeChunkFrame(c chunk.Chunk) ([]byte, error) {
-	var e encoder
+// AppendChunkFrame appends c, rendered as a chunk frame, to dst: the
+// bytes StoreChunk and RetrieveChunk carry, for callers that ship a chunk
+// as a work-item payload instead (turbine's work records, swiftd's
+// fragment tasks and responses). A caller that reuses dst from one frame
+// to the next allocates none.
+func AppendChunkFrame(dst []byte, c *chunk.Chunk) ([]byte, error) {
+	e := encoder{buf: dst}
 	e.grow(chunkBytes(c))
 	encodeChunk(&e, c)
 	return e.frame()
 }
 
-// DecodeChunkFrame is the inverse of EncodeChunkFrame. The frame must hold
-// exactly one valid chunk (trailing bytes are an error), and the chunk's
-// Kinds, Num and Raw columns alias it: a row payload that outlives frame
-// must be copied out.
-func DecodeChunkFrame(frame []byte) (chunk.Chunk, error) {
+// DecodeChunkFrame is the inverse of AppendChunkFrame: it decodes frame
+// into c, reusing c's offsets. The frame must hold exactly one valid
+// chunk (trailing bytes are an error), and the chunk's Kinds, Num and Raw
+// columns alias it: a row payload that outlives frame must be copied out.
+func DecodeChunkFrame(frame []byte, c *chunk.Chunk) error {
 	d := decoder{buf: frame}
-	c := decodeChunk(&d)
-	return c, d.finish("chunk frame")
+	decodeChunk(&d, c)
+	return d.finish("chunk frame")
 }
 
 // describe renders a work item's payload for a diagnostic: a chunk
 // frame as its rows, space-separated (a string as its text, a blob as
 // its size), and anything else as its bytes.
 func describe(payload []byte) string {
-	c, err := DecodeChunkFrame(payload)
-	if err != nil {
+	var c chunk.Chunk
+	if err := DecodeChunkFrame(payload, &c); err != nil {
 		return string(payload)
 	}
 	var b strings.Builder

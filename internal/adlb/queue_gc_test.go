@@ -20,10 +20,10 @@ func TestTargetedQueueGCForDepartedClients(t *testing.T) {
 		departed:   map[int]bool{},
 		store:      map[int64]*datum{},
 	}
-	s.acceptWork(workItem{Type: typeWork, Target: 1, Payload: []byte("a")})
-	s.acceptWork(workItem{Type: typeWork, Target: 1, Payload: []byte("b")})
-	s.acceptWork(workItem{Type: typeControl, Target: 1, Payload: []byte("c")})
-	s.acceptWork(workItem{Type: typeWork, Target: 2, Payload: []byte("other")})
+	s.acceptWork(&workItem{Type: typeWork, Target: 1, Payload: []byte("a")})
+	s.acceptWork(&workItem{Type: typeWork, Target: 1, Payload: []byte("b")})
+	s.acceptWork(&workItem{Type: typeControl, Target: 1, Payload: []byte("c")})
+	s.acceptWork(&workItem{Type: typeWork, Target: 2, Payload: []byte("other")})
 	if len(s.targeted) != 3 {
 		t.Fatalf("targeted queues = %d, want 3", len(s.targeted))
 	}
@@ -40,7 +40,7 @@ func TestTargetedQueueGCForDepartedClients(t *testing.T) {
 	}
 
 	// New targeted work for a departed client is dropped on arrival.
-	s.acceptWork(workItem{Type: typeWork, Target: 1, Payload: []byte("late")})
+	s.acceptWork(&workItem{Type: typeWork, Target: 1, Payload: []byte("late")})
 	if len(s.targeted) != 1 {
 		t.Fatal("post-departure targeted work was queued")
 	}

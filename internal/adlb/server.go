@@ -3,6 +3,7 @@ package adlb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,35 +16,31 @@ import (
 
 // datum is one entry of the distributed data store. Scalars close when
 // stored; containers close when their write refcount drops to zero.
-// held are the rules waiting here for it to close. A scalar the owner
-// issued but nobody created comes into being at its first use: a Store
-// makes it typed and closed, a rule waiting on it makes it an untyped
-// placeholder (typ 0) that the first Store types.
+// held are the rules waiting here for it to close, the last held first
+// (workItem.next). A scalar the owner issued but nobody created comes
+// into being at its first use: a Store makes it typed and closed, a rule
+// waiting on it makes it an untyped placeholder (typ 0) that the first
+// Store types.
 type datum struct {
 	typ  DataType
 	set  bool
 	val  Value
-	held []heldRule
-	// container state
+	held *workItem
+	c    *container // a container's state; nil for a scalar
+	num  [8]byte    // a number's bytes, which val.Bytes then are
+}
+
+type container struct {
 	members   map[string]int64
 	order     []string
 	writeRefs int
 }
 
 func (d *datum) closed() bool {
-	if d.typ == TypeContainer {
-		return d.writeRefs <= 0
+	if d.c != nil {
+		return d.c.writeRefs <= 0
 	}
 	return d.set
-}
-
-// heldRule is a rule a server holds on the datum at wait[at]: wait
-// is the id list the rule still had to see closed when it reached this
-// server, and the ids before at that this server owns are closed.
-type heldRule struct {
-	w    workItem
-	wait []int64
-	at   int
 }
 
 type targetKey struct {
@@ -63,7 +60,7 @@ type parkedReq struct {
 // task done, failed, handed back, or lost with its departed client, when
 // the item is requeued with its priority preserved.
 type lease struct {
-	w      workItem
+	w      *workItem
 	client int
 }
 
@@ -97,11 +94,17 @@ type server struct {
 
 	store  map[int64]*datum
 	nextID int64
-	held   int // rules held on open data here
+	held   int   // rules held on open data here
+	open   int   // data here not closed: Stats.UnfilledTDs at drain
+	mem    arena // where datums and work items come from
 	// scratch is the reusable column buffer behind multi-row replies, and
 	// rowVals and rowIDs the values and ids that fill it (the server loop
-	// is single-goroutine, so one of each is enough).
+	// is single-goroutine, so one of each is enough). chunk is a write's
+	// decoded chunk, its offsets reused from one write to the next, and
+	// lone a lone string or blob gathered as its own row.
 	scratch chunk.Chunk
+	chunk   chunk.Chunk
+	lone    chunk.Chunk
 	rowVals []*Value
 	rowIDs  []int64
 	// get is the last Get's decoded body, closed the data its writes
@@ -109,7 +112,7 @@ type server struct {
 	// reused from one Get to the next.
 	get    getRequest
 	closed []*datum
-	items  []workItem
+	items  []*workItem
 
 	// Safra termination detection state.
 	black      bool  // this server's colour
@@ -283,21 +286,12 @@ func (s *server) releaseParked() {
 }
 
 // gaugeUnfilled records, at clean drain, how many data-store entries
-// never closed. A run that recovered from task failures must leave this
-// at zero: a leaked write refcount after a contained panic would show up
-// here as a permanently open container.
+// never closed (s.open). A run that recovered from task failures must
+// leave this at zero: a leaked write refcount after a contained panic
+// would show up here as a permanently open container.
 func (s *server) gaugeUnfilled() {
-	if s.stats() == nil {
-		return
-	}
-	n := 0
-	for _, dm := range s.store {
-		if !dm.closed() {
-			n++
-		}
-	}
-	if n > 0 {
-		s.stats().UnfilledTDs.Add(int64(n))
+	if s.stats() != nil && s.open > 0 {
+		s.stats().UnfilledTDs.Add(int64(s.open))
 	}
 }
 
@@ -313,12 +307,12 @@ func (s *server) stallReport() string {
 	var ids []int64
 	var actions []string
 	for id, dm := range s.store {
-		if len(dm.held) == 0 {
+		if dm.held == nil {
 			continue
 		}
 		ids = append(ids, id)
-		for _, h := range dm.held {
-			actions = append(actions, fmt.Sprintf("%.200s", describe(h.w.Payload)))
+		for w := dm.held; w != nil; w = w.next {
+			actions = append(actions, fmt.Sprintf("%.200s", describe(w.Payload)))
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -411,15 +405,9 @@ func (s *server) checkStalled(now time.Time, limit time.Duration) error {
 		departed = append(departed, r)
 	}
 	sort.Ints(departed)
-	unfilled := 0
-	for _, dm := range s.store {
-		if !dm.closed() {
-			unfilled++
-		}
-	}
 	return fmt.Errorf("adlb: server %d: hang detected — no progress for %v with work stranded: "+
 		"queued [%s], %d held rule(s), %d outstanding lease(s), %d unfilled TD(s); parked clients [%s], departed clients %v",
-		s.idx, (now.Sub(s.watchAt) + limit).Round(time.Millisecond), strings.Join(types, "; "), s.held, len(s.leases), unfilled,
+		s.idx, (now.Sub(s.watchAt) + limit).Round(time.Millisecond), strings.Join(types, "; "), s.held, len(s.leases), s.open,
 		strings.Join(parked, ", "), departed)
 }
 
@@ -483,10 +471,11 @@ func (s *server) dispatch(data []byte, st mpi.Status) error {
 
 // requestFrame handles one client request frame, a Get; a frame that
 // starts with another opcode is a decode error. Request frames are
-// recycled once handled — except for those that carry a store, whose
-// decoded value bytes alias the frame (the zero-copy store: datums keep
-// views into the request instead of copies), making the frame's lifetime
-// the datum's. retainsRequestFrame is the one place that decides.
+// recycled once handled — except for those that carry a store of bytes,
+// whose decoded value bytes alias the frame (the zero-copy store: datums
+// keep views into the request instead of copies), making the frame's
+// lifetime the datum's. retainsRequestFrame is the one place that
+// decides.
 func (s *server) requestFrame(data []byte, client int) error {
 	d := &decoder{buf: data}
 	if op := d.u8(); op != opGet && d.err == nil {
@@ -502,12 +491,20 @@ func (s *server) requestFrame(data []byte, client int) error {
 
 // retainsRequestFrame reports whether handling get stores slices that
 // alias the request frame, pinning it for the life of the data store:
-// one of its decoded entries is a Store or a StoreChunk. A Get that
+// one of its decoded entries is a StoreChunk, or a Store of a string or
+// a blob (the first kind byte, after the opcode, the id and the kind
+// column's length); a stored number is copied into its datum. A Get that
 // failed to decode has no entries and is released.
 func retainsRequestFrame(get *getRequest) bool {
 	for _, en := range get.entries {
-		if len(en.req) > 0 && (en.req[0] == opStore || en.req[0] == opStoreChunk) {
+		switch r := en.req; {
+		case len(r) == 0:
+		case r[0] == opStoreChunk:
 			return true
+		case r[0] == opStore && len(r) > 1+8+4:
+			if k := r[1+8+4]; k == chunk.KindString || k == chunk.KindBlob {
+				return true
+			}
 		}
 	}
 	return false
@@ -557,26 +554,29 @@ func (s *server) applyWrite(op uint8, d *decoder) (refusal string, closed *datum
 		if _, exists := s.store[id]; exists {
 			return fmt.Sprintf("create: id %d already exists", id), nil, nil
 		}
-		dm := &datum{typ: typ}
+		dm := s.mem.datum()
+		dm.typ = typ
 		if typ == TypeContainer {
-			dm.members = make(map[string]int64)
-			dm.writeRefs = 1
+			dm.c = &container{members: make(map[string]int64), writeRefs: 1}
 		}
 		s.store[id] = dm
+		s.open++
 		return "", nil, nil
 
 	case opStore:
 		id := d.i64()
-		c := decodeChunk(d)
+		decodeChunk(d, &s.chunk)
 		if err := d.finish("store request"); err != nil {
 			return "", nil, err
 		}
-		if c.Len() != 1 {
-			return fmt.Sprintf("store: id %d: %d rows, want 1", id, c.Len()), nil, nil
+		if n := s.chunk.Len(); n != 1 {
+			return fmt.Sprintf("store: id %d: %d rows, want 1", id, n), nil, nil
 		}
-		r := c.Reader()
+		r := s.chunk.Reader()
 		r.Next()
-		dm, err := s.storeValue(id, rowValue(&r))
+		var v Value
+		rowValue(&r, &v)
+		dm, err := s.storeValue(id, &v)
 		if err != nil {
 			return err.Error(), nil, nil
 		}
@@ -590,17 +590,17 @@ func (s *server) applyWrite(op uint8, d *decoder) (refusal string, closed *datum
 			return "", nil, err
 		}
 		dm, ok := s.store[cid]
-		if !ok || dm.typ != TypeContainer {
+		if !ok || dm.c == nil {
 			return fmt.Sprintf("insert: id %d is not a container", cid), nil, nil
 		}
 		if dm.closed() {
 			return fmt.Sprintf("insert: container %d is closed", cid), nil, nil
 		}
-		if _, dup := dm.members[sub]; dup {
+		if _, dup := dm.c.members[sub]; dup {
 			return fmt.Sprintf("insert: container %d already has subscript %q", cid, sub), nil, nil
 		}
-		dm.members[sub] = member
-		dm.order = append(dm.order, sub)
+		dm.c.members[sub] = member
+		dm.c.order = append(dm.c.order, sub)
 		return "", nil, nil
 
 	case opWriteRefcount:
@@ -613,15 +613,24 @@ func (s *server) applyWrite(op uint8, d *decoder) (refusal string, closed *datum
 		if !ok {
 			return fmt.Sprintf("refcount: no such id %d", id), nil, nil
 		}
-		if dm.typ != TypeContainer {
+		if dm.c == nil {
 			return fmt.Sprintf("refcount: id %d is not a container", id), nil, nil
 		}
+		// A close is announced once: a reopened container's new members
+		// would reach none of the rules it released.
 		wasClosed := dm.closed()
-		dm.writeRefs += delta
-		if dm.writeRefs < 0 {
+		if wasClosed && delta > 0 {
+			return fmt.Sprintf("refcount: container %d is closed", id), nil, nil
+		}
+		dm.c.writeRefs += delta
+		closes := !wasClosed && dm.closed()
+		if closes {
+			s.open--
+		}
+		if dm.c.writeRefs < 0 {
 			return fmt.Sprintf("refcount: id %d dropped below zero", id), nil, nil
 		}
-		if !wasClosed && dm.closed() {
+		if closes {
 			return "", dm, nil
 		}
 		return "", nil, nil
@@ -637,7 +646,7 @@ func (s *server) applyWrite(op uint8, d *decoder) (refusal string, closed *datum
 // wait on. The client sends it to the owner of its first input (home
 // otherwise), and route takes it from there.
 func (s *server) applyPut(d *decoder) (refusal string, err error) {
-	w := decodeWorkItem(d)
+	w := decodeWorkItem(d, &s.mem)
 	if err := d.finish("put request"); err != nil {
 		return "", err
 	}
@@ -680,7 +689,7 @@ func (s *server) unknownID(wait []int64) (int64, bool) {
 // id it has yet to see closed, carrying only the ids of other owners, so
 // each owner is visited once. With no id left it is work: enqueued here,
 // or forwarded to its target's server.
-func (s *server) route(w workItem, wait []int64, at int) error {
+func (s *server) route(w *workItem, wait []int64, at int) error {
 	me := s.c.Rank()
 	for i := at; i < len(wait); i++ {
 		id := wait[i]
@@ -691,15 +700,18 @@ func (s *server) route(w workItem, wait []int64, at int) error {
 		if dm == nil {
 			// An issued id (unknownID checked it on arrival) comes into
 			// being as an open placeholder.
-			dm = &datum{}
+			dm = s.mem.datum()
 			s.store[id] = dm
+			s.open++
 		}
 		if !dm.closed() {
-			dm.held = append(dm.held, heldRule{w: w, wait: wait, at: i})
+			w.wait, w.at, w.next = wait, i, dm.held
+			dm.held = w
 			s.held++
 			return nil
 		}
 	}
+	w.wait = nil
 	var rest []int64
 	for _, id := range wait {
 		if s.l.OwnerOf(id) != me {
@@ -727,7 +739,7 @@ func (s *server) route(w workItem, wait []int64, at int) error {
 
 // forward sends w, still to wait on wait, to another server; counted for
 // Safra, so no round can end while it is in flight.
-func (s *server) forward(server int, w workItem, wait []int64) error {
+func (s *server) forward(server int, w *workItem, wait []int64) error {
 	return s.sendServer(server, sopPutForward, true, func(e *encoder) {
 		encodeWorkItem(e, w)
 		encodeIDs(e, wait)
@@ -739,7 +751,7 @@ func (s *server) forward(server int, w workItem, wait []int64) error {
 // parked client) makes delivery priority-aware by construction: a parked
 // client always receives the highest-priority queued item, never merely
 // the most recently arrived one.
-func (s *server) acceptWork(w workItem) {
+func (s *server) acceptWork(w *workItem) {
 	if !s.enqueue(w) {
 		return
 	}
@@ -749,7 +761,7 @@ func (s *server) acceptWork(w workItem) {
 // enqueue adds w to the appropriate queue (no delivery). It reports
 // whether the item was queued; targeted items at departed clients are
 // dropped and counted instead of stranded.
-func (s *server) enqueue(w workItem) bool {
+func (s *server) enqueue(w *workItem) bool {
 	if w.Target != AnyRank {
 		if s.departed[w.Target] {
 			// The target has been told NO_MORE_WORK and will never Get
@@ -826,7 +838,7 @@ func (s *server) matchParked(typ, target int) {
 // once did) lets a client that re-parks inherit its old, earlier queue
 // position, so the earliest-ever-parked rank wins every untargeted
 // dispatch and the rest starve.
-func (s *server) deliver(client int, w workItem) {
+func (s *server) deliver(client int, w *workItem) {
 	req := s.parked[client]
 	delete(s.parked, client)
 	s.unpark(client)
@@ -835,7 +847,7 @@ func (s *server) deliver(client int, w workItem) {
 
 // serve answers a Get (parked or direct) with items, s.items' storage,
 // minting a lease for each when the client asked for leases.
-func (s *server) serve(client int, leased bool, items []workItem) {
+func (s *server) serve(client int, leased bool, items []*workItem) {
 	defer clear(items) // the queues and leases hold the items, not s.items
 	s.items = items
 	if s.stats() != nil {
@@ -911,7 +923,8 @@ func (s *server) inputRows(inputs []int64) (chunk.Chunk, error) {
 // appended to the reused scratch, so a steady stream allocates nothing.
 func (s *server) gather(vals []*Value) (chunk.Chunk, error) {
 	if len(vals) == 1 && (vals[0].Type == TypeString || vals[0].Type == TypeBlob) {
-		return row(*vals[0])
+		err := row(vals[0], &s.lone)
+		return s.lone, err
 	}
 	s.scratch.Reset()
 	for _, v := range vals {
@@ -924,7 +937,7 @@ func (s *server) gather(vals []*Value) (chunk.Chunk, error) {
 
 // newLease records w as leased to client and returns the lease id.
 // Ids are strictly positive and unique per server; 0 means "no lease".
-func (s *server) newLease(client int, w workItem) int64 {
+func (s *server) newLease(client int, w *workItem) int64 {
 	s.nextLease++
 	id := s.nextLease
 	s.leases[id] = lease{w: w, client: client}
@@ -1129,8 +1142,8 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 // itemBytes bounds the bytes w takes in a Get reply (encodeDelivered):
 // its lease, its payload, and the rows of the inputs this server holds,
 // with their ids.
-func (s *server) itemBytes(w workItem) int {
-	n := 8 + 4 + len(w.Payload) + 4 + chunkBytes(chunk.Chunk{}) + 4
+func (s *server) itemBytes(w *workItem) int {
+	n := 8 + 4 + len(w.Payload) + 4 + chunkBytes(&chunk.Chunk{}) + 4
 	for _, id := range w.Inputs {
 		if dm := s.store[id]; dm != nil && dm.set {
 			n += 8 + 1 + 4 + len(dm.val.Bytes) + 1 + 4 + 8*len(dm.val.Dims)
@@ -1223,7 +1236,7 @@ const maxTaskRetries = 2
 // goes back in the queue with its priority preserved and its attempt
 // count bumped; anything else is poisoned — counted, and surfaced as a
 // run-ending error naming the task.
-func (s *server) requeueOrPoison(w workItem, reason string, retriable bool) error {
+func (s *server) requeueOrPoison(w *workItem, reason string, retriable bool) error {
 	if retriable && w.Attempts < maxTaskRetries {
 		w.Attempts++
 		if s.stats() != nil {
@@ -1276,10 +1289,10 @@ func (s *server) answer(op uint8, d *decoder, e *encoder) (msg string, err error
 			return "", err
 		}
 		dm, ok := s.store[cid]
-		if !ok || dm.typ != TypeContainer {
+		if !ok || dm.c == nil {
 			return fmt.Sprintf("lookup: id %d is not a container", cid), nil
 		}
-		if m, ok := dm.members[sub]; ok {
+		if m, ok := dm.c.members[sub]; ok {
 			e.u8(stOK)
 			e.i64(m)
 		} else {
@@ -1292,14 +1305,14 @@ func (s *server) answer(op uint8, d *decoder, e *encoder) (msg string, err error
 			return "", err
 		}
 		dm, ok := s.store[cid]
-		if !ok || dm.typ != TypeContainer {
+		if !ok || dm.c == nil {
 			return fmt.Sprintf("enumerate: id %d is not a container", cid), nil
 		}
 		e.u8(stOK)
-		e.u32(uint32(len(dm.order)))
-		for _, sub := range dm.order {
+		e.u32(uint32(len(dm.c.order)))
+		for _, sub := range dm.c.order {
 			e.str(sub)
-			e.i64(dm.members[sub])
+			e.i64(dm.c.members[sub])
 		}
 
 	case opRetrieveChunk:
@@ -1327,9 +1340,9 @@ func (s *server) answer(op uint8, d *decoder, e *encoder) (msg string, err error
 		if err != nil {
 			return fmt.Sprintf("retrieve_chunk: %v", err), nil
 		}
-		e.grow(1 + chunkBytes(c) + 4) // and the reply's item count after it
+		e.grow(1 + chunkBytes(&c) + 4) // and the reply's item count after it
 		e.u8(stOK)
-		encodeChunk(e, c)
+		encodeChunk(e, &c)
 	}
 	return "", nil
 }
@@ -1340,43 +1353,48 @@ func (s *server) answer(op uint8, d *decoder, e *encoder) (msg string, err error
 // caller's to manage, as with Insert. Row payloads alias the (retained)
 // request frame and the datums come from one slab, so the per-element
 // cost is the subscript string and its container map entry — no value
-// copies, no boxes.
+// copies, no boxes. An empty container is sized for the n rows first, so
+// its member map and order do not grow row by row.
 func (s *server) applyStoreChunk(d *decoder) (refusal string, err error) {
 	cid := d.i64()
-	c := decodeChunk(d)
+	decodeChunk(d, &s.chunk)
 	if err := d.finish("store_chunk request"); err != nil {
 		return "", err
 	}
 	dm, ok := s.store[cid]
-	if !ok || dm.typ != TypeContainer {
+	if !ok || dm.c == nil {
 		return fmt.Sprintf("store_chunk: id %d is not a container", cid), nil
 	}
 	if dm.closed() {
 		return fmt.Sprintf("store_chunk: container %d is closed", cid), nil
 	}
-	n := c.Len()
-	base := len(dm.order)
+	ct, n := dm.c, s.chunk.Len()
+	base := len(ct.order)
 	// Validate every target subscript before mutating anything, so a
 	// failed store is all-or-nothing: partial member creation would
 	// leave the container in a layout no call described.
 	subs := make([]string, n)
 	for i := range subs {
 		subs[i] = strconv.Itoa(base + i)
-		if _, dup := dm.members[subs[i]]; dup {
+		if _, dup := ct.members[subs[i]]; dup {
 			return fmt.Sprintf("store_chunk: container %d already has subscript %q", cid, subs[i]), nil
 		}
 	}
-	slab := make([]datum, n)
-	r := c.Reader()
+	if len(ct.members) == 0 {
+		ct.members = make(map[string]int64, n)
+		ct.order = slices.Grow(ct.order, n)
+	}
+	slab := s.mem.datums.take(n, 128)
+	r := s.chunk.Reader()
 	for i := 0; i < n && r.Next(); i++ {
 		dmv := &slab[i]
-		dmv.val = rowValue(&r)
+		rowValue(&r, &dmv.val)
 		dmv.typ, dmv.set = dmv.val.Type, true
 		id := s.nextID
 		s.nextID += int64(s.l.Servers)
 		s.store[id] = dmv
-		dm.members[subs[i]] = id
-		dm.order = append(dm.order, subs[i])
+		ct.members[subs[i]] = id
+		ct.order = append(ct.order, subs[i])
 	}
 	return "", nil
 }
@@ -1385,14 +1403,15 @@ func (s *server) applyStoreChunk(d *decoder) (refusal string, err error) {
 // An id the owner issued but nobody created comes into being here, typed
 // by v; a set id, a container, a type mismatch and an id never issued are
 // refused, with nothing changed. The caller announces the close.
-func (s *server) storeValue(id int64, v Value) (*datum, error) {
+func (s *server) storeValue(id int64, v *Value) (*datum, error) {
 	dm, ok := s.store[id]
 	if !ok {
 		if !s.issued(id) {
 			return nil, fmt.Errorf("store: no such id %d", id)
 		}
-		dm = &datum{}
+		dm = s.mem.datum()
 		s.store[id] = dm
+		s.open++ // and closed below
 	}
 	if dm.typ == 0 {
 		dm.typ = v.Type
@@ -1406,23 +1425,37 @@ func (s *server) storeValue(id int64, v Value) (*datum, error) {
 	if v.Type != dm.typ && dm.typ != TypeVoid {
 		return nil, fmt.Errorf("store: id %d is %v, value is %v", id, dm.typ, v.Type)
 	}
-	dm.val = v
+	dm.val = *v
+	if v.Type == TypeInteger || v.Type == TypeFloat {
+		// Copied, so the request frame goes back to the pool.
+		dm.num = [8]byte(v.Bytes)
+		dm.val.Bytes = dm.num[:]
+	}
 	dm.set = true
+	s.open--
 	return dm, nil
 }
 
-// notifyAll runs when a datum closes and moves on each rule held on it.
-// This is how a Store on one rank releases a leaf for a worker, or a
-// control rule for the engine that made it.
+// notifyAll runs when a datum closes and moves on each rule held on it,
+// in the order they were held. This is how a Store on one rank releases a
+// leaf for a worker, or a control rule for the engine that made it.
 func (s *server) notifyAll(dm *datum) {
-	held := dm.held
+	var held *workItem // reversed: the first held first
+	for w := dm.held; w != nil; {
+		next := w.next
+		w.next, held = held, w
+		w = next
+		s.held--
+	}
 	dm.held = nil
-	s.held -= len(held)
-	for _, h := range held {
-		if err := s.route(h.w, h.wait, h.at); err != nil {
+	for w := held; w != nil; {
+		next := w.next
+		w.next = nil
+		if err := s.route(w, w.wait, w.at); err != nil {
 			s.c.World().Abort(err)
 			return
 		}
+		w = next
 	}
 }
 
@@ -1451,8 +1484,8 @@ func (s *server) handleServer(op uint8, d *decoder, source int) error {
 		s.mcount--
 		s.black = true
 		s.watchAt = time.Time{}
-		w := decodeWorkItem(d)
-		wait := decodeIDs(d, "put-forward wait ids")
+		w := decodeWorkItem(d, &s.mem)
+		wait := decodeIDsTo(d, "put-forward wait ids", &s.mem)
 		if err := d.finish("put-forward"); err != nil {
 			return err
 		}
@@ -1467,7 +1500,7 @@ func (s *server) handleServer(op uint8, d *decoder, source int) error {
 		if err := d.finish("steal request"); err != nil {
 			return err
 		}
-		var items []workItem
+		var items []*workItem
 		if q, ok := s.untargeted[typ]; ok {
 			items = q.drainHalf()
 		}
@@ -1502,7 +1535,7 @@ func (s *server) handleServer(op uint8, d *decoder, source int) error {
 		touched := map[targetKey]bool{}
 		var order []targetKey
 		for i := 0; i < n; i++ {
-			w := decodeWorkItem(d)
+			w := decodeWorkItem(d, &s.mem)
 			if d.err != nil {
 				return d.err
 			}

@@ -75,7 +75,7 @@ func (s *server) stealReply(t *testing.T, items ...workItem) {
 	e := &encoder{}
 	e.u32(uint32(len(items)))
 	for _, w := range items {
-		encodeWorkItem(e, w)
+		encodeWorkItem(e, &w)
 	}
 	frame, err := e.frame()
 	if err != nil {
@@ -92,7 +92,7 @@ func (s *server) stealReply(t *testing.T, items ...workItem) {
 func TestServerWaitsOnlyOnArmedDeadlines(t *testing.T) {
 	const limit = time.Minute
 	cfg := Config{WatchdogIdle: limit}
-	stranded := workItem{Type: typeWork, Target: AnyRank, Payload: []byte("stranded")}
+	stranded := &workItem{Type: typeWork, Target: AnyRank, Payload: []byte("stranded")}
 
 	t.Run("client-mid-task", func(t *testing.T) {
 		s := testServer(t, 3, 1, 0, cfg)

@@ -25,7 +25,7 @@ var maxFieldBytes uint64 = math.MaxUint32
 // from the world's frame pool and handed over by send, so a message is
 // built in the frame it travels in; it grows only through the pool,
 // once when a builder knows the size up front (grow), by doubling
-// otherwise. With c nil it is a plain heap buffer (EncodeChunkFrame,
+// otherwise. With c nil it is a plain heap buffer (AppendChunkFrame,
 // tests).
 type encoder struct {
 	c   *mpi.Comm

@@ -26,19 +26,19 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// A one-row store request: the id, then the value's row.
 	e := &encoder{}
 	e.i64(7)
-	storeRow, _ := row(Value{Type: TypeBlob, Bytes: []byte{1, 2}, Dims: []int{2, 1}, Elem: 1})
-	encodeChunk(e, storeRow)
+	storeRow, _ := oneRow(Value{Type: TypeBlob, Bytes: []byte{1, 2}, Dims: []int{2, 1}, Elem: 1})
+	encodeChunk(e, &storeRow)
 	f.Add(e.buf, int64(7), uint8(6))
 	e = &encoder{}
 	var seedChunk chunk.Chunk
 	seedChunk.AppendInt(1)
 	seedChunk.AppendString("s")
 	seedChunk.AppendBlob([]byte{3}, 2, []int{1})
-	encodeChunk(e, seedChunk)
+	encodeChunk(e, &seedChunk)
 	f.Add(e.buf, int64(3), uint8(1))
 	// A Put of a work rule: the item with its wait ids.
 	e = &encoder{}
-	encodeWorkItem(e, workItem{Type: 1, Target: AnyRank, Payload: []byte("sw:vunpack 9 float 7"), Inputs: []int64{7, 7, 1 << 33}})
+	encodeWorkItem(e, &workItem{Type: 1, Target: AnyRank, Payload: []byte("sw:vunpack 9 float 7"), Inputs: []int64{7, 7, 1 << 33}})
 	f.Add(e.buf, int64(7), uint8(2))
 	// A leased Get reply of two items, each carrying its inputs' rows, and
 	// one claiming more items than a Get wants.
@@ -94,7 +94,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, n int64, tag uint8) {
 		// 1. Decoder robustness: arbitrary input, all decode shapes.
 		for _, run := range []func(d *decoder){
-			func(d *decoder) { decodeWorkItem(d) },
+			func(d *decoder) { decodeWorkItem(d, &arena{}) },
 			func(d *decoder) {
 				// A leased Get reply: 1 to maxDelivery items, each with a
 				// lease and its rows one per id, or none at all.
@@ -149,7 +149,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 				// chunk whose invariants hold (Validate ran inside
 				// decodeChunk) or set the decoder error — readers over the
 				// result must never index out of bounds.
-				c := decodeChunk(d)
+				c := decodedChunk(d)
 				if d.err == nil {
 					r := c.Reader()
 					for r.Next() {
@@ -176,7 +176,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// 2. Round-trip identity for a message built from the input.
 		w := workItem{Type: int(int32(n)), Priority: int(tag), Target: int(int32(n >> 32)), Payload: raw, Inputs: []int64{n, -n, int64(tag)}}
 		e := &encoder{}
-		encodeWorkItem(e, w)
+		encodeWorkItem(e, &w)
 		e.i64(n)
 		e.boolean(tag&1 == 1)
 		frame, err := e.frame()
@@ -185,7 +185,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 
 		d := &decoder{buf: frame}
-		gotW := decodeWorkItem(d)
+		gotW := decodeWorkItem(d, &arena{})
 		gotN := d.i64()
 		gotB := d.boolean()
 		if err := d.finish("round trip"); err != nil {
@@ -201,7 +201,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 		// Trailing garbage after the same clean frame must fail loudly.
 		d = &decoder{buf: append(append([]byte(nil), frame...), 0x5A)}
-		decodeWorkItem(d)
+		decodeWorkItem(d, &arena{})
 		d.i64()
 		d.boolean()
 		if err := d.finish("round trip"); err == nil {
@@ -214,7 +214,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// item handed back only when the Get departs, then, when it wants
 		// no work, a lookup of the input — round-trips, and rejects a
 		// trailing byte.
-		res, err := row(Value{Type: TypeBlob, Bytes: raw, Dims: []int{len(raw)}, Elem: tag})
+		res, err := oneRow(Value{Type: TypeBlob, Bytes: raw, Dims: []int{len(raw)}, Elem: tag})
 		if err != nil {
 			t.Fatalf("row: %v", err)
 		}
@@ -301,13 +301,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 		ck.AppendBlob(raw, tag, []int{len(raw), 1})
 		ck.AppendVoid()
 		e = &encoder{}
-		encodeChunk(e, ck)
+		encodeChunk(e, &ck)
 		frame, err = e.frame()
 		if err != nil {
 			t.Fatalf("chunk encode failed: %v", err)
 		}
 		d = &decoder{buf: frame}
-		got := decodeChunk(d)
+		got := decodedChunk(d)
 		if err := d.finish("chunk round trip"); err != nil {
 			t.Fatalf("clean chunk round trip rejected: %v", err)
 		}
@@ -332,7 +332,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 		}
 		d = &decoder{buf: append(append([]byte(nil), frame...), 0x5A)}
-		decodeChunk(d)
+		decodedChunk(d)
 		if err := d.finish("chunk round trip"); err == nil {
 			t.Fatal("chunk trailing garbage accepted")
 		}
@@ -346,8 +346,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 // kind, a read in a Get that wants work, a malformed settle, bytes after
 // the last entry — is an error, with no write applied, and the frame
 // goes back to the pool. A well-formed Get goes back too, unless it
-// carries a Store or a StoreChunk, whose rows the data store keeps
-// aliasing the frame.
+// carries a Store of a string or a blob, or a StoreChunk, whose rows the
+// data store keeps aliasing the frame (a stored number is copied).
 //
 // Run with: go test -fuzz=FuzzBatchFrame ./internal/adlb
 func FuzzBatchFrame(f *testing.F) {
@@ -368,10 +368,11 @@ func FuzzBatchFrame(f *testing.F) {
 	}
 	store := entry(opStore, func(e *encoder) {
 		e.i64(heldBase)
-		encodeChunk(e, intChunk(7))
+		c := intChunk(7)
+		encodeChunk(e, &c)
 	})
 	put := entry(opPut, func(e *encoder) {
-		encodeWorkItem(e, workItem{Type: 1, Target: AnyRank, Payload: []byte("rule"), Inputs: []int64{heldBase}})
+		encodeWorkItem(e, &workItem{Type: 1, Target: AnyRank, Payload: []byte("rule"), Inputs: []int64{heldBase}})
 	})
 	create := entry(opCreate, func(e *encoder) {
 		e.i64(heldBase)
@@ -434,7 +435,9 @@ func FuzzBatchFrame(f *testing.F) {
 
 // wellFormedGet is FuzzBatchFrame's oracle, walking a Get's body after
 // its opcode by hand: whether decodeGet must accept it, and whether one
-// of its entries is a Store or a StoreChunk.
+// of its entries is a StoreChunk, or a Store whose row kind, the first
+// of its chunk's kind column, is a string or a blob (a stored number is
+// copied out of the frame).
 func wellFormedGet(b []byte) (ok, retains bool) {
 	if len(b) < getHeadBytes-1 {
 		return false, false
@@ -459,7 +462,12 @@ func wellFormedGet(b []byte) (ok, retains bool) {
 			if opNames[en[0]] == "" || isRead(en[0]) && want > 0 {
 				return false, false
 			}
-			retains = retains || en[0] == opStore || en[0] == opStoreChunk
+			switch {
+			case en[0] == opStoreChunk:
+				retains = true
+			case en[0] == opStore && len(en) > 13:
+				retains = retains || en[13] == chunk.KindString || en[13] == chunk.KindBlob
+			}
 			continue
 		}
 		if len(en) < 10 {

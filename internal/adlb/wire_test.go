@@ -77,13 +77,13 @@ func TestEncoderRejectsOversizedField(t *testing.T) {
 func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 	t.Run("work-item", func(t *testing.T) {
 		e := &encoder{}
-		encodeWorkItem(e, workItem{Type: 1, Priority: 2, Target: 3, Payload: []byte("job")})
+		encodeWorkItem(e, &workItem{Type: 1, Priority: 2, Target: 3, Payload: []byte("job")})
 		frame, err := e.frame()
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := &decoder{buf: frame}
-		if w := decodeWorkItem(d); string(w.Payload) != "job" {
+		if w := decodeWorkItem(d, &arena{}); string(w.Payload) != "job" {
 			t.Fatalf("payload = %q", w.Payload)
 		}
 		if err := d.finish("work item"); err != nil {
@@ -91,7 +91,7 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 		}
 
 		d = &decoder{buf: append(append([]byte(nil), frame...), 0xAB)}
-		decodeWorkItem(d)
+		decodeWorkItem(d, &arena{})
 		if err := d.finish("work item"); err == nil {
 			t.Fatal("trailing garbage accepted after work item")
 		}
@@ -99,24 +99,24 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 	// A value's wire form is its one-row chunk.
 	valueFrame := func(t *testing.T, v Value) []byte {
 		t.Helper()
-		c, err := row(v)
+		c, err := oneRow(v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := &encoder{}
-		encodeChunk(e, c)
+		encodeChunk(e, &c)
 		return e.buf
 	}
 	t.Run("value", func(t *testing.T) {
 		frame := valueFrame(t, Value{Type: TypeBlob, Bytes: []byte{1, 2, 3}, Dims: []int{3}, Elem: 2})
 		d := &decoder{buf: frame}
-		c := decodeChunk(d)
+		c := decodedChunk(d)
 		if err := d.finish("value"); err != nil || c.Len() != 1 {
 			t.Fatalf("clean frame rejected: %v (%d rows)", err, c.Len())
 		}
 
 		d = &decoder{buf: append(append([]byte(nil), frame...), 0xCD, 0xEF)}
-		decodeChunk(d)
+		decodedChunk(d)
 		if err := d.finish("value"); err == nil {
 			t.Fatal("trailing garbage accepted after value")
 		}
@@ -124,7 +124,7 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 	t.Run("truncated-still-fails", func(t *testing.T) {
 		frame := valueFrame(t, Value{Type: TypeString, Bytes: []byte("hello")})
 		d := &decoder{buf: frame[:len(frame)-2]}
-		decodeChunk(d)
+		decodedChunk(d)
 		if err := d.finish("value"); err == nil {
 			t.Fatal("truncated frame accepted")
 		}
@@ -144,7 +144,7 @@ func reqEntry(op uint8, body func(e *encoder)) entry {
 func storeEntry(id int64, c chunk.Chunk) entry {
 	return reqEntry(opStore, func(e *encoder) {
 		e.i64(id)
-		encodeChunk(e, c)
+		encodeChunk(e, &c)
 	})
 }
 
@@ -226,7 +226,7 @@ func TestGetStoreDecode(t *testing.T) {
 		encodeGet(e, g)
 		return e.buf
 	}
-	one, err := row(StringValue("result"))
+	one, err := oneRow(StringValue("result"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestGetStoreRowCountRefused(t *testing.T) {
 func TestRefusalChargedToNextDoneSettle(t *testing.T) {
 	const x = int64(heldBase)
 	s := testServer(t, 2, 1, 0, Config{Stats: &Stats{}})
-	s.leases[5] = lease{w: workItem{Type: typeWork, Target: AnyRank, Payload: []byte("task")}}
+	s.leases[5] = lease{w: &workItem{Type: typeWork, Target: AnyRank, Payload: []byte("task")}}
 	create := reqEntry(opCreate, func(e *encoder) {
 		e.i64(x)
 		e.u8(uint8(TypeInteger))
@@ -473,22 +473,22 @@ func countedFrames() []countedFrame {
 		pairs.i64(int64(100 + i))
 	}
 	blob := &encoder{}
-	blobRow, _ := row(Value{Type: TypeBlob, Bytes: []byte{1, 2}, Dims: []int{2, 1, 1}, Elem: 1})
-	encodeChunk(blob, blobRow)
+	blobRow, _ := oneRow(Value{Type: TypeBlob, Bytes: []byte{1, 2}, Dims: []int{2, 1, 1}, Elem: 1})
+	encodeChunk(blob, &blobRow)
 	blobDims := func(d *decoder) int {
-		if c := decodeChunk(d); len(c.Meta) == 1 {
+		if c := decodedChunk(d); len(c.Meta) == 1 {
 			return len(c.Meta[0].Dims)
 		}
 		return 0
 	}
 	put := &encoder{}
-	encodeWorkItem(put, workItem{Type: 1, Priority: 2, Target: AnyRank, Payload: []byte("job"), Inputs: []int64{5, -6, 1 << 40}})
+	encodeWorkItem(put, &workItem{Type: 1, Priority: 2, Target: AnyRank, Payload: []byte("job"), Inputs: []int64{5, -6, 1 << 40}})
 	rows := &encoder{}
 	var rowChunk chunk.Chunk
 	rowChunk.AppendInt(-7)
 	rowChunk.AppendString("row")
-	encodeRows(rows, []int64{11, 12}, rowChunk)
-	res, _ := row(StringValue("result"))
+	encodeRows(rows, []int64{11, 12}, &rowChunk)
+	res, _ := oneRow(StringValue("result"))
 	get := &encoder{}
 	encodeGet(get, &getRequest{typ: 1, flags: getFlagLeased, want: 1, entries: []entry{{settle: settle{lease: 3}}, {settle: settle{lease: 4}}}})
 	reply := &encoder{}
@@ -511,8 +511,12 @@ func countedFrames() []countedFrame {
 			decodeGet(d, &g)
 			return len(g.entries)
 		}},
-		{"put-wait-ids", put.buf, 3, 4*4 + 4 + 3, func(d *decoder) int { return len(decodeWorkItem(d).Inputs) }},
-		{"item-rows", rows.buf, 2, 0, func(d *decoder) int { ids, _ := decodeRows(d, nil); return len(ids) }},
+		{"put-wait-ids", put.buf, 3, 4*4 + 4 + 3, func(d *decoder) int { return len(decodeWorkItem(d, &arena{}).Inputs) }},
+		{"item-rows", rows.buf, 2, 0, func(d *decoder) int {
+			var ids []int64
+			decodeRows(d, &ids, &chunk.Chunk{})
+			return len(ids)
+		}},
 		{"retrieve-chunk-request", gather.buf, 4, 0, func(d *decoder) int { return len(decodeIDs(d, "retrieve_chunk ids")) }},
 		{"item-payload", payload.buf, 4, 0, func(d *decoder) int { return len(d.bytes()) }},
 		{"enumerate-response", pairs.buf, 3, 0, func(d *decoder) int { return len(decodePairs(d)) }},
@@ -562,12 +566,12 @@ func TestChunkFramePair(t *testing.T) {
 	c.AppendInt(-7)
 	c.AppendString("row")
 	c.AppendBlob([]byte{1, 2, 3, 4}, 3, []int{1})
-	frame, err := EncodeChunkFrame(c)
+	frame, err := AppendChunkFrame(nil, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeChunkFrame(frame)
-	if err != nil {
+	var got chunk.Chunk
+	if err := DecodeChunkFrame(frame, &got); err != nil {
 		t.Fatal(err)
 	}
 	r := got.Reader()
@@ -575,15 +579,15 @@ func TestChunkFramePair(t *testing.T) {
 		!r.Next() || r.Meta().Elem != 3 || len(r.Bytes()) != 4 || r.Next() {
 		t.Fatalf("decoded chunk = %+v", got)
 	}
-	if _, err := DecodeChunkFrame(append(append([]byte(nil), frame...), 0)); err == nil {
+	if err := DecodeChunkFrame(append(append([]byte(nil), frame...), 0), &chunk.Chunk{}); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, err := DecodeChunkFrame(frame[:len(frame)-1]); err == nil {
+	if err := DecodeChunkFrame(frame[:len(frame)-1], &chunk.Chunk{}); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 	bad := append([]byte(nil), frame...)
 	bad[4] = 99 // first kind tag: no such kind
-	if _, err := DecodeChunkFrame(bad); err == nil {
+	if err := DecodeChunkFrame(bad, &chunk.Chunk{}); err == nil {
 		t.Fatal("chunk with an unknown row kind accepted")
 	}
 	for i := range frame {

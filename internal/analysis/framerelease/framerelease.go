@@ -31,11 +31,11 @@
 //
 // A frame the receiver may keep has one decision point: a retention
 // predicate, a bool function named retains* (adlb's retainsRequestFrame:
-// a Get frame is retained iff one of its entries is a Store or a
-// StoreChunk, whose rows the data store keeps aliasing the frame). In a
-// function that consults one, every Release must sit in the body of an
-// `if !retains...(...)` — a Release the predicate does not guard would
-// recycle a frame the data store still reads. What the predicate
+// a Get frame is retained iff one of its entries is a Store of a string
+// or a blob, or a StoreChunk, whose rows the data store keeps aliasing
+// the frame). In a function that consults one, every Release must sit
+// in the body of an `if !retains...(...)` — a Release the predicate does
+// not guard would recycle a frame the data store still reads. What the predicate
 // answers for each frame is pinned at run time (adlb's FuzzBatchFrame,
 // which fuzzes a Get's entries).
 package framerelease

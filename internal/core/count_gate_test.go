@@ -303,3 +303,27 @@ func TestWorldStandUpAllocs(t *testing.T) {
 		t.Fatalf("an empty world stands up with %.0f allocations, want <= 1000", allocs)
 	}
 }
+
+// BenchmarkEnsembleShape runs the ensemble shape at 1500 pipelines on one
+// engine, two workers and one server, compiled once: the profile harness
+// for a leaf's path through every layer. It reports allocations and
+// leaves a second.
+func BenchmarkEnsembleShape(b *testing.B) {
+	const n = 1500
+	compiled, err := stc.Compile(ensembleShape(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Engines: 1, Workers: 2, Servers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var leaves int64
+	for i := 0; i < b.N; i++ {
+		res, err := RunCompiled(compiled, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		leaves += res.LeafTasks
+	}
+	b.ReportMetric(float64(leaves)/b.Elapsed().Seconds(), "leaves/s")
+}

@@ -23,8 +23,8 @@ type Chunk = chunk.Chunk
 // payloads are referenced, not copied.
 func ValuesToChunk(vals []Value) (Chunk, error) {
 	var c Chunk
-	for i, v := range vals {
-		if !appendValue(&c, v) {
+	for i := range vals {
+		if !appendValue(&c, &vals[i]) {
 			return c, fmt.Errorf("lang: value %d has no chunk form", i)
 		}
 	}
@@ -33,7 +33,7 @@ func ValuesToChunk(vals []Value) (Chunk, error) {
 
 // appendValue appends v as one row of c; ok is false for a value of no
 // known kind.
-func appendValue(c *Chunk, v Value) (ok bool) {
+func appendValue(c *Chunk, v *Value) (ok bool) {
 	switch v.Kind() {
 	case KindInt:
 		c.AppendInt(v.i)
@@ -55,38 +55,39 @@ func appendValue(c *Chunk, v Value) (ok bool) {
 // the chunk's backing frame (the copy-on-escape rule), false when the
 // caller finishes with them inside the frame's validity window.
 func ChunkToValues(c Chunk, copyBytes bool) ([]Value, error) {
-	out := make([]Value, 0, c.Len())
+	out := make([]Value, c.Len())
 	r := c.Reader()
-	for r.Next() {
-		v, ok := rowValue(&r, copyBytes)
-		if !ok {
-			return nil, fmt.Errorf("lang: chunk row %d has unknown kind %d", len(out), r.Kind())
+	for i := range out {
+		r.Next()
+		if !rowValue(&r, copyBytes, &out[i]) {
+			return nil, fmt.Errorf("lang: chunk row %d has unknown kind %d", i, r.Kind())
 		}
-		out = append(out, v)
 	}
 	return out, nil
 }
 
-// rowValue unboxes the reader's current row (a void row reads as ""); ok
-// is false for an unknown kind. A string's bytes are always copied, a
-// blob's when copyBytes is set.
-func rowValue(r *chunk.Reader, copyBytes bool) (v Value, ok bool) {
+// rowValue sets *v to the reader's current row, unboxed (a void row reads
+// as ""); ok is false for an unknown kind. A string's bytes are always
+// copied, a blob's when copyBytes is set.
+func rowValue(r *chunk.Reader, copyBytes bool, v *Value) (ok bool) {
 	switch r.Kind() {
 	case chunk.KindVoid:
-		return Str(""), true
+		*v = Str("")
 	case chunk.KindInt:
-		return Int(r.Int()), true
+		*v = Int(r.Int())
 	case chunk.KindFloat:
-		return Float(r.Float()), true
+		*v = Float(r.Float())
 	case chunk.KindString:
-		return Str(string(r.Bytes())), true
+		*v = Str(string(r.Bytes()))
 	case chunk.KindBlob:
 		m := r.Meta()
 		data := r.Bytes()
 		if copyBytes {
 			data = append([]byte(nil), data...)
 		}
-		return BlobOf(blob.Blob{Data: data, Dims: m.Dims, Elem: blob.Elem(m.Elem)}), true
+		*v = BlobOf(blob.Blob{Data: data, Dims: m.Dims, Elem: blob.Elem(m.Elem)})
+	default:
+		return false
 	}
-	return Value{}, false
+	return true
 }

@@ -95,9 +95,10 @@ type scriptInterp[N any] interface {
 type scriptEngine[N any] struct {
 	name   string
 	in     scriptInterp[N]
-	bind   func(a Value) (N, error)
+	bind   func(a *Value) (N, error)
 	result func(v N, c Call, bound []N) (Value, error)
 	argn   int // argv bindings currently installed
+	bound  []N // Eval's scratch: the natives bound for the call
 }
 
 func (e *scriptEngine[N]) Name() string { return e.name }
@@ -106,14 +107,16 @@ func (e *scriptEngine[N]) Eval(c Call) (Value, error) {
 	// Convert every argument before binding any: a failure mid-list must
 	// not leave a partial argv set behind (nothing is bound, argn is
 	// untouched, and the previous task's bindings get cleaned next time).
-	bound := make([]N, len(c.Args))
-	for i, a := range c.Args {
-		v, err := e.bind(a)
+	e.bound = e.bound[:0]
+	defer func() { clear(e.bound) }() // the interpreter holds what it keeps
+	for i := range c.Args {
+		v, err := e.bind(&c.Args[i])
 		if err != nil {
 			return Value{}, err
 		}
-		bound[i] = v
+		e.bound = append(e.bound, v)
 	}
+	bound := e.bound
 	for i, v := range bound {
 		e.in.SetGlobal(argName(i), v)
 	}
@@ -160,7 +163,7 @@ func soleBlob(c Call) (blob.Blob, bool) {
 
 // pyValue converts a typed argument into its Python binding: scalars
 // enter as native numbers/strings, blobs as zero-copy Vec views.
-func pyValue(a Value) (pylite.Value, error) {
+func pyValue(a *Value) (pylite.Value, error) {
 	switch a.Kind() {
 	case KindInt:
 		n, err := a.AsInt()
@@ -217,7 +220,7 @@ func pyResult(v pylite.Value, c Call, _ []pylite.Value) (Value, error) {
 // rValue converts a typed argument into its R binding: numbers become
 // length-1 numeric vectors, blobs decode into real numeric vectors so R
 // fragments apply native vectorised arithmetic to them.
-func rValue(a Value) (rlite.Value, error) {
+func rValue(a *Value) (rlite.Value, error) {
 	switch a.Kind() {
 	case KindInt:
 		n, err := a.AsInt()
@@ -265,7 +268,7 @@ func rProto(nv *rlite.NumVec, c Call, bound []rlite.Value) blob.Blob {
 
 // jlValue converts a typed argument into its jlite binding: scalars
 // enter as native numbers/strings, blobs as zero-copy 1-based Vec views.
-func jlValue(a Value) (jlite.Value, error) {
+func jlValue(a *Value) (jlite.Value, error) {
 	switch a.Kind() {
 	case KindInt:
 		n, err := a.AsInt()

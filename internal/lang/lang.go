@@ -336,7 +336,8 @@ func (t *Table) Leaf(l *Leaf, dp DataPlane) error {
 		return fmt.Errorf("lang: leaf: no engine %q on this rank", l.Engine)
 	}
 	t.vals, t.ids, t.at = t.vals[:0], t.ids[:0], t.at[:0]
-	for i, a := range l.Args {
+	for i := range l.Args {
+		a := &l.Args[i]
 		t.vals = append(t.vals, a.Val)
 		if !a.Imm {
 			t.ids = append(t.ids, a.ID)
@@ -351,12 +352,12 @@ func (t *Table) Leaf(l *Leaf, dp DataPlane) error {
 		if err != nil {
 			return &TaskError{Engine: l.Engine, Code: "dataplane", Retriable: true, Err: err}
 		}
-		loaded, err := ChunkToValues(ck, true)
-		if err != nil {
-			return &TaskError{Engine: l.Engine, Code: "dataplane", Retriable: true, Err: err}
-		}
+		r := ck.Reader()
 		for j, i := range t.at {
-			t.vals[i] = loaded[j]
+			if r.Next(); !rowValue(&r, true, &t.vals[i]) {
+				err := fmt.Errorf("lang: chunk row %d has unknown kind %d", j, r.Kind())
+				return &TaskError{Engine: l.Engine, Code: "dataplane", Retriable: true, Err: err}
+			}
 		}
 	}
 	c, err := buildCall(s.reg, t.vals, wantOf(l.OutType))

@@ -83,19 +83,19 @@ func (l *Leaf) AppendRows(c *Chunk) error {
 	c.AppendInt(l.Out)
 	c.AppendString(l.OutType)
 	forms := make([]byte, 0, 16)
-	for _, a := range l.Args {
-		if a.Imm {
+	for i := range l.Args {
+		if l.Args[i].Imm {
 			forms = append(forms, 'v')
 		} else {
 			forms = append(forms, 't')
 		}
 	}
 	c.AppendBytes(forms)
-	for i, a := range l.Args {
-		switch {
+	for i := range l.Args {
+		switch a := &l.Args[i]; {
 		case !a.Imm:
 			c.AppendInt(a.ID)
-		case a.Val.Kind() == KindBlob || !appendValue(c, a.Val):
+		case a.Val.Kind() == KindBlob || !appendValue(c, &a.Val):
 			return fmt.Errorf("lang: leaf argument %d: a %s is not an immediate", i+1, a.Val.Kind())
 		}
 	}
@@ -104,8 +104,10 @@ func (l *Leaf) AppendRows(c *Chunk) error {
 
 // DecodeLeaf reads a leaf record from c, which must be a valid chunk (as
 // a decoded chunk frame is), into l, reusing its storage: the Args slice,
-// and the engine and output type strings when they repeat. On an error l
-// holds no call. Strings are copied out of c's columns.
+// and the engine and output type strings and each string immediate when
+// they repeat what l held in their place (a leaf's code and expr do, from
+// one leaf to the next). On an error l holds no call. Strings are copied
+// out of c's columns.
 func DecodeLeaf(c *Chunk, l *Leaf) error {
 	d := decoder{r: c.Reader()}
 	d.strOver("engine", &l.Engine)
@@ -119,14 +121,22 @@ func DecodeLeaf(c *Chunk, l *Leaf) error {
 	}
 	l.Args = l.Args[:0]
 	for i := 0; i < len(forms) && d.err == nil; i++ {
+		if i == cap(l.Args) {
+			l.Args = append(l.Args, Operand{})
+		}
+		l.Args = l.Args[:i+1]
+		a := &l.Args[i]
 		switch forms[i] {
 		case 't':
-			l.Args = append(l.Args, Operand{ID: d.int("TD argument")})
+			*a = Operand{ID: d.int("TD argument")}
 		case 'v':
-			if d.next("immediate argument", chunk.KindInt, chunk.KindFloat, chunk.KindString) {
-				v, _ := rowValue(&d.r, true)
-				l.Args = append(l.Args, Operand{Imm: true, Val: v})
+			if !d.next("immediate argument", chunk.KindInt, chunk.KindFloat, chunk.KindString) {
+				break
 			}
+			if !a.Imm || a.Val.kind != KindString || d.r.Kind() != chunk.KindString || string(d.r.Bytes()) != a.Val.s {
+				rowValue(&d.r, true, &a.Val)
+			}
+			a.ID, a.Imm = 0, true
 		default:
 			d.err = fmt.Errorf("lang: leaf record: argument %d has form %q", i+1, forms[i])
 		}

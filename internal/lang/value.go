@@ -45,13 +45,14 @@ func (k Kind) String() string {
 
 // Value is one typed interlanguage datum: a tagged union of string,
 // int64, float64, and blob. Construct with Str/Int/Float/BlobOf (or the
-// vector packers); access with the As* conversions.
+// vector packers); access with the As* conversions. A blob is held by
+// pointer, so a Value is small enough to copy as a few words.
 type Value struct {
 	kind Kind
 	s    string
 	i    int64
 	f    float64
-	b    blob.Blob
+	b    *blob.Blob
 }
 
 // Str wraps a string.
@@ -64,7 +65,7 @@ func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
 
 // BlobOf wraps a blob (bytes + dims + element kind).
-func BlobOf(b blob.Blob) Value { return Value{kind: KindBlob, b: b} }
+func BlobOf(b blob.Blob) Value { return Value{kind: KindBlob, b: &b} }
 
 // Floats packs a float64 vector as a blob value (no string rendering).
 func Floats(v []float64) Value { return BlobOf(blob.FromFloat64s(v)) }
@@ -141,7 +142,7 @@ func (v Value) AsFloat() (float64, error) {
 func (v Value) AsBlob() blob.Blob {
 	switch v.kind {
 	case KindBlob:
-		return v.b
+		return *v.b
 	case KindInt:
 		return blob.FromInt64s([]int64{v.i})
 	case KindFloat:

@@ -137,7 +137,7 @@ func wantOf(name string) (lang.Kind, error) {
 }
 
 // Inside the warm world a fragment work item is one chunk frame
-// (adlb.EncodeChunkFrame): header rows, then one row per value, so blobs
+// (adlb.AppendChunkFrame): header rows, then one row per value, so blobs
 // ride as raw bytes. The pairs below are the only code that knows the rows.
 
 // fragTask is one fragment evaluation travelling from the gateway to a
@@ -184,7 +184,7 @@ func encodeFrame(vals []lang.Value) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return adlb.EncodeChunkFrame(c)
+	return adlb.AppendChunkFrame(nil, &c)
 }
 
 // decodeFrame checks a frame's leading row kinds against header and
@@ -192,8 +192,8 @@ func encodeFrame(vals []lang.Value) ([]byte, error) {
 // be retained by a session's interpreter and results cross to the request
 // goroutine, both past the ADLB client's next call.
 func decodeFrame(frame, header []byte) ([]lang.Value, error) {
-	c, err := adlb.DecodeChunkFrame(frame)
-	if err != nil {
+	var c chunk.Chunk
+	if err := adlb.DecodeChunkFrame(frame, &c); err != nil {
 		return nil, err
 	}
 	if !bytes.HasPrefix(c.Kinds, header) || bytes.IndexByte(c.Kinds, chunk.KindVoid) >= 0 {

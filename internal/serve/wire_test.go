@@ -195,7 +195,7 @@ func malformedFrames(t testing.TB) []namedFrame {
 	good := frame(i(1), s("t"), s("python"), s(""), s("1"), i(1), i(0))
 	var void chunk.Chunk
 	void.AppendVoid()
-	voidFrame, err := adlb.EncodeChunkFrame(void)
+	voidFrame, err := adlb.AppendChunkFrame(nil, &void)
 	if err != nil {
 		t.Fatal(err)
 	}

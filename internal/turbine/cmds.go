@@ -68,7 +68,8 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 			if err != nil {
 				return "", err
 			}
-			v, err := toStore(td, lang.Str(args[2]))
+			sv := lang.Str(args[2])
+			v, err := toStore(td, &sv, &env.plane.num)
 			if err != nil {
 				return "", err
 			}
@@ -285,7 +286,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 			seen[idx] = true
 			ids[idx] = p.Member
 		}
-		dp := dataPlane{cl: cl}
+		dp := env.plane
 		// Columnar gather: the members arrive as one chunk per owning
 		// server. A homogeneous numeric chunk's Num column is already the
 		// packed payload — the blob below aliases it (which may alias the
@@ -350,7 +351,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		dp := dataPlane{cl: cl}
+		dp := env.plane
 		// Columnar scatter: load the blob as a chunk row (its payload
 		// aliases the response frame — no copy), and when the element
 		// width already matches the stored encoding hand the payload
@@ -439,7 +440,8 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 			if len(args) != 2 {
 				return "", fmt.Errorf("usage: %s <value>", args[0])
 			}
-			v, err := toStore(typ.String(), lang.Str(args[1]))
+			sv := lang.Str(args[1])
+			v, err := toStore(typ.String(), &sv, &env.plane.num)
 			if err != nil {
 				return "", err
 			}
@@ -583,10 +585,11 @@ func registerEngineCmds(in *tcl.Interp, env *Env) {
 		if s := eng.stats(); s != nil {
 			s.RulesCreated.Add(1)
 		}
-		rec, err := leafRecord(&leaf, &sc.rows)
+		rec, err := leafRecord(sc.rec[:0], &leaf, &sc.rows)
 		if err != nil {
 			return "", err
 		}
+		sc.rec = rec
 		return "", env.Client.Put(TypeWork, 0, adlb.AnyRank, rec, sc.wait...)
 	})
 

@@ -1,7 +1,7 @@
 package turbine
 
 // A work item's payload is a record: one chunk frame
-// (adlb.EncodeChunkFrame), so every TypeWork payload decodes one way.
+// (adlb.AppendChunkFrame), so every TypeWork payload decodes one way.
 // A leaf record is a lang.Leaf's rows: a compiled interlanguage call,
 // which the worker runs through the rank's lang.Table with no Tcl on the
 // way. A script record is one string row: Tcl the worker's interpreter
@@ -19,7 +19,9 @@ package turbine
 // scatters cost one RPC per owning server, not one per element.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/adlb"
 	"repro/internal/chunk"
@@ -31,17 +33,17 @@ import (
 func scriptRecord(script string) ([]byte, error) {
 	var c chunk.Chunk
 	c.AppendString(script)
-	return adlb.EncodeChunkFrame(c)
+	return adlb.AppendChunkFrame(nil, &c)
 }
 
-// leafRecord frames a leaf call as a leaf record, building its rows in
-// scratch.
-func leafRecord(l *lang.Leaf, scratch *chunk.Chunk) ([]byte, error) {
-	scratch.Reset()
-	if err := l.AppendRows(scratch); err != nil {
-		return nil, err
+// leafRecord frames a leaf call as a leaf record, appended to dst,
+// building its rows in rows.
+func leafRecord(dst []byte, l *lang.Leaf, rows *chunk.Chunk) ([]byte, error) {
+	rows.Reset()
+	if err := l.AppendRows(rows); err != nil {
+		return dst, err
 	}
-	return adlb.EncodeChunkFrame(*scratch)
+	return adlb.AppendChunkFrame(dst, rows)
 }
 
 // record is a worker's decoded work item, its storage reused from one
@@ -52,9 +54,9 @@ type record struct {
 }
 
 // decode reads a work item's payload: a leaf record into r.leaf, or a
-// script record.
+// script record, copied out of the payload.
 func (r *record) decode(payload []byte) (script string, isLeaf bool, err error) {
-	if r.rows, err = adlb.DecodeChunkFrame(payload); err != nil {
+	if err := adlb.DecodeChunkFrame(payload, &r.rows); err != nil {
 		return "", false, fmt.Errorf("turbine: work record: %w", err)
 	}
 	if r.rows.Len() == 1 && r.rows.Kinds[0] == chunk.KindString {
@@ -67,28 +69,32 @@ func (r *record) decode(payload []byte) (script string, isLeaf bool, err error) 
 }
 
 // dataPlane is the typed LoadChunk/StoreAs/StoreChunk surface over one
-// rank's ADLB client.
+// rank's ADLB client (Env.plane); num is a stored number's bytes.
 type dataPlane struct {
-	cl *adlb.Client
+	cl  *adlb.Client
+	num [8]byte
 }
 
 // toStore converts a typed lang value to the stored form of the named
 // turbine type (numbers parse from strings, blobs wrap raw string bytes;
-// blob metadata survives verbatim).
-func toStore(td string, v lang.Value) (adlb.Value, error) {
+// blob metadata survives verbatim). A number is encoded into num, which
+// the value's bytes then are.
+func toStore(td string, v *lang.Value, num *[8]byte) (adlb.Value, error) {
 	switch td {
 	case "integer":
 		n, err := v.AsInt()
 		if err != nil {
 			return adlb.Value{}, err
 		}
-		return adlb.IntValue(n), nil
+		binary.LittleEndian.PutUint64(num[:], uint64(n))
+		return adlb.Value{Type: adlb.TypeInteger, Bytes: num[:]}, nil
 	case "float":
 		f, err := v.AsFloat()
 		if err != nil {
 			return adlb.Value{}, err
 		}
-		return adlb.FloatValue(f), nil
+		binary.LittleEndian.PutUint64(num[:], math.Float64bits(f))
+		return adlb.Value{Type: adlb.TypeFloat, Bytes: num[:]}, nil
 	case "string":
 		return adlb.StringValue(v.Render()), nil
 	case "blob":
@@ -104,11 +110,11 @@ func toStore(td string, v lang.Value) (adlb.Value, error) {
 // converting where the kinds differ. On a worker, a store its home
 // server owns rides the next Get, in the message that settles the
 // task's lease.
-func (p dataPlane) StoreAs(id int64, td string, v lang.Value) error {
+func (p *dataPlane) StoreAs(id int64, td string, v lang.Value) error {
 	if err := faultinject.At(faultinject.SiteDataPlaneStore); err != nil {
 		return err
 	}
-	sv, err := toStore(td, v)
+	sv, err := toStore(td, &v, &p.num)
 	if err != nil {
 		return err
 	}
@@ -120,7 +126,7 @@ func (p dataPlane) StoreAs(id int64, td string, v lang.Value) error {
 // chunk gather, one RPC per owning server. On the single-source fast
 // path the returned columns alias the frame, per the Client zero-copy
 // contract.
-func (p dataPlane) LoadChunk(ids []int64) (lang.Chunk, error) {
+func (p *dataPlane) LoadChunk(ids []int64) (lang.Chunk, error) {
 	return p.cl.RetrieveChunk(ids)
 }
 
@@ -128,7 +134,7 @@ func (p dataPlane) LoadChunk(ids []int64) (lang.Chunk, error) {
 // the container's owner (consecutive integer subscripts after any
 // existing members). The caller keeps (and eventually drops) the
 // container's write reference.
-func (p dataPlane) StoreChunk(container int64, c lang.Chunk) error {
+func (p *dataPlane) StoreChunk(container int64, c lang.Chunk) error {
 	if err := faultinject.At(faultinject.SiteDataPlaneStore); err != nil {
 		return err
 	}

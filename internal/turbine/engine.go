@@ -21,12 +21,14 @@ type engine struct {
 }
 
 // leafScratch is what turbine::leaf reuses from one leaf to the next: the
-// decoded operands, the TD ids among them and the record's rows. Put
-// copies the record onto the wire, so nothing outlives the command.
+// decoded operands, the TD ids among them, the record's rows and the
+// record. Put copies the record onto the wire, so nothing outlives the
+// command.
 type leafScratch struct {
 	ops  []lang.Operand
 	wait []int64
 	rows chunk.Chunk
+	rec  []byte
 }
 
 func newEngine(env *Env) *engine { return &engine{env: env} }
@@ -180,7 +182,7 @@ func evalLeafContained(env *Env, payload []byte) (err error, retriable bool) {
 	script, isLeaf, evalErr := env.rec.decode(payload)
 	if evalErr == nil {
 		if isLeaf {
-			evalErr = env.Langs.Leaf(&env.rec.leaf, dataPlane{cl: env.Client})
+			evalErr = env.Langs.Leaf(&env.rec.leaf, env.plane)
 		} else {
 			_, evalErr = env.interp.Eval(script)
 		}

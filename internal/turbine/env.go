@@ -144,7 +144,8 @@ type Env struct {
 	Langs  *lang.Table
 	engine *engine // non-nil on engine ranks
 	interp *tcl.Interp
-	rec    record // a worker's last work item, its storage reused by the next
+	rec    record     // a worker's last work item, its storage reused by the next
+	plane  *dataPlane // the rank's typed data plane
 }
 
 // Interp returns the rank's Tcl interpreter.
@@ -164,7 +165,7 @@ func Run(c *mpi.Comm, cfg *Config) error {
 	if err != nil {
 		return err
 	}
-	env := &Env{Client: client, Cfg: cfg, Rank: c.Rank()}
+	env := &Env{Client: client, Cfg: cfg, Rank: c.Rank(), plane: &dataPlane{cl: client}}
 	in := tcl.New()
 	env.interp = in
 	registerDataCmds(in, env)

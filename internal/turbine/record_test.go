@@ -32,7 +32,7 @@ func TestLeafRecordRoundTrip(t *testing.T) {
 	var scratch chunk.Chunk
 	var r record // decoded into again and again, as a worker does
 	for _, l := range recordLeaves {
-		rec, err := leafRecord(&l, &scratch)
+		rec, err := leafRecord(nil, &l, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestLeafRecordRoundTrip(t *testing.T) {
 		}
 	}
 	blobArg := lang.Leaf{Engine: "python", OutType: "blob", Args: []lang.Operand{{Imm: true, Val: lang.Floats([]float64{1})}}}
-	if _, err := leafRecord(&blobArg, &scratch); err == nil || !strings.Contains(err.Error(), "not an immediate") {
+	if _, err := leafRecord(nil, &blobArg, &scratch); err == nil || !strings.Contains(err.Error(), "not an immediate") {
 		t.Fatalf("blob immediate: err = %v", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestLeafRecordRoundTrip(t *testing.T) {
 func FuzzWorkRecord(f *testing.F) {
 	var scratch chunk.Chunk
 	for _, l := range recordLeaves {
-		rec, err := leafRecord(&l, &scratch)
+		rec, err := leafRecord(nil, &l, &scratch)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func FuzzWorkRecord(f *testing.F) {
 	bad := func(build func(c *chunk.Chunk)) []byte {
 		var c chunk.Chunk
 		build(&c)
-		rec, err := adlb.EncodeChunkFrame(c)
+		rec, err := adlb.AppendChunkFrame(nil, &c)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func FuzzWorkRecord(f *testing.F) {
 		var again []byte
 		if isLeaf {
 			var c chunk.Chunk
-			again, err = leafRecord(&r.leaf, &c)
+			again, err = leafRecord(nil, &r.leaf, &c)
 		} else {
 			again, err = scriptRecord(script)
 		}
