@@ -252,7 +252,8 @@
 // per-member cost on the route sits inside one vectorised Go call, never
 // in the interpreter or on the wire. vunpack is one worker leaf task
 // and one StoreChunk write: the container's owner creates an owner-local
-// closed member per row. vpack waits twice. When the container closes,
+// closed member per row, its id appended to the container's column of
+// members. vpack waits twice. When the container closes,
 // sw:vpack makes one call, turbine::rule_members: the engine enumerates
 // the closed container in Go (one Enumerate RPC — the enumeration never
 // becomes a Tcl string) and Puts the gather as a work rule carrying all
@@ -304,9 +305,10 @@
 //
 // The hot data path is allocation-free end to end: a million-element
 // gather -> engine -> scatter round trip moves one contiguous buffer
-// per column, not one boxed value per element
-// (BenchmarkGatherScatter1e6; the allocs/op ceiling is committed in
-// alloc_budget.txt and enforced in CI). Three mechanisms compose:
+// per column, not one boxed value per element, and makes a constant
+// count of allocations, whatever n (BenchmarkGatherScatter1e6, 180 a
+// round trip; the allocs/op ceiling is committed in alloc_budget.txt and
+// enforced in CI). Three mechanisms compose:
 //
 // Columnar chunks (internal/chunk, modeled on TiDB's vectorized chunk).
 // A batch of values travels as a chunk: a one-byte kind tag per row
@@ -377,13 +379,17 @@
 // (internal/turbine TestLeafPathAllocs: one server and two workers, 2.1
 // allocations a leaf against 18.3 before, the one that stays being
 // lang.buildCall's copy of the arguments an engine may keep). The
-// server's datums and work items come from slabs (adlb's arena): one
-// allocation a block of 128, a work item's payload and input ids carved
-// from blocks too, and a datum's container state is allocated for
-// containers alone. A block is freed only when nothing carved from it is
-// referenced, so one live datum, or one long-held rule, pins its block;
-// datums are never freed today, and ROADMAP's TD-lifetime item must
-// revisit the blocks when they are. Items move by pointer — through the
+// server's data store is indexed, not hashed: the k-th id a server
+// issues has its datum in slot k of a directory of pages of 128 datums,
+// one allocation a page (a StoreChunk's pages one between them), and an
+// id it did not issue takes a spill slot through a small map. A
+// container whose subscripts are its positions keeps its members as a
+// column of ids, so a scatter of n rows makes no subscript string and no
+// map entry; the first other subscript moves them into a map. Work items,
+// their payloads and input ids come from slabs (adlb's arena). A page or
+// block is freed only when nothing in it is referenced; datums are never
+// freed today, and ROADMAP's TD-lifetime item must revisit the pages
+// when they are. Items move by pointer — through the
 // work queue, a typed binary heap, the datums' held-rule lists and the
 // leases — and a worker reuses its leaf scratch: the decoded record (a
 // repeated code or expr string is kept, not copied again), the argument

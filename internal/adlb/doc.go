@@ -164,15 +164,15 @@
 // carried a StoreChunk (a stored number is copied into its datum), and
 // each releases the rest to the pool.
 //
-// A server's datums and work items, and an item's payload and input
-// ids, come from slabs (arena): one allocation a block. A block is freed
-// when nothing carved from it is referenced, so one live datum or held
-// rule pins its block; datums are never freed today, and ROADMAP's
-// TD-lifetime item must revisit the blocks when they are. Items move by
-// pointer, through the work queue (a binary heap), a datum's held rules
-// and the leases. Open data are counted as they open and close
-// (Stats.UnfilledTDs), and a container whose close was announced refuses
-// a raised write refcount, as it refuses an Insert.
+// A server's store is indexed by issue number, not hashed (index), and a
+// container's members are a column of ids while its subscripts are its
+// positions (container); a Unique asks for at most idBlock ids. Work
+// items, their payloads and input ids come from slabs (arena). Datums
+// are never freed today (ROADMAP's TD lifetime). Items move by pointer,
+// through the work queue (a binary heap), a datum's held rules and the
+// leases. Open data are counted (Stats.UnfilledTDs). A refcount raised
+// on a container whose close was announced is refused, as an Insert is,
+// and so is a drop below zero, with nothing changed.
 //
 // A value has one wire form, the chunk row: RetrieveChunk and
 // StoreChunk move a columnar chunk frame per owning server, a Store is

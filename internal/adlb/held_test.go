@@ -558,7 +558,7 @@ func TestHeldSafraWaitsForForwardedRule(t *testing.T) {
 			}
 		case 2: // server index 1
 			s := newServer(c, cfg, l)
-			s.store[id] = &datum{typ: TypeInteger}
+			s.store.create(id).typ = TypeInteger
 			data, st, err := c.Recv(1, tagServer)
 			if err != nil {
 				return err

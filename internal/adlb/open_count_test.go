@@ -38,11 +38,11 @@ func runServers(t *testing.T, size, servers int, clientFn func(cl *Client) error
 // unfilledScan counts s's data that are not closed, by a full scan.
 func unfilledScan(s *server) int {
 	n := 0
-	for _, dm := range s.store {
+	s.store.each(func(_ int64, dm *datum) {
 		if !dm.closed() {
 			n++
 		}
-	}
+	})
 	return n
 }
 

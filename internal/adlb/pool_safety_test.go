@@ -293,7 +293,7 @@ func TestSmallStoreSkipsReleasedBlobFrame(t *testing.T) {
 		}
 		return drainClient(cl)
 	})
-	v := srv.store[small].val
+	v := srv.store.get(small).val
 	if len(v.Bytes) != 300 || cap(v.Bytes) > 64<<10 {
 		t.Fatalf("a retained 300-byte Store pins %d bytes of its frame, want at most 64 KiB", cap(v.Bytes))
 	}
@@ -335,7 +335,7 @@ func TestBlobTakesOneFrame(t *testing.T) {
 		}
 		return drainClient(cl)
 	})
-	v := srv.store[id].val
+	v := srv.store.get(id).val
 	if len(v.Bytes) != n || cap(v.Bytes)-len(v.Bytes) > spare {
 		t.Fatalf("the stored blob's frame has %d bytes past the value, want at most %d", cap(v.Bytes)-len(v.Bytes), spare)
 	}

@@ -18,7 +18,6 @@ func TestTargetedQueueGCForDepartedClients(t *testing.T) {
 		targeted:   map[targetKey]*workQueue{},
 		parked:     map[int]parkedReq{},
 		departed:   map[int]bool{},
-		store:      map[int64]*datum{},
 	}
 	s.acceptWork(&workItem{Type: typeWork, Target: 1, Payload: []byte("a")})
 	s.acceptWork(&workItem{Type: typeWork, Target: 1, Payload: []byte("b")})

@@ -20,20 +20,15 @@ import (
 // (workItem.next). A scalar the owner issued but nobody created comes
 // into being at its first use: a Store makes it typed and closed, a rule
 // waiting on it makes it an untyped placeholder (typ 0) that the first
-// Store types.
+// Store types. live says it exists: a page has every slot, used or not.
 type datum struct {
 	typ  DataType
 	set  bool
+	live bool
 	val  Value
 	held *workItem
 	c    *container // a container's state; nil for a scalar
 	num  [8]byte    // a number's bytes, which val.Bytes then are
-}
-
-type container struct {
-	members   map[string]int64
-	order     []string
-	writeRefs int
 }
 
 func (d *datum) closed() bool {
@@ -92,11 +87,10 @@ type server struct {
 	// (a client RPC or a work-bearing server message) disarms it.
 	watchAt time.Time
 
-	store  map[int64]*datum
-	nextID int64
-	held   int   // rules held on open data here
-	open   int   // data here not closed: Stats.UnfilledTDs at drain
-	mem    arena // where datums and work items come from
+	store index
+	held  int   // rules held on open data here
+	open  int   // data here not closed: Stats.UnfilledTDs at drain
+	mem   arena // where work items come from
 	// scratch is the reusable column buffer behind multi-row replies, and
 	// rowVals and rowIDs the values and ids that fill it (the server loop
 	// is single-goroutine, so one of each is enough). chunk is a write's
@@ -148,8 +142,7 @@ func newServer(c *mpi.Comm, cfg Config, l Layout) *server {
 		parked:     make(map[int]parkedReq),
 		departed:   make(map[int]bool),
 		leases:     make(map[int64]lease),
-		store:      make(map[int64]*datum),
-		nextID:     int64(l.Servers + idx), // ids ≡ idx (mod Servers), skipping id 0
+		store:      index{first: int64(l.Servers + idx), stride: int64(l.Servers)}, // ids ≡ idx (mod Servers), skipping id 0
 		stealRR:    (idx + 1) % l.Servers,
 	}
 	if idx == 0 {
@@ -306,15 +299,15 @@ func (s *server) stallReport() string {
 	}
 	var ids []int64
 	var actions []string
-	for id, dm := range s.store {
+	s.store.each(func(id int64, dm *datum) {
 		if dm.held == nil {
-			continue
+			return
 		}
 		ids = append(ids, id)
 		for w := dm.held; w != nil; w = w.next {
 			actions = append(actions, fmt.Sprintf("%.200s", describe(w.Payload)))
 		}
-	}
+	})
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	sort.Strings(actions)
 	if len(actions) > 5 {
@@ -551,15 +544,14 @@ func (s *server) applyWrite(op uint8, d *decoder) (refusal string, closed *datum
 		if err := d.finish("create request"); err != nil {
 			return "", nil, err
 		}
-		if _, exists := s.store[id]; exists {
+		if s.store.get(id) != nil {
 			return fmt.Sprintf("create: id %d already exists", id), nil, nil
 		}
-		dm := s.mem.datum()
+		dm := s.store.create(id)
 		dm.typ = typ
 		if typ == TypeContainer {
-			dm.c = &container{members: make(map[string]int64), writeRefs: 1}
+			dm.c = &container{writeRefs: 1}
 		}
-		s.store[id] = dm
 		s.open++
 		return "", nil, nil
 
@@ -589,18 +581,16 @@ func (s *server) applyWrite(op uint8, d *decoder) (refusal string, closed *datum
 		if err := d.finish("insert request"); err != nil {
 			return "", nil, err
 		}
-		dm, ok := s.store[cid]
-		if !ok || dm.c == nil {
+		dm := s.store.get(cid)
+		if dm == nil || dm.c == nil {
 			return fmt.Sprintf("insert: id %d is not a container", cid), nil, nil
 		}
 		if dm.closed() {
 			return fmt.Sprintf("insert: container %d is closed", cid), nil, nil
 		}
-		if _, dup := dm.c.members[sub]; dup {
+		if !dm.c.insert(sub, member) {
 			return fmt.Sprintf("insert: container %d already has subscript %q", cid, sub), nil, nil
 		}
-		dm.c.members[sub] = member
-		dm.c.order = append(dm.c.order, sub)
 		return "", nil, nil
 
 	case opWriteRefcount:
@@ -609,8 +599,8 @@ func (s *server) applyWrite(op uint8, d *decoder) (refusal string, closed *datum
 		if err := d.finish("refcount request"); err != nil {
 			return "", nil, err
 		}
-		dm, ok := s.store[id]
-		if !ok {
+		dm := s.store.get(id)
+		if dm == nil {
 			return fmt.Sprintf("refcount: no such id %d", id), nil, nil
 		}
 		if dm.c == nil {
@@ -622,18 +612,15 @@ func (s *server) applyWrite(op uint8, d *decoder) (refusal string, closed *datum
 		if wasClosed && delta > 0 {
 			return fmt.Sprintf("refcount: container %d is closed", id), nil, nil
 		}
-		dm.c.writeRefs += delta
-		closes := !wasClosed && dm.closed()
-		if closes {
-			s.open--
-		}
-		if dm.c.writeRefs < 0 {
+		if dm.c.writeRefs+delta < 0 {
 			return fmt.Sprintf("refcount: id %d dropped below zero", id), nil, nil
 		}
-		if closes {
-			return "", dm, nil
+		dm.c.writeRefs += delta
+		if wasClosed || !dm.closed() {
+			return "", nil, nil
 		}
-		return "", nil, nil
+		s.open--
+		return "", dm, nil
 
 	case opStoreChunk:
 		refusal, err = s.applyStoreChunk(d)
@@ -675,7 +662,7 @@ func (s *server) unknownID(wait []int64) (int64, bool) {
 		if s.l.OwnerOf(id) != s.c.Rank() {
 			continue
 		}
-		if _, ok := s.store[id]; !ok && !s.issued(id) {
+		if _, issued := s.store.issued(id); !issued && s.store.get(id) == nil {
 			return id, true
 		}
 	}
@@ -696,12 +683,11 @@ func (s *server) route(w *workItem, wait []int64, at int) error {
 		if s.l.OwnerOf(id) != me {
 			continue
 		}
-		dm := s.store[id]
+		dm := s.store.get(id)
 		if dm == nil {
 			// An issued id (unknownID checked it on arrival) comes into
 			// being as an open placeholder.
-			dm = s.mem.datum()
-			s.store[id] = dm
+			dm = s.store.create(id)
 			s.open++
 		}
 		if !dm.closed() {
@@ -909,7 +895,7 @@ func (s *server) inputRows(inputs []int64) (chunk.Chunk, error) {
 		if s.l.OwnerOf(id) != me {
 			continue
 		}
-		if dm := s.store[id]; dm != nil && dm.set {
+		if dm := s.store.get(id); dm != nil && dm.set {
 			s.rowIDs = append(s.rowIDs, id)
 			s.rowVals = append(s.rowVals, &dm.val)
 		}
@@ -1145,7 +1131,7 @@ func (s *server) handleGet(g *getRequest, d *decoder, client int) error {
 func (s *server) itemBytes(w *workItem) int {
 	n := 8 + 4 + len(w.Payload) + 4 + chunkBytes(&chunk.Chunk{}) + 4
 	for _, id := range w.Inputs {
-		if dm := s.store[id]; dm != nil && dm.set {
+		if dm := s.store.get(id); dm != nil && dm.set {
 			n += 8 + 1 + 4 + len(dm.val.Bytes) + 1 + 4 + 8*len(dm.val.Dims)
 		}
 	}
@@ -1256,15 +1242,6 @@ func (s *server) requeueOrPoison(w *workItem, reason string, retriable bool) err
 		w.Attempts+1, kind, reason, describe(w.Payload))
 }
 
-// issued reports whether this server handed id out: ids it issues are
-// ≡ idx (mod Servers), from Servers+idx up to (excluding) nextID. Only
-// such an id may come into being at its first Store or wait, so a
-// garbage id still fails.
-func (s *server) issued(id int64) bool {
-	first, stride := int64(s.l.Servers+s.idx), int64(s.l.Servers)
-	return id >= first && id < s.nextID && (id-first)%stride == 0
-}
-
 // ---------- data store ----------
 
 // answer appends the answer to a read a Get carried to e: a status and
@@ -1277,10 +1254,12 @@ func (s *server) answer(op uint8, d *decoder, e *encoder) (msg string, err error
 		if err := d.finish("unique request"); err != nil {
 			return "", err
 		}
+		if count > idBlock {
+			return fmt.Sprintf("unique: %d ids, at most %d", count, idBlock), nil
+		}
 		e.u8(stOK)
-		e.i64(s.nextID)
+		e.i64(s.store.issue(max(count, 1)))
 		e.i32(int32(s.l.Servers)) // stride
-		s.nextID += max(count, 1) * int64(s.l.Servers)
 
 	case opLookup:
 		cid := d.i64()
@@ -1288,11 +1267,11 @@ func (s *server) answer(op uint8, d *decoder, e *encoder) (msg string, err error
 		if err := d.finish("lookup request"); err != nil {
 			return "", err
 		}
-		dm, ok := s.store[cid]
-		if !ok || dm.c == nil {
+		dm := s.store.get(cid)
+		if dm == nil || dm.c == nil {
 			return fmt.Sprintf("lookup: id %d is not a container", cid), nil
 		}
-		if m, ok := dm.c.members[sub]; ok {
+		if m, ok := dm.c.lookup(sub); ok {
 			e.u8(stOK)
 			e.i64(m)
 		} else {
@@ -1304,12 +1283,20 @@ func (s *server) answer(op uint8, d *decoder, e *encoder) (msg string, err error
 		if err := d.finish("enumerate request"); err != nil {
 			return "", err
 		}
-		dm, ok := s.store[cid]
-		if !ok || dm.c == nil {
+		dm := s.store.get(cid)
+		if dm == nil || dm.c == nil {
 			return fmt.Sprintf("enumerate: id %d is not a container", cid), nil
 		}
+		// Sized up front, so built in one frame. A column member's
+		// subscript is its position's digits, framed as a string is.
+		e.grow(1 + 4 + len(dm.c.ids)*(4+len(strconv.Itoa(len(dm.c.ids)))+8))
 		e.u8(stOK)
-		e.u32(uint32(len(dm.c.order)))
+		e.u32(uint32(len(dm.c.ids) + len(dm.c.order))) // one is empty
+		var digits [20]byte
+		for i, id := range dm.c.ids {
+			e.bytes(strconv.AppendInt(digits[:0], int64(i), 10))
+			e.i64(id)
+		}
 		for _, sub := range dm.c.order {
 			e.str(sub)
 			e.i64(dm.c.members[sub])
@@ -1325,13 +1312,13 @@ func (s *server) answer(op uint8, d *decoder, e *encoder) (msg string, err error
 		}
 		s.rowVals = s.rowVals[:0]
 		for _, id := range ids {
-			dm, ok := s.store[id]
-			if !ok && !s.issued(id) {
+			dm := s.store.get(id)
+			if _, issued := s.store.issued(id); dm == nil && !issued {
 				e.u8(stNotFound)
 				e.i64(id)
 				return "", nil
 			}
-			if !ok || !dm.set {
+			if dm == nil || !dm.set {
 				return fmt.Sprintf("retrieve_chunk: id %d is unset", id), nil
 			}
 			s.rowVals = append(s.rowVals, &dm.val)
@@ -1351,50 +1338,45 @@ func (s *server) answer(op uint8, d *decoder, e *encoder) (msg string, err error
 // owner-local closed datum per row, inserted at consecutive subscripts
 // after any existing members, all or nothing. The write refcount is the
 // caller's to manage, as with Insert. Row payloads alias the (retained)
-// request frame and the datums come from one slab, so the per-element
-// cost is the subscript string and its container map entry — no value
-// copies, no boxes. An empty container is sized for the n rows first, so
-// its member map and order do not grow row by row.
+// request frame and the datums are minted together, so a member of a
+// column costs its id appended: no subscript string, map entry or copy.
 func (s *server) applyStoreChunk(d *decoder) (refusal string, err error) {
 	cid := d.i64()
 	decodeChunk(d, &s.chunk)
 	if err := d.finish("store_chunk request"); err != nil {
 		return "", err
 	}
-	dm, ok := s.store[cid]
-	if !ok || dm.c == nil {
+	dm := s.store.get(cid)
+	if dm == nil || dm.c == nil {
 		return fmt.Sprintf("store_chunk: id %d is not a container", cid), nil
 	}
 	if dm.closed() {
 		return fmt.Sprintf("store_chunk: container %d is closed", cid), nil
 	}
 	ct, n := dm.c, s.chunk.Len()
-	base := len(ct.order)
-	// Validate every target subscript before mutating anything, so a
-	// failed store is all-or-nothing: partial member creation would
-	// leave the container in a layout no call described.
-	subs := make([]string, n)
-	for i := range subs {
-		subs[i] = strconv.Itoa(base + i)
-		if _, dup := ct.members[subs[i]]; dup {
-			return fmt.Sprintf("store_chunk: container %d already has subscript %q", cid, subs[i]), nil
+	base := len(ct.ids) + len(ct.order) // one is empty
+	// A failed store changes nothing; a column has no member past its end.
+	for i := 0; ct.members != nil && i < n; i++ {
+		if _, dup := ct.members[strconv.Itoa(base+i)]; dup {
+			return fmt.Sprintf("store_chunk: container %d already has subscript \"%d\"", cid, base+i), nil
 		}
 	}
-	if len(ct.members) == 0 {
-		ct.members = make(map[string]int64, n)
-		ct.order = slices.Grow(ct.order, n)
+	if ct.members == nil {
+		ct.ids = slices.Grow(ct.ids, n)
 	}
-	slab := s.mem.datums.take(n, 128)
+	k := s.store.next
+	id := s.store.issue(int64(n))
+	grow(&s.store.pages, k, s.store.next)
 	r := s.chunk.Reader()
-	for i := 0; i < n && r.Next(); i++ {
-		dmv := &slab[i]
+	for i := 0; i < n && r.Next(); i, id = i+1, id+s.store.stride {
+		dmv := slot(s.store.pages, k+int64(i))
 		rowValue(&r, &dmv.val)
-		dmv.typ, dmv.set = dmv.val.Type, true
-		id := s.nextID
-		s.nextID += int64(s.l.Servers)
-		s.store[id] = dmv
-		ct.members[subs[i]] = id
-		ct.order = append(ct.order, subs[i])
+		dmv.typ, dmv.set, dmv.live = dmv.val.Type, true, true
+		if ct.members == nil {
+			ct.ids = append(ct.ids, id)
+		} else {
+			ct.insert(strconv.Itoa(base+i), id)
+		}
 	}
 	return "", nil
 }
@@ -1404,13 +1386,12 @@ func (s *server) applyStoreChunk(d *decoder) (refusal string, err error) {
 // by v; a set id, a container, a type mismatch and an id never issued are
 // refused, with nothing changed. The caller announces the close.
 func (s *server) storeValue(id int64, v *Value) (*datum, error) {
-	dm, ok := s.store[id]
-	if !ok {
-		if !s.issued(id) {
+	dm := s.store.get(id)
+	if dm == nil {
+		if _, issued := s.store.issued(id); !issued {
 			return nil, fmt.Errorf("store: no such id %d", id)
 		}
-		dm = s.mem.datum()
-		s.store[id] = dm
+		dm = s.store.create(id)
 		s.open++ // and closed below
 	}
 	if dm.typ == 0 {

@@ -1,14 +1,13 @@
 package adlb
 
-// arena is where a server's datums and work items come from, and a work
-// item's payload and input ids: each is carved out of a block of its
-// kind, one allocation a block. A block is never reused, and is freed
-// once nothing carved from it is referenced (see the package doc).
+// arena is where a server's work items, their payloads and input ids
+// come from: each is carved out of a block of its kind, one allocation a
+// block. A block is never reused, and is freed once nothing carved from
+// it is referenced (see the package doc).
 type arena struct {
-	datums slab[datum]
-	items  slab[workItem]
-	bytes  slab[byte]
-	ids    slab[int64]
+	items slab[workItem]
+	bytes slab[byte]
+	ids   slab[int64]
 }
 
 // slab carves runs of T out of blocks of block T. A run over a quarter
@@ -31,5 +30,4 @@ func (s *slab[T]) take(n, block int) []T {
 	return v
 }
 
-func (a *arena) datum() *datum       { return &a.datums.take(1, 128)[0] }
 func (a *arena) workItem() *workItem { return &a.items.take(1, 128)[0] }

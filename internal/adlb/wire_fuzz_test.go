@@ -347,7 +347,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 // the last entry — is an error, with no write applied, and the frame
 // goes back to the pool. A well-formed Get goes back too, unless it
 // carries a Store of a string or a blob, or a StoreChunk, whose rows the
-// data store keeps aliasing the frame (a stored number is copied).
+// data store keeps aliasing the frame (a stored number is copied). The
+// store has pages only for ids it issued, and spill pages only for the
+// other ids the Get named: a frame cannot make it allocate for an id's
+// size.
 //
 // Run with: go test -fuzz=FuzzBatchFrame ./internal/adlb
 func FuzzBatchFrame(f *testing.F) {
@@ -392,6 +395,11 @@ func FuzzBatchFrame(f *testing.F) {
 	retrieve := entry(opRetrieveChunk, func(e *encoder) { encodeIDs(e, []int64{heldBase}) })
 	unique := entry(opUnique, func(e *encoder) { e.i32(idBlock) })
 	headless := entry(opLookup, func(e *encoder) { e.i64(heldBase) }) // a lookup with no subscript
+	far := entry(opCreate, func(e *encoder) {
+		e.i64(1 << 62)
+		e.u8(uint8(TypeInteger))
+	})
+	tooMany := entry(opUnique, func(e *encoder) { e.i32(idBlock + 1) })
 	head := getHeadBytes - 1
 	wantsWork := get(2, create, lookup)
 	wantsWork[5] = 1
@@ -410,6 +418,8 @@ func FuzzBatchFrame(f *testing.F) {
 	f.Add(get(2, store, enumerate))              // a read behind a refused write: no such id
 	f.Add(get(2, create, headless))              // well framed, a read with no subscript
 	f.Add(wantsWork)                             // a read in a Get that wants work
+	f.Add(get(2, far, store))                    // an id far past any issued: no page
+	f.Add(get(2, create, tooMany))               // a Unique past idBlock: refused
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := testServer(t, 2, 1, 0, Config{})
@@ -425,10 +435,14 @@ func FuzzBatchFrame(f *testing.F) {
 			t.Fatalf("malformed Get %x accepted", body)
 		case !wellFormed && !released:
 			t.Fatalf("malformed Get %x (%v) was not released", body, err)
-		case !wellFormed && (len(s.store) > 0 || len(s.untargeted) > 0):
+		case !wellFormed && (storeSize(s) > 0 || len(s.untargeted) > 0):
 			t.Fatalf("malformed Get %x applied a write", body)
 		case wellFormed && released == retains:
 			t.Fatalf("Get %x carrying a store: %v, released: %v", body, retains, released)
+		case int64(len(s.store.pages)) > (s.store.next+pageSize-1)/pageSize ||
+			len(s.store.spill) > (len(s.store.extra)+pageSize-1)/pageSize:
+			t.Fatalf("Get %x made %d pages for %d ids issued and %d spill pages for %d other ids",
+				body, len(s.store.pages), s.store.next, len(s.store.spill), len(s.store.extra))
 		}
 	})
 }

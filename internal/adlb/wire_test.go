@@ -345,8 +345,8 @@ func TestGetStoreRowCountRefused(t *testing.T) {
 		if err == nil || err.Error() != want {
 			t.Errorf("%d rows: %v, want %q", c.Len(), err, want)
 		}
-		if len(s.store) != 0 {
-			t.Errorf("%d rows: the store holds %d ids, want none", c.Len(), len(s.store))
+		if n := storeSize(s); n != 0 {
+			t.Errorf("%d rows: the store holds %d ids, want none", c.Len(), n)
 		}
 	}
 }
