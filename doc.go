@@ -349,21 +349,34 @@
 //
 // The zero-copy aliasing contract. Payload slices returned by
 // adlb.Client.Retrieve and RetrieveChunk alias the RPC response frame,
-// and a value is copied once on its way out: Store's one-row chunk and
-// the server's reply to a one-id retrieve alias the value's own bytes
+// and a value is copied once on its way out: Store encodes its value
+// straight into the write's frame, keeping nothing of it, and the
+// server's reply to a one-id retrieve aliases the value's own bytes
 // (never the server's reused gather buffer, whose next append would
 // write into a stored datum). Returned slices are valid until the next
-// call on the same Client returns: that call retires the pinned frames
+// read or Get on the same Client: that call retires the pinned frames
 // at its start and releases them only after its own request is on the
 // wire (encode may legitimately read a
-// retired frame — a retrieved blob stored straight back). Consumers that
-// keep payloads longer must copy on escape — lang.ChunkToValues takes
-// copyBytes because engines retain argv bindings across later
-// data-plane calls — while bulk paths that finish inside the window
-// (vpack, vunpack, the gather/scatter benchmark) stay zero-copy. A work
+// retired frame — a retrieved blob stored straight back). A work
 // item's payload, and the rows it carried, alias its Get response frame,
 // which lives longer: until the client's next Get, Fail or Leave is on
-// the wire. Get and GetLeased copy no payload: every caller finishes
+// the wire. Consumers that keep payloads longer must copy on escape
+// (lang.ChunkToValues takes copyBytes for them, swiftd's fragment
+// values among them), while paths that finish inside the window stay
+// zero-copy: vpack, vunpack, the gather/scatter benchmark, and a leaf.
+// A leaf's blob arguments are lent to its engine where they arrived
+// (lang.Call): Table.Leaf unboxes them with no copy, the engine makes
+// no client call, and StoreAs encodes the result, which may alias them,
+// before either window closes. An engine copies what a fragment may
+// keep. A script engine views its blob arguments in place only when the
+// fragment's code is blank and its expression provably keeps nothing —
+// no assignment, lambda, attribute or method call, and no call but of a
+// builtin that stores nothing (no jlite name ending in !), none
+// displaced by a global — a test made once per parse and cached with
+// it; it unbinds those views when Eval returns, and otherwise binds
+// copies. rlite decodes every blob into its own vector, and a result
+// that is a bound argument's unwritten vector leaves as that argument's
+// bytes. Get and GetLeased copy no payload: every caller finishes
 // with it inside the task (a worker decodes its record, copying the
 // strings it keeps; an engine copies its control action; swiftd copies
 // its fragment's values out). On the server side the mirror rule:
@@ -376,8 +389,8 @@
 // TestResultFrameSurvivesPoolReuse).
 //
 // Outside the evaluators and Tcl, a leaf's path allocates almost nothing
-// (internal/turbine TestLeafPathAllocs: one server and two workers, 2.1
-// allocations a leaf against 18.3 before, the one that stays being
+// (internal/turbine TestLeafPathAllocs: one server and two workers, 1.0
+// allocation a leaf against 18.3 before, the one that stays being
 // lang.buildCall's copy of the arguments an engine may keep). The
 // server's data store is indexed, not hashed: the k-th id a server
 // issues has its datum in slot k of a directory of pages of 128 datums,

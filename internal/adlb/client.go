@@ -81,10 +81,9 @@ type Client struct {
 	// item, which Retrieve and RetrieveChunk serve with no RPC.
 	item item
 
-	// dec reads the reply of the last exchange, and row is the one-row
-	// chunk a Store encodes; each is reused from one call to the next.
+	// dec reads the reply of the last exchange, reused from one call to
+	// the next.
 	dec decoder
-	row chunk.Chunk
 }
 
 // pending is a Get being built for server, in the frame it travels in:
@@ -678,21 +677,14 @@ func (cl *Client) Create(id int64, typ DataType) error {
 
 // Store writes the value of a single-assignment datum, closing it and
 // releasing the rules held on it. An issued id with no datum yet gets one,
-// typed by v. The value travels as a one-row chunk aliasing v.Bytes, so
-// its payload is copied once, into the write's frame. Create, Store,
-// Insert, WriteRefcount and StoreChunk are writes, like Put.
+// typed by v. The value is encoded as a one-row chunk straight into the
+// write's frame, its payload copied once, and Store keeps nothing of v.
+// Create, Store, Insert, WriteRefcount and StoreChunk are writes, like Put.
 func (cl *Client) Store(id int64, v Value) error {
-	c := &cl.row
-	err := row(&v, c)
-	if err == nil {
-		err = cl.write(cl.l.OwnerOf(id), opStore, chunkBytes(c), func(e *encoder) {
-			e.i64(id)
-			encodeChunk(e, c)
-		})
-	}
-	c.Raw = nil // the frame holds the value now: keep no view of it
-	clear(c.Meta)
-	return err
+	return cl.write(cl.l.OwnerOf(id), opStore, 32+len(v.Bytes)+8*len(v.Dims), func(e *encoder) {
+		e.i64(id)
+		encodeRow(e, &v)
+	})
 }
 
 // Retrieve fetches a datum's value: from the current item's rows, or a

@@ -408,10 +408,32 @@ func appendRow(c *chunk.Chunk, v *Value) error {
 	return nil
 }
 
+// encodeRow writes v alone as a one-row chunk, its bytes copied
+// straight into e, so a Store keeps no view of v; a value of no row
+// fails the encoding.
+func encodeRow(e *encoder, v *Value) {
+	kind, off := [1]byte{byte(v.Type)}, [2]uint32{0, uint32(len(v.Bytes))}
+	meta := [1]chunk.BlobMeta{{Elem: v.Elem, Dims: v.Dims}}
+	c := chunk.Chunk{Kinds: kind[:]}
+	switch v.Type {
+	case TypeInteger, TypeFloat:
+		c.Num = v.Bytes
+	case TypeString:
+		c.Raw, c.Off = v.Bytes, off[:]
+	case TypeBlob:
+		c.Raw, c.Off, c.Meta = v.Bytes, off[:], meta[:]
+	}
+	if err := c.Validate(); err != nil {
+		e.err = fmt.Errorf("adlb: a %v value has no row: %w", v.Type, err)
+		return
+	}
+	encodeChunk(e, &c)
+}
+
 // row makes c, reused, v alone as a one-row chunk whose string or blob
-// payload column is v.Bytes itself, not a copy, so a Store or a one-id
-// retrieve reply copies the payload once, onto the wire. Append nothing
-// to the chunk: that would write into v's bytes.
+// payload column is v.Bytes itself, not a copy, so a reply carrying a
+// lone datum copies the payload once, onto the wire. Append nothing to
+// the chunk: that would write into v's bytes.
 func row(v *Value, c *chunk.Chunk) error {
 	c.Reset()
 	switch v.Type {
@@ -519,20 +541,27 @@ func decodeRows(d *decoder, ids *[]int64, rows *chunk.Chunk) {
 // decodePairs reads an enumerate answer: u32 n, then n (subscript,
 // member id) pairs in insertion order. A pair is at least a u32 subscript
 // length and an i64 id, and the loop stops at the first decode error, so
-// a hostile count costs neither memory nor time.
+// a hostile count costs neither memory nor time. The subscripts are
+// slices of one string, the rest of the frame from the first pair on, so
+// an answer of any length allocates twice.
 func decodePairs(d *decoder) []Pair {
 	n := d.count(12, "enumerate pairs")
 	if d.err != nil {
 		return nil
 	}
 	pairs := make([]Pair, 0, n)
+	if n == 0 {
+		return pairs
+	}
+	base, rest := d.off, string(d.buf[d.off:])
 	for i := 0; i < n; i++ {
-		sub := d.str()
+		sub := d.bytes()
+		at := d.off - len(sub) - base
 		id := d.i64()
 		if d.err != nil {
 			return nil
 		}
-		pairs = append(pairs, Pair{Subscript: sub, Member: id})
+		pairs = append(pairs, Pair{Subscript: rest[at : at+len(sub)], Member: id})
 	}
 	return pairs
 }

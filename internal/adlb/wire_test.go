@@ -597,3 +597,68 @@ func TestChunkFramePair(t *testing.T) {
 		t.Fatal("decoded columns do not alias the frame: the aliasing contract changed, update its callers")
 	}
 }
+
+// TestDecodePairsAllocsFlatInN: an enumerate answer decodes into its
+// pairs slice and one string its subscripts share, whatever its length.
+func TestDecodePairsAllocsFlatInN(t *testing.T) {
+	answer := func(n int) []byte {
+		e := &encoder{}
+		e.u32(uint32(n))
+		for i := 0; i < n; i++ {
+			e.str(fmt.Sprint(i))
+			e.i64(int64(1000 + i))
+		}
+		e.u32(0) // the reply's item count, after the answer
+		return e.buf
+	}
+	allocs := map[int]float64{}
+	for _, n := range []int{10, 1000} {
+		frame := answer(n)
+		d := decoder{buf: frame}
+		pairs := decodePairs(&d)
+		if d.err != nil || len(pairs) != n || pairs[n-1] != (Pair{Subscript: fmt.Sprint(n - 1), Member: int64(999 + n)}) {
+			t.Fatalf("n=%d: decoded %d pairs, last %+v, err %v", n, len(pairs), pairs[len(pairs)-1], d.err)
+		}
+		for i := range frame {
+			frame[i] = 0
+		}
+		if pairs[0].Subscript != "0" {
+			t.Fatalf("n=%d: a subscript aliases the frame: %q", n, pairs[0].Subscript)
+		}
+		frame = answer(n)
+		allocs[n] = testing.AllocsPerRun(20, func() {
+			d := decoder{buf: frame}
+			decodePairs(&d)
+		})
+	}
+	if allocs[10] != allocs[1000] || allocs[1000] > 2 {
+		t.Fatalf("decoding an enumerate answer allocates %v times at n = 10, 1000; want the same, at most 2", allocs)
+	}
+}
+
+// TestEncodeRowIsTheRowChunk: Store's encodeRow writes the bytes the
+// one-row chunk of the same value encodes to, and refuses a value of no
+// row, leaving the frame as it was.
+func TestEncodeRowIsTheRowChunk(t *testing.T) {
+	for _, v := range []Value{VoidValue(), IntValue(-7), FloatValue(2.5), StringValue(""), StringValue("row"),
+		BlobValue([]byte{1, 2, 3}), {Type: TypeBlob, Elem: 3, Bytes: make([]byte, 24), Dims: []int{3, 1}}} {
+		var c chunk.Chunk
+		if err := row(&v, &c); err != nil {
+			t.Fatal(err)
+		}
+		want, got := &encoder{}, &encoder{}
+		encodeChunk(want, &c)
+		encodeRow(got, &v)
+		if got.err != nil || !bytes.Equal(got.buf, want.buf) {
+			t.Fatalf("%v value: encodeRow wrote %x (%v), the row chunk %x", v.Type, got.buf, got.err, want.buf)
+		}
+	}
+	for _, v := range []Value{{Type: TypeFloat, Bytes: []byte{1, 2, 3}}, {Type: TypeContainer}} {
+		e := &encoder{}
+		at := e.begin()
+		encodeRow(e, &v)
+		if err := e.end(at); err == nil || len(e.buf) != 0 {
+			t.Fatalf("%v value of %d bytes encoded (%x), want refused", v.Type, len(v.Bytes), e.buf)
+		}
+	}
+}

@@ -327,3 +327,51 @@ func BenchmarkEnsembleShape(b *testing.B) {
 	}
 	b.ReportMetric(float64(leaves)/b.Elapsed().Seconds(), "leaves/s")
 }
+
+// blobPipelineShape is swiftbench's blob_pipeline program at pipes
+// pipelines of n float64s: one blob through python, r and julia
+// pass-throughs and a python sum.
+func blobPipelineShape(pipes, n int) string {
+	var b strings.Builder
+	b.WriteString(`(float s) pipe(int n) {
+	blob b0 = julia("", "ones(argv1)", n);
+	blob b1 = python("", "argv1", b0);
+	blob b2 = r("", "argv1", b1);
+	blob b3 = julia("", "argv1", b2);
+	s = python("", "sum(argv1)", b3);
+}
+float out[];
+`)
+	for i := 0; i < pipes; i++ {
+		fmt.Fprintf(&b, "out[%d] = pipe(%d);\n", i, n)
+	}
+	b.WriteString(`float total = python("", "sum(argv1)", vpack(out));
+printf("total=%.17g", total);
+`)
+	return b.String()
+}
+
+// BenchmarkBlobPipelineShape runs the blob pipeline shape, 8 pipelines
+// of 1 Mi float64s (8 MiB a blob) on one engine, two workers and one
+// server, compiled once: the profile harness for a large blob's path
+// into and out of the engines. It reports bytes and allocations a run.
+func BenchmarkBlobPipelineShape(b *testing.B) {
+	const pipes, n = 8, 1 << 20
+	compiled, err := stc.Compile(blobPipelineShape(pipes, n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Engines: 1, Workers: 2, Servers: 1}
+	want := fmt.Sprintf("total=%d", pipes*n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := RunCompiled(compiled, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !strings.Contains(res.Stdout, want) {
+			b.Fatalf("stdout = %q, want %q", res.Stdout, want)
+		}
+	}
+}

@@ -20,7 +20,8 @@ import (
 )
 
 // spyEngine records every call it receives, keyed by the integer the
-// program passes as the first extra argument.
+// program passes as the first extra argument. A blob argument is lent
+// for the call, so the recorded call holds a copy of its bytes.
 type spyEngine struct {
 	calls *sync.Map // int64 -> lang.Call
 }
@@ -35,6 +36,9 @@ func (e *spyEngine) Eval(c lang.Call) (lang.Value, error) {
 	k, err := c.Args[0].AsInt()
 	if err != nil {
 		return lang.Value{}, err
+	}
+	for i := range c.Args {
+		c.Args[i] = c.Args[i].Owned()
 	}
 	e.calls.Store(k, c)
 	return lang.Str(""), nil

@@ -37,7 +37,8 @@ func (p *probeState) capture(v lang.Value) {
 
 // probeEngine speaks Engine v2 natively: probe("emit") returns the
 // prepared value typed; probe("capture", x) records its typed argument
-// and passes it through.
+// and passes it through. A blob argument is lent for the call, so what
+// capture records is a copy.
 type probeEngine struct {
 	st *probeState
 }
@@ -52,7 +53,7 @@ func (e *probeEngine) Eval(c lang.Call) (lang.Value, error) {
 		if len(c.Args) != 1 {
 			return lang.Value{}, fmt.Errorf("probe: capture takes one argument, got %d", len(c.Args))
 		}
-		e.st.capture(c.Args[0])
+		e.st.capture(c.Args[0].Owned())
 		return c.Args[0], nil
 	}
 	return lang.Value{}, fmt.Errorf("probe: unknown op %q", c.Code)

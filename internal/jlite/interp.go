@@ -81,12 +81,12 @@ type Interp struct {
 	depth   int
 	// parses is the compile-once fragment cache; it survives Reset (see
 	// memo.Parses).
-	parses *memo.Parses[[]jstmt, jexpr]
+	parses *memo.Parses[[]jstmt, *Expr]
 }
 
 // New creates an interpreter with builtins installed.
 func New() *Interp {
-	in := &Interp{Out: os.Stdout, parses: memo.NewParses(parseProgram, parseExprString)}
+	in := &Interp{Out: os.Stdout, parses: memo.NewParses(parseProgram, parseExpr)}
 	in.reset()
 	return in
 }
@@ -133,12 +133,30 @@ func (in *Interp) Exec(code string) error {
 // EvalExpr evaluates a single expression against the globals, memoizing
 // the parsed expression by source text.
 func (in *Interp) EvalExpr(expr string) (Value, error) {
-	e, err := in.parses.Expr(expr)
+	x, _, err := in.ParseExpr(expr)
 	if err != nil {
 		return nil, err
 	}
-	return in.eval(e, in.globals)
+	return in.EvalParsed(x)
 }
+
+// ParseExpr parses a single expression through the cache, and reports
+// whether evaluating it now keeps nothing it reads: it stores nothing,
+// and no global displaces a builtin it calls.
+func (in *Interp) ParseExpr(expr string) (x *Expr, keepsNothing bool, err error) {
+	if x, err = in.parses.Expr(expr); err != nil {
+		return nil, false, err
+	}
+	keeps := x.keeps
+	for _, name := range x.calls {
+		_, shadowed := in.globals.vars[name]
+		keeps = keeps || shadowed
+	}
+	return x, !keeps, nil
+}
+
+// EvalParsed evaluates a parsed expression against the globals.
+func (in *Interp) EvalParsed(x *Expr) (Value, error) { return in.eval(x.x, in.globals) }
 
 // ParseStats reports the fragment cache's counters.
 func (in *Interp) ParseStats() memo.BudgetStats { return in.parses.Stats() }

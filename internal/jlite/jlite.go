@@ -275,9 +275,12 @@ func (*sContinue) jstmtNode() {}
 
 // ---- parser ----
 
+// jparser reads tokens, noting what an expression may keep (see Expr).
 type jparser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	keeps bool
+	calls []string
 }
 
 // parseProgram parses a whole fragment into a statement list.
@@ -297,8 +300,18 @@ func parseProgram(src string) ([]jstmt, error) {
 	return prog, nil
 }
 
-// parseExprString parses a single expression (the engine's Expr slot).
-func parseExprString(src string) (jexpr, error) {
+// Expr is a parsed expression. keeps is set when evaluating it may store
+// what it reads in the interpreter: it calls a user function, a mutating
+// builtin (push!, any name ending in !) or a computed callee; calls are
+// the builtins it calls, which a global of the same name displaces.
+type Expr struct {
+	x     jexpr
+	keeps bool
+	calls []string
+}
+
+// parseExpr parses a single expression (the engine's Expr slot).
+func parseExpr(src string) (*Expr, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -313,7 +326,7 @@ func parseExprString(src string) (jexpr, error) {
 	if p.cur().kind != tEOF {
 		return nil, fmt.Errorf("jlite: line %d: unexpected %q after expression", p.cur().line, p.cur().text)
 	}
-	return x, nil
+	return &Expr{x: x, keeps: p.keeps, calls: p.calls}, nil
 }
 
 func (p *jparser) cur() token  { return p.toks[p.pos] }
@@ -674,6 +687,11 @@ func (p *jparser) postfix() (jexpr, error) {
 		switch {
 		case p.at(tOp, "("):
 			p.pos++
+			if n, ok := x.(*jName); ok && jBuiltins[n.name] != nil && !strings.HasSuffix(n.name, "!") {
+				p.calls = append(p.calls, n.name)
+			} else {
+				p.keeps = true
+			}
 			call := &jCall{fn: x}
 			p.skipNewlines()
 			for !p.at(tOp, ")") {

@@ -453,3 +453,35 @@ func TestDotLexingDoesNotEatFloats(t *testing.T) {
 		t.Fatalf("v .+ 1 = %q", got)
 	}
 }
+
+// TestKeepsNothing: ParseExpr finds an expression keeps nothing when it
+// calls only builtins that do not mutate, and no global displaces one it
+// calls.
+func TestKeepsNothing(t *testing.T) {
+	cases := []struct {
+		setup, expr string
+		want        bool
+	}{
+		{"", "argv1", true},
+		{"", "sum(argv1) + length(argv1) * 2", true},
+		{"", "argv1 .* 2.0 .+ sqrt(argv1[1])", true},
+		{"", "[sum(argv1), 1.0][1:2]", true},
+		{"sum = 3", "length(argv1)", true},
+		{"", "push!(c, 1)", false},
+		{"", "f(argv1)", false},
+		{"function sum(x)\n  0\nend", "sum(argv1)", false},
+	}
+	for _, tc := range cases {
+		in := New()
+		if err := in.Exec(tc.setup); err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := in.ParseExpr(tc.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("setup %q, expr %q: keeps nothing = %v, want %v", tc.setup, tc.expr, got, tc.want)
+		}
+	}
+}

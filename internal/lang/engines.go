@@ -36,21 +36,21 @@ func init() {
 		if h.Out != nil {
 			in.Out = h.Out
 		}
-		return &scriptEngine[pylite.Value]{name: "python", in: in, bind: pyValue, result: pyResult}
+		return &scriptEngine[pylite.Value, *pylite.Expr]{name: "python", in: in, bind: pyValue, result: pyResult}
 	}})
 	Register(Registration{Name: "r", Sig: script, New: func(h Host) Engine {
 		in := rlite.New()
 		if h.Out != nil {
 			in.Out = h.Out
 		}
-		return &scriptEngine[rlite.Value]{name: "r", in: in, bind: rValue, result: rResult}
+		return &scriptEngine[rlite.Value, string]{name: "r", in: rInterp{in}, bind: rValue, result: rResult}
 	}})
 	Register(Registration{Name: "julia", Sig: script, New: func(h Host) Engine {
 		in := jlite.New()
 		if h.Out != nil {
 			in.Out = h.Out
 		}
-		return &scriptEngine[jlite.Value]{name: "julia", in: in, bind: jlValue, result: jlResult}
+		return &scriptEngine[jlite.Value, *jlite.Expr]{name: "julia", in: in, bind: jlValue, result: jlResult}
 	}})
 	Register(Registration{Name: "tcl", Sig: Signature{Fixed: 1, Variadic: true}, New: newTclEngine})
 	Register(Registration{Name: "sh", Sig: Signature{Fixed: 1, Variadic: true, Result: ResultString}, New: newShellEngine})
@@ -74,13 +74,16 @@ var argNames = func() (names [16]string) {
 }()
 
 // scriptInterp is what a script engine needs of an interpreter whose
-// native values are N: argv binding, the code and expression halves of a
-// fragment, Reset, and its parse cache's counters.
-type scriptInterp[N any] interface {
+// native values are N and parsed expressions X: argv binding, the code
+// and expression halves of a fragment, Reset, and its parse cache's
+// counters. ParseExpr also reports whether evaluating the expression now
+// provably keeps nothing it reads, which lets it view lent blobs (Call).
+type scriptInterp[N, X any] interface {
 	SetGlobal(name string, v N)
 	DelGlobal(name string)
 	Exec(code string) error
-	EvalExpr(expr string) (N, error)
+	ParseExpr(expr string) (x X, keepsNothing bool, err error)
+	EvalParsed(x X) (N, error)
 	Reset()
 	ParseStats() memo.BudgetStats
 }
@@ -88,29 +91,49 @@ type scriptInterp[N any] interface {
 // scriptEngine embeds a script interpreter — pylite, rlite or jlite, the
 // paper's "interpreter as a native code library" — and owns the argv
 // contract for all of them. What differs per language is two
-// conversions: bind turns an argument into its native binding, and
-// result turns the expression's native value back into a Value, given
-// the call and the natives bound for it (so a result that is still one of
-// them can leave under that argument's own metadata).
-type scriptEngine[N any] struct {
+// conversions: bind turns an argument into its native binding (a blob
+// its lent bytes when lent is set, or their copy), and result turns the
+// expression's native value back into a Value, given the call and the
+// natives bound for it (so a result that is still one of them can leave
+// under that argument's own metadata).
+type scriptEngine[N, X any] struct {
 	name   string
-	in     scriptInterp[N]
-	bind   func(a *Value) (N, error)
+	in     scriptInterp[N, X]
+	bind   func(a *Value, lent bool) (N, error)
 	result func(v N, c Call, bound []N) (Value, error)
 	argn   int // argv bindings currently installed
 	bound  []N // Eval's scratch: the natives bound for the call
 }
 
-func (e *scriptEngine[N]) Name() string { return e.name }
+func (e *scriptEngine[N, X]) Name() string { return e.name }
 
-func (e *scriptEngine[N]) Eval(c Call) (Value, error) {
+// Eval binds the call's arguments as argv1..argvN, runs Code, then
+// evaluates Expr. A fragment with blank Code whose Expr keeps nothing
+// views its blob arguments where they lie, unbound when Eval returns
+// (the next Eval rebinds or deletes argv anyway); others bind copies.
+func (e *scriptEngine[N, X]) Eval(c Call) (Value, error) {
+	var x X
+	var err error
+	lent := blank(c.Code)
+	if lent && !blank(c.Expr) {
+		if x, lent, err = e.in.ParseExpr(c.Expr); err != nil {
+			return Value{}, err
+		}
+	}
 	// Convert every argument before binding any: a failure mid-list must
 	// not leave a partial argv set behind (nothing is bound, argn is
 	// untouched, and the previous task's bindings get cleaned next time).
 	e.bound = e.bound[:0]
-	defer func() { clear(e.bound) }() // the interpreter holds what it keeps
+	defer func() {
+		clear(e.bound) // the interpreter holds what it keeps
+		for i := range c.Args {
+			if lent && c.Args[i].Kind() == KindBlob {
+				e.in.DelGlobal(argName(i))
+			}
+		}
+	}()
 	for i := range c.Args {
-		v, err := e.bind(&c.Args[i])
+		v, err := e.bind(&c.Args[i], lent)
 		if err != nil {
 			return Value{}, err
 		}
@@ -127,24 +150,40 @@ func (e *scriptEngine[N]) Eval(c Call) (Value, error) {
 		e.in.DelGlobal(argName(i))
 	}
 	e.argn = len(bound)
-	if strings.TrimSpace(c.Code) != "" {
+	if !blank(c.Code) {
 		if err := e.in.Exec(c.Code); err != nil {
 			return Value{}, err
 		}
+		if !blank(c.Expr) {
+			if x, _, err = e.in.ParseExpr(c.Expr); err != nil {
+				return Value{}, err
+			}
+		}
 	}
-	if strings.TrimSpace(c.Expr) == "" {
+	if blank(c.Expr) {
 		return Str(""), nil
 	}
-	v, err := e.in.EvalExpr(c.Expr)
+	v, err := e.in.EvalParsed(x)
 	if err != nil {
 		return Value{}, err
 	}
 	return e.result(v, c, bound)
 }
 
-func (e *scriptEngine[N]) Reset() { e.in.Reset() }
+// blank reports whether a fragment half has nothing to run.
+func blank(src string) bool { return strings.TrimSpace(src) == "" }
 
-func (e *scriptEngine[N]) ParseCacheStats() memo.BudgetStats { return e.in.ParseStats() }
+// lentBlob returns a blob argument's bytes as lent, or a copy of them.
+func lentBlob(a *Value, lent bool) blob.Blob {
+	if lent {
+		return a.AsBlob()
+	}
+	return a.Owned().AsBlob()
+}
+
+func (e *scriptEngine[N, X]) Reset() { e.in.Reset() }
+
+func (e *scriptEngine[N, X]) ParseCacheStats() memo.BudgetStats { return e.in.ParseStats() }
 
 // soleBlob returns the call's blob argument when it has exactly one: a
 // fresh vector result adopts its element view. With several, provenance
@@ -163,7 +202,7 @@ func soleBlob(c Call) (blob.Blob, bool) {
 
 // pyValue converts a typed argument into its Python binding: scalars
 // enter as native numbers/strings, blobs as zero-copy Vec views.
-func pyValue(a *Value) (pylite.Value, error) {
+func pyValue(a *Value, lent bool) (pylite.Value, error) {
 	switch a.Kind() {
 	case KindInt:
 		n, err := a.AsInt()
@@ -172,7 +211,7 @@ func pyValue(a *Value) (pylite.Value, error) {
 		f, err := a.AsFloat()
 		return f, err
 	case KindBlob:
-		return pylite.NewVec(a.AsBlob())
+		return pylite.NewVec(lentBlob(a, lent))
 	}
 	return a.Render(), nil
 }
@@ -217,10 +256,19 @@ func pyResult(v pylite.Value, c Call, _ []pylite.Value) (Value, error) {
 	return Str(pylite.Str(v)), nil
 }
 
+// rInterp is rlite as a scriptInterp. A fragment keeps nothing of a
+// host's bytes, since a blob binds as a vector decoded into R's own
+// memory, so deciding needs no parse: an expression is its source.
+type rInterp struct{ *rlite.Interp }
+
+func (r rInterp) ParseExpr(expr string) (string, bool, error) { return expr, true, nil }
+func (r rInterp) EvalParsed(expr string) (rlite.Value, error) { return r.EvalExpr(expr) }
+
 // rValue converts a typed argument into its R binding: numbers become
 // length-1 numeric vectors, blobs decode into real numeric vectors so R
-// fragments apply native vectorised arithmetic to them.
-func rValue(a *Value) (rlite.Value, error) {
+// fragments apply native vectorised arithmetic to them (R's own copy,
+// lent or not).
+func rValue(a *Value, _ bool) (rlite.Value, error) {
 	switch a.Kind() {
 	case KindInt:
 		n, err := a.AsInt()
@@ -235,13 +283,18 @@ func rValue(a *Value) (rlite.Value, error) {
 }
 
 // rResult converts an R result back into a typed value. Numeric vectors
-// pack into blobs when a blob is wanted, under rProto's element view.
-// Scalars return as numbers; everything else deparses.
+// pack into blobs when a blob is wanted, under rProto's element view,
+// but a bound argument's vector never written in place is still that
+// argument's bytes. Scalars return as numbers; everything else deparses.
 func rResult(v rlite.Value, c Call, bound []rlite.Value) (Value, error) {
 	if nv, ok := v.(*rlite.NumVec); ok {
 		switch {
 		case c.Want == KindBlob:
-			return BlobOf(blob.PackLike(nv.V, rProto(nv, c, bound))), nil
+			proto, own := rProto(nv, c, bound)
+			if own && !nv.Written {
+				return BlobOf(proto), nil // the argument's own bytes
+			}
+			return BlobOf(blob.PackLike(nv.V, proto)), nil
 		case (c.Want == KindInt || c.Want == KindFloat) && len(nv.V) == 1:
 			return Float(nv.V[0]), nil
 		}
@@ -252,23 +305,23 @@ func rResult(v rlite.Value, c Call, bound []rlite.Value) (Value, error) {
 // rProto picks the blob a numeric result repacks under. A vector that is
 // (still) a bound blob argument — R names share the vector object, so
 // identity survives assignment — keeps that argument's own element kind
-// and dims, bit-exact; a fresh vector adopts the sole blob argument's;
-// with several, the safe flat float64 form wins.
-func rProto(nv *rlite.NumVec, c Call, bound []rlite.Value) blob.Blob {
+// and dims, bit-exact (own is set); a fresh vector adopts the sole blob
+// argument's; with several, the safe flat float64 form wins.
+func rProto(nv *rlite.NumVec, c Call, bound []rlite.Value) (proto blob.Blob, own bool) {
 	for i, a := range c.Args {
 		if a.Kind() == KindBlob && bound[i] == rlite.Value(nv) {
-			return a.AsBlob()
+			return a.AsBlob(), true
 		}
 	}
 	if proto, ok := soleBlob(c); ok {
-		return proto
+		return proto, false
 	}
-	return blob.Blob{Elem: blob.ElemF64}
+	return blob.Blob{Elem: blob.ElemF64}, false
 }
 
 // jlValue converts a typed argument into its jlite binding: scalars
 // enter as native numbers/strings, blobs as zero-copy 1-based Vec views.
-func jlValue(a *Value) (jlite.Value, error) {
+func jlValue(a *Value, lent bool) (jlite.Value, error) {
 	switch a.Kind() {
 	case KindInt:
 		n, err := a.AsInt()
@@ -277,7 +330,7 @@ func jlValue(a *Value) (jlite.Value, error) {
 		f, err := a.AsFloat()
 		return f, err
 	case KindBlob:
-		return jlite.NewVec(a.AsBlob())
+		return jlite.NewVec(lentBlob(a, lent))
 	}
 	return a.Render(), nil
 }

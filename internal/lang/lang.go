@@ -70,6 +70,11 @@ const (
 // the kind the caller will store the result as; engines use it to
 // disambiguate results with several faithful encodings (a Python list is
 // a blob only when a blob is wanted, a rendering otherwise).
+//
+// A blob argument's bytes are lent for the call: the caller may reuse
+// them once Eval returns (a leaf's view the frame they arrived in), so
+// an engine keeps a copy of what it keeps (Value.Owned). The result may
+// alias a lent argument; the caller consumes it before reusing them.
 type Call struct {
 	Code string
 	Expr string
@@ -89,7 +94,8 @@ type Engine interface {
 	// Swift name(code, expr, args...) contract. Engines whose surface is
 	// narrower map onto it: the tcl engine evaluates Code (its single
 	// fixed argument) as a script; the sh engine treats Code as the
-	// command word and Args as its argv.
+	// command word and Args as its argv. Blob Args are lent for the call
+	// (see Call): what Eval keeps of one, it copies.
 	Eval(c Call) (Value, error)
 	// Reset discards interpreter state (PolicyReinit). Engines without
 	// retained state may make this a no-op.
@@ -269,7 +275,7 @@ type Table struct {
 	slots  map[string]*slot
 	// Leaf's scratch: a call's argument values, and its TD arguments'
 	// ids with their places among the values. buildCall copies the
-	// values an engine keeps.
+	// values into the Call; a blob's bytes stay lent (see Leaf).
 	vals []Value
 	ids  []int64
 	at   []int
@@ -327,6 +333,12 @@ func (t *Table) run(s *slot, c Call) (Value, error) {
 // call, and the typed result is stored into the output TD. Data-plane
 // failures are environmental, not a defect of the fragment, so they fail
 // the task retriably.
+//
+// A blob argument is lent to the engine as it arrived, with no copy:
+// rows a work item carried stay valid until the worker's next Get, Fail
+// or Leave, rows loaded from another server until the client's next read
+// or Get, and StoreAs encodes (copies) the result, which may alias them,
+// before either. An engine copies what it keeps.
 func (t *Table) Leaf(l *Leaf, dp DataPlane) error {
 	var s *slot
 	if t != nil {
@@ -345,16 +357,13 @@ func (t *Table) Leaf(l *Leaf, dp DataPlane) error {
 		}
 	}
 	if len(t.ids) > 0 {
-		// Payloads are copied out of the chunk (copyBytes=true): engines
-		// may retain argv bindings in interpreter state past the validity
-		// window of the chunk's backing frame.
 		ck, err := dp.LoadChunk(t.ids)
 		if err != nil {
 			return &TaskError{Engine: l.Engine, Code: "dataplane", Retriable: true, Err: err}
 		}
 		r := ck.Reader()
 		for j, i := range t.at {
-			if r.Next(); !rowValue(&r, true, &t.vals[i]) {
+			if r.Next(); !rowValue(&r, false, &t.vals[i]) {
 				err := fmt.Errorf("lang: chunk row %d has unknown kind %d", j, r.Kind())
 				return &TaskError{Engine: l.Engine, Code: "dataplane", Retriable: true, Err: err}
 			}

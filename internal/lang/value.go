@@ -151,6 +151,15 @@ func (v Value) AsBlob() blob.Blob {
 	return blob.New([]byte(v.s))
 }
 
+// Owned returns v with a blob's bytes copied: what a callee keeps of a
+// value lent to it for one call (see Call).
+func (v Value) Owned() Value {
+	if v.kind == KindBlob {
+		v = BlobOf(blob.Blob{Data: append([]byte(nil), v.b.Data...), Dims: v.b.Dims, Elem: v.b.Elem})
+	}
+	return v
+}
+
 // AsString returns the string form (an alias of Render, named for
 // symmetry with the other As* conversions).
 func (v Value) AsString() string { return v.Render() }

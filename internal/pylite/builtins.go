@@ -292,6 +292,12 @@ func init() {
 	}
 }
 
+// storeless names the builtins that store nothing into the interpreter's
+// state and call no function they are given (map and filter do).
+var storeless = map[string]bool{"print": true, "len": true, "range": true, "sum": true,
+	"min": true, "max": true, "abs": true, "round": true, "str": true, "repr": true, "int": true,
+	"float": true, "bool": true, "list": true, "sorted": true, "enumerate": true, "zip": true, "type": true}
+
 func minMax(name string, sign int) func(*Interp, []Value) (Value, error) {
 	return func(in *Interp, args []Value) (Value, error) {
 		var items []Value

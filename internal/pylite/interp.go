@@ -118,12 +118,12 @@ type Interp struct {
 	// parses is the compile-once fragment cache: ensemble workloads
 	// evaluate the same python() fragment once per task, so the steady
 	// state is parse-free, and it survives Reset (see memo.Parses).
-	parses *memo.Parses[[]pstmt, pexpr]
+	parses *memo.Parses[[]pstmt, *Expr]
 }
 
 // New creates an interpreter with builtins installed.
 func New() *Interp {
-	in := &Interp{Out: os.Stdout, gindex: map[string]int{}, parses: memo.NewParses(parseModule, parseExprString)}
+	in := &Interp{Out: os.Stdout, gindex: map[string]int{}, parses: memo.NewParses(parseModule, parseExpr)}
 	in.reset()
 	return in
 }
@@ -244,12 +244,30 @@ func (in *Interp) Exec(code string) error {
 // EvalExpr evaluates a single expression against the globals, memoizing
 // the parsed expression by source text.
 func (in *Interp) EvalExpr(expr string) (Value, error) {
-	e, err := in.parses.Expr(expr)
+	x, _, err := in.ParseExpr(expr)
 	if err != nil {
 		return nil, err
 	}
-	return in.eval(e, nil)
+	return in.EvalParsed(x)
 }
+
+// ParseExpr parses a single expression through the cache, and reports
+// whether evaluating it now keeps nothing it reads: it stores nothing,
+// and no global displaces a builtin it calls (under PolicyRetain a
+// fragment may have defined its own sum).
+func (in *Interp) ParseExpr(expr string) (x *Expr, keepsNothing bool, err error) {
+	if x, err = in.parses.Expr(expr); err != nil {
+		return nil, false, err
+	}
+	keeps := x.keeps
+	for _, n := range x.calls {
+		keeps = keeps || in.slot(n, nil) != nil
+	}
+	return x, !keeps, nil
+}
+
+// EvalParsed evaluates a parsed expression against the globals.
+func (in *Interp) EvalParsed(x *Expr) (Value, error) { return in.eval(x.x, nil) }
 
 // ParseStats reports the fragment cache's counters.
 func (in *Interp) ParseStats() memo.BudgetStats { return in.parses.Stats() }

@@ -129,9 +129,12 @@ func (*sDel) pstmtNode()      {}
 
 // ---- parser ----
 
+// pparser reads tokens, noting what an expression may keep (see Expr).
 type pparser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	keeps bool
+	calls []*eName
 }
 
 func parseModule(src string) ([]pstmt, error) {
@@ -156,8 +159,18 @@ func parseModule(src string) ([]pstmt, error) {
 	return stmts, nil
 }
 
-// parseExprString parses a single expression (for EvalExpr).
-func parseExprString(src string) (pexpr, error) {
+// Expr is a parsed expression. keeps is set when evaluating it may store
+// what it reads in the interpreter: it reads an attribute (a method
+// call), makes a lambda or calls anything but a storeless builtin; calls
+// are the builtins it calls, which a global of the same name displaces.
+type Expr struct {
+	x     pexpr
+	keeps bool
+	calls []*eName
+}
+
+// parseExpr parses a single expression (for ParseExpr).
+func parseExpr(src string) (*Expr, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -174,7 +187,7 @@ func parseExprString(src string) (pexpr, error) {
 		return nil, fmt.Errorf("pylite: line %d: trailing tokens after expression", p.cur().line)
 	}
 	resolveModule(nil, e)
-	return e, nil
+	return &Expr{x: e, keeps: p.keeps, calls: p.calls}, nil
 }
 
 func newName(name string) *eName {
@@ -574,6 +587,11 @@ func (p *pparser) postfix() (pexpr, error) {
 			if err := p.expect(tOp, ")", ")"); err != nil {
 				return nil, err
 			}
+			if n, ok := x.(*eName); ok && storeless[n.name] {
+				p.calls = append(p.calls, n)
+			} else {
+				p.keeps = true
+			}
 			x = &eCall{fn: x, args: args}
 		case p.at(tOp, "["):
 			p.pos++
@@ -606,7 +624,7 @@ func (p *pparser) postfix() (pexpr, error) {
 			if p.cur().kind != tName {
 				return nil, fmt.Errorf("pylite: line %d: expected attribute name", p.cur().line)
 			}
-			x = &eAttr{obj: x, name: p.cur().text}
+			x, p.keeps = &eAttr{obj: x, name: p.cur().text}, true
 			p.pos++
 		default:
 			return x, nil
@@ -660,6 +678,7 @@ func (p *pparser) atom() (pexpr, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.keeps = true
 		return &eLambda{fn: &fnCode{name: "<lambda>", params: params, expr: body}}, nil
 	case t.kind == tName:
 		p.pos++

@@ -448,3 +448,39 @@ func TestInitCostRunsOnReset(t *testing.T) {
 		t.Fatalf("InitCost ran on evaluation: %d calls", calls)
 	}
 }
+
+// TestKeepsNothing: ParseExpr finds an expression keeps nothing when it
+// has no attribute, lambda or call of anything but a storeless builtin,
+// and no global displaces a builtin it calls.
+func TestKeepsNothing(t *testing.T) {
+	cases := []struct {
+		setup, expr string
+		want        bool
+	}{
+		{"", "argv1", true},
+		{"", "sum(argv1) + len(argv1) * 2", true},
+		{"", "sorted(list(argv1))[0] - min(argv1)", true},
+		{"", "{'a': argv1, 'b': [argv1[1:2]]}['a']", true},
+		{"sum = 3", "len(argv1)", true},
+		{"", "lst.append(argv1)", false},
+		{"", "math.sqrt(argv1[0])", false},
+		{"", "(lambda x: x)(argv1)", false},
+		{"", "map(abs, argv1)", false},
+		{"", "f(argv1)", false},
+		{"def sum(x):\n    return 0", "sum(argv1)", false},
+		{"def sum(x):\n    return 0", "len(argv1) + abs(sum(argv1))", false},
+	}
+	for _, tc := range cases {
+		in := New()
+		if err := in.Exec(tc.setup); err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := in.ParseExpr(tc.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("setup %q, expr %q: keeps nothing = %v, want %v", tc.setup, tc.expr, got, tc.want)
+		}
+	}
+}

@@ -20,7 +20,11 @@ type Value any
 type Null struct{}
 
 // NumVec is a numeric vector (R's double type; scalars are length 1).
-type NumVec struct{ V []float64 }
+// Written is set by a write into V in place.
+type NumVec struct {
+	V       []float64
+	Written bool
+}
 
 // StrVec is a character vector.
 type StrVec struct{ V []string }
@@ -449,6 +453,7 @@ func (in *Interp) indexAssign(t *rIndex, v Value, e *renv) (Value, error) {
 			c.V = append(c.V, math.NaN())
 		}
 		c.V[i-1] = nv.V[0]
+		c.Written = true
 		e.set(name.name, c)
 		return c, nil
 	case *StrVec:

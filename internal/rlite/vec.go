@@ -6,7 +6,9 @@ package rlite
 // results pack back into blobs. Packing prefers the prototype of the
 // incoming argument (element kind and Fortran dims), so an identity
 // round-trip of a float32 or int32 vector leaves the interpreter
-// bit-exact rather than widened; see blob.PackLike.
+// bit-exact rather than widened; see blob.PackLike. A result that is a
+// bound argument's own vector, never written in place (NumVec.Written),
+// needs no packing at all: the host hands back that argument's bytes.
 
 import (
 	"fmt"
